@@ -808,7 +808,7 @@ def multilayer_ansatz(k: int, lam: float, outer_mode: str = greens.DIRICHLET,
 
     # per-layer amplitudes and shifts (fall back to the base point when the
     # corrected system folds at desk scale)
-    base_gamma, calc = nondegen._base_point(radii, b, outer_mode)
+    base_gamma = nondegen._base_point(cfg.alphas, b, outer_mode)
     zeta1_pl = np.zeros(radii.size)
     nu2_pl = np.zeros(radii.size)
     for i, gam in enumerate(base_gamma):

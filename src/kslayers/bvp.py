@@ -22,7 +22,7 @@ from scipy.special import j0, j1
 
 from .errors import ConvergenceError, DomainError, StallError
 from .ansatz import Profile, solve_epsilon
-from .greens import LayerConfig, build_green, DIRICHLET
+from .greens import LayerCalculus, LayerConfig
 from .radial import RadialOperator, graded_grid
 
 __all__ = [
@@ -460,24 +460,15 @@ def concentration_report(point: BranchPoint, reference: LayerConfig,
     w = op.quad_weights()
     eu = lam * np.exp(np.minimum(u, _EXP_CAP))
 
-    if reference.outer_mode == DIRICHLET:
-        radii = np.concatenate([np.atleast_1d(reference.alphas), [1.0]]) \
-            if np.atleast_1d(reference.alphas).size else np.array([1.0])
-        g = build_green(np.atleast_1d(reference.alphas), reference.b, DIRICHLET)
-    else:
-        radii = np.atleast_1d(reference.alphas)
-        g = build_green(radii, reference.b, reference.outer_mode)
+    layers = LayerCalculus(reference.alphas, reference.b, reference.outer_mode)
+    radii, g = layers.radii, layers.green
 
     alpha1 = radii[0]
     mask_origin = r <= 0.5 * alpha1
     origin_mass = float(np.sum(w[mask_origin] * eu[mask_origin]))
     total_mass = float(np.sum(w * eu))
 
-    fluxes = []
-    for j, a in enumerate(radii):
-        left, right = g.one_sided_derivatives(j + 1)
-        fluxes.append(1.0 / abs(left))
-    fluxes = np.array(fluxes)
+    fluxes = 1.0 / np.abs(layers.dl)
 
     band = min(10.0 * max(np.sqrt(lam), e), 0.3)
     mask_bd = r >= 1.0 - band

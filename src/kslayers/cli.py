@@ -4,8 +4,8 @@ Subcommands: green, nondegen, ansatz, residual, fixpoint, solve, branch,
 report.  A flat key=value config file can preseed any flag (flags given on
 the command line win).  Numeric outputs are written atomically, echo the
 code version and the full configuration, and are byte-identical across
-reruns with the same configuration and seed.  Exit codes: 0 success,
-2 validation error, 3 solver non-convergence.
+reruns with the same configuration.  Exit codes: 0 success, 2 validation
+error, 3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,6 @@ class RunConfig:
     params: dict
     out_dir: str = "."
     formats: tuple = ("json", "csv")
-    seed: int = 0
 
     def validate(self) -> None:
         lam_keys = [k for k in ("lam", "lams") if k in self.params]
@@ -79,7 +77,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _write_json(cfg: RunConfig, name: str, payload: dict) -> str:
     doc = {"version": __version__,
-           "config": {"command": cfg.command, "seed": cfg.seed,
+           "config": {"command": cfg.command,
                       **{k: (list(v) if isinstance(v, (list, tuple, np.ndarray))
                              else v) for k, v in cfg.params.items()}},
            **payload}
@@ -90,7 +88,7 @@ def _write_json(cfg: RunConfig, name: str, payload: dict) -> str:
 
 def _write_csv(cfg: RunConfig, name: str, header: list[str],
                rows: list[list]) -> str:
-    lines = [f"# kslayers {__version__} command={cfg.command} seed={cfg.seed}"]
+    lines = [f"# kslayers {__version__} command={cfg.command}"]
     lines.append("# " + " ".join(f"{k}={_fmt(v)}" for k, v in
                                  sorted(cfg.params.items())
                                  if not isinstance(v, (list, tuple, np.ndarray))))
@@ -100,15 +98,6 @@ def _write_csv(cfg: RunConfig, name: str, header: list[str],
     path = os.path.join(cfg.out_dir, name)
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
-
-
-def _n_workers() -> int:
-    env = os.environ.get("KSLAYERS_THREADS", "")
-    try:
-        n = int(env)
-        return max(1, n)
-    except ValueError:
-        return min(4, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +127,7 @@ def _cmd_green(cfg: RunConfig) -> None:
 
 def _cmd_nondegen(cfg: RunConfig) -> None:
     p = cfg.params
-    pairs = [(k, b) for k in range(1, p["kmax"] + 1) for b in p["b_grid"]]
-
-    def work(pair):
-        k, b = pair
-        c, _ = greens.solve_layers(k, b, greens.DIRICHLET)
-        m = nondegen.assemble_Ak(c.alphas, b)
-        return {"k": k, "b": b, "M_k": m.det, "cond": m.cond}
-
-    with ThreadPoolExecutor(max_workers=_n_workers()) as pool:
-        rows = list(pool.map(work, pairs))
+    rows = nondegen.sweep_Mk(p["kmax"], p["b_grid"])
     csv_rows = [[r["k"], r["b"], r["M_k"], r["cond"]] for r in rows]
     print(_write_csv(cfg, "nondegen.csv", ["k", "b", "M_k", "cond"], csv_rows))
     payload = {"min_abs_Mk": min(abs(r["M_k"]) for r in rows),
@@ -327,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value file; flags override")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="command", parser_class=argparse.ArgumentParser)
 
     def add_parser(name, **kw):
@@ -405,7 +384,6 @@ def run(cfg: RunConfig) -> int:
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    np.random.seed(cfg.seed)
     try:
         _COMMANDS[cfg.command](cfg)
     except (ConvergenceError, MatchingError, NonContractionError,
@@ -452,7 +430,7 @@ def main(argv=None) -> int:
                 merged[key] = val
 
     params = {k: v for k, v in merged.items()
-              if k not in ("command", "config", "out", "seed") and v is not None}
+              if k not in ("command", "config", "out") and v is not None}
     for key in ("lam", "b", "eta", "tol", "direction"):
         if key in params and isinstance(params[key], str):
             params[key] = float(params[key])
@@ -464,8 +442,7 @@ def main(argv=None) -> int:
     if "outer" in params:
         params["outer"] = _OUTER_MAP.get(params["outer"], params["outer"])
 
-    cfg = RunConfig(command=args.command, params=params, out_dir=args.out,
-                    seed=args.seed)
+    cfg = RunConfig(command=args.command, params=params, out_dir=args.out)
     return run(cfg)
 
 

@@ -9,7 +9,12 @@ homogeneous Neumann condition (``neumann``).
 
 Each annulus solution is stored as a coefficient pair (c_K, c_I) in the
 (K0, I0) basis, so one-sided derivatives at interfaces are analytic and
-never obtained by differencing across an interface.
+never obtained by differencing across an interface.  ``LayerCalculus`` is
+the one layer calculus: from a single Bessel table at the value radii of a
+configuration it solves every annulus (one stacked 2x2 solve), and gives
+the interface fluxes, the reflection defect and its analytic shift
+Jacobian.  The reflection Newton steps with that Jacobian, and
+``nondegen`` reads the shift-derivative matrix M_k from it.
 
 ``k`` counts the free interior layer radii in both outer modes; in
 ``dirichlet_one`` mode the boundary sphere r = 1 additionally carries the
@@ -35,6 +40,7 @@ __all__ = [
     "K_MAX",
     "AnnulusSolve",
     "PiecewiseGreen",
+    "LayerCalculus",
     "LayerConfig",
     "annulus_solution",
     "build_green",
@@ -120,7 +126,11 @@ class PiecewiseGreen:
 
 @dataclass(frozen=True)
 class LayerConfig:
-    """A (candidate or solved) configuration of free layer radii."""
+    """A (candidate or solved) configuration of free layer radii.
+
+    ``iterations`` counts the Newton steps of the reflection solve, for
+    every k.
+    """
 
     k: int
     alphas: np.ndarray
@@ -128,6 +138,39 @@ class LayerConfig:
     outer_mode: str
     residual: float = np.nan
     iterations: int = 0
+
+
+def _solve_annuli(radii: np.ndarray, values: np.ndarray,
+                  i0: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked two-point solves on the annuli between consecutive radii.
+
+    Row j solves c_K K0 + c_I I0 = values at radii[j] and radii[j + 1] in the
+    (K0, I0) basis, with the kernels read from the table ``i0``, ``k0`` at
+    ``radii``.  The unit right-hand sides e_0 and e_1 share the factorization:
+    of each (2, 3) solution, column 0 is the coefficient pair and columns 1
+    and 2 are the annulus's responses to a unit value at its left and right
+    end.  Returns the solutions and the 2x2 condition numbers.
+
+    Raises
+    ------
+    ConditioningError
+        If a 2x2 system is numerically singular.
+    """
+    m = np.stack([np.stack([k0[:-1], i0[:-1]], axis=-1),
+                  np.stack([k0[1:], i0[1:]], axis=-1)], axis=1)
+    cond = np.linalg.cond(m)
+    bad = np.flatnonzero(~(cond <= 1e13))
+    if bad.size:
+        j = bad[0]
+        raise ConditioningError(
+            f"annulus ({radii[j]}, {radii[j + 1]}) solve has condition number "
+            f"{cond[j]:.3e}")
+    rhs = np.zeros((m.shape[0], 2, 3))
+    rhs[:, 0, 0] = values[:-1]
+    rhs[:, 1, 0] = values[1:]
+    rhs[:, 0, 1] = 1.0
+    rhs[:, 1, 2] = 1.0
+    return np.linalg.solve(m, rhs), cond
 
 
 def annulus_solution(r_left: float, r_right: float,
@@ -148,28 +191,138 @@ def annulus_solution(r_left: float, r_right: float,
         raise DomainError(f"annulus radii must satisfy 0 < {r_left} < {r_right} <= 1")
     if not (np.isfinite(v_left) and np.isfinite(v_right)):
         raise DomainError("annulus boundary values must be finite")
-    i0, _, k0, _ = bessel_table(np.array([r_left, r_right]))
-    m = np.array([[k0[0], i0[0]], [k0[1], i0[1]]])
-    cond = float(np.linalg.cond(m))
-    if not np.isfinite(cond) or cond > 1e13:
-        raise ConditioningError(
-            f"annulus ({r_left}, {r_right}) solve has condition number {cond:.3e}")
-    ck, ci = np.linalg.solve(m, np.array([v_left, v_right]))
-    return AnnulusSolve(c_K=float(ck), c_I=float(ci), cond=cond)
+    radii = np.array([r_left, r_right], dtype=float)
+    i0, _, k0, _ = bessel_table(radii)
+    sol, cond = _solve_annuli(radii, np.array([v_left, v_right], dtype=float),
+                              i0, k0)
+    return AnnulusSolve(c_K=float(sol[0, 0, 0]), c_I=float(sol[0, 1, 0]),
+                        cond=float(cond[0]))
 
 
-def _inner_coeffs(alpha: float, b: float, value: float = 1.0) -> tuple[float, float]:
-    # On (0, alpha] the -ln r coefficient pins c_K = b; the value condition
-    # at alpha fixes c_I.
-    i0, _, k0, _ = bessel_table(np.array([alpha]))
-    return b, (value - b * k0[0]) / i0[0]
+class LayerCalculus:
+    """A layered configuration evaluated from one Bessel table.
 
+    ``radii`` are the value radii r_0 < ... < r_{K-1}: the free radii, then
+    the boundary sphere r = 1 in ``dirichlet_one`` mode.  Annulus 0 is the
+    singular one (0, r_0]; annulus j = 1..K-1 lies between r_{j-1} and r_j;
+    in ``neumann`` mode annulus K runs from r_{K-1} to the Neumann end r = 1.
+    One ``bessel_table`` call at the value radii gives every annulus
+    coefficient pair (the interior ones by one stacked 2x2 solve), the
+    one-sided derivatives ``dl`` (from the annulus on the left) and ``dr``
+    (from the right; NaN at the dirichlet boundary), the reflection defect
+    and its analytic shift Jacobian.
 
-def _outer_neumann_coeffs(alpha: float, value: float = 1.0) -> tuple[float, float]:
-    # zeta = K0 + C_MIX * I0 is the unique mode with zero slope at r = 1.
-    _, _, zeta, _ = xi_zeta_table(np.array([alpha]))
-    c = value / zeta[0]
-    return c, c * C_MIX
+    ``values`` defaults to 1 at every value radius.
+
+    Raises
+    ------
+    DomainError
+        For misordered radii, an unknown outer mode, a wrong number of layer
+        values or a non-finite value.
+    ConditioningError
+        If an annulus solve is numerically singular.
+    """
+
+    def __init__(self, alphas, b: float, outer_mode: str, values=None):
+        alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+        if alphas.size and (np.any(np.diff(alphas) <= 0) or alphas[0] <= 0.0
+                            or alphas[-1] >= 1.0):
+            raise DomainError(
+                f"free radii must be strictly increasing in (0, 1): {alphas}")
+        if outer_mode == DIRICHLET:
+            radii = np.concatenate([alphas, [1.0]])
+        elif outer_mode == NEUMANN:
+            if alphas.size == 0:
+                raise DomainError("neumann mode needs at least one layer")
+            radii = alphas
+        else:
+            raise DomainError(f"unknown outer mode {outer_mode!r}")
+        values = np.ones(radii.size) if values is None \
+            else np.asarray(values, dtype=float)
+        if values.shape != radii.shape:
+            raise DomainError(f"{outer_mode} mode needs {radii.size} layer values")
+        if not np.all(np.isfinite(values)):
+            raise DomainError("layer values must be finite")
+
+        self.radii, self.values, self.outer_mode = radii, values, outer_mode
+        self.n_free = alphas.size
+        i0, i1, k0, k1 = bessel_table(radii)
+        self._i0, self._i1, self._k1 = i0, i1, k1
+        # on (0, r_0] the -ln r coefficient pins c_K = b; the value at r_0
+        # fixes c_I
+        coeffs = [[[b, (values[0] - b * k0[0]) / i0[0]]]]
+        self._responses = np.empty((0, 2, 2))
+        if radii.size > 1:
+            sol, _ = _solve_annuli(radii, values, i0, k0)
+            coeffs.append(sol[:, :, 0])
+            self._responses = sol[:, :, 1:]
+        if outer_mode == NEUMANN:
+            # zeta = K0 + C_MIX * I0 is the unique mode with zero slope at r = 1
+            self._zeta = k0[-1] + C_MIX * i0[-1]
+            c = values[-1] / self._zeta
+            coeffs.append([[c, c * C_MIX]])
+        coeffs = np.concatenate(coeffs)
+        interfaces = np.concatenate([[0.0], radii, [1.0]]) \
+            if outer_mode == NEUMANN else np.concatenate([[0.0], radii])
+        self.green = PiecewiseGreen(interfaces=interfaces, coeffs=coeffs,
+                                    b_sing=b, outer_mode=outer_mode)
+
+        K = radii.size
+        self.dl = -coeffs[:K, 0] * k1 + coeffs[:K, 1] * i1
+        # value radii with an annulus to their right
+        n_right = coeffs.shape[0] - 1
+        self.dr = np.full(K, np.nan)
+        self.dr[:n_right] = -coeffs[1:, 0] * k1[:n_right] \
+            + coeffs[1:, 1] * i1[:n_right]
+
+    @property
+    def defect(self) -> np.ndarray:
+        """Reflection defect U'- + U'+ at each free radius."""
+        return self.dl[:self.n_free] + self.dr[:self.n_free]
+
+    def shift_jacobians(self) -> tuple[np.ndarray, np.ndarray]:
+        """Derivatives of the left and right fluxes by the free-radius shifts.
+
+        Returns (DL, DR) of shape (K, n_free): entry [i, j] differentiates
+        the flux at r_i with respect to r_j, layer values held.  DL is lower
+        and DR upper bidiagonal, with exact zeros elsewhere; DR's dirichlet
+        boundary row is zero.  Moving r_j changes the coefficients of each
+        annulus ending there by -U'(r_j) times that annulus's unit response
+        at the end, and moves the evaluation point itself, where
+        U'' = U - U'/r.
+        """
+        r, v, dl, dr = self.radii, self.values, self.dl, self.dr
+        i0, i1, k1 = self._i0, self._i1, self._k1
+        K = r.size
+        n_right = len(self.green.coeffs) - 1
+        DL = np.zeros((K, K))
+        DR = np.zeros((K, K))
+        diag = np.arange(K)
+        DL[diag, diag] = v - dl / r
+        DR[diag[:n_right], diag[:n_right]] = v[:n_right] - dr[:n_right] / r[:n_right]
+        # singular annulus: c_K is pinned, so its unit response is (0, 1/I0)
+        DL[0, 0] -= dl[0] * i1[0] / i0[0]
+        if K > 1:
+            j = diag[1:]
+            w_left, w_right = self._responses[:, :, 0], self._responses[:, :, 1]
+
+            def slope(w, at):
+                return -w[:, 0] * k1[at] + w[:, 1] * i1[at]
+
+            DL[j, j - 1] = -dr[j - 1] * slope(w_left, j)
+            DL[j, j] -= dl[j] * slope(w_right, j)
+            DR[j - 1, j - 1] -= dr[j - 1] * slope(w_left, j - 1)
+            DR[j - 1, j] = -dl[j] * slope(w_right, j - 1)
+        if self.outer_mode == NEUMANN:
+            # the Neumann annulus stays proportional to zeta
+            zetap = -k1[-1] + C_MIX * i1[-1]
+            DR[-1, -1] -= dr[-1] * zetap / self._zeta
+        return DL[:, :self.n_free], DR[:, :self.n_free]
+
+    def defect_jacobian(self) -> np.ndarray:
+        """Analytic Jacobian of the reflection defect by the free radii."""
+        DL, DR = self.shift_jacobians()
+        return DL[:self.n_free] + DR[:self.n_free]
 
 
 def build_green(alphas, b: float, outer_mode: str,
@@ -181,50 +334,12 @@ def build_green(alphas, b: float, outer_mode: str,
     sphere in ``dirichlet_one`` mode always carries 1 unless a value is
     appended for it).
     """
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if alphas.size and (np.any(np.diff(alphas) <= 0) or alphas[0] <= 0.0
-                        or alphas[-1] >= 1.0):
-        raise DomainError(f"free radii must be strictly increasing in (0, 1): {alphas}")
-    if outer_mode not in (DIRICHLET, NEUMANN):
-        raise DomainError(f"unknown outer mode {outer_mode!r}")
-
-    k = alphas.size
-    if values is None:
-        values = np.ones(k + 1) if outer_mode == DIRICHLET else np.ones(k)
-    values = np.asarray(values, dtype=float)
-
-    if outer_mode == DIRICHLET:
-        if values.size != k + 1:
-            raise DomainError("dirichlet_one mode needs k+1 layer values")
-        radii = np.concatenate([alphas, [1.0]])
-    else:
-        if values.size != k:
-            raise DomainError("neumann mode needs k layer values")
-        if k == 0:
-            raise DomainError("neumann mode needs at least one layer")
-        radii = alphas
-
-    coeffs = [_inner_coeffs(radii[0], b, values[0])]
-    for j in range(len(radii) - 1):
-        sol = annulus_solution(radii[j], radii[j + 1], values[j], values[j + 1])
-        coeffs.append((sol.c_K, sol.c_I))
-    if outer_mode == NEUMANN:
-        coeffs.append(_outer_neumann_coeffs(radii[-1], values[-1]))
-
-    interfaces = np.concatenate([[0.0], radii, [1.0]]) \
-        if outer_mode == NEUMANN else np.concatenate([[0.0], radii])
-    return PiecewiseGreen(interfaces=interfaces, coeffs=np.array(coeffs),
-                          b_sing=b, outer_mode=outer_mode)
+    return LayerCalculus(alphas, b, outer_mode, values).green
 
 
 def _defect(alphas: np.ndarray, b: float, outer_mode: str) -> np.ndarray:
     """Reflection defect U'+ + U'- at each free interface."""
-    g = build_green(alphas, b, outer_mode)
-    out = np.empty(alphas.size)
-    for j in range(alphas.size):
-        left, right = g.one_sided_derivatives(j + 1)
-        out[j] = left + right
-    return out
+    return LayerCalculus(alphas, b, outer_mode).defect
 
 
 def reflection_residual(config: LayerConfig) -> np.ndarray:
@@ -323,45 +438,22 @@ def _bisect_scalar(f, lo: float, hi: float, tol: float = 1e-14,
     return 0.5 * (lo + hi)
 
 
-def _solve_single_layer(b: float, outer_mode: str) -> tuple[float, int]:
-    """Bisection on the scalar monotone defect."""
-    count = [0]
-
-    def f(alpha: float) -> float:
-        count[0] += 1
-        return float(_defect(np.array([alpha]), b, outer_mode)[0])
-
-    lo, hi = _bracket_sign_change(f, 1e-4, 1.0 - 1e-6)
-    root = _bisect_scalar(f, lo, hi, tol=1e-15)
-    return root, count[0]
-
-
-def _bracket_sign_change(f, lo: float, hi: float, n: int = 64) -> tuple[float, float]:
-    grid = np.linspace(lo, hi, n)
-    vals = [f(g) for g in grid]
-    for j in range(n - 1):
-        if vals[j] == 0.0:
-            return grid[j], grid[j]
-        if vals[j] * vals[j + 1] < 0.0:
-            return grid[j], grid[j + 1]
-    raise ConvergenceError(f"no reflection-defect sign change on [{lo}, {hi}]")
-
-
 def solve_layers(k: int, b: float, outer_mode: str = DIRICHLET,
                  b_max: float = B_MAX) -> tuple[LayerConfig, PiecewiseGreen]:
     """Solve the reflection laws for k free layer radii.
 
-    k = 1 uses bisection on the scalar monotone defect; k >= 2 uses damped
-    Newton (finite-difference Jacobian on the defect vector) from the
-    equispaced nested initial guess alpha_i = i / (k + 1).  ``b_max`` can
-    be raised above the default when a caller genuinely needs a larger
-    singular coefficient (the desk-scale multilayer profiles do).
+    Damped Newton with the analytic shift Jacobian of ``LayerCalculus``,
+    for every k, from the equispaced nested initial guess
+    alpha_i = i / (k + 1).  A step is halved until the radii stay nested in
+    (0, 1) and the defect norm decreases.  ``b_max`` can be raised above the
+    default when a caller genuinely needs a larger singular coefficient (the
+    desk-scale multilayer profiles do).
 
     Raises
     ------
     ConvergenceError
-        If Newton does not reach the residual tolerance, carrying the last
-        residual norm.
+        If Newton stalls or does not reach the residual tolerance, carrying
+        the last residual norm.
     """
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= K_MAX):
         raise DomainError(f"layer count must be an integer in [1, {K_MAX}], got {k!r}")
@@ -370,54 +462,40 @@ def solve_layers(k: int, b: float, outer_mode: str = DIRICHLET,
     if outer_mode not in (DIRICHLET, NEUMANN):
         raise DomainError(f"unknown outer mode {outer_mode!r}")
 
-    if k == 1:
-        root, iters = _solve_single_layer(b, outer_mode)
-        alphas = np.array([root])
-    else:
-        alphas = np.arange(1, k + 1) / (k + 1.0)
-        iters = 0
-        res = _defect(alphas, b, outer_mode)
-        for _ in range(_NEWTON_MAX_ITER):
-            if np.max(np.abs(res)) <= _NEWTON_RESIDUAL_TOL:
-                break
-            iters += 1
-            jac = _fd_jacobian(alphas, b, outer_mode, res)
-            step = np.linalg.solve(jac, -res)
-            lam = 1.0
-            base_norm = np.linalg.norm(res)
-            stalled = True
-            while lam > 1e-8:
-                cand = alphas + lam * step
-                if np.all(np.diff(cand) > 0) and cand[0] > 0 and cand[-1] < 1:
-                    cand_res = _defect(cand, b, outer_mode)
-                    if np.linalg.norm(cand_res) < base_norm:
-                        stalled = False
-                        break
-                lam *= 0.5
-            if stalled:
-                raise ConvergenceError(
-                    "reflection Newton stalled while damping",
-                    residual=float(np.max(np.abs(res))))
-            alphas = cand
-            res = cand_res
-            if np.max(np.abs(lam * step)) <= _NEWTON_STEP_TOL:
-                break
-        if np.max(np.abs(res)) > _NEWTON_RESIDUAL_TOL:
+    alphas = np.arange(1, k + 1) / (k + 1.0)
+    calc = LayerCalculus(alphas, b, outer_mode)
+    res = calc.defect
+    iters = 0
+    for _ in range(_NEWTON_MAX_ITER):
+        if np.max(np.abs(res)) <= _NEWTON_RESIDUAL_TOL:
+            break
+        iters += 1
+        step = np.linalg.solve(calc.defect_jacobian(), -res)
+        lam = 1.0
+        base_norm = np.linalg.norm(res)
+        stalled = True
+        while lam > 1e-8:
+            cand = alphas + lam * step
+            if np.all(np.diff(cand) > 0) and cand[0] > 0 and cand[-1] < 1:
+                cand_calc = LayerCalculus(cand, b, outer_mode)
+                if np.linalg.norm(cand_calc.defect) < base_norm:
+                    stalled = False
+                    break
+            lam *= 0.5
+        if stalled:
             raise ConvergenceError(
-                f"reflection Newton did not converge for k={k}, b={b}",
+                "reflection Newton stalled while damping",
                 residual=float(np.max(np.abs(res))))
+        alphas, calc = cand, cand_calc
+        res = calc.defect
+        if np.max(np.abs(lam * step)) <= _NEWTON_STEP_TOL:
+            break
+    residual = float(np.max(np.abs(res)))
+    if residual > _NEWTON_RESIDUAL_TOL:
+        raise ConvergenceError(
+            f"reflection Newton did not converge for k={k}, b={b}",
+            residual=residual)
 
-    res = _defect(alphas, b, outer_mode)
     config = LayerConfig(k=k, alphas=alphas, b=b, outer_mode=outer_mode,
-                         residual=float(np.max(np.abs(res))), iterations=iters)
-    return config, build_green(alphas, b, outer_mode)
-
-
-def _fd_jacobian(alphas: np.ndarray, b: float, outer_mode: str,
-                 base: np.ndarray, h: float = 1e-7) -> np.ndarray:
-    jac = np.empty((alphas.size, alphas.size))
-    for j in range(alphas.size):
-        pert = alphas.copy()
-        pert[j] += h
-        jac[:, j] = (_defect(pert, b, outer_mode) - base) / h
-    return jac
+                         residual=residual, iterations=iters)
+    return config, calc.green

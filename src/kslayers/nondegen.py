@@ -7,11 +7,12 @@ to the shifts at the unperturbed configuration produces a tridiagonal
 matrix whose determinant must not vanish for the implicit-function solve
 of the layer parameters (gamma, sigma) to go through.
 
-All shift derivatives are computed analytically by differentiating the
-closed-form annulus coefficients; finite differences of the perturbed
-profile are kept as a guard, never as the primary path, because the
-determinant is the quantity whose nonvanishing is conjectural and it must
-not inherit differencing noise.
+The shift derivatives are the analytic ones of ``greens.LayerCalculus``:
+the matrix is the Jacobian of the reflection defect, the same one the
+reflection Newton in ``greens.solve_layers`` steps with.  Finite
+differences of the perturbed profile are kept as a guard, never as the
+primary path, because the determinant is the quantity whose nonvanishing
+is conjectural and it must not inherit differencing noise.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from .errors import (
 from .greens import (
     DIRICHLET,
     NEUMANN,
+    LayerCalculus,
     PiecewiseGreen,
     build_green,
     solve_layers,
 )
-from .specfun import C_MIX, bessel_table, xi_zeta_table
 
 __all__ = [
     "EPS_MAX",
@@ -126,134 +127,6 @@ def perturbed_green(spec: PerturbedGreenSpec) -> PiecewiseGreen:
     return build_green(shifted, spec.b, NEUMANN, values=values)
 
 
-# ---------------------------------------------------------------------------
-# analytic shift derivatives
-# ---------------------------------------------------------------------------
-
-def _annulus_matrix(L: float, R: float) -> np.ndarray:
-    i0, _, k0, _ = bessel_table(np.array([L, R]))
-    return np.array([[k0[0], i0[0]], [k0[1], i0[1]]])
-
-
-def _deriv_at(c: np.ndarray, r: float) -> float:
-    _, i1, _, k1 = bessel_table(np.array([r]))
-    return float(-c[0] * k1[0] + c[1] * i1[0])
-
-
-class _ShiftCalculus:
-    """Shift-derivatives of one-sided fluxes for a solved layer profile.
-
-    Index convention: radii[0..K-1] are the value-1 spheres (boundary last
-    in dirichlet mode); interface i has a left annulus i and (except the
-    dirichlet boundary) a right annulus i+1; annulus 0 is the singular one.
-    """
-
-    def __init__(self, radii: np.ndarray, b: float, outer_mode: str):
-        self.radii = np.asarray(radii, dtype=float)
-        self.b = b
-        self.outer_mode = outer_mode
-        if outer_mode == DIRICHLET:
-            profile = build_green(self.radii[:-1], b, DIRICHLET)
-        else:
-            profile = build_green(self.radii, b, NEUMANN)
-        self.profile = profile
-        self.K = self.radii.size
-        # one-sided derivatives at each value-1 radius
-        self.dl = np.empty(self.K)
-        self.dr = np.full(self.K, np.nan)
-        for i in range(self.K):
-            left, right = profile.one_sided_derivatives(i + 1)
-            self.dl[i] = left
-            self.dr[i] = right
-
-    # -- per-annulus coefficient sensitivities ------------------------------
-
-    def _dc_inner(self) -> np.ndarray:
-        # annulus (0, r_0]: c_K = b pinned, value condition at the moving r_0
-        r0 = self.radii[0]
-        i0, _, _, _ = bessel_table(np.array([r0]))
-        return np.array([0.0, -self.dl[0] / i0[0]])
-
-    def _dc_interior(self, j: int, end: str) -> np.ndarray:
-        # annulus between radii j-1 and j (both value-1)
-        L, R = self.radii[j - 1], self.radii[j]
-        m = _annulus_matrix(L, R)
-        c = self.profile.coeffs[j]
-        if end == "L":
-            rhs = np.array([-_deriv_at(c, L), 0.0])
-        else:
-            rhs = np.array([0.0, -_deriv_at(c, R)])
-        return np.linalg.solve(m, rhs)
-
-    def _dc_outer(self) -> np.ndarray:
-        # outermost annulus; only its left endpoint (the last layer) moves
-        L = self.radii[-1] if self.outer_mode == NEUMANN else self.radii[-2]
-        if self.outer_mode == NEUMANN:
-            _, _, zeta, zetap = (float(v[0]) for v in xi_zeta_table(np.array([L])))
-            scale = -zetap / zeta**2
-            return np.array([scale, scale * C_MIX])
-        m = _annulus_matrix(L, 1.0)
-        c = self.profile.coeffs[-1]
-        rhs = np.array([-_deriv_at(c, L), 0.0])
-        return np.linalg.solve(m, rhs)
-
-    def _dc(self, annulus: int, end: str) -> np.ndarray:
-        n_annuli = len(self.profile.coeffs)
-        if annulus == 0:
-            if end != "R":
-                raise ValueError("inner annulus has no movable left endpoint")
-            return self._dc_inner()
-        if annulus == n_annuli - 1:
-            if end != "L":
-                raise ValueError("outer annulus has no movable right endpoint")
-            return self._dc_outer()
-        return self._dc_interior(annulus, end)
-
-    # -- flux derivatives ----------------------------------------------------
-
-    def d_flux(self, i: int, side: str, j: int) -> float:
-        """d/d sigma_j of the one-sided flux at the moving interface i.
-
-        Sides are 'L' (flux from the left annulus) and 'R' (from the right).
-        """
-        r = self.radii[i]
-        total = 0.0
-        if side == "L":
-            annulus = i  # annulus index i lies left of radius i
-            if j == i:
-                u_prime = self.dl[i]
-                total += 1.0 - u_prime / r  # moving evaluation point, u'' = u - u'/r
-                dc = self._dc(annulus, "R")
-                total += _deriv_at(dc, r)
-            elif j == i - 1:
-                if annulus == 0:
-                    return 0.0
-                dc = self._dc(annulus, "L")
-                total += _deriv_at(dc, r)
-            else:
-                return 0.0
-        else:
-            annulus = i + 1
-            if annulus >= len(self.profile.coeffs):
-                raise ValueError("no annulus to the right of the outer boundary")
-            if j == i:
-                u_prime = self.dr[i]
-                total += 1.0 - u_prime / r
-                dc = self._dc(annulus, "L")
-                total += _deriv_at(dc, r)
-            elif j == i + 1:
-                if annulus == len(self.profile.coeffs) - 1:
-                    # the outer annulus right end never moves (r = 1 or Neumann)
-                    if self.outer_mode == DIRICHLET:
-                        return 0.0
-                    return 0.0
-                dc = self._dc(annulus, "R")
-                total += _deriv_at(dc, r)
-            else:
-                return 0.0
-        return total
-
-
 def _value_radii(alphas: np.ndarray, outer_mode: str) -> np.ndarray:
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     if outer_mode == DIRICHLET:
@@ -277,15 +150,7 @@ def assemble_Ak(alphas, b: float, check: bool = True) -> NondegenMatrix:
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     k = alphas.size
-    radii = _value_radii(alphas, DIRICHLET)
-    calc = _ShiftCalculus(radii, b, DIRICHLET)
-
-    entries = np.zeros((k, k))
-    for i in range(k):
-        entries[i, i] = calc.d_flux(i, "L", i) + calc.d_flux(i, "R", i)
-        if i + 1 < k:
-            entries[i + 1, i] = calc.d_flux(i + 1, "L", i)
-            entries[i, i + 1] = calc.d_flux(i, "R", i + 1)
+    entries = LayerCalculus(alphas, b, DIRICHLET).defect_jacobian()
 
     if check:
         fd = _fd_entries(alphas, b)
@@ -411,9 +276,9 @@ def _h_system(eps: float, x: np.ndarray, sigma_free: np.ndarray,
     return np.array(rows)
 
 
-def _base_point(radii: np.ndarray, b: float, outer_mode: str) -> np.ndarray:
-    calc = _ShiftCalculus(radii, b, outer_mode)
-    return -1.0 / calc.dl, calc
+def _base_point(alphas, b: float, outer_mode: str) -> np.ndarray:
+    """Base amplitudes gamma_i = -1 / U'^-(r_i) at every value-1 radius."""
+    return -1.0 / LayerCalculus(alphas, b, outer_mode).dl
 
 
 def jacobian_at_base(alphas, b: float,
@@ -424,23 +289,21 @@ def jacobian_at_base(alphas, b: float,
     left/right flux equations at each free layer, with the single boundary
     flux row last in ``dirichlet_one`` mode.
     """
-    radii = _value_radii(alphas, outer_mode)
-    x0, calc = _base_point(radii, b, outer_mode)
-    K = radii.size
-    n_free = K - 1 if outer_mode == DIRICHLET else K
+    calc = LayerCalculus(alphas, b, outer_mode)
+    DL, DR = calc.shift_jacobians()
+    K = calc.radii.size
+    n_free = calc.n_free
     n_rows = 2 * n_free + (1 if outer_mode == DIRICHLET else 0)
     jac = np.zeros((n_rows, K + n_free))
     g = calc.dl**2
     for i in range(n_free):
         jac[2 * i, i] = -g[i]
         jac[2 * i + 1, i] = +g[i]
-        for j in range(n_free):
-            jac[2 * i, K + j] = calc.d_flux(i, "L", j)
-            jac[2 * i + 1, K + j] = calc.d_flux(i, "R", j)
+        jac[2 * i, K:] = DL[i]
+        jac[2 * i + 1, K:] = DR[i]
     if outer_mode == DIRICHLET:
         jac[-1, K - 1] = -g[-1]
-        for j in range(n_free):
-            jac[-1, K + j] = calc.d_flux(K - 1, "L", j)
+        jac[-1, K:] = DL[-1]
     return jac
 
 
@@ -456,14 +319,10 @@ def verify_detN(alphas, b: float) -> dict:
     K = alphas.size + 1
     jac = jacobian_at_base(alphas, b, DIRICHLET)
     det_n = float(np.linalg.det(jac))
-    radii = _value_radii(alphas, DIRICHLET)
-    _, calc = _base_point(radii, b, DIRICHLET)
+    calc = LayerCalculus(alphas, b, DIRICHLET)
     g = calc.dl**2
     sign = -1.0 if (K * (K + 1) // 2) % 2 else 1.0
-    if alphas.size:
-        m_prev = assemble_Ak(alphas, b, check=False).det
-    else:
-        m_prev = 1.0
+    m_prev = tridiag_det(calc.defect_jacobian()) if alphas.size else 1.0
     expected = sign * float(np.prod(g)) * m_prev
     rel = abs(det_n - expected) / max(abs(expected), 1e-300)
     return {"k": K, "det_N": det_n, "M_km1": m_prev, "prefactor": sign * float(np.prod(g)),
@@ -499,7 +358,7 @@ def solve_layer_parameters(alphas, b: float, eps: float,
     zeta1 = np.zeros(K) if zeta1 is None else np.asarray(zeta1, dtype=float)
     nu2 = np.zeros(K) if nu2 is None else np.asarray(nu2, dtype=float)
 
-    x0, _ = _base_point(radii, b, outer_mode)
+    x0 = _base_point(alphas, b, outer_mode)
     sigma0 = np.zeros(n_free)
     if eps == 0.0:
         full_sigma = np.zeros(K) if outer_mode == DIRICHLET else sigma0

@@ -7,6 +7,8 @@ from kslayers.specfun import bessel_table, xi_zeta_table
 
 import oracles
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestSingularGreen:
     def test_boundary_normalization_and_coefficient(self):
@@ -109,14 +111,17 @@ class TestSolveLayers:
     @pytest.mark.parametrize("mode", [greens.NEUMANN, greens.DIRICHLET])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_convergence_grid(self, mode, k):
-        cfg, g = greens.solve_layers(k, 1e-3, mode)
-        assert cfg.residual <= 1e-10
-        assert np.all(np.diff(cfg.alphas) > 0)
-        assert 0 < cfg.alphas[0] and cfg.alphas[-1] < 1
-        # interface values exactly 1 and continuity
-        vals = g.value(cfg.alphas)
-        assert np.max(np.abs(vals - 1.0)) < 1e-12
-        assert g.continuity_defect() < 1e-12
+        # Newton from the equispaced guess also has to reach the large b
+        # that report and multilayer_ansatz request under b_max = 0.5
+        for b in (1e-3, 0.2, 0.5) if k <= 2 else (1e-3,):
+            cfg, g = greens.solve_layers(k, b, mode, b_max=0.5)
+            assert cfg.residual <= 1e-10
+            assert np.all(np.diff(cfg.alphas) > 0)
+            assert 0 < cfg.alphas[0] and cfg.alphas[-1] < 1
+            # interface values exactly 1 and continuity
+            vals = g.value(cfg.alphas)
+            assert np.max(np.abs(vals - 1.0)) < 1e-12
+            assert g.continuity_defect() < 1e-12
 
     def test_positivity(self):
         _, g = greens.solve_layers(3, 1e-2, greens.NEUMANN)

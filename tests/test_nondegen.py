@@ -4,6 +4,7 @@ import pytest
 from kslayers import greens, nondegen
 from kslayers.errors import DomainError
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture(scope="module")
@@ -93,21 +94,27 @@ class TestMatrixAssembly:
         scale = np.maximum(np.abs(mat.entries), 1e-6)
         assert np.max(np.abs(mat.entries - fd) / scale) < 1e-5
 
-    def test_diagonal_matches_defect_derivative(self, solved_configs):
-        # cross-module: diagonal entries are the shift derivatives of the
-        # reflection defect
-        cfg, _ = solved_configs[2]
-        mat = nondegen.assemble_Ak(cfg.alphas, 1e-3, check=False)
-        h = 1e-5
-        for i in range(2):
-            up = cfg.alphas.copy()
-            dn = cfg.alphas.copy()
-            up[i] += h
-            dn[i] -= h
-            dplus = greens._defect(up, 1e-3, greens.DIRICHLET)[i]
-            dminus = greens._defect(dn, 1e-3, greens.DIRICHLET)[i]
-            fd = (dplus - dminus) / (2 * h)
-            assert abs(fd - mat.entries[i, i]) <= 1e-8 * max(1.0, abs(fd))
+    def test_diagonal_matches_defect_derivative(self):
+        # cross-module: the analytic Jacobian that the reflection Newton
+        # steps with (and M_k is, in dirichlet mode) matches central
+        # differences of the public defect, every entry, in both outer modes
+        b, h = 1e-3, 1e-5
+        for mode in (greens.DIRICHLET, greens.NEUMANN):
+            cfg, _ = greens.solve_layers(3, b, mode)
+            jac = greens.LayerCalculus(cfg.alphas, b, mode).defect_jacobian()
+            if mode == greens.DIRICHLET:
+                mat = nondegen.assemble_Ak(cfg.alphas, b, check=False)
+                assert np.array_equal(mat.entries, jac)
+            for j in range(3):
+                up = cfg.alphas.copy()
+                dn = cfg.alphas.copy()
+                up[j] += h
+                dn[j] -= h
+                dplus = greens.reflection_residual(greens.LayerConfig(3, up, b, mode))
+                dminus = greens.reflection_residual(greens.LayerConfig(3, dn, b, mode))
+                fd = (dplus - dminus) / (2 * h)
+                assert np.all(np.abs(fd - jac[:, j])
+                              <= 1e-8 * np.maximum(1.0, np.abs(fd))), (mode, j)
 
 
 class TestDeterminant:

@@ -182,6 +182,14 @@ def nonlinearity(U: Profile, phi: np.ndarray, lam: float) -> np.ndarray:
         raise DomainError("phi must live on the profile grid")
     if np.max(np.abs(phi)) > 1.0 + 1e-12:
         raise DomainError("nonlinearity expects ||phi||_inf <= 1")
+    return _remainder(U, phi, lam)
+
+
+def _remainder(U: Profile, phi: np.ndarray, lam: float) -> np.ndarray:
+    """``nonlinearity`` without the ball check, as the fixed point needs it.
+
+    Raises ``OverflowRegionError`` where e^(U+phi) would overflow.
+    """
     if np.max(U.values + phi) > _EXP_CAP:
         idx = int(np.argmax(U.values + phi))
         raise OverflowRegionError(
@@ -310,9 +318,7 @@ def fixed_point(U: Profile, lam: float, rho: float | None = None,
     converged = False
     for it in range(max_iter):
         try:
-            rhs = -R + (nonlinearity(U, np.clip(phi, -1.0, 1.0), lam)
-                        if np.max(np.abs(phi)) <= 1.0
-                        else _n_uncapped(U, phi, lam))
+            rhs = -R + _remainder(U, phi, lam)
         except OverflowRegionError:
             raise NonContractionError(
                 "fixed-point iterate overflowed the exponential",
@@ -342,14 +348,6 @@ def fixed_point(U: Profile, lam: float, rho: float | None = None,
     return FixedPointResult(phi=phi, increments=increments, factors=factors,
                             rho=rho, bound=bound, residual_drop=drop,
                             converged=converged)
-
-
-def _n_uncapped(U: Profile, phi: np.ndarray, lam: float) -> np.ndarray:
-    if np.max(U.values + phi) > _EXP_CAP:
-        idx = int(np.argmax(U.values + phi))
-        raise OverflowRegionError("overflow", radius=float(U.grid[idx]))
-    eu = np.exp(U.values)
-    return lam * (np.exp(U.values + phi) - eu - eu * phi)
 
 
 def random_smooth_field(grid: np.ndarray, rng: np.random.Generator,

@@ -257,8 +257,7 @@ class _StretchedStack:
             W = float(_w_stretched(np.array([s]))[0])
             eW = float(_exp_w(np.array([s]))[0])
             A1 = a1(s, IW)
-            alpha2 = JJW + n1 * (self.ndim - 2) * 0.0 + n1 * JsW \
-                - s * s * np.log(g)
+            alpha2 = JJW + n1 * JsW - s * s * np.log(g)
             beta1 = -n1 * Iv
             vpp = -eW * (v + A1)
             zpp = -eW * (z + alpha2 + beta1 + 0.5 * (A1 + v) ** 2)
@@ -802,13 +801,12 @@ def multilayer_ansatz(k: int, lam: float, outer_mode: str = greens.DIRICHLET,
     b = 4.0 * eps / _SQRT2
     n_int = k - 1 if outer_mode == greens.DIRICHLET else k
     cfg, _ = greens.solve_layers(n_int, b, outer_mode, b_max=0.5)
+    base = greens.LayerCalculus(cfg.alphas, b, outer_mode)
+    radii = base.radii
 
-    radii = np.concatenate([cfg.alphas, [1.0]]) \
-        if outer_mode == greens.DIRICHLET else cfg.alphas
-
-    # per-layer amplitudes and shifts (fall back to the base point when the
-    # corrected system folds at desk scale)
-    base_gamma = nondegen._base_point(cfg.alphas, b, outer_mode)
+    # per-layer amplitudes and shifts (fall back to the base point
+    # gamma_i = -1 / U'^-(r_i) when the corrected system folds at desk scale)
+    base_gamma = -1.0 / base.dl
     zeta1_pl = np.zeros(radii.size)
     nu2_pl = np.zeros(radii.size)
     for i, gam in enumerate(base_gamma):
@@ -838,18 +836,17 @@ def multilayer_ansatz(k: int, lam: float, outer_mode: str = greens.DIRICHLET,
         alphas=radii, a=a_vals, sigma=sigma, b=b, eps=eps,
         outer_mode=outer_mode)
     try:
-        spec.validate()
         gp = nondegen.perturbed_green(spec)
     except DomainError:
-        gp = greens.build_green(cfg.alphas, b, outer_mode)
+        gp = base.green
         peaks = radii
 
     scale = _SQRT2 / eps
 
     def green_t(rr):
-        u = scale * gp.value(rr)
-        up = scale * gp.derivative(rr)
-        return u, up, scale * (gp.value(rr) - gp.derivative(rr) / rr)
+        v = gp.value(rr)
+        dv = gp.derivative(rr)
+        return scale * v, scale * dv, scale * (v - dv / rr)
 
     # origin bubble matched to the innermost annulus regular part
     c_inner = gp.coeffs[0]
@@ -902,8 +899,6 @@ def multilayer_ansatz(k: int, lam: float, outer_mode: str = greens.DIRICHLET,
     prev = 2 * delta
     for i, R in enumerate(peaks):
         pk = peak_t(i)
-        hi_in = R - width if (outer_mode == greens.NEUMANN or i < peaks.size - 1
-                              or R < 1.0) else R
         add(prev, R - 2 * width, green_t, label=f"u_int{i+1}", n=400)
         add(R - 2 * width, R - width, green_t, pk, label=f"u_trans{i+1}", n=200)
         if R >= 1.0 - 1e-12:

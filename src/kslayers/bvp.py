@@ -132,6 +132,16 @@ def _profile_from_solution(r, u, lam=None, mu=None) -> Profile:
                    np.full(len(r), "bvp"))
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm that reads an overflow as inf, without a warning.
+
+    A diverging Newton candidate overflows the sum of squares; its inf norm
+    is then rejected by the line search like any other non-decrease.
+    """
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(v)
+
+
 class _NewtonProblem:
     """Damped Newton on the discretized radial equation.
 
@@ -177,12 +187,12 @@ class _NewtonProblem:
                 raise ConvergenceError(
                     f"singular Jacobian (turning point? try continuation): {exc}",
                     residual=norm)
-            t, base = 1.0, np.linalg.norm(res)
+            t, base = 1.0, _norm(res)
             progressed = False
             while t > 1e-12:
                 cand = u + t * du
                 cand_res = self.residual(cand)
-                nrm = np.linalg.norm(cand_res)
+                nrm = _norm(cand_res)
                 if np.isfinite(nrm) and nrm < base:
                     progressed = True
                     break

@@ -7,12 +7,15 @@ to the shifts at the unperturbed configuration produces a tridiagonal
 matrix whose determinant must not vanish for the implicit-function solve
 of the layer parameters (gamma, sigma) to go through.
 
-The shift derivatives are the analytic ones of ``greens.LayerCalculus``:
-the matrix is the Jacobian of the reflection defect, the same one the
-reflection Newton in ``greens.solve_layers`` steps with.  Finite
-differences of the perturbed profile are kept as a guard, never as the
+Every flux here is read from a ``greens.LayerCalculus``.  The shift
+derivatives are its analytic ones: the matrix is the Jacobian of the
+reflection defect, the same one the reflection Newton in
+``greens.solve_layers`` steps with.  Central differences of the
+calculus's fluxes at shifted radii are kept as a guard, never as the
 primary path, because the determinant is the quantity whose nonvanishing
-is conjectural and it must not inherit differencing noise.
+is conjectural and it must not inherit differencing noise.  The
+layer-parameter system reads its fluxes from the calculus of the
+perturbed configuration.
 """
 
 from __future__ import annotations
@@ -27,14 +30,7 @@ from .errors import (
     InternalConsistencyError,
     NondegeneracyError,
 )
-from .greens import (
-    DIRICHLET,
-    NEUMANN,
-    LayerCalculus,
-    PiecewiseGreen,
-    build_green,
-    solve_layers,
-)
+from .greens import DIRICHLET, LayerCalculus, PiecewiseGreen, solve_layers
 
 __all__ = [
     "EPS_MAX",
@@ -43,7 +39,6 @@ __all__ = [
     "NondegenMatrix",
     "perturbed_green",
     "assemble_Ak",
-    "det_Mk",
     "tridiag_det",
     "solve_layer_parameters",
     "jacobian_at_base",
@@ -114,24 +109,24 @@ class NondegenMatrix:
     cond: float
 
 
+def _perturbed_calculus(spec: PerturbedGreenSpec) -> LayerCalculus:
+    """Layer calculus with values 1 + eps*a_i at the shifted radii.
+
+    Raises ``DomainError`` when a shift leaves its quarter-gap window.
+    """
+    spec.validate()
+    shifted = spec.alphas + spec.sigma
+    free = shifted[:-1] if spec.outer_mode == DIRICHLET else shifted
+    return LayerCalculus(free, spec.b, spec.outer_mode,
+                         values=1.0 + spec.eps * spec.a)
+
+
 def perturbed_green(spec: PerturbedGreenSpec) -> PiecewiseGreen:
     """Layered profile with values 1 + eps*a_i at the shifted radii.
 
     Reduces exactly to the unperturbed profile at eps = 0, sigma = 0.
     """
-    spec.validate()
-    shifted = spec.alphas + spec.sigma
-    values = 1.0 + spec.eps * spec.a
-    if spec.outer_mode == DIRICHLET:
-        return build_green(shifted[:-1], spec.b, DIRICHLET, values=values)
-    return build_green(shifted, spec.b, NEUMANN, values=values)
-
-
-def _value_radii(alphas: np.ndarray, outer_mode: str) -> np.ndarray:
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if outer_mode == DIRICHLET:
-        return np.concatenate([alphas, [1.0]])
-    return alphas
+    return _perturbed_calculus(spec).green
 
 
 def assemble_Ak(alphas, b: float, check: bool = True) -> NondegenMatrix:
@@ -139,9 +134,8 @@ def assemble_Ak(alphas, b: float, check: bool = True) -> NondegenMatrix:
 
     ``alphas`` are the free interior radii of a converged ``dirichlet_one``
     solve (the boundary sphere r = 1 is appended internally and never
-    shifted).  Entries are analytic; with ``check`` a central-difference
-    evaluation of the perturbed profile guards every entry at 1e-5
-    relative.
+    shifted).  Entries are analytic; with ``check`` central differences of
+    the fluxes at shifted radii guard every entry at 1e-5 relative.
 
     Raises
     ------
@@ -168,38 +162,26 @@ def assemble_Ak(alphas, b: float, check: bool = True) -> NondegenMatrix:
 
 
 def _fd_entries(alphas: np.ndarray, b: float, h: float = _FD_STEP) -> np.ndarray:
-    """Central-difference guard for the shift-derivative entries."""
+    """Central-difference guard for the shift-derivative entries.
+
+    Column j differences the fluxes of the calculi at alphas +- h e_j: the
+    defect's own entry on the diagonal, the left flux below it and the
+    right flux above it.
+    """
     k = alphas.size
-    radii = _value_radii(alphas, DIRICHLET)
-    K = radii.size
     out = np.zeros((k, k))
-
-    def fluxes(sig_j: int, step: float) -> tuple[np.ndarray, np.ndarray]:
-        sigma = np.zeros(K)
-        sigma[sig_j] = step
-        spec = PerturbedGreenSpec(alphas=radii, a=np.zeros(K), sigma=sigma,
-                                  b=b, eps=0.0)
-        g = perturbed_green(spec)
-        dl = np.empty(K)
-        dr = np.full(K, np.nan)
-        for i in range(K):
-            left, right = g.one_sided_derivatives(i + 1)
-            dl[i] = left
-            dr[i] = right
-        return dl, dr
-
     for j in range(k):
-        dl_p, dr_p = fluxes(j, +h)
-        dl_m, dr_m = fluxes(j, -h)
-        ddl = (dl_p - dl_m) / (2 * h)
-        ddr = (dr_p - dr_m) / (2 * h)
-        for i in range(k):
-            if i == j:
-                out[i, j] = ddl[i] + ddr[i]
-            elif i == j + 1:
-                out[i, j] = ddl[i]
-            elif i == j - 1:
-                out[i, j] = ddr[i]
+        step = np.zeros(k)
+        step[j] = h
+        plus = LayerCalculus(alphas + step, b, DIRICHLET)
+        minus = LayerCalculus(alphas - step, b, DIRICHLET)
+        ddl = (plus.dl - minus.dl) / (2 * h)
+        ddr = (plus.dr - minus.dr) / (2 * h)
+        out[j, j] = ddl[j] + ddr[j]
+        if j + 1 < k:
+            out[j + 1, j] = ddl[j + 1]
+        if j > 0:
+            out[j - 1, j] = ddr[j - 1]
     return out
 
 
@@ -210,11 +192,6 @@ def tridiag_det(m: np.ndarray) -> float:
     for i in range(1, n):
         d, d_prev = m[i, i] * d - m[i, i - 1] * m[i - 1, i] * d_prev, d
     return float(d)
-
-
-def det_Mk(matrix: NondegenMatrix) -> float:
-    """Determinant of the assembled matrix via the tridiagonal recurrence."""
-    return tridiag_det(matrix.entries)
 
 
 def sweep_Mk(k_max: int, b_grid, outer_mode: str = DIRICHLET) -> list[dict]:
@@ -250,35 +227,22 @@ def _phi_tilde(x: float, eps: float, nu2: float) -> float:
 def _h_system(eps: float, x: np.ndarray, sigma_free: np.ndarray,
               radii: np.ndarray, b: float, outer_mode: str,
               zeta1: np.ndarray, nu2: np.ndarray) -> np.ndarray:
-    K = radii.size
-    sigma = np.zeros(K)
-    if outer_mode == DIRICHLET:
-        sigma[:-1] = sigma_free
-        n_interior = K - 1
-    else:
-        sigma[:] = sigma_free
-        n_interior = K
-    a = np.array([_phi_tilde(x[i], eps, nu2[i]) for i in range(K)])
-    spec = PerturbedGreenSpec(alphas=radii, a=a, sigma=sigma, b=b, eps=eps,
-                              outer_mode=outer_mode)
-    g = perturbed_green(spec)
-    shifted = radii + sigma
-    rows = []
-    for i in range(n_interior):
-        left, right = g.one_sided_derivatives(i + 1)
-        ph = _phi(x[i], shifted[i], eps, zeta1[i])
-        rows.append(left - (-1.0 / x[i] + eps * ph))
-        rows.append(right - (1.0 / x[i] + eps * ph))
-    if outer_mode == DIRICHLET:
-        left, _ = g.one_sided_derivatives(K)
-        ph = _phi(x[-1], 1.0, eps, zeta1[-1])
-        rows.append(left - (-1.0 / x[-1] + eps * ph))
-    return np.array(rows)
+    """Flux-matching residual rows of the layer-parameter system.
 
-
-def _base_point(alphas, b: float, outer_mode: str) -> np.ndarray:
-    """Base amplitudes gamma_i = -1 / U'^-(r_i) at every value-1 radius."""
-    return -1.0 / LayerCalculus(alphas, b, outer_mode).dl
+    Left and right rows at each free layer, interleaved, then the left row
+    at the dirichlet boundary sphere.
+    """
+    sigma = np.zeros(radii.size)
+    sigma[:sigma_free.size] = sigma_free
+    calc = _perturbed_calculus(PerturbedGreenSpec(
+        alphas=radii, a=_phi_tilde(x, eps, nu2), sigma=sigma, b=b, eps=eps,
+        outer_mode=outer_mode))
+    n = calc.n_free
+    ph = _phi(x, radii + sigma, eps, zeta1)
+    left = calc.dl - (-1.0 / x + eps * ph)
+    right = calc.dr[:n] - (1.0 / x[:n] + eps * ph[:n])
+    rows = np.column_stack([left[:n], right]).ravel()
+    return np.concatenate([rows, left[n:]])
 
 
 def jacobian_at_base(alphas, b: float,
@@ -352,26 +316,25 @@ def solve_layer_parameters(alphas, b: float, eps: float,
     """
     if eps < 0 or eps > EPS_MAX:
         raise DomainError(f"eps must lie in [0, {EPS_MAX}], got {eps!r}")
-    radii = _value_radii(np.atleast_1d(np.asarray(alphas, dtype=float)), outer_mode)
+    base = LayerCalculus(alphas, b, outer_mode)
+    radii, n_free = base.radii, base.n_free
     K = radii.size
-    n_free = K - 1 if outer_mode == DIRICHLET else K
     zeta1 = np.zeros(K) if zeta1 is None else np.asarray(zeta1, dtype=float)
     nu2 = np.zeros(K) if nu2 is None else np.asarray(nu2, dtype=float)
 
-    x0 = _base_point(alphas, b, outer_mode)
-    sigma0 = np.zeros(n_free)
+    # base amplitudes gamma_i = -1 / U'^-(r_i) at every value-1 radius
+    x0 = -1.0 / base.dl
     if eps == 0.0:
-        full_sigma = np.zeros(K) if outer_mode == DIRICHLET else sigma0
-        return x0, full_sigma
+        return x0, np.zeros(K)
 
-    if outer_mode == DIRICHLET and radii.size > 1:
-        guard = assemble_Ak(radii[:-1], b, check=False).det
+    if outer_mode == DIRICHLET and n_free:
+        guard = tridiag_det(base.defect_jacobian())
         if abs(guard) < NONDEGEN_MIN:
             raise NondegeneracyError(
                 f"interior determinant {guard:.3e} below {NONDEGEN_MIN}; "
                 "Newton refused")
 
-    z = np.concatenate([x0, sigma0])
+    z = np.concatenate([x0, np.zeros(n_free)])
 
     def residual(zv: np.ndarray) -> np.ndarray:
         return _h_system(eps, zv[:K], zv[K:], radii, b, outer_mode, zeta1, nu2)
@@ -380,7 +343,13 @@ def solve_layer_parameters(alphas, b: float, eps: float,
     for _ in range(max_iter):
         if np.max(np.abs(res)) <= tol:
             break
-        jac = _fd_jac(residual, z, res)
+        try:
+            jac = _fd_jac(residual, z, res)
+        except DomainError as exc:
+            # a probe crossed a shift's quarter-gap window
+            raise ConvergenceError(
+                f"layer-parameter Newton stopped at the shift window's edge: {exc}",
+                residual=float(np.max(np.abs(res)))) from exc
         step = np.linalg.solve(jac, -res)
         lam, ok = 1.0, False
         while lam > 1e-10:

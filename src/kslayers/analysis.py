@@ -25,7 +25,7 @@ from .errors import (
     OverflowRegionError,
 )
 from .ansatz import Profile, smoothstep
-from .radial import RadialOperator
+from .radial import EXP_CAP, RadialOperator
 
 __all__ = [
     "NormParams",
@@ -46,9 +46,6 @@ __all__ = [
     "probe_linear",
     "random_smooth_field",
 ]
-
-_EXP_CAP = 700.0
-
 
 @dataclass(frozen=True)
 class NormParams:
@@ -131,7 +128,7 @@ def residual(U: Profile, lam: float) -> np.ndarray:
     OverflowRegionError
         If e^U overflows, naming the radius where it happens.
     """
-    if np.max(U.values) > _EXP_CAP:
+    if np.max(U.values) > EXP_CAP:
         idx = int(np.argmax(U.values))
         raise OverflowRegionError(
             f"e^U overflows at r={U.grid[idx]:.6f} (U={U.values[idx]:.1f})",
@@ -190,7 +187,7 @@ def _remainder(U: Profile, phi: np.ndarray, lam: float) -> np.ndarray:
 
     Raises ``OverflowRegionError`` where e^(U+phi) would overflow.
     """
-    if np.max(U.values + phi) > _EXP_CAP:
+    if np.max(U.values + phi) > EXP_CAP:
         idx = int(np.argmax(U.values + phi))
         raise OverflowRegionError(
             f"e^(U+phi) overflows at r={U.grid[idx]:.6f}",
@@ -244,7 +241,7 @@ def solve_linear(U: Profile, lam: float, h: np.ndarray,
     if h.shape != U.values.shape:
         raise DomainError("right-hand side must live on the profile grid")
     op = RadialOperator(U.grid)
-    pot = lam * np.exp(np.minimum(U.values, _EXP_CAP))
+    pot = lam * np.exp(np.minimum(U.values, EXP_CAP))
     eig, mode = op.smallest_eigenvalue(pot)
     # physical scale of the zeroth-order part (stiffness entries are grid
     # artifacts and would mask genuine near-degeneracy)
@@ -302,8 +299,8 @@ def fixed_point(U: Profile, lam: float, rho: float | None = None,
     # the iteration must use the residual of the same discrete operator it
     # inverts, so that its fixed point solves the discrete equation exactly
     R = op.apply_neg_lap(U.values) + U.values \
-        - lam * np.exp(np.minimum(U.values, _EXP_CAP))
-    pot = lam * np.exp(np.minimum(U.values, _EXP_CAP))
+        - lam * np.exp(np.minimum(U.values, EXP_CAP))
+    pot = lam * np.exp(np.minimum(U.values, EXP_CAP))
     phi1 = op.solve(pot, -R)
     step1 = float(np.max(np.abs(phi1)))
     scale = e ** (1.0 + sigma_fit)
@@ -343,7 +340,7 @@ def fixed_point(U: Profile, lam: float, rho: float | None = None,
 
     corrected = U.values + phi
     res_corr = op.apply_neg_lap(corrected) + corrected \
-        - lam * np.exp(np.minimum(corrected, _EXP_CAP))
+        - lam * np.exp(np.minimum(corrected, EXP_CAP))
     drop = raw_norm / max(float(np.max(np.abs(res_corr))), 1e-300)
     return FixedPointResult(phi=phi, increments=increments, factors=factors,
                             rho=rho, bound=bound, residual_drop=drop,

@@ -29,6 +29,7 @@ from scipy.integrate import solve_ivp
 from .errors import DomainError, ExtractionError, KsLayersError, MatchingError
 from .specfun import C_MIX, EULER_MASCHERONI, xi_zeta_table
 from . import greens, nondegen
+from .radial import RadialOperator
 
 __all__ = [
     "AnsatzParams",
@@ -274,6 +275,22 @@ class _StretchedStack:
     def eval(self, s: np.ndarray) -> np.ndarray:
         return self.sol.sol(np.clip(s, -self.depth, 0.0))
 
+    def corrections(self, s: np.ndarray, mu_t: float):
+        """(v, v', v'', z, z', z'') of the sweep and third-order profiles.
+
+        Values and derivatives are in r at s = (r - 1)/mu_tilde; the second
+        derivatives come from the stretched ODEs.
+        """
+        n1 = self.ndim - 1
+        y = self.eval(s)
+        a1 = self._a1(s, y[2])
+        alpha2 = y[4] + n1 * y[5] - s**2 * np.log(abs(self.gamma))
+        beta1 = -n1 * y[6]
+        eW = _exp_w(s)
+        return (mu_t * y[0], y[1], -eW * (y[0] + a1) / mu_t,
+                mu_t**2 * y[7], mu_t * y[8],
+                -eW * (y[7] + alpha2 + beta1 + 0.5 * (a1 + y[0])**2))
+
     def fit_far_field(self) -> CorrectionConstants:
         """Affine far-field fits of the sweep and third-order profiles."""
         for window in (_FIT_WINDOW, _FIT_WINDOW_WIDE):
@@ -348,10 +365,9 @@ def boundary_corrections(params: "AnsatzParams",
     """
     lam, eps = params.lam, params.eps
     mu_t = params.mu_tilde
-    g = params.gamma_eps
     n1 = params.ndim - 1
 
-    stack = _StretchedStack(g, ndim=params.ndim)
+    stack = _StretchedStack(params.gamma_eps, ndim=params.ndim)
     constants = stack.fit_far_field()
 
     r_lo = 0.55
@@ -371,11 +387,7 @@ def boundary_corrections(params: "AnsatzParams",
     a_d2 = -n1 / grid * a_d1 - (n1 / grid * wp_g - w_g + np.log(lam))
 
     # stretched profiles on the same radial window
-    y = stack.eval(s_grid)
-    v_vals = mu_t * y[0]
-    v_d1 = y[1]
-    a1_g = stack._a1(s_grid, y[2])
-    v_d2 = -_exp_w(s_grid) * (y[0] + a1_g) / mu_t
+    v_vals, v_d1, v_d2, z_vals, z_d1, z_d2 = stack.corrections(s_grid, mu_t)
 
     def beta_rhs(r, y_):
         s = (r - 1.0) / mu_t
@@ -384,12 +396,6 @@ def boundary_corrections(params: "AnsatzParams",
 
     b_vals, b_d1 = _solve_radial_pair(beta_rhs, 1.0, r_lo, grid)
     b_d2 = -n1 / grid * b_d1 - n1 / grid * v_d1
-
-    z_vals = mu_t**2 * y[7]
-    z_d1 = mu_t * y[8]
-    alpha2_g = y[4] + n1 * y[5] - s_grid**2 * np.log(abs(g))
-    beta1_g = -n1 * y[6]
-    z_d2 = -_exp_w(s_grid) * (y[7] + alpha2_g + beta1_g + 0.5 * (a1_g + y[0])**2)
 
     def prof(vals, d1, d2, label):
         return Profile(grid.copy(), np.asarray(vals), np.asarray(d1),
@@ -519,7 +525,7 @@ def outer_u2(eps: float,
         _, xip, _, zetap = (float(v[0]) for v in xi_zeta_table(np.array([r])))
         return A * zetap + B * xip
 
-    r_tilde = greens._bisect_scalar(du2, 1e-9, 1.0 - 1e-12)
+    r_tilde = greens.bisect_scalar(du2, 1e-9, 1.0 - 1e-12)
     zeta0_const = np.log(2.0) - EULER_MASCHERONI + C_MIX
     h_origin = (_SQRT2 / eps) * (A * zeta0_const + B)
     return OuterSolution(A=A, B=B, gamma_eps=gamma, r_tilde=r_tilde,
@@ -583,30 +589,11 @@ def inner_u0(params: AnsatzParams, n_grid: int = 4001):
     """
     lam, mu, rt = params.lam, params.mu, params.r_tilde
     r = np.linspace(0.0, rt, n_grid)
-    faces = np.concatenate([[0.0], 0.5 * (r[1:] + r[:-1]), [rt]])
-    vol = 0.5 * (faces[1:]**2 - faces[:-1]**2)
-    h = np.diff(r)
-
-    main = np.zeros(n_grid)
-    lower = np.zeros(n_grid - 1)
-    upper = np.zeros(n_grid - 1)
-    w = faces[1:-1] / h
-    main[:-1] += w / vol[:-1]
-    main[1:] += w / vol[1:]
-    upper[:] = -w / vol[:-1]
-    lower[:] = -w / vol[1:]
-    main += 1.0
-
+    op = RadialOperator(r)
     rhs = -bubble2d(r, mu, lam)
     # Neumann flux at r_tilde enters the last control volume
-    rhs[-1] += rt * (-bubble2d(np.array([rt]), mu, lam, 1)[0]) / vol[-1]
-
-    import scipy.linalg as sla
-    ab = np.zeros((3, n_grid))
-    ab[0, 1:] = upper
-    ab[1, :] = main
-    ab[2, :-1] = lower
-    h0 = sla.solve_banded((1, 1), ab, rhs)
+    rhs[-1] += rt * (-bubble2d(np.array([rt]), mu, lam, 1)[0]) / op.vol[-1]
+    h0 = op.solve(0.0, rhs)
 
     # derivatives: first by differencing the solve, second from the ODE
     d1 = np.gradient(h0, r, edge_order=2)
@@ -722,8 +709,6 @@ def build_profile(params: AnsatzParams, corrections: BoundaryCorrections | None 
 
     def stack4(rr):
         mu_t = params.mu_tilde
-        s = (rr - 1.0) / mu_t
-        y = corrections.stack.eval(s)
         w = bubble1d(rr, mu_t)
         wp = bubble1d(rr, mu_t, 1)
         wpp = bubble1d(rr, mu_t, 2)
@@ -733,16 +718,8 @@ def build_profile(params: AnsatzParams, corrections: BoundaryCorrections | None 
         b_v = np.interp(rr, corrections.beta_eps.grid, corrections.beta_eps.values)
         b_1 = np.interp(rr, corrections.beta_eps.grid, corrections.beta_eps.d1)
         b_2 = np.interp(rr, corrections.beta_eps.grid, corrections.beta_eps.d2)
-        n1c = params.ndim - 1
-        a1_g = corrections.stack._a1(s, y[2])
-        v_v = mu_t * y[0]
-        v_1 = y[1]
-        v_2 = -_exp_w(s) * (y[0] + a1_g) / mu_t
-        alpha2_g = y[4] + n1c * y[5] - s**2 * np.log(abs(params.gamma_eps))
-        beta1_g = -n1c * y[6]
-        z_v = mu_t**2 * y[7]
-        z_1 = mu_t * y[8]
-        z_2 = -_exp_w(s) * (y[7] + alpha2_g + beta1_g + 0.5 * (a1_g + y[0])**2)
+        v_v, v_1, v_2, z_v, z_1, z_2 = corrections.stack.corrections(
+            (rr - 1.0) / mu_t, mu_t)
         val = w - np.log(lam) + a_v + v_v + b_v + z_v
         dv1 = wp + a_1 + v_1 + b_1 + z_1
         dv2 = wpp + a_2 + v_2 + b_2 + z_2

@@ -4,7 +4,9 @@ The steady state -Delta u + u = lambda e^u (Neumann) is solved by damped
 Newton on the conservative finite-volume discretization; for lambda < 1/e
 the equivalent form -Delta u + u = e^(mu (u-1)) is continued in mu by
 pseudo-arclength from the radial Neumann eigenvalues, where branches of
-nonconstant solutions bifurcate from u = 1.
+nonconstant solutions bifurcate from u = 1.  One damped Newton core serves
+both: the direct solve holds the parameter fixed, the arclength corrector
+borders the system with the constraint row.
 
 Grid note: the double-precision max-norm of the discrete residual has a
 floor of about eps_mach |u| / h_min^2, so the grading clamps the smallest
@@ -14,6 +16,7 @@ core, boundary layer) is far wider than that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +26,7 @@ from scipy.special import j0, j1
 from .errors import ConvergenceError, DomainError, StallError
 from .ansatz import Profile, solve_epsilon
 from .greens import LayerCalculus, LayerConfig
-from .radial import RadialOperator, graded_grid
+from .radial import EXP_CAP, RadialOperator, graded_grid
 
 __all__ = [
     "BranchPoint",
@@ -36,9 +39,6 @@ __all__ = [
     "concentration_report",
     "constant_profile",
 ]
-
-_EXP_CAP = 600.0
-
 
 @dataclass(frozen=True)
 class BranchPoint:
@@ -116,15 +116,32 @@ def _zero_count(u: np.ndarray, level: float = 1.0, dead_band: float = 1e-10) -> 
     return int(np.sum(np.abs(np.diff(sgn)) > 1))
 
 
-def _profile_from_solution(r, u, lam=None, mu=None) -> Profile:
+def _lam_exp(u, lam, jac: bool = False):
+    """lambda e^u, with its u- and lambda-derivatives if ``jac``."""
+    e = np.exp(np.minimum(u, EXP_CAP))
+    f = lam * e
+    return (f, f, e) if jac else f
+
+
+def _mu_exp(u, mu, jac: bool = False):
+    """e^(mu (u - 1)), with its u- and mu-derivatives if ``jac``."""
+    f = np.exp(np.minimum(mu * (u - 1.0), EXP_CAP))
+    return (f, mu * f, (u - 1.0) * f) if jac else f
+
+
+def _residual(op: RadialOperator, f, u, p, extended: bool = False):
+    """G(u, p) = -Delta u + u - f(u, p), with long-double fluxes if ``extended``."""
+    if extended:
+        return op.apply_neg_lap_extended(u) + u - f(u, p)
+    return op.apply_neg_lap(np.asarray(u, dtype=float)) + u - f(u, p)
+
+
+def _profile_from_solution(r, u, f, p) -> Profile:
     d1 = np.gradient(u, r, edge_order=2)
     d1[0] = 0.0
     d1[-1] = 0.0
     d2 = np.empty_like(u)
-    if lam is not None:
-        rhs = lam * np.exp(np.minimum(u, _EXP_CAP))
-    else:
-        rhs = np.exp(np.minimum(mu * (u - 1.0), _EXP_CAP))
+    rhs = f(u, p)
     # second derivative from the equation (exact at a converged solution)
     d2[1:] = u[1:] - rhs[1:] - d1[1:] / r[1:]
     d2[0] = 0.5 * (u[0] - rhs[0])
@@ -132,100 +149,112 @@ def _profile_from_solution(r, u, lam=None, mu=None) -> Profile:
                    np.full(len(r), "bvp"))
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm that reads an overflow as inf, without a warning.
-
-    A diverging Newton candidate overflows the sum of squares; its inf norm
-    is then rejected by the line search like any other non-decrease.
-    """
-    with np.errstate(over="ignore"):
-        return np.linalg.norm(v)
+def _solve_banded(ab: np.ndarray, rhs) -> np.ndarray:
+    try:
+        return sla.solve_banded((1, 1), ab, rhs)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise ConvergenceError(
+            f"singular Jacobian (turning point? try continuation): {exc}")
 
 
-class _NewtonProblem:
-    """Damped Newton on the discretized radial equation.
+_MIN_STEP = 1e-3  # backtracking floor; measured converging solves keep t >= 0.5
+_REFINE_STEPS = 20
+
+
+@dataclass(frozen=True)
+class _Solved:
+    u: np.ndarray  # long double
+    p: float
+    steps: int  # double-precision Newton steps
+    refinements: int  # extended-precision refinement steps
+    history: list
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
+            border=None) -> _Solved:
+    """Damped Newton on G(u, p) = -Delta u + u - f(u, p) = 0.
+
+    ``f(u, p)`` returns f, ``f(u, p, jac=True)`` (f, f_u, f_p).  Without
+    ``border`` p is held fixed.
+    With ``border = ((t_u, t_p), (u_pred, p_pred))`` p is unknown too and the
+    pseudo-arclength row c = t . (x - x_pred) = 0 closes the system (Keller
+    1977); each step is then two banded solves plus the Schur row.  The line
+    search halves the step until hypot(||G||_2, c) decreases; a diverging
+    candidate overflows to inf or nan, which no comparison accepts.
 
     Runs in double precision down to its rounding floor, then switches to
     iterative refinement with the residual accumulated in extended
     precision, which certifies the final max-norm residual well below the
     double-precision Laplacian noise.
     """
+    hmin = float(np.min(np.diff(op.r)))
+    if border is not None:
+        (tu, tp), (xu, xp) = border
 
-    def __init__(self, op: RadialOperator, rhs_exp, drhs_exp):
-        self.op = op
-        self.rhs_exp = rhs_exp
-        self.drhs_exp = drhs_exp
-
-    def residual(self, u):
-        return self.op.apply_neg_lap(np.asarray(u, dtype=float)) + u \
-            - self.rhs_exp(u)
-
-    def residual_extended(self, u):
-        ld = np.longdouble
-        u = np.asarray(u, dtype=ld)
-        return self.op.apply_neg_lap_extended(u) + u - self.rhs_exp(u)
-
-    def _floor(self, u) -> float:
-        hmin = float(np.min(np.diff(self.op.r)))
+    def floor(u) -> float:
         return 8.0 * np.finfo(float).eps * float(np.max(np.abs(u))) / hmin**2
 
-    def solve(self, u0, tol=1e-10, max_iter=60):
-        u = np.asarray(u0, dtype=float).copy()
-        history = []
-        res = self.residual(u)
-        iters = 0
-        for _ in range(max_iter):
-            norm = float(np.max(np.abs(res)))
-            history.append(norm)
-            if norm <= max(tol, self._floor(u)):
-                break
-            iters += 1
-            ab = self.op.banded(self.drhs_exp(u))
-            try:
-                du = sla.solve_banded((1, 1), ab, -res)
-            except Exception as exc:
-                raise ConvergenceError(
-                    f"singular Jacobian (turning point? try continuation): {exc}",
-                    residual=norm)
-            t, base = 1.0, _norm(res)
-            progressed = False
-            while t > 1e-12:
-                cand = u + t * du
-                cand_res = self.residual(cand)
-                nrm = _norm(cand_res)
-                if np.isfinite(nrm) and nrm < base:
-                    progressed = True
-                    break
-                t *= 0.5
-            if not progressed:
-                if norm <= 1e3 * self._floor(u):
-                    break  # at the double-precision floor; refine below
-                raise ConvergenceError("Newton line search stalled",
-                                       residual=norm)
-            u, res = cand, cand_res
-        else:
-            norm = float(np.max(np.abs(res)))
-            if norm > 1e3 * self._floor(u) or norm > 1e-4:
-                raise ConvergenceError(
-                    f"Newton did not reach tolerance (last residual {norm:.3e})",
-                    residual=norm)
+    def row(u, p) -> float:
+        if border is None:
+            return 0.0
+        return float(np.dot(tu, u - xu) + tp * (p - xp))
 
-        # extended-precision refinement of the converged double iterate
-        u_ld = np.asarray(u, dtype=np.longdouble)
-        for _ in range(20):
-            res_ld = self.residual_extended(u_ld)
-            norm = float(np.max(np.abs(res_ld)))
-            history.append(norm)
-            if norm <= tol:
-                return u_ld, iters, history
-            iters += 1
-            ab = self.op.banded(self.drhs_exp(np.asarray(u_ld, dtype=float)))
-            du = sla.solve_banded((1, 1), ab,
-                                  -np.asarray(res_ld, dtype=float))
-            u_ld = u_ld + np.asarray(du, dtype=np.longdouble)
+    def step(u, p, G, c):
+        _, f_u, f_p = f(np.asarray(u, dtype=float), float(p), jac=True)
+        ab = op.banded(f_u)
+        w = _solve_banded(ab, -np.asarray(G, dtype=float))
+        if border is None:
+            return w, 0.0
+        v = _solve_banded(ab, f_p)
+        denom = tp + float(np.dot(tu, v))
+        if abs(denom) < 1e-300:
+            raise ConvergenceError("degenerate arclength constraint")
+        dp = (-c - float(np.dot(tu, w))) / denom
+        return w + dp * v, dp
+
+    history = []
+    steps = 0
+    G, c = _residual(op, f, u, p), row(u, p)
+    merit = math.hypot(np.linalg.norm(G), c)
+    for it in range(max_iter + 1):
+        size, bound = max(float(np.max(np.abs(G))), abs(c)), floor(u)
+        history.append(size)
+        if size <= max(tol, bound) or it == max_iter:
+            break
+        steps += 1
+        du, dp = step(u, p, G, c)
+        t = 1.0
+        while t > _MIN_STEP:  # (du, dp) is t times the Newton step
+            cand_u, cand_p = u + du, p + dp
+            cand_G, cand_c = _residual(op, f, cand_u, cand_p), row(cand_u, cand_p)
+            cand_merit = math.hypot(np.linalg.norm(cand_G), cand_c)
+            if math.isfinite(cand_merit) and cand_merit < merit:
+                break
+            t, du, dp = 0.5 * t, 0.5 * du, 0.5 * dp
+        else:
+            break  # stalled: refined below when at the rounding floor
+        u, p, G, c, merit = cand_u, cand_p, cand_G, cand_c, cand_merit
+    if size > max(tol, 1e3 * bound):
         raise ConvergenceError(
-            f"refinement did not reach tolerance (last residual {norm:.3e})",
-            residual=norm)
+            f"Newton stopped at residual {size:.3e} after {steps} steps",
+            residual=size)
+
+    u, p = np.asarray(u, dtype=np.longdouble), np.longdouble(p)
+    for refinements in range(_REFINE_STEPS):
+        G = _residual(op, f, u, p, extended=True)
+        # c of the double-rounded iterate: evaluating it in long double moves
+        # every branch point by ~1e-14
+        c = row(np.asarray(u, dtype=float), float(p))
+        size = max(float(np.max(np.abs(G))), abs(c))
+        history.append(size)
+        if size <= tol:
+            return _Solved(u, float(p), steps, refinements, history)
+        du, dp = step(u, p, G, c)
+        u, p = u + np.asarray(du, dtype=np.longdouble), p + np.longdouble(dp)
+    raise ConvergenceError(
+        f"refinement did not reach tolerance (last residual {size:.3e})",
+        residual=size)
 
 
 def solve_bvp(lam: float, initial_guess, tol: float = 1e-9,
@@ -253,17 +282,13 @@ def solve_bvp(lam: float, initial_guess, tol: float = 1e-9,
     if not np.all(np.isfinite(u0)):
         raise DomainError("initial guess must be finite")
     op = RadialOperator(r)
-
-    prob = _NewtonProblem(
-        op,
-        lambda u: lam * np.exp(np.minimum(u, _EXP_CAP)),
-        lambda u: lam * np.exp(np.minimum(u, _EXP_CAP)))
-    u, iters, history = prob.solve(u0, tol=tol, max_iter=max_iter)
-    return BranchPoint(param=lam, profile=_profile_from_solution(r, u, lam=lam),
-                       u0_value=float(u[0]), zero_count=_zero_count(u),
-                       newton_iters=iters, residual_norm=float(history[-1])
-                       if history else 0.0,
-                       residual_history=tuple(history))
+    sol = _newton(op, _lam_exp, u0, lam, tol, max_iter)
+    return BranchPoint(param=lam,
+                       profile=_profile_from_solution(r, sol.u, _lam_exp, lam),
+                       u0_value=float(sol.u[0]), zero_count=_zero_count(sol.u),
+                       newton_iters=sol.steps + sol.refinements,
+                       residual_norm=sol.history[-1],
+                       residual_history=tuple(sol.history))
 
 
 def constant_profile(lam_or_mu: float, n: int = 4000, value: float = 1.0) -> Profile:
@@ -277,74 +302,18 @@ def constant_profile(lam_or_mu: float, n: int = 4000, value: float = 1.0) -> Pro
 # pseudo-arclength continuation of -Delta u + u = e^{mu (u - 1)}
 # ---------------------------------------------------------------------------
 
-def _intro_rhs(u, mu):
-    return np.exp(np.minimum(mu * (u - 1.0), _EXP_CAP))
+def _corrector(op: RadialOperator, u, mu, tangent, x_pred) -> BranchPoint:
+    """Bordered Newton on [G(u, mu); tangent . (x - x_pred)] = 0.
 
-
-def _intro_residual(op, u, mu, extended: bool = False):
-    if extended:
-        return op.apply_neg_lap_extended(u) \
-            + np.asarray(u, dtype=np.longdouble) - _intro_rhs(
-                np.asarray(u, dtype=np.longdouble), np.longdouble(mu))
-    return op.apply_neg_lap(np.asarray(u, dtype=float)) + u - _intro_rhs(u, mu)
-
-
-def _bordered_step(op, u, mu, tangent, x_pred, G, c):
-    tu, tmu = tangent
-    e = _intro_rhs(np.asarray(u, dtype=float), float(mu))
-    pot = float(mu) * e
-    gmu = -(np.asarray(u, dtype=float) - 1.0) * e
-    ab = op.banded(pot)
-    w = sla.solve_banded((1, 1), ab, -np.asarray(G, dtype=float))
-    v = sla.solve_banded((1, 1), ab, -gmu)
-    denom = tmu + float(np.dot(tu, v))
-    if abs(denom) < 1e-300:
-        raise ConvergenceError("degenerate arclength constraint")
-    dmu = (-float(c) - float(np.dot(tu, w))) / denom
-    return w + dmu * v, dmu
-
-
-def _bordered_newton(op, u, mu, tangent, x_pred, max_iter=12, tol=1e-10):
-    """Newton on [G(u, mu); tangent . (x - x_pred)] = 0, with refinement."""
-    tu, tmu = tangent
-    hmin = float(np.min(np.diff(op.r)))
-    floor = 8.0 * np.finfo(float).eps / hmin**2
-    it_used = 0
-    for it in range(max_iter):
-        G = _intro_residual(op, u, mu)
-        c = float(np.dot(tu, u - x_pred[0]) + tmu * (mu - x_pred[1]))
-        norm = float(np.max(np.abs(G)))
-        if max(norm, abs(c)) < max(tol, floor * max(1.0, np.max(np.abs(u)))):
-            break
-        try:
-            du, dmu = _bordered_step(op, u, mu, tangent, x_pred, G, c)
-        except ConvergenceError:
-            raise
-        except Exception as exc:
-            raise ConvergenceError(f"bordered solve failed: {exc}")
-        u = u + du
-        mu = mu + dmu
-        it_used = it + 1
-    else:
-        G = _intro_residual(op, u, mu)
-        if float(np.max(np.abs(G))) > 1e-6:
-            raise ConvergenceError("bordered Newton did not converge",
-                                   residual=float(np.max(np.abs(G))))
-
-    # extended-precision refinement at (effectively) fixed constraint
-    u_ld = np.asarray(u, dtype=np.longdouble)
-    mu_ld = np.longdouble(mu)
-    for _ in range(10):
-        G = _intro_residual(op, u_ld, mu_ld, extended=True)
-        c = float(np.dot(tu, np.asarray(u_ld, dtype=float) - x_pred[0])
-                  + tmu * (float(mu_ld) - x_pred[1]))
-        norm = float(np.max(np.abs(G)))
-        if norm < tol and abs(c) < 1e-9:
-            return u_ld, float(mu_ld), it_used, norm
-        du, dmu = _bordered_step(op, u_ld, mu_ld, tangent, x_pred, G, c)
-        u_ld = u_ld + np.asarray(du, dtype=np.longdouble)
-        mu_ld = mu_ld + np.longdouble(dmu)
-    raise ConvergenceError("bordered refinement did not converge", residual=norm)
+    ``newton_iters`` counts the double-precision steps only: it is the
+    signal the step-size control reads.
+    """
+    sol = _newton(op, _mu_exp, u, mu, 1e-10, 12, border=(tangent, x_pred))
+    return BranchPoint(param=sol.p,
+                       profile=_profile_from_solution(op.r, sol.u, _mu_exp, sol.p),
+                       u0_value=float(sol.u[0]), zero_count=_zero_count(sol.u),
+                       newton_iters=sol.steps, residual_norm=sol.history[-1],
+                       residual_history=tuple(sol.history))
 
 
 def seed_branch(i: int, sign: str, n: int = 2000,
@@ -370,11 +339,7 @@ def seed_branch(i: int, sign: str, n: int = 2000,
     w = op.quad_weights()
     tu = phi * w / np.sqrt(np.sum(w * phi * phi))
     u_pred = 1.0 + amplitude * phi
-    u, mu, iters, res = _bordered_newton(op, u_pred.copy(), lam_i,
-                                         (tu, 0.0), (u_pred, lam_i))
-    return BranchPoint(param=mu, profile=_profile_from_solution(r, u, mu=mu),
-                       u0_value=float(u[0]), zero_count=_zero_count(u),
-                       newton_iters=iters, residual_norm=res)
+    return _corrector(op, u_pred, lam_i, (tu, 0.0), (u_pred, lam_i))
 
 
 def continue_branch(start: BranchPoint, direction: float = 1.0,
@@ -386,51 +351,38 @@ def continue_branch(start: BranchPoint, direction: float = 1.0,
     corrector halves ds, an easy one grows it.  Underflow of ds raises
     StallError carrying the branch collected so far.
     """
-    r = start.profile.grid
-    op = RadialOperator(r)
-    w = op.quad_weights()
+    op = RadialOperator(start.profile.grid)
     branch = [start]
-    u, mu = start.profile.values.copy(), start.param
+    u, mu = start.profile.values, start.param
 
     # initial tangent: nullspace direction of [G_u, G_mu] at the start point
-    e = _intro_rhs(u, mu)
-    ab = op.banded(mu * e)
-    try:
-        v = sla.solve_banded((1, 1), ab, (u - 1.0) * e)
-    except Exception:
-        v = np.zeros_like(u)
+    _, f_u, f_mu = _mu_exp(u, mu, jac=True)
+    v = _solve_banded(op.banded(f_u), f_mu)
     norm = np.sqrt(np.dot(v, v) + 1.0)
     tu, tmu = direction * v / norm, direction / norm
 
     while len(branch) <= steps:
         x_pred = (u + ds * tu, mu + ds * tmu)
         try:
-            u_new, mu_new, iters, res = _bordered_newton(
-                op, x_pred[0].copy(), x_pred[1], (tu, tmu), x_pred)
+            point = _corrector(op, x_pred[0], x_pred[1], (tu, tmu), x_pred)
         except ConvergenceError:
             ds *= 0.5
             if ds < ds_min:
                 raise StallError("continuation step underflow", branch=branch)
             continue
+        u_new, mu_new = point.profile.values, point.param
         du, dmu = u_new - u, mu_new - mu
         norm = np.sqrt(np.dot(du, du) + dmu * dmu)
         if norm > 0:
             tu, tmu = du / norm, dmu / norm
         u, mu = u_new, mu_new
-        branch.append(BranchPoint(
-            param=mu, profile=_profile_from_solution(r, u, mu=mu),
-            u0_value=float(u[0]), zero_count=_zero_count(u),
-            newton_iters=iters, residual_norm=res))
-        if iters <= 3:
+        branch.append(point)
+        if point.newton_iters <= 3:
             ds = min(ds * 1.6, ds_max)
-        elif iters >= 8:
+        elif point.newton_iters >= 8:
             ds = max(ds * 0.5, ds_min)
     return branch
 
-
-# ---------------------------------------------------------------------------
-# concentration diagnostics
-# ---------------------------------------------------------------------------
 
 def continue_component(seed: BranchPoint, steps: int = 20,
                        **kwargs) -> list[BranchPoint]:
@@ -453,6 +405,10 @@ def continue_component(seed: BranchPoint, steps: int = 20,
     raise ConvergenceError("no orientation grows the seeded component")
 
 
+# ---------------------------------------------------------------------------
+# concentration diagnostics
+# ---------------------------------------------------------------------------
+
 def concentration_report(point: BranchPoint, reference: LayerConfig,
                          eps: float | None = None) -> ConcentrationReport:
     """Masses, layer fluxes and the scaled-profile gap of a solved point.
@@ -468,7 +424,7 @@ def concentration_report(point: BranchPoint, reference: LayerConfig,
     u = point.profile.values
     op = RadialOperator(r)
     w = op.quad_weights()
-    eu = lam * np.exp(np.minimum(u, _EXP_CAP))
+    eu = _lam_exp(u, lam)
 
     layers = LayerCalculus(reference.alphas, reference.b, reference.outer_mode)
     radii, g = layers.radii, layers.green

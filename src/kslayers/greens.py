@@ -43,6 +43,7 @@ __all__ = [
     "LayerCalculus",
     "LayerConfig",
     "annulus_solution",
+    "bisect_scalar",
     "build_green",
     "green_singular",
     "reflection_residual",
@@ -413,12 +414,16 @@ def green_singular(b_tilde: float, b_max: float = B_MAX) -> tuple[PiecewiseGreen
     g = PiecewiseGreen(interfaces=np.array([0.0, 1.0]), coeffs=coeffs,
                        b_sing=b_tilde, outer_mode=DIRICHLET)
 
-    r_tilde = _bisect_scalar(lambda r: float(g.derivative(r)[0]), 1e-9, 1.0 - 1e-12)
+    r_tilde = bisect_scalar(lambda r: float(g.derivative(r)[0]), 1e-9, 1.0 - 1e-12)
     return g, r_tilde
 
 
-def _bisect_scalar(f, lo: float, hi: float, tol: float = 1e-14,
-                   max_iter: int = 200) -> float:
+def bisect_scalar(f, lo: float, hi: float, tol: float = 1e-14,
+                  max_iter: int = 200) -> float:
+    """Root of the scalar ``f`` on [lo, hi] by bisection to width ``tol``.
+
+    Raises ``ConvergenceError`` if ``f`` has the same sign at both ends.
+    """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo

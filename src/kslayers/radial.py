@@ -1,6 +1,6 @@
 """Radial finite-volume machinery shared by the linear theory and the BVP.
 
-The screened radial Laplacian on [0, 1] with Neumann ends is discretized
+The screened radial Laplacian on [0, R] with Neumann ends is discretized
 in conservative flux form on an arbitrary (smoothly graded) grid: row i
 couples the fluxes through the half faces r_{i +- 1/2}, weighted by the
 cell measure int r dr.  The scheme is second order on smooth grids and
@@ -14,7 +14,11 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-__all__ = ["graded_grid", "RadialOperator"]
+__all__ = ["EXP_CAP", "graded_grid", "RadialOperator"]
+
+# Largest exponent the solvers pass to exp: e^600 ~ 4e260 keeps e^u and its
+# lambda/mu multiples finite with a margin of ~1e48.
+EXP_CAP = 600.0
 
 
 def graded_grid(n: int, scale0: float = 0.02, scale1: float = 0.02,
@@ -45,12 +49,16 @@ def graded_grid(n: int, scale0: float = 0.02, scale1: float = 0.02,
 
 
 class RadialOperator:
-    """Conservative discretization of u -> -Laplace(u) on a radial grid."""
+    """Conservative discretization of u -> -Laplace(u) on a radial grid.
+
+    The grid increases strictly from 0 to any R > 0; both ends carry
+    Neumann (zero-flux) conditions.
+    """
 
     def __init__(self, r: np.ndarray):
         r = np.asarray(r, dtype=float)
-        if r[0] != 0.0 or abs(r[-1] - 1.0) > 1e-14 or np.any(np.diff(r) <= 0):
-            raise ValueError("grid must increase strictly from 0 to 1")
+        if r.size < 2 or r[0] != 0.0 or np.any(np.diff(r) <= 0):
+            raise ValueError("grid must increase strictly from 0 to R > 0")
         self.r = r
         self.n = r.size
         faces = np.concatenate([[0.0], 0.5 * (r[1:] + r[:-1]), [r[-1]]])

@@ -35,8 +35,9 @@ class TestEigenvalues:
 
 
 class TestOperator:
-    def test_discrete_self_adjointness(self):
-        r = graded_grid(1500, 0.02, 0.05)
+    @pytest.mark.parametrize("R", [1.0, 0.37])
+    def test_discrete_self_adjointness(self, R):
+        r = R * graded_grid(1500, 0.02, 0.05)
         op = RadialOperator(r)
         rng = np.random.default_rng(3)
         u = rng.standard_normal(r.size)
@@ -104,7 +105,7 @@ class TestContinuation:
         op = RadialOperator(r)
         ones = np.ones(r.size)
         for mu in (2.0, 15.681970642, 40.0):
-            res = bvp._intro_residual(op, ones, mu)
+            res = bvp._residual(op, bvp._mu_exp, ones, mu)
             assert np.max(np.abs(res)) < 1e-9
 
     def test_seed_zero_counts(self):
@@ -121,6 +122,18 @@ class TestContinuation:
         assert all(p.u0_value > 1.0 for p in br)
         assert all(p.zero_count == 1 for p in br)
         assert abs(br[-1].u0_value - 1.0) > abs(br[0].u0_value - 1.0)
+
+    @pytest.mark.parametrize("i, amplitude", [(3, 0.0009629876149442671),
+                                              (4, 0.000795450441629217),
+                                              (5, 0.001038476285154488)])
+    def test_plus_component_from_seeded_amplitude(self, i, amplitude):
+        # from these seeds an undamped corrector jumps off the growing '+'
+        # component onto u ~ 0 after 30-42 points
+        seed = bvp.seed_branch(i, "+", amplitude=amplitude)
+        br = bvp.continue_component(seed, steps=50)
+        assert len(br) == 51
+        assert all(p.zero_count == i - 1 for p in br)
+        assert all(p.u0_value > 1.0 for p in br)
 
     def test_branches_do_not_intersect(self):
         b2 = bvp.continue_branch(bvp.seed_branch(2, "+"), steps=10)

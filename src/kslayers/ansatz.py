@@ -26,15 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DomainError, ExtractionError, KsLayersError, MatchingError
+from .errors import DomainError, ExtractionError, MatchingError
 from .specfun import C_MIX, EULER_MASCHERONI, xi_zeta_table
-from . import greens, nondegen
+from . import greens
 from .radial import RadialOperator
 
 __all__ = [
     "AnsatzParams",
     "CorrectionConstants",
     "Profile",
+    "ScaffoldParams",
     "solve_epsilon",
     "lambda_of_epsilon",
     "bubble2d",
@@ -757,66 +758,48 @@ def build_profile(params: AnsatzParams, corrections: BoundaryCorrections | None 
 # multi-layer assembly
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ScaffoldParams:
+    """Scalar parameters of the multilayer scaffold: the layer radii (r = 1
+    included in ``dirichlet_one`` mode) and their amplitudes -1/U'^-(r_i)."""
+
+    lam: float
+    eps: float
+    eta: float
+    delta: float
+    delta1: float
+    mu: float
+    h_origin: float
+    outer_mode: str
+    radii: np.ndarray
+    gamma: np.ndarray
+
+
 def multilayer_ansatz(k: int, lam: float, outer_mode: str = greens.DIRICHLET,
-                      eta: float = 0.8, n_nodes: int = 6000) -> Profile:
-    """Glued approximate solution with k concentration spheres.
+                      eta: float = 0.8) -> tuple[ScaffoldParams, Profile]:
+    """Leading-order glued approximate solution with k concentration spheres.
 
     ``k`` counts the layer spheres besides the origin: in ``dirichlet_one``
     mode the outermost is the boundary layer at r = 1 (k - 1 interior
-    spheres); in ``neumann`` mode all k are interior.  Interior peaks are
-    built to second order by symmetrizing the boundary-layer stack about
-    each layer radius; the outer screened profile pieces come from the
-    perturbed layered Green's function at the solved layer parameters.
+    spheres); in ``neumann`` mode all k are interior.  The peaks sit at the
+    layered Green's function's radii with the base-point amplitudes, and
+    the outer pieces are that Green's function.  The implicit-function
+    corrections (``nondegen.solve_layer_parameters``) are not applied: they
+    converge only below lambda ~ 1e-55 (k = 1, neumann), 1e-131 (k = 2,
+    dirichlet_one) and 1e-281 (k = 2, neumann), and at no double lambda for
+    larger k.  Returns the scaffold's parameters and its profile.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if outer_mode == greens.DIRICHLET and k == 1:
-        return build_profile(build_params(lam, eta))
-
+    n_free = k - 1 if outer_mode == greens.DIRICHLET else k
+    if n_free < 1:
+        raise DomainError(
+            f"k={k} in {outer_mode} mode has no free layer sphere; the single "
+            "boundary layer is build_profile(build_params(lam))")
     eps = solve_epsilon(lam)
     delta1 = eps**eta
     b = 4.0 * eps / _SQRT2
-    n_int = k - 1 if outer_mode == greens.DIRICHLET else k
-    cfg, _ = greens.solve_layers(n_int, b, outer_mode, b_max=0.5)
+    cfg, _ = greens.solve_layers(n_free, b, outer_mode, b_max=0.5)
     base = greens.LayerCalculus(cfg.alphas, b, outer_mode)
-    radii = base.radii
-
-    # per-layer amplitudes and shifts (fall back to the base point
-    # gamma_i = -1 / U'^-(r_i) when the corrected system folds at desk scale)
-    base_gamma = -1.0 / base.dl
-    zeta1_pl = np.zeros(radii.size)
-    nu2_pl = np.zeros(radii.size)
-    for i, gam in enumerate(base_gamma):
-        st = _StretchedStack(abs(gam))
-        cc = st.fit_far_field()
-        zeta1_pl[i] = cc.zeta1_eff
-        nu2_pl[i] = cc.nu2_eff
-    try:
-        gamma, sigma = nondegen.solve_layer_parameters(
-            cfg.alphas, b, min(eps, nondegen.EPS_MAX), zeta1=zeta1_pl,
-            nu2=nu2_pl, outer_mode=outer_mode)
-        a_vals = np.array([(-np.log(x * x) + eps * x * nu2_pl[i]) / _SQRT2
-                           for i, x in enumerate(gamma)])
-    except (KsLayersError, ValueError):
-        # the corrected layer-parameter system folds at desk scales; fall
-        # back to the unperturbed scaffold
-        gamma = base_gamma
-        sigma = np.zeros(radii.size)
-        a_vals = np.zeros(radii.size)
-    if np.max(np.abs(eps * a_vals)) > 0.25:
-        # perturbed layer values this far from 1 are outside the regime
-        sigma = np.zeros(radii.size)
-        a_vals = np.zeros(radii.size)
-
-    peaks = radii + sigma
-    spec = nondegen.PerturbedGreenSpec(
-        alphas=radii, a=a_vals, sigma=sigma, b=b, eps=eps,
-        outer_mode=outer_mode)
-    try:
-        gp = nondegen.perturbed_green(spec)
-    except DomainError:
-        gp = base.green
-        peaks = radii
+    peaks, gamma, gp = base.radii, -1.0 / base.dl, base.green
 
     scale = _SQRT2 / eps
 
@@ -896,4 +879,7 @@ def multilayer_ansatz(k: int, lam: float, outer_mode: str = greens.DIRICHLET,
     piece = np.concatenate([s[4] for s in segs])
     if not np.all(np.isfinite(values)):
         raise DomainError("assembled multilayer profile has non-finite values")
-    return Profile(grid, values, dv1, dv2, piece)
+    params = ScaffoldParams(lam=lam, eps=eps, eta=eta, delta=delta,
+                            delta1=delta1, mu=mu, h_origin=h_origin,
+                            outer_mode=outer_mode, radii=peaks, gamma=gamma)
+    return params, Profile(grid, values, dv1, dv2, piece)

@@ -353,7 +353,9 @@ def continue_branch(start: BranchPoint, direction: float = 1.0,
     """
     op = RadialOperator(start.profile.grid)
     branch = [start]
-    u, mu = start.profile.values, start.param
+    # the corrector returns long double: keep the predictor in double so the
+    # corrector's double-precision loop evaluates e^(mu (u - 1)) in double
+    u, mu = np.asarray(start.profile.values, dtype=float), start.param
 
     # initial tangent: nullspace direction of [G_u, G_mu] at the start point
     _, f_u, f_mu = _mu_exp(u, mu, jac=True)
@@ -370,7 +372,7 @@ def continue_branch(start: BranchPoint, direction: float = 1.0,
             if ds < ds_min:
                 raise StallError("continuation step underflow", branch=branch)
             continue
-        u_new, mu_new = point.profile.values, point.param
+        u_new, mu_new = np.asarray(point.profile.values, dtype=float), point.param
         du, dmu = u_new - u, mu_new - mu
         norm = np.sqrt(np.dot(du, du) + dmu * dmu)
         if norm > 0:

@@ -135,7 +135,12 @@ def _cmd_nondegen(cfg: RunConfig) -> None:
     print(_write_json(cfg, "nondegen.json", payload))
 
 
-def _params_payload(params: ansatz.AnsatzParams) -> dict:
+def _params_payload(params) -> dict:
+    if isinstance(params, ansatz.ScaffoldParams):
+        doc = dict(vars(params), radii=params.radii.tolist(),
+                   gamma=params.gamma.tolist(), layer_parameters="leading order")
+        doc["lambda"] = doc.pop("lam")
+        return doc
     c = params.constants
     return {
         "lambda": params.lam, "eps": params.eps, "eta": params.eta,
@@ -155,9 +160,7 @@ def _build_ansatz_profile(p: dict):
     if k == 1 and outer == "dirichlet_one":
         params = ansatz.build_params(p["lam"], p.get("eta", 0.8))
         return params, ansatz.build_profile(params)
-    params = ansatz.build_params(p["lam"], p.get("eta", 0.8))
-    return params, ansatz.multilayer_ansatz(k, p["lam"], outer,
-                                            p.get("eta", 0.8))
+    return ansatz.multilayer_ansatz(k, p["lam"], outer, p.get("eta", 0.8))
 
 
 def _cmd_ansatz(cfg: RunConfig) -> None:

@@ -2,10 +2,12 @@
 
 Everything here deliberately avoids the library's evaluation paths:
 special functions come from ascending series summed directly (cross-checked
-against scipy's cephes builds), boundary-value facts from adaptive
-Runge-Kutta shooting, derivatives from finite differences.
+against scipy's cephes builds) and from mpmath at 40 digits, boundary-value
+facts from adaptive Runge-Kutta shooting, derivatives from finite
+differences.
 """
 
+import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy import special
@@ -194,3 +196,11 @@ def fd_first(f, r, h=1e-6):
 def scipy_bessel_reference(x):
     """cephes values for cross-checks (an implementation-independent build)."""
     return special.i0(x), special.i1(x), special.k0(x), special.k1(x)
+
+
+def mpmath_bessel_reference(x, digits: int = 40):
+    """(I0, I1, K0, K1) at the double x by mpmath, rounded once to double."""
+    with mpmath.workdps(digits):
+        v = mpmath.mpf(float(x))
+        return (float(mpmath.besseli(0, v)), float(mpmath.besseli(1, v)),
+                float(mpmath.besselk(0, v)), float(mpmath.besselk(1, v)))

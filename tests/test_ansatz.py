@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -309,7 +313,7 @@ class TestInnerMass:
 
 class TestMultilayer:
     def test_single_interior_layer_scaffold(self):
-        prof = ansatz.multilayer_ansatz(1, 1e-4, greens.NEUMANN)
+        _, prof = ansatz.multilayer_ansatz(1, 1e-4, greens.NEUMANN)
         assert np.all(np.isfinite(prof.values))
         # one interior peak labeled at the solved layer radius, locally
         # dominating its transition bands
@@ -321,10 +325,16 @@ class TestMultilayer:
         assert prof.piece[i].startswith("u_peak")
 
     def test_interior_plus_boundary_layer_count(self):
-        prof = ansatz.multilayer_ansatz(2, 1e-4, greens.DIRICHLET)
+        _, prof = ansatz.multilayer_ansatz(2, 1e-4, greens.DIRICHLET)
         labels = set(prof.piece)
         assert any(lbl.startswith("u_peak1") for lbl in labels)
         assert any(lbl.startswith("u_peak2") for lbl in labels)
+
+    def test_no_free_layer_points_to_build_profile(self):
+        with pytest.raises(DomainError, match="build_profile"):
+            ansatz.multilayer_ansatz(1, 1e-4, greens.DIRICHLET)
+        with pytest.raises(DomainError, match="build_profile"):
+            ansatz.multilayer_ansatz(0, 1e-4, greens.NEUMANN)
 
     def test_limit_profile_trend(self):
         gaps = []
@@ -332,9 +342,19 @@ class TestMultilayer:
             eps = ansatz.solve_epsilon(lam)
             b = 4 * eps / np.sqrt(2)
             cfg, g = greens.solve_layers(1, b, greens.NEUMANN, b_max=0.5)
-            prof = ansatz.multilayer_ansatz(1, lam, greens.NEUMANN)
+            _, prof = ansatz.multilayer_ansatz(1, lam, greens.NEUMANN)
             excl = 0.12
             m = (prof.grid > excl) & (np.abs(prof.grid - cfg.alphas[0]) > excl)
             gaps.append(np.max(np.abs(eps * prof.values[m]
                                       - np.sqrt(2) * g.value(prof.grid[m]))))
         assert gaps[1] < gaps[0]
+
+
+def test_import_leaves_nondegen_out():
+    # the scaffold is built from the layered Green's function alone
+    src = os.path.dirname(os.path.dirname(ansatz.__file__))
+    code = "import sys, kslayers.ansatz; print('kslayers.nondegen' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from kslayers import cli
+from kslayers import ansatz, cli, greens
 
 
 def run_cli(args, tmp_path, sub=None):
@@ -139,3 +139,14 @@ def test_residual_json(tmp_path):
     doc = json.loads((out / "residual.json").read_text())
     assert doc["star"] >= doc["starstar"]
     assert doc["l1_outer"] > 0
+
+
+def test_multilayer_ansatz_json_is_the_scaffold(tmp_path):
+    code, out = run_cli(["ansatz", "--lambda", "1e-4", "--k", "2"], tmp_path)
+    assert code == 0
+    doc = json.loads((out / "ansatz.json").read_text())
+    b = 4.0 * ansatz.solve_epsilon(1e-4) / np.sqrt(2.0)
+    cfg, _ = greens.solve_layers(1, b, greens.DIRICHLET, b_max=0.5)
+    radii = greens.LayerCalculus(cfg.alphas, b, greens.DIRICHLET).radii
+    assert doc["radii"] == radii.tolist()
+    assert doc["layer_parameters"] == "leading order"

@@ -188,22 +188,32 @@ class TestLayerParameters:
             assert np.all(np.abs(res - (flux - np.array(target)))
                           <= 1e-14 * np.abs(flux)), mode
 
-    def test_window_edge_is_a_convergence_error(self, solved_configs):
+    @pytest.mark.parametrize("n_free, eps", [(3, 1e-3), (2, 2e-3)],
+                             ids=["3free", "2free"])
+    def test_window_edge_is_a_convergence_error(self, n_free, eps,
+                                                solved_configs):
         # the damped iterate stops just inside a quarter-gap window, where
         # a Jacobian probe crosses it
-        cfg, _ = solved_configs[3]
+        cfg, _ = solved_configs[n_free]
         with pytest.raises(ConvergenceError) as info:
-            nondegen.solve_layer_parameters(cfg.alphas, 1e-3, 1e-3)
+            nondegen.solve_layer_parameters(cfg.alphas, 1e-3, eps)
         assert info.value.residual > 1e-10
 
-    def test_perturbation_rates(self, solved_configs):
-        cfg, _ = solved_configs[1]
+    # the shift rate sigma/eps grows with the layer count, which is what
+    # shrinks the window of the edge test above
+    @pytest.mark.parametrize("n_free, eps_max, shift_rate",
+                             [(1, 1e-3, 12.5), (2, 5e-4, 34.4), (3, 2.5e-4, 86.0)],
+                             ids=["1free", "2free", "3free"])
+    def test_perturbation_rates(self, n_free, eps_max, shift_rate,
+                                solved_configs):
+        cfg, _ = solved_configs[n_free]
         gamma0, _ = nondegen.solve_layer_parameters(cfg.alphas, 1e-3, 0.0)
         cs, cg = [], []
-        for eps in (1e-3, 5e-4, 2.5e-4):
+        for eps in (eps_max, eps_max / 2, eps_max / 4):
             gamma, sigma = nondegen.solve_layer_parameters(cfg.alphas, 1e-3, eps)
             cs.append(np.max(np.abs(sigma)) / eps)
             cg.append(np.max(np.abs(gamma - gamma0)) / (eps * abs(np.log(eps))))
+        assert cs[0] == pytest.approx(shift_rate, rel=0.01)
         # fitted constants stay within a factor two across the ladder
         assert max(cs) <= 2.0 * min(cs) + 1e-12
         assert max(cg) <= 2.0 * min(cg) + 1e-12

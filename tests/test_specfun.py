@@ -27,6 +27,19 @@ def test_against_oracle_over_range():
     assert np.max(np.abs(k1 / ref[:, 3] - 1)) < 2e-14
 
 
+def test_against_mpmath_in_ulps():
+    # 800 points in [1e-6, 10]; errors in units of the last place of the
+    # reference.  Measured maxima: I0 6, I1 7, K0 22 (x = 1.947), K1 4 ulp.
+    # K0 is worst just below the series/Chebyshev switch at x = 2, where
+    # -(ln(x/2) + gamma) I0 cancels against the series sum.
+    x = np.concatenate([np.geomspace(1e-6, 1.0, 400, endpoint=False),
+                        np.linspace(1.0, 10.0, 400)])
+    ref = np.array([oracles.mpmath_bessel_reference(v) for v in x])
+    got = np.column_stack(sf.bessel_table(x))
+    ulps = np.max(np.abs(got - ref) / np.spacing(np.abs(ref)), axis=0)
+    assert np.all(ulps <= [8.0, 8.0, 32.0, 8.0]), ulps
+
+
 def test_wronskian_identity():
     r = np.logspace(-8, 1, 500)
     i0, i1, k0, k1 = sf.bessel_table(r)

@@ -107,7 +107,6 @@ class ResidualReport:
     l1_outer: float
     star: float
     starstar: float
-    sigma_fit: float
     middle_sup: float
     inner_envelope_const: float
 
@@ -137,8 +136,8 @@ def residual(U: Profile, lam: float) -> np.ndarray:
 
 
 def residual_report(U: Profile, lam: float, delta: float | None = None,
-                    delta1: float | None = None, nu: float = 0.5,
-                    sigma_fit: float = np.nan) -> tuple[np.ndarray, ResidualReport]:
+                    delta1: float | None = None,
+                    nu: float = 0.5) -> tuple[np.ndarray, ResidualReport]:
     """Residual field plus its norm report.
 
     ``delta``/``delta1`` bound the middle region for the pointwise sup
@@ -163,7 +162,7 @@ def residual_report(U: Profile, lam: float, delta: float | None = None,
         sup_weighted_inner=sup_in, l1_outer=l1_out,
         star=max(abs(np.log(lam)) * sup_in, l1_out),
         starstar=max(sup_in, l1_out),
-        sigma_fit=sigma_fit, middle_sup=middle_sup,
+        middle_sup=middle_sup,
         inner_envelope_const=inner_const)
     return R, rep
 
@@ -220,6 +219,7 @@ class LinearSolveResult:
     ratio: float
     smallest_eigenvalue: float
     kernel_overlap: float
+    morse_index: int
 
 
 def solve_linear(U: Profile, lam: float, h: np.ndarray,
@@ -228,8 +228,9 @@ def solve_linear(U: Profile, lam: float, h: np.ndarray,
     """Solve (-Delta + 1 - lambda e^U) phi = h with Neumann ends.
 
     Returns phi, the measured ratio ||phi||_inf / ||h||_*, the smallest
-    eigenvalue of the discrete operator and the overlap of its mode with
-    the cut-off bubble dilation mode.
+    eigenvalue of the discrete operator, the overlap of its mode with the
+    cut-off bubble dilation mode and the operator's Morse index (its
+    number of negative eigenvalues).
 
     Raises
     ------
@@ -242,7 +243,7 @@ def solve_linear(U: Profile, lam: float, h: np.ndarray,
         raise DomainError("right-hand side must live on the profile grid")
     op = RadialOperator(U.grid)
     pot = lam * np.exp(np.minimum(U.values, EXP_CAP))
-    eig, mode = op.smallest_eigenvalue(pot)
+    eig, mode, morse = op.smallest_eigenvalue(pot)
     # physical scale of the zeroth-order part (stiffness entries are grid
     # artifacts and would mask genuine near-degeneracy)
     scale = 1.0 + float(np.max(np.abs(pot)))
@@ -263,7 +264,7 @@ def solve_linear(U: Profile, lam: float, h: np.ndarray,
     hstar = norm_star(U.grid, h, p)
     ratio = float(np.max(np.abs(phi)) / hstar) if hstar > 0 else np.inf
     return LinearSolveResult(phi=phi, ratio=ratio, smallest_eigenvalue=float(eig),
-                             kernel_overlap=overlap)
+                             kernel_overlap=overlap, morse_index=morse)
 
 
 @dataclass(frozen=True)
@@ -368,10 +369,11 @@ def probe_linear(profiles: dict[float, Profile], n_rhs: int = 10,
     out = {}
     for lam, U in profiles.items():
         rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(n_rhs):
-            h = random_smooth_field(U.grid, rng)
-            res = solve_linear(U, lam, h, nu=nu)
-            worst = max(worst, res.ratio)
-        out[lam] = worst
+        hs = np.column_stack([random_smooth_field(U.grid, rng) for _ in range(n_rhs)])
+        solve_linear(U, lam, hs[:, 0], nu=nu)  # runs the monitor; it depends on U alone
+        pot = lam * np.exp(np.minimum(U.values, EXP_CAP))
+        phis = RadialOperator(U.grid).solve(pot, hs)
+        p = NormParams(lam=lam, nu=nu)
+        out[lam] = max(float(np.max(np.abs(phi)) / norm_star(U.grid, h, p))
+                       for phi, h in zip(phis.T, hs.T))
     return out

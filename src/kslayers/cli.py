@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, greens, nondegen, ansatz, analysis, bvp
+# ansatz, analysis and bvp import scipy: only the subcommands that use them load them
+from . import __version__, greens, nondegen
 from .errors import ConvergenceError, DomainError, KsLayersError, \
     MatchingError, NonContractionError, StallError
 
@@ -136,6 +137,7 @@ def _cmd_nondegen(cfg: RunConfig) -> None:
 
 
 def _params_payload(params) -> dict:
+    from . import ansatz
     if isinstance(params, ansatz.ScaffoldParams):
         doc = dict(vars(params), radii=params.radii.tolist(),
                    gamma=params.gamma.tolist(), layer_parameters="leading order")
@@ -155,6 +157,7 @@ def _params_payload(params) -> dict:
 
 
 def _build_ansatz_profile(p: dict):
+    from . import ansatz
     k = p.get("k", 1)
     outer = p.get("outer", "dirichlet_one")
     if k == 1 and outer == "dirichlet_one":
@@ -172,18 +175,19 @@ def _cmd_ansatz(cfg: RunConfig) -> None:
 
 
 def _cmd_residual(cfg: RunConfig) -> None:
+    from . import analysis
     params, profile = _build_ansatz_profile(cfg.params)
     _, rep = analysis.residual_report(profile, params.lam, params.delta,
                                       params.delta1)
     payload = {"sup_weighted_inner": rep.sup_weighted_inner,
                "l1_outer": rep.l1_outer, "star": rep.star,
                "starstar": rep.starstar, "middle_sup": rep.middle_sup,
-               "inner_envelope_const": rep.inner_envelope_const,
-               "sigma_fit": rep.sigma_fit}
+               "inner_envelope_const": rep.inner_envelope_const}
     print(_write_json(cfg, "residual.json", payload))
 
 
 def _cmd_fixpoint(cfg: RunConfig) -> None:
+    from . import analysis
     params, profile = _build_ansatz_profile(cfg.params)
     try:
         fp = analysis.fixed_point(profile, params.lam, eps=params.eps,
@@ -202,6 +206,7 @@ def _cmd_fixpoint(cfg: RunConfig) -> None:
 
 
 def _cmd_solve(cfg: RunConfig) -> None:
+    from . import bvp
     p = cfg.params
     lam = p["lam"]
     init = p.get("init", "ansatz")
@@ -210,11 +215,7 @@ def _cmd_solve(cfg: RunConfig) -> None:
     elif init == "constant":
         guess = bvp.constant_profile(lam, value=p.get("value", 1.0))
     elif init == "file":
-        data = _read_profile_csv(p["file"])
-        guess = ansatz.Profile(data[:, 0], data[:, 1],
-                               np.gradient(data[:, 1], data[:, 0]),
-                               np.zeros(len(data)),
-                               np.full(len(data), "file"))
+        guess = _read_profile_csv(p["file"])
     else:
         raise DomainError(f"unknown init {init!r}")
     point = bvp.solve_bvp(lam, guess, tol=p.get("tol", 1e-9))
@@ -229,6 +230,7 @@ def _cmd_solve(cfg: RunConfig) -> None:
 
 
 def _cmd_branch(cfg: RunConfig) -> None:
+    from . import bvp
     p = cfg.params
     seed = bvp.seed_branch(p["i"], p["sign"])
     branch = bvp.continue_branch(seed, direction=p.get("direction", 1.0),
@@ -237,7 +239,8 @@ def _cmd_branch(cfg: RunConfig) -> None:
     print(_write_csv(cfg, "branch.csv", ["mu", "u0", "zero_count"], rows))
 
 
-def _read_profile_csv(path: str) -> np.ndarray:
+def _read_profile_csv(path: str):
+    from . import ansatz
     rows = []
     with open(path) as f:
         for line in f:
@@ -251,17 +254,17 @@ def _read_profile_csv(path: str) -> np.ndarray:
                 continue  # header line
     if not rows:
         raise DomainError(f"no numeric r,u rows found in {path}")
-    return np.array(rows)
+    r, u = np.array(rows).T
+    return ansatz.Profile(r, u, np.gradient(u, r), np.zeros_like(u),
+                          np.full(r.size, "file"))
 
 
 def _cmd_report(cfg: RunConfig) -> None:
+    from . import ansatz, bvp
     p = cfg.params
-    data = _read_profile_csv(p["infile"])
-    r, u = data[:, 0], data[:, 1]
+    prof = _read_profile_csv(p["infile"])
     lam = p["lam"]
-    prof = ansatz.Profile(r, u, np.gradient(u, r), np.zeros_like(u),
-                          np.full(r.size, "file"))
-    point = bvp.BranchPoint(param=lam, profile=prof, u0_value=float(u[0]),
+    point = bvp.BranchPoint(param=lam, profile=prof, u0_value=float(prof.values[0]),
                             zero_count=0, newton_iters=0, residual_norm=np.nan)
     eps = ansatz.solve_epsilon(lam)
     b = 4.0 * eps / np.sqrt(2.0)

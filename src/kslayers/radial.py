@@ -116,27 +116,21 @@ class RadialOperator:
         e = self.lap_upper * np.sqrt(self.vol[:-1] / self.vol[1:])
         return d, e
 
-    def smallest_eigenvalue(self, potential=0.0) -> tuple[float, np.ndarray]:
-        """Eigenvalue of smallest magnitude and its eigenvector.
+    def smallest_eigenvalue(self, potential=0.0) -> tuple[float, np.ndarray, int]:
+        """Eigenvalue of smallest magnitude, its eigenvector and the Morse index.
 
-        Uses the symmetric tridiagonal form and full spectrum of the small
-        bands via LAPACK; cheap for a few thousand nodes.
+        A Sturm count (LAPACK bisection, ?stebz) gives the number of negative
+        eigenvalues; the eigenvalue nearest 0 is one of the two either side
+        of it, which bisection and inverse iteration (?stein) return alone.
         """
         d, e = self.symmetric_tridiagonal(potential)
-        vals = sla.eigvalsh_tridiagonal(d, e)
+        neg = sla.eigvalsh_tridiagonal(d, e, select="v",
+                                       select_range=(-np.inf, 0.0)).size
+        vals, vecs = sla.eigh_tridiagonal(
+            d, e, select="i", select_range=(max(neg - 1, 0), min(neg, self.n - 1)))
         idx = int(np.argmin(np.abs(vals)))
-        lam = vals[idx]
-        vals_sel, vecs = sla.eigh_tridiagonal(
-            d, e, select="v", select_range=(lam - abs(lam) * 1e-9 - 1e-300,
-                                            lam + abs(lam) * 1e-9 + 1e-300))
-        if vecs.shape[1] == 0:
-            vals_all, vecs_all = sla.eigh_tridiagonal(d, e)
-            idx = int(np.argmin(np.abs(vals_all)))
-            vec = vecs_all[:, idx]
-        else:
-            vec = vecs[:, 0]
         # undo the symmetrizing similarity
-        return float(lam), vec / np.sqrt(self.vol)
+        return float(vals[idx]), vecs[:, idx] / np.sqrt(self.vol), neg
 
     def quad_weights(self) -> np.ndarray:
         """Trapezoid weights for int f(r) 2 pi r dr on the grid."""

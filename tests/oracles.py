@@ -9,6 +9,7 @@ differences.
 
 import mpmath
 import numpy as np
+import scipy.linalg as sla
 from scipy.integrate import solve_ivp
 from scipy import special
 
@@ -179,6 +180,24 @@ def first_j1_root(lo=3.0, hi=4.5, tol=1e-12) -> float:
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# full spectrum of the radial operator
+# ---------------------------------------------------------------------------
+
+def full_spectrum_monitor(op, potential):
+    """Smallest-magnitude eigenpair and negative count from the full spectrum.
+
+    Diagonalizes the symmetrized operator completely (LAPACK's MRRR
+    ?stemr, every eigenvector), so it shares neither the Sturm count nor
+    the inverse iteration of ``RadialOperator.smallest_eigenvalue``.
+    """
+    d, e = op.symmetric_tridiagonal(potential)
+    vals, vecs = sla.eigh_tridiagonal(d, e)
+    idx = int(np.argmin(np.abs(vals)))
+    return (float(vals[idx]), vecs[:, idx] / np.sqrt(op.vol),
+            int(np.count_nonzero(vals < 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from kslayers import analysis, ansatz, bvp
 from kslayers.errors import DomainError, OverflowRegionError
 from kslayers.radial import RadialOperator, graded_grid
+import oracles
 
 
 
@@ -187,6 +188,38 @@ class TestSolveLinear:
         ratios = analysis.probe_linear(profiles, n_rhs=4, seed=0)
         assert ratios[1e-2] == pytest.approx(0.0319, rel=0.2)
         assert ratios[1e-4] == pytest.approx(0.2049, rel=0.2)
+
+
+class TestEigenvalueMonitor:
+    @pytest.mark.parametrize("lam", [1e-2, 1e-4])
+    def test_against_full_spectrum(self, lam):
+        prof = ansatz.build_profile(ansatz.build_params(lam))
+        op = RadialOperator(prof.grid)
+        pot = lam * np.exp(prof.values)
+        eig, mode, morse = op.smallest_eigenvalue(pot)
+        ref_eig, ref_mode, ref_neg = oracles.full_spectrum_monitor(op, pot)
+        assert abs(eig - ref_eig) <= 1e-7 * abs(ref_eig)
+        cos = abs(np.sum(op.vol * mode * ref_mode)) / np.sqrt(
+            np.sum(op.vol * mode**2) * np.sum(op.vol * ref_mode**2))
+        assert cos >= 1.0 - 1e-10
+        assert morse == ref_neg
+
+    def test_zero_potential_has_no_negative_eigenvalue(self):
+        op = RadialOperator(graded_grid(800, 0.05, 0.05))
+        eig, mode, morse = op.smallest_eigenvalue(0.0)
+        # Neumann ends: the constant is the mode of -Lap + 1 nearest 0
+        assert morse == 0
+        assert eig == pytest.approx(1.0, abs=1e-9)
+        assert np.ptp(mode) <= 1e-9 * np.max(np.abs(mode))
+
+    def test_potential_above_the_spectrum_makes_every_eigenvalue_negative(self):
+        op = RadialOperator(graded_grid(800, 0.05, 0.05))
+        # Gershgorin on the rows of -Lap bounds its spectrum by 2 max(lap_main)
+        c = 2.0 * np.max(op.lap_main) + 2.0
+        eig, _, morse = op.smallest_eigenvalue(c)
+        ref_eig, _, ref_neg = oracles.full_spectrum_monitor(op, c)
+        assert morse == ref_neg == op.n
+        assert eig == pytest.approx(ref_eig, rel=1e-7)
 
 
 class TestNearKernel:

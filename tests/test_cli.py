@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -134,11 +137,25 @@ def test_fixpoint_csv(tmp_path):
 
 
 def test_residual_json(tmp_path):
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
     code, out = run_cli(["residual", "--lambda", "1e-4", "--k", "1"], tmp_path)
     assert code == 0
-    doc = json.loads((out / "residual.json").read_text())
+    # strict JSON: NaN and Infinity are Python extensions other parsers reject
+    doc = json.loads((out / "residual.json").read_text(), parse_constant=reject)
     assert doc["star"] >= doc["starstar"]
     assert doc["l1_outer"] > 0
+
+
+def test_import_leaves_scipy_out():
+    # green and nondegen need neither scipy nor the modules that import it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, kslayers.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_multilayer_ansatz_json_is_the_scaffold(tmp_path):

@@ -7,10 +7,11 @@ three orders of correction profiles, and two quintic-smoothstep blend
 bands.  The small parameter eps is tied to lambda by the log relation
 ln(4/eps^2) - ln(lambda) = sqrt(2)/eps.
 
-The boundary-layer correction profiles are solved as ODEs in the stretched
-variable s = (r-1)/mu_tilde (where they are O(1) and tail-flat), and their
-far-field affine coefficients are extracted by least squares on a window
-where the exponential tails are below 1e-10.
+The boundary-layer correction profiles are Chebyshev quadratures.  In the
+stretched variable s = (r-1)/mu_tilde (where they are O(1) and tail-flat)
+the operator's kernel is known in closed form, so variation of parameters
+gives the profiles and their far-field affine coefficients are limits of
+the kernel integrals; the two radial sweeps are antiderivatives in r.
 
 The outer profile's boundary data couples to the correction constants and
 the layer amplitude gamma.  The fully corrected matching system develops a
@@ -24,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial import Chebyshev
 
-from .errors import DomainError, ExtractionError, MatchingError
+from .errors import DomainError, MatchingError
 from .specfun import C_MIX, EULER_MASCHERONI, xi_zeta_table
 from . import greens
 from .radial import RadialOperator
@@ -56,12 +57,11 @@ _SQRT2 = np.sqrt(2.0)
 # 2 * int_{-inf}^0 ln(1 + e^{sqrt(2) s}) ds = sqrt(2) pi^2 / 12
 _SWEEP_TAIL = _SQRT2 * np.pi**2 / 12.0
 
-_S_DEPTH = 40.0          # stretched-variable integration depth
-_FIT_WINDOW = (-35.0, -25.0)
-_FIT_WINDOW_WIDE = (-38.0, -20.0)
-# tighter than the nominal 1e-10 target: the finite-difference residual
-# checks of the correction profiles need the accumulated-error headroom
-_ODE_TOL = 1e-12
+_S_DEPTH = 40.0          # stretched depth of the far-field integrals
+# degree of every Chebyshev interpolant: the integrands' nearest poles
+# (sech^2 at s = +-i pi/sqrt2) lie off the interval's s = 0 end, where the
+# Chebyshev points cluster
+_CHEB_DEG = 160
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,6 @@ class CorrectionConstants:
     zeta2: float
     nu2_eff: float
     zeta1_eff: float
-    fit_residual: float
 
 
 @dataclass(frozen=True)
@@ -183,11 +182,6 @@ class Profile:
     d1: np.ndarray
     d2: np.ndarray
     piece: np.ndarray
-
-    def restrict(self, lo: float, hi: float) -> "Profile":
-        m = (self.grid >= lo) & (self.grid <= hi)
-        return Profile(self.grid[m], self.values[m], self.d1[m], self.d2[m],
-                       self.piece[m])
 
 
 @dataclass(frozen=True)
@@ -208,7 +202,6 @@ class AnsatzParams:
     outer_B: float
     matching_order: int          # 2 full, 1 value-corrected, 0 leading
     constants: CorrectionConstants
-    ndim: int = 2
 
     def validate(self) -> None:
         rel = abs(np.log(4.0 / self.eps**2) - np.log(self.lam)
@@ -227,97 +220,115 @@ class AnsatzParams:
             raise DomainError("|H(0)| must stay O(1/eps)")
 
 
-def nu1_closed_form(gamma: float, ndim: int = 2) -> float:
+def nu1_closed_form(gamma: float) -> float:
     """Closed form of the second-order sweep slope constant."""
-    return -2.0 * (ndim - 1) * (1.0 - np.log(2.0)) + 2.0 * np.log(2.0) * gamma
+    return -2.0 * (1.0 - np.log(2.0)) + 2.0 * np.log(2.0) * gamma
 
 
 # ---------------------------------------------------------------------------
 # boundary-layer correction stack (stretched variable)
 # ---------------------------------------------------------------------------
 
-class _StretchedStack:
-    """Joint integration of the correction profiles in s = (r-1)/mu_tilde.
+def _antiderivative(f, lo: float, hi: float, at: float) -> Chebyshev:
+    """Antiderivative of ``f`` on [lo, hi] vanishing at ``at``, from its
+    degree-_CHEB_DEG Chebyshev interpolant."""
+    return Chebyshev.interpolate(f, _CHEB_DEG, [lo, hi]).integ(lbnd=at)
 
-    State: [v, v', IW, JW, JJW, JsW, Iv, z, z'] where IW = int W,
-    JW = int (W - ln4), JJW = int int (W - ln4), JsW = int s W,
-    Iv = int v; all integrals from 0 to s (s <= 0).
+
+def _kernel(s: np.ndarray):
+    """(y1, y2, y1', y2') in s for the kernel of v'' + e^W v.
+
+    The stretched operator is the l = 1 Poschl-Teller operator; with
+    x = s/sqrt2 its kernel is y1 = tanh x, y2 = x tanh x - 1, and the
+    Wronskian y1 y2' - y1' y2 is 1/sqrt2.
+    """
+    x = s / _SQRT2
+    t = np.tanh(x)
+    sech2 = _exp_w(s)
+    return t, x * t - 1.0, sech2 / _SQRT2, (t + x * sech2) / _SQRT2
+
+
+class _StretchedStack:
+    """The correction profiles in s = (r-1)/mu_tilde on [-depth, 0].
+
+    v'' = -e^W (v + a1) and z'' = -e^W (z + alpha2 - Iv + (a1 + v)^2 / 2),
+    both with zero data at s = 0, where a1 = -IW + gamma s^2 / sqrt2,
+    alpha2 = JJW + JsW - s^2 ln gamma = s IW - s^2 ln(2 gamma) (by parts),
+    IW = int W, JJW = int int (W - ln 4), JsW = int s W and Iv = int v,
+    all from 0.  Each source involves only lower-order profiles, so with
+    the kernel of ``_kernel`` variation of parameters gives
+    y = sqrt2 [y2 int_0^s y1 g - y1 int_0^s y2 g] for y'' + e^W y = g, and
+    every integral is a Chebyshev antiderivative.
     """
 
-    def __init__(self, gamma: float, ndim: int = 2, depth: float = _S_DEPTH):
-        self.gamma = float(gamma)
-        self.ndim = ndim
+    def __init__(self, gamma: float, depth: float = _S_DEPTH):
+        self.gamma = abs(gamma)
         self.depth = depth
-        g = abs(self.gamma)
-        n1 = ndim - 1
+        self.iw = self._integral(_w_stretched)
+        self._v = self._vary(self._v_source)
+        self.iv = self._integral(self.v)
+        self._z = self._vary(self._z_source)
 
-        def a1(s, IW):
-            return -n1 * IW + (g / _SQRT2) * s * s
+    def _integral(self, f) -> Chebyshev:
+        return _antiderivative(f, -self.depth, 0.0, 0.0)
 
-        def rhs(s, y):
-            v, vp, IW, JW, JJW, JsW, Iv, z, zp = y
-            W = float(_w_stretched(np.array([s]))[0])
-            eW = float(_exp_w(np.array([s]))[0])
-            A1 = a1(s, IW)
-            alpha2 = JJW + n1 * JsW - s * s * np.log(g)
-            beta1 = -n1 * Iv
-            vpp = -eW * (v + A1)
-            zpp = -eW * (z + alpha2 + beta1 + 0.5 * (A1 + v) ** 2)
-            return [vp, vpp, W, W - np.log(4.0), JW, s * W, v, zp, zpp]
+    def _vary(self, source):
+        return tuple(self._integral(lambda s, i=i: _kernel(s)[i] * source(s))
+                     for i in (0, 1))
 
-        self._a1 = a1
-        sol = solve_ivp(rhs, [0.0, -depth], np.zeros(9), method="RK45",
-                        rtol=_ODE_TOL, atol=_ODE_TOL, dense_output=True,
-                        max_step=0.25)
-        if not sol.success:
-            raise ExtractionError("stretched correction integration failed")
-        self.sol = sol
+    def _solution(self, p, source, s, deriv):
+        if deriv == 2:
+            return source(s) - _exp_w(s) * self._solution(p, source, s, 0)
+        y1, y2, d1, d2 = _kernel(s)
+        if deriv == 1:
+            y1, y2 = d1, d2
+        return _SQRT2 * (y2 * p[0](s) - y1 * p[1](s))
 
-    def eval(self, s: np.ndarray) -> np.ndarray:
-        return self.sol.sol(np.clip(s, -self.depth, 0.0))
+    def a1(self, s):
+        return -self.iw(s) + (self.gamma / _SQRT2) * s * s
+
+    def alpha2(self, s):
+        return s * self.iw(s) - s * s * np.log(2.0 * self.gamma)
+
+    def _v_source(self, s):
+        return -_exp_w(s) * self.a1(s)
+
+    def _z_source(self, s):
+        return -_exp_w(s) * (self.alpha2(s) - self.iv(s)
+                             + 0.5 * (self.a1(s) + self.v(s)) ** 2)
+
+    def v(self, s, deriv: int = 0):
+        """Second-order sweep profile or its s-derivative (0, 1 or 2)."""
+        return self._solution(self._v, self._v_source, s, deriv)
+
+    def z(self, s, deriv: int = 0):
+        """Third-order profile or its s-derivative (0, 1 or 2)."""
+        return self._solution(self._z, self._z_source, s, deriv)
 
     def corrections(self, s: np.ndarray, mu_t: float):
         """(v, v', v'', z, z', z'') of the sweep and third-order profiles.
 
-        Values and derivatives are in r at s = (r - 1)/mu_tilde; the second
-        derivatives come from the stretched ODEs.
+        Values and derivatives are in r at s = (r - 1)/mu_tilde.
         """
-        n1 = self.ndim - 1
-        y = self.eval(s)
-        a1 = self._a1(s, y[2])
-        alpha2 = y[4] + n1 * y[5] - s**2 * np.log(abs(self.gamma))
-        beta1 = -n1 * y[6]
-        eW = _exp_w(s)
-        return (mu_t * y[0], y[1], -eW * (y[0] + a1) / mu_t,
-                mu_t**2 * y[7], mu_t * y[8],
-                -eW * (y[7] + alpha2 + beta1 + 0.5 * (a1 + y[0])**2))
+        return (mu_t * self.v(s), self.v(s, 1), self.v(s, 2) / mu_t,
+                mu_t**2 * self.z(s), mu_t * self.z(s, 1), self.z(s, 2))
 
-    def fit_far_field(self) -> CorrectionConstants:
-        """Affine far-field fits of the sweep and third-order profiles."""
-        for window in (_FIT_WINDOW, _FIT_WINDOW_WIDE):
-            s = np.linspace(window[0], window[1], 201)
-            y = self.eval(s)
-            v, z = y[0], y[7]
-            av = np.vstack([s, np.ones_like(s)]).T
-            (nu1, nu2), res_v, *_ = np.linalg.lstsq(av, v, rcond=None)
-            (zeta1, zeta2), res_z, *_ = np.linalg.lstsq(av, z, rcond=None)
-            resid = 0.0
-            for coef, vals in (((nu1, nu2), v), ((zeta1, zeta2), z)):
-                fitted = coef[0] * s + coef[1]
-                resid = max(resid, float(np.max(np.abs(vals - fitted))))
-            if resid <= 1e-6:
-                break
-        else:
-            raise ExtractionError(
-                f"far-field fit residual {resid:.2e} above 1e-6")
-        n1 = self.ndim - 1
-        nu2_eff = nu2 - n1 * _SWEEP_TAIL
-        zeta1_eff = zeta1 + _SWEEP_TAIL * (1.0 + n1 * (self.ndim - 2)) - n1 * nu2
-        return CorrectionConstants(nu1=float(nu1), nu2=float(nu2),
-                                   zeta1=float(zeta1), zeta2=float(zeta2),
-                                   nu2_eff=float(nu2_eff),
-                                   zeta1_eff=float(zeta1_eff),
-                                   fit_residual=float(resid))
+    def far_field(self) -> CorrectionConstants:
+        """Far-field lines nu1 s + nu2 of v and zeta1 s + zeta2 of z.
+
+        As s -> -inf, y1 -> -1 and y2 -> -s/sqrt2 - 1, so y tends to
+        -P1 s + sqrt2 (P2 - P1) with P_i = int_0^{-inf} y_i g; the sources
+        decay like s^4 e^{sqrt2 s}, so the integrals to -depth are the limits.
+        """
+        def line(p):
+            p1, p2 = (float(q(-self.depth)) for q in p)
+            return -p1, _SQRT2 * (p2 - p1)
+
+        nu1, nu2 = line(self._v)
+        zeta1, zeta2 = line(self._z)
+        return CorrectionConstants(nu1=nu1, nu2=nu2, zeta1=zeta1, zeta2=zeta2,
+                                   nu2_eff=nu2 - _SWEEP_TAIL,
+                                   zeta1_eff=zeta1 + _SWEEP_TAIL - nu2)
 
 
 @dataclass(frozen=True)
@@ -334,80 +345,52 @@ class BoundaryCorrections:
     mu_tilde: float
 
 
-def _solve_radial_pair(rhs_fn, r_hi: float, r_lo: float, grid: np.ndarray):
-    """Integrate u'' = -(n-1)/r u' - f(r) backward with zero terminal data.
-
-    The step cap keeps the dense-output interpolation error (fourth order
-    inside a step) below the finite-difference residual tolerance used to
-    audit the stored profiles.
-    """
-    def rhs(r, y):
-        return [y[1], rhs_fn(r, y)]
-
-    sol = solve_ivp(rhs, [r_hi, r_lo], [0.0, 0.0], method="RK45",
-                    rtol=_ODE_TOL, atol=_ODE_TOL, dense_output=True,
-                    max_step=2e-3)
-    if not sol.success:
-        raise ExtractionError("radial correction integration failed")
-    vals = sol.sol(grid)
-    return vals[0], vals[1]
-
-
 def boundary_corrections(params: "AnsatzParams",
                          n_grid: int = 6001) -> BoundaryCorrections:
-    """Solve the four boundary-layer correction problems.
+    """The four boundary-layer correction profiles on the window [0.55, 1].
 
-    The sweep (second-order) and third-order profiles are integrated in the
-    stretched variable; the two radial sweeps are integrated in r on the
-    window [0.55, 1] with terminal data alpha(1) = alpha'(1) = 0 (same for
-    beta).  The affine far-field constants are extracted by least squares
-    deep in the tail, and the leading slope constant is checked against its
-    closed form downstream.
+    The sweep (second-order) and third-order profiles come from the
+    stretched stack, built on the window's own depth in s.  The two radial
+    sweeps have sources free of the unknown and zero data at r = 1:
+    -(r a')' = r f with f = W'/r - W + ln(lam) gives r a' = int_r^1 t f,
+    and (r b')' = -v_eps' gives r b' = -v_eps, so a takes two quadratures
+    and b one.  The far-field constants are ``params.constants``.
     """
-    lam, eps = params.lam, params.eps
-    mu_t = params.mu_tilde
-    n1 = params.ndim - 1
-
-    stack = _StretchedStack(params.gamma_eps, ndim=params.ndim)
-    constants = stack.fit_far_field()
-
+    lam, mu_t = params.lam, params.mu_tilde
     r_lo = 0.55
     grid = np.linspace(r_lo, 1.0, n_grid)
-    s_grid = (grid - 1.0) / mu_t
+    # an interpolant over the full depth carries ~4e-14 of rounding noise
+    # into z on the window, which differencing the profile amplifies
+    stack = _StretchedStack(params.gamma_eps,
+                            depth=min(_S_DEPTH, (1.0 - r_lo) / mu_t))
 
-    # first-order sweep in r: -a'' - (n-1)/r a' = (n-1)/r W' - W + ln(lam)
-    def alpha_rhs(r, y):
-        w = float(bubble1d(np.array([r]), mu_t)[0])
-        wp = float(bubble1d(np.array([r]), mu_t, 1)[0])
-        f = n1 / r * wp - w + np.log(lam)
-        return -n1 / r * y[1] - f
+    def radial(f):
+        return _antiderivative(f, r_lo, 1.0, 1.0)
 
-    a_vals, a_d1 = _solve_radial_pair(alpha_rhs, 1.0, r_lo, grid)
-    w_g = bubble1d(grid, mu_t)
-    wp_g = bubble1d(grid, mu_t, 1)
-    a_d2 = -n1 / grid * a_d1 - (n1 / grid * wp_g - w_g + np.log(lam))
+    def f_alpha(r):
+        return bubble1d(r, mu_t, 1) / r - bubble1d(r, mu_t) + np.log(lam)
 
-    # stretched profiles on the same radial window
-    v_vals, v_d1, v_d2, z_vals, z_d1, z_d2 = stack.corrections(s_grid, mu_t)
+    ra1 = radial(lambda r: r * f_alpha(r))          # -r a'
+    a_d1 = -ra1(grid) / grid
+    a_vals = radial(lambda r: -ra1(r) / r)(grid)
+    a_d2 = -a_d1 / grid - f_alpha(grid)
 
-    def beta_rhs(r, y_):
-        s = (r - 1.0) / mu_t
-        vp = float(stack.eval(np.array([s]))[1][0])
-        return -n1 / r * y_[1] - n1 / r * vp
+    v_vals, v_d1, v_d2, z_vals, z_d1, z_d2 = stack.corrections(
+        (grid - 1.0) / mu_t, mu_t)
 
-    b_vals, b_d1 = _solve_radial_pair(beta_rhs, 1.0, r_lo, grid)
-    b_d2 = -n1 / grid * b_d1 - n1 / grid * v_d1
+    b_d1 = -v_vals / grid
+    b_vals = radial(lambda r: -mu_t * stack.v((r - 1.0) / mu_t) / r)(grid)
+    b_d2 = -(b_d1 + v_d1) / grid
 
     def prof(vals, d1, d2, label):
-        return Profile(grid.copy(), np.asarray(vals), np.asarray(d1),
-                       np.asarray(d2), np.full(grid.size, label))
+        return Profile(grid.copy(), vals, d1, d2, np.full(grid.size, label))
 
     return BoundaryCorrections(
         alpha_eps=prof(a_vals, a_d1, a_d2, "alpha_eps"),
         v_eps=prof(v_vals, v_d1, v_d2, "v_eps"),
         beta_eps=prof(b_vals, b_d1, b_d2, "beta_eps"),
         z_eps=prof(z_vals, z_d1, z_d2, "z_eps"),
-        constants=constants, stack=stack, r_window=(r_lo, 1.0),
+        constants=params.constants, stack=stack, r_window=(r_lo, 1.0),
         mu_tilde=mu_t)
 
 
@@ -438,8 +421,8 @@ class OuterSolution:
         return scale * (u - up / r)
 
 
-def _solve_outer(eps: float, constants: CorrectionConstants | None,
-                 ndim: int = 2) -> tuple[float, float, int]:
+def _solve_outer(eps: float,
+                 constants: CorrectionConstants | None) -> tuple[float, float, int]:
     """Solve the outer matching for (B, gamma) with a data-order ladder.
 
     Order 2 imposes the fully corrected boundary data, order 1 keeps only
@@ -449,7 +432,6 @@ def _solve_outer(eps: float, constants: CorrectionConstants | None,
     """
     xi1, xi1p, zeta1v, _ = (float(v[0]) for v in xi_zeta_table(np.array([1.0])))
     A = 4.0 * eps / _SQRT2
-    n1 = ndim - 1
     nu2e = constants.nu2_eff if constants is not None else 0.0
     zeta1e = constants.zeta1_eff if constants is not None else 0.0
 
@@ -464,7 +446,7 @@ def _solve_outer(eps: float, constants: CorrectionConstants | None,
         lhs = b_from_value(gamma, order) * xi1p
         rhs = 1.0 / gamma
         if order == 2:
-            rhs += (eps / _SQRT2) * (-2.0 * n1 + 2.0 * gamma * np.log(2.0)
+            rhs += (eps / _SQRT2) * (-2.0 + 2.0 * gamma * np.log(2.0)
                                      + eps * gamma * zeta1e)
         return lhs - rhs
 
@@ -502,8 +484,7 @@ def _newton_scalar(f, x0: float, tol: float = 1e-13,
 
 
 def outer_u2(eps: float,
-             constants: CorrectionConstants | None = None,
-             ndim: int = 2) -> OuterSolution:
+             constants: CorrectionConstants | None = None) -> OuterSolution:
     """Outer screened profile matched to the boundary-layer data.
 
     The singular coefficient A = 4 eps / sqrt(2) is pinned; B and the layer
@@ -516,7 +497,7 @@ def outer_u2(eps: float,
     MatchingError
         If no data order yields a positive gamma.
     """
-    B, gamma, order = _solve_outer(eps, constants, ndim)
+    B, gamma, order = _solve_outer(eps, constants)
     if not np.isfinite(gamma) or gamma <= 0:
         raise MatchingError(f"no positive layer amplitude at eps={eps}")
 
@@ -537,7 +518,7 @@ def outer_u2(eps: float,
 # parameter assembly
 # ---------------------------------------------------------------------------
 
-def build_params(lam: float, eta: float = 0.8, ndim: int = 2) -> AnsatzParams:
+def build_params(lam: float, eta: float = 0.8) -> AnsatzParams:
     """Assemble all ansatz parameters for one lambda.
 
     Iterates the outer matching with the correction constants (which depend
@@ -549,12 +530,11 @@ def build_params(lam: float, eta: float = 0.8, ndim: int = 2) -> AnsatzParams:
     eps = solve_epsilon(lam)
     delta1 = eps**eta
 
-    outer = outer_u2(eps, None, ndim)
+    outer = outer_u2(eps)
     constants = None
     for _ in range(4):
-        stack = _StretchedStack(outer.gamma_eps, ndim=ndim)
-        constants = stack.fit_far_field()
-        new_outer = outer_u2(eps, constants, ndim)
+        constants = _StretchedStack(outer.gamma_eps).far_field()
+        new_outer = outer_u2(eps, constants)
         if abs(new_outer.gamma_eps - outer.gamma_eps) \
                 < 1e-12 * (1.0 + abs(outer.gamma_eps)):
             outer = new_outer
@@ -568,8 +548,7 @@ def build_params(lam: float, eta: float = 0.8, ndim: int = 2) -> AnsatzParams:
         mu=mu, mu_tilde=eps * outer.gamma_eps, gamma_eps=outer.gamma_eps,
         r_tilde=outer.r_tilde, h_origin=outer.h_origin,
         outer_A=outer.A, outer_B=outer.B,
-        matching_order=outer.matching_order, constants=constants,
-        ndim=ndim)
+        matching_order=outer.matching_order, constants=constants)
     params.validate()
     return params
 

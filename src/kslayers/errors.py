@@ -40,10 +40,6 @@ class MatchingError(KsLayersError):
     """The asymptotic matching system could not be solved."""
 
 
-class ExtractionError(KsLayersError):
-    """A far-field constant could not be extracted at the required accuracy."""
-
-
 class OverflowRegionError(KsLayersError):
     """A pointwise evaluation overflowed; carries the offending radius."""
 

@@ -155,6 +155,80 @@ def one_layer_bisect(b, outer_mode, lo=0.05, hi=0.995, tol=5e-11):
 
 
 # ---------------------------------------------------------------------------
+# RK45 reference for the boundary-layer correction stack
+# ---------------------------------------------------------------------------
+
+def _stretched_w(s):
+    # W = ln sech^2(s/sqrt2) written for deep negative s
+    a = np.sqrt(2.0) * np.abs(s)
+    return 2.0 * (np.log(2.0) - np.logaddexp(0.0, a) + 0.5 * a)
+
+
+def rk45_stretched_stack(gamma, depth=40.0, tol=1e-12):
+    """The correction ODEs in s = (r-1)/mu_tilde, integrated jointly by RK45.
+
+    State [v, v', IW, JW, JJW, JsW, Iv, z, z'], all zero at s = 0:
+    v'' = -e^W (v + a1), z'' = -e^W (z + alpha2 - Iv + (a1 + v)^2 / 2) with
+    a1 = -IW + gamma s^2 / sqrt2 and alpha2 = JJW + JsW - s^2 ln gamma.
+    Returns the dense-output callable of the state.
+    """
+    g = abs(gamma)
+
+    def rhs(s, y):
+        v, vp, IW, JW, JJW, JsW, Iv, z, zp = y
+        W = float(_stretched_w(s))
+        eW = 1.0 / np.cosh(s / np.sqrt(2.0)) ** 2
+        a1 = -IW + g / np.sqrt(2.0) * s * s
+        alpha2 = JJW + JsW - s * s * np.log(g)
+        return [vp, -eW * (v + a1), W, W - np.log(4.0), JW, s * W, v, zp,
+                -eW * (z + alpha2 - Iv + 0.5 * (a1 + v) ** 2)]
+
+    sol = solve_ivp(rhs, [0.0, -depth], np.zeros(9), method="RK45",
+                    rtol=tol, atol=tol, dense_output=True, max_step=0.25)
+    assert sol.success
+    return lambda s: sol.sol(np.clip(s, -depth, 0.0))
+
+
+def rk45_far_field(state, window=(-35.0, -25.0)):
+    """(nu1, nu2, zeta1, zeta2): least-squares lines through v and z deep in
+    the tail, where the exponential corrections are below 1e-10."""
+    s = np.linspace(window[0], window[1], 201)
+    y = state(s)
+    a = np.vstack([s, np.ones_like(s)]).T
+    (nu1, nu2), *_ = np.linalg.lstsq(a, y[0], rcond=None)
+    (zeta1, zeta2), *_ = np.linalg.lstsq(a, y[7], rcond=None)
+    return nu1, nu2, zeta1, zeta2
+
+
+def rk45_radial_sweeps(state, lam, mu_t, grid, tol=1e-12):
+    """alpha, alpha', beta, beta' on ``grid`` by RK45 from zero data at r = 1.
+
+    -(r a')' = r (W'/r - W + ln lam) with W the line bubble of width mu_t,
+    and (r b')' = -v_r' with v_r' = v'(s) read from the stretched state.
+    """
+    def bubble(r, deriv):
+        t = np.sqrt(2.0) * (r - 1.0) / mu_t
+        if deriv:
+            return -(np.sqrt(2.0) / mu_t) * np.tanh(0.5 * t)
+        return np.log(4.0 / mu_t**2) - t - 2.0 * np.logaddexp(0.0, -t)
+
+    def alpha_rhs(r, y):
+        return [y[1], -y[1] / r - (bubble(r, 1) / r - bubble(r, 0) + np.log(lam))]
+
+    def beta_rhs(r, y):
+        vp = float(state((r - 1.0) / mu_t)[1])
+        return [y[1], -(y[1] + vp) / r]
+
+    out = []
+    for rhs in (alpha_rhs, beta_rhs):
+        sol = solve_ivp(rhs, [1.0, grid[0]], [0.0, 0.0], method="RK45",
+                        rtol=tol, atol=tol, dense_output=True, max_step=2e-3)
+        assert sol.success
+        out.extend(sol.sol(grid))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # oscillatory Bessel for the eigenvalue oracle
 # ---------------------------------------------------------------------------
 

@@ -350,8 +350,9 @@ def fixed_point(U: Profile, lam: float, rho: float | None = None,
         raise NonContractionError(
             f"measured contraction factor {worst:.3f} >= 1", factor=worst)
 
+    # the double-precision Laplacian floor is as large as this residual
     corrected = U.values + phi
-    res_corr = op.apply_neg_lap(corrected) + corrected \
+    res_corr = op.apply_neg_lap_extended(corrected) + corrected \
         - lam * np.exp(np.minimum(corrected, EXP_CAP))
     drop = raw_norm / max(float(np.max(np.abs(res_corr))), 1e-300)
     return FixedPointResult(phi=phi, increments=increments, factors=factors,

@@ -333,13 +333,12 @@ class _StretchedStack:
 
 @dataclass(frozen=True)
 class BoundaryCorrections:
-    """Correction profiles on the boundary window plus their constants."""
+    """Correction profiles on the boundary window."""
 
     alpha_eps: Profile
     v_eps: Profile
     beta_eps: Profile
     z_eps: Profile
-    constants: CorrectionConstants
     stack: _StretchedStack
     r_window: tuple[float, float]
     mu_tilde: float
@@ -390,8 +389,7 @@ def boundary_corrections(params: "AnsatzParams",
         v_eps=prof(v_vals, v_d1, v_d2, "v_eps"),
         beta_eps=prof(b_vals, b_d1, b_d2, "beta_eps"),
         z_eps=prof(z_vals, z_d1, z_d2, "z_eps"),
-        constants=params.constants, stack=stack, r_window=(r_lo, 1.0),
-        mu_tilde=mu_t)
+        stack=stack, r_window=(r_lo, 1.0), mu_tilde=mu_t)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ __all__ = [
     "make_grid",
     "solve_bvp",
     "continue_branch",
+    "continue_component",
     "seed_branch",
     "concentration_report",
     "constant_profile",
@@ -179,9 +180,9 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
     ``border`` p is held fixed.
     With ``border = ((t_u, t_p), (u_pred, p_pred))`` p is unknown too and the
     pseudo-arclength row c = t . (x - x_pred) = 0 closes the system (Keller
-    1977); each step is then two banded solves plus the Schur row.  The line
-    search halves the step until hypot(||G||_2, c) decreases; a diverging
-    candidate overflows to inf or nan, which no comparison accepts.
+    1977); each step is then one two-column banded solve plus the Schur row.
+    The line search halves the step until hypot(||G||_2, c) decreases; a
+    diverging candidate overflows to inf or nan, which no comparison accepts.
 
     Runs in double precision down to its rounding floor, then switches to
     iterative refinement with the residual accumulated in extended
@@ -203,10 +204,10 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
     def step(u, p, G, c):
         _, f_u, f_p = f(np.asarray(u, dtype=float), float(p), jac=True)
         ab = op.banded(f_u)
-        w = _solve_banded(ab, -np.asarray(G, dtype=float))
+        rhs = -np.asarray(G, dtype=float)
         if border is None:
-            return w, 0.0
-        v = _solve_banded(ab, f_p)
+            return _solve_banded(ab, rhs), 0.0
+        w, v = _solve_banded(ab, np.column_stack([rhs, f_p])).T
         denom = tp + float(np.dot(tu, v))
         if abs(denom) < 1e-300:
             raise ConvergenceError("degenerate arclength constraint")
@@ -342,14 +343,24 @@ def seed_branch(i: int, sign: str, n: int = 2000,
     return _corrector(op, u_pred, lam_i, (tu, 0.0), (u_pred, lam_i))
 
 
+def _first_tangent(op: RadialOperator, u, mu, direction: float = 1.0):
+    """Unit tangent direction (v, 1) / ||(v, 1)||, v = G_u^{-1} f_mu."""
+    _, f_u, f_mu = _mu_exp(u, mu, jac=True)
+    v = _solve_banded(op.banded(f_u), f_mu)
+    norm = np.sqrt(np.dot(v, v) + 1.0)
+    return direction * v / norm, direction / norm
+
+
 def continue_branch(start: BranchPoint, direction: float = 1.0,
                     steps: int = 50, ds: float = 2e-3,
                     ds_min: float = 1e-9, ds_max: float = 0.2) -> list[BranchPoint]:
     """Pseudo-arclength continuation with a secant predictor.
 
-    ``direction`` orients the first tangent in mu.  Steps adapt: a failed
-    corrector halves ds, an easy one grows it.  Underflow of ds raises
-    StallError carrying the branch collected so far.
+    ``direction`` orients the first tangent in mu: +1 sets out towards
+    increasing mu, which from a "+" seed can cross back through the
+    bifurcation; ``continue_component`` picks the orientation.  Steps
+    adapt: a failed corrector halves ds, an easy one grows it.  Underflow
+    of ds raises StallError carrying the branch collected so far.
     """
     op = RadialOperator(start.profile.grid)
     branch = [start]
@@ -357,11 +368,7 @@ def continue_branch(start: BranchPoint, direction: float = 1.0,
     # corrector's double-precision loop evaluates e^(mu (u - 1)) in double
     u, mu = np.asarray(start.profile.values, dtype=float), start.param
 
-    # initial tangent: nullspace direction of [G_u, G_mu] at the start point
-    _, f_u, f_mu = _mu_exp(u, mu, jac=True)
-    v = _solve_banded(op.banded(f_u), f_mu)
-    norm = np.sqrt(np.dot(v, v) + 1.0)
-    tu, tmu = direction * v / norm, direction / norm
+    tu, tmu = _first_tangent(op, u, mu, direction)
 
     while len(branch) <= steps:
         x_pred = (u + ds * tu, mu + ds * tmu)
@@ -390,11 +397,16 @@ def continue_component(seed: BranchPoint, steps: int = 20,
                        **kwargs) -> list[BranchPoint]:
     """Continue away from the bifurcation staying on the seeded component.
 
-    Tries both tangent orientations and returns the branch along which the
-    signed central amplitude u(0) - 1 keeps its sign and grows.
+    The first tangent's u(0) component gives the sign of d u(0)/ds, so the
+    orientation along which the seeded amplitude |u(0) - 1| grows is tried
+    first; the other is tried only if that branch fails to keep the sign
+    of u(0) - 1 and grow it.
     """
     sign0 = np.sign(seed.u0_value - 1.0)
-    for direction in (+1.0, -1.0):
+    u = np.asarray(seed.profile.values, dtype=float)
+    tu, _ = _first_tangent(RadialOperator(seed.profile.grid), u, seed.param)
+    first = -1.0 if sign0 * tu[0] < 0 else 1.0  # +1 on 0 or nan too
+    for direction in (first, -first):
         try:
             br = continue_branch(seed, direction=direction, steps=steps,
                                  **kwargs)

@@ -233,8 +233,7 @@ def _cmd_branch(cfg: RunConfig) -> None:
     from . import bvp
     p = cfg.params
     seed = bvp.seed_branch(p["i"], p["sign"])
-    branch = bvp.continue_branch(seed, direction=p.get("direction", 1.0),
-                                 steps=p["steps"])
+    branch = bvp.continue_component(seed, steps=p["steps"])
     rows = [[pt.param, pt.u0_value, pt.zero_count] for pt in branch]
     print(_write_csv(cfg, "branch.csv", ["mu", "u0", "zero_count"], rows))
 
@@ -357,7 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
     br.add_argument("--i", type=int, required=True)
     br.add_argument("--sign", choices=["+", "-"], required=True)
     br.add_argument("--steps", type=int, required=True)
-    br.add_argument("--direction", type=float, default=1.0)
 
     rp = add_parser("report", help="concentration diagnostics of a profile")
     rp.add_argument("--in", dest="infile", required=True)
@@ -428,7 +426,7 @@ def main(argv=None) -> int:
         # flags override the file; a value still at its parser default is
         # treated as unset
         defaults = {"outer": "dirichlet", "eta": 0.8, "k": 1,
-                    "init": "ansatz", "tol": 1e-9, "direction": 1.0}
+                    "init": "ansatz", "tol": 1e-9}
         for key, val in file_vals.items():
             key = key.replace("-", "_")
             current = merged.get(key)
@@ -437,7 +435,7 @@ def main(argv=None) -> int:
 
     params = {k: v for k, v in merged.items()
               if k not in ("command", "config", "out") and v is not None}
-    for key in ("lam", "b", "eta", "tol", "direction"):
+    for key in ("lam", "b", "eta", "tol"):
         if key in params and isinstance(params[key], str):
             params[key] = float(params[key])
     for key in ("k", "kmax", "i", "steps"):

@@ -123,6 +123,24 @@ class TestContinuation:
         assert all(p.zero_count == 1 for p in br)
         assert abs(br[-1].u0_value - 1.0) > abs(br[0].u0_value - 1.0)
 
+    @pytest.mark.parametrize("i", [2, 3, 4, 5])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_one_continuation_per_component(self, i, sign, monkeypatch):
+        # the first tangent's u(0) component picks the growing orientation,
+        # so no continuation is run in the other one and thrown away
+        calls = []
+        original = bvp.continue_branch
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("direction"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bvp, "continue_branch", counted)
+        br = bvp.continue_component(bvp.seed_branch(i, sign), steps=12)
+        assert len(calls) == 1
+        want = 1.0 if sign == "+" else -1.0
+        assert all(np.sign(p.u0_value - 1.0) == want for p in br)
+
     @pytest.mark.parametrize("i, amplitude", [(3, 0.0009629876149442671),
                                               (4, 0.000795450441629217),
                                               (5, 0.001038476285154488)])

@@ -108,6 +108,20 @@ def test_branch_csv(tmp_path):
     assert int(first[2]) == 1
 
 
+def test_branch_stays_on_seeded_component(tmp_path):
+    # continued towards increasing mu, the '+' seed of i = 2 crosses back
+    # through the bifurcation onto the '-' component after five points
+    code, out = run_cli(["branch", "--i", "2", "--sign", "+",
+                         "--steps", "25"], tmp_path)
+    assert code == 0
+    text = (out / "branch.csv").read_text()
+    assert "direction" not in text
+    rows = [r.split(",") for r in text.splitlines()
+            if not r.startswith("#")][1:]
+    assert len(rows) == 26
+    assert all(float(u0) > 1.0 and int(zc) == 1 for _, u0, zc in rows)
+
+
 def test_deterministic_outputs(tmp_path):
     _, out1 = run_cli(["green", "--k", "2", "--b", "1e-3",
                        "--outer", "dirichlet"], tmp_path, "d1")

@@ -305,9 +305,8 @@ def fixed_point(U: Profile, lam: float, rho: float | None = None,
     op = RadialOperator(U.grid)
     # the iteration must use the residual of the same discrete operator it
     # inverts, so that its fixed point solves the discrete equation exactly
-    R = op.apply_neg_lap(U.values) + U.values \
-        - lam * np.exp(np.minimum(U.values, EXP_CAP))
     pot = lam * np.exp(np.minimum(U.values, EXP_CAP))
+    R = op.apply_neg_lap(U.values) + U.values - pot
     phi1 = op.solve(pot, -R)
     step1 = float(np.max(np.abs(phi1)))
     scale = e ** (1.0 + sigma_fit)
@@ -350,8 +349,9 @@ def fixed_point(U: Profile, lam: float, rho: float | None = None,
         raise NonContractionError(
             f"measured contraction factor {worst:.3f} >= 1", factor=worst)
 
-    # the double-precision Laplacian floor is as large as this residual
-    corrected = U.values + phi
+    # the double-precision Laplacian floor is as large as this residual,
+    # and so is the rounding of the sum U + phi
+    corrected = np.asarray(U.values, np.longdouble) + phi
     res_corr = op.apply_neg_lap_extended(corrected) + corrected \
         - lam * np.exp(np.minimum(corrected, EXP_CAP))
     drop = raw_norm / max(float(np.max(np.abs(res_corr))), 1e-300)

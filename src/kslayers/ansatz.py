@@ -13,11 +13,15 @@ the operator's kernel is known in closed form, so variation of parameters
 gives the profiles and their far-field affine coefficients are limits of
 the kernel integrals; the two radial sweeps are antiderivatives in r.
 
-The outer profile's boundary data couples to the correction constants and
-the layer amplitude gamma.  The fully corrected matching system develops a
-fold in eps and is unsolvable at desk scales (eps >~ 0.04); the solver
-therefore tries the full data first and falls back to value-corrected and
-then leading-order data, recording which order succeeded.
+The outer profile is (sqrt(2)/eps) G, with G the layered Green's function
+with no free layer: ``greens.LayerCalculus`` with -A ln r at the origin,
+A = 4 eps / sqrt(2), and the matched data at r = 1, the same object the
+multilayer scaffold glues.  Its boundary data couples to the correction
+constants and the layer amplitude gamma.  The fully corrected matching
+system develops a fold in eps and is unsolvable at desk scales
+(eps >~ 0.04); the solver therefore tries the full data first and falls
+back to value-corrected and then leading-order data, recording which order
+succeeded.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 from numpy.polynomial import Chebyshev
 
 from .errors import DomainError, MatchingError
-from .specfun import C_MIX, EULER_MASCHERONI, xi_zeta_table
+from .specfun import EULER_MASCHERONI, xi_zeta_table
 from . import greens
 from .radial import RadialOperator
 
@@ -42,7 +46,6 @@ __all__ = [
     "bubble2d",
     "bubble1d",
     "boundary_corrections",
-    "outer_u2",
     "inner_u0",
     "blend",
     "build_params",
@@ -198,8 +201,7 @@ class AnsatzParams:
     gamma_eps: float
     r_tilde: float
     h_origin: float              # regular part of the outer profile at r = 0
-    outer_A: float
-    outer_B: float
+    outer: greens.PiecewiseGreen  # G; the outer profile is (sqrt(2)/eps) G
     matching_order: int          # 2 full, 1 value-corrected, 0 leading
     constants: CorrectionConstants
 
@@ -396,49 +398,33 @@ def boundary_corrections(params: "AnsatzParams",
 # outer profile matching
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OuterSolution:
-    A: float
-    B: float
-    gamma_eps: float
-    r_tilde: float
-    h_origin: float
-    matching_order: int
-
-    def u2(self, r, eps: float, deriv: int = 0):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        xi, xip, zeta, zetap = xi_zeta_table(r)
-        scale = _SQRT2 / eps
-        if deriv == 0:
-            return scale * (self.A * zeta + self.B * xi)
-        if deriv == 1:
-            return scale * (self.A * zetap + self.B * xip)
-        # second derivative via the ODE u'' = u - u'/r
-        u = self.A * zeta + self.B * xi
-        up = self.A * zetap + self.B * xip
-        return scale * (u - up / r)
-
-
 def _solve_outer(eps: float,
                  constants: CorrectionConstants | None) -> tuple[float, float, int]:
-    """Solve the outer matching for (B, gamma) with a data-order ladder.
+    """Solve the outer matching for (data, gamma) with a data-order ladder.
 
-    Order 2 imposes the fully corrected boundary data, order 1 keeps only
-    the value correction, order 0 the leading data.  The first solvable
-    order wins (the full system folds and ceases to exist for eps beyond
-    roughly 0.04, which covers all desk-scale lambdas).
+    ``data`` is G(1), where (sqrt(2)/eps) G is the outer profile and G's
+    singular coefficient A = 4 eps / sqrt(2) is pinned.  Order 2 imposes
+    the fully corrected boundary data, order 1 keeps only the value
+    correction, order 0 the leading data.  The first solvable order wins
+    (the full system folds and ceases to exist for eps beyond roughly 0.04,
+    which covers all desk-scale lambdas).  The derivative condition only
+    involves the regular coefficient B because the singular basis mode zeta
+    is flat at 1, so the system is effectively triangular.
     """
     xi1, xi1p, zeta1v, _ = (float(v[0]) for v in xi_zeta_table(np.array([1.0])))
     A = 4.0 * eps / _SQRT2
     nu2e = constants.nu2_eff if constants is not None else 0.0
     zeta1e = constants.zeta1_eff if constants is not None else 0.0
 
-    def b_from_value(gamma: float, order: int) -> float:
+    def data_of(gamma: float, order: int) -> float:
         data = 1.0
         if order >= 1:
             data += (eps / _SQRT2) * (-np.log(gamma**2)
                                       + (eps * gamma * nu2e if order == 2 else 0.0))
-        return (data - A * zeta1v) / xi1
+        return data
+
+    def b_from_value(gamma: float, order: int) -> float:
+        return (data_of(gamma, order) - A * zeta1v) / xi1
 
     def deriv_gap(gamma: float, order: int) -> float:
         lhs = b_from_value(gamma, order) * xi1p
@@ -455,8 +441,8 @@ def _solve_outer(eps: float,
             continue
         gamma = _newton_scalar(lambda gg: deriv_gap(gg, order), gamma0)
         if gamma is not None and gamma > 0:
-            return b_from_value(gamma, order), gamma, order
-    return b_from_value(gamma0, 0), gamma0, 0
+            return data_of(gamma, order), gamma, order
+    return data_of(gamma0, 0), gamma0, 0
 
 
 def _newton_scalar(f, x0: float, tol: float = 1e-13,
@@ -481,35 +467,23 @@ def _newton_scalar(f, x0: float, tol: float = 1e-13,
     return x if abs(f(x)) < 1e-10 else None
 
 
-def outer_u2(eps: float,
-             constants: CorrectionConstants | None = None) -> OuterSolution:
-    """Outer screened profile matched to the boundary-layer data.
+def _scaled_green(green: greens.PiecewiseGreen, eps: float):
+    """(value, d1, d2) of (sqrt(2)/eps) G on radii, the second derivative
+    from the ODE u'' = u - u'/r."""
+    scale = _SQRT2 / eps
 
-    The singular coefficient A = 4 eps / sqrt(2) is pinned; B and the layer
-    amplitude gamma solve the two r = 1 conditions (the derivative one only
-    involves B because the negative-slope basis mode is flat at 1, so the
-    system is effectively triangular).
+    def triple(rr):
+        v = green.value(rr)
+        dv = green.derivative(rr)
+        return scale * v, scale * dv, scale * (v - dv / rr)
+    return triple
 
-    Raises
-    ------
-    MatchingError
-        If no data order yields a positive gamma.
-    """
-    B, gamma, order = _solve_outer(eps, constants)
-    if not np.isfinite(gamma) or gamma <= 0:
-        raise MatchingError(f"no positive layer amplitude at eps={eps}")
 
-    A = 4.0 * eps / _SQRT2
-
-    def du2(r: float) -> float:
-        _, xip, _, zetap = (float(v[0]) for v in xi_zeta_table(np.array([r])))
-        return A * zetap + B * xip
-
-    r_tilde = greens.bisect_scalar(du2, 1e-9, 1.0 - 1e-12)
-    zeta0_const = np.log(2.0) - EULER_MASCHERONI + C_MIX
-    h_origin = (_SQRT2 / eps) * (A * zeta0_const + B)
-    return OuterSolution(A=A, B=B, gamma_eps=gamma, r_tilde=r_tilde,
-                         h_origin=h_origin, matching_order=order)
+def _h_origin(green: greens.PiecewiseGreen, eps: float) -> float:
+    """Regular part H(0) of (sqrt(2)/eps) G at the origin: near 0,
+    c_K K0(r) + c_I I0(r) = -c_K ln r + c_K (ln 2 - gamma_E) + c_I + o(1)."""
+    c_K, c_I = green.coeffs[0]
+    return (_SQRT2 / eps) * (c_K * (np.log(2.0) - EULER_MASCHERONI) + c_I)
 
 
 # ---------------------------------------------------------------------------
@@ -521,32 +495,45 @@ def build_params(lam: float, eta: float = 0.8) -> AnsatzParams:
 
     Iterates the outer matching with the correction constants (which depend
     on the layer amplitude through the stretched profiles) to a joint fixed
-    point; two or three passes suffice since the coupling is O(eps^2).
+    point; two or three passes suffice since the coupling is O(eps^2).  The
+    outer profile is then the Green's function with no free layer,
+    ``greens.LayerCalculus`` with -A ln r at the origin and the matched data
+    at r = 1, and r_tilde is the zero of its derivative.
+
+    Raises
+    ------
+    MatchingError
+        If no data order yields a positive gamma.
     """
     if not (2.0 / 3.0 < eta < 1.0):
         raise DomainError(f"eta must lie in (2/3, 1), got {eta!r}")
     eps = solve_epsilon(lam)
     delta1 = eps**eta
 
-    outer = outer_u2(eps)
+    data, gamma, order = _solve_outer(eps, None)
     constants = None
     for _ in range(4):
-        constants = _StretchedStack(outer.gamma_eps).far_field()
-        new_outer = outer_u2(eps, constants)
-        if abs(new_outer.gamma_eps - outer.gamma_eps) \
-                < 1e-12 * (1.0 + abs(outer.gamma_eps)):
-            outer = new_outer
+        constants = _StretchedStack(gamma).far_field()
+        data, new_gamma, order = _solve_outer(eps, constants)
+        settled = abs(new_gamma - gamma) < 1e-12 * (1.0 + abs(gamma))
+        gamma = new_gamma
+        if settled:
             break
-        outer = new_outer
+    if not np.isfinite(gamma) or gamma <= 0:
+        raise MatchingError(f"no positive layer amplitude at eps={eps}")
 
-    delta = min(0.5 * np.sqrt(eps), 0.25 * outer.r_tilde)
-    mu = np.sqrt(np.exp(outer.h_origin) / 8.0)
+    outer = greens.LayerCalculus(np.empty(0), 4.0 * eps / _SQRT2,
+                                 greens.DIRICHLET, values=[data]).green
+    r_tilde = greens.bisect_scalar(lambda r: float(outer.derivative(r)[0]),
+                                   1e-9, 1.0 - 1e-12)
+    h_origin = _h_origin(outer, eps)
+    delta = min(0.5 * np.sqrt(eps), 0.25 * r_tilde)
+    mu = np.sqrt(np.exp(h_origin) / 8.0)
     params = AnsatzParams(
         lam=lam, eps=eps, eta=eta, delta=delta, delta1=delta1,
-        mu=mu, mu_tilde=eps * outer.gamma_eps, gamma_eps=outer.gamma_eps,
-        r_tilde=outer.r_tilde, h_origin=outer.h_origin,
-        outer_A=outer.A, outer_B=outer.B,
-        matching_order=outer.matching_order, constants=constants)
+        mu=mu, mu_tilde=eps * gamma, gamma_eps=gamma,
+        r_tilde=r_tilde, h_origin=h_origin, outer=outer,
+        matching_order=order, constants=constants)
     params.validate()
     return params
 
@@ -668,10 +655,7 @@ def build_profile(params: AnsatzParams, corrections: BoundaryCorrections | None 
     if corrections.r_window[0] > lo3:
         raise DomainError("correction window does not cover the blend band")
 
-    outer = OuterSolution(A=params.outer_A, B=params.outer_B,
-                          gamma_eps=params.gamma_eps, r_tilde=params.r_tilde,
-                          h_origin=params.h_origin,
-                          matching_order=params.matching_order)
+    u2t = _scaled_green(params.outer, eps)
     u0 = inner_u0(params)
 
     n0 = int(0.22 * n_nodes)
@@ -702,9 +686,6 @@ def build_profile(params: AnsatzParams, corrections: BoundaryCorrections | None 
         dv1 = wp + a_1 + v_1 + b_1 + z_1
         dv2 = wpp + a_2 + v_2 + b_2 + z_2
         return val, dv1, dv2
-
-    def u2t(rr):
-        return (outer.u2(rr, eps), outer.u2(rr, eps, 1), outer.u2(rr, eps, 2))
 
     def u0t(rr):
         return (u0(rr), u0(rr, 1), u0(rr, 2))
@@ -776,19 +757,11 @@ def multilayer_ansatz(k: int, lam: float, outer_mode: str = greens.DIRICHLET,
     b = 4.0 * eps / _SQRT2
     cfg, _ = greens.solve_layers(n_free, b, outer_mode, b_max=0.5)
     base = greens.LayerCalculus(cfg.alphas, b, outer_mode)
-    peaks, gamma, gp = base.radii, -1.0 / base.dl, base.green
-
-    scale = _SQRT2 / eps
-
-    def green_t(rr):
-        v = gp.value(rr)
-        dv = gp.derivative(rr)
-        return scale * v, scale * dv, scale * (v - dv / rr)
+    peaks, gamma = base.radii, -1.0 / base.dl
+    green_t = _scaled_green(base.green, eps)
 
     # origin bubble matched to the innermost annulus regular part
-    c_inner = gp.coeffs[0]
-    h_origin = scale * (c_inner[0] * (np.log(2.0) - EULER_MASCHERONI)
-                        + c_inner[1])
+    h_origin = _h_origin(base.green, eps)
     mu = np.sqrt(np.exp(h_origin) / 8.0)
     r_dip = 0.5 * peaks[0]
     delta = min(0.5 * np.sqrt(eps), 0.25 * r_dip)

@@ -36,7 +36,6 @@ class RunConfig:
     command: str
     params: dict
     out_dir: str = "."
-    formats: tuple = ("json", "csv")
 
     def validate(self) -> None:
         lam_keys = [k for k in ("lam", "lams") if k in self.params]
@@ -304,7 +303,12 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser.  ``defaults`` (a config file's values) become the
+    subcommands' defaults, so flags given on the command line win.
+
+    Raises ``ValueError`` if a value does not convert to its flag's type.
+    """
     ap = argparse.ArgumentParser(
         prog="kslayers",
         description="Singular and layered radial steady states of the "
@@ -363,6 +367,14 @@ def _build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--lambda", dest="lam", type=float, required=True)
     rp.add_argument("--outer", choices=["dirichlet", "neumann"],
                     default="dirichlet")
+    # every subcommand takes every key: some read keys they have no flag for
+    # (residual, fixpoint and solve read "outer"), typed by the flag that
+    # declares the key
+    flags = {a.dest: a for p in sub.choices.values() for a in p._actions}
+    typed = {k: flags[k].type(v) if k in flags and flags[k].type else v
+             for k, v in (defaults or {}).items()}
+    for p in sub.choices.values():
+        p.set_defaults(**typed)
     return ap
 
 
@@ -409,6 +421,15 @@ def run(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     ap = _build_parser()
     args, _unknown = ap.parse_known_args(argv)
+    if args.command is not None and args.config:
+        try:
+            file_vals = _load_config_file(args.config)
+            ap = _build_parser({k.replace("-", "_"): v
+                                for k, v in file_vals.items()})
+        except (OSError, ValueError) as exc:
+            print(f"error: bad config: {exc}", file=sys.stderr)
+            return _EXIT_USAGE
+        args, _unknown = ap.parse_known_args(argv)
     if _unknown:
         print(f"error: unknown arguments {_unknown}", file=sys.stderr)
         return _EXIT_USAGE
@@ -416,33 +437,8 @@ def main(argv=None) -> int:
         ap.print_help()
         return _EXIT_USAGE
 
-    merged = vars(args).copy()
-    if args.config:
-        try:
-            file_vals = _load_config_file(args.config)
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return _EXIT_USAGE
-        # flags override the file; a value still at its parser default is
-        # treated as unset
-        defaults = {"outer": "dirichlet", "eta": 0.8, "k": 1,
-                    "init": "ansatz", "tol": 1e-9}
-        for key, val in file_vals.items():
-            key = key.replace("-", "_")
-            current = merged.get(key)
-            if current is None or current == defaults.get(key, object()):
-                merged[key] = val
-
-    params = {k: v for k, v in merged.items()
+    params = {k: v for k, v in vars(args).items()
               if k not in ("command", "config", "out") and v is not None}
-    for key in ("lam", "b", "eta", "tol"):
-        if key in params and isinstance(params[key], str):
-            params[key] = float(params[key])
-    for key in ("k", "kmax", "i", "steps"):
-        if key in params and isinstance(params[key], str):
-            params[key] = int(params[key])
-    if isinstance(params.get("b_grid"), str):
-        params["b_grid"] = _float_list(params["b_grid"])
     if "outer" in params:
         params["outer"] = _OUTER_MAP.get(params["outer"], params["outer"])
 

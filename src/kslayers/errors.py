@@ -9,10 +9,6 @@ class DomainError(KsLayersError, ValueError):
     """An argument lies outside the mathematically admissible domain."""
 
 
-class CalibrationError(KsLayersError):
-    """The singular-coefficient calibration has no admissible solution."""
-
-
 class ConditioningError(KsLayersError):
     """A local linear system is too ill-conditioned to trust."""
 

@@ -19,6 +19,11 @@ Jacobian.  The reflection Newton steps with that Jacobian, and
 ``k`` counts the free interior layer radii in both outer modes; in
 ``dirichlet_one`` mode the boundary sphere r = 1 additionally carries the
 value 1 but is not free and contributes no reflection defect.
+
+With no free radius, ``LayerCalculus(np.empty(0), b, "dirichlet_one",
+values=[v])`` is the singular Green's function with -b ln r at the origin
+and the value v at r = 1: family 1's outer profile, which concentrates on
+the boundary alone.  Every family takes its Green's function from here.
 """
 
 from __future__ import annotations
@@ -27,25 +32,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CalibrationError,
-    ConditioningError,
-    ConvergenceError,
-    DomainError,
-)
-from .specfun import C_MIX, bessel_table, xi_zeta_table
+from .errors import ConditioningError, ConvergenceError, DomainError
+from .specfun import C_MIX, bessel_table
 
 __all__ = [
     "B_MAX",
     "K_MAX",
-    "AnnulusSolve",
     "PiecewiseGreen",
     "LayerCalculus",
     "LayerConfig",
-    "annulus_solution",
     "bisect_scalar",
-    "build_green",
-    "green_singular",
     "reflection_residual",
     "solve_layers",
 ]
@@ -59,15 +55,6 @@ NEUMANN = "neumann"
 _NEWTON_MAX_ITER = 60
 _NEWTON_STEP_TOL = 1e-12
 _NEWTON_RESIDUAL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class AnnulusSolve:
-    """Coefficients of the two-point annulus solve and its conditioning."""
-
-    c_K: float
-    c_I: float
-    cond: float
 
 
 @dataclass(frozen=True)
@@ -172,32 +159,6 @@ def _solve_annuli(radii: np.ndarray, values: np.ndarray,
     rhs[:, 0, 1] = 1.0
     rhs[:, 1, 2] = 1.0
     return np.linalg.solve(m, rhs), cond
-
-
-def annulus_solution(r_left: float, r_right: float,
-                     v_left: float, v_right: float) -> AnnulusSolve:
-    """Closed-form two-point solve on an annulus in the (K0, I0) basis.
-
-    Returns the coefficient pair reproducing the boundary values, together
-    with the 2x2 condition number.
-
-    Raises
-    ------
-    DomainError
-        For a degenerate or misordered annulus.
-    ConditioningError
-        If the 2x2 system is numerically singular.
-    """
-    if not (0.0 < r_left < r_right <= 1.0):
-        raise DomainError(f"annulus radii must satisfy 0 < {r_left} < {r_right} <= 1")
-    if not (np.isfinite(v_left) and np.isfinite(v_right)):
-        raise DomainError("annulus boundary values must be finite")
-    radii = np.array([r_left, r_right], dtype=float)
-    i0, _, k0, _ = bessel_table(radii)
-    sol, cond = _solve_annuli(radii, np.array([v_left, v_right], dtype=float),
-                              i0, k0)
-    return AnnulusSolve(c_K=float(sol[0, 0, 0]), c_I=float(sol[0, 1, 0]),
-                        cond=float(cond[0]))
 
 
 class LayerCalculus:
@@ -326,23 +287,6 @@ class LayerCalculus:
         return DL[:self.n_free] + DR[:self.n_free]
 
 
-def build_green(alphas, b: float, outer_mode: str,
-                values=None) -> PiecewiseGreen:
-    """Assemble the piecewise profile for given free radii and layer values.
-
-    ``alphas`` are the free interface radii (strictly increasing, inside
-    (0, 1)); ``values`` defaults to 1 at every layer sphere (the boundary
-    sphere in ``dirichlet_one`` mode always carries 1 unless a value is
-    appended for it).
-    """
-    return LayerCalculus(alphas, b, outer_mode, values).green
-
-
-def _defect(alphas: np.ndarray, b: float, outer_mode: str) -> np.ndarray:
-    """Reflection defect U'+ + U'- at each free interface."""
-    return LayerCalculus(alphas, b, outer_mode).defect
-
-
 def reflection_residual(config: LayerConfig) -> np.ndarray:
     """Defect vector of a candidate configuration, one entry per free radius.
 
@@ -352,70 +296,7 @@ def reflection_residual(config: LayerConfig) -> np.ndarray:
     alphas = np.atleast_1d(np.asarray(config.alphas, dtype=float))
     if np.any(np.diff(alphas) <= 0):
         raise DomainError("candidate radii must be strictly increasing")
-    return _defect(alphas, config.b, config.outer_mode)
-
-
-def green_singular(b_tilde: float, b_max: float = B_MAX) -> tuple[PiecewiseGreen, float]:
-    """Singular Green's function G with G(1) = 1 and -ln r coefficient b_tilde.
-
-    The profile is taken from the one-parameter family with a flat point at
-    an auxiliary radius a (where G' vanishes); a is calibrated by Newton so
-    that the exact -ln r coefficient, computable in closed form from the
-    fundamental pair at a, equals ``b_tilde``.  The leading quadratic law
-    coefficient ~ a^2 / (2 xi(1)) only seeds the iteration.
-
-    Returns the profile and the located zero r_tilde of G'.
-    """
-    b_tilde = float(b_tilde)
-    if not np.isfinite(b_tilde) or b_tilde <= 0.0 or b_tilde > b_max:
-        raise DomainError(f"b_tilde must lie in (0, {b_max}], got {b_tilde!r}")
-
-    xi1, xi1p, zeta1, _ = (float(v[0]) for v in xi_zeta_table(np.array([1.0])))
-
-    def log_coefficient(a: float) -> float:
-        _, xip, _, zetap = (float(v[0]) for v in xi_zeta_table(np.array([a])))
-        return xip / (xip * zeta1 - xi1 * zetap)
-
-    def log_coefficient_deriv(a: float) -> float:
-        xi, xip, zeta, zetap = (float(v[0]) for v in xi_zeta_table(np.array([a])))
-        # second derivatives from the ODE u'' = u - u'/r
-        xipp = xi - xip / a
-        zetapp = zeta - zetap / a
-        den = xip * zeta1 - xi1 * zetap
-        dden = xipp * zeta1 - xi1 * zetapp
-        return (xipp * den - xip * dden) / den**2
-
-    a = min(0.9, np.sqrt(2.0 * xi1 * b_tilde))
-    for _ in range(80):
-        f = log_coefficient(a) - b_tilde
-        if abs(f) < 1e-15:
-            break
-        step = f / log_coefficient_deriv(a)
-        a_new = a - step
-        while a_new <= 0.0 or a_new >= 1.0:
-            step *= 0.5
-            a_new = a - step
-        a = a_new
-        if abs(step) < 1e-16:
-            break
-    else:
-        raise CalibrationError(
-            f"singular-coefficient calibration failed for b_tilde={b_tilde}")
-    if abs(log_coefficient(a) - b_tilde) > 1e-12 * b_tilde:
-        raise CalibrationError(
-            f"no admissible flat radius for b_tilde={b_tilde} (reached a={a})")
-
-    _, xip_a, _, zetap_a = (float(v[0]) for v in xi_zeta_table(np.array([a])))
-    den = xip_a * zeta1 - xi1 * zetap_a
-    # convert xi/zeta coefficients to the (K0, I0) basis
-    c_zeta = xip_a / den
-    c_xi = -zetap_a / den
-    coeffs = np.array([[c_zeta, c_xi + c_zeta * C_MIX]])
-    g = PiecewiseGreen(interfaces=np.array([0.0, 1.0]), coeffs=coeffs,
-                       b_sing=b_tilde, outer_mode=DIRICHLET)
-
-    r_tilde = bisect_scalar(lambda r: float(g.derivative(r)[0]), 1e-9, 1.0 - 1e-12)
-    return g, r_tilde
+    return LayerCalculus(alphas, config.b, config.outer_mode).defect
 
 
 def bisect_scalar(f, lo: float, hi: float, tol: float = 1e-14,

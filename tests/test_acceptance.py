@@ -140,19 +140,18 @@ def test_criterion_07_matching_lemmas(params_cache):
     gaps, dgaps, env_consts = [], [], []
     for lam in lams:
         p, prof = params_cache(lam)
-        outer = ansatz.OuterSolution(
-            A=p.outer_A, B=p.outer_B, gamma_eps=p.gamma_eps,
-            r_tilde=p.r_tilde, h_origin=p.h_origin,
-            matching_order=p.matching_order)
+        scale = np.sqrt(2.0) / p.eps
         u0 = ansatz.inner_u0(p)
         rr = np.linspace(p.delta, 2 * p.delta, 60)
-        gaps.append(float(np.max(np.abs(u0(rr) - outer.u2(rr, p.eps)))))
-        dgaps.append(float(np.max(np.abs(u0(rr, 1) - outer.u2(rr, p.eps, 1)))))
+        gaps.append(float(np.max(np.abs(u0(rr) - scale * p.outer.value(rr)))))
+        dgaps.append(float(np.max(np.abs(u0(rr, 1)
+                                         - scale * p.outer.derivative(rr)))))
         band = (prof.grid > 1 - 2 * p.delta1) & (prof.grid < 1 - p.delta1)
         dist = np.abs(prof.grid[band] - 1.0)
         env = (p.eps**2 + p.eps * dist**2 + dist**3 + dist**4 / p.eps
                + np.exp(-dist / p.eps))
-        gap_band = np.abs(prof.values[band] - outer.u2(prof.grid[band], p.eps))
+        gap_band = np.abs(prof.values[band]
+                          - scale * p.outer.value(prof.grid[band]))
         env_consts.append(float(np.max(gap_band / env)))
     rate_v = float(np.polyfit(np.log(lams), np.log(gaps), 1)[0])
     rate_d = float(np.polyfit(np.log(lams), np.log(dgaps), 1)[0])

@@ -204,7 +204,7 @@ class TestCorrections:
 class TestOuterMatching:
     def test_singular_coefficient_is_four(self, params4):
         # (sqrt(2)/eps) * A = 4 exactly
-        assert (np.sqrt(2.0) / params4.eps) * params4.outer_A == pytest.approx(
+        assert (np.sqrt(2.0) / params4.eps) * params4.outer.b_sing == pytest.approx(
             4.0, rel=1e-14)
 
     def test_flat_point_scaling(self):
@@ -214,11 +214,21 @@ class TestOuterMatching:
             assert 0.1 <= p.r_tilde / np.sqrt(eps) <= 10.0
 
     def test_flat_point_is_critical(self, params4):
-        outer = ansatz.OuterSolution(
-            A=params4.outer_A, B=params4.outer_B,
-            gamma_eps=params4.gamma_eps, r_tilde=params4.r_tilde,
-            h_origin=params4.h_origin, matching_order=params4.matching_order)
-        assert abs(outer.u2(params4.r_tilde, params4.eps, 1)[0]) < 1e-9
+        scale = np.sqrt(2.0) / params4.eps
+        assert abs(scale * params4.outer.derivative(params4.r_tilde)[0]) < 1e-9
+
+    @pytest.mark.parametrize("lam, order", [(1e-2, 0), (1e-4, 1)])
+    def test_outer_profile_against_shooting(self, lam, order):
+        # the outer profile the ansatz glues, against a shooting solution
+        # with the same singular coefficient and the same value at r = 1
+        p = ansatz.build_params(lam)
+        assert p.matching_order == order
+        data = float(p.outer.value(1.0)[0])
+        shot = oracles.singular_solution(p.outer.b_sing, 1.0, value=data)
+        for r in (0.05, 0.3, 0.7, 1.0):
+            v, dv = shot(r)
+            assert abs(p.outer.value(r)[0] - v) <= 1e-9
+            assert abs(p.outer.derivative(r)[0] - dv) <= 1e-9
 
     def test_regular_part_magnitude(self, params4):
         # |H(0)| = O(1/eps); the sign is positive at desk scale (ledgered:
@@ -253,13 +263,10 @@ class TestInnerPiece:
     def test_inner_outer_gap_follows_bubble_tail(self, params4):
         # |u0 - u2| on [delta, 2 delta] is controlled by the bubble tail
         # 2 ln(1 + lam mu^2 / r^2) plus the correction-solve error
-        outer = ansatz.OuterSolution(
-            A=params4.outer_A, B=params4.outer_B,
-            gamma_eps=params4.gamma_eps, r_tilde=params4.r_tilde,
-            h_origin=params4.h_origin, matching_order=params4.matching_order)
+        scale = np.sqrt(2.0) / params4.eps
         u0 = ansatz.inner_u0(params4)
         rr = np.linspace(params4.delta, 2 * params4.delta, 50)
-        gap = np.abs(u0(rr) - outer.u2(rr, params4.eps))
+        gap = np.abs(u0(rr) - scale * params4.outer.value(rr))
         envelope = 2.0 * np.log1p(params4.lam * params4.mu**2 / rr**2)
         assert np.max(gap - envelope) < 0.2
 
@@ -300,15 +307,11 @@ class TestAssembly:
             prof = ansatz.build_profile(p, cor)
             band = (prof.grid > 1 - 2 * p.delta1) & (prof.grid < 1 - p.delta1)
             rr = prof.grid[band]
-            outer = ansatz.OuterSolution(
-                A=p.outer_A, B=p.outer_B, gamma_eps=p.gamma_eps,
-                r_tilde=p.r_tilde, h_origin=p.h_origin,
-                matching_order=p.matching_order)
             dist = np.abs(rr - 1.0)
             env = (eps**2 + eps * dist**2 + dist**3 + dist**4 / eps
                    + np.exp(-dist / eps))
             u4v = prof.values[band]  # on the band the blend mixes u2 and u4
-            gap = np.abs(u4v - outer.u2(rr, eps))
+            gap = np.abs(u4v - (np.sqrt(2.0) / eps) * p.outer.value(rr))
             consts.append(np.max(gap / env))
         assert consts[1] < 4.0 * consts[0] + 1e-12
 

@@ -140,6 +140,19 @@ def test_config_file_merging(tmp_path):
     assert doc["outer_mode"] == "neumann"
 
 
+def test_config_file_loses_to_flags(tmp_path):
+    # a flag given on the command line wins over the file even when it
+    # repeats the parser's default
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("outer=neumann\nk=2\n")
+    code, out = run_cli(["green", "--k", "1", "--b", "1e-3", "--outer",
+                         "dirichlet", "--config", str(cfg)], tmp_path, "c2")
+    assert code == 0
+    doc = json.loads((out / "green.json").read_text())
+    assert doc["outer_mode"] == "dirichlet_one"
+    assert doc["config"]["k"] == 1 and len(doc["alphas"]) == 1
+
+
 def test_fixpoint_csv(tmp_path):
     code, out = run_cli(["fixpoint", "--lambda", "1e-4"], tmp_path)
     assert code == 0

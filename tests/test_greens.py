@@ -8,15 +8,30 @@ from kslayers.specfun import bessel_table, xi_zeta_table
 import oracles
 
 
+def singular_green(b):
+    """Family 1's Green's function: no free layer, -b ln r at 0, G(1) = 1,
+    with the zero r_tilde of its derivative."""
+    g = greens.LayerCalculus(np.empty(0), b, greens.DIRICHLET).green
+    r_tilde = greens.bisect_scalar(lambda r: float(g.derivative(r)[0]),
+                                   1e-9, 1.0 - 1e-12)
+    return g, r_tilde
+
+
+def annulus(values):
+    """Coefficient pair of the annulus between radii 0.3 and 0.7."""
+    return greens.LayerCalculus([0.3, 0.7], 1e-3, greens.NEUMANN,
+                                values=values).green.coeffs[1]
+
+
 class TestSingularGreen:
     def test_boundary_normalization_and_coefficient(self):
-        g, r_tilde = greens.green_singular(1e-3)
+        g, r_tilde = singular_green(1e-3)
         assert g.value(1.0)[0] == pytest.approx(1.0, abs=1e-13)
         assert g.b_sing == pytest.approx(1e-3, rel=1e-12)
         assert 0 < r_tilde < 1
 
     def test_regular_part_converges(self):
-        g, _ = greens.green_singular(1e-3)
+        g, _ = singular_green(1e-3)
         v6 = g.value(1e-6)[0] + 1e-3 * np.log(1e-6)
         v8 = g.value(1e-8)[0] + 1e-3 * np.log(1e-8)
         assert abs(v6 - v8) < 1e-4
@@ -24,7 +39,7 @@ class TestSingularGreen:
     def test_flux_limit_matches_coefficient_in_absolute_value(self):
         # the paper states r G' -> +b at 0; the profile forces r G' -> -b,
         # so only the absolute value is asserted (ledgered sign note)
-        g, _ = greens.green_singular(1e-3)
+        g, _ = singular_green(1e-3)
         flux = 1e-8 * g.derivative(1e-8)[0]
         assert abs(abs(flux) - 1e-3) < 1e-6
         assert flux < 0
@@ -32,31 +47,27 @@ class TestSingularGreen:
     def test_flat_radius_scales_like_sqrt_b(self):
         ratios = []
         for b in (1e-4, 1e-3, 1e-2):
-            _, rt = greens.green_singular(b)
+            _, rt = singular_green(b)
             ratios.append(rt / np.sqrt(b))
         assert max(ratios) / min(ratios) < 2.0
-
-    def test_rejects_overlarge_coefficient(self):
-        with pytest.raises(DomainError):
-            greens.green_singular(0.5)
 
 
 class TestAnnulusSolve:
     def test_zero_data(self):
-        sol = greens.annulus_solution(0.3, 0.7, 0.0, 0.0)
-        assert sol.c_K == 0.0 and sol.c_I == 0.0
+        c_K, c_I = annulus([0.0, 0.0])
+        assert c_K == 0.0 and c_I == 0.0
 
     def test_reproduces_bounded_mode(self):
         xi, _, _, _ = xi_zeta_table(np.array([0.3, 0.7]))
-        sol = greens.annulus_solution(0.3, 0.7, xi[0], xi[1])
-        assert sol.c_K == pytest.approx(0.0, abs=1e-12)
-        assert sol.c_I == pytest.approx(1.0, rel=1e-12)
+        c_K, c_I = annulus(xi)
+        assert c_K == pytest.approx(0.0, abs=1e-12)
+        assert c_I == pytest.approx(1.0, rel=1e-12)
 
     def test_interior_minimum_against_shooting(self):
-        sol = greens.annulus_solution(0.3, 0.7, 1.0, 1.0)
+        c_K, c_I = annulus([1.0, 1.0])
         rr = np.linspace(0.3, 0.7, 201)
         i0, _, k0, _ = bessel_table(rr)
-        vals = sol.c_K * k0 + sol.c_I * i0
+        vals = c_K * k0 + c_I * i0
         assert vals.min() < 1.0 - 1e-4
         mid_or = oracles.shoot_two_point(0.3, 0.7, 1.0, 1.0, at=0.5)[0]
         mid = vals[np.argmin(np.abs(rr - 0.5))]
@@ -64,9 +75,9 @@ class TestAnnulusSolve:
 
     def test_degenerate_annulus(self):
         with pytest.raises(DomainError):
-            greens.annulus_solution(0.7, 0.3, 1.0, 1.0)
+            greens.LayerCalculus([0.7, 0.3], 1e-3, greens.NEUMANN)
         with pytest.raises((ConditioningError, DomainError)):
-            greens.annulus_solution(0.5, 0.5 + 1e-15, 1.0, 1.0)
+            greens.LayerCalculus([0.5, 0.5 + 1e-15], 1e-3, greens.NEUMANN)
 
 
 class TestReflection:
@@ -131,8 +142,7 @@ class TestSolveLayers:
         # recovers the one-layer configuration
         cfg2, _ = greens.solve_layers(2, 1e-3, greens.NEUMANN)
         cfg1, _ = greens.solve_layers(1, 1e-3, greens.NEUMANN)
-        d = greens._defect(np.array([cfg2.alphas[1]]), 1e-3, greens.NEUMANN)
-        d1 = greens._defect(cfg1.alphas, 1e-3, greens.NEUMANN)
+        d1 = greens.LayerCalculus(cfg1.alphas, 1e-3, greens.NEUMANN).defect
         # the one-layer defect at the deflated radius brackets the true root
         assert abs(d1[0]) < 1e-10
         root = oracles.one_layer_bisect(1e-3, greens.NEUMANN)

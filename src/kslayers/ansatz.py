@@ -741,9 +741,10 @@ def multilayer_ansatz(k: int, lam: float, outer_mode: str = greens.DIRICHLET,
     mode the outermost is the boundary layer at r = 1 (k - 1 interior
     spheres); in ``neumann`` mode all k are interior.  The peaks sit at the
     layered Green's function's radii with the base-point amplitudes, and
-    the outer pieces are that Green's function.  The implicit-function
-    corrections (``nondegen.solve_layer_parameters``) are not applied: they
-    converge only below lambda ~ 1e-55 (k = 1, neumann), 1e-131 (k = 2,
+    the outer pieces are that Green's function.  The paper's
+    implicit-function corrections of the amplitudes and shifts (the flux
+    conditions of ``nondegen``) are not applied: a Newton solve of them
+    converged only below lambda ~ 1e-55 (k = 1, neumann), 1e-131 (k = 2,
     dirichlet_one) and 1e-281 (k = 2, neumann), and at no double lambda for
     larger k.  Returns the scaffold's parameters and its profile.
     """

@@ -9,9 +9,10 @@ both: the direct solve holds the parameter fixed, the arclength corrector
 borders the system with the constraint row.
 
 Grid note: the double-precision max-norm of the discrete residual has a
-floor of about eps_mach |u| / h_min^2, so the grading clamps the smallest
-cell near 2.5e-3; at the reachable lambdas every physical feature (bubble
-core, boundary layer) is far wider than that.
+floor of about eps_mach |u| / h_min^2, so ``graded_grid`` caps its cells
+at h_min = 1.2e-4 and the solves certify their residuals with long-double
+fluxes; at the reachable lambdas every physical feature (bubble core,
+boundary layer) is far wider than that.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.special import j0, j1
+from scipy.special import j0, jn_zeros
 
 from .errors import ConvergenceError, DomainError, StallError
 from .ansatz import Profile, solve_epsilon
@@ -71,35 +72,12 @@ def radial_eigenvalues(count: int) -> np.ndarray:
     """First eigenvalues of -Delta + 1 on radial Neumann functions.
 
     The constant mode gives 1; the higher modes are 1 + k_m^2 with k_m the
-    positive roots of the oscillatory-Bessel Neumann condition, found by
-    bracketed bisection on sign changes along a pi/2-spaced scan.
+    positive zeros of J1, where the radial Neumann condition J0'(k) = 0
+    holds.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    out = [1.0]
-    roots = []
-    x = 0.5
-    step = np.pi / 8.0
-    prev_x, prev_v = x, j1(x)
-    while len(roots) < count - 1:
-        x += step
-        v = j1(x)
-        if prev_v * v < 0:
-            lo, hi = prev_x, x
-            flo = j1(lo)
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = j1(mid)
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-                if hi - lo < 1e-14 * mid:
-                    break
-            roots.append(0.5 * (lo + hi))
-        prev_x, prev_v = x, v
-    out.extend(1.0 + np.array(roots) ** 2)
-    return np.array(out[:count])
+    return np.concatenate([[1.0], 1.0 + jn_zeros(1, count) ** 2])[:count]
 
 
 def make_grid(lam: float, n: int = 4000) -> np.ndarray:

@@ -342,10 +342,15 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     rs = add_parser("residual", help="residual norms of the ansatz")
     rs.add_argument("--lambda", dest="lam", type=float, required=True)
     rs.add_argument("--k", type=int, default=1)
+    rs.add_argument("--outer", choices=["dirichlet", "neumann"],
+                    help="default dirichlet")
     rs.add_argument("--eta", type=float, default=0.8)
 
     fx = add_parser("fixpoint", help="contraction iteration")
     fx.add_argument("--lambda", dest="lam", type=float, required=True)
+    fx.add_argument("--k", type=int, help="default 1")
+    fx.add_argument("--outer", choices=["dirichlet", "neumann"],
+                    help="default dirichlet")
     fx.add_argument("--eta", type=float, default=0.8)
 
     so = add_parser("solve", help="direct radial solve")
@@ -353,6 +358,10 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     so.add_argument("--init", choices=["ansatz", "constant", "file"],
                     default="ansatz")
     so.add_argument("--k", type=int, default=1)
+    so.add_argument("--outer", choices=["dirichlet", "neumann"],
+                    help="default dirichlet")
+    so.add_argument("--value", type=float,
+                    help="constant for --init constant (default 1.0)")
     so.add_argument("--file", help="CSV r,u initial guess for --init file")
     so.add_argument("--tol", type=float, default=1e-9)
 
@@ -367,9 +376,8 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     rp.add_argument("--lambda", dest="lam", type=float, required=True)
     rp.add_argument("--outer", choices=["dirichlet", "neumann"],
                     default="dirichlet")
-    # every subcommand takes every key: some read keys they have no flag for
-    # (residual, fixpoint and solve read "outer"), typed by the flag that
-    # declares the key
+    # a config file may hold keys for several subcommands: every subcommand
+    # takes every key, typed by the flag that declares it
     flags = {a.dest: a for p in sub.choices.values() for a in p._actions}
     typed = {k: flags[k].type(v) if k in flags and flags[k].type else v
              for k, v in (defaults or {}).items()}

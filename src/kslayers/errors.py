@@ -28,10 +28,6 @@ class InternalConsistencyError(KsLayersError):
     """Two independent evaluation routes disagree beyond tolerance."""
 
 
-class NondegeneracyError(KsLayersError):
-    """A determinant required to be nonzero is numerically too small."""
-
-
 class MatchingError(KsLayersError):
     """The asymptotic matching system could not be solved."""
 

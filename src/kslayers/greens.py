@@ -88,19 +88,6 @@ class PiecewiseGreen:
         idx = self.annulus_index(r)
         return -self.coeffs[idx, 0] * k1 + self.coeffs[idx, 1] * i1
 
-    def one_sided_derivatives(self, i: int) -> tuple[float, float]:
-        """Left and right radial derivatives at interface ``interfaces[i]``."""
-        r = float(self.interfaces[i])
-        _, i1, _, k1 = bessel_table(np.array([r]))
-        cl = self.coeffs[i - 1]
-        left = float(-cl[0] * k1[0] + cl[1] * i1[0])
-        if i == len(self.interfaces) - 1:
-            right = np.nan
-        else:
-            cr = self.coeffs[i]
-            right = float(-cr[0] * k1[0] + cr[1] * i1[0])
-        return left, right
-
     def continuity_defect(self) -> float:
         """Largest jump of the value across the interior interfaces."""
         worst = 0.0

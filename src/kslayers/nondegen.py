@@ -1,11 +1,16 @@
-"""Perturbed layered profiles, the shift-derivative matrix, and its determinant.
+"""The shift-derivative matrix, its determinant, and the base-point Jacobian.
 
-The layered profile with k free interior radii (plus the value-1 boundary
-sphere) admits a perturbed family: layer values 1 + eps * a_i at shifted
-radii alpha_i + sigma_i.  Differentiating the one-sided fluxes with respect
-to the shifts at the unperturbed configuration produces a tridiagonal
-matrix whose determinant must not vanish for the implicit-function solve
-of the layer parameters (gamma, sigma) to go through.
+The paper builds its layered families under a nondegeneracy assumption.
+At every value-1 radius r_i the layered profile is matched to a layer
+bubble of amplitude gamma_i through the flux conditions
+U'^-(r_i + sigma_i) = -1/gamma_i and U'^+(r_i + sigma_i) = 1/gamma_i (the
+left condition alone at the ``dirichlet_one`` boundary sphere, which is
+never shifted), and the implicit-function theorem solves them for the
+amplitudes gamma and the shifts sigma once their Jacobian N at the base
+point (sigma = 0, gamma_i = -1/U'^-(r_i)) is invertible.  Up to sign,
+det N is the product of the squared fluxes times the determinant M_k of
+the tridiagonal matrix of shift derivatives of the reflection defect at
+the free radii (``verify_detN``); ``sweep_Mk`` evaluates M_k over (k, b).
 
 Every flux here is read from a ``greens.LayerCalculus``.  The shift
 derivatives are its analytic ones: the matrix is the Jacobian of the
@@ -13,9 +18,7 @@ reflection defect, the same one the reflection Newton in
 ``greens.solve_layers`` steps with.  Central differences of the
 calculus's fluxes at shifted radii are kept as a guard, never as the
 primary path, because the determinant is the quantity whose nonvanishing
-is conjectural and it must not inherit differencing noise.  The
-layer-parameter system reads its fluxes from the calculus of the
-perturbed configuration.
+is conjectural and it must not inherit differencing noise.
 """
 
 from __future__ import annotations
@@ -24,79 +27,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    InternalConsistencyError,
-    NondegeneracyError,
-)
-from .greens import DIRICHLET, LayerCalculus, PiecewiseGreen, solve_layers
+from .errors import InternalConsistencyError
+from .greens import DIRICHLET, LayerCalculus, solve_layers
 
 __all__ = [
-    "EPS_MAX",
     "NONDEGEN_MIN",
-    "PerturbedGreenSpec",
     "NondegenMatrix",
-    "perturbed_green",
     "assemble_Ak",
     "tridiag_det",
-    "solve_layer_parameters",
     "jacobian_at_base",
     "verify_detN",
     "sweep_Mk",
 ]
 
-EPS_MAX = 0.05
-NONDEGEN_MIN = 1e-8
+NONDEGEN_MIN = 1e-8  # |M_k| below this counts as degenerate
 _FD_STEP = 1e-6
 _FD_GUARD_RTOL = 1e-5
-
-
-@dataclass(frozen=True)
-class PerturbedGreenSpec:
-    """Perturbation data for a layered profile.
-
-    ``alphas`` lists every value-1 radius of the base configuration; in
-    ``dirichlet_one`` mode the last entry is the boundary radius 1, whose
-    shift is pinned to zero.  ``a`` are per-layer value offsets (the layer
-    value becomes 1 + eps * a_i) and ``sigma`` the radial shifts, each of
-    the same length as ``alphas``.
-    """
-
-    alphas: np.ndarray
-    a: np.ndarray
-    sigma: np.ndarray
-    b: float
-    eps: float
-    outer_mode: str = DIRICHLET
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", np.atleast_1d(np.asarray(self.alphas, float)))
-        object.__setattr__(self, "a", np.atleast_1d(np.asarray(self.a, float)))
-        object.__setattr__(self, "sigma", np.atleast_1d(np.asarray(self.sigma, float)))
-
-    def validate(self) -> None:
-        k = self.alphas.size
-        if self.a.size != k or self.sigma.size != k:
-            raise DomainError("a and sigma must have one entry per layer radius")
-        if self.outer_mode == DIRICHLET:
-            if abs(self.alphas[-1] - 1.0) > 1e-14:
-                raise DomainError("dirichlet_one perturbation needs alphas[-1] == 1")
-            if self.sigma[-1] != 0.0:
-                raise DomainError("the boundary interface r = 1 is never shifted")
-        for i in range(k):
-            left = self.alphas[i] - (self.alphas[i - 1] if i else 0.0)
-            right = (self.alphas[i + 1] if i + 1 < k else 1.0) - self.alphas[i]
-            window = 0.25 * min(left, right if right > 0 else left)
-            if i + 1 == k and self.outer_mode == DIRICHLET:
-                continue
-            if abs(self.sigma[i]) >= window:
-                raise DomainError(
-                    f"shift sigma[{i}]={self.sigma[i]} violates its quarter-gap "
-                    f"window (+-{window:.4g})")
-        shifted = self.alphas + self.sigma
-        if np.any(np.diff(shifted) <= 0) or shifted[0] <= 0 or shifted[-1] > 1.0:
-            raise DomainError("shifted radii must stay strictly increasing in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -107,26 +53,6 @@ class NondegenMatrix:
     entries: np.ndarray
     det: float
     cond: float
-
-
-def _perturbed_calculus(spec: PerturbedGreenSpec) -> LayerCalculus:
-    """Layer calculus with values 1 + eps*a_i at the shifted radii.
-
-    Raises ``DomainError`` when a shift leaves its quarter-gap window.
-    """
-    spec.validate()
-    shifted = spec.alphas + spec.sigma
-    free = shifted[:-1] if spec.outer_mode == DIRICHLET else shifted
-    return LayerCalculus(free, spec.b, spec.outer_mode,
-                         values=1.0 + spec.eps * spec.a)
-
-
-def perturbed_green(spec: PerturbedGreenSpec) -> PiecewiseGreen:
-    """Layered profile with values 1 + eps*a_i at the shifted radii.
-
-    Reduces exactly to the unperturbed profile at eps = 0, sigma = 0.
-    """
-    return _perturbed_calculus(spec).green
 
 
 def assemble_Ak(alphas, b: float, check: bool = True) -> NondegenMatrix:
@@ -209,49 +135,15 @@ def sweep_Mk(k_max: int, b_grid, outer_mode: str = DIRICHLET) -> list[dict]:
     return rows
 
 
-# ---------------------------------------------------------------------------
-# layer-parameter solve (implicit-function system)
-# ---------------------------------------------------------------------------
-
-_SQRT2 = np.sqrt(2.0)
-
-
-def _phi(x: float, t: float, eps: float, zeta1: float, n: int = 2) -> float:
-    return (2.0 * (n - 1) / t - 2.0 * x * np.log(2.0) - eps * x * zeta1) / _SQRT2
-
-
-def _phi_tilde(x: float, eps: float, nu2: float) -> float:
-    return (-np.log(x * x) + eps * x * nu2) / _SQRT2
-
-
-def _h_system(eps: float, x: np.ndarray, sigma_free: np.ndarray,
-              radii: np.ndarray, b: float, outer_mode: str,
-              zeta1: np.ndarray, nu2: np.ndarray) -> np.ndarray:
-    """Flux-matching residual rows of the layer-parameter system.
-
-    Left and right rows at each free layer, interleaved, then the left row
-    at the dirichlet boundary sphere.
-    """
-    sigma = np.zeros(radii.size)
-    sigma[:sigma_free.size] = sigma_free
-    calc = _perturbed_calculus(PerturbedGreenSpec(
-        alphas=radii, a=_phi_tilde(x, eps, nu2), sigma=sigma, b=b, eps=eps,
-        outer_mode=outer_mode))
-    n = calc.n_free
-    ph = _phi(x, radii + sigma, eps, zeta1)
-    left = calc.dl - (-1.0 / x + eps * ph)
-    right = calc.dr[:n] - (1.0 / x[:n] + eps * ph[:n])
-    rows = np.column_stack([left[:n], right]).ravel()
-    return np.concatenate([rows, left[n:]])
-
-
 def jacobian_at_base(alphas, b: float,
                      outer_mode: str = DIRICHLET) -> np.ndarray:
-    """Analytic Jacobian of the layer-parameter system at its base point.
+    """Analytic Jacobian N of the flux-matching conditions at the base point.
 
-    Columns are ordered (x_1..x_K, sigma_1..sigma_freedoms); rows pair the
-    left/right flux equations at each free layer, with the single boundary
-    flux row last in ``dirichlet_one`` mode.
+    The conditions are U'^-(r_i + sigma_i) + 1/gamma_i = 0 and
+    U'^+(r_i + sigma_i) - 1/gamma_i = 0 at each free layer, interleaved,
+    then the left one alone at the boundary sphere in ``dirichlet_one``
+    mode.  Columns are ordered (gamma_1..gamma_K, sigma_1..sigma_n_free);
+    the base point is sigma = 0, gamma_i = -1/U'^-(r_i).
     """
     calc = LayerCalculus(alphas, b, outer_mode)
     DL, DR = calc.shift_jacobians()
@@ -291,99 +183,3 @@ def verify_detN(alphas, b: float) -> dict:
     rel = abs(det_n - expected) / max(abs(expected), 1e-300)
     return {"k": K, "det_N": det_n, "M_km1": m_prev, "prefactor": sign * float(np.prod(g)),
             "rel_err": rel}
-
-
-def solve_layer_parameters(alphas, b: float, eps: float,
-                           zeta1=None, nu2=None,
-                           outer_mode: str = DIRICHLET,
-                           tol: float = 1e-12,
-                           max_iter: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the flux-matching system for the layer parameters (gamma, sigma).
-
-    ``alphas`` are the free interior radii of the base configuration; the
-    boundary sphere is appended in ``dirichlet_one`` mode.  ``zeta1`` and
-    ``nu2`` are the per-layer correction constants (zeros by default; the
-    ansatz machinery supplies computed values).  At eps = 0 the exact base
-    point gamma_i = -1 / U'^-(alpha_i), sigma = 0 is returned.
-
-    Raises
-    ------
-    NondegeneracyError
-        If the interior-shift determinant guarding the solve is below
-        threshold.
-    ConvergenceError
-        If the damped Newton iteration fails.
-    """
-    if eps < 0 or eps > EPS_MAX:
-        raise DomainError(f"eps must lie in [0, {EPS_MAX}], got {eps!r}")
-    base = LayerCalculus(alphas, b, outer_mode)
-    radii, n_free = base.radii, base.n_free
-    K = radii.size
-    zeta1 = np.zeros(K) if zeta1 is None else np.asarray(zeta1, dtype=float)
-    nu2 = np.zeros(K) if nu2 is None else np.asarray(nu2, dtype=float)
-
-    # base amplitudes gamma_i = -1 / U'^-(r_i) at every value-1 radius
-    x0 = -1.0 / base.dl
-    if eps == 0.0:
-        return x0, np.zeros(K)
-
-    if outer_mode == DIRICHLET and n_free:
-        guard = tridiag_det(base.defect_jacobian())
-        if abs(guard) < NONDEGEN_MIN:
-            raise NondegeneracyError(
-                f"interior determinant {guard:.3e} below {NONDEGEN_MIN}; "
-                "Newton refused")
-
-    z = np.concatenate([x0, np.zeros(n_free)])
-
-    def residual(zv: np.ndarray) -> np.ndarray:
-        return _h_system(eps, zv[:K], zv[K:], radii, b, outer_mode, zeta1, nu2)
-
-    res = residual(z)
-    for _ in range(max_iter):
-        if np.max(np.abs(res)) <= tol:
-            break
-        try:
-            jac = _fd_jac(residual, z, res)
-        except DomainError as exc:
-            # a probe crossed a shift's quarter-gap window
-            raise ConvergenceError(
-                f"layer-parameter Newton stopped at the shift window's edge: {exc}",
-                residual=float(np.max(np.abs(res)))) from exc
-        step = np.linalg.solve(jac, -res)
-        lam, ok = 1.0, False
-        while lam > 1e-10:
-            cand = z + lam * step
-            try:
-                cand_res = residual(cand)
-            except DomainError:
-                lam *= 0.5
-                continue
-            if np.linalg.norm(cand_res) < np.linalg.norm(res):
-                ok = True
-                break
-            lam *= 0.5
-        if not ok:
-            raise ConvergenceError("layer-parameter Newton stalled",
-                                   residual=float(np.max(np.abs(res))))
-        z, res = cand, cand_res
-    if np.max(np.abs(res)) > 1e-10:
-        raise ConvergenceError("layer-parameter Newton did not converge",
-                               residual=float(np.max(np.abs(res))))
-
-    gamma = z[:K]
-    sigma_free = z[K:]
-    if outer_mode == DIRICHLET:
-        sigma = np.concatenate([sigma_free, [0.0]])
-    else:
-        sigma = sigma_free
-    return gamma, sigma
-
-
-def _fd_jac(fn, z: np.ndarray, base: np.ndarray, h: float = 1e-7) -> np.ndarray:
-    jac = np.empty((base.size, z.size))
-    for j in range(z.size):
-        zp = z.copy()
-        zp[j] += h
-        jac[:, j] = (fn(zp) - base) / h
-    return jac

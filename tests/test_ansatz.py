@@ -346,6 +346,20 @@ class TestMultilayer:
         i = np.argmin(np.abs(prof.grid - a1))
         assert prof.piece[i].startswith("u_peak")
 
+    @pytest.mark.parametrize("k, mode", [(1, greens.NEUMANN),
+                                         (2, greens.DIRICHLET)])
+    def test_base_amplitudes_are_left_fluxes(self, k, mode):
+        # gamma_i = -1/U'^-(r_i), the left flux taken from the left
+        # annulus's coefficients and 40-digit Bessel functions
+        params, _ = ansatz.multilayer_ansatz(k, 1e-4, mode)
+        n_free = k - 1 if mode == greens.DIRICHLET else k
+        b = 4 * params.eps / np.sqrt(2)
+        _, g = greens.solve_layers(n_free, b, mode, b_max=0.5)
+        for i, r in enumerate(params.radii):
+            _, i1, _, k1 = oracles.mpmath_bessel_reference(r)
+            left = -g.coeffs[i, 0] * k1 + g.coeffs[i, 1] * i1
+            assert params.gamma[i] == pytest.approx(-1.0 / left, rel=1e-12)
+
     def test_interior_plus_boundary_layer_count(self):
         _, prof = ansatz.multilayer_ansatz(2, 1e-4, greens.DIRICHLET)
         labels = set(prof.piece)

@@ -194,3 +194,22 @@ def test_multilayer_ansatz_json_is_the_scaffold(tmp_path):
     radii = greens.LayerCalculus(cfg.alphas, b, greens.DIRICHLET).radii
     assert doc["radii"] == radii.tolist()
     assert doc["layer_parameters"] == "leading order"
+
+
+def test_config_keys_have_typed_flags(tmp_path):
+    # a config file's "value" is typed by solve's --value flag, not passed
+    # through as a string
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("value=2.0\n")
+    code, out = run_cli(["solve", "--lambda", "1e-4", "--init", "constant",
+                         "--config", str(cfg)], tmp_path, "v")
+    assert code == 0
+    doc = json.loads((out / "solve.json").read_text())
+    assert doc["config"]["value"] == 2.0
+    assert abs(doc["u0"] - 1.0001e-4) < 1e-8
+    # a Neumann multilayer residual needs no config file
+    code, out = run_cli(["residual", "--lambda", "1e-4", "--k", "2",
+                         "--outer", "neumann"], tmp_path, "n")
+    assert code == 0
+    doc = json.loads((out / "residual.json").read_text())
+    assert doc["config"]["outer"] == "neumann"

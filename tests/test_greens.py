@@ -137,17 +137,6 @@ class TestSolveLayers:
         rr = np.linspace(1e-6, 1.0, 3000)
         assert g.value(rr).min() > 0.0
 
-    def test_two_layer_deflation_consistency(self):
-        # dropping the inner layer and re-solving from the outer radius
-        # recovers the one-layer configuration
-        cfg2, _ = greens.solve_layers(2, 1e-3, greens.NEUMANN)
-        cfg1, _ = greens.solve_layers(1, 1e-3, greens.NEUMANN)
-        d1 = greens.LayerCalculus(cfg1.alphas, 1e-3, greens.NEUMANN).defect
-        # the one-layer defect at the deflated radius brackets the true root
-        assert abs(d1[0]) < 1e-10
-        root = oracles.one_layer_bisect(1e-3, greens.NEUMANN)
-        assert abs(cfg1.alphas[0] - root) < 1e-9
-
     def test_b_sweep_continuity(self):
         prev = None
         for b in np.logspace(-4, -2, 20):

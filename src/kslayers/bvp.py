@@ -13,6 +13,14 @@ floor of about eps_mach |u| / h_min^2, so ``graded_grid`` caps its cells
 at h_min = 1.2e-4 and the solves certify their residuals with long-double
 fluxes; at the reachable lambdas every physical feature (bubble core,
 boundary layer) is far wider than that.
+
+Precision note: long double holds the refined iterate (and mu) and the
+flux differences of ``RadialOperator.apply_neg_lap_extended``.  The
+nonlinearity is evaluated in double from the split u = hi + lo as
+lambda e^hi (1 + lo), within 2.8e-16 relative of a long-double exp on the
+lambda = 1e-4 solution; only entries above 1e3, where a double's rounding
+would near the 1e-10 tolerance, take a long-double exp.  Every linear
+solve is a double-precision LAPACK ?gtsv.
 """
 
 from __future__ import annotations
@@ -21,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.special import j0, jn_zeros
 
 from .errors import ConvergenceError, DomainError, StallError
 from .ansatz import Profile, solve_epsilon
@@ -75,6 +81,8 @@ def radial_eigenvalues(count: int) -> np.ndarray:
     positive zeros of J1, where the radial Neumann condition J0'(k) = 0
     holds.
     """
+    from scipy.special import jn_zeros
+
     if count < 1:
         raise DomainError("count must be >= 1")
     return np.concatenate([[1.0], 1.0 + jn_zeros(1, count) ** 2])[:count]
@@ -88,23 +96,58 @@ def make_grid(lam: float, n: int = 4000) -> np.ndarray:
 
 
 def _zero_count(u: np.ndarray, level: float = 1.0, dead_band: float = 1e-10) -> int:
-    s = u - level
+    s = np.asarray(u, dtype=float) - level
     s = np.where(np.abs(s) <= dead_band, 0.0, s)
     sgn = np.sign(s)
     sgn = sgn[sgn != 0]
     return int(np.sum(np.abs(np.diff(sgn)) > 1))
 
 
+# Largest f = lambda e^u or e^(mu (u - 1)) taken in double from a
+# long-double iterate: a double's rounding of f, about 1e-16 f, stays 300
+# times below the 1e-10 tolerance the refinement certifies.
+_F_DOUBLE_MAX = 1e3
+
+
+def _exp_split(x: np.ndarray, scale=1.0) -> np.ndarray:
+    """scale e^min(x, EXP_CAP) for a long-double x, in double.
+
+    x is split into hi = double(x) and lo = double(x - hi), and
+    e^x = e^hi e^lo is taken as e^hi (1 + lo): the dropped lo^2 / 2 is below
+    1e-30 relative, so the result is e^x to about 1 double ulp (2.8e-16
+    relative at most on the lambda = 1e-4 solution, where dropping lo
+    leaves 9.7e-16).  Entries above ``_F_DOUBLE_MAX`` are recomputed with a
+    long-double exp.
+    """
+    hi = np.asarray(x, dtype=float)
+    lo = np.asarray(x - hi, dtype=float)
+    f = scale * (np.exp(np.minimum(hi, EXP_CAP)) * (1.0 + lo))
+    big = f > _F_DOUBLE_MAX
+    if np.any(big):
+        f = np.asarray(f, dtype=np.longdouble)
+        f[big] = scale * np.exp(np.minimum(x[big], EXP_CAP))
+    return f
+
+
 def _lam_exp(u, lam, jac: bool = False):
     """lambda e^u, with its u- and lambda-derivatives if ``jac``."""
+    if u.dtype == np.longdouble and not jac:
+        return _exp_split(u, lam)
     e = np.exp(np.minimum(u, EXP_CAP))
     f = lam * e
     return (f, f, e) if jac else f
 
 
 def _mu_exp(u, mu, jac: bool = False):
-    """e^(mu (u - 1)), with its u- and mu-derivatives if ``jac``."""
-    f = np.exp(np.minimum(mu * (u - 1.0), EXP_CAP))
+    """e^(mu (u - 1)), with its u- and mu-derivatives if ``jac``.
+
+    The exponent is formed in the precision of u and mu, so a long-double
+    iterate's exponent keeps its own rounding below the double ulp.
+    """
+    x = mu * (u - 1.0)
+    if x.dtype == np.longdouble and not jac:
+        return _exp_split(x)
+    f = np.exp(np.minimum(x, EXP_CAP))
     return (f, mu * f, (u - 1.0) * f) if jac else f
 
 
@@ -116,21 +159,23 @@ def _residual(op: RadialOperator, f, u, p, extended: bool = False):
 
 
 def _profile_from_solution(r, u, f, p) -> Profile:
-    d1 = np.gradient(u, r, edge_order=2)
+    """Profile of a solved u: the values as given, the derivatives in double."""
+    ud = np.asarray(u, dtype=float)
+    d1 = np.gradient(ud, r, edge_order=2)
     d1[0] = 0.0
     d1[-1] = 0.0
-    d2 = np.empty_like(u)
-    rhs = f(u, p)
+    d2 = np.empty_like(ud)
+    rhs = f(ud, float(p))
     # second derivative from the equation (exact at a converged solution)
-    d2[1:] = u[1:] - rhs[1:] - d1[1:] / r[1:]
-    d2[0] = 0.5 * (u[0] - rhs[0])
+    d2[1:] = ud[1:] - rhs[1:] - d1[1:] / r[1:]
+    d2[0] = 0.5 * (ud[0] - rhs[0])
     return Profile(np.asarray(r, dtype=float), u, d1, d2,
                    np.full(len(r), "bvp"))
 
 
-def _solve_banded(ab: np.ndarray, rhs) -> np.ndarray:
+def _solve(op: RadialOperator, potential, rhs) -> np.ndarray:
     try:
-        return sla.solve_banded((1, 1), ab, rhs)
+        return op.solve(potential, rhs)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise ConvergenceError(
             f"singular Jacobian (turning point? try continuation): {exc}")
@@ -163,9 +208,11 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
     diverging candidate overflows to inf or nan, which no comparison accepts.
 
     Runs in double precision down to its rounding floor, then switches to
-    iterative refinement with the residual accumulated in extended
-    precision, which certifies the final max-norm residual well below the
-    double-precision Laplacian noise.
+    iterative refinement, which certifies the final max-norm residual well
+    below the double-precision Laplacian noise.  The refinement carries the
+    iterate in long double and accumulates the flux differences in long
+    double; ``f`` evaluates the long-double iterate from its (hi, lo) split
+    in double (``_exp_split``), and each correction is a double ?gtsv solve.
     """
     hmin = float(np.min(np.diff(op.r)))
     if border is not None:
@@ -181,11 +228,10 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
 
     def step(u, p, G, c):
         _, f_u, f_p = f(np.asarray(u, dtype=float), float(p), jac=True)
-        ab = op.banded(f_u)
         rhs = -np.asarray(G, dtype=float)
         if border is None:
-            return _solve_banded(ab, rhs), 0.0
-        w, v = _solve_banded(ab, np.column_stack([rhs, f_p])).T
+            return _solve(op, f_u, rhs), 0.0
+        w, v = _solve(op, f_u, np.column_stack([rhs, f_p])).T
         denom = tp + float(np.dot(tu, v))
         if abs(denom) < 1e-300:
             raise ConvergenceError("degenerate arclength constraint")
@@ -307,6 +353,8 @@ def seed_branch(i: int, sign: str, n: int = 2000,
         raise DomainError("sign must be '+' or '-'")
     if i < 2:
         raise DomainError("bifurcation branches exist for i >= 2")
+    from scipy.special import j0
+
     lam_i = radial_eigenvalues(i)[-1]
     k = np.sqrt(lam_i - 1.0)
     r = np.linspace(0.0, 1.0, n)
@@ -324,7 +372,7 @@ def seed_branch(i: int, sign: str, n: int = 2000,
 def _first_tangent(op: RadialOperator, u, mu, direction: float = 1.0):
     """Unit tangent direction (v, 1) / ||(v, 1)||, v = G_u^{-1} f_mu."""
     _, f_u, f_mu = _mu_exp(u, mu, jac=True)
-    v = _solve_banded(op.banded(f_u), f_mu)
+    v = _solve(op, f_u, f_mu)
     norm = np.sqrt(np.dot(v, v) + 1.0)
     return direction * v / norm, direction / norm
 

@@ -360,6 +360,8 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     so.add_argument("--k", type=int, default=1)
     so.add_argument("--outer", choices=["dirichlet", "neumann"],
                     help="default dirichlet")
+    so.add_argument("--eta", type=float,
+                    help="ansatz eta for --init ansatz (default 0.8)")
     so.add_argument("--value", type=float,
                     help="constant for --init constant (default 1.0)")
     so.add_argument("--file", help="CSV r,u initial guess for --init file")

@@ -11,8 +11,11 @@ zero flux).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 __all__ = ["EXP_CAP", "graded_grid", "RadialOperator"]
 
@@ -79,32 +82,57 @@ class RadialOperator:
         out[1:] += self.lap_lower * u[:-1]
         return out
 
+    @functools.cached_property
+    def _extended_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(np.asarray(x, dtype=np.longdouble)
+                     for x in (self.lap_main, self.lap_upper, self.lap_lower))
+
     def apply_neg_lap_extended(self, u) -> np.ndarray:
         """Flux form evaluated in extended precision.
 
         The double-precision max-norm floor of the discrete residual is
         about eps_mach |u| / h_min^2; accumulating the flux differences in
         long double pushes it three orders down, which is what lets a
-        refined iterate certify residuals at the 1e-9 level.
+        refined iterate certify residuals at the 1e-9 level.  These flux
+        differences and the iterate itself are the long-double arithmetic
+        the bvp solvers keep: the nonlinearity is taken in double from the
+        iterate's split u = hi + lo as lambda e^hi (1 + lo)
+        (``bvp._exp_split``).  The long-double coefficients are built once
+        per operator.
         """
-        ld = np.longdouble
-        u = np.asarray(u, dtype=ld)
-        out = np.asarray(self.lap_main, dtype=ld) * u
-        out[:-1] += np.asarray(self.lap_upper, dtype=ld) * u[1:]
-        out[1:] += np.asarray(self.lap_lower, dtype=ld) * u[:-1]
+        main, upper, lower = self._extended_rows
+        u = np.asarray(u, dtype=np.longdouble)
+        out = main * u
+        out[:-1] += upper * u[1:]
+        out[1:] += lower * u[:-1]
         return out
 
-    def banded(self, potential: np.ndarray | float = 0.0) -> np.ndarray:
-        """Banded storage of -Laplace + I - diag(potential)."""
-        ab = np.zeros((3, self.n))
-        ab[0, 1:] = self.lap_upper
-        ab[1, :] = self.lap_main + 1.0 - potential
-        ab[2, :-1] = self.lap_lower
-        return ab
-
     def solve(self, potential, rhs: np.ndarray) -> np.ndarray:
-        """Solve (-Laplace + I - diag(potential)) u = rhs (Neumann ends)."""
-        return sla.solve_banded((1, 1), self.banded(potential), rhs)
+        """Solve (-Laplace + I - diag(potential)) u = rhs (Neumann ends).
+
+        ``rhs`` is one right-hand side or a column per system.  LAPACK ?gtsv
+        (Gaussian elimination with partial pivoting) runs on the three
+        diagonals directly; it is the routine ``solve_banded((1, 1), ...)``
+        calls, so the solution is the same to the bit.
+
+        Raises
+        ------
+        numpy.linalg.LinAlgError
+            On an exactly zero pivot.
+        ValueError
+            On a non-finite potential or solution; an infinite potential
+            can leave the solution finite, so both are checked.
+        """
+        d = self.lap_main + 1.0 - potential
+        if not np.all(np.isfinite(d)):
+            raise ValueError("non-finite potential")
+        *_, x, info = lapack.dgtsv(self.lap_lower, d, self.lap_upper, rhs,
+                                   overwrite_d=True)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular matrix: zero pivot in row {info}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("non-finite solution")
+        return x
 
     def symmetric_tridiagonal(self, potential=0.0) -> tuple[np.ndarray, np.ndarray]:
         """Symmetrized (d, e) of the operator under the radial measure.

@@ -7,10 +7,13 @@ facts from adaptive Runge-Kutta shooting, derivatives from finite
 differences.
 """
 
+import functools
+
 import mpmath
 import numpy as np
 import scipy.linalg as sla
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 from scipy import special
 
 EULER = 0.5772156649015328606
@@ -133,7 +136,14 @@ def one_layer_defect(alpha, b, outer_mode):
     return d_left + d_right
 
 
-def one_layer_bisect(b, outer_mode, lo=0.05, hi=0.995, tol=5e-11):
+@functools.lru_cache(maxsize=None)
+def one_layer_bisect(b, outer_mode, lo=0.05, hi=0.995):
+    """Root of the shooting defect: a 16-point sign scan, then Brent's
+    method (bracketing, so it never leaves the scanned sign change).
+
+    Cached per argument for the session: each defect evaluation is a set of
+    RK45 shots, and several tests ask for the same root.
+    """
     grid = np.linspace(lo, hi, 16)
     vals = [one_layer_defect(a, b, outer_mode) for a in grid]
     bracket = None
@@ -142,16 +152,7 @@ def one_layer_bisect(b, outer_mode, lo=0.05, hi=0.995, tol=5e-11):
             bracket = (grid[j], grid[j + 1])
             break
     assert bracket is not None, "no sign change for the one-layer defect"
-    lo, hi = bracket
-    flo = one_layer_defect(lo, b, outer_mode)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = one_layer_defect(mid, b, outer_mode)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    return brentq(one_layer_defect, *bracket, args=(b, outer_mode), xtol=5e-12)
 
 
 # ---------------------------------------------------------------------------

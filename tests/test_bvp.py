@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from kslayers import ansatz, bvp, greens
 from kslayers.errors import ConvergenceError, DomainError
@@ -9,9 +14,14 @@ import oracles
 
 
 @pytest.fixture(scope="module")
-def solved4():
+def ansatz4():
     params = ansatz.build_params(1e-4)
-    prof = ansatz.build_profile(params)
+    return params, ansatz.build_profile(params)
+
+
+@pytest.fixture(scope="module")
+def solved4(ansatz4):
+    params, prof = ansatz4
     return params, bvp.solve_bvp(1e-4, prof)
 
 
@@ -46,6 +56,29 @@ class TestOperator:
         lhs = np.sum(w * v * op.apply_neg_lap(u))
         rhs = np.sum(w * u * op.apply_neg_lap(v))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+    def test_solve_is_solve_banded_to_the_bit(self, ansatz4):
+        # lambda e^U of the ansatz makes the operator indefinite (Morse index 2)
+        _, prof = ansatz4
+        op = RadialOperator(prof.grid)
+        pot = 1e-4 * np.exp(prof.values)
+        ab = np.zeros((3, op.n))
+        ab[0, 1:], ab[1], ab[2, :-1] = \
+            op.lap_upper, op.lap_main + 1.0 - pot, op.lap_lower
+        rng = np.random.default_rng(5)
+        for rhs in (rng.standard_normal(op.n), rng.standard_normal((op.n, 2))):
+            x = op.solve(pot, rhs)
+            assert x.shape == rhs.shape
+            assert np.array_equal(x, sla.solve_banded((1, 1), ab, rhs))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_solve_rejects_non_finite_potential(self, bad):
+        # an infinite diagonal entry leaves ?gtsv's solution finite
+        op = RadialOperator(graded_grid(500, 0.05, 0.05))
+        pot = np.zeros(op.n)
+        pot[7] = bad
+        with pytest.raises(ValueError):
+            op.solve(pot, np.ones(op.n))
 
 
 class TestDirectSolve:
@@ -92,6 +125,31 @@ class TestDirectSolve:
     def test_validation(self):
         with pytest.raises(DomainError):
             bvp.solve_bvp(-1.0, bvp.constant_profile(1e-3))
+
+    def test_non_finite_potential_is_a_convergence_error(self, ansatz4):
+        _, prof = ansatz4
+
+        def nan_jacobian(u, lam, jac=False):
+            out = bvp._lam_exp(u, lam, jac)
+            return (out[0], np.full_like(out[1], np.nan), out[2]) if jac else out
+
+        op = RadialOperator(bvp.make_grid(1e-4))
+        u0 = np.interp(op.r, prof.grid, prof.values)
+        with pytest.raises(ConvergenceError):
+            bvp._newton(op, nan_jacobian, u0, 1e-4, 1e-9, 10)
+
+    def test_split_exponentials_match_long_double_exp(self, solved4):
+        # the split keeps 2.8e-16; dropping lo leaves 9.7e-16 on these u
+        _, point = solved4
+        u = np.asarray(point.profile.values, dtype=np.longdouble)
+        lam = np.longdouble(1e-4)
+        rel = bvp._lam_exp(u, lam) / (lam * np.exp(u)) - 1
+        assert float(np.max(np.abs(rel))) <= 5e-16
+        # a long-double mu with a low part, as the corrector's: f reaches
+        # 1.2e6, where a double's rounding alone would be 1e-10
+        mu = np.longdouble(1.1) + np.longdouble(2e-17)
+        err = bvp._mu_exp(u, mu) - np.exp(mu * (u - 1))
+        assert float(np.max(np.abs(err))) <= 1e-12
 
 
 def bvp_profile(r, u):
@@ -162,6 +220,17 @@ class TestContinuation:
                     for a, b in pts2])
         assert d > 0.0
 
+    @pytest.mark.parametrize("i, sign", [(2, "+"), (2, "-"), (5, "+")])
+    def test_branch_residual_with_long_double_exp(self, i, sign):
+        # the corrector certifies 1e-10 with the exponential taken in double
+        br = bvp.continue_component(bvp.seed_branch(i, sign), steps=100)
+        op = RadialOperator(br[0].profile.grid)
+        for p in br:
+            u = np.asarray(p.profile.values, dtype=np.longdouble)
+            res = op.apply_neg_lap_extended(u) + u \
+                - np.exp(np.longdouble(p.param) * (u - 1))
+            assert float(np.max(np.abs(res))) <= 1e-10
+
     def test_positivity_along_branch(self):
         br = bvp.continue_branch(bvp.seed_branch(2, "-"), steps=10)
         for p in br:
@@ -190,3 +259,13 @@ class TestConcentration:
                                  outer_mode=greens.DIRICHLET)
         rep = bvp.concentration_report(point, ref, eps=params.eps)
         assert np.isfinite(rep.profile_gap)
+
+
+def test_import_leaves_special_out():
+    # scipy.special serves only the eigenvalues and the seed of a branch
+    src = os.path.dirname(os.path.dirname(bvp.__file__))
+    code = "import sys, kslayers.bvp; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

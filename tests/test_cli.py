@@ -213,3 +213,11 @@ def test_config_keys_have_typed_flags(tmp_path):
     assert code == 0
     doc = json.loads((out / "residual.json").read_text())
     assert doc["config"]["outer"] == "neumann"
+
+
+def test_solve_declares_eta(tmp_path):
+    # solve's ansatz guess reads eta, so solve takes the flag
+    code, out = run_cli(["solve", "--lambda", "1e-4", "--eta", "0.75"], tmp_path)
+    assert code == 0
+    doc = json.loads((out / "solve.json").read_text())
+    assert doc["config"]["eta"] == 0.75

@@ -335,31 +335,30 @@ class _StretchedStack:
 
 @dataclass(frozen=True)
 class BoundaryCorrections:
-    """Correction profiles on the boundary window."""
+    """The radial sweeps alpha_eps and beta_eps on the boundary window, and
+    the stretched stack, whose ``corrections`` evaluates the sweep and
+    third-order profiles v_eps and z_eps at any radii in the window."""
 
     alpha_eps: Profile
-    v_eps: Profile
     beta_eps: Profile
-    z_eps: Profile
     stack: _StretchedStack
     r_window: tuple[float, float]
-    mu_tilde: float
 
 
-def boundary_corrections(params: "AnsatzParams",
-                         n_grid: int = 6001) -> BoundaryCorrections:
-    """The four boundary-layer correction profiles on the window [0.55, 1].
+def boundary_corrections(params: "AnsatzParams") -> BoundaryCorrections:
+    """The boundary-layer corrections on the window [0.55, 1].
 
     The sweep (second-order) and third-order profiles come from the
     stretched stack, built on the window's own depth in s.  The two radial
     sweeps have sources free of the unknown and zero data at r = 1:
     -(r a')' = r f with f = W'/r - W + ln(lam) gives r a' = int_r^1 t f,
     and (r b')' = -v_eps' gives r b' = -v_eps, so a takes two quadratures
-    and b one.  The far-field constants are ``params.constants``.
+    and b one; both are sampled on 6001 uniform radii.  The far-field
+    constants are ``params.constants``.
     """
     lam, mu_t = params.lam, params.mu_tilde
     r_lo = 0.55
-    grid = np.linspace(r_lo, 1.0, n_grid)
+    grid = np.linspace(r_lo, 1.0, 6001)
     # an interpolant over the full depth carries ~4e-14 of rounding noise
     # into z on the window, which differencing the profile amplifies
     stack = _StretchedStack(params.gamma_eps,
@@ -376,22 +375,18 @@ def boundary_corrections(params: "AnsatzParams",
     a_vals = radial(lambda r: -ra1(r) / r)(grid)
     a_d2 = -a_d1 / grid - f_alpha(grid)
 
-    v_vals, v_d1, v_d2, z_vals, z_d1, z_d2 = stack.corrections(
-        (grid - 1.0) / mu_t, mu_t)
-
-    b_d1 = -v_vals / grid
+    s = (grid - 1.0) / mu_t
+    b_d1 = -mu_t * stack.v(s) / grid
     b_vals = radial(lambda r: -mu_t * stack.v((r - 1.0) / mu_t) / r)(grid)
-    b_d2 = -(b_d1 + v_d1) / grid
+    b_d2 = -(b_d1 + stack.v(s, 1)) / grid
 
     def prof(vals, d1, d2, label):
         return Profile(grid.copy(), vals, d1, d2, np.full(grid.size, label))
 
     return BoundaryCorrections(
         alpha_eps=prof(a_vals, a_d1, a_d2, "alpha_eps"),
-        v_eps=prof(v_vals, v_d1, v_d2, "v_eps"),
         beta_eps=prof(b_vals, b_d1, b_d2, "beta_eps"),
-        z_eps=prof(z_vals, z_d1, z_d2, "z_eps"),
-        stack=stack, r_window=(r_lo, 1.0), mu_tilde=mu_t)
+        stack=stack, r_window=(r_lo, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +485,14 @@ def _h_origin(green: greens.PiecewiseGreen, eps: float) -> float:
 # parameter assembly
 # ---------------------------------------------------------------------------
 
+def _eps_delta1(lam: float, eta: float) -> tuple[float, float]:
+    """(eps, delta1 = eps^eta) for lambda, with eta checked against (2/3, 1)."""
+    if not (2.0 / 3.0 < eta < 1.0):
+        raise DomainError(f"eta must lie in (2/3, 1), got {eta!r}")
+    eps = solve_epsilon(lam)
+    return eps, eps**eta
+
+
 def build_params(lam: float, eta: float = 0.8) -> AnsatzParams:
     """Assemble all ansatz parameters for one lambda.
 
@@ -505,10 +508,7 @@ def build_params(lam: float, eta: float = 0.8) -> AnsatzParams:
     MatchingError
         If no data order yields a positive gamma.
     """
-    if not (2.0 / 3.0 < eta < 1.0):
-        raise DomainError(f"eta must lie in (2/3, 1), got {eta!r}")
-    eps = solve_epsilon(lam)
-    delta1 = eps**eta
+    eps, delta1 = _eps_delta1(lam, eta)
 
     data, gamma, order = _solve_outer(eps, None)
     constants = None
@@ -542,18 +542,18 @@ def build_params(lam: float, eta: float = 0.8) -> AnsatzParams:
 # origin piece
 # ---------------------------------------------------------------------------
 
-def inner_u0(params: AnsatzParams, n_grid: int = 4001):
+def inner_u0(params: AnsatzParams):
     """Origin bubble plus its screened regular-part correction.
 
     The correction solves -Delta H0 + H0 = -U0 on (0, r_tilde) with the
     regularity condition H0'(0) = 0 and flux matching H0'(r_tilde) =
     -U0'(r_tilde), discretized in conservative finite-volume form (second
-    order, symmetric under the radial measure).
+    order, symmetric under the radial measure) on 4001 uniform radii.
 
     Returns a callable bundle evaluating (u0, u0', u0'') on [0, r_tilde].
     """
     lam, mu, rt = params.lam, params.mu, params.r_tilde
-    r = np.linspace(0.0, rt, n_grid)
+    r = np.linspace(0.0, rt, 4001)
     op = RadialOperator(r)
     rhs = -bubble2d(r, mu, lam)
     # Neumann flux at r_tilde enters the last control volume
@@ -622,94 +622,85 @@ def blend(grid, fa, fb, lo: float, hi: float):
 # full profile assembly
 # ---------------------------------------------------------------------------
 
-def _segment(lo, hi, n, cluster_lo=None, cluster_hi=None):
-    # mild clustering only: a pure cosine map would create cells so small
-    # that the double-precision Laplacian floor dominates the residual
+def _segment(lo, hi, n, cluster=None):
+    # mild clustering toward the ``cluster`` end ("lo" or "hi") only: a pure
+    # cosine map would create cells so small that the double-precision
+    # Laplacian floor dominates the residual
     t = np.linspace(0.0, 1.0, n)
-    if cluster_lo and cluster_hi:
-        x = 0.5 * (1.0 - np.cos(np.pi * t))
-    elif cluster_lo:
-        x = 1.0 - np.cos(0.5 * np.pi * t)
-    elif cluster_hi:
-        x = np.sin(0.5 * np.pi * t)
-    else:
-        x = t
-    if cluster_lo or cluster_hi:
-        x = 0.8 * x + 0.2 * t
-    return lo + (hi - lo) * x
+    if cluster is None:
+        return lo + (hi - lo) * t
+    x = 1.0 - np.cos(0.5 * np.pi * t) if cluster == "lo" else np.sin(0.5 * np.pi * t)
+    return lo + (hi - lo) * (0.8 * x + 0.2 * t)
 
 
-def build_profile(params: AnsatzParams, corrections: BoundaryCorrections | None = None,
-                  n_nodes: int = 4000) -> Profile:
+def _glue(pieces) -> Profile:
+    """Join radial pieces (lo, hi, n, fa, fb, label, cluster) into a Profile.
+
+    Each piece samples n ``_segment`` points on [lo, hi] and evaluates the
+    (value, d1, d2) triple ``fa`` there, or blends ``fa`` into ``fb`` across
+    [lo, hi] when ``fb`` is given.  Empty pieces are skipped, and the points
+    at or before the previous piece's end are dropped, so a shared bound is
+    one node.
+
+    Raises
+    ------
+    DomainError
+        If the glued values are not all finite.
+    """
+    parts = []
+    for lo, hi, n, fa, fb, label, cluster in pieces:
+        if hi <= lo + 1e-12:
+            continue
+        g = _segment(lo, hi, n, cluster)
+        if parts:
+            g = g[g > parts[-1][0][-1] + 1e-14]
+        triple = fa(g) if fb is None else blend(g, fa(g), fb(g), lo, hi)
+        parts.append((g, *triple, np.full(g.size, label)))
+    grid, values, d1, d2, piece = (np.concatenate(col) for col in zip(*parts))
+    if not np.all(np.isfinite(values)):
+        raise DomainError("assembled profile has non-finite values")
+    return Profile(grid, values, d1, d2, piece)
+
+
+def build_profile(params: AnsatzParams) -> Profile:
     """Assemble the full five-piece approximate solution on [0, 1].
 
-    Piece boundaries sit exactly at delta, 2*delta, 1 - 2*delta1 and
-    1 - delta1; the blends are quintic smoothsteps so the glued profile is
-    C^2 across them.
+    The pieces are the origin bubble u0 on [0, delta], its blend u1 into
+    the outer profile u2, u2 itself, its blend u3 into the boundary-layer
+    stack u4 on [1 - 2 delta1, 1 - delta1], and u4, on 4000 nodes.  Piece
+    boundaries are nodes; the blends are quintic smoothsteps, so the glued
+    profile is C^2 across them.
     """
-    lam, eps = params.lam, params.eps
-    d, d1_, = params.delta, params.delta1
+    lam, d = params.lam, params.delta
     lo3, hi3 = 1.0 - 2.0 * params.delta1, 1.0 - params.delta1
-    if corrections is None:
-        corrections = boundary_corrections(params)
-    if corrections.r_window[0] > lo3:
+    cor = boundary_corrections(params)
+    if cor.r_window[0] > lo3:
         raise DomainError("correction window does not cover the blend band")
 
-    u2t = _scaled_green(params.outer, eps)
+    u2t = _scaled_green(params.outer, params.eps)
     u0 = inner_u0(params)
 
-    n0 = int(0.22 * n_nodes)
-    n1 = int(0.12 * n_nodes)
-    n2 = int(0.3 * n_nodes)
-    n3 = int(0.12 * n_nodes)
-    n4 = n_nodes - n0 - n1 - n2 - n3
-    g0 = _segment(0.0, d, n0, cluster_lo=True)
-    g1 = _segment(d, 2 * d, n1 + 1)[1:]
-    g2 = _segment(2 * d, lo3, n2 + 1)[1:]
-    g3 = _segment(lo3, hi3, n3 + 1)[1:]
-    g4 = _segment(hi3, 1.0, n4 + 1, cluster_hi=True)[1:]
+    def u0t(rr):
+        return (u0(rr), u0(rr, 1), u0(rr, 2))
 
     def stack4(rr):
         mu_t = params.mu_tilde
         w = bubble1d(rr, mu_t)
         wp = bubble1d(rr, mu_t, 1)
         wpp = bubble1d(rr, mu_t, 2)
-        a_v = np.interp(rr, corrections.alpha_eps.grid, corrections.alpha_eps.values)
-        a_1 = np.interp(rr, corrections.alpha_eps.grid, corrections.alpha_eps.d1)
-        a_2 = np.interp(rr, corrections.alpha_eps.grid, corrections.alpha_eps.d2)
-        b_v = np.interp(rr, corrections.beta_eps.grid, corrections.beta_eps.values)
-        b_1 = np.interp(rr, corrections.beta_eps.grid, corrections.beta_eps.d1)
-        b_2 = np.interp(rr, corrections.beta_eps.grid, corrections.beta_eps.d2)
-        v_v, v_1, v_2, z_v, z_1, z_2 = corrections.stack.corrections(
-            (rr - 1.0) / mu_t, mu_t)
-        val = w - np.log(lam) + a_v + v_v + b_v + z_v
-        dv1 = wp + a_1 + v_1 + b_1 + z_1
-        dv2 = wpp + a_2 + v_2 + b_2 + z_2
-        return val, dv1, dv2
+        a, b = cor.alpha_eps, cor.beta_eps
+        a_v, a_1, a_2 = (np.interp(rr, a.grid, f) for f in (a.values, a.d1, a.d2))
+        b_v, b_1, b_2 = (np.interp(rr, b.grid, f) for f in (b.values, b.d1, b.d2))
+        v_v, v_1, v_2, z_v, z_1, z_2 = cor.stack.corrections((rr - 1.0) / mu_t, mu_t)
+        return (w - np.log(lam) + a_v + v_v + b_v + z_v,
+                wp + a_1 + v_1 + b_1 + z_1,
+                wpp + a_2 + v_2 + b_2 + z_2)
 
-    def u0t(rr):
-        return (u0(rr), u0(rr, 1), u0(rr, 2))
-
-    parts = []
-    v, d1v, d2v = u0t(g0)
-    parts.append((g0, v, d1v, d2v, "u0"))
-    v, d1v, d2v = blend(g1, u0t(g1), u2t(g1), d, 2 * d)
-    parts.append((g1, v, d1v, d2v, "u1"))
-    v, d1v, d2v = u2t(g2)
-    parts.append((g2, v, d1v, d2v, "u2"))
-    v, d1v, d2v = blend(g3, u2t(g3), stack4(g3), lo3, hi3)
-    parts.append((g3, v, d1v, d2v, "u3"))
-    v, d1v, d2v = stack4(g4)
-    parts.append((g4, v, d1v, d2v, "u4"))
-
-    grid = np.concatenate([p[0] for p in parts])
-    values = np.concatenate([p[1] for p in parts])
-    dv1 = np.concatenate([p[2] for p in parts])
-    dv2 = np.concatenate([p[3] for p in parts])
-    piece = np.concatenate([np.full(p[0].size, p[4]) for p in parts])
-    if not np.all(np.isfinite(values)):
-        raise DomainError("assembled profile has non-finite values")
-    return Profile(grid, values, dv1, dv2, piece)
+    return _glue([(0.0, d, 880, u0t, None, "u0", "lo"),
+                  (d, 2 * d, 481, u0t, u2t, "u1", None),
+                  (2 * d, lo3, 1201, u2t, None, "u2", None),
+                  (lo3, hi3, 481, u2t, stack4, "u3", None),
+                  (hi3, 1.0, 961, stack4, None, "u4", "hi")])
 
 
 # ---------------------------------------------------------------------------
@@ -753,8 +744,7 @@ def multilayer_ansatz(k: int, lam: float, outer_mode: str = greens.DIRICHLET,
         raise DomainError(
             f"k={k} in {outer_mode} mode has no free layer sphere; the single "
             "boundary layer is build_profile(build_params(lam))")
-    eps = solve_epsilon(lam)
-    delta1 = eps**eta
+    eps, delta1 = _eps_delta1(lam, eta)
     b = 4.0 * eps / _SQRT2
     cfg, _ = greens.solve_layers(n_free, b, outer_mode, b_max=0.5)
     base = greens.LayerCalculus(cfg.alphas, b, outer_mode)
@@ -787,50 +777,30 @@ def multilayer_ansatz(k: int, lam: float, outer_mode: str = greens.DIRICHLET,
             return w - np.log(lam), wp, wpp
         return f
 
-    # assemble: origin - [blend] - green - [blend] - peak - [blend] - green...
-    segs = []
+    # glue: origin - [blend] - green - [blend] - peak - [blend] - green...
     gap_pts = np.concatenate([[0.0], peaks]) if peaks[-1] >= 1.0 - 1e-12 \
         else np.concatenate([[0.0], peaks, [1.0]])
     width = min(delta1, 0.25 * float(np.min(np.diff(gap_pts))))
 
-    def add(lo, hi, fa, fb=None, label="seg", n=300, cl=False, ch=False):
-        if hi <= lo + 1e-12:
-            return
-        g = _segment(lo, hi, n, cluster_lo=cl, cluster_hi=ch)
-        if segs:
-            g = g[g > segs[-1][0][-1] + 1e-14]
-        if fb is None:
-            v, dv1, dv2 = fa(g)
-        else:
-            v, dv1, dv2 = blend(g, fa(g), fb(g), lo, hi)
-        segs.append((g, v, dv1, dv2, np.full(g.size, label)))
-
-    add(0.0, delta, u0t, label="u0", n=500, cl=True)
-    add(delta, 2 * delta, u0t, green_t, label="u0_trans", n=200)
+    pieces = [(0.0, delta, 500, u0t, None, "u0", "lo"),
+              (delta, 2 * delta, 200, u0t, green_t, "u0_trans", None)]
     prev = 2 * delta
     for i, R in enumerate(peaks):
         pk = peak_t(i)
-        add(prev, R - 2 * width, green_t, label=f"u_int{i+1}", n=400)
-        add(R - 2 * width, R - width, green_t, pk, label=f"u_trans{i+1}", n=200)
+        pieces += [(prev, R - 2 * width, 400, green_t, None, f"u_int{i+1}", None),
+                   (R - 2 * width, R - width, 200, green_t, pk, f"u_trans{i+1}", None)]
         if R >= 1.0 - 1e-12:
-            add(R - width, 1.0, pk, label=f"u_peak{i+1}", n=300, ch=True)
+            pieces.append((R - width, 1.0, 300, pk, None, f"u_peak{i+1}", "hi"))
             prev = 1.0
         else:
-            add(R - width, R + width, pk, label=f"u_peak{i+1}", n=300)
-            add(R + width, R + 2 * width, pk, green_t,
-                label=f"u_trans{i+1}b", n=200)
+            pieces += [(R - width, R + width, 300, pk, None, f"u_peak{i+1}", None),
+                       (R + width, R + 2 * width, 200, pk, green_t,
+                        f"u_trans{i+1}b", None)]
             prev = R + 2 * width
-    if prev < 1.0 - 1e-12:
-        add(prev, 1.0, green_t, label=f"u_int{peaks.size+1}", n=400, ch=True)
-
-    grid = np.concatenate([s[0] for s in segs])
-    values = np.concatenate([s[1] for s in segs])
-    dv1 = np.concatenate([s[2] for s in segs])
-    dv2 = np.concatenate([s[3] for s in segs])
-    piece = np.concatenate([s[4] for s in segs])
-    if not np.all(np.isfinite(values)):
-        raise DomainError("assembled multilayer profile has non-finite values")
+    # empty, and so skipped, after a boundary layer
+    pieces.append((prev, 1.0, 400, green_t, None, f"u_int{peaks.size+1}", "hi"))
+    profile = _glue(pieces)
     params = ScaffoldParams(lam=lam, eps=eps, eta=eta, delta=delta,
                             delta1=delta1, mu=mu, h_origin=h_origin,
                             outer_mode=outer_mode, radii=peaks, gamma=gamma)
-    return params, Profile(grid, values, dv1, dv2, piece)
+    return params, profile

@@ -53,7 +53,8 @@ class BranchPoint:
     """One converged radial solution with its diagnostics.
 
     ``param`` is lambda for the exponential form and mu for the continued
-    bifurcation form; ``zero_count`` counts the zeros of u - 1.
+    bifurcation form, where it is the long-double mu the refinement
+    certified; ``zero_count`` counts the zeros of u - 1.
     """
 
     param: float
@@ -188,7 +189,7 @@ _REFINE_STEPS = 20
 @dataclass(frozen=True)
 class _Solved:
     u: np.ndarray  # long double
-    p: float
+    p: np.longdouble
     steps: int  # double-precision Newton steps
     refinements: int  # extended-precision refinement steps
     history: list
@@ -274,7 +275,7 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
         size = max(float(np.max(np.abs(G))), abs(c))
         history.append(size)
         if size <= tol:
-            return _Solved(u, float(p), steps, refinements, history)
+            return _Solved(u, p, steps, refinements, history)
         du, dp = step(u, p, G, c)
         u, p = u + np.asarray(du, dtype=np.longdouble), p + np.longdouble(dp)
     raise ConvergenceError(
@@ -392,7 +393,7 @@ def continue_branch(start: BranchPoint, direction: float = 1.0,
     branch = [start]
     # the corrector returns long double: keep the predictor in double so the
     # corrector's double-precision loop evaluates e^(mu (u - 1)) in double
-    u, mu = np.asarray(start.profile.values, dtype=float), start.param
+    u, mu = np.asarray(start.profile.values, dtype=float), float(start.param)
 
     tu, tmu = _first_tangent(op, u, mu, direction)
 
@@ -405,7 +406,8 @@ def continue_branch(start: BranchPoint, direction: float = 1.0,
             if ds < ds_min:
                 raise StallError("continuation step underflow", branch=branch)
             continue
-        u_new, mu_new = np.asarray(point.profile.values, dtype=float), point.param
+        u_new, mu_new = (np.asarray(point.profile.values, dtype=float),
+                         float(point.param))
         du, dmu = u_new - u, mu_new - mu
         norm = np.sqrt(np.dot(du, du) + dmu * dmu)
         if norm > 0:
@@ -430,7 +432,7 @@ def continue_component(seed: BranchPoint, steps: int = 20,
     """
     sign0 = np.sign(seed.u0_value - 1.0)
     u = np.asarray(seed.profile.values, dtype=float)
-    tu, _ = _first_tangent(RadialOperator(seed.profile.grid), u, seed.param)
+    tu, _ = _first_tangent(RadialOperator(seed.profile.grid), u, float(seed.param))
     first = -1.0 if sign0 * tu[0] < 0 else 1.0  # +1 on 0 or nan too
     for direction in (first, -first):
         try:

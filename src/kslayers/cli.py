@@ -22,7 +22,7 @@ import numpy as np
 # ansatz, analysis and bvp import scipy: only the subcommands that use them load them
 from . import __version__, greens, nondegen
 from .errors import ConvergenceError, DomainError, KsLayersError, \
-    MatchingError, NonContractionError, StallError
+    NonContractionError
 
 _EXIT_OK = 0
 _EXIT_USAGE = 2
@@ -38,14 +38,8 @@ class RunConfig:
     out_dir: str = "."
 
     def validate(self) -> None:
-        lam_keys = [k for k in ("lam", "lams") if k in self.params]
-        for k in lam_keys:
-            v = self.params[k]
-            vals = v if isinstance(v, (list, tuple)) else [v]
-            if any(x <= 0 for x in vals):
-                raise DomainError("lambda values must be positive")
-            if list(vals) != sorted(vals, reverse=True):
-                raise DomainError("lambda ladders must be sorted descending")
+        if "lam" in self.params and self.params["lam"] <= 0:
+            raise DomainError("lambda values must be positive")
         eta = self.params.get("eta")
         if eta is not None and not (2.0 / 3.0 < eta < 1.0):
             raise DomainError(
@@ -136,23 +130,16 @@ def _cmd_nondegen(cfg: RunConfig) -> None:
 
 
 def _params_payload(params) -> dict:
-    from . import ansatz
-    if isinstance(params, ansatz.ScaffoldParams):
-        doc = dict(vars(params), radii=params.radii.tolist(),
-                   gamma=params.gamma.tolist(), layer_parameters="leading order")
-        doc["lambda"] = doc.pop("lam")
-        return doc
-    c = params.constants
-    return {
-        "lambda": params.lam, "eps": params.eps, "eta": params.eta,
-        "delta": params.delta, "delta1": params.delta1, "mu": params.mu,
-        "mu_tilde": params.mu_tilde, "gamma_eps": params.gamma_eps,
-        "r_tilde": params.r_tilde, "h_origin": params.h_origin,
-        "matching_order": params.matching_order,
-        "constants": {"nu1": c.nu1, "nu2": c.nu2, "zeta1": c.zeta1,
-                      "zeta2": c.zeta2, "nu2_eff": c.nu2_eff,
-                      "zeta1_eff": c.zeta1_eff},
-    }
+    """The fields of an ``AnsatzParams`` or ``ScaffoldParams`` record but
+    the outer Green's function; a scaffold is marked leading order."""
+    doc = {k: v.tolist() if isinstance(v, np.ndarray) else v
+           for k, v in vars(params).items() if k != "outer"}
+    doc["lambda"] = doc.pop("lam")
+    if "constants" in doc:
+        doc["constants"] = vars(doc["constants"])
+    else:
+        doc["layer_parameters"] = "leading order"
+    return doc
 
 
 def _build_ansatz_profile(p: dict):
@@ -412,10 +399,6 @@ def run(cfg: RunConfig) -> int:
         return _EXIT_USAGE
     try:
         _COMMANDS[cfg.command](cfg)
-    except (ConvergenceError, MatchingError, NonContractionError,
-            StallError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return _EXIT_SOLVER
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

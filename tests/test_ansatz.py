@@ -102,12 +102,21 @@ class TestBubbles:
         assert np.max(np.abs(left - right)) < 1e-12
 
 
+def stack_profiles(cor, mu_t):
+    """(v, v', v'', z, z', z'') of the stretched stack on the window grid."""
+    grid = cor.alpha_eps.grid
+    return cor.stack.corrections((grid - 1.0) / mu_t, mu_t)
+
+
 class TestCorrections:
-    def test_terminal_conditions(self, corrections4):
-        for prof in (corrections4.alpha_eps, corrections4.v_eps,
-                     corrections4.beta_eps, corrections4.z_eps):
-            assert abs(prof.values[-1]) < 1e-12
-            assert abs(prof.d1[-1]) < 1e-12
+    def test_terminal_conditions(self, params4, corrections4):
+        v, dv, _, z, dz, _ = stack_profiles(corrections4, params4.mu_tilde)
+        for vals, d1 in ((corrections4.alpha_eps.values, corrections4.alpha_eps.d1),
+                         (v, dv),
+                         (corrections4.beta_eps.values, corrections4.beta_eps.d1),
+                         (z, dz)):
+            assert abs(vals[-1]) < 1e-12
+            assert abs(d1[-1]) < 1e-12
 
     @pytest.mark.parametrize("eps", [0.05, 0.1])
     def test_sweep_slope_closed_form(self, eps):
@@ -162,7 +171,8 @@ class TestCorrections:
         s = (g4 - 1.0) / mu_t
         stack = corrections4.stack
         a1s = stack.a1(s)
-        v = corrections4.v_eps.values[::3]
+        v_all, _, _, z_all, _, _ = stack_profiles(corrections4, mu_t)
+        v = v_all[::3]
         res_v = -fd2(v) - ew[1:-1] * v[1:-1] - mu_t * ew[1:-1] * a1s[1:-1]
         assert np.max(np.abs(res_v[keep])) < 1e-6
 
@@ -171,7 +181,7 @@ class TestCorrections:
         res_b = -fd2(b) - d1b[1:-1] / g4[1:-1] - stack.v(s, 1)[1:-1] / g4[1:-1]
         assert np.max(np.abs(res_b[keep])) < 1e-6
 
-        z = corrections4.z_eps.values[::3]
+        z = z_all[::3]
         bracket = stack.alpha2(s) - stack.iv(s) + 0.5 * (a1s + stack.v(s)) ** 2
         res_z = -fd2(z) - ew[1:-1] * z[1:-1] \
             - mu_t**2 * ew[1:-1] * bracket[1:-1]
@@ -192,11 +202,11 @@ class TestCorrections:
         grid, mu_t = cor.alpha_eps.grid, p.mu_tilde
         y = state((grid - 1.0) / mu_t)
         a, da, b, db = oracles.rk45_radial_sweeps(state, lam, mu_t, grid)
+        v, dv, _, z, dz, _ = stack_profiles(cor, mu_t)
         pairs = [(cor.alpha_eps.values, a), (cor.alpha_eps.d1, da),
                  (cor.beta_eps.values, b), (cor.beta_eps.d1, db),
-                 (cor.v_eps.values, mu_t * y[0]), (cor.v_eps.d1, y[1]),
-                 (cor.z_eps.values, mu_t**2 * y[7]),
-                 (cor.z_eps.d1, mu_t * y[8])]
+                 (v, mu_t * y[0]), (dv, y[1]),
+                 (z, mu_t**2 * y[7]), (dz, mu_t * y[8])]
         for got, want in pairs:
             assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -303,8 +313,7 @@ class TestAssembly:
         for lam in (1e-3, 1e-4):
             p = ansatz.build_params(lam)
             eps = p.eps
-            cor = ansatz.boundary_corrections(p)
-            prof = ansatz.build_profile(p, cor)
+            prof = ansatz.build_profile(p)
             band = (prof.grid > 1 - 2 * p.delta1) & (prof.grid < 1 - p.delta1)
             rr = prof.grid[band]
             dist = np.abs(rr - 1.0)
@@ -365,6 +374,28 @@ class TestMultilayer:
         labels = set(prof.piece)
         assert any(lbl.startswith("u_peak1") for lbl in labels)
         assert any(lbl.startswith("u_peak2") for lbl in labels)
+
+    @pytest.mark.parametrize("mode", [greens.DIRICHLET, greens.NEUMANN])
+    def test_glued_scaffold_nodes_and_labels(self, mode):
+        # the shared gluing of both families, run through the scaffold: one
+        # node per shared bound, every blend bound a node, one run per label
+        params, prof = ansatz.multilayer_ansatz(2, 1e-4, mode)
+        assert np.all(np.diff(prof.grid) > 0)
+        # the blend width: a quarter of the narrowest gap between the origin,
+        # the layer radii and r = 1, at most delta1
+        ends = np.union1d([0.0, 1.0], params.radii)
+        w = min(params.delta1, 0.25 * float(np.min(np.diff(ends))))
+        for R in params.radii:
+            for rb in (R - 2 * w, R - w, R + w, R + 2 * w):
+                if rb <= 1.0:
+                    assert np.min(np.abs(prof.grid - rb)) <= 1e-12
+        starts = np.flatnonzero(np.r_[True, prof.piece[1:] != prof.piece[:-1]])
+        labels = prof.piece[starts]
+        assert len(set(labels)) == labels.size
+
+    def test_eta_window(self):
+        with pytest.raises(DomainError, match="eta"):
+            ansatz.multilayer_ansatz(2, 1e-4, greens.NEUMANN, eta=0.5)
 
     def test_no_free_layer_points_to_build_profile(self):
         with pytest.raises(DomainError, match="build_profile"):

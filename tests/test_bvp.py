@@ -231,6 +231,19 @@ class TestContinuation:
                 - np.exp(np.longdouble(p.param) * (u - 1))
             assert float(np.max(np.abs(res))) <= 1e-10
 
+    def test_stored_mu_reproduces_the_certificate(self):
+        # each point's stored (param, values) keeps the refinement's 1e-10
+        # certificate: mu is kept in long double, where its double rounding
+        # alone gave 2.8e-9 by the 200th step
+        br = bvp.continue_component(bvp.seed_branch(2, "+"), steps=200)
+        op = RadialOperator(br[0].profile.grid)
+        worst = 0.0
+        for p in br:
+            u = np.asarray(p.profile.values, dtype=np.longdouble)
+            res = op.apply_neg_lap_extended(u) + u - np.exp(p.param * (u - 1))
+            worst = max(worst, float(np.max(np.abs(res))))
+        assert worst <= 1e-10
+
     def test_positivity_along_branch(self):
         br = bvp.continue_branch(bvp.seed_branch(2, "-"), steps=10)
         for p in br:

@@ -221,3 +221,15 @@ def test_solve_declares_eta(tmp_path):
     assert code == 0
     doc = json.loads((out / "solve.json").read_text())
     assert doc["config"]["eta"] == 0.75
+
+
+def test_config_key_without_a_flag_is_echoed(tmp_path):
+    # a key no subcommand declares is carried as a string and checked by
+    # nothing; before, a "lams" key ended every subcommand in a TypeError
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lams=1e-3\n")
+    code, out = run_cli(["green", "--k", "1", "--b", "1e-3",
+                         "--config", str(cfg)], tmp_path)
+    assert code == 0
+    doc = json.loads((out / "green.json").read_text())
+    assert doc["config"]["lams"] == "1e-3"

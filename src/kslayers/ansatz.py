@@ -26,10 +26,11 @@ succeeded.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Chebyshev
+from numpy.polynomial import chebyshev as C, polyutils as pu
 
 from .errors import DomainError, MatchingError
 from .specfun import EULER_MASCHERONI, xi_zeta_table
@@ -231,14 +232,46 @@ def nu1_closed_form(gamma: float) -> float:
 # boundary-layer correction stack (stretched variable)
 # ---------------------------------------------------------------------------
 
-def _antiderivative(f, lo: float, hi: float, at: float) -> Chebyshev:
-    """Antiderivative of ``f`` on [lo, hi] vanishing at ``at``, from its
-    degree-_CHEB_DEG Chebyshev interpolant."""
-    return Chebyshev.interpolate(f, _CHEB_DEG, [lo, hi]).integ(lbnd=at)
+@functools.cache
+def _cheb_basis() -> tuple[np.ndarray, np.ndarray]:
+    """The Chebyshev points of the first kind and their Vandermonde matrix
+    at degree _CHEB_DEG, as ``chebinterpolate`` builds them."""
+    x = C.chebpts1(_CHEB_DEG + 1)
+    m = C.chebvander(x, _CHEB_DEG)
+    x.flags.writeable = m.flags.writeable = False
+    return x, m
 
 
-def _kernel(s: np.ndarray):
-    """(y1, y2, y1', y2') in s for the kernel of v'' + e^W v.
+def _nodes(lo: float, hi: float) -> np.ndarray:
+    """The interpolation nodes on [lo, hi]."""
+    return pu.mapdomain(_cheb_basis()[0], (-1.0, 1.0), (lo, hi))
+
+
+def _antiderivative(y: np.ndarray, lo: float, hi: float, at: float) -> np.ndarray:
+    """Chebyshev coefficients of the antiderivative, vanishing at ``at``, of
+    the degree-_CHEB_DEG interpolant of the samples ``y`` at
+    ``_nodes(lo, hi)``: the bits of
+    ``Chebyshev.interpolate(f, _CHEB_DEG, [lo, hi]).integ(lbnd=at).coef``.
+
+    ``y`` is one contiguous sample vector: BLAS sums a matrix product, or a
+    strided vector, in another order than this matrix-vector product.
+    """
+    c = np.dot(_cheb_basis()[1].T, y)
+    c[0] /= _CHEB_DEG + 1
+    c[1:] /= 0.5 * (_CHEB_DEG + 1)
+    off, scl = pu.mapparms((lo, hi), (-1.0, 1.0))
+    return C.chebint(c, lbnd=off + scl * at, scl=1.0 / scl)
+
+
+def _cheb_eval(coef: np.ndarray, lo: float, hi: float, x):
+    """Chebyshev series on [lo, hi] at ``x``; a (n, K) ``coef`` gives K rows
+    from one Clenshaw recurrence, elementwise the one each column runs alone."""
+    off, scl = pu.mapparms((lo, hi), (-1.0, 1.0))
+    return C.chebval(off + scl * x, coef)
+
+
+def _kernel(s):
+    """(y1, y2, y1', y2', e^W) in s for the kernel of v'' + e^W v.
 
     The stretched operator is the l = 1 Poschl-Teller operator; with
     x = s/sqrt2 its kernel is y1 = tanh x, y2 = x tanh x - 1, and the
@@ -247,7 +280,14 @@ def _kernel(s: np.ndarray):
     x = s / _SQRT2
     t = np.tanh(x)
     sech2 = _exp_w(s)
-    return t, x * t - 1.0, sech2 / _SQRT2, (t + x * sech2) / _SQRT2
+    return t, x * t - 1.0, sech2 / _SQRT2, (t + x * sech2) / _SQRT2, sech2
+
+
+def _varied(kern, p0, p1):
+    """sqrt2 [y2 P0 - y1 P1] and its s-derivative, from the kernel
+    integrals P0 = int y1 g and P1 = int y2 g at s."""
+    y1, y2, d1, d2, _ = kern
+    return _SQRT2 * (y2 * p0 - y1 * p1), _SQRT2 * (d2 * p0 - d1 * p1)
 
 
 class _StretchedStack:
@@ -261,59 +301,92 @@ class _StretchedStack:
     the kernel of ``_kernel`` variation of parameters gives
     y = sqrt2 [y2 int_0^s y1 g - y1 int_0^s y2 g] for y'' + e^W y = g, and
     every integral is a Chebyshev antiderivative.
+
+    Each source is sampled once, at the Chebyshev nodes the six
+    antiderivatives (IW, the v pair, Iv, the z pair) share, and
+    ``profiles`` evaluates all six in one recurrence on their (162, 6)
+    coefficient array; one such pass at a point set gives every profile
+    and derivative there.
     """
 
     def __init__(self, gamma: float, depth: float = _S_DEPTH):
         self.gamma = abs(gamma)
         self.depth = depth
-        self.iw = self._integral(_w_stretched)
-        self._v = self._vary(self._v_source)
-        self.iv = self._integral(self.v)
-        self._z = self._vary(self._z_source)
+        s = _nodes(-depth, 0.0)
+        kern = _kernel(s)
+        y1, y2, _, _, ew = kern
 
-    def _integral(self, f) -> Chebyshev:
-        return _antiderivative(f, -self.depth, 0.0, 0.0)
+        def integral(y):
+            return _antiderivative(y, -depth, 0.0, 0.0)
 
-    def _vary(self, source):
-        return tuple(self._integral(lambda s, i=i: _kernel(s)[i] * source(s))
-                     for i in (0, 1))
+        def vary(src):
+            return [integral(y1 * src), integral(y2 * src)]
 
-    def _solution(self, p, source, s, deriv):
-        if deriv == 2:
-            return source(s) - _exp_w(s) * self._solution(p, source, s, 0)
-        y1, y2, d1, d2 = _kernel(s)
-        if deriv == 1:
-            y1, y2 = d1, d2
-        return _SQRT2 * (y2 * p[0](s) - y1 * p[1](s))
+        iw_c = integral(_w_stretched(s))
+        iw = self._eval(iw_c, s)
+        v_c = vary(self._source(s, ew, iw))
+        v, _ = _varied(kern, *self._eval(np.column_stack(v_c), s))
+        iv_c = integral(v)
+        z_c = vary(self._source(s, ew, iw, self._eval(iv_c, s), v))
+        self._coef = np.column_stack([iw_c, *v_c, iv_c, *z_c])
 
-    def a1(self, s):
-        return -self.iw(s) + (self.gamma / _SQRT2) * s * s
+    def _eval(self, coef, s):
+        return _cheb_eval(coef, -self.depth, 0.0, s)
 
-    def alpha2(self, s):
-        return s * self.iw(s) - s * s * np.log(2.0 * self.gamma)
+    def profiles(self, s):
+        """(IW, int y1 g_v, int y2 g_v, Iv, int y1 g_z, int y2 g_z) at s."""
+        return self._eval(self._coef, s)
 
-    def _v_source(self, s):
-        return -_exp_w(s) * self.a1(s)
+    def _source(self, s, ew, iw, iv=None, v=None):
+        """v's source -e^W a1, or z's -e^W (alpha2 - Iv + (a1 + v)^2 / 2)
+        once Iv and v are given."""
+        a1 = self.a1(s, iw)
+        if v is None:
+            return -ew * a1
+        return -ew * (self.alpha2(s, iw) - iv + 0.5 * (a1 + v) ** 2)
 
-    def _z_source(self, s):
-        return -_exp_w(s) * (self.alpha2(s) - self.iv(s)
-                             + 0.5 * (self.a1(s) + self.v(s)) ** 2)
+    def a1(self, s, iw=None):
+        if iw is None:
+            iw = self.profiles(s)[0]
+        return -iw + (self.gamma / _SQRT2) * s * s
+
+    def alpha2(self, s, iw=None):
+        if iw is None:
+            iw = self.profiles(s)[0]
+        return s * iw - s * s * np.log(2.0 * self.gamma)
+
+    def iv(self, s):
+        return self.profiles(s)[3]
+
+    def fields(self, s):
+        """(v, v', v'', z, z', z'') in s, from one ``profiles`` pass."""
+        iw, pv0, pv1, iv, pz0, pz1 = self.profiles(s)
+        kern = _kernel(s)
+        ew = kern[4]
+        v, dv = _varied(kern, pv0, pv1)
+        z, dz = _varied(kern, pz0, pz1)
+        return (v, dv, self._source(s, ew, iw) - ew * v,
+                z, dz, self._source(s, ew, iw, iv, v) - ew * z)
+
+    def sweep(self, s):
+        """(v, v') in s, from the v pair alone."""
+        return _varied(_kernel(s), *self._eval(self._coef[:, 1:3], s))
 
     def v(self, s, deriv: int = 0):
         """Second-order sweep profile or its s-derivative (0, 1 or 2)."""
-        return self._solution(self._v, self._v_source, s, deriv)
+        return self.sweep(s)[deriv] if deriv < 2 else self.fields(s)[2]
 
     def z(self, s, deriv: int = 0):
         """Third-order profile or its s-derivative (0, 1 or 2)."""
-        return self._solution(self._z, self._z_source, s, deriv)
+        return self.fields(s)[3 + deriv]
 
     def corrections(self, s: np.ndarray, mu_t: float):
         """(v, v', v'', z, z', z'') of the sweep and third-order profiles.
 
         Values and derivatives are in r at s = (r - 1)/mu_tilde.
         """
-        return (mu_t * self.v(s), self.v(s, 1), self.v(s, 2) / mu_t,
-                mu_t**2 * self.z(s), mu_t * self.z(s, 1), self.z(s, 2))
+        v, dv, d2v, z, dz, d2z = self.fields(s)
+        return (mu_t * v, dv, d2v / mu_t, mu_t**2 * z, mu_t * dz, d2z)
 
     def far_field(self) -> CorrectionConstants:
         """Far-field lines nu1 s + nu2 of v and zeta1 s + zeta2 of z.
@@ -322,12 +395,9 @@ class _StretchedStack:
         -P1 s + sqrt2 (P2 - P1) with P_i = int_0^{-inf} y_i g; the sources
         decay like s^4 e^{sqrt2 s}, so the integrals to -depth are the limits.
         """
-        def line(p):
-            p1, p2 = (float(q(-self.depth)) for q in p)
-            return -p1, _SQRT2 * (p2 - p1)
-
-        nu1, nu2 = line(self._v)
-        zeta1, zeta2 = line(self._z)
+        _, pv1, pv2, _, pz1, pz2 = (float(p) for p in self.profiles(-self.depth))
+        nu1, nu2 = -pv1, _SQRT2 * (pv2 - pv1)
+        zeta1, zeta2 = -pz1, _SQRT2 * (pz2 - pz1)
         return CorrectionConstants(nu1=nu1, nu2=nu2, zeta1=zeta1, zeta2=zeta2,
                                    nu2_eff=nu2 - _SWEEP_TAIL,
                                    zeta1_eff=zeta1 + _SWEEP_TAIL - nu2)
@@ -364,21 +434,25 @@ def boundary_corrections(params: "AnsatzParams") -> BoundaryCorrections:
     stack = _StretchedStack(params.gamma_eps,
                             depth=min(_S_DEPTH, (1.0 - r_lo) / mu_t))
 
-    def radial(f):
-        return _antiderivative(f, r_lo, 1.0, 1.0)
+    r = _nodes(r_lo, 1.0)
+
+    def radial(y):
+        return _antiderivative(y, r_lo, 1.0, 1.0)
 
     def f_alpha(r):
         return bubble1d(r, mu_t, 1) / r - bubble1d(r, mu_t) + np.log(lam)
 
-    ra1 = radial(lambda r: r * f_alpha(r))          # -r a'
-    a_d1 = -ra1(grid) / grid
-    a_vals = radial(lambda r: -ra1(r) / r)(grid)
+    ra1 = radial(r * f_alpha(r))                    # -r a'
+    a_c = radial(-_cheb_eval(ra1, r_lo, 1.0, r) / r)
+    b_c = radial(-mu_t * stack.v((r - 1.0) / mu_t) / r)
+    ra1_g, a_vals, b_vals = _cheb_eval(np.column_stack([ra1, a_c, b_c]),
+                                       r_lo, 1.0, grid)
+    a_d1 = -ra1_g / grid
     a_d2 = -a_d1 / grid - f_alpha(grid)
 
-    s = (grid - 1.0) / mu_t
-    b_d1 = -mu_t * stack.v(s) / grid
-    b_vals = radial(lambda r: -mu_t * stack.v((r - 1.0) / mu_t) / r)(grid)
-    b_d2 = -(b_d1 + stack.v(s, 1)) / grid
+    v, dv = stack.sweep((grid - 1.0) / mu_t)
+    b_d1 = -mu_t * v / grid
+    b_d2 = -(b_d1 + dv) / grid
 
     def prof(vals, d1, d2, label):
         return Profile(grid.copy(), vals, d1, d2, np.full(grid.size, label))
@@ -468,8 +542,7 @@ def _scaled_green(green: greens.PiecewiseGreen, eps: float):
     scale = _SQRT2 / eps
 
     def triple(rr):
-        v = green.value(rr)
-        dv = green.derivative(rr)
+        v, dv = green.evaluate(rr)
         return scale * v, scale * dv, scale * (v - dv / rr)
     return triple
 

@@ -113,8 +113,7 @@ def _cmd_green(cfg: RunConfig) -> None:
     print(_write_json(cfg, "green.json", payload))
     if p.get("grid_file"):
         radii = np.loadtxt(p["grid_file"], ndmin=1)
-        vals = profile.value(radii)
-        dervs = profile.derivative(radii)
+        vals, dervs = profile.evaluate(radii)
         rows = [[r, v, d] for r, v, d in zip(radii, vals, dervs)]
         print(_write_csv(cfg, "green_profile.csv", ["r", "U", "dU"], rows))
 
@@ -220,7 +219,10 @@ def _cmd_branch(cfg: RunConfig) -> None:
     p = cfg.params
     seed = bvp.seed_branch(p["i"], p["sign"])
     branch = bvp.continue_component(seed, steps=p["steps"])
-    rows = [[pt.param, pt.u0_value, pt.zero_count] for pt in branch]
+    # mu in all its long-double digits, the value the point's residual
+    # was certified at
+    rows = [[np.format_float_positional(pt.param, unique=True), pt.u0_value,
+             pt.zero_count] for pt in branch]
     print(_write_csv(cfg, "branch.csv", ["mu", "u0", "zero_count"], rows))
 
 

@@ -76,17 +76,18 @@ class PiecewiseGreen:
         idx = np.searchsorted(self.interfaces[1:-1], r, side="right")
         return np.clip(idx, 0, len(self.coeffs) - 1)
 
-    def value(self, r) -> np.ndarray:
+    def evaluate(self, r) -> tuple[np.ndarray, np.ndarray]:
+        """Value and r-derivative at radii, from one Bessel table."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        i0, _, k0, _ = bessel_table(r)
-        idx = self.annulus_index(r)
-        return self.coeffs[idx, 0] * k0 + self.coeffs[idx, 1] * i0
+        i0, i1, k0, k1 = bessel_table(r)
+        c_k, c_i = self.coeffs[self.annulus_index(r)].T
+        return c_k * k0 + c_i * i0, -c_k * k1 + c_i * i1
+
+    def value(self, r) -> np.ndarray:
+        return self.evaluate(r)[0]
 
     def derivative(self, r) -> np.ndarray:
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        _, i1, _, k1 = bessel_table(r)
-        idx = self.annulus_index(r)
-        return -self.coeffs[idx, 0] * k1 + self.coeffs[idx, 1] * i1
+        return self.evaluate(r)[1]
 
     def continuity_defect(self) -> float:
         """Largest jump of the value across the interior interfaces."""

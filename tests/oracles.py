@@ -12,6 +12,7 @@ import functools
 import mpmath
 import numpy as np
 import scipy.linalg as sla
+from numpy.polynomial import Chebyshev
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy import special
@@ -66,6 +67,64 @@ def k1_series(x: float, terms: int = 60) -> float:
         hk1 += 1.0 / (k + 1)
         acc += term * (hk + hk1 - 2.0 * EULER)
     return np.log(0.5 * x) * i1_series(x) + 1.0 / x - 0.25 * x * acc
+
+
+# The four vectorized loops specfun summed separately before it fused them
+# into one pass.  They run the same terms in the same order, so the fused
+# pass must match them to the bit: I0 and I1 everywhere, K0 and K1 where
+# specfun takes the series (x <= 2).
+
+def _i0_loop(x):
+    q = 0.25 * x * x
+    term = np.ones_like(x)
+    out = np.ones_like(x)
+    for k in range(1, 42):
+        term = term * q / (k * k)
+        out += term
+    return out
+
+
+def _i1_loop(x):
+    q = 0.25 * x * x
+    term = np.ones_like(x)
+    out = np.ones_like(x)
+    for k in range(1, 42):
+        term = term * q / (k * (k + 1))
+        out += term
+    return out * (0.5 * x)
+
+
+def _k0_loop(x, i0):
+    q = 0.25 * x * x
+    term = np.ones_like(x)
+    acc = np.zeros_like(x)
+    h = 0.0
+    for k in range(1, 26):
+        term = term * q / (k * k)
+        h += 1.0 / k
+        acc += term * h
+    return -(np.log(0.5 * x) + EULER) * i0 + acc
+
+
+def _k1_loop(x, i1):
+    q = 0.25 * x * x
+    term = np.ones_like(x)
+    hk = 0.0
+    hk1 = 1.0
+    acc = np.full_like(x, hk + hk1 - 2.0 * EULER)
+    for k in range(1, 26):
+        term = term * q / (k * (k + 1))
+        hk += 1.0 / k
+        hk1 += 1.0 / (k + 1)
+        acc += term * (hk + hk1 - 2.0 * EULER)
+    return np.log(0.5 * x) * i1 + 1.0 / x - 0.25 * x * acc
+
+
+def bessel_series_loops(x):
+    """(I0, I1, K0, K1) at radii x > 0 from the four separate series loops."""
+    x = np.asarray(x, dtype=float)
+    i0, i1 = _i0_loop(x), _i1_loop(x)
+    return i0, i1, _k0_loop(x, i0), _k1_loop(x, i1)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +247,50 @@ def rk45_stretched_stack(gamma, depth=40.0, tol=1e-12):
                     rtol=tol, atol=tol, dense_output=True, max_step=0.25)
     assert sol.success
     return lambda s: sol.sol(np.clip(s, -depth, 0.0))
+
+
+def chebyshev_stack(gamma, depth=40.0, deg=160):
+    """The stretched stack's six antiderivatives (IW, the v pair, Iv, the z
+    pair) as separate ``Chebyshev`` series, each interpolated from a callable
+    that evaluates the series below it one ``Chebyshev.__call__`` at a time.
+
+    The sources are written exactly as the library writes them (not as
+    ``rk45_stretched_stack`` does), so the one-pass stack must match this
+    composition to the bit.
+    """
+    g, sq = abs(gamma), np.sqrt(2.0)
+
+    def integral(f):
+        return Chebyshev.interpolate(f, deg, [-depth, 0.0]).integ(lbnd=0.0)
+
+    def exp_w(s):
+        return 1.0 / np.cosh(s / sq) ** 2
+
+    def kernel(s):
+        x = s / sq
+        t = np.tanh(x)
+        return t, x * t - 1.0
+
+    def vary(source):
+        return [integral(lambda s, i=i: kernel(s)[i] * source(s))
+                for i in (0, 1)]
+
+    iw = integral(lambda s: 2.0 * (np.log(2.0) - np.logaddexp(0.0, sq * np.abs(s))
+                                   + 0.5 * sq * np.abs(s)))
+
+    def a1(s):
+        return -iw(s) + (g / sq) * s * s
+
+    pv = vary(lambda s: -exp_w(s) * a1(s))
+
+    def v(s):
+        y1, y2 = kernel(s)
+        return sq * (y2 * pv[0](s) - y1 * pv[1](s))
+
+    iv = integral(v)
+    pz = vary(lambda s: -exp_w(s) * (s * iw(s) - s * s * np.log(2.0 * g) - iv(s)
+                                     + 0.5 * (a1(s) + v(s)) ** 2))
+    return [iw, *pv, iv, *pz]
 
 
 def rk45_far_field(state, window=(-35.0, -25.0)):

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev
 from scipy.integrate import quad
 
 from kslayers import ansatz, greens
@@ -209,6 +210,30 @@ class TestCorrections:
                  (z, mu_t**2 * y[7]), (dz, mu_t * y[8])]
         for got, want in pairs:
             assert np.max(np.abs(got - want)) <= 1e-10
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("lo, hi, at", [(-40.0, 0.0, 0.0), (-3.7, 0.0, 0.0),
+                                            (0.55, 1.0, 1.0)])
+    def test_antiderivative_is_interpolate_integ_to_the_bit(self, lo, hi, at):
+        def f(x):
+            return np.exp(0.3 * x) / np.cosh(x) ** 2 + np.sin(5.0 * x)
+
+        got = ansatz._antiderivative(f(ansatz._nodes(lo, hi)), lo, hi, at)
+        ref = Chebyshev.interpolate(f, ansatz._CHEB_DEG, [lo, hi]).integ(lbnd=at)
+        assert np.array_equal(got, ref.coef)
+
+    @pytest.mark.parametrize("gamma, depth", [(1.3, 40.0), (0.8, 11.5)])
+    def test_profiles_are_the_series_composition_to_the_bit(self, gamma, depth):
+        stack = ansatz._StretchedStack(gamma, depth)
+        series = oracles.chebyshev_stack(gamma, depth)
+        s = np.linspace(-depth, 0.0, 1001)
+        got = stack.profiles(s)
+        assert got.shape == (6, s.size)
+        for row, ser in zip(got, series):
+            assert np.array_equal(row, ser(s))
+        assert np.array_equal(stack.profiles(-depth),
+                              [ser(-depth) for ser in series])
 
 
 class TestOuterMatching:

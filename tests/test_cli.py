@@ -108,6 +108,19 @@ def test_branch_csv(tmp_path):
     assert int(first[2]) == 1
 
 
+def test_branch_csv_keeps_the_long_double_mu(tmp_path):
+    from kslayers import bvp
+    code, out = run_cli(["branch", "--i", "2", "--sign", "+",
+                         "--steps", "5"], tmp_path)
+    assert code == 0
+    rows = [r.split(",") for r in (out / "branch.csv").read_text().splitlines()
+            if not r.startswith("#")][1:]
+    points = bvp.continue_component(bvp.seed_branch(2, "+"), steps=5)
+    assert len(rows) == len(points)
+    assert all(np.longdouble(row[0]) == pt.param
+               for row, pt in zip(rows, points))
+
+
 def test_branch_stays_on_seeded_component(tmp_path):
     # continued towards increasing mu, the '+' seed of i = 2 crosses back
     # through the bifurcation onto the '-' component after five points

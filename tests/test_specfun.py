@@ -40,6 +40,25 @@ def test_against_mpmath_in_ulps():
     assert np.all(ulps <= [8.0, 8.0, 32.0, 8.0]), ulps
 
 
+def test_fused_series_match_the_separate_loops_to_the_bit():
+    x = np.concatenate([np.geomspace(1e-8, 2.0, 300),
+                        np.nextafter(2.0, [0.0, 3.0]),
+                        np.linspace(2.0, 10.0, 300)])
+    got = sf.bessel_table(x)
+    ref = oracles.bessel_series_loops(x)
+    small = x <= 2.0
+    for i in (0, 1):
+        assert np.array_equal(got[i], ref[i])
+    for i in (2, 3):
+        assert np.array_equal(got[i][small], ref[i][small])
+    for v in (1e-6, 0.5, 1.0, 2.0, np.nextafter(2.0, 3.0), 7.3, 10.0):
+        one = sf.bessel_table(v)
+        assert all(a.shape == () for a in one)
+        ref = oracles.bessel_series_loops(v)
+        for i in ((0, 1, 2, 3) if v <= 2.0 else (0, 1)):
+            assert np.array_equal(one[i], ref[i])
+
+
 def test_wronskian_identity():
     r = np.logspace(-8, 1, 500)
     i0, i1, k0, k1 = sf.bessel_table(r)

@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Dump the bvp solvers' outputs, and compare two dumps field by field.
+
+    python scripts/bvp_parity.py OUT.npz [--against OLD.npz]
+
+runs, with this checkout's ``src`` first on the import path:
+
+* ``continue_component(seed_branch(i, sign), steps=100)`` for i = 2..5 and
+  both signs, the eight components the ``branch`` benchmark continues;
+* ``solve_bvp(lam, build_profile(build_params(lam)))`` at lam = 1e-4, 1e-5
+  and 1e-6, the ansatz-started direct solve.
+
+For each case OUT.npz holds, one row per point: ``param`` (long double, as
+the solver stores it), ``values`` (long double), ``d1``, ``d2``,
+``newton_iters``, ``zero_count``, and ``residual_history`` as one
+concatenated array with the per-point lengths in ``history_len``.
+
+With ``--against OLD.npz`` every field of every case is compared with
+``np.array_equal``; a field that differs prints its max relative
+difference, a missing or reshaped one says so.  Run it from two checkouts
+and compare the second dump against the first: the exit code is 1 unless
+every field is equal.
+"""
+
+import argparse
+import os
+import sys
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from kslayers import ansatz, bvp  # noqa: E402
+
+COMPONENTS = [(i, sign) for i in (2, 3, 4, 5) for sign in "+-"]
+LAMBDAS = (1e-4, 1e-5, 1e-6)
+STEPS = 100
+
+
+def _fields(points) -> dict:
+    history = [np.asarray(p.residual_history, dtype=float) for p in points]
+    return {
+        "param": np.array([np.longdouble(p.param) for p in points]),
+        "values": np.array([np.asarray(p.profile.values, dtype=np.longdouble)
+                            for p in points]),
+        "d1": np.array([p.profile.d1 for p in points]),
+        "d2": np.array([p.profile.d2 for p in points]),
+        "newton_iters": np.array([p.newton_iters for p in points]),
+        "zero_count": np.array([p.zero_count for p in points]),
+        "residual_history": np.concatenate(history),
+        "history_len": np.array([h.size for h in history]),
+    }
+
+
+def dump() -> dict:
+    out = {}
+    for i, sign in COMPONENTS:
+        branch = bvp.continue_component(bvp.seed_branch(i, sign), steps=STEPS)
+        for key, val in _fields(branch).items():
+            out[f"i{i}{sign}/{key}"] = val
+        print(f"i{i}{sign}: {len(branch)} points")
+    for lam in LAMBDAS:
+        guess = ansatz.build_profile(ansatz.build_params(lam))
+        point = bvp.solve_bvp(lam, guess)
+        for key, val in _fields([point]).items():
+            out[f"lam{lam:g}/{key}"] = val
+        print(f"lam {lam:g}: {point.newton_iters} Newton iterations")
+    return out
+
+
+def _max_rel(a: np.ndarray, b: np.ndarray) -> float:
+    a, b = np.asarray(a, dtype=np.longdouble), np.asarray(b, dtype=np.longdouble)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    diff = np.abs(a - b)
+    rel = np.where(scale > 0, diff / np.where(scale > 0, scale, 1), 0)
+    return float(np.max(rel))
+
+
+def compare(new: dict, old: dict) -> bool:
+    same = True
+    for key in sorted(set(new) | set(old)):
+        if key not in old or key not in new:
+            print(f"{key}: only in {'new' if key in new else 'old'} dump")
+            same = False
+        elif new[key].shape != old[key].shape:
+            print(f"{key}: shape {new[key].shape} against {old[key].shape}")
+            same = False
+        elif np.array_equal(new[key], old[key]):
+            print(f"{key}: equal")
+        else:
+            print(f"{key}: differs, max relative difference "
+                  f"{_max_rel(new[key], old[key]):.3e}")
+            same = False
+    return same
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("out", help="npz file to write")
+    parser.add_argument("--against", help="an older dump to compare with")
+    args = parser.parse_args(argv)
+    new = dump()
+    np.savez(args.out, **new)
+    if args.against is None:
+        return 0
+    with np.load(args.against) as f:
+        old = {key: f[key] for key in f.files}
+    same = compare(new, old)
+    print("every field equal" if same else "fields differ")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

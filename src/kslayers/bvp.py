@@ -6,7 +6,8 @@ the equivalent form -Delta u + u = e^(mu (u-1)) is continued in mu by
 pseudo-arclength from the radial Neumann eigenvalues, where branches of
 nonconstant solutions bifurcate from u = 1.  One damped Newton core serves
 both: the direct solve holds the parameter fixed, the arclength corrector
-borders the system with the constraint row.
+borders the system with the constraint row.  One evaluation of the
+nonlinearity and its derivatives serves an iterate's residual and its step.
 
 Grid note: the double-precision max-norm of the discrete residual has a
 floor of about eps_mach |u| / h_min^2, so ``graded_grid`` caps its cells
@@ -57,7 +58,7 @@ class BranchPoint:
     certified; ``zero_count`` counts the zeros of u - 1.
     """
 
-    param: float
+    param: float | np.longdouble
     profile: Profile
     u0_value: float
     zero_count: int
@@ -98,10 +99,8 @@ def make_grid(lam: float, n: int = 4000) -> np.ndarray:
 
 def _zero_count(u: np.ndarray, level: float = 1.0, dead_band: float = 1e-10) -> int:
     s = np.asarray(u, dtype=float) - level
-    s = np.where(np.abs(s) <= dead_band, 0.0, s)
-    sgn = np.sign(s)
-    sgn = sgn[sgn != 0]
-    return int(np.sum(np.abs(np.diff(sgn)) > 1))
+    above = s[np.abs(s) > dead_band] > 0.0
+    return int(np.count_nonzero(above[1:] != above[:-1]))
 
 
 # Largest f = lambda e^u or e^(mu (u - 1)) taken in double from a
@@ -152,26 +151,22 @@ def _mu_exp(u, mu, jac: bool = False):
     return (f, mu * f, (u - 1.0) * f) if jac else f
 
 
-def _residual(op: RadialOperator, f, u, p, extended: bool = False):
-    """G(u, p) = -Delta u + u - f(u, p), with long-double fluxes if ``extended``."""
-    if extended:
-        return op.apply_neg_lap_extended(u) + u - f(u, p)
-    return op.apply_neg_lap(np.asarray(u, dtype=float)) + u - f(u, p)
+def _residual(op: RadialOperator, f, u, p):
+    """G(u, p) = -Delta u + u - f(u, p) in double, and the (f, f_u, f_p) it took."""
+    fx = f(u, p, jac=True)
+    return op.apply_neg_lap(u) + u - fx[0], fx
 
 
-def _profile_from_solution(r, u, f, p) -> Profile:
+def _profile_from_solution(op: RadialOperator, u, f, p) -> Profile:
     """Profile of a solved u: the values as given, the derivatives in double."""
     ud = np.asarray(u, dtype=float)
-    d1 = np.gradient(ud, r, edge_order=2)
-    d1[0] = 0.0
-    d1[-1] = 0.0
+    d1 = np.concatenate([[0.0], op.interior_gradient(ud), [0.0]])
     d2 = np.empty_like(ud)
     rhs = f(ud, float(p))
     # second derivative from the equation (exact at a converged solution)
-    d2[1:] = ud[1:] - rhs[1:] - d1[1:] / r[1:]
+    d2[1:] = ud[1:] - rhs[1:] - d1[1:] / op.r[1:]
     d2[0] = 0.5 * (ud[0] - rhs[0])
-    return Profile(np.asarray(r, dtype=float), u, d1, d2,
-                   np.full(len(r), "bvp"))
+    return Profile(op.r, u, d1, d2, np.full(op.n, "bvp"))
 
 
 def _solve(op: RadialOperator, potential, rhs) -> np.ndarray:
@@ -200,7 +195,8 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
             border=None) -> _Solved:
     """Damped Newton on G(u, p) = -Delta u + u - f(u, p) = 0.
 
-    ``f(u, p)`` returns f, ``f(u, p, jac=True)`` (f, f_u, f_p).  Without
+    ``f(u, p)`` returns f, ``f(u, p, jac=True)`` (f, f_u, f_p); one such
+    call per iterate serves both its residual and its step.  Without
     ``border`` p is held fixed.
     With ``border = ((t_u, t_p), (u_pred, p_pred))`` p is unknown too and the
     pseudo-arclength row c = t . (x - x_pred) = 0 closes the system (Keller
@@ -213,7 +209,8 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
     below the double-precision Laplacian noise.  The refinement carries the
     iterate in long double and accumulates the flux differences in long
     double; ``f`` evaluates the long-double iterate from its (hi, lo) split
-    in double (``_exp_split``), and each correction is a double ?gtsv solve.
+    in double (``_exp_split``), and each correction is a double ?gtsv solve;
+    the first reuses the (f, f_u, f_p) of the double iterate it starts from.
     """
     hmin = float(np.min(np.diff(op.r)))
     if border is not None:
@@ -227,12 +224,12 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
             return 0.0
         return float(np.dot(tu, u - xu) + tp * (p - xp))
 
-    def step(u, p, G, c):
-        _, f_u, f_p = f(np.asarray(u, dtype=float), float(p), jac=True)
-        rhs = -np.asarray(G, dtype=float)
+    def step(G, c, fx):
+        _, f_u, f_p = fx
         if border is None:
-            return _solve(op, f_u, rhs), 0.0
-        w, v = _solve(op, f_u, np.column_stack([rhs, f_p])).T
+            return _solve(op, f_u, -np.asarray(G, dtype=float)), 0.0
+        # both columns in ?gtsv's Fortran order: f2py copies, not transposes
+        w, v = _solve(op, f_u, np.array([-G, f_p], dtype=float).T).T
         denom = tp + float(np.dot(tu, v))
         if abs(denom) < 1e-300:
             raise ConvergenceError("degenerate arclength constraint")
@@ -241,7 +238,7 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
 
     history = []
     steps = 0
-    G, c = _residual(op, f, u, p), row(u, p)
+    (G, fx), c = _residual(op, f, u, p), row(u, p)
     merit = math.hypot(np.linalg.norm(G), c)
     for it in range(max_iter + 1):
         size, bound = max(float(np.max(np.abs(G))), abs(c)), floor(u)
@@ -249,18 +246,19 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
         if size <= max(tol, bound) or it == max_iter:
             break
         steps += 1
-        du, dp = step(u, p, G, c)
+        du, dp = step(G, c, fx)
         t = 1.0
         while t > _MIN_STEP:  # (du, dp) is t times the Newton step
             cand_u, cand_p = u + du, p + dp
-            cand_G, cand_c = _residual(op, f, cand_u, cand_p), row(cand_u, cand_p)
+            (cand_G, cand_fx), cand_c = (_residual(op, f, cand_u, cand_p),
+                                          row(cand_u, cand_p))
             cand_merit = math.hypot(np.linalg.norm(cand_G), cand_c)
             if math.isfinite(cand_merit) and cand_merit < merit:
                 break
             t, du, dp = 0.5 * t, 0.5 * du, 0.5 * dp
         else:
             break  # stalled: refined below when at the rounding floor
-        u, p, G, c, merit = cand_u, cand_p, cand_G, cand_c, cand_merit
+        u, p, G, c, fx, merit = cand_u, cand_p, cand_G, cand_c, cand_fx, cand_merit
     if size > max(tol, 1e3 * bound):
         raise ConvergenceError(
             f"Newton stopped at residual {size:.3e} after {steps} steps",
@@ -268,7 +266,7 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
 
     u, p = np.asarray(u, dtype=np.longdouble), np.longdouble(p)
     for refinements in range(_REFINE_STEPS):
-        G = _residual(op, f, u, p, extended=True)
+        G = op.apply_neg_lap_extended(u) + u - f(u, p)  # long-double fluxes
         # c of the double-rounded iterate: evaluating it in long double moves
         # every branch point by ~1e-14
         c = row(np.asarray(u, dtype=float), float(p))
@@ -276,7 +274,9 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
         history.append(size)
         if size <= tol:
             return _Solved(u, p, steps, refinements, history)
-        du, dp = step(u, p, G, c)
+        if refinements:  # the first refined iterate rounds to the double one
+            fx = f(np.asarray(u, dtype=float), float(p), jac=True)
+        du, dp = step(G, c, fx)
         u, p = u + np.asarray(du, dtype=np.longdouble), p + np.longdouble(dp)
     raise ConvergenceError(
         f"refinement did not reach tolerance (last residual {size:.3e})",
@@ -310,7 +310,7 @@ def solve_bvp(lam: float, initial_guess, tol: float = 1e-9,
     op = RadialOperator(r)
     sol = _newton(op, _lam_exp, u0, lam, tol, max_iter)
     return BranchPoint(param=lam,
-                       profile=_profile_from_solution(r, sol.u, _lam_exp, lam),
+                       profile=_profile_from_solution(op, sol.u, _lam_exp, lam),
                        u0_value=float(sol.u[0]), zero_count=_zero_count(sol.u),
                        newton_iters=sol.steps + sol.refinements,
                        residual_norm=sol.history[-1],
@@ -336,7 +336,7 @@ def _corrector(op: RadialOperator, u, mu, tangent, x_pred) -> BranchPoint:
     """
     sol = _newton(op, _mu_exp, u, mu, 1e-10, 12, border=(tangent, x_pred))
     return BranchPoint(param=sol.p,
-                       profile=_profile_from_solution(op.r, sol.u, _mu_exp, sol.p),
+                       profile=_profile_from_solution(op, sol.u, _mu_exp, sol.p),
                        u0_value=float(sol.u[0]), zero_count=_zero_count(sol.u),
                        newton_iters=sol.steps, residual_norm=sol.history[-1],
                        residual_history=tuple(sol.history))

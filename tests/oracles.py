@@ -8,6 +8,7 @@ differences.
 """
 
 import functools
+import math
 
 import mpmath
 import numpy as np
@@ -16,6 +17,10 @@ from numpy.polynomial import Chebyshev
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy import special
+
+from kslayers import bvp
+from kslayers.ansatz import Profile
+from kslayers.errors import ConvergenceError
 
 EULER = 0.5772156649015328606
 
@@ -125,6 +130,112 @@ def bessel_series_loops(x):
     x = np.asarray(x, dtype=float)
     i0, i1 = _i0_loop(x), _i1_loop(x)
     return i0, i1, _k0_loop(x, i0), _k1_loop(x, i1)
+
+
+# ---------------------------------------------------------------------------
+# the bvp Newton core as it was before one evaluation of the nonlinearity
+# served both residual and step
+# ---------------------------------------------------------------------------
+
+# Frozen copies: the double-precision loop evaluates f(u, p) for each
+# candidate's residual and f(u, p, jac=True) again for the step, every
+# refinement step evaluates the Jacobian afresh, and d1 is np.gradient.  The
+# library must reproduce them to the bit.
+
+def _residual_two_evaluations(op, f, u, p, extended=False):
+    if extended:
+        return op.apply_neg_lap_extended(u) + u - f(u, p)
+    return op.apply_neg_lap(np.asarray(u, dtype=float)) + u - f(u, p)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def newton_two_evaluations(op, f, u, p, tol, max_iter, border=None):
+    hmin = float(np.min(np.diff(op.r)))
+    if border is not None:
+        (tu, tp), (xu, xp) = border
+
+    def floor(u):
+        return 8.0 * np.finfo(float).eps * float(np.max(np.abs(u))) / hmin**2
+
+    def row(u, p):
+        if border is None:
+            return 0.0
+        return float(np.dot(tu, u - xu) + tp * (p - xp))
+
+    def step(u, p, G, c):
+        _, f_u, f_p = f(np.asarray(u, dtype=float), float(p), jac=True)
+        rhs = -np.asarray(G, dtype=float)
+        if border is None:
+            return bvp._solve(op, f_u, rhs), 0.0
+        w, v = bvp._solve(op, f_u, np.column_stack([rhs, f_p])).T
+        denom = tp + float(np.dot(tu, v))
+        if abs(denom) < 1e-300:
+            raise ConvergenceError("degenerate arclength constraint")
+        dp = (-c - float(np.dot(tu, w))) / denom
+        return w + dp * v, dp
+
+    history = []
+    steps = 0
+    G, c = _residual_two_evaluations(op, f, u, p), row(u, p)
+    merit = math.hypot(np.linalg.norm(G), c)
+    for it in range(max_iter + 1):
+        size, bound = max(float(np.max(np.abs(G))), abs(c)), floor(u)
+        history.append(size)
+        if size <= max(tol, bound) or it == max_iter:
+            break
+        steps += 1
+        du, dp = step(u, p, G, c)
+        t = 1.0
+        while t > 1e-3:
+            cand_u, cand_p = u + du, p + dp
+            cand_G = _residual_two_evaluations(op, f, cand_u, cand_p)
+            cand_c = row(cand_u, cand_p)
+            cand_merit = math.hypot(np.linalg.norm(cand_G), cand_c)
+            if math.isfinite(cand_merit) and cand_merit < merit:
+                break
+            t, du, dp = 0.5 * t, 0.5 * du, 0.5 * dp
+        else:
+            break
+        u, p, G, c, merit = cand_u, cand_p, cand_G, cand_c, cand_merit
+    if size > max(tol, 1e3 * bound):
+        raise ConvergenceError(
+            f"Newton stopped at residual {size:.3e} after {steps} steps",
+            residual=size)
+
+    u, p = np.asarray(u, dtype=np.longdouble), np.longdouble(p)
+    for refinements in range(20):
+        G = _residual_two_evaluations(op, f, u, p, extended=True)
+        c = row(np.asarray(u, dtype=float), float(p))
+        size = max(float(np.max(np.abs(G))), abs(c))
+        history.append(size)
+        if size <= tol:
+            return bvp._Solved(u, p, steps, refinements, history)
+        du, dp = step(u, p, G, c)
+        u, p = u + np.asarray(du, dtype=np.longdouble), p + np.longdouble(dp)
+    raise ConvergenceError(
+        f"refinement did not reach tolerance (last residual {size:.3e})",
+        residual=size)
+
+
+def profile_by_np_gradient(r, u, f, p):
+    ud = np.asarray(u, dtype=float)
+    d1 = np.gradient(ud, r, edge_order=2)
+    d1[0] = 0.0
+    d1[-1] = 0.0
+    d2 = np.empty_like(ud)
+    rhs = f(ud, float(p))
+    d2[1:] = ud[1:] - rhs[1:] - d1[1:] / r[1:]
+    d2[0] = 0.5 * (ud[0] - rhs[0])
+    return Profile(np.asarray(r, dtype=float), u, d1, d2,
+                   np.full(len(r), "bvp"))
+
+
+def zero_count_by_sign_diff(u, level=1.0, dead_band=1e-10):
+    s = np.asarray(u, dtype=float) - level
+    s = np.where(np.abs(s) <= dead_band, 0.0, s)
+    sgn = np.sign(s)
+    sgn = sgn[sgn != 0]
+    return int(np.sum(np.abs(np.diff(sgn)) > 1))
 
 
 # ---------------------------------------------------------------------------

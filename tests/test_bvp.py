@@ -71,6 +71,20 @@ class TestOperator:
             assert x.shape == rhs.shape
             assert np.array_equal(x, sla.solve_banded((1, 1), ab, rhs))
 
+    @pytest.mark.parametrize("grid, uniform", [
+        (lambda: bvp.make_grid(1e-4), False),
+        (lambda: np.linspace(0.0, 1.0, 2000), False),  # steps differ in the last bit
+        (lambda: np.arange(1025) / 1024, True),
+        (lambda: np.arange(1025) * 3.0 / 1024, True),  # 1 / (2h) is inexact
+    ], ids=["graded", "linspace", "dyadic", "uniform"])
+    def test_interior_gradient_is_np_gradient_to_the_bit(self, grid, uniform):
+        r = grid()
+        op = RadialOperator(r)
+        assert isinstance(op._gradient_stencil, tuple) is not uniform
+        u = np.exp(-r * r / 0.01) + np.sin(7.0 * r)
+        assert np.array_equal(op.interior_gradient(u),
+                              np.gradient(u, r, edge_order=2)[1:-1])
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_solve_rejects_non_finite_potential(self, bad):
         # an infinite diagonal entry leaves ?gtsv's solution finite
@@ -163,8 +177,9 @@ class TestContinuation:
         op = RadialOperator(r)
         ones = np.ones(r.size)
         for mu in (2.0, 15.681970642, 40.0):
-            res = bvp._residual(op, bvp._mu_exp, ones, mu)
+            res, (f, _, _) = bvp._residual(op, bvp._mu_exp, ones, mu)
             assert np.max(np.abs(res)) < 1e-9
+            assert np.array_equal(f, ones)
 
     def test_seed_zero_counts(self):
         for i, expected in ((2, 1), (3, 2)):
@@ -248,6 +263,68 @@ class TestContinuation:
         br = bvp.continue_branch(bvp.seed_branch(2, "-"), steps=10)
         for p in br:
             assert np.all(p.profile.values > 0.0)
+
+
+class TestSameBitsAsTwoEvaluations:
+    """One f(u, p, jac=True) per iterate, the cached gradient stencil and the
+    one-pass zero count reproduce the solvers that evaluated each afresh
+    (``oracles``) to the bit."""
+
+    @staticmethod
+    def _both(run, monkeypatch):
+        new = run()
+        with monkeypatch.context() as m:
+            m.setattr(bvp, "_newton", oracles.newton_two_evaluations)
+            m.setattr(bvp, "_profile_from_solution",
+                      lambda op, u, f, p: oracles.profile_by_np_gradient(op.r, u, f, p))
+            m.setattr(bvp, "_zero_count", oracles.zero_count_by_sign_diff)
+            old = run()
+        return new, old
+
+    @staticmethod
+    def _assert_same_points(new, old):
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert a.param == b.param and type(a.param) is type(b.param)
+            for field in ("values", "d1", "d2"):
+                x, y = getattr(a.profile, field), getattr(b.profile, field)
+                assert x.dtype == y.dtype and np.array_equal(x, y), field
+            assert a.newton_iters == b.newton_iters
+            assert a.residual_history == b.residual_history
+            assert a.zero_count == b.zero_count
+
+    @pytest.mark.parametrize("i, sign", [(2, "+"), (3, "-"), (5, "+")])
+    def test_continue_component(self, i, sign, monkeypatch):
+        seed = bvp.seed_branch(i, sign)
+        run = lambda: bvp.continue_component(seed, steps=30)  # noqa: E731
+        self._assert_same_points(*self._both(run, monkeypatch))
+
+    def test_solve_bvp(self, ansatz4, monkeypatch):
+        _, prof = ansatz4
+        run = lambda: [bvp.solve_bvp(1e-4, prof)]  # noqa: E731
+        self._assert_same_points(*self._both(run, monkeypatch))
+
+    def test_refinement_past_its_first_step(self, ansatz4, monkeypatch):
+        # every solve above refines once; at tol = 1e-10 the direct solve's
+        # refinement stalls near 2.6e-10 and takes all 20 steps, each after
+        # the first at a fresh Jacobian
+        _, prof = ansatz4
+
+        def run():
+            with pytest.raises(ConvergenceError) as err:
+                bvp.solve_bvp(1e-4, prof, tol=1e-10)
+            return err.value.residual
+
+        new, old = self._both(run, monkeypatch)
+        assert new == old
+
+    def test_zero_count_in_and_around_the_dead_band(self):
+        rng = np.random.default_rng(11)
+        band = np.array([0.0, 1e-10, -1e-10, 3e-11, 2e-10, -2e-10, 1e-3, -1e-3])
+        for _ in range(200):
+            s = rng.choice(band, size=rng.integers(0, 12))
+            assert bvp._zero_count(s, level=0.0) == \
+                oracles.zero_count_by_sign_diff(s, level=0.0)
 
 
 class TestConcentration:

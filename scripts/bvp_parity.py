@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Dump the bvp solvers' outputs, and compare two dumps field by field.
+"""Dump ansatz profiles and bvp solver outputs; compare two dumps field by field.
 
     python scripts/bvp_parity.py OUT.npz [--against OLD.npz]
 
@@ -8,18 +8,22 @@ runs, with this checkout's ``src`` first on the import path:
 * ``continue_component(seed_branch(i, sign), steps=100)`` for i = 2..5 and
   both signs, the eight components the ``branch`` benchmark continues;
 * ``solve_bvp(lam, build_profile(build_params(lam)))`` at lam = 1e-4, 1e-5
-  and 1e-6, the ansatz-started direct solve.
+  and 1e-6, the ansatz-started direct solve;
+* the ansatz guesses of those solves, and ``multilayer_ansatz(k, 1e-4,
+  mode)`` for (1, neumann) and k = 2, 3 in both modes.
 
-For each case OUT.npz holds, one row per point: ``param`` (long double, as
-the solver stores it), ``values`` (long double), ``d1``, ``d2``,
+For each solver case OUT.npz holds, one row per point: ``param`` (long
+double, as the solver stores it), ``values`` (long double), ``d1``, ``d2``,
 ``newton_iters``, ``zero_count``, and ``residual_history`` as one
-concatenated array with the per-point lengths in ``history_len``.
+concatenated array with the per-point lengths in ``history_len``.  For each
+ansatz it holds the profile's ``grid``, ``values``, ``d1``, ``d2`` and
+``piece``, and for the single-layer guesses ``r_tilde`` and ``gamma_eps``.
 
 With ``--against OLD.npz`` every field of every case is compared with
-``np.array_equal``; a field that differs prints its max relative
-difference, a missing or reshaped one says so.  Run it from two checkouts
-and compare the second dump against the first: the exit code is 1 unless
-every field is equal.
+``np.array_equal``; a numeric field that differs prints its max relative
+difference, a string field (``piece``) that it differs, and a missing or
+reshaped one says so.  Run it from two checkouts and compare the second
+dump against the first: the exit code is 1 unless every field is equal.
 """
 
 import argparse
@@ -31,11 +35,14 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
-from kslayers import ansatz, bvp  # noqa: E402
+from kslayers import ansatz, bvp, greens  # noqa: E402
 
 COMPONENTS = [(i, sign) for i in (2, 3, 4, 5) for sign in "+-"]
 LAMBDAS = (1e-4, 1e-5, 1e-6)
 STEPS = 100
+MULTILAYER = [(1, greens.NEUMANN)] + [(k, mode) for k in (2, 3)
+                                      for mode in (greens.DIRICHLET, greens.NEUMANN)]
+MULTILAYER_LAMBDA = 1e-4
 
 
 def _fields(points) -> dict:
@@ -53,6 +60,11 @@ def _fields(points) -> dict:
     }
 
 
+def _profile_fields(profile) -> dict:
+    return {key: getattr(profile, key)
+            for key in ("grid", "values", "d1", "d2", "piece")}
+
+
 def dump() -> dict:
     out = {}
     for i, sign in COMPONENTS:
@@ -61,11 +73,21 @@ def dump() -> dict:
             out[f"i{i}{sign}/{key}"] = val
         print(f"i{i}{sign}: {len(branch)} points")
     for lam in LAMBDAS:
-        guess = ansatz.build_profile(ansatz.build_params(lam))
+        params = ansatz.build_params(lam)
+        guess = ansatz.build_profile(params)
+        fields = {**_profile_fields(guess), "r_tilde": np.array(params.r_tilde),
+                  "gamma_eps": np.array(params.gamma_eps)}
+        for key, val in fields.items():
+            out[f"ansatz{lam:g}/{key}"] = val
         point = bvp.solve_bvp(lam, guess)
         for key, val in _fields([point]).items():
             out[f"lam{lam:g}/{key}"] = val
         print(f"lam {lam:g}: {point.newton_iters} Newton iterations")
+    for k, mode in MULTILAYER:
+        _, profile = ansatz.multilayer_ansatz(k, MULTILAYER_LAMBDA, mode)
+        for key, val in _profile_fields(profile).items():
+            out[f"multilayer{k}{mode}/{key}"] = val
+        print(f"multilayer k={k} {mode}: {profile.grid.size} nodes")
     return out
 
 
@@ -88,6 +110,9 @@ def compare(new: dict, old: dict) -> bool:
             same = False
         elif np.array_equal(new[key], old[key]):
             print(f"{key}: equal")
+        elif new[key].dtype.kind == "U" or old[key].dtype.kind == "U":
+            print(f"{key}: differs")
+            same = False
         else:
             print(f"{key}: differs, max relative difference "
                   f"{_max_rel(new[key], old[key]):.3e}")

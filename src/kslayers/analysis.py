@@ -24,7 +24,7 @@ from .errors import (
     NonContractionError,
     OverflowRegionError,
 )
-from .ansatz import Profile, smoothstep
+from .ansatz import Profile, smoothstep, solve_epsilon
 from .radial import EXP_CAP, RadialOperator
 
 __all__ = [
@@ -299,8 +299,6 @@ def fixed_point(U: Profile, lam: float, rho: float | None = None,
     residual accumulated in extended precision; otherwise the stop test
     would hold only by chance.
     """
-    from .ansatz import solve_epsilon
-
     e = eps if eps is not None else solve_epsilon(lam)
     op = RadialOperator(U.grid)
     # the iteration must use the residual of the same discrete operator it

@@ -114,21 +114,21 @@ def solve_epsilon(lam: float) -> float:
 # bubbles
 # ---------------------------------------------------------------------------
 
-def bubble2d(r, mu: float, lam: float, deriv: int = 0):
-    """Planar log bubble ln(8 mu^2 / (mu^2 lam + r^2)^2) or its derivatives."""
+def bubble2d(r, mu: float, lam: float):
+    """Planar log bubble ln(8 mu^2 / (mu^2 lam + r^2)^2) as the triple
+    (value, d1, d2) in r."""
     r = np.asarray(r, dtype=float)
     a = mu**2 * lam
-    if deriv == 0:
-        return np.log(8.0 * mu**2) - 2.0 * np.log(a + r * r)
-    if deriv == 1:
-        return -4.0 * r / (a + r * r)
-    if deriv == 2:
-        return -4.0 * (a - r * r) / (a + r * r) ** 2
-    raise ValueError("deriv must be 0, 1, or 2")
+    r2 = r * r
+    den = a + r2
+    return (np.log(8.0 * mu**2) - 2.0 * np.log(den),
+            -4.0 * r / den,
+            -4.0 * (a - r2) / den ** 2)
 
 
-def bubble1d(r, mu_tilde: float, deriv: int = 0, center: float = 1.0):
-    """One-dimensional bubble profile peaked at ``center`` with width mu_tilde.
+def bubble1d(r, mu_tilde: float, center: float = 1.0):
+    """One-dimensional bubble peaked at ``center`` with width mu_tilde, as
+    the triple (value, d1, d2) in r.
 
     Stable for arbitrarily deep tails; even in (r - center), so it serves
     both the boundary layer and (recentred) the interior layers.
@@ -136,14 +136,10 @@ def bubble1d(r, mu_tilde: float, deriv: int = 0, center: float = 1.0):
     r = np.asarray(r, dtype=float)
     m = abs(mu_tilde)
     t = _SQRT2 * (r - center) / m
-    if deriv == 0:
-        # ln(4/m^2) - t - 2 ln(1 + e^{-t})
-        return np.log(4.0 / m**2) - t - 2.0 * np.logaddexp(0.0, -t)
-    if deriv == 1:
-        return -(_SQRT2 / m) * np.tanh(0.5 * t)
-    if deriv == 2:
-        return -(1.0 / m**2) / np.cosh(0.5 * t) ** 2
-    raise ValueError("deriv must be 0, 1, or 2")
+    # ln(4/m^2) - t - 2 ln(1 + e^{-t})
+    return (np.log(4.0 / m**2) - t - 2.0 * np.logaddexp(0.0, -t),
+            -(_SQRT2 / m) * np.tanh(0.5 * t),
+            -(1.0 / m**2) / np.cosh(0.5 * t) ** 2)
 
 
 def _exp_w(s: np.ndarray) -> np.ndarray:
@@ -355,9 +351,6 @@ class _StretchedStack:
             iw = self.profiles(s)[0]
         return s * iw - s * s * np.log(2.0 * self.gamma)
 
-    def iv(self, s):
-        return self.profiles(s)[3]
-
     def fields(self, s):
         """(v, v', v'', z, z', z'') in s, from one ``profiles`` pass."""
         iw, pv0, pv1, iv, pz0, pz1 = self.profiles(s)
@@ -371,14 +364,6 @@ class _StretchedStack:
     def sweep(self, s):
         """(v, v') in s, from the v pair alone."""
         return _varied(_kernel(s), *self._eval(self._coef[:, 1:3], s))
-
-    def v(self, s, deriv: int = 0):
-        """Second-order sweep profile or its s-derivative (0, 1 or 2)."""
-        return self.sweep(s)[deriv] if deriv < 2 else self.fields(s)[2]
-
-    def z(self, s, deriv: int = 0):
-        """Third-order profile or its s-derivative (0, 1 or 2)."""
-        return self.fields(s)[3 + deriv]
 
     def corrections(self, s: np.ndarray, mu_t: float):
         """(v, v', v'', z, z', z'') of the sweep and third-order profiles.
@@ -440,11 +425,12 @@ def boundary_corrections(params: "AnsatzParams") -> BoundaryCorrections:
         return _antiderivative(y, r_lo, 1.0, 1.0)
 
     def f_alpha(r):
-        return bubble1d(r, mu_t, 1) / r - bubble1d(r, mu_t) + np.log(lam)
+        w, w1, _ = bubble1d(r, mu_t)
+        return w1 / r - w + np.log(lam)
 
     ra1 = radial(r * f_alpha(r))                    # -r a'
     a_c = radial(-_cheb_eval(ra1, r_lo, 1.0, r) / r)
-    b_c = radial(-mu_t * stack.v((r - 1.0) / mu_t) / r)
+    b_c = radial(-mu_t * stack.sweep((r - 1.0) / mu_t)[0] / r)
     ra1_g, a_vals, b_vals = _cheb_eval(np.column_stack([ra1, a_c, b_c]),
                                        r_lo, 1.0, grid)
     a_d1 = -ra1_g / grid
@@ -623,14 +609,18 @@ def inner_u0(params: AnsatzParams):
     -U0'(r_tilde), discretized in conservative finite-volume form (second
     order, symmetric under the radial measure) on 4001 uniform radii.
 
-    Returns a callable bundle evaluating (u0, u0', u0'') on [0, r_tilde].
+    Returns a callable giving the triple (u0, u0', u0'') on radii in
+    [0, r_tilde]; its ``h0_grid``, ``h0_values`` and ``h0_d1`` attributes
+    hold the correction's grid, values and slope.
     """
     lam, mu, rt = params.lam, params.mu, params.r_tilde
     r = np.linspace(0.0, rt, 4001)
     op = RadialOperator(r)
-    rhs = -bubble2d(r, mu, lam)
-    # Neumann flux at r_tilde enters the last control volume
-    rhs[-1] += rt * (-bubble2d(np.array([rt]), mu, lam, 1)[0]) / op.vol[-1]
+    w, w1, _ = bubble2d(r, mu, lam)
+    rhs = -w
+    # Neumann flux at r_tilde (linspace's last node is rt) enters the last
+    # control volume
+    rhs[-1] += rt * (-w1[-1]) / op.vol[-1]
     h0 = op.solve(0.0, rhs)
 
     # derivatives: first by differencing the solve, second from the ODE
@@ -640,13 +630,10 @@ def inner_u0(params: AnsatzParams):
     d2[1:] = -d1[1:] / r[1:] + h0[1:] - rhs[1:]
     d2[0] = 0.5 * (h0[0] - rhs[0])
 
-    def u0(rr, deriv=0):
-        rr = np.asarray(rr, dtype=float)
-        if deriv == 0:
-            return bubble2d(rr, mu, lam) + np.interp(rr, r, h0)
-        if deriv == 1:
-            return bubble2d(rr, mu, lam, 1) + np.interp(rr, r, d1)
-        return bubble2d(rr, mu, lam, 2) + np.interp(rr, r, d2)
+    def u0(rr):
+        b, b1, b2 = bubble2d(rr, mu, lam)
+        return (b + np.interp(rr, r, h0), b1 + np.interp(rr, r, d1),
+                b2 + np.interp(rr, r, d2))
 
     u0.h0_grid = r
     u0.h0_values = h0
@@ -753,14 +740,9 @@ def build_profile(params: AnsatzParams) -> Profile:
     u2t = _scaled_green(params.outer, params.eps)
     u0 = inner_u0(params)
 
-    def u0t(rr):
-        return (u0(rr), u0(rr, 1), u0(rr, 2))
-
     def stack4(rr):
         mu_t = params.mu_tilde
-        w = bubble1d(rr, mu_t)
-        wp = bubble1d(rr, mu_t, 1)
-        wpp = bubble1d(rr, mu_t, 2)
+        w, wp, wpp = bubble1d(rr, mu_t)
         a, b = cor.alpha_eps, cor.beta_eps
         a_v, a_1, a_2 = (np.interp(rr, a.grid, f) for f in (a.values, a.d1, a.d2))
         b_v, b_1, b_2 = (np.interp(rr, b.grid, f) for f in (b.values, b.d1, b.d2))
@@ -769,8 +751,8 @@ def build_profile(params: AnsatzParams) -> Profile:
                 wp + a_1 + v_1 + b_1 + z_1,
                 wpp + a_2 + v_2 + b_2 + z_2)
 
-    return _glue([(0.0, d, 880, u0t, None, "u0", "lo"),
-                  (d, 2 * d, 481, u0t, u2t, "u1", None),
+    return _glue([(0.0, d, 880, u0, None, "u0", "lo"),
+                  (d, 2 * d, 481, u0, u2t, "u1", None),
                   (2 * d, lo3, 1201, u2t, None, "u2", None),
                   (lo3, hi3, 481, u2t, stack4, "u3", None),
                   (hi3, 1.0, 961, stack4, None, "u4", "hi")])
@@ -831,8 +813,8 @@ def multilayer_ansatz(k: int, lam: float, outer_mode: str = greens.DIRICHLET,
     delta = min(0.5 * np.sqrt(eps), 0.25 * r_dip)
 
     def u0t(rr):
-        return (bubble2d(rr, mu, lam) + h_origin - np.log(8.0 * mu**2),
-                bubble2d(rr, mu, lam, 1), bubble2d(rr, mu, lam, 2))
+        b, b1, b2 = bubble2d(rr, mu, lam)
+        return b + h_origin - np.log(8.0 * mu**2), b1, b2
 
     def peak_t(i):
         # clamp the peak width to the local gap: far outside the asymptotic
@@ -844,9 +826,7 @@ def multilayer_ansatz(k: int, lam: float, outer_mode: str = greens.DIRICHLET,
         center = peaks[i]
 
         def f(rr):
-            w = bubble1d(rr, mu_i, 0, center)
-            wp = bubble1d(rr, mu_i, 1, center)
-            wpp = bubble1d(rr, mu_i, 2, center)
+            w, wp, wpp = bubble1d(rr, mu_i, center)
             return w - np.log(lam), wp, wpp
         return f
 

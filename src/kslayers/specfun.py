@@ -22,6 +22,10 @@ the bit.
 
 Derivatives are always analytic: I0' = I1 and K0' = -K1.
 
+``bessel_table`` (I0, I1, K0, K1) and ``xi_zeta_table`` (xi, xi', zeta,
+zeta') are the only entry points; both take an array of radii, and a
+scalar radius gives 0-d results.
+
 The pair (xi, zeta) is the normalized fundamental system on (0, 1]:
 xi = I0 (bounded, increasing, xi'(0) = 0) and zeta = K0 + c_mix * I0
 with the constant c_mix fixed once so that zeta'(1) = 0.  The mixing
@@ -30,19 +34,10 @@ leaves the Wronskian identity r (xi' zeta - xi zeta') = 1 exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import DomainError
 
 __all__ = [
     "EULER_MASCHERONI",
-    "R_MAX",
-    "BesselEval",
-    "BesselPair",
-    "modified_bessel",
-    "xi_zeta",
     "bessel_table",
     "xi_zeta_table",
     "C_MIX",
@@ -50,10 +45,6 @@ __all__ = [
 
 # Euler-Mascheroni constant, 20 digits.
 EULER_MASCHERONI = 0.57721566490153286061
-
-# Largest radius the kernels are certified for (the library itself only
-# ever evaluates on (0, 1]; the headroom exists for the identity checks).
-R_MAX = 10.0
 
 # ---------------------------------------------------------------------------
 # Chebyshev tables for e^x sqrt(x) K_nu(x) on [1.9, 10.6], variable
@@ -153,7 +144,10 @@ def _k_cheb(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def bessel_table(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (I0, I1, K0, K1) on an array of radii in (0, R_MAX].
+    """Vectorized (I0, I1, K0, K1) on an array of radii.
+
+    The values are certified on (0, 10]; the Chebyshev fits cover
+    [1.9, 10.6].  Radii are not validated.
 
     One pass of the ascending series: the I0 and I1 terms advance together
     as the rows of a (2, n) array, and the K0 and K1 log-form sums take
@@ -192,59 +186,6 @@ def bessel_table(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return tuple(a.reshape(r.shape) for a in (i0, i1, k0, k1))
 
 
-def _validate_radius(r: float, upper: float) -> float:
-    r = float(r)
-    if not np.isfinite(r) or r <= 0.0 or r > upper:
-        raise DomainError(f"radius must lie in (0, {upper}], got {r!r}")
-    return r
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """Order-zero modified Bessel values and first derivatives at one radius.
-
-    Satisfies the Wronskian identity r * (I0p * K0 - I0 * K0p) = 1.
-    """
-
-    r: float
-    I0: float
-    I0p: float
-    K0: float
-    K0p: float
-
-
-@dataclass(frozen=True)
-class BesselPair:
-    """The normalized fundamental pair (xi, zeta) at one radius in (0, 1].
-
-    xi is bounded and increasing with xi'(0) = 0; zeta blows up like
-    -ln r at the origin and has zeta'(1) = 0.  The mixing constant
-    defining zeta from the (I0, K0) basis is stored in ``c_mix``.
-    """
-
-    r: float
-    xi: float
-    xip: float
-    zeta: float
-    zetap: float
-    c_mix: float
-
-
-def modified_bessel(r: float) -> BesselEval:
-    """Evaluate I0, K0 and their derivatives at a radius in (0, R_MAX].
-
-    Raises
-    ------
-    DomainError
-        If ``r`` is non-positive, non-finite, or beyond ``R_MAX``.
-    """
-    r = _validate_radius(r, R_MAX)
-    arr = np.array([r])
-    i0, i1, k0, k1 = bessel_table(arr)
-    return BesselEval(r=r, I0=float(i0[0]), I0p=float(i1[0]),
-                      K0=float(k0[0]), K0p=float(-k1[0]))
-
-
 def _c_mix() -> float:
     i0, i1, k0, k1 = bessel_table(np.array([1.0]))
     return float(k1[0] / i1[0])
@@ -252,21 +193,6 @@ def _c_mix() -> float:
 
 # zeta = K0 + C_MIX * I0 kills the derivative at r = 1: C_MIX = K1(1)/I1(1).
 C_MIX = _c_mix()
-
-
-def xi_zeta(r: float) -> BesselPair:
-    """Evaluate the fundamental pair (xi, zeta) at a radius in (0, 1]."""
-    r = _validate_radius(r, 1.0)
-    arr = np.array([r])
-    i0, i1, k0, k1 = bessel_table(arr)
-    return BesselPair(
-        r=r,
-        xi=float(i0[0]),
-        xip=float(i1[0]),
-        zeta=float(k0[0] + C_MIX * i0[0]),
-        zetap=float(-k1[0] + C_MIX * i1[0]),
-        c_mix=C_MIX,
-    )
 
 
 def xi_zeta_table(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

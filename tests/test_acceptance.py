@@ -43,7 +43,7 @@ def test_criterion_01_wronskian_and_normalization():
     r = np.logspace(-8, 0, 1000)
     xi, xip, zeta, zetap = sf.xi_zeta_table(r)
     w_err = float(np.max(np.abs(r * (xip * zeta - xi * zetap) - 1.0)))
-    zp1 = abs(sf.xi_zeta(1.0).zetap)
+    zp1 = abs(sf.xi_zeta_table(np.array([1.0]))[3][0])
     ok = w_err <= 1e-10 and zp1 <= 1e-12
     _report(1, ok, t0, f"max|W-1|={w_err:.2e} (<=1e-10), |zeta'(1)|={zp1:.2e} (<=1e-12)")
 
@@ -143,8 +143,8 @@ def test_criterion_07_matching_lemmas(params_cache):
         scale = np.sqrt(2.0) / p.eps
         u0 = ansatz.inner_u0(p)
         rr = np.linspace(p.delta, 2 * p.delta, 60)
-        gaps.append(float(np.max(np.abs(u0(rr) - scale * p.outer.value(rr)))))
-        dgaps.append(float(np.max(np.abs(u0(rr, 1)
+        gaps.append(float(np.max(np.abs(u0(rr)[0] - scale * p.outer.value(rr)))))
+        dgaps.append(float(np.max(np.abs(u0(rr)[1]
                                          - scale * p.outer.derivative(rr)))))
         band = (prof.grid > 1 - 2 * p.delta1) & (prof.grid < 1 - p.delta1)
         dist = np.abs(prof.grid[band] - 1.0)

@@ -49,12 +49,12 @@ class TestParameterRelation:
 class TestBubbles:
     def test_planar_center_value(self):
         mu, lam = 2.0, 1e-3
-        assert ansatz.bubble2d(0.0, mu, lam) == pytest.approx(
+        assert ansatz.bubble2d(0.0, mu, lam)[0] == pytest.approx(
             np.log(8.0 / (mu**2 * lam**2)), rel=1e-14)
 
     def test_planar_mass_is_8pi(self):
         mu, lam = 1.5, 1e-3
-        val, err = quad(lambda r: lam * np.exp(ansatz.bubble2d(r, mu, lam))
+        val, err = quad(lambda r: lam * np.exp(ansatz.bubble2d(r, mu, lam)[0])
                         * 2 * np.pi * r, 0, 50, limit=200)
         tail = 8 * np.pi * mu**2 * lam / (mu**2 * lam + 2500.0)
         assert val + tail == pytest.approx(8 * np.pi, abs=1e-6)
@@ -62,25 +62,27 @@ class TestBubbles:
     def test_planar_equation_exact_and_fd(self):
         mu, lam = 1.5, 1e-2
         r = np.linspace(0.3, 1.0, 200)
-        lap = ansatz.bubble2d(r, mu, lam, 2) + ansatz.bubble2d(r, mu, lam, 1) / r
-        res = -lap - lam * np.exp(ansatz.bubble2d(r, mu, lam))
+        b, b1, b2 = ansatz.bubble2d(r, mu, lam)
+        lap = b2 + b1 / r
+        res = -lap - lam * np.exp(b)
         assert np.max(np.abs(res)) < 1e-12
+
+        def val(x):
+            return ansatz.bubble2d(x, mu, lam)[0]
+
         h = 1e-4
-        fd = (ansatz.bubble2d(r + h, mu, lam) - 2 * ansatz.bubble2d(r, mu, lam)
-              + ansatz.bubble2d(r - h, mu, lam)) / h**2
-        fd_lap = fd + (ansatz.bubble2d(r + h, mu, lam)
-                       - ansatz.bubble2d(r - h, mu, lam)) / (2 * h) / r
-        assert np.max(np.abs(-fd_lap - lam * np.exp(
-            ansatz.bubble2d(r, mu, lam)))) < 1e-6
+        fd = (val(r + h) - 2 * val(r) + val(r - h)) / h**2
+        fd_lap = fd + (val(r + h) - val(r - h)) / (2 * h) / r
+        assert np.max(np.abs(-fd_lap - lam * np.exp(b))) < 1e-6
 
     def test_line_bubble_peak_value(self):
         mu_t = 0.3
-        assert ansatz.bubble1d(1.0, mu_t) == pytest.approx(-2 * np.log(mu_t),
+        assert ansatz.bubble1d(1.0, mu_t)[0] == pytest.approx(-2 * np.log(mu_t),
                                                            rel=1e-13)
 
     def test_line_bubble_mass(self):
         mu_t = 0.25
-        val, _ = quad(lambda s: np.exp(ansatz.bubble1d(1.0 + s, mu_t)),
+        val, _ = quad(lambda s: np.exp(ansatz.bubble1d(1.0 + s, mu_t)[0]),
                       -40 * mu_t, 40 * mu_t, limit=200)
         assert val == pytest.approx(2 * np.sqrt(2) / mu_t, rel=1e-8)
 
@@ -88,18 +90,22 @@ class TestBubbles:
         mu_t = 0.3
         s = np.linspace(-6, 6, 100)
         r = 1.0 + mu_t * s / np.sqrt(2)
-        res = -ansatz.bubble1d(r, mu_t, 2) - np.exp(ansatz.bubble1d(r, mu_t))
+        w, _, w2 = ansatz.bubble1d(r, mu_t)
+        res = -w2 - np.exp(w)
         assert np.max(np.abs(res)) < 1e-12
+
+        def val(x):
+            return ansatz.bubble1d(x, mu_t)[0]
+
         h = 1e-4
-        fd = (ansatz.bubble1d(r + h, mu_t) - 2 * ansatz.bubble1d(r, mu_t)
-              + ansatz.bubble1d(r - h, mu_t)) / h**2
-        assert np.max(np.abs(-fd - np.exp(ansatz.bubble1d(r, mu_t)))) < 1e-6
+        fd = (val(r + h) - 2 * val(r) + val(r - h)) / h**2
+        assert np.max(np.abs(-fd - np.exp(w))) < 1e-6
 
     def test_symmetry_about_center(self):
         mu_t = 0.2
         x = np.linspace(0.0, 0.5, 20)
-        left = ansatz.bubble1d(1.0 - x, mu_t)
-        right = ansatz.bubble1d(1.0 + x, mu_t)
+        left = ansatz.bubble1d(1.0 - x, mu_t)[0]
+        right = ansatz.bubble1d(1.0 + x, mu_t)[0]
         assert np.max(np.abs(left - right)) < 1e-12
 
 
@@ -162,8 +168,7 @@ class TestCorrections:
 
         a = corrections4.alpha_eps.values[::3]
         d1a = corrections4.alpha_eps.d1[::3]
-        w = ansatz.bubble1d(g4, mu_t)
-        wp = ansatz.bubble1d(g4, mu_t, 1)
+        w, wp, _ = ansatz.bubble1d(g4, mu_t)
         f = wp / g4 - w + np.log(lam)
         res_a = -fd2(a) - d1a[1:-1] / g4[1:-1] - f[1:-1]
         assert np.max(np.abs(res_a[keep])) < 1e-6
@@ -179,11 +184,12 @@ class TestCorrections:
 
         b = corrections4.beta_eps.values[::3]
         d1b = corrections4.beta_eps.d1[::3]
-        res_b = -fd2(b) - d1b[1:-1] / g4[1:-1] - stack.v(s, 1)[1:-1] / g4[1:-1]
+        res_b = -fd2(b) - d1b[1:-1] / g4[1:-1] - stack.sweep(s)[1][1:-1] / g4[1:-1]
         assert np.max(np.abs(res_b[keep])) < 1e-6
 
         z = z_all[::3]
-        bracket = stack.alpha2(s) - stack.iv(s) + 0.5 * (a1s + stack.v(s)) ** 2
+        bracket = (stack.alpha2(s) - stack.profiles(s)[3]
+                   + 0.5 * (a1s + stack.sweep(s)[0]) ** 2)
         res_z = -fd2(z) - ew[1:-1] * z[1:-1] \
             - mu_t**2 * ew[1:-1] * bracket[1:-1]
         assert np.max(np.abs(res_z[keep])) < 1e-6
@@ -301,7 +307,7 @@ class TestInnerPiece:
         scale = np.sqrt(2.0) / params4.eps
         u0 = ansatz.inner_u0(params4)
         rr = np.linspace(params4.delta, 2 * params4.delta, 50)
-        gap = np.abs(u0(rr) - scale * params4.outer.value(rr))
+        gap = np.abs(u0(rr)[0] - scale * params4.outer.value(rr))
         envelope = 2.0 * np.log1p(params4.lam * params4.mu**2 / rr**2)
         assert np.max(gap - envelope) < 0.2
 
@@ -362,7 +368,7 @@ class TestInnerMass:
             u0 = ansatz.inner_u0(p)
             rr = np.linspace(0.0, p.delta, 2000)
             masses[lam] = float(np.trapezoid(
-                lam * np.exp(u0(rr)) * 2 * np.pi * rr, rr))
+                lam * np.exp(u0(rr)[0]) * 2 * np.pi * rr, rr))
         assert masses[1e-4] > masses[1e-3]
         assert masses[1e-4] < 8 * np.pi
 

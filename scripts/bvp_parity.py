@@ -10,7 +10,10 @@ runs, with this checkout's ``src`` first on the import path:
 * ``solve_bvp(lam, build_profile(build_params(lam)))`` at lam = 1e-4, 1e-5
   and 1e-6, the ansatz-started direct solve;
 * the ansatz guesses of those solves, and ``multilayer_ansatz(k, 1e-4,
-  mode)`` for (1, neumann) and k = 2, 3 in both modes.
+  mode)`` for (1, neumann) and k = 2, 3 in both modes;
+* ``build_params(lam)`` over 132 lambdas, ``logspace(-1, -300, 120)`` and
+  the ladders the tests and benchmark use, which cross both matching-order
+  transitions.
 
 For each solver case OUT.npz holds, one row per point: ``param`` (long
 double, as the solver stores it), ``values`` (long double), ``d1``, ``d2``,
@@ -18,10 +21,14 @@ double, as the solver stores it), ``values`` (long double), ``d1``, ``d2``,
 concatenated array with the per-point lengths in ``history_len``.  For each
 ansatz it holds the profile's ``grid``, ``values``, ``d1``, ``d2`` and
 ``piece``, and for the single-layer guesses ``r_tilde`` and ``gamma_eps``.
+The ``params`` case holds one entry per lambda: ``lam``, ``eps``,
+``gamma_eps``, ``r_tilde``, ``matching_order`` and ``matching_error``
+(whether ``build_params`` raised ``MatchingError``; then ``gamma_eps`` and
+``r_tilde`` are NaN and ``matching_order`` is -1).
 
 With ``--against OLD.npz`` every field of every case is compared with
 ``np.array_equal``; a numeric field that differs prints its max relative
-difference, a string field (``piece``) that it differs, and a missing or
+difference (NaNs in the same places count as equal), a string field (``piece``) that it differs, and a missing or
 reshaped one says so.  Run it from two checkouts and compare the second
 dump against the first: the exit code is 1 unless every field is equal.
 """
@@ -36,6 +43,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from kslayers import ansatz, bvp, greens  # noqa: E402
+from kslayers.errors import MatchingError  # noqa: E402
 
 COMPONENTS = [(i, sign) for i in (2, 3, 4, 5) for sign in "+-"]
 LAMBDAS = (1e-4, 1e-5, 1e-6)
@@ -43,6 +51,10 @@ STEPS = 100
 MULTILAYER = [(1, greens.NEUMANN)] + [(k, mode) for k in (2, 3)
                                       for mode in (greens.DIRICHLET, greens.NEUMANN)]
 MULTILAYER_LAMBDA = 1e-4
+# criterion 6's eps ladder, criterion 7's, the benchmark's decade ladder and
+# two lambdas where the matching fails
+PARAM_EPS = (0.10, 0.07, 0.05, 0.035, 0.025)
+PARAM_LAMBDAS = (0.3, 0.2, 1e-2, 1e-3, 3e-4, 1e-4, 1e-5)
 
 
 def _fields(points) -> dict:
@@ -65,8 +77,26 @@ def _profile_fields(profile) -> dict:
             for key in ("grid", "values", "d1", "d2", "piece")}
 
 
+def _params_fields() -> dict:
+    lams = np.concatenate([np.logspace(-1, -300, 120), PARAM_LAMBDAS,
+                           [ansatz.lambda_of_epsilon(e) for e in PARAM_EPS]])
+    rows = []
+    for lam in lams:
+        try:
+            p = ansatz.build_params(lam)
+            rows.append((p.eps, p.gamma_eps, p.r_tilde, p.matching_order, False))
+        except MatchingError:
+            rows.append((ansatz.solve_epsilon(lam), np.nan, np.nan, -1, True))
+    eps, gamma, r_tilde, order, failed = zip(*rows)
+    return {"lam": lams, "eps": np.array(eps), "gamma_eps": np.array(gamma),
+            "r_tilde": np.array(r_tilde), "matching_order": np.array(order),
+            "matching_error": np.array(failed)}
+
+
 def dump() -> dict:
-    out = {}
+    out = {f"params/{key}": val for key, val in _params_fields().items()}
+    print(f"params: {out['params/lam'].size} lambdas, "
+          f"{int(out['params/matching_error'].sum())} MatchingError")
     for i, sign in COMPONENTS:
         branch = bvp.continue_component(bvp.seed_branch(i, sign), steps=STEPS)
         for key, val in _fields(branch).items():
@@ -96,7 +126,7 @@ def _max_rel(a: np.ndarray, b: np.ndarray) -> float:
     scale = np.maximum(np.abs(a), np.abs(b))
     diff = np.abs(a - b)
     rel = np.where(scale > 0, diff / np.where(scale > 0, scale, 1), 0)
-    return float(np.max(rel))
+    return float(np.nanmax(rel))
 
 
 def compare(new: dict, old: dict) -> bool:
@@ -108,7 +138,8 @@ def compare(new: dict, old: dict) -> bool:
         elif new[key].shape != old[key].shape:
             print(f"{key}: shape {new[key].shape} against {old[key].shape}")
             same = False
-        elif np.array_equal(new[key], old[key]):
+        elif np.array_equal(new[key], old[key],
+                            equal_nan=new[key].dtype.kind == "f"):
             print(f"{key}: equal")
         elif new[key].dtype.kind == "U" or old[key].dtype.kind == "U":
             print(f"{key}: differs")

@@ -80,34 +80,45 @@ def lambda_of_epsilon(eps: float) -> float:
 def solve_epsilon(lam: float) -> float:
     """Small root of ln(4/eps^2) - ln(lambda) = sqrt(2)/eps.
 
-    The left side minus the right side is strictly increasing in eps up to
-    sqrt(2)/2, so the small root is unique; it is bracketed by bisection
-    and polished by Newton to machine precision.
+    The left side minus the right side is strictly increasing and concave
+    in eps up to sqrt(2)/2, negative at eps = 1e-8 for every double lambda
+    and positive at sqrt(2)/2 for lambda < 1/e.  So the small root is
+    unique, and Newton's method from 1e-8 climbs to it monotonically.
     """
     if not (0.0 < lam < 1.0 / np.e):
         raise DomainError(f"lambda must lie in (0, 1/e), got {lam!r}")
 
-    def f(e: float) -> float:
-        return np.log(4.0 / e**2) - np.log(lam) - _SQRT2 / e
+    def f(e: float) -> tuple[float, float]:
+        return (np.log(4.0 / e**2) - np.log(lam) - _SQRT2 / e,
+                -2.0 / e + _SQRT2 / e**2)
 
-    lo, hi = 1e-8, _SQRT2 / 2.0
-    if f(hi) < 0:
-        raise DomainError(f"no admissible eps for lambda={lam}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-3 * hi:
-            break
-    e = 0.5 * (lo + hi)
-    for _ in range(60):
-        step = f(e) / (-2.0 / e + _SQRT2 / e**2)
-        e -= step
-        if abs(step) < 1e-17 * e:
-            break
-    return float(e)
+    return float(_newton_root(f, 1e-8, 1e-8, _SQRT2 / 2.0))
+
+
+def _newton_root(f, x: float, lo: float, hi: float) -> float | None:
+    """Root of ``f`` in (lo, hi) by Newton's method from ``x``.
+
+    ``f`` returns the value and the derivative at a point.  A step that
+    would leave (lo, hi) goes halfway from ``x`` to the bound it crosses
+    instead, and one that is not a number halfway to ``lo``.  The first
+    iterate whose step is at most 1e-14 |x| is returned: the convergence
+    is quadratic, so it carries the root to rounding (a bound of 3e-16
+    stalls in the rounding itself).  Returns None if the derivative
+    vanishes or is not finite, or if 100 steps do not settle.
+    """
+    for _ in range(100):
+        fx, dx = f(x)
+        if dx == 0.0 or not np.isfinite(dx):
+            return None
+        x_new = x - fx / dx
+        if not x_new > lo:
+            x_new = 0.5 * (x + lo)
+        elif not x_new < hi:
+            x_new = 0.5 * (x + hi)
+        if abs(x_new - x) <= 1e-14 * abs(x):
+            return x_new
+        x = x_new
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +372,6 @@ class _StretchedStack:
         return (v, dv, self._source(s, ew, iw) - ew * v,
                 z, dz, self._source(s, ew, iw, iv, v) - ew * z)
 
-    def sweep(self, s):
-        """(v, v') in s, from the v pair alone."""
-        return _varied(_kernel(s), *self._eval(self._coef[:, 1:3], s))
-
     def corrections(self, s: np.ndarray, mu_t: float):
         """(v, v', v'', z, z', z'') of the sweep and third-order profiles.
 
@@ -388,16 +395,39 @@ class _StretchedStack:
                                    zeta1_eff=zeta1 + _SWEEP_TAIL - nu2)
 
 
+def _f_alpha(r, mu_t: float, lam: float):
+    """The first radial sweep's source f = W'/r - W + ln(lam)."""
+    w, w1, _ = bubble1d(r, mu_t)
+    return w1 / r - w + np.log(lam)
+
+
 @dataclass(frozen=True)
 class BoundaryCorrections:
-    """The radial sweeps alpha_eps and beta_eps on the boundary window, and
-    the stretched stack, whose ``corrections`` evaluates the sweep and
-    third-order profiles v_eps and z_eps at any radii in the window."""
+    """The boundary-layer corrections on the window ``r_window``.
 
-    alpha_eps: Profile
-    beta_eps: Profile
+    ``sweeps`` holds the Chebyshev coefficients of -r alpha_eps', alpha_eps
+    and beta_eps on the window, one column each; ``stack`` is the stretched
+    stack of the sweep and third-order profiles v_eps and z_eps.  Calling
+    the object at radii in the window returns the (value, d1, d2) triples
+    of alpha_eps, beta_eps, v_eps and z_eps there, from one Clenshaw pass
+    over each coefficient array.
+    """
+
+    lam: float
+    mu_tilde: float
+    sweeps: np.ndarray
     stack: _StretchedStack
     r_window: tuple[float, float]
+
+    def __call__(self, r: np.ndarray):
+        mu_t = self.mu_tilde
+        ra1, a, b = _cheb_eval(self.sweeps, *self.r_window, r)
+        v, dv, d2v, z, dz, d2z = self.stack.corrections((r - 1.0) / mu_t, mu_t)
+        a_d1 = -ra1 / r
+        b_d1 = -v / r
+        return ((a, a_d1, -a_d1 / r - _f_alpha(r, mu_t, self.lam)),
+                (b, b_d1, -(b_d1 + dv) / r),
+                (v, dv, d2v), (z, dz, d2z))
 
 
 def boundary_corrections(params: "AnsatzParams") -> BoundaryCorrections:
@@ -407,13 +437,13 @@ def boundary_corrections(params: "AnsatzParams") -> BoundaryCorrections:
     stretched stack, built on the window's own depth in s.  The two radial
     sweeps have sources free of the unknown and zero data at r = 1:
     -(r a')' = r f with f = W'/r - W + ln(lam) gives r a' = int_r^1 t f,
-    and (r b')' = -v_eps' gives r b' = -v_eps, so a takes two quadratures
-    and b one; both are sampled on 6001 uniform radii.  The far-field
-    constants are ``params.constants``.
+    and (r b')' = -v_eps' gives r b' = -v_eps, so a takes two Chebyshev
+    antiderivatives and b one, and their derivatives follow from these
+    relations wherever the result is evaluated.  The far-field constants
+    are ``params.constants``.
     """
     lam, mu_t = params.lam, params.mu_tilde
     r_lo = 0.55
-    grid = np.linspace(r_lo, 1.0, 6001)
     # an interpolant over the full depth carries ~4e-14 of rounding noise
     # into z on the window, which differencing the profile amplifies
     stack = _StretchedStack(params.gamma_eps,
@@ -424,29 +454,12 @@ def boundary_corrections(params: "AnsatzParams") -> BoundaryCorrections:
     def radial(y):
         return _antiderivative(y, r_lo, 1.0, 1.0)
 
-    def f_alpha(r):
-        w, w1, _ = bubble1d(r, mu_t)
-        return w1 / r - w + np.log(lam)
-
-    ra1 = radial(r * f_alpha(r))                    # -r a'
+    ra1 = radial(r * _f_alpha(r, mu_t, lam))          # -r a'
     a_c = radial(-_cheb_eval(ra1, r_lo, 1.0, r) / r)
-    b_c = radial(-mu_t * stack.sweep((r - 1.0) / mu_t)[0] / r)
-    ra1_g, a_vals, b_vals = _cheb_eval(np.column_stack([ra1, a_c, b_c]),
-                                       r_lo, 1.0, grid)
-    a_d1 = -ra1_g / grid
-    a_d2 = -a_d1 / grid - f_alpha(grid)
-
-    v, dv = stack.sweep((grid - 1.0) / mu_t)
-    b_d1 = -mu_t * v / grid
-    b_d2 = -(b_d1 + dv) / grid
-
-    def prof(vals, d1, d2, label):
-        return Profile(grid.copy(), vals, d1, d2, np.full(grid.size, label))
-
-    return BoundaryCorrections(
-        alpha_eps=prof(a_vals, a_d1, a_d2, "alpha_eps"),
-        beta_eps=prof(b_vals, b_d1, b_d2, "beta_eps"),
-        stack=stack, r_window=(r_lo, 1.0))
+    b_c = radial(-stack.corrections((r - 1.0) / mu_t, mu_t)[0] / r)
+    return BoundaryCorrections(lam=lam, mu_tilde=mu_t,
+                               sweeps=np.column_stack([ra1, a_c, b_c]),
+                               stack=stack, r_window=(r_lo, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -481,45 +494,26 @@ def _solve_outer(eps: float,
     def b_from_value(gamma: float, order: int) -> float:
         return (data_of(gamma, order) - A * zeta1v) / xi1
 
-    def deriv_gap(gamma: float, order: int) -> float:
+    def deriv_gap(gamma: float, order: int) -> tuple[float, float]:
+        """The derivative condition's gap and its derivative in gamma."""
         lhs = b_from_value(gamma, order) * xi1p
         rhs = 1.0 / gamma
+        d_data = -2.0 / gamma
+        d_rhs = -1.0 / gamma**2
         if order == 2:
             rhs += (eps / _SQRT2) * (-2.0 + 2.0 * gamma * np.log(2.0)
                                      + eps * gamma * zeta1e)
-        return lhs - rhs
+            d_data += eps * nu2e
+            d_rhs += (eps / _SQRT2) * (2.0 * np.log(2.0) + eps * zeta1e)
+        return lhs - rhs, (eps / _SQRT2) * d_data * xi1p / xi1 - d_rhs
 
     gamma0 = 1.0 / (b_from_value(1.0, 0) * xi1p)
 
-    for order in (2, 1):
-        if order == 2 and constants is None:
-            continue
-        gamma = _newton_scalar(lambda gg: deriv_gap(gg, order), gamma0)
-        if gamma is not None and gamma > 0:
+    for order in (2, 1) if constants is not None else (1,):
+        gamma = _newton_root(lambda gg: deriv_gap(gg, order), gamma0, 0.0, np.inf)
+        if gamma is not None and abs(deriv_gap(gamma, order)[0]) < 1e-10:
             return data_of(gamma, order), gamma, order
     return data_of(gamma0, 0), gamma0, 0
-
-
-def _newton_scalar(f, x0: float, tol: float = 1e-13,
-                   max_iter: int = 80) -> float | None:
-    x = x0
-    for _ in range(max_iter):
-        fx = f(x)
-        h = 1e-7 * max(1.0, abs(x))
-        d = (f(x + h) - f(x - h)) / (2 * h)
-        if d == 0.0 or not np.isfinite(d):
-            return None
-        step = fx / d
-        x_new = x - step
-        if x_new <= 0 or not np.isfinite(x_new):
-            x_new = 0.5 * x
-        if abs(x_new - x) < tol * max(1.0, abs(x)):
-            x = x_new
-            break
-        x = x_new
-    else:
-        return None
-    return x if abs(f(x)) < 1e-10 else None
 
 
 def _scaled_green(green: greens.PiecewiseGreen, eps: float):
@@ -560,12 +554,14 @@ def build_params(lam: float, eta: float = 0.8) -> AnsatzParams:
     point; two or three passes suffice since the coupling is O(eps^2).  The
     outer profile is then the Green's function with no free layer,
     ``greens.LayerCalculus`` with -A ln r at the origin and the matched data
-    at r = 1, and r_tilde is the zero of its derivative.
+    at r = 1.  Newton's method finds gamma, with the matching gap's
+    derivative in closed form, and r_tilde, the zero of G', with G'' from
+    the ODE.
 
     Raises
     ------
     MatchingError
-        If no data order yields a positive gamma.
+        If no data order yields a positive gamma, or G' has no zero in (0, 1).
     """
     eps, delta1 = _eps_delta1(lam, eta)
 
@@ -583,8 +579,15 @@ def build_params(lam: float, eta: float = 0.8) -> AnsatzParams:
 
     outer = greens.LayerCalculus(np.empty(0), 4.0 * eps / _SQRT2,
                                  greens.DIRICHLET, values=[data]).green
-    r_tilde = greens.bisect_scalar(lambda r: float(outer.derivative(r)[0]),
-                                   1e-9, 1.0 - 1e-12)
+
+    def slope(r):  # (G', G'') at one radius, G'' = G - G'/r from the ODE
+        (v,), (dv,) = outer.evaluate(r)
+        return dv, v - dv / r
+
+    lo, hi = 1e-9, 1.0 - 1e-12
+    r_tilde = _newton_root(slope, 0.5 * (lo + hi), lo, hi)
+    if r_tilde is None:
+        raise MatchingError(f"no critical point of the outer profile at eps={eps}")
     h_origin = _h_origin(outer, eps)
     delta = min(0.5 * np.sqrt(eps), 0.25 * r_tilde)
     mu = np.sqrt(np.exp(h_origin) / 8.0)
@@ -741,15 +744,11 @@ def build_profile(params: AnsatzParams) -> Profile:
     u0 = inner_u0(params)
 
     def stack4(rr):
-        mu_t = params.mu_tilde
-        w, wp, wpp = bubble1d(rr, mu_t)
-        a, b = cor.alpha_eps, cor.beta_eps
-        a_v, a_1, a_2 = (np.interp(rr, a.grid, f) for f in (a.values, a.d1, a.d2))
-        b_v, b_1, b_2 = (np.interp(rr, b.grid, f) for f in (b.values, b.d1, b.d2))
-        v_v, v_1, v_2, z_v, z_1, z_2 = cor.stack.corrections((rr - 1.0) / mu_t, mu_t)
-        return (w - np.log(lam) + a_v + v_v + b_v + z_v,
-                wp + a_1 + v_1 + b_1 + z_1,
-                wpp + a_2 + v_2 + b_2 + z_2)
+        w, wp, wpp = bubble1d(rr, params.mu_tilde)
+        (a, a1, a2), (b, b1, b2), (v, v1, v2), (z, z1, z2) = cor(rr)
+        return (w - np.log(lam) + a + v + b + z,
+                wp + a1 + v1 + b1 + z1,
+                wpp + a2 + v2 + b2 + z2)
 
     return _glue([(0.0, d, 880, u0, None, "u0", "lo"),
                   (d, 2 * d, 481, u0, u2t, "u1", None),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# ansatz, analysis and bvp import scipy: only the subcommands that use them load them
+# ansatz, analysis and bvp load in the subcommands that use them; scipy in the solves
 from . import __version__, greens, nondegen
 from .errors import ConvergenceError, DomainError, KsLayersError, \
     NonContractionError

@@ -41,7 +41,6 @@ __all__ = [
     "PiecewiseGreen",
     "LayerCalculus",
     "LayerConfig",
-    "bisect_scalar",
     "reflection_residual",
     "solve_layers",
 ]
@@ -285,31 +284,6 @@ def reflection_residual(config: LayerConfig) -> np.ndarray:
     if np.any(np.diff(alphas) <= 0):
         raise DomainError("candidate radii must be strictly increasing")
     return LayerCalculus(alphas, config.b, config.outer_mode).defect
-
-
-def bisect_scalar(f, lo: float, hi: float, tol: float = 1e-14,
-                  max_iter: int = 200) -> float:
-    """Root of the scalar ``f`` on [lo, hi] by bisection to width ``tol``.
-
-    Raises ``ConvergenceError`` if ``f`` has the same sign at both ends.
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ConvergenceError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0 or hi - lo < tol:
-            return mid
-        if flo * fm < 0.0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
 
 
 def solve_layers(k: int, b: float, outer_mode: str = DIRICHLET,

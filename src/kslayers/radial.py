@@ -14,8 +14,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
 __all__ = ["EXP_CAP", "graded_grid", "RadialOperator"]
 
@@ -139,6 +137,8 @@ class RadialOperator:
             On a non-finite potential or solution; an infinite potential
             can leave the solution finite, so both are checked.
         """
+        # imported here so that a caller that makes no solve never loads scipy
+        from scipy.linalg import lapack
         d = self.lap_main + 1.0 - potential
         if not np.all(np.isfinite(d)):
             raise ValueError("non-finite potential")
@@ -167,6 +167,7 @@ class RadialOperator:
         eigenvalues; the eigenvalue nearest 0 is one of the two either side
         of it, which bisection and inverse iteration (?stein) return alone.
         """
+        import scipy.linalg as sla
         d, e = self.symmetric_tridiagonal(potential)
         neg = sla.eigvalsh_tridiagonal(d, e, select="v",
                                        select_range=(-np.inf, 0.0)).size

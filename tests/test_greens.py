@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from kslayers import greens
 from kslayers.errors import ConditioningError, DomainError
@@ -12,8 +13,8 @@ def singular_green(b):
     """Family 1's Green's function: no free layer, -b ln r at 0, G(1) = 1,
     with the zero r_tilde of its derivative."""
     g = greens.LayerCalculus(np.empty(0), b, greens.DIRICHLET).green
-    r_tilde = greens.bisect_scalar(lambda r: float(g.derivative(r)[0]),
-                                   1e-9, 1.0 - 1e-12)
+    r_tilde = brentq(lambda r: g.derivative(r)[0], 1e-9, 1.0 - 1e-12,
+                     xtol=1e-14)
     return g, r_tilde
 
 

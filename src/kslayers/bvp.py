@@ -228,7 +228,7 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
         _, f_u, f_p = fx
         if border is None:
             return _solve(op, f_u, -np.asarray(G, dtype=float)), 0.0
-        # both columns in ?gtsv's Fortran order: f2py copies, not transposes
+        # both columns in ?gtsv's Fortran order: solve copies, not transposes
         w, v = _solve(op, f_u, np.array([-G, f_p], dtype=float).T).T
         denom = tp + float(np.dot(tu, v))
         if abs(denom) < 1e-300:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# ansatz, analysis and bvp load in the subcommands that use them; scipy in the solves
+# ansatz, analysis and bvp load in the subcommands that use them; scipy only
+# for branch's seed (scipy.special), the radial solves take numpy's LAPACK
 from . import __version__, greens, nondegen
 from .errors import ConvergenceError, DomainError, KsLayersError, \
     NonContractionError

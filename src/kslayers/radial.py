@@ -49,6 +49,58 @@ def graded_grid(n: int, scale0: float = 0.02, scale1: float = 0.02,
     return r
 
 
+def _scipy_gtsv(dl, d, du, b):
+    """``_gtsv`` through scipy's f2py wrapper, told to copy nothing."""
+    from scipy.linalg import lapack
+    *_, x, info = lapack.dgtsv(dl, d, du, b, overwrite_dl=True, overwrite_d=True,
+                               overwrite_du=True, overwrite_b=True)
+    return x, info
+
+
+@functools.cache
+def _numpy_gtsv():
+    """``_gtsv`` bound from the LAPACK numpy loaded, or None.
+
+    numpy's PyPI wheels link an OpenBLAS with 64-bit integers into
+    ``numpy.linalg._umath_linalg``, and dlsym on that module searches its
+    dependencies too.  Only the 64_-suffixed names are taken (numpy >= 2
+    prefixes ``scipy_``): the integer width of a bare ``dgtsv_`` is unknown.
+    """
+    import ctypes
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    fn = getattr(lib, "scipy_dgtsv_64_", None) or getattr(lib, "dgtsv_64_", None)
+    if fn is None:
+        return None
+    # (n, nrhs, dl, d, du, b, ldb, info), every argument by reference
+    fn.argtypes = [ctypes.c_void_p] * 8
+    fn.restype = None
+    ints = ctypes.c_int64 * 3
+    address, view = ctypes.addressof, ctypes.c_double.from_buffer
+
+    def gtsv(dl, d, du, b):
+        # from_buffer refuses a read-only or non-C-contiguous array (b.T is
+        # C-contiguous); the arguments keep the arrays alive through the call
+        nums = ints(d.size, b.shape[1] if b.ndim == 2 else 1, 0)  # n, nrhs, info
+        at = address(nums)
+        fn(at, at + 8, address(view(dl)), address(view(d)), address(view(du)),
+           address(view(b.T)), at, at + 16)
+        return b, nums[2]
+
+    return gtsv
+
+
+def _gtsv(dl, d, du, b):
+    """LAPACK dgtsv in place: returns (x, info), x being ``b`` overwritten.
+
+    ``d`` holds n doubles, ``dl`` and ``du`` n - 1, and ``b`` n rows of one
+    or more columns in Fortran order; all are contiguous and writable, and
+    all four are overwritten.  numpy's LAPACK serves where it exports a
+    64-bit-integer ?gtsv, scipy's elsewhere; the tests hold the two to the
+    same bits.
+    """
+    return (_numpy_gtsv() or _scipy_gtsv)(dl, d, du, b)
+
+
 class RadialOperator:
     """Conservative discretization of u -> -Laplace(u) on a radial grid.
 
@@ -71,6 +123,7 @@ class RadialOperator:
         main[:-1] += w / self.vol[:-1]
         main[1:] += w / self.vol[1:]
         self.lap_main = main
+        self._screened_main = main + 1.0  # the diagonal of -Laplace + I
         self.lap_upper = -w / self.vol[:-1]
         self.lap_lower = -w / self.vol[1:]
 
@@ -127,26 +180,38 @@ class RadialOperator:
         ``rhs`` is one right-hand side or a column per system.  LAPACK ?gtsv
         (Gaussian elimination with partial pivoting) runs on the three
         diagonals directly; it is the routine ``solve_banded((1, 1), ...)``
-        calls, so the solution is the same to the bit.
+        calls, so the solution is the same to the bit.  The ?gtsv is the
+        one in the OpenBLAS numpy already loaded; where numpy's LAPACK
+        exports no 64-bit-integer ?gtsv (conda and MKL builds, Windows),
+        scipy's serves instead.
 
         Raises
         ------
         numpy.linalg.LinAlgError
             On an exactly zero pivot.
         ValueError
-            On a non-finite potential or solution; an infinite potential
-            can leave the solution finite, so both are checked.
+            On an ``rhs`` without one row per node or with more than two
+            dimensions, or a potential that is neither a scalar nor one value
+            per node; on a non-finite potential or solution (an infinite
+            potential can leave the solution finite, so both are checked).
         """
-        # imported here so that a caller that makes no solve never loads scipy
-        from scipy.linalg import lapack
-        d = self.lap_main + 1.0 - potential
-        if not np.all(np.isfinite(d)):
+        # ?gtsv overwrites all four arrays: the solution lands in b
+        b = np.array(rhs, dtype=float, order="F")
+        if b.ndim not in (1, 2) or b.shape[0] != self.n:
+            raise ValueError(f"rhs of shape {b.shape}: need {self.n} rows, "
+                             "one or two dimensions")
+        d = np.asarray(self._screened_main - potential, dtype=float)
+        if d.shape != (self.n,):
+            raise ValueError(f"potential gives a diagonal of shape {d.shape}, "
+                             f"not ({self.n},)")
+        if not np.isfinite(d).all():
             raise ValueError("non-finite potential")
-        *_, x, info = lapack.dgtsv(self.lap_lower, d, self.lap_upper, rhs,
-                                   overwrite_d=True)
+        x, info = _gtsv(self.lap_lower.copy(), d, self.lap_upper.copy(), b)
+        if info < 0:
+            raise ValueError(f"?gtsv rejected its argument {-info}")
         if info > 0:
             raise np.linalg.LinAlgError(f"singular matrix: zero pivot in row {info}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("non-finite solution")
         return x
 
@@ -156,7 +221,7 @@ class RadialOperator:
         The flux form is self-adjoint for the weights vol_i; the similarity
         D^{1/2} A D^{-1/2} with D = diag(vol) is symmetric tridiagonal.
         """
-        d = self.lap_main + 1.0 - np.asarray(potential) * np.ones(self.n)
+        d = self._screened_main - np.asarray(potential) * np.ones(self.n)
         e = self.lap_upper * np.sqrt(self.vol[:-1] / self.vol[1:])
         return d, e
 

@@ -467,8 +467,8 @@ class TestMultilayer:
                                     "scipy.linalg"])
 def test_import_leaves_nondegen_out(module):
     # the scaffold is built from the layered Green's function alone, the
-    # correction profiles are quadratures, not ODE solves, and LAPACK loads
-    # only when a radial solve runs
+    # correction profiles are quadratures, not ODE solves, and a radial solve
+    # takes ?gtsv from numpy's LAPACK (scipy's only where numpy has none)
     src = os.path.dirname(os.path.dirname(ansatz.__file__))
     code = f"import sys, kslayers.ansatz; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

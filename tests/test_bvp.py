@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from kslayers import ansatz, bvp, greens
+from kslayers import ansatz, bvp, greens, radial
 from kslayers.errors import ConvergenceError, DomainError
 from kslayers.radial import RadialOperator, graded_grid
 
@@ -23,6 +23,19 @@ def ansatz4():
 def solved4(ansatz4):
     params, prof = ansatz4
     return params, bvp.solve_bvp(1e-4, prof)
+
+
+NO_NUMPY_GTSV = "numpy's LAPACK exports no 64-bit-integer dgtsv: scipy's serves"
+
+
+@pytest.fixture(params=["numpy", "scipy"])
+def gtsv_path(request, monkeypatch):
+    """RadialOperator.solve routed through one of the two ?gtsv bindings."""
+    gtsv = radial._numpy_gtsv() if request.param == "numpy" else radial._scipy_gtsv
+    if gtsv is None:
+        pytest.skip(NO_NUMPY_GTSV)
+    monkeypatch.setattr(radial, "_gtsv", gtsv)
+    return gtsv
 
 
 class TestEigenvalues:
@@ -57,19 +70,36 @@ class TestOperator:
         rhs = np.sum(w * u * op.apply_neg_lap(v))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
-    def test_solve_is_solve_banded_to_the_bit(self, ansatz4):
-        # lambda e^U of the ansatz makes the operator indefinite (Morse index 2)
+    def test_solve_is_solve_banded_to_the_bit(self, ansatz4, gtsv_path):
+        # lambda e^U of the ansatz makes the operator indefinite (Morse index 2);
+        # the second potential leaves a hundredth of the diagonal
         _, prof = ansatz4
         op = RadialOperator(prof.grid)
-        pot = 1e-4 * np.exp(prof.values)
-        ab = np.zeros((3, op.n))
-        ab[0, 1:], ab[1], ab[2, :-1] = \
-            op.lap_upper, op.lap_main + 1.0 - pot, op.lap_lower
         rng = np.random.default_rng(5)
-        for rhs in (rng.standard_normal(op.n), rng.standard_normal((op.n, 2))):
-            x = op.solve(pot, rhs)
-            assert x.shape == rhs.shape
-            assert np.array_equal(x, sla.solve_banded((1, 1), ab, rhs))
+        for pot in (1e-4 * np.exp(prof.values), 0.99 * (op.lap_main + 1.0)):
+            ab = np.zeros((3, op.n))
+            ab[0, 1:], ab[1], ab[2, :-1] = \
+                op.lap_upper, op.lap_main + 1.0 - pot, op.lap_lower
+            # partial pivoting swaps rows: U's second superdiagonal fills in
+            dl = op.lap_lower.copy()
+            gtsv_path(dl, ab[1].copy(), op.lap_upper.copy(), np.ones(op.n))
+            assert np.any(dl[:-1] != 0.0)
+            for rhs in (rng.standard_normal(op.n), rng.standard_normal((op.n, 2))):
+                x = op.solve(pot, rhs)
+                assert x.shape == rhs.shape
+                assert np.array_equal(x, sla.solve_banded((1, 1), ab, rhs))
+
+    def test_solve_names_the_zero_pivot(self, gtsv_path):
+        # a zero diagonal of odd order: elimination ends on an exact zero pivot
+        op = RadialOperator(graded_grid(501, 0.05, 0.05))
+        pot = op.lap_main + 1.0
+        *_, info = sla.lapack.dgtsv(op.lap_lower, np.zeros(op.n), op.lap_upper,
+                                    np.ones(op.n))
+        assert info > 0
+        for rhs in (np.ones(op.n), np.ones((op.n, 2))):
+            with pytest.raises(np.linalg.LinAlgError,
+                               match=f"zero pivot in row {info}$"):
+                op.solve(pot, rhs)
 
     @pytest.mark.parametrize("grid, uniform", [
         (lambda: bvp.make_grid(1e-4), False),
@@ -93,6 +123,21 @@ class TestOperator:
         pot[7] = bad
         with pytest.raises(ValueError):
             op.solve(pot, np.ones(op.n))
+
+    @pytest.mark.parametrize("pot_shape, rhs_shape", [
+        ((), (499,)), ((), (501, 2)), ((), (500, 2, 1)), ((), ()),
+        ((500, 1), (500,)),
+    ], ids=["short", "long", "3-d", "0-d", "2-d potential"])
+    def test_solve_rejects_misshapen_arguments_before_lapack(
+            self, monkeypatch, pot_shape, rhs_shape):
+        # ?gtsv checks no shapes: it would read and write out of bounds
+        def gtsv(*args):
+            raise AssertionError("?gtsv called")
+
+        monkeypatch.setattr(radial, "_gtsv", gtsv)
+        op = RadialOperator(graded_grid(500, 0.05, 0.05))
+        with pytest.raises(ValueError):
+            op.solve(np.zeros(pot_shape), np.ones(rhs_shape))
 
 
 class TestDirectSolve:
@@ -349,6 +394,20 @@ class TestConcentration:
                                  outer_mode=greens.DIRICHLET)
         rep = bvp.concentration_report(point, ref, eps=params.eps)
         assert np.isfinite(rep.profile_gap)
+
+
+def test_solve_leaves_scipy_out():
+    # the solve binds ?gtsv from the LAPACK numpy has loaded
+    if radial._numpy_gtsv() is None:
+        pytest.skip(NO_NUMPY_GTSV)
+    src = os.path.dirname(os.path.dirname(radial.__file__))
+    code = ("import sys, numpy as np; from kslayers.radial import RadialOperator; "
+            "RadialOperator(np.linspace(0, 1, 50)).solve(0.0, np.ones(50)); "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_import_leaves_special_out():

@@ -26,11 +26,20 @@ The ``params`` case holds one entry per lambda: ``lam``, ``eps``,
 (whether ``build_params`` raised ``MatchingError``; then ``gamma_eps`` and
 ``r_tilde`` are NaN and ``matching_order`` is -1).
 
+Each branch case is also certified: every stored point's residual
+-Delta u + u - e^(mu (u - 1)) is recomputed in long double from its stored
+``param`` and ``values``, with a long-double exp, and the worst max-norm
+per component is printed.  The exit code is 1 if any exceeds 1e-10, the
+tolerance the corrector certifies, so a branch that moved between two
+checkouts shows whether it is the same curve sampled elsewhere or a broken
+solution.
+
 With ``--against OLD.npz`` every field of every case is compared with
 ``np.array_equal``; a numeric field that differs prints its max relative
 difference (NaNs in the same places count as equal), a string field (``piece``) that it differs, and a missing or
 reshaped one says so.  Run it from two checkouts and compare the second
-dump against the first: the exit code is 1 unless every field is equal.
+dump against the first: the exit code is 1 unless every field is equal
+and every branch certifies.
 """
 
 import argparse
@@ -44,6 +53,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 from kslayers import ansatz, bvp, greens  # noqa: E402
 from kslayers.errors import MatchingError  # noqa: E402
+from kslayers.radial import RadialOperator  # noqa: E402
 
 COMPONENTS = [(i, sign) for i in (2, 3, 4, 5) for sign in "+-"]
 LAMBDAS = (1e-4, 1e-5, 1e-6)
@@ -55,6 +65,7 @@ MULTILAYER_LAMBDA = 1e-4
 # two lambdas where the matching fails
 PARAM_EPS = (0.10, 0.07, 0.05, 0.035, 0.025)
 PARAM_LAMBDAS = (0.3, 0.2, 1e-2, 1e-3, 3e-4, 1e-4, 1e-5)
+CERTIFIED = 1e-10  # the continuation corrector's residual tolerance
 
 
 def _fields(points) -> dict:
@@ -70,6 +81,19 @@ def _fields(points) -> dict:
         "residual_history": np.concatenate(history),
         "history_len": np.array([h.size for h in history]),
     }
+
+
+def _worst_residual(points) -> float:
+    """Largest max-norm long-double residual of -Delta u + u = e^(mu (u - 1))
+    over the stored (param, values) of a branch."""
+    op = RadialOperator(points[0].profile.grid)
+    worst = 0.0
+    for p in points:
+        u = np.asarray(p.profile.values, dtype=np.longdouble)
+        res = op.apply_neg_lap_extended(u) + u \
+            - np.exp(np.longdouble(p.param) * (u - 1))
+        worst = max(worst, float(np.max(np.abs(res))))
+    return worst
 
 
 def _profile_fields(profile) -> dict:
@@ -93,15 +117,21 @@ def _params_fields() -> dict:
             "matching_error": np.array(failed)}
 
 
-def dump() -> dict:
+def dump() -> tuple[dict, list[str]]:
+    """The dump, and the branch cases whose residual exceeds ``CERTIFIED``."""
     out = {f"params/{key}": val for key, val in _params_fields().items()}
+    uncertified = []
     print(f"params: {out['params/lam'].size} lambdas, "
           f"{int(out['params/matching_error'].sum())} MatchingError")
     for i, sign in COMPONENTS:
         branch = bvp.continue_component(bvp.seed_branch(i, sign), steps=STEPS)
         for key, val in _fields(branch).items():
             out[f"i{i}{sign}/{key}"] = val
-        print(f"i{i}{sign}: {len(branch)} points")
+        worst = _worst_residual(branch)
+        if worst > CERTIFIED:
+            uncertified.append(f"i{i}{sign}")
+        print(f"i{i}{sign}: {len(branch)} points, worst long-double residual "
+              f"{worst:.3e}")
     for lam in LAMBDAS:
         params = ansatz.build_params(lam)
         guess = ansatz.build_profile(params)
@@ -118,7 +148,7 @@ def dump() -> dict:
         for key, val in _profile_fields(profile).items():
             out[f"multilayer{k}{mode}/{key}"] = val
         print(f"multilayer k={k} {mode}: {profile.grid.size} nodes")
-    return out
+    return out, uncertified
 
 
 def _max_rel(a: np.ndarray, b: np.ndarray) -> float:
@@ -156,15 +186,17 @@ def main(argv: list[str]) -> int:
     parser.add_argument("out", help="npz file to write")
     parser.add_argument("--against", help="an older dump to compare with")
     args = parser.parse_args(argv)
-    new = dump()
+    new, uncertified = dump()
     np.savez(args.out, **new)
+    if uncertified:
+        print(f"residual above {CERTIFIED:g}: {', '.join(uncertified)}")
     if args.against is None:
-        return 0
+        return 1 if uncertified else 0
     with np.load(args.against) as f:
         old = {key: f[key] for key in f.files}
     same = compare(new, old)
     print("every field equal" if same else "fields differ")
-    return 0 if same else 1
+    return 0 if same and not uncertified else 1
 
 
 if __name__ == "__main__":

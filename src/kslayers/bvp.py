@@ -3,10 +3,10 @@
 The steady state -Delta u + u = lambda e^u (Neumann) is solved by damped
 Newton on the conservative finite-volume discretization; for lambda < 1/e
 the equivalent form -Delta u + u = e^(mu (u-1)) is continued in mu by
-pseudo-arclength from the radial Neumann eigenvalues, where branches of
-nonconstant solutions bifurcate from u = 1.  One damped Newton core serves
-both: the direct solve holds the parameter fixed, the arclength corrector
-borders the system with the constraint row.  One evaluation of the
+pseudo-arclength from the discrete operator's radial Neumann eigenvalues,
+where branches of nonconstant solutions bifurcate from u = 1.  One damped
+Newton core serves both: the direct solve holds the parameter fixed, the
+arclength corrector borders the system with the constraint row.  One evaluation of the
 nonlinearity and its derivatives serves an iterate's residual and its step.
 
 Grid note: the double-precision max-norm of the discrete residual has a
@@ -81,7 +81,8 @@ def radial_eigenvalues(count: int) -> np.ndarray:
 
     The constant mode gives 1; the higher modes are 1 + k_m^2 with k_m the
     positive zeros of J1, where the radial Neumann condition J0'(k) = 0
-    holds.
+    holds.  These are the continuum values; ``seed_branch`` starts from the
+    discrete operator's own (``_neumann_mode``).
     """
     from scipy.special import jn_zeros
 
@@ -342,32 +343,89 @@ def _corrector(op: RadialOperator, u, mu, tangent, x_pred) -> BranchPoint:
                        residual_history=tuple(sol.history))
 
 
+def _j1_zero(m: int) -> float:
+    """McMahon's expansion of the m-th positive zero of J1 to its 1/beta term
+    (Abramowitz & Stegun 9.5.12): 2e-4 off for m = 1, closer for larger m."""
+    beta = (m + 0.25) * math.pi
+    return beta - 3.0 / (8.0 * beta)
+
+
+_MODE_SOLVES = 10  # cap; the McMahon shift settles mu in 2-3 solves
+_MODE_RTOL = 1e-14  # mu's rounding measured at most 6e-16 on 200-20000 nodes
+
+
+def _neumann_mode(op: RadialOperator, i: int) -> tuple[float, np.ndarray]:
+    """The i-th eigenpair (mu_i, phi) of -Delta + 1 on the operator's grid.
+
+    Inverse iteration at the fixed shift 1 + j^2, j the McMahon zero of J1
+    nearest the continuum eigenvalue, starting from cos(j r).  Each iterate
+    is scaled to max |phi| = 1 with phi(0) > 0, and mu_i is its Rayleigh
+    quotient under the cell measure ``vol``, for which the flux form is
+    self-adjoint.  The quotient is summed by parts over the faces,
+    (phi, (-Delta + 1) phi)_vol = sum_faces (r_f / h) (d phi)^2 + (phi, phi)_vol,
+    which rounds to about 1e-16 relative; forming -Delta phi first cancels
+    to 1e-12.  Its error is quadratic in phi's, so once mu moves by less
+    than ``_MODE_RTOL`` the previous phi was within about 1e-7 of the mode
+    and the new one is at the solve's rounding floor.  The shift is at most
+    6e-3 off mu_i (i <= 8, 2000 nodes) and at least 14 from the other
+    eigenvalues, so this takes 2-3 solves.
+
+    Raises
+    ------
+    ConvergenceError
+        If mu_i is still moving after ``_MODE_SOLVES`` solves, or if phi
+        does not have the i - 1 sign changes of mode i.
+    """
+    j = _j1_zero(i - 1)
+    shift = 1.0 + j * j
+    face_weights = op.faces[1:-1] / np.diff(op.r)
+    phi, mu = np.cos(j * op.r), shift
+    for _ in range(_MODE_SOLVES):
+        v = op.solve(shift, phi)
+        phi = v / math.copysign(float(np.max(np.abs(v))), v[0])
+        last, mu = mu, 1.0 + float(np.dot(face_weights, np.diff(phi) ** 2)
+                                   / np.dot(op.vol, phi * phi))
+        if abs(mu - last) <= _MODE_RTOL * mu:
+            break
+    else:
+        raise ConvergenceError(f"mode {i}: inverse iteration at shift {shift:.6g} "
+                               f"still moving after {_MODE_SOLVES} solves")
+    changes = _zero_count(phi, level=0.0)
+    if changes != i - 1:
+        raise ConvergenceError(f"mode {i}: inverse iteration at shift {shift:.6g} "
+                               f"found mu = {mu:.6g} with {changes} sign changes, "
+                               f"not {i - 1}")
+    return mu, phi
+
+
 def seed_branch(i: int, sign: str, n: int = 2000,
                 amplitude: float = 1e-3) -> BranchPoint:
-    """First nonconstant point on the branch bifurcating from (lambda_i, 1).
+    """First nonconstant point on the branch bifurcating from (mu_i, 1).
 
-    The branch is seeded along the radial Neumann eigenfunction direction
-    with the requested sign of the central amplitude, then corrected by a
-    bordered Newton step that fixes the amplitude.
+    (mu_i, phi) is the discrete Neumann mode of -Delta + 1 on
+    ``np.linspace(0, 1, n)`` (``_neumann_mode``), the bifurcation point of
+    the discretized problem; mu_i lies 3e-7 (i = 2) to 8e-6 (i = 7)
+    relative below the continuum 1 + j_{1,i-1}^2.  The branch is seeded at
+    1 + amplitude phi, with the requested sign of the central amplitude,
+    and corrected by a bordered Newton step that fixes the amplitude.
+
+    Raises
+    ------
+    ConvergenceError
+        If the mode is not found (``_neumann_mode``) or the corrector fails.
     """
     if sign not in ("+", "-"):
         raise DomainError("sign must be '+' or '-'")
     if i < 2:
         raise DomainError("bifurcation branches exist for i >= 2")
-    from scipy.special import j0
-
-    lam_i = radial_eigenvalues(i)[-1]
-    k = np.sqrt(lam_i - 1.0)
-    r = np.linspace(0.0, 1.0, n)
-    phi = j0(k * r)
-    phi = phi / np.max(np.abs(phi))
+    op = RadialOperator(np.linspace(0.0, 1.0, n))
+    mu_i, phi = _neumann_mode(op, i)
     if sign == "-":
         phi = -phi
-    op = RadialOperator(r)
     w = op.quad_weights()
     tu = phi * w / np.sqrt(np.sum(w * phi * phi))
     u_pred = 1.0 + amplitude * phi
-    return _corrector(op, u_pred, lam_i, (tu, 0.0), (u_pred, lam_i))
+    return _corrector(op, u_pred, mu_i, (tu, 0.0), (u_pred, mu_i))
 
 
 def _first_tangent(op: RadialOperator, u, mu, direction: float = 1.0):

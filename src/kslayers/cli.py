@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# ansatz, analysis and bvp load in the subcommands that use them; scipy only
-# for branch's seed (scipy.special), the radial solves take numpy's LAPACK
+# ansatz, analysis and bvp load in the subcommands that use them; no
+# subcommand imports scipy where numpy's LAPACK has a 64-bit-integer ?gtsv
 from . import __version__, greens, nondegen
 from .errors import ConvergenceError, DomainError, KsLayersError, \
     NonContractionError
@@ -82,14 +82,29 @@ def _write_json(cfg: RunConfig, name: str, payload: dict) -> str:
     return path
 
 def _write_csv(cfg: RunConfig, name: str, header: list[str],
-               rows: list[list]) -> str:
+               columns: list) -> str:
+    """Write one column per ``header`` field, every value as ``_fmt`` writes it.
+
+    An array column of floats, integers or strings goes through
+    ``tolist()``, whose Python scalars ``%.17g`` (``_fmt``'s float format)
+    or ``%s`` write as ``_fmt`` writes the numpy ones; any other column is
+    formatted by ``_fmt`` value by value.  Each row is then one ``%`` format.
+    """
     lines = [f"# kslayers {__version__} command={cfg.command}"]
     lines.append("# " + " ".join(f"{k}={_fmt(v)}" for k, v in
                                  sorted(cfg.params.items())
                                  if not isinstance(v, (list, tuple, np.ndarray))))
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    cells, specs = [], []
+    for col in columns:
+        if isinstance(col, np.ndarray) and col.dtype.kind in "fiuU":
+            cells.append(col.tolist())
+            specs.append("%.17g" if col.dtype.kind == "f" else "%s")
+        else:
+            cells.append([_fmt(x) for x in col])
+            specs.append("%s")
+    row = ",".join(specs)
+    lines.extend(row % values for values in zip(*cells))
     path = os.path.join(cfg.out_dir, name)
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
@@ -115,15 +130,16 @@ def _cmd_green(cfg: RunConfig) -> None:
     if p.get("grid_file"):
         radii = np.loadtxt(p["grid_file"], ndmin=1)
         vals, dervs = profile.evaluate(radii)
-        rows = [[r, v, d] for r, v, d in zip(radii, vals, dervs)]
-        print(_write_csv(cfg, "green_profile.csv", ["r", "U", "dU"], rows))
+        print(_write_csv(cfg, "green_profile.csv", ["r", "U", "dU"],
+                         [radii, vals, dervs]))
 
 
 def _cmd_nondegen(cfg: RunConfig) -> None:
     p = cfg.params
     rows = nondegen.sweep_Mk(p["kmax"], p["b_grid"])
-    csv_rows = [[r["k"], r["b"], r["M_k"], r["cond"]] for r in rows]
-    print(_write_csv(cfg, "nondegen.csv", ["k", "b", "M_k", "cond"], csv_rows))
+    header = ["k", "b", "M_k", "cond"]
+    print(_write_csv(cfg, "nondegen.csv", header,
+                     [[r[key] for r in rows] for key in header]))
     payload = {"min_abs_Mk": min(abs(r["M_k"]) for r in rows),
                "rows": len(rows)}
     print(_write_json(cfg, "nondegen.json", payload))
@@ -155,9 +171,8 @@ def _build_ansatz_profile(p: dict):
 def _cmd_ansatz(cfg: RunConfig) -> None:
     params, profile = _build_ansatz_profile(cfg.params)
     print(_write_json(cfg, "ansatz.json", _params_payload(params)))
-    rows = [[r, v, d, pc] for r, v, d, pc in
-            zip(profile.grid, profile.values, profile.d1, profile.piece)]
-    print(_write_csv(cfg, "ansatz.csv", ["r", "U", "dU", "piece"], rows))
+    print(_write_csv(cfg, "ansatz.csv", ["r", "U", "dU", "piece"],
+                     [profile.grid, profile.values, profile.d1, profile.piece]))
 
 
 def _cmd_residual(cfg: RunConfig) -> None:
@@ -180,10 +195,11 @@ def _cmd_fixpoint(cfg: RunConfig) -> None:
                                   require_contraction=False)
     except NonContractionError as exc:
         raise ConvergenceError(f"fixed point did not contract: {exc}")
-    rows = [[i, inc, (fp.factors[i - 1] if i >= 1 and i - 1 < len(fp.factors)
-                      else np.nan)]
-            for i, inc in enumerate(fp.increments)]
-    print(_write_csv(cfg, "fixpoint.csv", ["iter", "increment", "factor"], rows))
+    iters = range(len(fp.increments))
+    factors = [fp.factors[i - 1] if i >= 1 and i - 1 < len(fp.factors) else np.nan
+               for i in iters]
+    print(_write_csv(cfg, "fixpoint.csv", ["iter", "increment", "factor"],
+                     [iters, fp.increments, factors]))
     payload = {"converged": fp.converged, "rho": fp.rho, "bound": fp.bound,
                "residual_drop": fp.residual_drop,
                "worst_factor": max(fp.factors[1:]) if len(fp.factors) > 1
@@ -210,9 +226,10 @@ def _cmd_solve(cfg: RunConfig) -> None:
                "newton_iters": point.newton_iters,
                "residual_norm": point.residual_norm}
     print(_write_json(cfg, "solve.json", payload))
-    rows = [[r, float(v)] for r, v in zip(point.profile.grid,
-                                          point.profile.values)]
-    print(_write_csv(cfg, "solution.csv", ["r", "u"], rows))
+    # the refined long-double values, written rounded to double
+    print(_write_csv(cfg, "solution.csv", ["r", "u"],
+                     [point.profile.grid,
+                      np.asarray(point.profile.values, dtype=float)]))
 
 
 def _cmd_branch(cfg: RunConfig) -> None:
@@ -222,9 +239,10 @@ def _cmd_branch(cfg: RunConfig) -> None:
     branch = bvp.continue_component(seed, steps=p["steps"])
     # mu in all its long-double digits, the value the point's residual
     # was certified at
-    rows = [[np.format_float_positional(pt.param, unique=True), pt.u0_value,
-             pt.zero_count] for pt in branch]
-    print(_write_csv(cfg, "branch.csv", ["mu", "u0", "zero_count"], rows))
+    mus = [np.format_float_positional(pt.param, unique=True) for pt in branch]
+    print(_write_csv(cfg, "branch.csv", ["mu", "u0", "zero_count"],
+                     [mus, [pt.u0_value for pt in branch],
+                      [pt.zero_count for pt in branch]]))
 
 
 def _read_profile_csv(path: str):

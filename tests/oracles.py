@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy import special
 
-from kslayers import bvp
+from kslayers import __version__, bvp
 from kslayers.ansatz import Profile
 from kslayers.errors import ConvergenceError
 
@@ -512,3 +512,26 @@ def mpmath_bessel_reference(x, digits: int = 40):
         v = mpmath.mpf(float(x))
         return (float(mpmath.besseli(0, v)), float(mpmath.besseli(1, v)),
                 float(mpmath.besselk(0, v)), float(mpmath.besselk(1, v)))
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer that formatted each value in its own call
+# ---------------------------------------------------------------------------
+
+def _fmt_by_value(x) -> str:
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17g")
+    return str(x)
+
+
+def csv_text_by_rows(cfg, header, rows) -> str:
+    """The text ``cli._write_csv`` wrote when it took a list of rows and
+    formatted every value through ``_fmt``, one call each."""
+    lines = [f"# kslayers {__version__} command={cfg.command}"]
+    lines.append("# " + " ".join(f"{k}={_fmt_by_value(v)}" for k, v in
+                                 sorted(cfg.params.items())
+                                 if not isinstance(v, (list, tuple, np.ndarray))))
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(_fmt_by_value(x) for x in row))
+    return "\n".join(lines) + "\n"

@@ -216,6 +216,54 @@ def bvp_profile(r, u):
                           np.full(r.size, "guess"))
 
 
+MODE_GRIDS = {"uniform": np.linspace(0.0, 1.0, 2000), "graded": bvp.make_grid(1e-4)}
+
+
+class TestNeumannMode:
+    """The seed's discrete mode, by inverse iteration on ?gtsv, against
+    scipy's bisection (?stebz) on the symmetrized operator and against the
+    continuum eigenvalue 1 + j_{1,i-1}^2."""
+
+    @pytest.mark.parametrize("grid", sorted(MODE_GRIDS))
+    @pytest.mark.parametrize("i", range(2, 8))
+    def test_mode_against_scipy(self, grid, i):
+        from scipy.special import jn_zeros
+        op = RadialOperator(MODE_GRIDS[grid])
+        mu, phi = bvp._neumann_mode(op, i)
+        # bisected to full relative precision: stebz's default absolute
+        # tolerance, eps ||T||, is 5.7e-10 of lambda_2 on the graded grid
+        ev = sla.eigvalsh_tridiagonal(*op.symmetric_tridiagonal(), select="i",
+                                      select_range=(i - 1, i - 1),
+                                      tol=np.finfo(float).tiny)[0]
+        assert abs(mu - ev) <= 1e-10 * ev
+        # the eigen-residual at the double floor eps ||A||_inf
+        norm = np.abs(op.lap_main) + 1.0
+        norm[:-1] -= op.lap_upper
+        norm[1:] -= op.lap_lower
+        residual = op.apply_neg_lap(phi) + phi - mu * phi
+        assert np.max(np.abs(residual)) <= 4.0 * np.finfo(float).eps * norm.max()
+        assert oracles.zero_count_by_sign_diff(phi, level=0.0) == i - 1
+        assert phi[0] == 1.0 and np.max(np.abs(phi)) == 1.0
+        continuum = 1.0 + jn_zeros(1, i - 1)[-1] ** 2
+        assert -1e-5 < (mu - continuum) / continuum < 0.0
+
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_shift_nearer_another_mode_is_a_convergence_error(self, step,
+                                                              monkeypatch):
+        # shifted to McMahon's zero of the neighbouring mode, the iteration
+        # converges to mode i +- 1 and its sign changes say so
+        zero = bvp._j1_zero
+        monkeypatch.setattr(bvp, "_j1_zero", lambda m: zero(m + step))
+        with pytest.raises(ConvergenceError, match="sign changes"):
+            bvp.seed_branch(3, "+")
+
+    def test_cap_on_solves_is_a_convergence_error(self, monkeypatch):
+        # one solve moves mu off the shift, so it cannot have stopped moving
+        monkeypatch.setattr(bvp, "_MODE_SOLVES", 1)
+        with pytest.raises(ConvergenceError, match="still moving"):
+            bvp.seed_branch(2, "+")
+
+
 class TestContinuation:
     def test_constant_one_solves_for_every_mu(self):
         r = np.linspace(0.0, 1.0, 500)
@@ -410,8 +458,27 @@ def test_solve_leaves_scipy_out():
     assert out.stdout.strip() == "False"
 
 
+def test_branch_leaves_scipy_out(tmp_path):
+    # the seed's mode comes from inverse iteration on the ?gtsv numpy loaded
+    if radial._numpy_gtsv() is None:
+        pytest.skip(NO_NUMPY_GTSV)
+    src = os.path.dirname(os.path.dirname(radial.__file__))
+    argv = ["kslayers.cli", "branch", "--i", "2", "--sign", "+", "--steps", "3",
+            "--out", str(tmp_path)]
+    code = ("import runpy, sys\n"
+            f"sys.argv = {argv!r}\n"
+            "try:\n"
+            "    runpy.run_module('kslayers.cli', run_name='__main__')\n"
+            "except SystemExit as exit:\n"
+            "    print(exit.code, 'scipy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip().splitlines()[-1] == "0 False"
+
+
 def test_import_leaves_special_out():
-    # scipy.special serves only the eigenvalues and the seed of a branch
+    # scipy.special serves only radial_eigenvalues
     src = os.path.dirname(os.path.dirname(bvp.__file__))
     code = "import sys, kslayers.bvp; print('scipy.special' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -7,6 +7,8 @@ import numpy as np
 
 from kslayers import ansatz, cli, greens
 
+import oracles
+
 
 def run_cli(args, tmp_path, sub=None):
     out = tmp_path / (sub or "out")
@@ -246,3 +248,32 @@ def test_config_key_without_a_flag_is_echoed(tmp_path):
     assert code == 0
     doc = json.loads((out / "green.json").read_text())
     assert doc["config"]["lams"] == "1e-3"
+
+
+def test_csv_writer_writes_the_bytes_of_the_value_by_value_writer(tmp_path):
+    # one tolist() per array column and one % format per row, against the
+    # writer that passed every value through _fmt; the rows are what the
+    # commands built by iterating the arrays, numpy scalars included
+    specials = [0.1, -0.0, 1e-320, np.nan, np.inf, -np.inf, 1.0 / 3.0, 1e22, 2.0,
+                -123456.789, 5e-324, 1.7976931348623157e308]
+    n = len(specials)
+    floats = np.array(specials)
+    columns = [
+        floats,
+        floats[::-1].copy(),
+        np.asarray(floats, dtype=np.longdouble),
+        np.float32(1.0) / np.arange(1, n + 1, dtype=np.float32),
+        np.arange(n) - 3,
+        np.array(["inner", "u1", "u2", "u3", "outer", "const"] * 2),
+        [1.5, np.float64(2.5), 3, "s", np.nan, np.inf, np.int64(7),
+         np.float32(0.1), -np.inf, "15.63884387821889779", 10**20, -0.0],
+        range(n),
+    ]
+    cfg = cli.RunConfig("ansatz", {"lam": 1e-4, "eta": np.float64(0.8), "k": 1,
+                                   "outer": "dirichlet_one", "b_grid": [1e-3]},
+                        out_dir=str(tmp_path))
+    header = [f"c{j}" for j in range(len(columns))]
+    path = cli._write_csv(cfg, "t.csv", header, columns)
+    rows = [list(row) for row in zip(*columns)]
+    with open(path) as f:
+        assert f.read() == oracles.csv_text_by_rows(cfg, header, rows)

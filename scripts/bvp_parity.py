@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Dump ansatz profiles and bvp solver outputs; compare two dumps field by field.
+"""Dump ansatz, solver and analysis outputs; compare two dumps field by field.
 
     python scripts/bvp_parity.py OUT.npz [--against OLD.npz]
 
@@ -13,7 +13,16 @@ runs, with this checkout's ``src`` first on the import path:
   mode)`` for (1, neumann) and k = 2, 3 in both modes;
 * ``build_params(lam)`` over 132 lambdas, ``logspace(-1, -300, 120)`` and
   the ladders the tests and benchmark use, which cross both matching-order
-  transitions.
+  transitions;
+* on the ansatz of the ladder lam = 1e-2 ... 1e-5: ``solve_linear`` against
+  one seeded ``random_smooth_field`` (``phi``, ``ratio``, ``eigenvalue``,
+  ``overlap``, ``morse_index``) and the ``probe_linear`` ratios, and at
+  lam = 1e-4 ``fixed_point`` (``phi``, ``increments``, ``factors``,
+  ``rho``, ``bound``, ``drop``, ``converged``);
+* ``sweep_Mk(6, [1e-4, 1e-3, 1e-2])`` (``k``, ``b``, ``M_k``, ``cond``);
+* the grids of ``make_grid(1e-4)`` and ``constant_profile(1e-4)``;
+* ``bessel_table`` (I0, I1, K0, K1) on 100,000 radii out to 10.6, the end of
+  the Chebyshev range.
 
 For each solver case OUT.npz holds, one row per point: ``param`` (long
 double, as the solver stores it), ``values`` (long double), ``d1``, ``d2``,
@@ -51,7 +60,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
-from kslayers import ansatz, bvp, greens  # noqa: E402
+from kslayers import analysis, ansatz, bvp, greens, nondegen, specfun  # noqa: E402
 from kslayers.errors import MatchingError  # noqa: E402
 from kslayers.radial import RadialOperator  # noqa: E402
 
@@ -66,6 +75,10 @@ MULTILAYER_LAMBDA = 1e-4
 PARAM_EPS = (0.10, 0.07, 0.05, 0.035, 0.025)
 PARAM_LAMBDAS = (0.3, 0.2, 1e-2, 1e-3, 3e-4, 1e-4, 1e-5)
 CERTIFIED = 1e-10  # the continuation corrector's residual tolerance
+LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
+FIXED_POINT_LAMBDA = 1e-4
+BESSEL_RADII = np.concatenate([np.geomspace(1e-8, 10.6, 50_000),
+                               np.linspace(1e-8, 10.6, 50_000)])
 
 
 def _fields(points) -> dict:
@@ -117,9 +130,41 @@ def _params_fields() -> dict:
             "matching_error": np.array(failed)}
 
 
+def _analysis_fields() -> dict:
+    profiles = {lam: ansatz.build_profile(ansatz.build_params(lam)) for lam in LADDER}
+    out = {}
+    for lam, prof in profiles.items():
+        h = analysis.random_smooth_field(prof.grid, np.random.default_rng(0))
+        res = analysis.solve_linear(prof, lam, h)
+        out.update({f"linear{lam:g}/phi": res.phi,
+                    f"linear{lam:g}/ratio": np.array(res.ratio),
+                    f"linear{lam:g}/eigenvalue": np.array(res.smallest_eigenvalue),
+                    f"linear{lam:g}/overlap": np.array(res.kernel_overlap),
+                    f"linear{lam:g}/morse_index": np.array(res.morse_index)})
+    ratios = analysis.probe_linear(profiles)
+    out["probe/ratios"] = np.array([ratios[lam] for lam in LADDER])
+    fp = analysis.fixed_point(profiles[FIXED_POINT_LAMBDA], FIXED_POINT_LAMBDA)
+    out.update({"fixed_point/phi": fp.phi,
+                "fixed_point/increments": np.array(fp.increments),
+                "fixed_point/factors": np.array(fp.factors),
+                "fixed_point/rho": np.array(fp.rho),
+                "fixed_point/bound": np.array(fp.bound),
+                "fixed_point/drop": np.array(fp.residual_drop),
+                "fixed_point/converged": np.array(fp.converged)})
+    rows = nondegen.sweep_Mk(6, [1e-4, 1e-3, 1e-2])
+    for key in ("k", "b", "M_k", "cond"):
+        out[f"sweep_Mk/{key}"] = np.array([row[key] for row in rows])
+    out["grid/make_grid"] = bvp.make_grid(1e-4)
+    out["grid/constant_profile"] = bvp.constant_profile(1e-4).grid
+    for key, val in zip(("I0", "I1", "K0", "K1"), specfun.bessel_table(BESSEL_RADII)):
+        out[f"bessel/{key}"] = val
+    return out
+
+
 def dump() -> tuple[dict, list[str]]:
     """The dump, and the branch cases whose residual exceeds ``CERTIFIED``."""
     out = {f"params/{key}": val for key, val in _params_fields().items()}
+    out.update(_analysis_fields())
     uncertified = []
     print(f"params: {out['params/lam'].size} lambdas, "
           f"{int(out['params/matching_error'].sum())} MatchingError")

@@ -136,15 +136,14 @@ def residual(U: Profile, lam: float) -> np.ndarray:
 
 
 def residual_report(U: Profile, lam: float, delta: float | None = None,
-                    delta1: float | None = None,
-                    nu: float = 0.5) -> tuple[np.ndarray, ResidualReport]:
+                    delta1: float | None = None) -> tuple[np.ndarray, ResidualReport]:
     """Residual field plus its norm report.
 
     ``delta``/``delta1`` bound the middle region for the pointwise sup
     check; when omitted the middle region is [0.1, 0.9].
     """
     R = residual(U, lam)
-    p = NormParams(lam=lam, nu=nu)
+    p = NormParams(lam=lam)
     sup_in = norm_weighted_sup(U.grid, R, p)
     l1_out = norm_outer_l1(U.grid, R)
     lo = delta if delta is not None else 0.1
@@ -195,22 +194,17 @@ def _remainder(U: Profile, phi: np.ndarray, lam: float) -> np.ndarray:
     return lam * (np.exp(U.values + phi) - eu - eu * phi)
 
 
-def kernel_mode(r, lam: float, mu: float, deriv: int = 0) -> np.ndarray:
-    """Bounded radial solution of the linearized bubble equation.
+def kernel_mode(r, lam: float, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bounded radial solution of the linearized bubble equation, (z, z', z'').
 
-    z0 = (r^2 - lam mu^2) / (r^2 + lam mu^2); the only bounded radial
+    z = (r^2 - lam mu^2) / (r^2 + lam mu^2); the only bounded radial
     kernel mode of the bubble linearization, responsible for the
     near-degeneracy of the linearized operator at the bubble scale.
     """
     r = np.asarray(r, dtype=float)
     a = lam * mu**2
-    if deriv == 0:
-        return (r * r - a) / (r * r + a)
-    if deriv == 1:
-        return 4.0 * a * r / (r * r + a) ** 2
-    if deriv == 2:
-        return 4.0 * a * (a - 3.0 * r * r) / (r * r + a) ** 3
-    raise ValueError("deriv must be 0, 1, or 2")
+    d = r * r + a
+    return (r * r - a) / d, 4.0 * a * r / d ** 2, 4.0 * a * (a - 3.0 * r * r) / d ** 3
 
 
 @dataclass(frozen=True)
@@ -222,8 +216,7 @@ class LinearSolveResult:
     morse_index: int
 
 
-def solve_linear(U: Profile, lam: float, h: np.ndarray,
-                 nu: float = 0.5, mu: float | None = None,
+def solve_linear(U: Profile, lam: float, h: np.ndarray, mu: float | None = None,
                  singular_tol: float = 1e-9) -> LinearSolveResult:
     """Solve (-Delta + 1 - lambda e^U) phi = h with Neumann ends.
 
@@ -248,7 +241,7 @@ def solve_linear(U: Profile, lam: float, h: np.ndarray,
     # artifacts and would mask genuine near-degeneracy)
     scale = 1.0 + float(np.max(np.abs(pot)))
     mu_eff = mu if mu is not None else 1.0
-    zmode = kernel_mode(U.grid, lam, mu_eff)
+    zmode = kernel_mode(U.grid, lam, mu_eff)[0]
     cutoff = np.exp(-(U.grid / (10.0 * np.sqrt(lam) * mu_eff)) ** 2)
     zc = zmode * cutoff
     w = op.quad_weights()
@@ -260,7 +253,7 @@ def solve_linear(U: Profile, lam: float, h: np.ndarray,
             f"(eig={eig:.3e}, scale={scale:.3e})",
             smallest_singular_value=abs(eig), kernel_overlap=overlap)
     phi = op.solve(pot, h)
-    p = NormParams(lam=lam, nu=nu)
+    p = NormParams(lam=lam)
     hstar = norm_star(U.grid, h, p)
     ratio = float(np.max(np.abs(phi)) / hstar) if hstar > 0 else np.inf
     return LinearSolveResult(phi=phi, ratio=ratio, smallest_eigenvalue=float(eig),
@@ -278,20 +271,19 @@ class FixedPointResult:
     converged: bool
 
 
-def fixed_point(U: Profile, lam: float, rho: float | None = None,
-                sigma_fit: float = 0.1, max_iter: int = 200,
-                tol: float = 1e-11, eps: float | None = None,
+def fixed_point(U: Profile, lam: float, eps: float | None = None,
                 require_contraction: bool = True) -> FixedPointResult:
     """Picard iteration phi -> L^{-1}[N(phi) - R(U)] from phi = 0.
 
     The fixed point of this map makes U + phi solve the discrete equation
     exactly (with the opposite residual sign the algebra leaves a spurious
     residual of 2 R(U), which a direct evaluation confirms).  The iterate
-    ball radius is rho * eps^(1+sigma); by default rho is four times the
-    measured first-step size over that scale.  A measured contraction
-    factor >= 1 or an escape from the ball raises unless
-    ``require_contraction`` is switched off (the factor is reported either
-    way, since contraction genuinely fails when lambda is too large).
+    ball radius is rho * eps^1.1, rho four times the measured first-step
+    size over that scale.  At most 200 iterates; the stop test is an
+    increment below tol = 1e-11 max(1, |phi|).  A measured contraction
+    factor >= 1 or an escape from the ball (the lambda = 1e-2 and 1e-3
+    ansatzes leave it) raises unless ``require_contraction`` is switched
+    off (the factor is reported either way).
 
     The plain banded solve's forward error (increments of 1e-11 to 1e-10
     on the lambda = 1e-4 ansatz) lies above ``tol``, so once the increments
@@ -307,9 +299,8 @@ def fixed_point(U: Profile, lam: float, rho: float | None = None,
     R = op.apply_neg_lap(U.values) + U.values - pot
     phi1 = op.solve(pot, -R)
     step1 = float(np.max(np.abs(phi1)))
-    scale = e ** (1.0 + sigma_fit)
-    if rho is None:
-        rho = 4.0 * step1 / scale
+    scale, tol = e ** 1.1, 1e-11
+    rho = 4.0 * step1 / scale
     bound = rho * scale
 
     raw_norm = float(np.max(np.abs(R)))
@@ -317,7 +308,7 @@ def fixed_point(U: Profile, lam: float, rho: float | None = None,
     increments: list[float] = []
     factors: list[float] = []
     converged = False
-    for it in range(max_iter):
+    for _ in range(200):
         try:
             rhs = -R + _remainder(U, phi, lam)
         except OverflowRegionError:
@@ -358,17 +349,17 @@ def fixed_point(U: Profile, lam: float, rho: float | None = None,
                             converged=converged)
 
 
-def random_smooth_field(grid: np.ndarray, rng: np.random.Generator,
-                        n_modes: int = 8) -> np.ndarray:
-    """Seeded random smooth Neumann-compatible field on [0, 1]."""
+def random_smooth_field(grid: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Seeded random smooth Neumann-compatible field on [0, 1]: the first
+    eight cosine modes, mode j weighted 1 / (1 + j^2)."""
     out = np.zeros_like(grid)
-    for j in range(n_modes):
+    for j in range(8):
         out += rng.standard_normal() / (1.0 + j * j) * np.cos(j * np.pi * grid)
     return out
 
 
 def probe_linear(profiles: dict[float, Profile], n_rhs: int = 10,
-                 seed: int = 0, nu: float = 0.5) -> dict[float, float]:
+                 seed: int = 0) -> dict[float, float]:
     """Measured stability constant of the linear solve over a lambda ladder.
 
     For each lambda, solves against ``n_rhs`` seeded random smooth
@@ -380,10 +371,10 @@ def probe_linear(profiles: dict[float, Profile], n_rhs: int = 10,
     for lam, U in profiles.items():
         rng = np.random.default_rng(seed)
         hs = np.column_stack([random_smooth_field(U.grid, rng) for _ in range(n_rhs)])
-        solve_linear(U, lam, hs[:, 0], nu=nu)  # runs the monitor; it depends on U alone
+        solve_linear(U, lam, hs[:, 0])  # runs the monitor; it depends on U alone
         pot = lam * np.exp(np.minimum(U.values, EXP_CAP))
         phis = RadialOperator(U.grid).solve(pot, hs)
-        p = NormParams(lam=lam, nu=nu)
+        p = NormParams(lam=lam)
         out[lam] = max(float(np.max(np.abs(phi)) / norm_star(U.grid, h, p))
                        for phi, h in zip(phis.T, hs.T))
     return out

@@ -91,16 +91,18 @@ def radial_eigenvalues(count: int) -> np.ndarray:
     return np.concatenate([[1.0], 1.0 + jn_zeros(1, count) ** 2])[:count]
 
 
-def make_grid(lam: float, n: int = 4000) -> np.ndarray:
+def make_grid(lam: float) -> np.ndarray:
+    """4000 nodes graded to sqrt(lambda) at r = 0 and to eps at r = 1."""
     eps = solve_epsilon(lam) if lam < 1.0 / np.e else 0.1
     scale0 = max(np.sqrt(lam), 4e-3)
     scale1 = max(eps, 4e-3)
-    return graded_grid(n, scale0, scale1)
+    return graded_grid(4000, scale0, scale1)
 
 
-def _zero_count(u: np.ndarray, level: float = 1.0, dead_band: float = 1e-10) -> int:
+def _zero_count(u: np.ndarray, level: float = 1.0) -> int:
+    """Sign changes of u - level, skipping entries within 1e-10 of it."""
     s = np.asarray(u, dtype=float) - level
-    above = s[np.abs(s) > dead_band] > 0.0
+    above = s[np.abs(s) > 1e-10] > 0.0
     return int(np.count_nonzero(above[1:] != above[:-1]))
 
 
@@ -318,8 +320,8 @@ def solve_bvp(lam: float, initial_guess, tol: float = 1e-9,
                        residual_history=tuple(sol.history))
 
 
-def constant_profile(lam_or_mu: float, n: int = 4000, value: float = 1.0) -> Profile:
-    r = make_grid(max(lam_or_mu, 1e-6) if lam_or_mu < 1 else 1e-2, n)
+def constant_profile(lam_or_mu: float, value: float = 1.0) -> Profile:
+    r = make_grid(max(lam_or_mu, 1e-6) if lam_or_mu < 1 else 1e-2)
     u = np.full(r.size, value)
     return Profile(r, u, np.zeros_like(u), np.zeros_like(u),
                    np.full(r.size, "const"))
@@ -437,16 +439,17 @@ def _first_tangent(op: RadialOperator, u, mu, direction: float = 1.0):
 
 
 def continue_branch(start: BranchPoint, direction: float = 1.0,
-                    steps: int = 50, ds: float = 2e-3,
-                    ds_min: float = 1e-9, ds_max: float = 0.2) -> list[BranchPoint]:
+                    steps: int = 50) -> list[BranchPoint]:
     """Pseudo-arclength continuation with a secant predictor.
 
     ``direction`` orients the first tangent in mu: +1 sets out towards
     increasing mu, which from a "+" seed can cross back through the
     bifurcation; ``continue_component`` picks the orientation.  Steps
-    adapt: a failed corrector halves ds, an easy one grows it.  Underflow
-    of ds raises StallError carrying the branch collected so far.
+    adapt from ds = 2e-3 within [1e-9, 0.2]: a failed corrector halves ds,
+    an easy one grows it.  Underflow of ds raises StallError carrying the
+    branch collected so far.
     """
+    ds, ds_min, ds_max = 2e-3, 1e-9, 0.2
     op = RadialOperator(start.profile.grid)
     branch = [start]
     # the corrector returns long double: keep the predictor in double so the
@@ -479,30 +482,25 @@ def continue_branch(start: BranchPoint, direction: float = 1.0,
     return branch
 
 
-def continue_component(seed: BranchPoint, steps: int = 20,
-                       **kwargs) -> list[BranchPoint]:
+def continue_component(seed: BranchPoint, steps: int = 20) -> list[BranchPoint]:
     """Continue away from the bifurcation staying on the seeded component.
 
-    The first tangent's u(0) component gives the sign of d u(0)/ds, so the
-    orientation along which the seeded amplitude |u(0) - 1| grows is tried
-    first; the other is tried only if that branch fails to keep the sign
-    of u(0) - 1 and grow it.
+    The first tangent's u(0) component gives the sign of d u(0)/ds, so one
+    continuation sets out along the orientation in which the seeded
+    amplitude |u(0) - 1| grows.  Its ConvergenceError or StallError (with
+    the branch so far) propagates; a branch that does not keep the sign of
+    u(0) - 1 and grow it raises ConvergenceError.
     """
     sign0 = np.sign(seed.u0_value - 1.0)
     u = np.asarray(seed.profile.values, dtype=float)
     tu, _ = _first_tangent(RadialOperator(seed.profile.grid), u, float(seed.param))
-    first = -1.0 if sign0 * tu[0] < 0 else 1.0  # +1 on 0 or nan too
-    for direction in (first, -first):
-        try:
-            br = continue_branch(seed, direction=direction, steps=steps,
-                                 **kwargs)
-        except (ConvergenceError, StallError):
-            continue
-        amp0 = sign0 * (br[0].u0_value - 1.0)
-        amp1 = sign0 * (br[-1].u0_value - 1.0)
-        if amp1 > amp0 > 0:
-            return br
-    raise ConvergenceError("no orientation grows the seeded component")
+    direction = -1.0 if sign0 * tu[0] < 0 else 1.0  # +1 on 0 or nan too
+    br = continue_branch(seed, direction=direction, steps=steps)
+    amp0 = sign0 * (br[0].u0_value - 1.0)
+    amp1 = sign0 * (br[-1].u0_value - 1.0)
+    if not amp1 > amp0 > 0:
+        raise ConvergenceError("the continuation does not grow the seeded component")
+    return br
 
 
 # ---------------------------------------------------------------------------

@@ -87,14 +87,14 @@ def assemble_Ak(alphas, b: float, check: bool = True) -> NondegenMatrix:
     return NondegenMatrix(k=k, entries=entries, det=det, cond=cond)
 
 
-def _fd_entries(alphas: np.ndarray, b: float, h: float = _FD_STEP) -> np.ndarray:
+def _fd_entries(alphas: np.ndarray, b: float) -> np.ndarray:
     """Central-difference guard for the shift-derivative entries.
 
-    Column j differences the fluxes of the calculi at alphas +- h e_j: the
-    defect's own entry on the diagonal, the left flux below it and the
-    right flux above it.
+    Column j differences the fluxes of the calculi at alphas +- h e_j,
+    h = ``_FD_STEP``: the defect's own entry on the diagonal, the left flux
+    below it and the right flux above it.
     """
-    k = alphas.size
+    k, h = alphas.size, _FD_STEP
     out = np.zeros((k, k))
     for j in range(k):
         step = np.zeros(k)
@@ -120,8 +120,8 @@ def tridiag_det(m: np.ndarray) -> float:
     return float(d)
 
 
-def sweep_Mk(k_max: int, b_grid, outer_mode: str = DIRICHLET) -> list[dict]:
-    """Evaluate the determinant over a (k, b) grid.
+def sweep_Mk(k_max: int, b_grid) -> list[dict]:
+    """Evaluate the determinant over a (k, b) grid of ``dirichlet_one`` solves.
 
     Returns one record per pair with the determinant and the condition
     number; supports the conjecture that it never vanishes.
@@ -129,7 +129,7 @@ def sweep_Mk(k_max: int, b_grid, outer_mode: str = DIRICHLET) -> list[dict]:
     rows = []
     for k in range(1, k_max + 1):
         for b in b_grid:
-            cfg, _ = solve_layers(k, b, outer_mode)
+            cfg, _ = solve_layers(k, b, DIRICHLET)
             mat = assemble_Ak(cfg.alphas, b)
             rows.append({"k": k, "b": float(b), "M_k": mat.det, "cond": mat.cond})
     return rows

@@ -22,14 +22,13 @@ __all__ = ["EXP_CAP", "graded_grid", "RadialOperator"]
 EXP_CAP = 600.0
 
 
-def graded_grid(n: int, scale0: float = 0.02, scale1: float = 0.02,
-                h_min: float = 1.2e-4) -> np.ndarray:
+def graded_grid(n: int, scale0: float = 0.02, scale1: float = 0.02) -> np.ndarray:
     """Smoothly graded grid on [0, 1] clustering at both ends.
 
     ``scale0``/``scale1`` are the feature scales to resolve at r = 0 and
     r = 1.  The clustering density is capped so no cell falls below
-    ``h_min``: finer cells would push the double-precision Laplacian noise
-    floor above the residual tolerances the solvers certify.
+    h_min = 1.2e-4: finer cells would push the double-precision Laplacian
+    noise floor above the residual tolerances the solvers certify.
     """
     t = np.linspace(0.0, 1.0, n)
     a0 = max(min(scale0, 0.25), 1e-6)
@@ -38,7 +37,7 @@ def graded_grid(n: int, scale0: float = 0.02, scale1: float = 0.02,
     w = 1.0 + (1.0 / np.sqrt(a0)) * np.exp(-t / (2 * np.sqrt(a0))) \
         + (1.0 / np.sqrt(a1)) * np.exp(-(1.0 - t) / (2 * np.sqrt(a1)))
     for _ in range(3):
-        cap = np.mean(w) / ((n - 1) * h_min)
+        cap = np.mean(w) / ((n - 1) * 1.2e-4)  # h_min
         if cap <= 1.0:
             break
         w = np.minimum(w, cap)

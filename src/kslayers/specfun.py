@@ -14,11 +14,12 @@ from scratch:
   regenerated by scripts/gen_bessel_coeffs.py with 60-digit arithmetic.
 
 The four series are one fused loop: the I0 and I1 terms advance as the
-two rows of one array, and the K0 and K1 sums weight the first 25 of
+two rows of one array, and the K0 and K1 sums weight the first 11 of
 those same terms by harmonic numbers, so no product is formed twice.  The
 divisors and weights are tables built at import.  The loop runs every sum
 in the order four separate loops would, so its results are theirs to
-the bit.
+the bit.  On (0, 10.6], the end of the Chebyshev range, no I term past
+k = 23 and no K term past k = 11 (x <= 2) changes a sum, so they stop there.
 
 Derivatives are always analytic: I0' = I1 and K0' = -K1.
 
@@ -111,8 +112,8 @@ _K_SERIES_CUT = 2.0
 # K1 sums weight term k by _K_WEIGHT[k] = (H_k, H_k + H_{k+1} - 2 gamma),
 # the harmonic numbers accumulated in summation order; row 0 is the k = 0
 # start of each sum.
-_I_TERMS = 41
-_K_TERMS = 25
+_I_TERMS = 23
+_K_TERMS = 11
 _I_DIV = np.array([[k * k, k * (k + 1)] for k in range(1, _I_TERMS + 1)],
                   dtype=float)[:, :, None]
 
@@ -151,7 +152,7 @@ def bessel_table(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
     One pass of the ascending series: the I0 and I1 terms advance together
     as the rows of a (2, n) array, and the K0 and K1 log-form sums take
-    their first 25 terms from those rows instead of recomputing the same
+    their first 11 terms from those rows instead of recomputing the same
     products; each sum keeps the order of its own series, so the values
     are bit-identical to separate loops.  Radii above 2 take K0 and K1
     from the Chebyshev fits.  A scalar radius gives 0-d arrays.

@@ -258,7 +258,7 @@ def test_criterion_12_kernel_mode_equation():
     lam, mu = 1e-2, 5.0
     h = 5e-5
     r = np.linspace(2 * h, 1.0 - h, 2000)
-    z = lambda x: analysis.kernel_mode(x, lam, mu)
+    z = lambda x: analysis.kernel_mode(x, lam, mu)[0]
     lap = (z(r + h) - 2 * z(r) + z(r - h)) / h**2 \
         + (z(r + h) - z(r - h)) / (2 * h) / r
     res = np.abs(-lap - 8 * lam * mu**2 / (lam * mu**2 + r**2) ** 2 * z(r))

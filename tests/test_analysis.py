@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kslayers import analysis, ansatz, bvp
-from kslayers.errors import DomainError, OverflowRegionError
+from kslayers.errors import DomainError, NonContractionError, OverflowRegionError
 from kslayers.radial import RadialOperator, graded_grid
 import oracles
 
@@ -48,17 +48,15 @@ class TestNorms:
 class TestKernelMode:
     def test_values(self):
         lam, mu = 1e-3, 2.0
-        assert analysis.kernel_mode(0.0, lam, mu) == -1.0
+        assert analysis.kernel_mode(0.0, lam, mu)[0] == -1.0
         rim = np.sqrt(lam) * mu
-        assert abs(analysis.kernel_mode(rim, lam, mu)) < 1e-14
-        assert analysis.kernel_mode(1.0, 1e-6, 1.0) > 1.0 - 1e-4
+        assert abs(analysis.kernel_mode(rim, lam, mu)[0]) < 1e-14
+        assert analysis.kernel_mode(1.0, 1e-6, 1.0)[0] > 1.0 - 1e-4
 
     def test_equation_analytic(self):
         lam, mu = 1e-2, 3.0
         r = np.linspace(0.0, 1.0, 1001)
-        z0 = analysis.kernel_mode(r, lam, mu)
-        z1 = analysis.kernel_mode(r, lam, mu, 1)
-        z2 = analysis.kernel_mode(r, lam, mu, 2)
+        z0, z1, z2 = analysis.kernel_mode(r, lam, mu)
         lap = np.empty_like(r)
         lap[1:] = z2[1:] + z1[1:] / r[1:]
         lap[0] = 2 * z2[0]
@@ -73,7 +71,7 @@ class TestKernelMode:
         r = np.linspace(2 * h, 1.0 - h, 500)
 
         def z(x):
-            return analysis.kernel_mode(x, lam, mu)
+            return analysis.kernel_mode(x, lam, mu)[0]
 
         lap = (z(r + h) - 2 * z(r) + z(r - h)) / h**2 \
             + (z(r + h) - z(r - h)) / (2 * h) / r
@@ -271,3 +269,19 @@ class TestFixedPoint:
         fp = analysis.fixed_point(prof, params.lam, require_contraction=False)
         tail = fp.increments[5:25]
         assert all(b < a for a, b in zip(tail, tail[1:]))
+
+    @pytest.mark.parametrize("lam, factor", [(1e-2, 16.1), (1e-3, 1.96e5)])
+    def test_contraction_check_raises_on_escape_from_the_ball(self, lam, factor):
+        # at these lambdas the iterate leaves the ball; the check is on
+        # unless the caller switches it off
+        prof = ansatz.build_profile(ansatz.build_params(lam))
+        with pytest.raises(NonContractionError, match="escaped") as exc:
+            analysis.fixed_point(prof, lam)
+        assert exc.value.factor == pytest.approx(factor, rel=1e-2)
+
+    def test_contraction_check_passes_where_the_map_contracts(self, setup4):
+        params, prof = setup4
+        fp = analysis.fixed_point(prof, params.lam)
+        assert fp.converged and max(fp.factors[1:]) < 1.0
+        unchecked = analysis.fixed_point(prof, params.lam, require_contraction=False)
+        assert np.array_equal(fp.phi, unchecked.phi)

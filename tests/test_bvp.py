@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 import scipy.linalg as sla
 
 from kslayers import ansatz, bvp, greens, radial
-from kslayers.errors import ConvergenceError, DomainError
+from kslayers.errors import ConvergenceError, DomainError, StallError
 from kslayers.radial import RadialOperator, graded_grid
 
 import oracles
@@ -306,6 +307,39 @@ class TestContinuation:
         assert len(calls) == 1
         want = 1.0 if sign == "+" else -1.0
         assert all(np.sign(p.u0_value - 1.0) == want for p in br)
+
+    @staticmethod
+    def _one_call(monkeypatch, result):
+        # continue_branch replaced by ``result``, which returns the branch or
+        # raises; the list returned counts the calls
+        calls = []
+
+        def replaced(*args, **kwargs):
+            calls.append(args)
+            return result()
+
+        monkeypatch.setattr(bvp, "continue_branch", replaced)
+        return calls
+
+    def test_a_stall_surfaces_as_the_continuations_own_error(self, monkeypatch):
+        seed = bvp.seed_branch(2, "+")
+
+        def stall():
+            raise StallError("continuation step underflow", branch=[seed])
+
+        calls = self._one_call(monkeypatch, stall)
+        with pytest.raises(StallError) as exc:
+            bvp.continue_component(seed, steps=5)
+        assert len(calls) == 1
+        assert len(exc.value.branch) == 1 and exc.value.branch[0] is seed
+
+    def test_a_shrinking_branch_is_a_convergence_error(self, monkeypatch):
+        seed = bvp.seed_branch(2, "+")
+        shrunk = dataclasses.replace(seed, u0_value=1.0 + 0.5 * (seed.u0_value - 1.0))
+        calls = self._one_call(monkeypatch, lambda: [seed, shrunk])
+        with pytest.raises(ConvergenceError, match="does not grow"):
+            bvp.continue_component(seed, steps=5)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("i, amplitude", [(3, 0.0009629876149442671),
                                               (4, 0.000795450441629217),

@@ -19,7 +19,14 @@ runs, with this checkout's ``src`` first on the import path:
   ``overlap``, ``morse_index``) and the ``probe_linear`` ratios, and at
   lam = 1e-4 ``fixed_point`` (``phi``, ``increments``, ``factors``,
   ``rho``, ``bound``, ``drop``, ``converged``);
-* ``sweep_Mk(6, [1e-4, 1e-3, 1e-2])`` (``k``, ``b``, ``M_k``, ``cond``);
+* ``sweep_Mk(6, [1e-4, 1e-3, 1e-2])`` (``k``, ``b``, ``M_k``, ``cond``),
+  and the finite-difference guard ``nondegen._fd_entries`` at each of its
+  18 solved configurations (``guard/fd_entries``, the matrices flattened
+  and concatenated in sweep order);
+* ``solve_layers(k, b, outer)`` for k = 1..6, b = 1e-4, 1e-3, 1e-2 and both
+  outer modes, the 36 solves the ``layers`` benchmark runs: the radii and
+  the ``LayerCalculus`` fluxes ``dl`` and ``dr`` there, concatenated in
+  that order (``layers/alphas``, ``layers/dl``, ``layers/dr``);
 * the grids of ``make_grid(1e-4)`` and ``constant_profile(1e-4)``;
 * ``bessel_table`` (I0, I1, K0, K1) on 100,000 radii out to 10.6, the end of
   the Chebyshev range.
@@ -77,6 +84,7 @@ PARAM_LAMBDAS = (0.3, 0.2, 1e-2, 1e-3, 3e-4, 1e-4, 1e-5)
 CERTIFIED = 1e-10  # the continuation corrector's residual tolerance
 LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
 FIXED_POINT_LAMBDA = 1e-4
+B_GRID = (1e-4, 1e-3, 1e-2)  # the criteria's and the layers benchmark's b
 BESSEL_RADII = np.concatenate([np.geomspace(1e-8, 10.6, 50_000),
                                np.linspace(1e-8, 10.6, 50_000)])
 
@@ -151,9 +159,19 @@ def _analysis_fields() -> dict:
                 "fixed_point/bound": np.array(fp.bound),
                 "fixed_point/drop": np.array(fp.residual_drop),
                 "fixed_point/converged": np.array(fp.converged)})
-    rows = nondegen.sweep_Mk(6, [1e-4, 1e-3, 1e-2])
+    rows = nondegen.sweep_Mk(6, B_GRID)
     for key in ("k", "b", "M_k", "cond"):
         out[f"sweep_Mk/{key}"] = np.array([row[key] for row in rows])
+    out["guard/fd_entries"] = np.concatenate([
+        nondegen._fd_entries(greens.solve_layers(row["k"], row["b"])[0].alphas,
+                             row["b"]).ravel() for row in rows])
+    calcs = [greens.LayerCalculus(greens.solve_layers(k, b, mode)[0].alphas, b, mode)
+             for mode in (greens.DIRICHLET, greens.NEUMANN)
+             for k in range(1, 7) for b in B_GRID]
+    for key in ("alphas", "dl", "dr"):
+        out[f"layers/{key}"] = np.concatenate([
+            calc.radii[:calc.n_free] if key == "alphas" else getattr(calc, key)
+            for calc in calcs])
     out["grid/make_grid"] = bvp.make_grid(1e-4)
     out["grid/constant_profile"] = bvp.constant_profile(1e-4).grid
     for key, val in zip(("I0", "I1", "K0", "K1"), specfun.bessel_table(BESSEL_RADII)):

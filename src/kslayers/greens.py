@@ -14,7 +14,10 @@ the one layer calculus: from a single Bessel table at the value radii of a
 configuration it solves every annulus (one stacked 2x2 solve), and gives
 the interface fluxes, the reflection defect and its analytic shift
 Jacobian.  The reflection Newton steps with that Jacobian, and
-``nondegen`` reads the shift-derivative matrix M_k from it.
+``nondegen`` reads the shift-derivative matrix M_k from it.  The
+coefficients and fluxes come from ``layer_fluxes``, which takes a stack
+of configurations at once: ``LayerCalculus`` passes it one, and
+``nondegen``'s finite-difference guard its 2k shifted ones.
 
 ``k`` counts the free interior layer radii in both outer modes; in
 ``dirichlet_one`` mode the boundary sphere r = 1 additionally carries the
@@ -41,6 +44,7 @@ __all__ = [
     "PiecewiseGreen",
     "LayerCalculus",
     "LayerConfig",
+    "layer_fluxes",
     "reflection_residual",
     "solve_layers",
 ]
@@ -116,36 +120,91 @@ class LayerConfig:
 
 
 def _solve_annuli(radii: np.ndarray, values: np.ndarray,
-                  i0: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                  i0: np.ndarray, k0: np.ndarray) -> np.ndarray:
     """Stacked two-point solves on the annuli between consecutive radii.
 
-    Row j solves c_K K0 + c_I I0 = values at radii[j] and radii[j + 1] in the
-    (K0, I0) basis, with the kernels read from the table ``i0``, ``k0`` at
-    ``radii``.  The unit right-hand sides e_0 and e_1 share the factorization:
-    of each (2, 3) solution, column 0 is the coefficient pair and columns 1
-    and 2 are the annulus's responses to a unit value at its left and right
-    end.  Returns the solutions and the 2x2 condition numbers.
+    Row j of each configuration (last axis) solves c_K K0 + c_I I0 = values
+    at radii[..., j] and radii[..., j + 1] in the (K0, I0) basis, with the
+    kernels read from the table ``i0``, ``k0`` at ``radii``.  The unit
+    right-hand sides e_0 and e_1 share the factorization: of each (2, 3)
+    solution, column 0 is the coefficient pair and columns 1 and 2 are the
+    annulus's responses to a unit value at its left and right end.  numpy
+    factors every 2x2 matrix of the stack on its own, so each solution
+    carries the bits of a lone solve.
 
     Raises
     ------
     ConditioningError
-        If a 2x2 system is numerically singular.
+        If a 2x2 system is numerically singular, naming the first such
+        annulus.
     """
-    m = np.stack([np.stack([k0[:-1], i0[:-1]], axis=-1),
-                  np.stack([k0[1:], i0[1:]], axis=-1)], axis=1)
+    m = np.stack([np.stack([k0[..., :-1], i0[..., :-1]], axis=-1),
+                  np.stack([k0[..., 1:], i0[..., 1:]], axis=-1)], axis=-2)
     cond = np.linalg.cond(m)
-    bad = np.flatnonzero(~(cond <= 1e13))
+    bad = np.argwhere(~(cond <= 1e13))
     if bad.size:
-        j = bad[0]
+        *row, j = bad[0]
+        r = radii[tuple(row)]
         raise ConditioningError(
-            f"annulus ({radii[j]}, {radii[j + 1]}) solve has condition number "
-            f"{cond[j]:.3e}")
-    rhs = np.zeros((m.shape[0], 2, 3))
-    rhs[:, 0, 0] = values[:-1]
-    rhs[:, 1, 0] = values[1:]
-    rhs[:, 0, 1] = 1.0
-    rhs[:, 1, 2] = 1.0
-    return np.linalg.solve(m, rhs), cond
+            f"annulus ({r[j]}, {r[j + 1]}) solve has condition number "
+            f"{cond[tuple(bad[0])]:.3e}")
+    rhs = np.zeros(m.shape[:-1] + (3,))
+    rhs[..., 0, 0] = values[..., :-1]
+    rhs[..., 1, 0] = values[..., 1:]
+    rhs[..., 0, 1] = 1.0
+    rhs[..., 1, 2] = 1.0
+    return np.linalg.solve(m, rhs)
+
+
+def layer_fluxes(radii: np.ndarray, values: np.ndarray, b: float,
+                 outer_mode: str) -> tuple[tuple, np.ndarray, np.ndarray,
+                                           np.ndarray, np.ndarray]:
+    """Annulus coefficients and one-sided fluxes of stacked configurations.
+
+    ``radii`` and ``values`` have shape (..., K): along the last axis, the
+    validated value radii of one configuration (see ``LayerCalculus``) and
+    the layer values there.  One ``bessel_table`` call covers the whole
+    stack and one stacked 2x2 solve every interior annulus; both act on
+    each radius and each matrix alone, so every configuration gets the
+    bits it would get by itself.
+
+    Returns ``(table, coeffs, responses, dl, dr)``: the table
+    (I0, I1, K0, K1) at ``radii``; the (c_K, c_I) pair of every annulus,
+    shape (..., n_annuli, 2); the interior annuli's unit responses, shape
+    (..., K - 1, 2, 2); and the left and right fluxes at the value radii,
+    shape (..., K), ``dr`` NaN at the dirichlet boundary.
+
+    Raises
+    ------
+    ConditioningError
+        If an annulus solve is numerically singular.
+    """
+    table = i0, i1, k0, k1 = bessel_table(radii)
+    K = radii.shape[-1]
+    # on (0, r_0] the -ln r coefficient pins c_K = b; the value at r_0
+    # fixes c_I
+    singular = np.empty(radii.shape[:-1] + (1, 2))
+    singular[..., 0, 0] = b
+    singular[..., 0, 1] = (values[..., 0] - b * k0[..., 0]) / i0[..., 0]
+    coeffs = [singular]
+    responses = np.empty(radii.shape[:-1] + (0, 2, 2))
+    if K > 1:
+        sol = _solve_annuli(radii, values, i0, k0)
+        coeffs.append(sol[..., 0])
+        responses = sol[..., 1:]
+    if outer_mode == NEUMANN:
+        # zeta = K0 + C_MIX * I0 is the unique mode with zero slope at r = 1
+        c = values[..., -1] / (k0[..., -1] + C_MIX * i0[..., -1])
+        coeffs.append(c[..., None, None] * np.array([1.0, C_MIX]))
+    coeffs = np.concatenate(coeffs, axis=-2)
+
+    dl = -coeffs[..., :K, 0] * k1 + coeffs[..., :K, 1] * i1
+    # value radii with an annulus to their right
+    n_right = coeffs.shape[-2] - 1
+    dr = np.full(radii.shape, np.nan)
+    dr[..., :n_right] = -coeffs[..., 1:, 0] * k1[..., :n_right] \
+        + coeffs[..., 1:, 1] * i1[..., :n_right]
+    return table, coeffs, responses, dl, dr
 
 
 class LayerCalculus:
@@ -155,11 +214,11 @@ class LayerCalculus:
     the boundary sphere r = 1 in ``dirichlet_one`` mode.  Annulus 0 is the
     singular one (0, r_0]; annulus j = 1..K-1 lies between r_{j-1} and r_j;
     in ``neumann`` mode annulus K runs from r_{K-1} to the Neumann end r = 1.
-    One ``bessel_table`` call at the value radii gives every annulus
-    coefficient pair (the interior ones by one stacked 2x2 solve), the
-    one-sided derivatives ``dl`` (from the annulus on the left) and ``dr``
-    (from the right; NaN at the dirichlet boundary), the reflection defect
-    and its analytic shift Jacobian.
+    ``layer_fluxes`` on this one configuration gives every annulus
+    coefficient pair, the one-sided derivatives ``dl`` (from the annulus on
+    the left) and ``dr`` (from the right; NaN at the dirichlet boundary);
+    from them and its Bessel table come the reflection defect and its
+    analytic shift Jacobian.
 
     ``values`` defaults to 1 at every value radius.
 
@@ -195,34 +254,12 @@ class LayerCalculus:
 
         self.radii, self.values, self.outer_mode = radii, values, outer_mode
         self.n_free = alphas.size
-        i0, i1, k0, k1 = bessel_table(radii)
-        self._i0, self._i1, self._k1 = i0, i1, k1
-        # on (0, r_0] the -ln r coefficient pins c_K = b; the value at r_0
-        # fixes c_I
-        coeffs = [[[b, (values[0] - b * k0[0]) / i0[0]]]]
-        self._responses = np.empty((0, 2, 2))
-        if radii.size > 1:
-            sol, _ = _solve_annuli(radii, values, i0, k0)
-            coeffs.append(sol[:, :, 0])
-            self._responses = sol[:, :, 1:]
-        if outer_mode == NEUMANN:
-            # zeta = K0 + C_MIX * I0 is the unique mode with zero slope at r = 1
-            self._zeta = k0[-1] + C_MIX * i0[-1]
-            c = values[-1] / self._zeta
-            coeffs.append([[c, c * C_MIX]])
-        coeffs = np.concatenate(coeffs)
+        self._table, coeffs, self._responses, self.dl, self.dr = \
+            layer_fluxes(radii, values, b, outer_mode)
         interfaces = np.concatenate([[0.0], radii, [1.0]]) \
             if outer_mode == NEUMANN else np.concatenate([[0.0], radii])
         self.green = PiecewiseGreen(interfaces=interfaces, coeffs=coeffs,
                                     b_sing=b, outer_mode=outer_mode)
-
-        K = radii.size
-        self.dl = -coeffs[:K, 0] * k1 + coeffs[:K, 1] * i1
-        # value radii with an annulus to their right
-        n_right = coeffs.shape[0] - 1
-        self.dr = np.full(K, np.nan)
-        self.dr[:n_right] = -coeffs[1:, 0] * k1[:n_right] \
-            + coeffs[1:, 1] * i1[:n_right]
 
     @property
     def defect(self) -> np.ndarray:
@@ -241,7 +278,7 @@ class LayerCalculus:
         U'' = U - U'/r.
         """
         r, v, dl, dr = self.radii, self.values, self.dl, self.dr
-        i0, i1, k1 = self._i0, self._i1, self._k1
+        i0, i1, k0, k1 = self._table
         K = r.size
         n_right = len(self.green.coeffs) - 1
         DL = np.zeros((K, K))
@@ -264,8 +301,9 @@ class LayerCalculus:
             DR[j - 1, j] = -dl[j] * slope(w_right, j - 1)
         if self.outer_mode == NEUMANN:
             # the Neumann annulus stays proportional to zeta
+            zeta = k0[-1] + C_MIX * i0[-1]
             zetap = -k1[-1] + C_MIX * i1[-1]
-            DR[-1, -1] -= dr[-1] * zetap / self._zeta
+            DR[-1, -1] -= dr[-1] * zetap / zeta
         return DL[:, :self.n_free], DR[:, :self.n_free]
 
     def defect_jacobian(self) -> np.ndarray:

@@ -12,13 +12,16 @@ det N is the product of the squared fluxes times the determinant M_k of
 the tridiagonal matrix of shift derivatives of the reflection defect at
 the free radii (``verify_detN``); ``sweep_Mk`` evaluates M_k over (k, b).
 
-Every flux here is read from a ``greens.LayerCalculus``.  The shift
-derivatives are its analytic ones: the matrix is the Jacobian of the
-reflection defect, the same one the reflection Newton in
-``greens.solve_layers`` steps with.  Central differences of the
-calculus's fluxes at shifted radii are kept as a guard, never as the
-primary path, because the determinant is the quantity whose nonvanishing
-is conjectural and it must not inherit differencing noise.
+Every flux here is read from the layer calculus of ``greens``.  The
+shift derivatives are the analytic ones of ``greens.LayerCalculus``: the
+matrix is the Jacobian of the reflection defect, the same one the
+reflection Newton in ``greens.solve_layers`` steps with.  Central
+differences of the fluxes at shifted radii are kept as a guard, never as
+the primary path, because the determinant is the quantity whose
+nonvanishing is conjectural and it must not inherit differencing noise.
+The guard's 2k shifted configurations share one Bessel table and one
+stacked 2x2 solve (``greens.layer_fluxes`` on a (2k, k + 1) stack of
+radii), each to the bits of its own calculus.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .greens import DIRICHLET, LayerCalculus, solve_layers
+from .greens import DIRICHLET, LayerCalculus, layer_fluxes, solve_layers
 
 __all__ = [
     "NONDEGEN_MIN",
@@ -90,24 +93,24 @@ def assemble_Ak(alphas, b: float, check: bool = True) -> NondegenMatrix:
 def _fd_entries(alphas: np.ndarray, b: float) -> np.ndarray:
     """Central-difference guard for the shift-derivative entries.
 
-    Column j differences the fluxes of the calculi at alphas +- h e_j,
+    Column j differences the fluxes of the configurations alphas +- h e_j,
     h = ``_FD_STEP``: the defect's own entry on the diagonal, the left flux
-    below it and the right flux above it.
+    below it and the right flux above it.  All 2k shifted configurations
+    are one (2k, k + 1) stack through ``greens.layer_fluxes``: one Bessel
+    table and one stacked 2x2 solve, each configuration to the bits of its
+    own ``LayerCalculus``.
     """
     k, h = alphas.size, _FD_STEP
-    out = np.zeros((k, k))
-    for j in range(k):
-        step = np.zeros(k)
-        step[j] = h
-        plus = LayerCalculus(alphas + step, b, DIRICHLET)
-        minus = LayerCalculus(alphas - step, b, DIRICHLET)
-        ddl = (plus.dl - minus.dl) / (2 * h)
-        ddr = (plus.dr - minus.dr) / (2 * h)
-        out[j, j] = ddl[j] + ddr[j]
-        if j + 1 < k:
-            out[j + 1, j] = ddl[j + 1]
-        if j > 0:
-            out[j - 1, j] = ddr[j - 1]
+    step = h * np.eye(k)
+    shifted = np.concatenate([alphas + step, alphas - step])
+    radii = np.concatenate([shifted, np.ones((2 * k, 1))], axis=1)
+    *_, dl, dr = layer_fluxes(radii, np.ones_like(radii), b, DIRICHLET)
+    ddl = (dl[:k] - dl[k:]) / (2 * h)
+    ddr = (dr[:k] - dr[k:]) / (2 * h)
+    out = np.diag(np.diagonal(ddl) + np.diagonal(ddr))
+    j = np.arange(k - 1)
+    out[j + 1, j] = ddl[j, j + 1]
+    out[j, j + 1] = ddr[j + 1, j]
     return out
 
 

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from kslayers import greens
+from kslayers import ansatz, greens
 from kslayers.errors import ConditioningError, DomainError
 from kslayers.specfun import bessel_table, xi_zeta_table
 
@@ -77,8 +79,71 @@ class TestAnnulusSolve:
     def test_degenerate_annulus(self):
         with pytest.raises(DomainError):
             greens.LayerCalculus([0.7, 0.3], 1e-3, greens.NEUMANN)
-        with pytest.raises((ConditioningError, DomainError)):
+        with pytest.raises(ConditioningError,
+                           match=re.escape(f"annulus ({0.5}, {0.5 + 1e-15})")):
             greens.LayerCalculus([0.5, 0.5 + 1e-15], 1e-3, greens.NEUMANN)
+
+
+def value_radii(alphas, outer):
+    """The value radii of each row of free radii: r = 1 appended in
+    dirichlet mode."""
+    if outer == greens.NEUMANN:
+        return alphas
+    return np.concatenate([alphas, np.ones(alphas.shape[:-1] + (1,))], axis=-1)
+
+
+def assert_rows_match(radii, values, b, outer, calcs):
+    """Each row of one stacked ``layer_fluxes`` call carries the bits of
+    its own ``LayerCalculus``."""
+    _, coeffs, _, dl, dr = greens.layer_fluxes(radii, values, b, outer)
+    for row, calc in enumerate(calcs):
+        assert np.array_equal(coeffs[row], calc.green.coeffs), row
+        assert np.array_equal(dl[row], calc.dl), row
+        assert np.array_equal(dr[row], calc.dr, equal_nan=True), row
+
+
+class TestStackedFluxes:
+    @pytest.mark.parametrize("outer, k", [(greens.DIRICHLET, k) for k in range(7)]
+                             + [(greens.NEUMANN, k) for k in range(1, 7)])
+    def test_rows_match_single_calculi(self, outer, k):
+        rng = np.random.default_rng(k)
+        alphas = np.sort(rng.uniform(0.05, 0.95, (5, k)), axis=1)
+        radii = value_radii(alphas, outer)
+        values = rng.uniform(0.5, 2.0, radii.shape)
+        values[0] = 1.0
+        b = 1e-3
+        calcs = [greens.LayerCalculus(a, b, outer, values=v)
+                 for a, v in zip(alphas, values)]
+        assert_rows_match(radii, values, b, outer, calcs)
+
+    def test_family1_outer_row(self, monkeypatch):
+        # the k = 0 calculus build_params glues in, with its matched
+        # boundary value, as one row of a stack
+        built = []
+
+        class Recorded(greens.LayerCalculus):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(greens, "LayerCalculus", Recorded)
+        params = ansatz.build_params(1e-4)
+        (outer,) = [c for c in built if c.green is params.outer]
+        assert outer.n_free == 0 and outer.values[0] != 1.0
+        values = np.array([[1.0], outer.values, [0.5 * outer.values[0]]])
+        b = params.outer.b_sing
+        calcs = [greens.LayerCalculus(np.empty(0), b, greens.DIRICHLET, values=v)
+                 for v in values[::2]]
+        assert_rows_match(np.ones((3, 1)), values, b, greens.DIRICHLET,
+                          [calcs[0], outer, calcs[1]])
+
+    def test_bad_row_names_its_annulus(self):
+        alphas = np.array([[0.3, 0.6], [0.5, 0.5 + 1e-15], [0.2, 0.7]])
+        for outer in (greens.DIRICHLET, greens.NEUMANN):
+            radii = value_radii(alphas, outer)
+            with pytest.raises(ConditioningError,
+                               match=re.escape(f"annulus ({0.5}, {0.5 + 1e-15})")):
+                greens.layer_fluxes(radii, np.ones_like(radii), 1e-3, outer)
 
 
 class TestReflection:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kslayers import greens, nondegen
+from kslayers.errors import InternalConsistencyError
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +38,20 @@ class TestMatrixAssembly:
         fd = nondegen._fd_entries(cfg.alphas, 1e-3)
         scale = np.maximum(np.abs(mat.entries), 1e-6)
         assert np.max(np.abs(mat.entries - fd) / scale) < 1e-5
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (1, 0), (1, 2)])
+    def test_guard_fires_on_a_wrong_entry(self, solved_configs, monkeypatch, i, j):
+        cfg, _ = solved_configs[3]
+        exact = greens.LayerCalculus.defect_jacobian
+
+        def skewed(calc):
+            jac = exact(calc)
+            jac[i, j] *= 1.0 + 1e-3
+            return jac
+
+        monkeypatch.setattr(greens.LayerCalculus, "defect_jacobian", skewed)
+        with pytest.raises(InternalConsistencyError, match=rf"A\[{i},{j}\]"):
+            nondegen.assemble_Ak(cfg.alphas, 1e-3)
 
     def test_diagonal_matches_defect_derivative(self):
         # cross-module: the analytic Jacobian that the reflection Newton

@@ -16,9 +16,11 @@ runs, with this checkout's ``src`` first on the import path:
   transitions;
 * on the ansatz of the ladder lam = 1e-2 ... 1e-5: ``solve_linear`` against
   one seeded ``random_smooth_field`` (``phi``, ``ratio``, ``eigenvalue``,
-  ``overlap``, ``morse_index``) and the ``probe_linear`` ratios, and at
-  lam = 1e-4 ``fixed_point`` (``phi``, ``increments``, ``factors``,
-  ``rho``, ``bound``, ``drop``, ``converged``);
+  ``overlap``, ``morse_index``) and the ``probe_linear`` ratios, and
+  ``fixed_point`` (``phi``, ``increments``, ``factors``, ``rho``,
+  ``bound``, ``drop``, ``converged``) at lam = 1e-4 with the contraction
+  check and at lam = 1e-5 as the ``ladder`` benchmark runs it
+  (``require_contraction=False``, which takes all 200 iterates);
 * ``sweep_Mk(6, [1e-4, 1e-3, 1e-2])`` (``k``, ``b``, ``M_k``, ``cond``),
   and the finite-difference guard ``nondegen._fd_entries`` at each of its
   18 solved configurations (``guard/fd_entries``, the matrices flattened
@@ -83,7 +85,7 @@ PARAM_EPS = (0.10, 0.07, 0.05, 0.035, 0.025)
 PARAM_LAMBDAS = (0.3, 0.2, 1e-2, 1e-3, 3e-4, 1e-4, 1e-5)
 CERTIFIED = 1e-10  # the continuation corrector's residual tolerance
 LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
-FIXED_POINT_LAMBDA = 1e-4
+FIXED_POINTS = ((1e-4, True), (1e-5, False))  # (lam, require_contraction)
 B_GRID = (1e-4, 1e-3, 1e-2)  # the criteria's and the layers benchmark's b
 BESSEL_RADII = np.concatenate([np.geomspace(1e-8, 10.6, 50_000),
                                np.linspace(1e-8, 10.6, 50_000)])
@@ -139,7 +141,8 @@ def _params_fields() -> dict:
 
 
 def _analysis_fields() -> dict:
-    profiles = {lam: ansatz.build_profile(ansatz.build_params(lam)) for lam in LADDER}
+    params = {lam: ansatz.build_params(lam) for lam in LADDER}
+    profiles = {lam: ansatz.build_profile(p) for lam, p in params.items()}
     out = {}
     for lam, prof in profiles.items():
         h = analysis.random_smooth_field(prof.grid, np.random.default_rng(0))
@@ -151,14 +154,16 @@ def _analysis_fields() -> dict:
                     f"linear{lam:g}/morse_index": np.array(res.morse_index)})
     ratios = analysis.probe_linear(profiles)
     out["probe/ratios"] = np.array([ratios[lam] for lam in LADDER])
-    fp = analysis.fixed_point(profiles[FIXED_POINT_LAMBDA], FIXED_POINT_LAMBDA)
-    out.update({"fixed_point/phi": fp.phi,
-                "fixed_point/increments": np.array(fp.increments),
-                "fixed_point/factors": np.array(fp.factors),
-                "fixed_point/rho": np.array(fp.rho),
-                "fixed_point/bound": np.array(fp.bound),
-                "fixed_point/drop": np.array(fp.residual_drop),
-                "fixed_point/converged": np.array(fp.converged)})
+    for lam, strict in FIXED_POINTS:
+        fp = analysis.fixed_point(profiles[lam], lam, eps=params[lam].eps,
+                                  require_contraction=strict)
+        out.update({f"fixed_point{lam:g}/phi": fp.phi,
+                    f"fixed_point{lam:g}/increments": np.array(fp.increments),
+                    f"fixed_point{lam:g}/factors": np.array(fp.factors),
+                    f"fixed_point{lam:g}/rho": np.array(fp.rho),
+                    f"fixed_point{lam:g}/bound": np.array(fp.bound),
+                    f"fixed_point{lam:g}/drop": np.array(fp.residual_drop),
+                    f"fixed_point{lam:g}/converged": np.array(fp.converged)})
     rows = nondegen.sweep_Mk(6, B_GRID)
     for key in ("k", "b", "M_k", "cond"):
         out[f"sweep_Mk/{key}"] = np.array([row[key] for row in rows])

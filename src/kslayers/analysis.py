@@ -177,21 +177,22 @@ def nonlinearity(U: Profile, phi: np.ndarray, lam: float) -> np.ndarray:
         raise DomainError("phi must live on the profile grid")
     if np.max(np.abs(phi)) > 1.0 + 1e-12:
         raise DomainError("nonlinearity expects ||phi||_inf <= 1")
-    return _remainder(U, phi, lam)
+    return _remainder(U, phi, lam, np.exp(U.values))
 
 
-def _remainder(U: Profile, phi: np.ndarray, lam: float) -> np.ndarray:
-    """``nonlinearity`` without the ball check, as the fixed point needs it.
+def _remainder(U: Profile, phi: np.ndarray, lam: float, eu: np.ndarray) -> np.ndarray:
+    """``nonlinearity`` without the ball check, as the fixed point needs it,
+    given ``eu`` = e^U.
 
     Raises ``OverflowRegionError`` where e^(U+phi) would overflow.
     """
-    if np.max(U.values + phi) > EXP_CAP:
-        idx = int(np.argmax(U.values + phi))
+    v = U.values + phi
+    if np.max(v) > EXP_CAP:
+        idx = int(np.argmax(v))
         raise OverflowRegionError(
             f"e^(U+phi) overflows at r={U.grid[idx]:.6f}",
             radius=float(U.grid[idx]))
-    eu = np.exp(U.values)
-    return lam * (np.exp(U.values + phi) - eu - eu * phi)
+    return lam * (np.exp(v) - eu - eu * phi)
 
 
 def kernel_mode(r, lam: float, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -289,7 +290,9 @@ def fixed_point(U: Profile, lam: float, eps: float | None = None,
     on the lambda = 1e-4 ansatz) lies above ``tol``, so once the increments
     come within 1e3 of ``tol`` each solve takes one refinement step with its
     residual accumulated in extended precision; otherwise the stop test
-    would hold only by chance.
+    would hold only by chance.  Every solve uses one factorization of the
+    operator (``RadialOperator.factor``: LAPACK ?gttrf once, ?gttrs per
+    solve).
     """
     e = eps if eps is not None else solve_epsilon(lam)
     op = RadialOperator(U.grid)
@@ -297,40 +300,42 @@ def fixed_point(U: Profile, lam: float, eps: float | None = None,
     # inverts, so that its fixed point solves the discrete equation exactly
     pot = lam * np.exp(np.minimum(U.values, EXP_CAP))
     R = op.apply_neg_lap(U.values) + U.values - pot
-    phi1 = op.solve(pot, -R)
+    solve = op.factor(pot)
+    neg_R = -R
+    phi1 = solve(neg_R)
     step1 = float(np.max(np.abs(phi1)))
     scale, tol = e ** 1.1, 1e-11
     rho = 4.0 * step1 / scale
     bound = rho * scale
 
     raw_norm = float(np.max(np.abs(R)))
-    phi = np.zeros_like(R)
+    eu = np.exp(U.values)
+    phi, phi_max = np.zeros_like(R), 0.0
     increments: list[float] = []
     factors: list[float] = []
     converged = False
     for _ in range(200):
         try:
-            rhs = -R + _remainder(U, phi, lam)
+            rhs = neg_R + _remainder(U, phi, lam, eu)
         except OverflowRegionError:
             raise NonContractionError(
                 "fixed-point iterate overflowed the exponential",
                 factor=np.inf)
-        phi_new = op.solve(pot, rhs)
-        if increments and \
-                increments[-1] < 1e3 * tol * max(1.0, np.max(np.abs(phi))):
+        phi_new = solve(rhs)
+        if increments and increments[-1] < 1e3 * tol * max(1.0, phi_max):
             x = np.asarray(phi_new, dtype=np.longdouble)
             defect = rhs - (op.apply_neg_lap_extended(x) + x - pot * x)
-            phi_new = phi_new + op.solve(pot, np.asarray(defect, dtype=float))
+            phi_new = phi_new + solve(np.asarray(defect, dtype=float))
         inc = float(np.max(np.abs(phi_new - phi)))
         increments.append(inc)
         if len(increments) >= 2 and increments[-2] > 0:
             factors.append(increments[-1] / increments[-2])
-        if np.max(np.abs(phi_new)) > bound and require_contraction:
+        phi, phi_max = phi_new, float(np.max(np.abs(phi_new)))
+        if phi_max > bound and require_contraction:
             raise NonContractionError(
                 f"iterate escaped the radius {bound:.3e} ball",
                 factor=factors[-1] if factors else np.inf)
-        phi = phi_new
-        if inc < tol * max(1.0, np.max(np.abs(phi))):
+        if inc < tol * max(1.0, phi_max):
             converged = True
             break
     worst = max(factors[1:]) if len(factors) > 1 else (factors[0] if factors else np.inf)

@@ -550,8 +550,11 @@ def build_params(lam: float, eta: float = 0.8) -> AnsatzParams:
     """Assemble all ansatz parameters for one lambda.
 
     Iterates the outer matching with the correction constants (which depend
-    on the layer amplitude through the stretched profiles) to a joint fixed
-    point; two or three passes suffice since the coupling is O(eps^2).  The
+    on the layer amplitude through the stretched profiles) towards a joint
+    fixed point, for at most four passes.  Those do not always settle: on
+    ``logspace(-1, -300, 120)`` 46 of the 120 lambdas still move gamma after
+    four passes, slowest near the order-2 fold, and some alternate their
+    matching order between passes; ROADMAP item 3 replaces the loop.  The
     outer profile is then the Green's function with no free layer,
     ``greens.LayerCalculus`` with -A ln r at the origin and the matched data
     at r = 1.  Newton's method finds gamma, with the matching gap's

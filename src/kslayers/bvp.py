@@ -21,7 +21,9 @@ nonlinearity is evaluated in double from the split u = hi + lo as
 lambda e^hi (1 + lo), within 2.8e-16 relative of a long-double exp on the
 lambda = 1e-4 solution; only entries above 1e3, where a double's rounding
 would near the 1e-10 tolerance, take a long-double exp.  Every linear
-solve is a double-precision LAPACK ?gtsv.
+solve is double-precision LAPACK: a single solve is one ?gtsv, and the
+mode finder's inverse iteration factors its shifted operator once with
+?gttrf and solves with ?gttrs.
 """
 
 from __future__ import annotations
@@ -370,7 +372,8 @@ def _neumann_mode(op: RadialOperator, i: int) -> tuple[float, np.ndarray]:
     than ``_MODE_RTOL`` the previous phi was within about 1e-7 of the mode
     and the new one is at the solve's rounding floor.  The shift is at most
     6e-3 off mu_i (i <= 8, 2000 nodes) and at least 14 from the other
-    eigenvalues, so this takes 2-3 solves.
+    eigenvalues, so this takes 2-3 solves, all with one factorization of
+    the shifted operator (``RadialOperator.factor``).
 
     Raises
     ------
@@ -381,9 +384,10 @@ def _neumann_mode(op: RadialOperator, i: int) -> tuple[float, np.ndarray]:
     j = _j1_zero(i - 1)
     shift = 1.0 + j * j
     face_weights = op.faces[1:-1] / np.diff(op.r)
+    solve = op.factor(shift)
     phi, mu = np.cos(j * op.r), shift
     for _ in range(_MODE_SOLVES):
-        v = op.solve(shift, phi)
+        v = solve(phi)
         phi = v / math.copysign(float(np.max(np.abs(v))), v[0])
         last, mu = mu, 1.0 + float(np.dot(face_weights, np.diff(phi) ** 2)
                                    / np.dot(op.vol, phi * phi))

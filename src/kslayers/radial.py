@@ -11,6 +11,7 @@ zero flux).
 
 from __future__ import annotations
 
+import ctypes
 import functools
 
 import numpy as np
@@ -56,23 +57,43 @@ def _scipy_gtsv(dl, d, du, b):
     return x, info
 
 
+def _scipy_gttrf(dl, d, du):
+    """``_gttrf`` through scipy's f2py wrappers, told to copy nothing."""
+    from scipy.linalg import lapack
+    *factors, info = lapack.dgttrf(dl, d, du, overwrite_dl=True, overwrite_d=True,
+                                   overwrite_du=True)
+
+    def gttrs(b):
+        return lapack.dgttrs(*factors, b, overwrite_b=True)
+
+    return gttrs, info
+
+
 @functools.cache
-def _numpy_gtsv():
-    """``_gtsv`` bound from the LAPACK numpy loaded, or None.
+def _numpy_lapack(name: str, nargs: int, nchars: int = 0):
+    """LAPACK routine ``name`` from the LAPACK numpy loaded, or None.
 
     numpy's PyPI wheels link an OpenBLAS with 64-bit integers into
     ``numpy.linalg._umath_linalg``, and dlsym on that module searches its
     dependencies too.  Only the 64_-suffixed names are taken (numpy >= 2
-    prefixes ``scipy_``): the integer width of a bare ``dgtsv_`` is unknown.
+    prefixes ``scipy_``): the integer width of a bare ``name_`` is unknown.
+    The routine takes its ``nargs`` arguments by reference, then the hidden
+    ``size_t`` lengths of its ``nchars`` character arguments.
     """
-    import ctypes
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    fn = getattr(lib, "scipy_dgtsv_64_", None) or getattr(lib, "dgtsv_64_", None)
+    fn = getattr(lib, f"scipy_{name}_64_", None) or getattr(lib, f"{name}_64_", None)
+    if fn is not None:
+        fn.argtypes = [ctypes.c_void_p] * nargs + [ctypes.c_size_t] * nchars
+        fn.restype = None
+    return fn
+
+
+@functools.cache
+def _numpy_gtsv():
+    """``_gtsv`` bound from the LAPACK numpy loaded, or None."""
+    fn = _numpy_lapack("dgtsv", 8)  # (n, nrhs, dl, d, du, b, ldb, info)
     if fn is None:
         return None
-    # (n, nrhs, dl, d, du, b, ldb, info), every argument by reference
-    fn.argtypes = [ctypes.c_void_p] * 8
-    fn.restype = None
     ints = ctypes.c_int64 * 3
     address, view = ctypes.addressof, ctypes.c_double.from_buffer
 
@@ -88,6 +109,39 @@ def _numpy_gtsv():
     return gtsv
 
 
+@functools.cache
+def _numpy_gttrf():
+    """``_gttrf`` bound from the LAPACK numpy loaded, or None."""
+    trf = _numpy_lapack("dgttrf", 7)  # (n, dl, d, du, du2, ipiv, info)
+    # (trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info) and len(trans)
+    trs = _numpy_lapack("dgttrs", 11, 1)
+    if trf is None or trs is None:
+        return None
+    ints = ctypes.c_int64 * 3
+    address, view = ctypes.addressof, ctypes.c_double.from_buffer
+
+    def gttrf(dl, d, du):
+        n = d.size
+        du2, ipiv = (ctypes.c_double * (n - 2))(), (ctypes.c_int64 * n)()
+        nums = ints(n, 1, 0)  # n, nrhs, info
+        at = address(nums)
+        trf(at, address(view(dl)), address(view(d)), address(view(du)),
+            address(du2), address(ipiv), at + 16)
+
+        def gttrs(b):
+            # the closure keeps dl, d, du, du2 and ipiv alive for every solve
+            nums = ints(n, b.shape[1] if b.ndim == 2 else 1, 0)
+            at = address(nums)
+            trs(b"N", at, at + 8, address(view(dl)), address(view(d)),
+                address(view(du)), address(du2), address(ipiv),
+                address(view(b.T)), at, at + 16, 1)
+            return b, nums[2]
+
+        return gttrs, nums[2]
+
+    return gttrf
+
+
 def _gtsv(dl, d, du, b):
     """LAPACK dgtsv in place: returns (x, info), x being ``b`` overwritten.
 
@@ -98,6 +152,29 @@ def _gtsv(dl, d, du, b):
     same bits.
     """
     return (_numpy_gtsv() or _scipy_gtsv)(dl, d, du, b)
+
+
+def _gttrf(dl, d, du):
+    """LAPACK dgttrf in place: returns (gttrs, info).
+
+    The arrays are as ``_gtsv``'s and are overwritten by the LU factors;
+    ``gttrs(b)`` runs dgttrs on them, returning (x, info) with x being
+    ``b`` overwritten.  The reference dgttrf + dgttrs pivot and round as
+    dgtsv does, so the solution has ``_gtsv``'s bits.  The same LAPACK
+    serves as for ``_gtsv``.
+    """
+    return (_numpy_gttrf() or _scipy_gttrf)(dl, d, du)
+
+
+def _checked(routine: str, info: int, x=None):
+    """``x`` once ``routine``'s ``info`` and the solution's finiteness pass."""
+    if info < 0:
+        raise ValueError(f"{routine} rejected its argument {-info}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: zero pivot in row {info}")
+    if x is not None and not np.isfinite(x).all():
+        raise ValueError("non-finite solution")
+    return x
 
 
 class RadialOperator:
@@ -182,7 +259,8 @@ class RadialOperator:
         calls, so the solution is the same to the bit.  The ?gtsv is the
         one in the OpenBLAS numpy already loaded; where numpy's LAPACK
         exports no 64-bit-integer ?gtsv (conda and MKL builds, Windows),
-        scipy's serves instead.
+        scipy's serves instead.  Repeated solves with one potential go
+        through ``factor``.
 
         Raises
         ------
@@ -194,25 +272,47 @@ class RadialOperator:
             per node; on a non-finite potential or solution (an infinite
             potential can leave the solution finite, so both are checked).
         """
-        # ?gtsv overwrites all four arrays: the solution lands in b
+        b = self._rhs(rhs)
+        x, info = _gtsv(self.lap_lower.copy(), self._diagonal(potential),
+                        self.lap_upper.copy(), b)
+        return _checked("?gtsv", info, x)
+
+    def factor(self, potential):
+        """``solve`` with ``potential`` fixed: returns the function rhs -> u.
+
+        LAPACK ?gttrf factors the operator once and each call runs ?gttrs on
+        the factors (with the LAPACK ``solve`` uses), which gives
+        ``solve(potential, rhs)``'s bits at about 60% of its cost.  The
+        potential's errors raise here, the rhs's and the solution's in the
+        call, as ``solve`` raises them.
+        """
+        gttrs, info = _gttrf(self.lap_lower.copy(), self._diagonal(potential),
+                             self.lap_upper.copy())
+        _checked("?gttrf", info)
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            x, info = gttrs(self._rhs(rhs))
+            return _checked("?gttrs", info, x)
+
+        return solve
+
+    def _rhs(self, rhs) -> np.ndarray:
+        # LAPACK overwrites b with the solution, and checks no shapes: it
+        # would read and write out of bounds
         b = np.array(rhs, dtype=float, order="F")
         if b.ndim not in (1, 2) or b.shape[0] != self.n:
             raise ValueError(f"rhs of shape {b.shape}: need {self.n} rows, "
                              "one or two dimensions")
+        return b
+
+    def _diagonal(self, potential) -> np.ndarray:
         d = np.asarray(self._screened_main - potential, dtype=float)
         if d.shape != (self.n,):
             raise ValueError(f"potential gives a diagonal of shape {d.shape}, "
                              f"not ({self.n},)")
         if not np.isfinite(d).all():
             raise ValueError("non-finite potential")
-        x, info = _gtsv(self.lap_lower.copy(), d, self.lap_upper.copy(), b)
-        if info < 0:
-            raise ValueError(f"?gtsv rejected its argument {-info}")
-        if info > 0:
-            raise np.linalg.LinAlgError(f"singular matrix: zero pivot in row {info}")
-        if not np.isfinite(x).all():
-            raise ValueError("non-finite solution")
-        return x
+        return d
 
     def symmetric_tridiagonal(self, potential=0.0) -> tuple[np.ndarray, np.ndarray]:
         """Symmetrized (d, e) of the operator under the radial measure.
@@ -227,14 +327,19 @@ class RadialOperator:
     def smallest_eigenvalue(self, potential=0.0) -> tuple[float, np.ndarray, int]:
         """Eigenvalue of smallest magnitude, its eigenvector and the Morse index.
 
-        A Sturm count (LAPACK bisection, ?stebz) gives the number of negative
-        eigenvalues; the eigenvalue nearest 0 is one of the two either side
-        of it, which bisection and inverse iteration (?stein) return alone.
+        A Sturm count (LAPACK ?stebz) gives the number of negative
+        eigenvalues: ?stebz counts the eigenvalues in (-inf, 0] as the
+        difference of two Sturm counts at the ends of the range (Barth,
+        Martin & Wilkinson 1967) before it bisects any of them, so the count
+        is asked for with an infinite tolerance, which stops the bisection
+        at once.  The eigenvalue nearest 0 is one of the two either side of
+        the count, which bisection to full accuracy and inverse iteration
+        (?stein) return alone.
         """
         import scipy.linalg as sla
         d, e = self.symmetric_tridiagonal(potential)
-        neg = sla.eigvalsh_tridiagonal(d, e, select="v",
-                                       select_range=(-np.inf, 0.0)).size
+        neg = sla.eigvalsh_tridiagonal(d, e, select="v", select_range=(-np.inf, 0.0),
+                                       tol=np.inf).size
         vals, vecs = sla.eigh_tridiagonal(
             d, e, select="i", select_range=(max(neg - 1, 0), min(neg, self.n - 1)))
         idx = int(np.argmin(np.abs(vals)))

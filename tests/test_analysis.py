@@ -219,6 +219,31 @@ class TestEigenvalueMonitor:
         assert morse == ref_neg == op.n
         assert eig == pytest.approx(ref_eig, rel=1e-7)
 
+    def test_count_ignores_the_bisection_tolerance(self):
+        # ?stebz counts the range's eigenvalues as a difference of Sturm
+        # counts before it bisects any, so smallest_eigenvalue's tol = inf
+        # count is the full-accuracy count and the full spectrum's.
+        # test_against_full_spectrum takes the unscaled potentials at 1e-2
+        # and 1e-4.  On a 2-core x86-64 box a full spectrum takes 0.24 s on
+        # these grids, and bisecting every eigenvalue to full accuracy 4 s
+        # above the spectrum, which the 800-node test above covers
+        import scipy.linalg as sla
+        for lam in (1e-2, 1e-3, 1e-4, 1e-5):
+            prof = ansatz.build_profile(ansatz.build_params(lam))
+            op = RadialOperator(prof.grid)
+            pot = lam * np.exp(prof.values)
+            constants = [0.0, 1e3] if lam == 1e-4 else []
+            for potential in [0.5 * pot, 10.0 * pot] + constants:
+                d, e = op.symmetric_tridiagonal(potential)
+
+                def count(**tol):
+                    return sla.eigvalsh_tridiagonal(
+                        d, e, select="v", select_range=(-np.inf, 0.0), **tol).size
+
+                negatives = int(np.count_nonzero(sla.eigvalsh_tridiagonal(d, e) <= 0.0))
+                assert count(tol=np.inf) == count() == negatives
+                assert op.smallest_eigenvalue(potential)[2] == negatives
+
 
 class TestNearKernel:
     def test_bubble_linearization_triggers_diagnostic(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
@@ -27,15 +28,24 @@ def solved4(ansatz4):
 
 
 NO_NUMPY_GTSV = "numpy's LAPACK exports no 64-bit-integer dgtsv: scipy's serves"
+NO_NUMPY_GTTRF = ("numpy's LAPACK exports no 64-bit-integer dgttrf and dgttrs: "
+                  "scipy's serve")
 
 
 @pytest.fixture(params=["numpy", "scipy"])
 def gtsv_path(request, monkeypatch):
-    """RadialOperator.solve routed through one of the two ?gtsv bindings."""
-    gtsv = radial._numpy_gtsv() if request.param == "numpy" else radial._scipy_gtsv
+    """RadialOperator.solve and .factor routed through one of the two LAPACK
+    bindings (?gtsv, and ?gttrf + ?gttrs)."""
+    if request.param == "numpy":
+        gtsv, gttrf = radial._numpy_gtsv(), radial._numpy_gttrf()
+    else:
+        gtsv, gttrf = radial._scipy_gtsv, radial._scipy_gttrf
     if gtsv is None:
         pytest.skip(NO_NUMPY_GTSV)
+    if gttrf is None:
+        pytest.skip(NO_NUMPY_GTTRF)
     monkeypatch.setattr(radial, "_gtsv", gtsv)
+    monkeypatch.setattr(radial, "_gttrf", gttrf)
     return gtsv
 
 
@@ -90,6 +100,23 @@ class TestOperator:
                 assert x.shape == rhs.shape
                 assert np.array_equal(x, sla.solve_banded((1, 1), ab, rhs))
 
+    def test_factor_is_solve_to_the_bit(self, ansatz4, gtsv_path):
+        # the ansatz potential: partial pivoting swaps rows (see above)
+        _, prof = ansatz4
+        op = RadialOperator(prof.grid)
+        pot = 1e-4 * np.exp(prof.values)
+        solve = op.factor(pot)
+        rng = np.random.default_rng(7)
+        for rhs in (rng.standard_normal(op.n), rng.standard_normal((op.n, 1)),
+                    rng.standard_normal((op.n, 2))):
+            for _ in range(2):  # ?gttrs leaves the factors as it found them
+                x = solve(rhs)
+                assert x.shape == rhs.shape
+                assert np.array_equal(x, op.solve(pot, rhs))
+        gc.collect()  # the solver alone keeps its factors alive
+        rhs = rng.standard_normal(op.n)
+        assert np.array_equal(solve(rhs), op.solve(pot, rhs))
+
     def test_solve_names_the_zero_pivot(self, gtsv_path):
         # a zero diagonal of odd order: elimination ends on an exact zero pivot
         op = RadialOperator(graded_grid(501, 0.05, 0.05))
@@ -101,6 +128,8 @@ class TestOperator:
             with pytest.raises(np.linalg.LinAlgError,
                                match=f"zero pivot in row {info}$"):
                 op.solve(pot, rhs)
+        with pytest.raises(np.linalg.LinAlgError, match=f"zero pivot in row {info}$"):
+            op.factor(pot)
 
     @pytest.mark.parametrize("grid, uniform", [
         (lambda: bvp.make_grid(1e-4), False),
@@ -117,13 +146,19 @@ class TestOperator:
                               np.gradient(u, r, edge_order=2)[1:-1])
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_solve_rejects_non_finite_potential(self, bad):
+    def test_solve_rejects_non_finite_potential(self, bad, monkeypatch):
         # an infinite diagonal entry leaves ?gtsv's solution finite
+        def gttrf(*args):
+            raise AssertionError("?gttrf called")
+
+        monkeypatch.setattr(radial, "_gttrf", gttrf)
         op = RadialOperator(graded_grid(500, 0.05, 0.05))
         pot = np.zeros(op.n)
         pot[7] = bad
         with pytest.raises(ValueError):
             op.solve(pot, np.ones(op.n))
+        with pytest.raises(ValueError, match="non-finite potential"):
+            op.factor(pot)
 
     @pytest.mark.parametrize("pot_shape, rhs_shape", [
         ((), (499,)), ((), (501, 2)), ((), (500, 2, 1)), ((), ()),
@@ -131,14 +166,18 @@ class TestOperator:
     ], ids=["short", "long", "3-d", "0-d", "2-d potential"])
     def test_solve_rejects_misshapen_arguments_before_lapack(
             self, monkeypatch, pot_shape, rhs_shape):
-        # ?gtsv checks no shapes: it would read and write out of bounds
-        def gtsv(*args):
-            raise AssertionError("?gtsv called")
+        # ?gtsv and ?gttrs check no shapes: they would read and write out
+        # of bounds
+        def lapack(*args):
+            raise AssertionError("LAPACK called")
 
-        monkeypatch.setattr(radial, "_gtsv", gtsv)
+        monkeypatch.setattr(radial, "_gtsv", lapack)
+        monkeypatch.setattr(radial, "_gttrf", lambda *args: (lapack, 0))
         op = RadialOperator(graded_grid(500, 0.05, 0.05))
         with pytest.raises(ValueError):
             op.solve(np.zeros(pot_shape), np.ones(rhs_shape))
+        with pytest.raises(ValueError):
+            op.factor(np.zeros(pot_shape))(np.ones(rhs_shape))
 
 
 class TestDirectSolve:
@@ -492,15 +531,16 @@ def test_solve_leaves_scipy_out():
     assert out.stdout.strip() == "False"
 
 
-def test_branch_leaves_scipy_out(tmp_path):
-    # the seed's mode comes from inverse iteration on the ?gtsv numpy loaded
+def _cli_leaves_scipy_out(argv) -> str:
+    """``exit code, 'scipy' in sys.modules`` after ``kslayers.cli argv`` in a
+    fresh interpreter, which solves with the ?gtsv and ?gttrf numpy loaded."""
     if radial._numpy_gtsv() is None:
         pytest.skip(NO_NUMPY_GTSV)
+    if radial._numpy_gttrf() is None:
+        pytest.skip(NO_NUMPY_GTTRF)
     src = os.path.dirname(os.path.dirname(radial.__file__))
-    argv = ["kslayers.cli", "branch", "--i", "2", "--sign", "+", "--steps", "3",
-            "--out", str(tmp_path)]
     code = ("import runpy, sys\n"
-            f"sys.argv = {argv!r}\n"
+            f"sys.argv = {['kslayers.cli', *argv]!r}\n"
             "try:\n"
             "    runpy.run_module('kslayers.cli', run_name='__main__')\n"
             "except SystemExit as exit:\n"
@@ -508,7 +548,19 @@ def test_branch_leaves_scipy_out(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip().splitlines()[-1] == "0 False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_fixpoint_leaves_scipy_out(tmp_path):
+    # the fixed point factors its operator once, with ?gttrf
+    argv = ["fixpoint", "--lambda", "1e-4", "--out", str(tmp_path)]
+    assert _cli_leaves_scipy_out(argv) == "0 False"
+
+
+def test_branch_leaves_scipy_out(tmp_path):
+    # the seed's mode comes from inverse iteration, not from scipy's Bessel zeros
+    argv = ["branch", "--i", "2", "--sign", "+", "--steps", "3", "--out", str(tmp_path)]
+    assert _cli_leaves_scipy_out(argv) == "0 False"
 
 
 def test_import_leaves_special_out():

@@ -34,11 +34,12 @@ runs, with this checkout's ``src`` first on the import path:
   the Chebyshev range.
 
 For each solver case OUT.npz holds, one row per point: ``param`` (long
-double, as the solver stores it), ``values`` (long double), ``d1``, ``d2``,
+double, as the solver stores it), ``values`` (long double),
 ``newton_iters``, ``zero_count``, and ``residual_history`` as one
-concatenated array with the per-point lengths in ``history_len``.  For each
-ansatz it holds the profile's ``grid``, ``values``, ``d1``, ``d2`` and
-``piece``, and for the single-layer guesses ``r_tilde`` and ``gamma_eps``.
+concatenated array with the per-point lengths in ``history_len``; a solved
+point keeps no derivatives.  For each ansatz it holds the profile's
+``grid``, ``values``, ``d1``, ``d2`` and ``piece``, and for the
+single-layer guesses ``r_tilde`` and ``gamma_eps``.
 The ``params`` case holds one entry per lambda: ``lam``, ``eps``,
 ``gamma_eps``, ``r_tilde``, ``matching_order`` and ``matching_error``
 (whether ``build_params`` raised ``MatchingError``; then ``gamma_eps`` and
@@ -97,8 +98,6 @@ def _fields(points) -> dict:
         "param": np.array([np.longdouble(p.param) for p in points]),
         "values": np.array([np.asarray(p.profile.values, dtype=np.longdouble)
                             for p in points]),
-        "d1": np.array([p.profile.d1 for p in points]),
-        "d2": np.array([p.profile.d2 for p in points]),
         "newton_iters": np.array([p.newton_iters for p in points]),
         "zero_count": np.array([p.zero_count for p in points]),
         "residual_history": np.concatenate(history),

@@ -111,28 +111,29 @@ class ResidualReport:
     inner_envelope_const: float
 
 
-def _laplacian_from_profile(U: Profile) -> np.ndarray:
-    r = U.grid
-    lap = np.empty_like(U.values)
-    lap[1:] = U.d2[1:] + U.d1[1:] / r[1:]
-    lap[0] = 2.0 * U.d2[0]
-    return lap
-
-
 def residual(U: Profile, lam: float) -> np.ndarray:
     """Pointwise R(U) = -Delta U + U - lambda e^U on the profile grid.
 
+    The Laplacian is taken from the profile's own u' and u''.
+
     Raises
     ------
+    DomainError
+        If the profile carries no derivatives (a solved point, a file).
     OverflowRegionError
         If e^U overflows, naming the radius where it happens.
     """
+    if U.d1 is None or U.d2 is None:
+        raise DomainError("the profile carries no derivatives")
     if np.max(U.values) > EXP_CAP:
         idx = int(np.argmax(U.values))
         raise OverflowRegionError(
             f"e^U overflows at r={U.grid[idx]:.6f} (U={U.values[idx]:.1f})",
             radius=float(U.grid[idx]))
-    return -_laplacian_from_profile(U) + U.values - lam * np.exp(U.values)
+    lap = np.empty_like(U.values)
+    lap[1:] = U.d2[1:] + U.d1[1:] / U.grid[1:]
+    lap[0] = 2.0 * U.d2[0]
+    return -lap + U.values - lam * np.exp(U.values)
 
 
 def residual_report(U: Profile, lam: float, delta: float | None = None,
@@ -235,6 +236,19 @@ def solve_linear(U: Profile, lam: float, h: np.ndarray, mu: float | None = None,
     h = np.asarray(h, dtype=float)
     if h.shape != U.values.shape:
         raise DomainError("right-hand side must live on the profile grid")
+    op, pot, eig, overlap, morse = _linearized(U, lam, mu, singular_tol)
+    phi = op.solve(pot, h)
+    p = NormParams(lam=lam)
+    hstar = norm_star(U.grid, h, p)
+    ratio = float(np.max(np.abs(phi)) / hstar) if hstar > 0 else np.inf
+    return LinearSolveResult(phi=phi, ratio=ratio, smallest_eigenvalue=float(eig),
+                             kernel_overlap=overlap, morse_index=morse)
+
+
+def _linearized(U: Profile, lam: float, mu: float | None = None,
+                singular_tol: float = 1e-9):
+    """``solve_linear``'s (operator, potential, smallest eigenvalue, kernel
+    overlap, Morse index) at U, past its monitor's NearKernelError."""
     op = RadialOperator(U.grid)
     pot = lam * np.exp(np.minimum(U.values, EXP_CAP))
     eig, mode, morse = op.smallest_eigenvalue(pot)
@@ -253,12 +267,7 @@ def solve_linear(U: Profile, lam: float, h: np.ndarray, mu: float | None = None,
             f"discrete linearized operator nearly singular "
             f"(eig={eig:.3e}, scale={scale:.3e})",
             smallest_singular_value=abs(eig), kernel_overlap=overlap)
-    phi = op.solve(pot, h)
-    p = NormParams(lam=lam)
-    hstar = norm_star(U.grid, h, p)
-    ratio = float(np.max(np.abs(phi)) / hstar) if hstar > 0 else np.inf
-    return LinearSolveResult(phi=phi, ratio=ratio, smallest_eigenvalue=float(eig),
-                             kernel_overlap=overlap, morse_index=morse)
+    return op, pot, eig, overlap, morse
 
 
 @dataclass(frozen=True)
@@ -376,9 +385,8 @@ def probe_linear(profiles: dict[float, Profile], n_rhs: int = 10,
     for lam, U in profiles.items():
         rng = np.random.default_rng(seed)
         hs = np.column_stack([random_smooth_field(U.grid, rng) for _ in range(n_rhs)])
-        solve_linear(U, lam, hs[:, 0])  # runs the monitor; it depends on U alone
-        pot = lam * np.exp(np.minimum(U.values, EXP_CAP))
-        phis = RadialOperator(U.grid).solve(pot, hs)
+        op, pot, *_ = _linearized(U, lam)  # the monitor depends on U alone
+        phis = op.solve(pot, hs)
         p = NormParams(lam=lam)
         out[lam] = max(float(np.max(np.abs(phi)) / norm_star(U.grid, h, p))
                        for phi, h in zip(phis.T, hs.T))

@@ -186,13 +186,15 @@ class CorrectionConstants:
 
 @dataclass(frozen=True)
 class Profile:
-    """Radial profile with analytic-quality derivatives and piece labels."""
+    """Radial profile.  The glued ansatz and scaffold profiles also carry
+    analytic-quality u' (``d1``) and u'' (``d2``) and each node's glued piece
+    (``piece``); a solved point or a file's profile leaves those None."""
 
     grid: np.ndarray
     values: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    piece: np.ndarray
+    d1: np.ndarray | None = None
+    d2: np.ndarray | None = None
+    piece: np.ndarray | None = None
 
 
 @dataclass(frozen=True)

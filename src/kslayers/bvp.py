@@ -162,18 +162,6 @@ def _residual(op: RadialOperator, f, u, p):
     return op.apply_neg_lap(u) + u - fx[0], fx
 
 
-def _profile_from_solution(op: RadialOperator, u, f, p) -> Profile:
-    """Profile of a solved u: the values as given, the derivatives in double."""
-    ud = np.asarray(u, dtype=float)
-    d1 = np.concatenate([[0.0], op.interior_gradient(ud), [0.0]])
-    d2 = np.empty_like(ud)
-    rhs = f(ud, float(p))
-    # second derivative from the equation (exact at a converged solution)
-    d2[1:] = ud[1:] - rhs[1:] - d1[1:] / op.r[1:]
-    d2[0] = 0.5 * (ud[0] - rhs[0])
-    return Profile(op.r, u, d1, d2, np.full(op.n, "bvp"))
-
-
 def _solve(op: RadialOperator, potential, rhs) -> np.ndarray:
     try:
         return op.solve(potential, rhs)
@@ -315,7 +303,7 @@ def solve_bvp(lam: float, initial_guess, tol: float = 1e-9,
     op = RadialOperator(r)
     sol = _newton(op, _lam_exp, u0, lam, tol, max_iter)
     return BranchPoint(param=lam,
-                       profile=_profile_from_solution(op, sol.u, _lam_exp, lam),
+                       profile=Profile(op.r, sol.u),
                        u0_value=float(sol.u[0]), zero_count=_zero_count(sol.u),
                        newton_iters=sol.steps + sol.refinements,
                        residual_norm=sol.history[-1],
@@ -324,9 +312,7 @@ def solve_bvp(lam: float, initial_guess, tol: float = 1e-9,
 
 def constant_profile(lam_or_mu: float, value: float = 1.0) -> Profile:
     r = make_grid(max(lam_or_mu, 1e-6) if lam_or_mu < 1 else 1e-2)
-    u = np.full(r.size, value)
-    return Profile(r, u, np.zeros_like(u), np.zeros_like(u),
-                   np.full(r.size, "const"))
+    return Profile(r, np.full(r.size, value))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +327,7 @@ def _corrector(op: RadialOperator, u, mu, tangent, x_pred) -> BranchPoint:
     """
     sol = _newton(op, _mu_exp, u, mu, 1e-10, 12, border=(tangent, x_pred))
     return BranchPoint(param=sol.p,
-                       profile=_profile_from_solution(op, sol.u, _mu_exp, sol.p),
+                       profile=Profile(op.r, sol.u),
                        u0_value=float(sol.u[0]), zero_count=_zero_count(sol.u),
                        newton_iters=sol.steps, residual_norm=sol.history[-1],
                        residual_history=tuple(sol.history))

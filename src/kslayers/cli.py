@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -246,23 +247,35 @@ def _cmd_branch(cfg: RunConfig) -> None:
 
 
 def _read_profile_csv(path: str):
+    """The (r, u) rows of a CSV file; only lines before the first numeric row
+    may be a header.  A later row that is not two numbers, a value that is
+    not finite, or a radius that does not exceed the one before it raises
+    DomainError naming its line."""
     from . import ansatz
     rows = []
     with open(path) as f:
-        for line in f:
+        for num, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
             try:
-                rows.append([float(parts[0]), float(parts[1])])
+                r, u = line.split(",")[:2]
+                r, u = float(r), float(u)
             except ValueError:
+                if rows:
+                    raise DomainError(
+                        f"{path} line {num}: {line!r} is not an r,u row") from None
                 continue  # header line
-    if not rows:
-        raise DomainError(f"no numeric r,u rows found in {path}")
+            if not (math.isfinite(r) and math.isfinite(u)):
+                raise DomainError(f"{path} line {num}: {line!r} is not finite")
+            if rows and not r > rows[-1][0]:
+                raise DomainError(f"{path} line {num}: radius {r!r} does not exceed "
+                                  f"the previous {rows[-1][0]!r}")
+            rows.append((r, u))
+    if len(rows) < 2:
+        raise DomainError(f"fewer than two numeric r,u rows found in {path}")
     r, u = np.array(rows).T
-    return ansatz.Profile(r, u, np.gradient(u, r), np.zeros_like(u),
-                          np.full(r.size, "file"))
+    return ansatz.Profile(r, u)
 
 
 def _cmd_report(cfg: RunConfig) -> None:

@@ -210,22 +210,6 @@ class RadialOperator:
         return out
 
     @functools.cached_property
-    def _gradient_stencil(self):
-        # np.gradient's interior coefficients, its exactly-uniform branch too
-        h = np.diff(self.r)
-        if (h == h[0]).all():
-            return 2.0 * h[0]
-        h1, h2 = h[:-1], h[1:]
-        return -h2 / (h1 * (h1 + h2)), (h2 - h1) / (h1 * h2), h1 / (h2 * (h1 + h2))
-
-    def interior_gradient(self, u: np.ndarray) -> np.ndarray:
-        """np.gradient(u, r, edge_order=2)[1:-1] to the bit, stencil built once."""
-        s = self._gradient_stencil
-        if isinstance(s, tuple):
-            return s[0] * u[:-2] + s[1] * u[1:-1] + s[2] * u[2:]
-        return (u[2:] - u[:-2]) / s
-
-    @functools.cached_property
     def _extended_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return tuple(np.asarray(x, dtype=np.longdouble)
                      for x in (self.lap_main, self.lap_upper, self.lap_lower))

@@ -19,7 +19,6 @@ from scipy.optimize import brentq
 from scipy import special
 
 from kslayers import __version__, bvp
-from kslayers.ansatz import Profile
 from kslayers.errors import ConvergenceError
 
 EULER = 0.5772156649015328606
@@ -215,19 +214,6 @@ def newton_two_evaluations(op, f, u, p, tol, max_iter, border=None):
     raise ConvergenceError(
         f"refinement did not reach tolerance (last residual {size:.3e})",
         residual=size)
-
-
-def profile_by_np_gradient(r, u, f, p):
-    ud = np.asarray(u, dtype=float)
-    d1 = np.gradient(ud, r, edge_order=2)
-    d1[0] = 0.0
-    d1[-1] = 0.0
-    d2 = np.empty_like(ud)
-    rhs = f(ud, float(p))
-    d2[1:] = ud[1:] - rhs[1:] - d1[1:] / r[1:]
-    d2[0] = 0.5 * (ud[0] - rhs[0])
-    return Profile(np.asarray(r, dtype=float), u, d1, d2,
-                   np.full(len(r), "bvp"))
 
 
 def zero_count_by_sign_diff(u, level=1.0, dead_band=1e-10):

@@ -126,6 +126,9 @@ class TestResidual:
         u = point.profile.values
         res = op.apply_neg_lap_extended(u) + u - params.lam * np.exp(u)
         assert np.max(np.abs(res)) <= 10 * 1e-9
+        # a solved point keeps no u', u'' to take the profile residual from
+        with pytest.raises(DomainError, match="no derivatives"):
+            analysis.residual(point.profile, params.lam)
 
     def test_report_fields(self, setup4):
         params, prof = setup4

@@ -131,20 +131,6 @@ class TestOperator:
         with pytest.raises(np.linalg.LinAlgError, match=f"zero pivot in row {info}$"):
             op.factor(pot)
 
-    @pytest.mark.parametrize("grid, uniform", [
-        (lambda: bvp.make_grid(1e-4), False),
-        (lambda: np.linspace(0.0, 1.0, 2000), False),  # steps differ in the last bit
-        (lambda: np.arange(1025) / 1024, True),
-        (lambda: np.arange(1025) * 3.0 / 1024, True),  # 1 / (2h) is inexact
-    ], ids=["graded", "linspace", "dyadic", "uniform"])
-    def test_interior_gradient_is_np_gradient_to_the_bit(self, grid, uniform):
-        r = grid()
-        op = RadialOperator(r)
-        assert isinstance(op._gradient_stencil, tuple) is not uniform
-        u = np.exp(-r * r / 0.01) + np.sin(7.0 * r)
-        assert np.array_equal(op.interior_gradient(u),
-                              np.gradient(u, r, edge_order=2)[1:-1])
-
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_solve_rejects_non_finite_potential(self, bad, monkeypatch):
         # an infinite diagonal entry leaves ?gtsv's solution finite
@@ -190,6 +176,12 @@ class TestDirectSolve:
         point = bvp.solve_bvp(lam, guess)
         assert abs(point.u0_value - c) < 1e-9
         assert point.newton_iters <= 2
+        # the guess is read for its grid and values alone: with the zero
+        # derivatives and labels it once carried, it solves to the same bits
+        labelled = ansatz.Profile(guess.grid, guess.values, np.zeros(guess.grid.size),
+                                  np.zeros(guess.grid.size),
+                                  np.full(guess.grid.size, "const"))
+        assert_same_point(bvp.solve_bvp(lam, labelled), point)
 
     def test_converges_from_ansatz(self, solved4):
         _, point = solved4
@@ -251,9 +243,17 @@ class TestDirectSolve:
         assert float(np.max(np.abs(err))) <= 1e-12
 
 
+def assert_same_point(a, b):
+    assert a.param == b.param and a.u0_value == b.u0_value
+    assert np.array_equal(a.profile.grid, b.profile.grid)
+    x, y = a.profile.values, b.profile.values
+    assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert a.residual_history == b.residual_history
+    assert (a.newton_iters, a.zero_count) == (b.newton_iters, b.zero_count)
+
+
 def bvp_profile(r, u):
-    return ansatz.Profile(r, u, np.gradient(u, r), np.zeros_like(u),
-                          np.full(r.size, "guess"))
+    return ansatz.Profile(r, u)
 
 
 MODE_GRIDS = {"uniform": np.linspace(0.0, 1.0, 2000), "graded": bvp.make_grid(1e-4)}
@@ -432,17 +432,15 @@ class TestContinuation:
 
 
 class TestSameBitsAsTwoEvaluations:
-    """One f(u, p, jac=True) per iterate, the cached gradient stencil and the
-    one-pass zero count reproduce the solvers that evaluated each afresh
-    (``oracles``) to the bit."""
+    """One f(u, p, jac=True) per iterate and the one-pass zero count
+    reproduce the solvers that evaluated each afresh (``oracles``) to the
+    bit."""
 
     @staticmethod
     def _both(run, monkeypatch):
         new = run()
         with monkeypatch.context() as m:
             m.setattr(bvp, "_newton", oracles.newton_two_evaluations)
-            m.setattr(bvp, "_profile_from_solution",
-                      lambda op, u, f, p: oracles.profile_by_np_gradient(op.r, u, f, p))
             m.setattr(bvp, "_zero_count", oracles.zero_count_by_sign_diff)
             old = run()
         return new, old
@@ -451,13 +449,8 @@ class TestSameBitsAsTwoEvaluations:
     def _assert_same_points(new, old):
         assert len(new) == len(old)
         for a, b in zip(new, old):
-            assert a.param == b.param and type(a.param) is type(b.param)
-            for field in ("values", "d1", "d2"):
-                x, y = getattr(a.profile, field), getattr(b.profile, field)
-                assert x.dtype == y.dtype and np.array_equal(x, y), field
-            assert a.newton_iters == b.newton_iters
-            assert a.residual_history == b.residual_history
-            assert a.zero_count == b.zero_count
+            assert type(a.param) is type(b.param)
+            assert_same_point(a, b)
 
     @pytest.mark.parametrize("i, sign", [(2, "+"), (3, "-"), (5, "+")])
     def test_continue_component(self, i, sign, monkeypatch):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from kslayers import ansatz, cli, greens
 
@@ -85,6 +86,7 @@ def test_solve_and_report_roundtrip(tmp_path):
 
 
 def test_solve_from_file_roundtrip(tmp_path):
+    from kslayers import bvp
     code, out = run_cli(["solve", "--lambda", "1e-4", "--init", "ansatz"],
                         tmp_path, "a")
     assert code == 0
@@ -95,6 +97,34 @@ def test_solve_from_file_roundtrip(tmp_path):
     d2 = json.loads((out2 / "solve.json").read_text())
     assert abs(d1["u0"] - d2["u0"]) < 1e-8
     assert d2["newton_iters"] <= 3
+    # the file's guess is read for its grid and values alone: with the
+    # np.gradient slopes, zero u'' and labels the reader once attached, it
+    # solves to the same bits
+    guess = cli._read_profile_csv(str(out / "solution.csv"))
+    assert guess.d1 is None and guess.d2 is None and guess.piece is None
+    r, u = guess.grid, guess.values
+    labelled = ansatz.Profile(r, u, np.gradient(u, r), np.zeros_like(u),
+                              np.full(r.size, "file"))
+    a, b = bvp.solve_bvp(1e-4, guess), bvp.solve_bvp(1e-4, labelled)
+    assert np.array_equal(a.profile.values, b.profile.values)
+    assert a.residual_history == b.residual_history
+
+
+@pytest.mark.parametrize("body, line", [
+    ("r,u\n0,1\n0.5\n1,1\n", 3),
+    ("r,u\n0,1\n0.5,oops\n1,1\n", 3),
+    ("r,u\n0,nan\n0.5,1\n1,1\n", 2),
+    ("# r u\nr,u\n0,1\n\n0.5,1\n0.4,1\n1,1\n", 6),
+], ids=["one-field", "non-numeric", "non-finite", "radii-not-increasing"])
+def test_bad_profile_file_is_a_validation_error(tmp_path, capsys, body, line):
+    path = tmp_path / "guess.csv"
+    path.write_text(body)
+    for args in (["solve", "--lambda", "1e-4", "--init", "file", "--file", str(path)],
+                 ["report", "--in", str(path), "--k", "1", "--lambda", "1e-4"]):
+        code, out = run_cli(args, tmp_path)
+        assert code == 2
+        assert f"{path} line {line}:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_branch_csv(tmp_path):

@@ -41,9 +41,10 @@ point keeps no derivatives.  For each ansatz it holds the profile's
 ``grid``, ``values``, ``d1``, ``d2`` and ``piece``, and for the
 single-layer guesses ``r_tilde`` and ``gamma_eps``.
 The ``params`` case holds one entry per lambda: ``lam``, ``eps``,
-``gamma_eps``, ``r_tilde``, ``matching_order`` and ``matching_error``
-(whether ``build_params`` raised ``MatchingError``; then ``gamma_eps`` and
-``r_tilde`` are NaN and ``matching_order`` is -1).
+``gamma_eps``, ``r_tilde``, ``matching_order``, the correction constants
+``nu1``, ``nu2``, ``zeta1`` and ``zeta2``, and ``matching_error`` (whether
+``build_params`` raised ``MatchingError``; then ``gamma_eps``, ``r_tilde``
+and the constants are NaN and ``matching_order`` is -1).
 
 Each branch case is also certified: every stored point's residual
 -Delta u + u - e^(mu (u - 1)) is recomputed in long double from its stored
@@ -88,6 +89,7 @@ CERTIFIED = 1e-10  # the continuation corrector's residual tolerance
 LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
 FIXED_POINTS = ((1e-4, True), (1e-5, False))  # (lam, require_contraction)
 B_GRID = (1e-4, 1e-3, 1e-2)  # the criteria's and the layers benchmark's b
+CONSTANTS = ("nu1", "nu2", "zeta1", "zeta2")  # the far-field correction constants
 BESSEL_RADII = np.concatenate([np.geomspace(1e-8, 10.6, 50_000),
                                np.linspace(1e-8, 10.6, 50_000)])
 
@@ -130,13 +132,17 @@ def _params_fields() -> dict:
     for lam in lams:
         try:
             p = ansatz.build_params(lam)
-            rows.append((p.eps, p.gamma_eps, p.r_tilde, p.matching_order, False))
+            c = p.constants
+            rows.append((p.eps, p.gamma_eps, p.r_tilde, p.matching_order, False,
+                         c.nu1, c.nu2, c.zeta1, c.zeta2))
         except MatchingError:
-            rows.append((ansatz.solve_epsilon(lam), np.nan, np.nan, -1, True))
-    eps, gamma, r_tilde, order, failed = zip(*rows)
+            rows.append((ansatz.solve_epsilon(lam), np.nan, np.nan, -1, True,
+                         *[np.nan] * len(CONSTANTS)))
+    eps, gamma, r_tilde, order, failed, *constants = zip(*rows)
     return {"lam": lams, "eps": np.array(eps), "gamma_eps": np.array(gamma),
             "r_tilde": np.array(r_tilde), "matching_order": np.array(order),
-            "matching_error": np.array(failed)}
+            "matching_error": np.array(failed),
+            **{name: np.array(col) for name, col in zip(CONSTANTS, constants)}}
 
 
 def _analysis_fields() -> dict:

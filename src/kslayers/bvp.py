@@ -479,8 +479,11 @@ def continue_component(seed: BranchPoint, steps: int = 20) -> list[BranchPoint]:
     continuation sets out along the orientation in which the seeded
     amplitude |u(0) - 1| grows.  Its ConvergenceError or StallError (with
     the branch so far) propagates; a branch that does not keep the sign of
-    u(0) - 1 and grow it raises ConvergenceError.
+    u(0) - 1 and grow it raises ConvergenceError, and ``steps`` < 1
+    DomainError.
     """
+    if steps < 1:
+        raise DomainError(f"steps={steps}: the continuation needs steps >= 1")
     sign0 = np.sign(seed.u0_value - 1.0)
     u = np.asarray(seed.profile.values, dtype=float)
     tu, _ = _first_tangent(RadialOperator(seed.profile.grid), u, float(seed.param))

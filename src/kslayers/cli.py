@@ -115,8 +115,31 @@ def _write_csv(cfg: RunConfig, name: str, header: list[str],
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
+def _read_radii(path: str) -> np.ndarray:
+    """The radii of a grid file, one per line; blank lines and ``#`` comments
+    are skipped.  A line that is not a number in (0, 1], or a file with no
+    radius, raises DomainError naming the file and the line."""
+    radii = []
+    with open(path) as f:
+        for num, line in enumerate(f, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                r = float(line)
+            except ValueError:
+                raise DomainError(f"{path} line {num}: {line!r} is not a radius") from None
+            if not 0.0 < r <= 1.0:
+                raise DomainError(f"{path} line {num}: radius {line} is not in (0, 1]")
+            radii.append(r)
+    if not radii:
+        raise DomainError(f"no radius found in {path}")
+    return np.array(radii)
+
+
 def _cmd_green(cfg: RunConfig) -> None:
     p = cfg.params
+    radii = _read_radii(p["grid_file"]) if p.get("grid_file") else None
     config, profile = greens.solve_layers(p["k"], p["b"], p["outer"])
     payload = {
         "alphas": [float(a) for a in config.alphas],
@@ -128,8 +151,7 @@ def _cmd_green(cfg: RunConfig) -> None:
         "outer_mode": profile.outer_mode,
     }
     print(_write_json(cfg, "green.json", payload))
-    if p.get("grid_file"):
-        radii = np.loadtxt(p["grid_file"], ndmin=1)
+    if radii is not None:
         vals, dervs = profile.evaluate(radii)
         print(_write_csv(cfg, "green_profile.csv", ["r", "U", "dU"],
                          [radii, vals, dervs]))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError
 from .greens import DIRICHLET, LayerCalculus, layer_fluxes, solve_layers
 
 __all__ = [
@@ -128,7 +128,16 @@ def sweep_Mk(k_max: int, b_grid) -> list[dict]:
 
     Returns one record per pair with the determinant and the condition
     number; supports the conjecture that it never vanishes.
+
+    Raises
+    ------
+    DomainError
+        If ``k_max`` < 1 or ``b_grid`` is empty: the grid holds no pair.
     """
+    if k_max < 1:
+        raise DomainError(f"k_max={k_max}: the sweep needs k_max >= 1")
+    if len(b_grid) == 0:
+        raise DomainError("b_grid is empty: the sweep needs at least one b")
     rows = []
     for k in range(1, k_max + 1):
         for b in b_grid:

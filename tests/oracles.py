@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's evaluation paths:
 special functions come from ascending series summed directly (cross-checked
-against scipy's cephes builds) and from mpmath at 40 digits, boundary-value
+against scipy's cephes builds) and from mpmath at 40 digits (Chebyshev
+series at 50), boundary-value
 facts from adaptive Runge-Kutta shooting, derivatives from finite
 differences.
 """
@@ -352,8 +353,9 @@ def chebyshev_stack(gamma, depth=40.0, deg=160):
     that evaluates the series below it one ``Chebyshev.__call__`` at a time.
 
     The sources are written exactly as the library writes them (not as
-    ``rk45_stretched_stack`` does), so the one-pass stack must match this
-    composition to the bit.
+    ``rk45_stretched_stack`` does), and each series is summed by
+    ``Chebyshev.__call__``'s Clenshaw recurrence, so the one-pass stack
+    differs from this composition only by the rounding of how it sums.
     """
     g, sq = abs(gamma), np.sqrt(2.0)
 
@@ -498,6 +500,23 @@ def mpmath_bessel_reference(x, digits: int = 40):
         v = mpmath.mpf(float(x))
         return (float(mpmath.besseli(0, v)), float(mpmath.besseli(1, v)),
                 float(mpmath.besselk(0, v)), float(mpmath.besselk(1, v)))
+
+
+def mpmath_chebyshev_series(coef, x, digits: int = 50) -> np.ndarray:
+    """sum_k coef[k, j] T_k(x_i) by mpmath, one row per column j of the
+    (n, K) ``coef``, at the double points ``x`` (in [-1, 1]), with T_k from
+    the three-term recurrence at ``digits`` digits, rounded once to double."""
+    coef = np.asarray(coef, dtype=float)
+    out = np.empty((coef.shape[1], len(x)))
+    with mpmath.workdps(digits):
+        cols = [[mpmath.mpf(float(c)) for c in col] for col in coef.T]
+        for i, xv in enumerate(x):
+            t = [mpmath.mpf(1), mpmath.mpf(float(xv))]
+            while len(t) < coef.shape[0]:
+                t.append(2 * t[1] * t[-1] - t[-2])
+            for j, col in enumerate(cols):
+                out[j, i] = float(mpmath.fsum(c * tk for c, tk in zip(col, t)))
+    return out
 
 
 # ---------------------------------------------------------------------------

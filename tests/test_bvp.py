@@ -380,6 +380,13 @@ class TestContinuation:
             bvp.continue_component(seed, steps=5)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_no_steps_is_a_domain_error(self, steps, monkeypatch):
+        calls = self._one_call(monkeypatch, lambda: [])
+        with pytest.raises(DomainError, match=f"steps={steps}"):
+            bvp.continue_component(bvp.seed_branch(2, "+"), steps=steps)
+        assert not calls
+
     @pytest.mark.parametrize("i, amplitude", [(3, 0.0009629876149442671),
                                               (4, 0.000795450441629217),
                                               (5, 0.001038476285154488)])

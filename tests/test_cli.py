@@ -41,6 +41,50 @@ def test_green_profile_csv(tmp_path):
     assert len(lines) == 3 + 20
 
 
+@pytest.mark.parametrize("body, where", [
+    ("0.5\n2.0\n", "line 2: radius 2.0 is not in (0, 1]"),
+    ("-0.5\n", "line 1: radius -0.5 is not in (0, 1]"),
+    ("0.5\n0\n", "line 2: radius 0 is not in (0, 1]"),
+    ("# radii\nnan\n", "line 2: radius nan is not in (0, 1]"),
+    ("0.5\nabc\n", "line 2: 'abc' is not a radius"),
+    ("", "no radius found in"),
+    ("# only a comment\n\n", "no radius found in"),
+], ids=["above-one", "negative", "zero", "nan", "non-numeric", "empty",
+        "comment-only"])
+def test_bad_grid_file_is_a_validation_error(tmp_path, capsys, body, where):
+    # checked before the solve, so nothing is written
+    gridfile = tmp_path / "radii.txt"
+    gridfile.write_text(body)
+    code, out = run_cli(["green", "--k", "1", "--b", "1e-3", "--outer", "neumann",
+                         "--grid-file", str(gridfile)], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(gridfile) in err and where in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--kmax", "0", "--b-grid", "1e-3"], "k_max=0"),
+    (["--kmax", "-1", "--b-grid", "1e-3"], "k_max=-1"),
+    (["--kmax", "2", "--b-grid", ""], "b_grid is empty"),
+])
+def test_empty_nondegen_sweep_is_a_validation_error(tmp_path, capsys, flags, name):
+    code, out = run_cli(["nondegen", *flags], tmp_path)
+    assert code == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_branch_without_steps_is_a_validation_error(tmp_path, capsys, steps):
+    code, out = run_cli(["branch", "--i", "2", "--sign", "+", "--steps", steps],
+                        tmp_path)
+    assert code == 2
+    assert f"steps={steps}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nondegen_sweep(tmp_path):
     code, out = run_cli(["nondegen", "--kmax", "4",
                          "--b-grid", "1e-4,1e-3,1e-2"], tmp_path)

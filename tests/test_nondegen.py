@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kslayers import greens, nondegen
-from kslayers.errors import InternalConsistencyError
+from kslayers.errors import DomainError, InternalConsistencyError
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,12 @@ class TestDeterminant:
         rows = nondegen.sweep_Mk(6, [1e-4, 1e-3, 1e-2])
         assert len(rows) == 18
         assert min(abs(r["M_k"]) for r in rows) > 1e-8
+
+    @pytest.mark.parametrize("k_max, b_grid", [(0, [1e-3]), (-1, [1e-3]),
+                                               (2, []), (2, np.array([]))])
+    def test_sweep_without_pairs_is_a_domain_error(self, k_max, b_grid):
+        with pytest.raises(DomainError):
+            nondegen.sweep_Mk(k_max, b_grid)
 
 
 class TestDetNIdentity:

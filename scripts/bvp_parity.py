@@ -48,16 +48,22 @@ and the constants are NaN and ``matching_order`` is -1).
 
 Each branch case is also certified: every stored point's residual
 -Delta u + u - e^(mu (u - 1)) is recomputed in long double from its stored
-``param`` and ``values``, with a long-double exp, and the worst max-norm
-per component is printed.  The exit code is 1 if any exceeds 1e-10, the
+``param`` and ``values``, with the script's own flux-form rows (built from
+the grid, not by ``kslayers.radial``) and a long-double exp, and the worst
+max-norm per component is printed.  The exit code is 1 if any exceeds 1e-10, the
 tolerance the corrector certifies, so a branch that moved between two
 checkouts shows whether it is the same curve sampled elsewhere or a broken
 solution.
 
 With ``--against OLD.npz`` every field of every case is compared with
 ``np.array_equal``; a numeric field that differs prints its max relative
-difference (NaNs in the same places count as equal), a string field (``piece``) that it differs, and a missing or
-reshaped one says so.  Run it from two checkouts and compare the second
+difference (NaNs in the same places count as equal), a string field
+(``piece``) that it differs, and a missing or reshaped one says so.  A
+branch field that differs also prints the component's first point whose mu
+departs by more than 1e-12 relative, or that none does: a branch whose mu
+stays within that everywhere moved at rounding level, one that departs from
+some point on is the same curve sampled elsewhere (the certificate says
+whether it is still a solution).  Run it from two checkouts and compare the second
 dump against the first: the exit code is 1 unless every field is equal
 and every branch certifies.
 """
@@ -73,7 +79,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 from kslayers import analysis, ansatz, bvp, greens, nondegen, specfun  # noqa: E402
 from kslayers.errors import MatchingError  # noqa: E402
-from kslayers.radial import RadialOperator  # noqa: E402
 
 COMPONENTS = [(i, sign) for i in (2, 3, 4, 5) for sign in "+-"]
 LAMBDAS = (1e-4, 1e-5, 1e-6)
@@ -86,6 +91,7 @@ MULTILAYER_LAMBDA = 1e-4
 PARAM_EPS = (0.10, 0.07, 0.05, 0.035, 0.025)
 PARAM_LAMBDAS = (0.3, 0.2, 1e-2, 1e-3, 3e-4, 1e-4, 1e-5)
 CERTIFIED = 1e-10  # the continuation corrector's residual tolerance
+MU_RTOL = 1e-12  # a branch's mu departing by more is sampled elsewhere
 LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
 FIXED_POINTS = ((1e-4, True), (1e-5, False))  # (lam, require_contraction)
 B_GRID = (1e-4, 1e-3, 1e-2)  # the criteria's and the layers benchmark's b
@@ -107,15 +113,36 @@ def _fields(points) -> dict:
     }
 
 
+def _neg_lap_long_double(r):
+    """u -> -Laplace(u) on the grid ``r``: the flux-form rows written out from
+    the discretization (faces at midpoints, cell measure int r dr, zero flux
+    through both ends) in double, the products and sums in long double."""
+    faces = np.concatenate([[0.0], 0.5 * (r[1:] + r[:-1]), [r[-1]]])
+    vol = 0.5 * (faces[1:] ** 2 - faces[:-1] ** 2)
+    flux = faces[1:-1] / np.diff(r)
+    main = np.zeros(r.size)
+    main[:-1] += flux / vol[:-1]
+    main[1:] += flux / vol[1:]
+    main, upper, lower = (np.asarray(x, dtype=np.longdouble)
+                          for x in (main, -flux / vol[:-1], -flux / vol[1:]))
+
+    def apply(u):
+        out = main * u
+        out[:-1] += upper * u[1:]
+        out[1:] += lower * u[:-1]
+        return out
+
+    return apply
+
+
 def _worst_residual(points) -> float:
     """Largest max-norm long-double residual of -Delta u + u = e^(mu (u - 1))
     over the stored (param, values) of a branch."""
-    op = RadialOperator(points[0].profile.grid)
+    neg_lap = _neg_lap_long_double(np.asarray(points[0].profile.grid, dtype=float))
     worst = 0.0
     for p in points:
         u = np.asarray(p.profile.values, dtype=np.longdouble)
-        res = op.apply_neg_lap_extended(u) + u \
-            - np.exp(np.longdouble(p.param) * (u - 1))
+        res = neg_lap(u) + u - np.exp(np.longdouble(p.param) * (u - 1))
         worst = max(worst, float(np.max(np.abs(res))))
     return worst
 
@@ -232,25 +259,41 @@ def _max_rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.nanmax(rel))
 
 
+def _mu_departure(new: dict, old: dict, case: str) -> str:
+    """Where the branch ``case``'s mu first departs by more than MU_RTOL."""
+    key = f"{case}/param"
+    if key not in new or key not in old or new[key].shape != old[key].shape:
+        return f"{case}: mu not comparable point by point"
+    a, b = (np.asarray(x[key], dtype=np.longdouble) for x in (new, old))
+    rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    off = np.flatnonzero(rel > MU_RTOL)
+    if off.size == 0:
+        return f"{case}: mu within {MU_RTOL:g} relative at every point " \
+               f"(at most {float(np.max(rel)):.1e})"
+    return f"{case}: mu first departs by more than {MU_RTOL:g} relative at " \
+           f"point {off[0]} ({float(rel[off[0]]):.1e}; at most {float(np.max(rel)):.1e})"
+
+
 def compare(new: dict, old: dict) -> bool:
     same = True
+    branches = {f"i{i}{sign}" for i, sign in COMPONENTS}
     for key in sorted(set(new) | set(old)):
         if key not in old or key not in new:
             print(f"{key}: only in {'new' if key in new else 'old'} dump")
-            same = False
         elif new[key].shape != old[key].shape:
             print(f"{key}: shape {new[key].shape} against {old[key].shape}")
-            same = False
         elif np.array_equal(new[key], old[key],
                             equal_nan=new[key].dtype.kind == "f"):
             print(f"{key}: equal")
+            continue
         elif new[key].dtype.kind == "U" or old[key].dtype.kind == "U":
             print(f"{key}: differs")
-            same = False
         else:
             print(f"{key}: differs, max relative difference "
                   f"{_max_rel(new[key], old[key]):.3e}")
-            same = False
+        same = False
+        if key.split("/")[0] in branches:
+            print(f"  {_mu_departure(new, old, key.split('/')[0])}")
     return same
 
 

@@ -25,7 +25,7 @@ from .errors import (
     OverflowRegionError,
 )
 from .ansatz import Profile, smoothstep, solve_epsilon
-from .radial import EXP_CAP, RadialOperator
+from .radial import EXP_CAP, RadialOperator, exp_pair, two_sum
 
 __all__ = [
     "NormParams",
@@ -298,10 +298,14 @@ def fixed_point(U: Profile, lam: float, eps: float | None = None,
     The plain banded solve's forward error (increments of 1e-11 to 1e-10
     on the lambda = 1e-4 ansatz) lies above ``tol``, so once the increments
     come within 1e3 of ``tol`` each solve takes one refinement step with its
-    residual accumulated in extended precision; otherwise the stop test
-    would hold only by chance.  Every solve uses one factorization of the
-    operator (``RadialOperator.factor``: LAPACK ?gttrf once, ?gttrs per
-    solve).
+    residual's -Laplace taken in the row-defect flux form
+    (``RadialOperator.apply_neg_lap_pair`` with lo = 0), which has no
+    double-precision Laplacian floor; otherwise the stop test would hold
+    only by chance.  ``residual_drop`` is the raw residual over that of
+    U + phi, the sum kept as a TwoSum pair and its residual taken by
+    ``RadialOperator.residual_pair``.  Every solve uses one factorization
+    of the operator (``RadialOperator.factor``: LAPACK ?gttrf once, ?gttrs
+    per solve).
     """
     e = eps if eps is not None else solve_epsilon(lam)
     op = RadialOperator(U.grid)
@@ -332,9 +336,8 @@ def fixed_point(U: Profile, lam: float, eps: float | None = None,
                 factor=np.inf)
         phi_new = solve(rhs)
         if increments and increments[-1] < 1e3 * tol * max(1.0, phi_max):
-            x = np.asarray(phi_new, dtype=np.longdouble)
-            defect = rhs - (op.apply_neg_lap_extended(x) + x - pot * x)
-            phi_new = phi_new + solve(np.asarray(defect, dtype=float))
+            lap = op.apply_neg_lap_pair(phi_new, np.zeros_like(phi_new))
+            phi_new = phi_new + solve(rhs - (lap + phi_new - pot * phi_new))
         inc = float(np.max(np.abs(phi_new - phi)))
         increments.append(inc)
         if len(increments) >= 2 and increments[-2] > 0:
@@ -353,10 +356,9 @@ def fixed_point(U: Profile, lam: float, eps: float | None = None,
             f"measured contraction factor {worst:.3f} >= 1", factor=worst)
 
     # the double-precision Laplacian floor is as large as this residual,
-    # and so is the rounding of the sum U + phi
-    corrected = np.asarray(U.values, np.longdouble) + phi
-    res_corr = op.apply_neg_lap_extended(corrected) + corrected \
-        - lam * np.exp(np.minimum(corrected, EXP_CAP))
+    # and so is the rounding of the sum U + phi: both are taken as pairs
+    hi, lo = two_sum(U.values, phi)
+    res_corr = op.residual_pair((hi, lo), exp_pair(hi, lo, scale=lam))
     drop = raw_norm / max(float(np.max(np.abs(res_corr))), 1e-300)
     return FixedPointResult(phi=phi, increments=increments, factors=factors,
                             rho=rho, bound=bound, residual_drop=drop,

@@ -11,19 +11,26 @@ nonlinearity and its derivatives serves an iterate's residual and its step.
 
 Grid note: the double-precision max-norm of the discrete residual has a
 floor of about eps_mach |u| / h_min^2, so ``graded_grid`` caps its cells
-at h_min = 1.2e-4 and the solves certify their residuals with long-double
-fluxes; at the reachable lambdas every physical feature (bubble core,
-boundary layer) is far wider than that.
+at h_min = 1.2e-4 and the solves certify their residuals from (hi, lo)
+pairs in the row-defect flux form, which has no such floor; at the
+reachable lambdas every physical feature (bubble core, boundary layer) is
+far wider than that.
 
-Precision note: long double holds the refined iterate (and mu) and the
-flux differences of ``RadialOperator.apply_neg_lap_extended``.  The
-nonlinearity is evaluated in double from the split u = hi + lo as
-lambda e^hi (1 + lo), within 2.8e-16 relative of a long-double exp on the
-lambda = 1e-4 solution; only entries above 1e3, where a double's rounding
-would near the 1e-10 tolerance, take a long-double exp.  Every linear
-solve is double-precision LAPACK: a single solve is one ?gtsv, and the
-mode finder's inverse iteration factors its shifted operator once with
-?gttrf and solves with ?gttrs.
+Precision note: the refinement carries the iterate and mu as pairs
+u = hi + lo of doubles, renormalized by TwoSum after each correction, and
+takes -Delta u from the pair in double (``RadialOperator.residual_pair``):
+against exact rationals that is within 3.3e-12 on the lambda = 1e-4
+solution and 1.9e-12 on a (2, +) branch point, where long-double fluxes
+leave 9.8e-11 and 8.0e-13.  The nonlinearity is taken in double from the
+pairs as lambda e^hi (1 + lo) or e^(mu_hi (hi - 1)) (1 + mu_hi lo +
+mu_lo (hi - 1)) (``radial.exp_pair``).  Long double remains in two
+places.  A solved point stores u and mu in long double, rounded once from
+the pairs.  The rows where f exceeds 1e3, where a double's rounding of f
+and of -Delta u would near the 1e-10 tolerance, take a long-double exp
+and are summed in long double.  Every linear solve is double-precision
+LAPACK: a single solve is one ?gtsv, and the mode finder's inverse
+iteration factors its shifted operator once with ?gttrf and solves with
+?gttrs.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, StallError
 from .ansatz import Profile, solve_epsilon
 from .greens import LayerCalculus, LayerConfig
-from .radial import EXP_CAP, RadialOperator, graded_grid
+from .radial import EXP_CAP, RadialOperator, exp_pair, graded_grid, two_sum
 
 __all__ = [
     "BranchPoint",
@@ -108,36 +115,14 @@ def _zero_count(u: np.ndarray, level: float = 1.0) -> int:
     return int(np.count_nonzero(above[1:] != above[:-1]))
 
 
-# Largest f = lambda e^u or e^(mu (u - 1)) taken in double from a
-# long-double iterate: a double's rounding of f, about 1e-16 f, stays 300
-# times below the 1e-10 tolerance the refinement certifies.
-_F_DOUBLE_MAX = 1e3
-
-
-def _exp_split(x: np.ndarray, scale=1.0) -> np.ndarray:
-    """scale e^min(x, EXP_CAP) for a long-double x, in double.
-
-    x is split into hi = double(x) and lo = double(x - hi), and
-    e^x = e^hi e^lo is taken as e^hi (1 + lo): the dropped lo^2 / 2 is below
-    1e-30 relative, so the result is e^x to about 1 double ulp (2.8e-16
-    relative at most on the lambda = 1e-4 solution, where dropping lo
-    leaves 9.7e-16).  Entries above ``_F_DOUBLE_MAX`` are recomputed with a
-    long-double exp.
-    """
-    hi = np.asarray(x, dtype=float)
-    lo = np.asarray(x - hi, dtype=float)
-    f = scale * (np.exp(np.minimum(hi, EXP_CAP)) * (1.0 + lo))
-    big = f > _F_DOUBLE_MAX
-    if np.any(big):
-        f = np.asarray(f, dtype=np.longdouble)
-        f[big] = scale * np.exp(np.minimum(x[big], EXP_CAP))
-    return f
-
-
 def _lam_exp(u, lam, jac: bool = False):
-    """lambda e^u, with its u- and lambda-derivatives if ``jac``."""
-    if u.dtype == np.longdouble and not jac:
-        return _exp_split(u, lam)
+    """lambda e^u, with its u- and lambda-derivatives if ``jac``.
+
+    For a pair u = (hi, lo) and lam = (lam, 0) (the direct solve holds
+    lambda fixed) it returns lambda e^hi (1 + lo) as an ``exp_pair``.
+    """
+    if isinstance(u, tuple):
+        return exp_pair(*u, scale=lam[0])
     e = np.exp(np.minimum(u, EXP_CAP))
     f = lam * e
     return (f, f, e) if jac else f
@@ -146,12 +131,20 @@ def _lam_exp(u, lam, jac: bool = False):
 def _mu_exp(u, mu, jac: bool = False):
     """e^(mu (u - 1)), with its u- and mu-derivatives if ``jac``.
 
-    The exponent is formed in the precision of u and mu, so a long-double
-    iterate's exponent keeps its own rounding below the double ulp.
+    For pairs u = (hi, lo) and mu = (mu_hi, mu_lo) it returns
+    e^(mu_hi (hi - 1)) (1 + mu_hi lo + mu_lo (hi - 1)) as an ``exp_pair``,
+    whose entries above 1e3 take the exponent formed in long double.
     """
+    if isinstance(u, tuple):
+        (hi, lo), (mu_hi, mu_lo) = u, mu
+        v = hi - 1.0
+
+        def extended(big):
+            mu_ext = np.longdouble(mu_hi) + mu_lo
+            return mu_ext * ((np.longdouble(hi[big]) + lo[big]) - 1)
+
+        return exp_pair(mu_hi * v, mu_hi * lo + mu_lo * v, extended=extended)
     x = mu * (u - 1.0)
-    if x.dtype == np.longdouble and not jac:
-        return _exp_split(x)
     f = np.exp(np.minimum(x, EXP_CAP))
     return (f, mu * f, (u - 1.0) * f) if jac else f
 
@@ -179,7 +172,7 @@ class _Solved:
     u: np.ndarray  # long double
     p: np.longdouble
     steps: int  # double-precision Newton steps
-    refinements: int  # extended-precision refinement steps
+    refinements: int  # refinement steps on (hi, lo) pairs
     history: list
 
 
@@ -199,11 +192,13 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
 
     Runs in double precision down to its rounding floor, then switches to
     iterative refinement, which certifies the final max-norm residual well
-    below the double-precision Laplacian noise.  The refinement carries the
-    iterate in long double and accumulates the flux differences in long
-    double; ``f`` evaluates the long-double iterate from its (hi, lo) split
-    in double (``_exp_split``), and each correction is a double ?gtsv solve;
-    the first reuses the (f, f_u, f_p) of the double iterate it starts from.
+    below the double-precision Laplacian noise.  The refinement carries u
+    and p as TwoSum-renormalized (hi, lo) pairs of doubles; the residual is
+    ``RadialOperator.residual_pair`` of the pair and of ``f(u, p)`` called
+    with the pairs, which returns f as a pair (``radial.exp_pair``).  Each
+    correction is a double ?gtsv solve at the Jacobian of (hi, p_hi); the
+    first reuses the (f, f_u, f_p) of the double iterate it starts from.
+    The pairs are rounded to long double once, in the returned ``_Solved``.
     """
     hmin = float(np.min(np.diff(op.r)))
     if border is not None:
@@ -257,20 +252,21 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
             f"Newton stopped at residual {size:.3e} after {steps} steps",
             residual=size)
 
-    u, p = np.asarray(u, dtype=np.longdouble), np.longdouble(p)
+    u, p = (np.asarray(u, dtype=float), np.zeros(op.n)), (float(p), 0.0)
     for refinements in range(_REFINE_STEPS):
-        G = op.apply_neg_lap_extended(u) + u - f(u, p)  # long-double fluxes
-        # c of the double-rounded iterate: evaluating it in long double moves
-        # every branch point by ~1e-14
-        c = row(np.asarray(u, dtype=float), float(p))
+        G = op.residual_pair(u, f(u, p))
+        c = row(u[0], p[0])  # of the double parts, as the double loop takes it
         size = max(float(np.max(np.abs(G))), abs(c))
         history.append(size)
         if size <= tol:
-            return _Solved(u, p, steps, refinements, history)
-        if refinements:  # the first refined iterate rounds to the double one
-            fx = f(np.asarray(u, dtype=float), float(p), jac=True)
+            return _Solved(np.longdouble(u[0]) + u[1], np.longdouble(p[0]) + p[1],
+                           steps, refinements, history)
+        if refinements:  # the first refined iterate is the double one
+            fx = f(u[0], p[0], jac=True)
         du, dp = step(G, c, fx)
-        u, p = u + np.asarray(du, dtype=np.longdouble), p + np.longdouble(dp)
+        # a correction joins the low part first: it is far smaller than u,
+        # so the rounding of lo + du, about 1e-16 |du|, is far below lo
+        u, p = two_sum(u[0], u[1] + du), two_sum(p[0], p[1] + dp)
     raise ConvergenceError(
         f"refinement did not reach tolerance (last residual {size:.3e})",
         residual=size)
@@ -437,8 +433,10 @@ def continue_branch(start: BranchPoint, direction: float = 1.0,
     bifurcation; ``continue_component`` picks the orientation.  Steps
     adapt from ds = 2e-3 within [1e-9, 0.2]: a failed corrector halves ds,
     an easy one grows it.  Underflow of ds raises StallError carrying the
-    branch collected so far.
+    branch collected so far, and ``steps`` < 1 DomainError.
     """
+    if steps < 1:
+        raise DomainError(f"steps={steps}: the continuation needs steps >= 1")
     ds, ds_min, ds_max = 2e-3, 1e-9, 0.2
     op = RadialOperator(start.profile.grid)
     branch = [start]
@@ -515,7 +513,10 @@ def concentration_report(point: BranchPoint, reference: LayerConfig,
     u = point.profile.values
     op = RadialOperator(r)
     w = op.quad_weights()
-    eu = _lam_exp(u, lam)
+    # the stored long-double values as the refinement's (hi, lo) pair
+    hi = np.asarray(u, dtype=float)
+    f, f_lo = _lam_exp((hi, np.asarray(u - hi, dtype=float)), (lam, 0.0))
+    eu = f + f_lo
 
     layers = LayerCalculus(reference.alphas, reference.b, reference.outer_mode)
     radii, g = layers.radii, layers.green

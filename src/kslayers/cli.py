@@ -49,6 +49,9 @@ class RunConfig:
         for key in ("tol",):
             if key in self.params and self.params[key] <= 0:
                 raise DomainError("tolerances must be positive")
+        steps = self.params.get("steps")
+        if steps is not None and steps < 1:
+            raise DomainError(f"steps={steps}: the continuation needs steps >= 1")
 
 
 def _fmt(x) -> str:

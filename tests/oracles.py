@@ -140,12 +140,21 @@ def bessel_series_loops(x):
 # Frozen copies: the double-precision loop evaluates f(u, p) for each
 # candidate's residual and f(u, p, jac=True) again for the step, every
 # refinement step evaluates the Jacobian afresh, and d1 is np.gradient.  The
-# library must reproduce them to the bit.
+# refinement carries u and p as (hi, lo) pairs of doubles.  The library must
+# reproduce them to the bit.
 
-def _residual_two_evaluations(op, f, u, p, extended=False):
-    if extended:
-        return op.apply_neg_lap_extended(u) + u - f(u, p)
-    return op.apply_neg_lap(np.asarray(u, dtype=float)) + u - f(u, p)
+def _residual_two_evaluations(op, f, u, p):
+    if isinstance(u, tuple):
+        return op.residual_pair(u, f(u, p))
+    return op.apply_neg_lap(u) + u - f(u, p)
+
+
+def _pair_plus(x, dx):
+    # Knuth's TwoSum of hi and lo + dx
+    a, b = x[0], x[1] + dx
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -202,19 +211,53 @@ def newton_two_evaluations(op, f, u, p, tol, max_iter, border=None):
             f"Newton stopped at residual {size:.3e} after {steps} steps",
             residual=size)
 
-    u, p = np.asarray(u, dtype=np.longdouble), np.longdouble(p)
+    u, p = (np.asarray(u, dtype=float), np.zeros(op.n)), (float(p), 0.0)
     for refinements in range(20):
-        G = _residual_two_evaluations(op, f, u, p, extended=True)
-        c = row(np.asarray(u, dtype=float), float(p))
+        G = _residual_two_evaluations(op, f, u, p)
+        c = row(u[0], p[0])
         size = max(float(np.max(np.abs(G))), abs(c))
         history.append(size)
         if size <= tol:
-            return bvp._Solved(u, p, steps, refinements, history)
-        du, dp = step(u, p, G, c)
-        u, p = u + np.asarray(du, dtype=np.longdouble), p + np.longdouble(dp)
+            return bvp._Solved(np.longdouble(u[0]) + u[1], np.longdouble(p[0]) + p[1],
+                               steps, refinements, history)
+        du, dp = step(u[0], p[0], G, c)
+        u, p = _pair_plus(u, du), _pair_plus(p, dp)
     raise ConvergenceError(
         f"refinement did not reach tolerance (last residual {size:.3e})",
         residual=size)
+
+
+# ---------------------------------------------------------------------------
+# the flux-form Laplacian in long double, built from the grid
+# ---------------------------------------------------------------------------
+
+def neg_lap_long_double(r):
+    """u -> -Laplace(u) on the grid ``r``, accumulated in long double.
+
+    The tridiagonal rows are written out from the discretization's
+    definition (faces at midpoints, cell measure int r dr, zero flux
+    through both ends) independently of ``kslayers.radial``, in double as
+    the discrete equation's coefficients are; the products and sums run in
+    long double.
+    """
+    r = np.asarray(r, dtype=float)
+    faces = np.concatenate([[0.0], 0.5 * (r[1:] + r[:-1]), [r[-1]]])
+    vol = 0.5 * (faces[1:] ** 2 - faces[:-1] ** 2)
+    flux = faces[1:-1] / np.diff(r)
+    main = np.zeros(r.size)
+    main[:-1] += flux / vol[:-1]
+    main[1:] += flux / vol[1:]
+    main, upper, lower = (np.asarray(x, dtype=np.longdouble)
+                          for x in (main, -flux / vol[:-1], -flux / vol[1:]))
+
+    def apply(u):
+        u = np.asarray(u, dtype=np.longdouble)
+        out = main * u
+        out[:-1] += upper * u[1:]
+        out[1:] += lower * u[:-1]
+        return out
+
+    return apply
 
 
 def zero_count_by_sign_diff(u, level=1.0, dead_band=1e-10):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+from fractions import Fraction
 import os
 import subprocess
 import sys
@@ -166,6 +167,58 @@ class TestOperator:
             op.factor(np.zeros(pot_shape))(np.ones(rhs_shape))
 
 
+class TestPairFlux:
+    """The row-defect flux form against exact rationals."""
+
+    @pytest.mark.parametrize("grid", ["uniform", "1e-4", "1e-8"])
+    def test_row_defect_is_exact(self, grid):
+        r = np.linspace(0.0, 1.0, 2000) if grid == "uniform" \
+            else bvp.make_grid(float(grid))
+        op = RadialOperator(r)
+        delta, upper, lower = op._flux_rows
+        for i in range(op.n):
+            exact = Fraction(op.lap_main[i])
+            if i + 1 < op.n:
+                exact += Fraction(op.lap_upper[i])
+            if i > 0:
+                exact += Fraction(op.lap_lower[i - 1])
+            assert Fraction(delta[i]) == exact
+        assert np.array_equal(upper[:-1], op.lap_upper) and upper[-1] == 0.0
+        assert np.array_equal(lower[1:], op.lap_lower) and lower[0] == 0.0
+
+    @staticmethod
+    def _worst_row_error(point, rows) -> float:
+        op = RadialOperator(point.profile.grid)
+        hi, lo = split(point.profile.values)
+        out = op.apply_neg_lap_pair(hi, lo)
+
+        def u(j):
+            return Fraction(hi[j]) + Fraction(lo[j])
+
+        worst = 0.0
+        for i in rows:
+            exact = Fraction(op.lap_main[i]) * u(i)
+            if i + 1 < op.n:
+                exact += Fraction(op.lap_upper[i]) * u(i + 1)
+            if i > 0:
+                exact += Fraction(op.lap_lower[i - 1]) * u(i - 1)
+            worst = max(worst, abs(float(Fraction(out[i]) - exact)))
+        return worst
+
+    def test_against_exact_rationals_on_the_direct_solve(self, solved4):
+        # measured 3.3e-12 (a long-double sum leaves 9.8e-11): 3x margin
+        _, point = solved4
+        rows = sorted(set(range(120)) | set(range(0, point.profile.grid.size, 41)))
+        assert self._worst_row_error(point, rows) <= 1e-11
+
+    def test_against_exact_rationals_on_a_branch_point(self):
+        # the 100th (2, +) point: measured 1.9e-12 (a long-double sum leaves
+        # 8.0e-13): 2.6x margin
+        point = bvp.continue_component(bvp.seed_branch(2, "+"), steps=100)[-1]
+        rows = sorted(set(range(120)) | set(range(0, point.profile.grid.size, 41)))
+        assert self._worst_row_error(point, rows) <= 5e-12
+
+
 class TestDirectSolve:
     def test_constant_solution_branch(self):
         # u = c with c = lam e^c stays put
@@ -230,17 +283,29 @@ class TestDirectSolve:
             bvp._newton(op, nan_jacobian, u0, 1e-4, 1e-9, 10)
 
     def test_split_exponentials_match_long_double_exp(self, solved4):
-        # the split keeps 2.8e-16; dropping lo leaves 9.7e-16 on these u
+        # the pair keeps 2.8e-16; dropping lo leaves 9.7e-16 on these u
         _, point = solved4
         u = np.asarray(point.profile.values, dtype=np.longdouble)
+        pair = split(u)
         lam = np.longdouble(1e-4)
-        rel = bvp._lam_exp(u, lam) / (lam * np.exp(u)) - 1
+        rel = joined(bvp._lam_exp(pair, (1e-4, 0.0))) / (lam * np.exp(u)) - 1
         assert float(np.max(np.abs(rel))) <= 5e-16
-        # a long-double mu with a low part, as the corrector's: f reaches
-        # 1.2e6, where a double's rounding alone would be 1e-10
+        # a mu with a low part, as the corrector's: f reaches 1.2e6, where a
+        # double's rounding alone would be 1e-10
         mu = np.longdouble(1.1) + np.longdouble(2e-17)
-        err = bvp._mu_exp(u, mu) - np.exp(mu * (u - 1))
+        err = joined(bvp._mu_exp(pair, split(mu))) - np.exp(mu * (u - 1))
         assert float(np.max(np.abs(err))) <= 1e-12
+
+
+def split(x):
+    """A long-double x as the pair (double(x), double(x - double(x)))."""
+    hi = np.asarray(x, dtype=float)
+    return hi, np.asarray(x - hi, dtype=float)
+
+
+def joined(pair):
+    """The pair (hi, lo) summed in long double."""
+    return np.longdouble(pair[0]) + pair[1]
 
 
 def assert_same_point(a, b):
@@ -387,6 +452,11 @@ class TestContinuation:
             bvp.continue_component(bvp.seed_branch(2, "+"), steps=steps)
         assert not calls
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_continue_branch_without_steps_is_a_domain_error(self, steps):
+        with pytest.raises(DomainError, match=f"steps={steps}"):
+            bvp.continue_branch(bvp.seed_branch(2, "+"), steps=steps)
+
     @pytest.mark.parametrize("i, amplitude", [(3, 0.0009629876149442671),
                                               (4, 0.000795450441629217),
                                               (5, 0.001038476285154488)])
@@ -410,25 +480,26 @@ class TestContinuation:
 
     @pytest.mark.parametrize("i, sign", [(2, "+"), (2, "-"), (5, "+")])
     def test_branch_residual_with_long_double_exp(self, i, sign):
-        # the corrector certifies 1e-10 with the exponential taken in double
+        # the corrector certifies 1e-10 with the fluxes and the exponential
+        # taken in double pairs; the residual is recomputed in long double
         br = bvp.continue_component(bvp.seed_branch(i, sign), steps=100)
-        op = RadialOperator(br[0].profile.grid)
+        neg_lap = oracles.neg_lap_long_double(br[0].profile.grid)
         for p in br:
             u = np.asarray(p.profile.values, dtype=np.longdouble)
-            res = op.apply_neg_lap_extended(u) + u \
-                - np.exp(np.longdouble(p.param) * (u - 1))
+            res = neg_lap(u) + u - np.exp(np.longdouble(p.param) * (u - 1))
             assert float(np.max(np.abs(res))) <= 1e-10
 
     def test_stored_mu_reproduces_the_certificate(self):
         # each point's stored (param, values) keeps the refinement's 1e-10
         # certificate: mu is kept in long double, where its double rounding
-        # alone gave 2.8e-9 by the 200th step
+        # alone gave 2.8e-9 by the 200th step; 86 of the 201 points have
+        # entries with e^(mu (u - 1)) > 1e3, which take a long-double exp
         br = bvp.continue_component(bvp.seed_branch(2, "+"), steps=200)
-        op = RadialOperator(br[0].profile.grid)
+        neg_lap = oracles.neg_lap_long_double(br[0].profile.grid)
         worst = 0.0
         for p in br:
             u = np.asarray(p.profile.values, dtype=np.longdouble)
-            res = op.apply_neg_lap_extended(u) + u - np.exp(p.param * (u - 1))
+            res = neg_lap(u) + u - np.exp(p.param * (u - 1))
             worst = max(worst, float(np.max(np.abs(res))))
         assert worst <= 1e-10
 
@@ -471,14 +542,14 @@ class TestSameBitsAsTwoEvaluations:
         self._assert_same_points(*self._both(run, monkeypatch))
 
     def test_refinement_past_its_first_step(self, ansatz4, monkeypatch):
-        # every solve above refines once; at tol = 1e-10 the direct solve's
-        # refinement stalls near 2.6e-10 and takes all 20 steps, each after
+        # every solve above refines once; at tol = 5e-12 the direct solve's
+        # refinement stalls near 1e-11 and takes all 20 steps, each after
         # the first at a fresh Jacobian
         _, prof = ansatz4
 
         def run():
             with pytest.raises(ConvergenceError) as err:
-                bvp.solve_bvp(1e-4, prof, tol=1e-10)
+                bvp.solve_bvp(1e-4, prof, tol=5e-12)
             return err.value.residual
 
         new, old = self._both(run, monkeypatch)

@@ -77,10 +77,15 @@ def test_empty_nondegen_sweep_is_a_validation_error(tmp_path, capsys, flags, nam
 
 
 @pytest.mark.parametrize("steps", ["0", "-3"])
-def test_branch_without_steps_is_a_validation_error(tmp_path, capsys, steps):
+def test_branch_without_steps_is_a_validation_error(tmp_path, capsys, steps,
+                                                    monkeypatch):
+    # the count is rejected before the seed is solved
+    from kslayers import bvp
+    seeds = []
+    monkeypatch.setattr(bvp, "seed_branch", lambda *args, **kw: seeds.append(args))
     code, out = run_cli(["branch", "--i", "2", "--sign", "+", "--steps", steps],
                         tmp_path)
-    assert code == 2
+    assert code == 2 and not seeds
     assert f"steps={steps}" in capsys.readouterr().err
     assert not out.exists()
 

@@ -63,7 +63,10 @@ branch field that differs also prints the component's first point whose mu
 departs by more than 1e-12 relative, or that none does: a branch whose mu
 stays within that everywhere moved at rounding level, one that departs from
 some point on is the same curve sampled elsewhere (the certificate says
-whether it is still a solution).  Run it from two checkouts and compare the second
+whether it is still a solution).  For each branch it also prints at how
+many points ``newton_iters``, the signal the step-size control reads,
+differs, and the first such point, then the count over all branches.
+Run it from two checkouts and compare the second
 dump against the first: the exit code is 1 unless every field is equal
 and every branch certifies.
 """
@@ -274,9 +277,24 @@ def _mu_departure(new: dict, old: dict, case: str) -> str:
            f"point {off[0]} ({float(rel[off[0]]):.1e}; at most {float(np.max(rel)):.1e})"
 
 
+def _iters_flips(new: dict, old: dict, case: str) -> tuple[int, int]:
+    """Print how many of the branch ``case``'s points changed their
+    ``newton_iters``, the step-size control's signal, and the first of them;
+    return (that count, the points compared)."""
+    key = f"{case}/newton_iters"
+    if key not in new or key not in old or new[key].shape != old[key].shape:
+        print(f"{case}: newton_iters not comparable point by point")
+        return 0, 0
+    off = np.flatnonzero(new[key] != old[key])
+    first = f", first at point {off[0]} ({old[key][off[0]]} -> {new[key][off[0]]})" \
+        if off.size else ""
+    print(f"{case}: newton_iters differ at {off.size} of {new[key].size} points{first}")
+    return off.size, new[key].size
+
+
 def compare(new: dict, old: dict) -> bool:
     same = True
-    branches = {f"i{i}{sign}" for i, sign in COMPONENTS}
+    branches = sorted(f"i{i}{sign}" for i, sign in COMPONENTS)
     for key in sorted(set(new) | set(old)):
         if key not in old or key not in new:
             print(f"{key}: only in {'new' if key in new else 'old'} dump")
@@ -294,6 +312,8 @@ def compare(new: dict, old: dict) -> bool:
         same = False
         if key.split("/")[0] in branches:
             print(f"  {_mu_departure(new, old, key.split('/')[0])}")
+    flips, points = map(sum, zip(*(_iters_flips(new, old, case) for case in branches)))
+    print(f"branches: newton_iters differ at {flips} of {points} points")
     return same
 
 

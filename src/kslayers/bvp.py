@@ -16,9 +16,12 @@ pairs in the row-defect flux form, which has no such floor; at the
 reachable lambdas every physical feature (bubble core, boundary layer) is
 far wider than that.
 
-Precision note: the refinement carries the iterate and mu as pairs
-u = hi + lo of doubles, renormalized by TwoSum after each correction, and
-takes -Delta u from the pair in double (``RadialOperator.residual_pair``):
+Precision note: the double-precision Newton loop stops at its rounding
+floor, or one step before it once Newton's quadratic model predicts that
+the first pair correction certifies (``_newton``).  The refinement then
+carries the iterate and mu as pairs u = hi + lo of doubles, renormalized
+by TwoSum after each correction, and takes -Delta u from the pair in
+double (``RadialOperator.residual_pair``):
 against exact rationals that is within 3.3e-12 on the lambda = 1e-4
 solution and 1.9e-12 on a (2, +) branch point, where long-double fluxes
 leave 9.8e-11 and 8.0e-13.  The nonlinearity is taken in double from the
@@ -165,6 +168,12 @@ def _solve(op: RadialOperator, potential, rhs) -> np.ndarray:
 
 _MIN_STEP = 1e-3  # backtracking floor; measured converging solves keep t >= 0.5
 _REFINE_STEPS = 20
+# the double loop hands its iterate to the refinement once the quadratic model
+# predicts theta * tol after one more correction.  On the eight 100-step
+# components (808 points) theta = 0.1 leaves 57 points needing a second pair
+# correction and makes 1,877 corrector solves; theta = 0.01 leaves 11 and
+# makes 1,958; the loop without this exit made 2,461.
+_MODEL_THETA = 0.1
 
 
 @dataclass(frozen=True)
@@ -172,6 +181,7 @@ class _Solved:
     u: np.ndarray  # long double
     p: np.longdouble
     steps: int  # double-precision Newton steps
+    skipped: bool  # the double loop left a step early on the quadratic model
     refinements: int  # refinement steps on (hi, lo) pairs
     history: list
 
@@ -192,7 +202,13 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
 
     Runs in double precision down to its rounding floor, then switches to
     iterative refinement, which certifies the final max-norm residual well
-    below the double-precision Laplacian noise.  The refinement carries u
+    below the double-precision Laplacian noise.  The double loop also hands
+    over one step early: after an undamped step from residual r_{k-1} to
+    r_k < r_{k-1}, the quadratic model r_{k+1} ~ r_k^3 / r_{k-1}^2 predicts
+    what one more correction reaches, and once that is at most
+    ``_MODEL_THETA`` tol the refinement starts from the iterate, skipping
+    the stall check; ``_Solved.skipped`` records it.  After a damped step
+    the model is not trusted.  The refinement carries u
     and p as TwoSum-renormalized (hi, lo) pairs of doubles; the residual is
     ``RadialOperator.residual_pair`` of the pair and of ``f(u, p)`` called
     with the pairs, which returns f as a pair (``radial.exp_pair``).  Each
@@ -200,12 +216,11 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
     first reuses the (f, f_u, f_p) of the double iterate it starts from.
     The pairs are rounded to long double once, in the returned ``_Solved``.
     """
-    hmin = float(np.min(np.diff(op.r)))
     if border is not None:
         (tu, tp), (xu, xp) = border
 
     def floor(u) -> float:
-        return 8.0 * np.finfo(float).eps * float(np.max(np.abs(u))) / hmin**2
+        return 8.0 * np.finfo(float).eps * float(np.max(np.abs(u))) / op.h_min**2
 
     def row(u, p) -> float:
         if border is None:
@@ -225,13 +240,17 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
         return w + dp * v, dp
 
     history = []
-    steps = 0
+    steps, skipped = 0, False
+    last = 0.0  # the residual before the step to this iterate, if undamped
     (G, fx), c = _residual(op, f, u, p), row(u, p)
     merit = math.hypot(np.linalg.norm(G), c)
     for it in range(max_iter + 1):
         size, bound = max(float(np.max(np.abs(G))), abs(c)), floor(u)
         history.append(size)
         if size <= max(tol, bound) or it == max_iter:
+            break
+        if size < last and (size / last) ** 2 * size <= _MODEL_THETA * tol:
+            skipped = True
             break
         steps += 1
         du, dp = step(G, c, fx)
@@ -246,8 +265,9 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
             t, du, dp = 0.5 * t, 0.5 * du, 0.5 * dp
         else:
             break  # stalled: refined below when at the rounding floor
+        last = size if t == 1.0 else 0.0
         u, p, G, c, fx, merit = cand_u, cand_p, cand_G, cand_c, cand_fx, cand_merit
-    if size > max(tol, 1e3 * bound):
+    if not skipped and size > max(tol, 1e3 * bound):
         raise ConvergenceError(
             f"Newton stopped at residual {size:.3e} after {steps} steps",
             residual=size)
@@ -260,7 +280,7 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
         history.append(size)
         if size <= tol:
             return _Solved(np.longdouble(u[0]) + u[1], np.longdouble(p[0]) + p[1],
-                           steps, refinements, history)
+                           steps, skipped, refinements, history)
         if refinements:  # the first refined iterate is the double one
             fx = f(u[0], p[0], jac=True)
         du, dp = step(G, c, fx)
@@ -276,8 +296,10 @@ def solve_bvp(lam: float, initial_guess, tol: float = 1e-9,
               max_iter: int = 60, grid: np.ndarray | None = None) -> BranchPoint:
     """Solve -Delta u + u = lambda e^u with Neumann ends by damped Newton.
 
-    ``initial_guess`` may be a Profile or an array; it is interpolated onto
-    the solver's graded grid (or onto ``grid`` when supplied).
+    ``initial_guess`` may be a Profile (a solved point's too) or an array;
+    it is interpolated in double onto the solver's graded grid (or onto
+    ``grid`` when supplied).  ``newton_iters`` counts the linear solves
+    made, double steps and refinement corrections.
 
     Raises
     ------
@@ -288,7 +310,9 @@ def solve_bvp(lam: float, initial_guess, tol: float = 1e-9,
     if lam <= 0:
         raise DomainError("lambda must be positive")
     if isinstance(initial_guess, Profile):
-        src_r, src_u = initial_guess.grid, initial_guess.values
+        # a solved point's values are long double, which np.interp rejects
+        src_r = initial_guess.grid
+        src_u = np.asarray(initial_guess.values, dtype=float)
     else:
         src_u = np.asarray(initial_guess, dtype=float)
         src_r = np.linspace(0.0, 1.0, src_u.size)
@@ -318,14 +342,17 @@ def constant_profile(lam_or_mu: float, value: float = 1.0) -> Profile:
 def _corrector(op: RadialOperator, u, mu, tangent, x_pred) -> BranchPoint:
     """Bordered Newton on [G(u, mu); tangent . (x - x_pred)] = 0.
 
-    ``newton_iters`` counts the double-precision steps only: it is the
-    signal the step-size control reads.
+    ``newton_iters`` counts the double-precision steps, the one the model
+    exit skipped included (``_newton``), and no refinement: it is the signal
+    the step-size control reads, the same as when the double loop took
+    that step.
     """
     sol = _newton(op, _mu_exp, u, mu, 1e-10, 12, border=(tangent, x_pred))
     return BranchPoint(param=sol.p,
                        profile=Profile(op.r, sol.u),
                        u0_value=float(sol.u[0]), zero_count=_zero_count(sol.u),
-                       newton_iters=sol.steps, residual_norm=sol.history[-1],
+                       newton_iters=sol.steps + sol.skipped,
+                       residual_norm=sol.history[-1],
                        residual_history=tuple(sol.history))
 
 

@@ -232,6 +232,7 @@ class RadialOperator:
         self.faces = faces
         self.vol = 0.5 * (faces[1:] ** 2 - faces[:-1] ** 2)
         h = np.diff(r)
+        self.h_min = float(np.min(h))
         w = faces[1:-1] / h
         main = np.zeros(self.n)
         main[:-1] += w / self.vol[:-1]

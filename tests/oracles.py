@@ -184,13 +184,16 @@ def newton_two_evaluations(op, f, u, p, tol, max_iter, border=None):
         return w + dp * v, dp
 
     history = []
-    steps = 0
+    steps, skipped, last = 0, False, 0.0
     G, c = _residual_two_evaluations(op, f, u, p), row(u, p)
     merit = math.hypot(np.linalg.norm(G), c)
     for it in range(max_iter + 1):
         size, bound = max(float(np.max(np.abs(G))), abs(c)), floor(u)
         history.append(size)
         if size <= max(tol, bound) or it == max_iter:
+            break
+        if size < last and (size / last) ** 2 * size <= bvp._MODEL_THETA * tol:
+            skipped = True
             break
         steps += 1
         du, dp = step(u, p, G, c)
@@ -205,8 +208,9 @@ def newton_two_evaluations(op, f, u, p, tol, max_iter, border=None):
             t, du, dp = 0.5 * t, 0.5 * du, 0.5 * dp
         else:
             break
+        last = size if t == 1.0 else 0.0
         u, p, G, c, merit = cand_u, cand_p, cand_G, cand_c, cand_merit
-    if size > max(tol, 1e3 * bound):
+    if not skipped and size > max(tol, 1e3 * bound):
         raise ConvergenceError(
             f"Newton stopped at residual {size:.3e} after {steps} steps",
             residual=size)
@@ -219,7 +223,7 @@ def newton_two_evaluations(op, f, u, p, tol, max_iter, border=None):
         history.append(size)
         if size <= tol:
             return bvp._Solved(np.longdouble(u[0]) + u[1], np.longdouble(p[0]) + p[1],
-                               steps, refinements, history)
+                               steps, skipped, refinements, history)
         du, dp = step(u[0], p[0], G, c)
         u, p = _pair_plus(u, du), _pair_plus(p, dp)
     raise ConvergenceError(

@@ -244,6 +244,15 @@ class TestDirectSolve:
         assert point.u0_value == pytest.approx(13.703556, abs=2e-3)
         assert float(point.profile.values[-1]) == pytest.approx(10.628, abs=5e-3)
 
+    def test_a_solved_point_seeds_the_solve(self, solved4):
+        # its long-double values are cast to double before the interpolation;
+        # the re-solve starts at the rounding floor and one refinement certifies
+        _, point = solved4
+        again = bvp.solve_bvp(1e-4, point.profile)
+        assert again.newton_iters == 1 and again.residual_norm <= 1e-9
+        u, v = (np.asarray(p.profile.values, dtype=float) for p in (point, again))
+        assert np.max(np.abs(u - v)) <= 1e-14 * np.max(np.abs(u))
+
     def test_no_concentrated_solution_above_fold(self):
         # the concentrated family folds near lam ~ 2.3e-4: direct Newton
         # from the ansatz must fail at lam = 1e-3
@@ -411,6 +420,23 @@ class TestContinuation:
         assert len(calls) == 1
         want = 1.0 if sign == "+" else -1.0
         assert all(np.sign(p.u0_value - 1.0) == want for p in br)
+
+    def test_pair_refinement_starts_a_step_early(self, monkeypatch):
+        # the double loop leaves once the quadratic model predicts that the
+        # first pair correction certifies: 64 tridiagonal solves where one
+        # more double step made 88, and the step-size control reads the
+        # same step counts
+        solves = []
+        original = RadialOperator.solve
+
+        def counted(self, *args):
+            solves.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(RadialOperator, "solve", counted)
+        br = bvp.continue_component(bvp.seed_branch(2, "+"), steps=30)
+        assert len(solves) <= 76
+        assert sum(p.newton_iters for p in br) == 55
 
     @staticmethod
     def _one_call(monkeypatch, result):

@@ -94,13 +94,10 @@ class PiecewiseGreen:
 
     def continuity_defect(self) -> float:
         """Largest jump of the value across the interior interfaces."""
-        worst = 0.0
         i0, _, k0, _ = bessel_table(self.interfaces[1:-1])
-        for j, _ in enumerate(self.interfaces[1:-1]):
-            vl = self.coeffs[j, 0] * k0[j] + self.coeffs[j, 1] * i0[j]
-            vr = self.coeffs[j + 1, 0] * k0[j] + self.coeffs[j + 1, 1] * i0[j]
-            worst = max(worst, abs(vl - vr))
-        return worst
+        c = self.coeffs
+        jump = (c[:-1, 0] * k0 + c[:-1, 1] * i0) - (c[1:, 0] * k0 + c[1:, 1] * i0)
+        return float(np.max(np.abs(jump), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -120,17 +117,17 @@ class LayerConfig:
 
 
 def _solve_annuli(radii: np.ndarray, values: np.ndarray,
-                  i0: np.ndarray, k0: np.ndarray) -> np.ndarray:
+                  i0: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked two-point solves on the annuli between consecutive radii.
 
     Row j of each configuration (last axis) solves c_K K0 + c_I I0 = values
     at radii[..., j] and radii[..., j + 1] in the (K0, I0) basis, with the
-    kernels read from the table ``i0``, ``k0`` at ``radii``.  The unit
-    right-hand sides e_0 and e_1 share the factorization: of each (2, 3)
-    solution, column 0 is the coefficient pair and columns 1 and 2 are the
-    annulus's responses to a unit value at its left and right end.  numpy
-    factors every 2x2 matrix of the stack on its own, so each solution
-    carries the bits of a lone solve.
+    kernels read from the table ``i0``, ``k0`` at ``radii``.  Returns the
+    (..., K - 1, 2, 3) solutions by Cramer's rule, column 0 the coefficient
+    pair and columns 1 and 2 the responses to a unit value at the left and
+    right end, and the (..., K - 1) 2-norm condition numbers s^2 / |det|,
+    s^2 = (F^2 + sqrt(F^4 - 4 det^2)) / 2 with F the Frobenius norm.  Each
+    annulus is solved alone, elementwise, so it gets the bits of a lone solve.
 
     Raises
     ------
@@ -138,22 +135,30 @@ def _solve_annuli(radii: np.ndarray, values: np.ndarray,
         If a 2x2 system is numerically singular, naming the first such
         annulus.
     """
-    m = np.stack([np.stack([k0[..., :-1], i0[..., :-1]], axis=-1),
-                  np.stack([k0[..., 1:], i0[..., 1:]], axis=-1)], axis=-2)
-    cond = np.linalg.cond(m)
-    bad = np.argwhere(~(cond <= 1e13))
-    if bad.size:
-        *row, j = bad[0]
+    kl, il, kr, ir = k0[..., :-1], i0[..., :-1], k0[..., 1:], i0[..., 1:]
+    det = kl * ir - il * kr
+    row_sq = k0 * k0 + i0 * i0
+    f2 = row_sq[..., :-1] + row_sq[..., 1:]
+    s2 = 0.5 * (f2 + np.sqrt(np.maximum(f2 * f2 - 4.0 * det * det, 0.0)))
+    with np.errstate(divide="ignore"):
+        cond = s2 / np.abs(det)
+    if not (cond <= 1e13).all():
+        bad = np.argwhere(~(cond <= 1e13))[0]
+        *row, j = bad
         r = radii[tuple(row)]
         raise ConditioningError(
             f"annulus ({r[j]}, {r[j + 1]}) solve has condition number "
-            f"{cond[tuple(bad[0])]:.3e}")
-    rhs = np.zeros(m.shape[:-1] + (3,))
-    rhs[..., 0, 0] = values[..., :-1]
-    rhs[..., 1, 0] = values[..., 1:]
-    rhs[..., 0, 1] = 1.0
-    rhs[..., 1, 2] = 1.0
-    return np.linalg.solve(m, rhs)
+            f"{cond[tuple(bad)]:.3e}")
+    vl, vr = values[..., :-1], values[..., 1:]
+    sol = np.empty(det.shape + (2, 3))
+    sol[..., 0, 0] = vl * ir - il * vr
+    sol[..., 1, 0] = kl * vr - vl * kr
+    sol[..., 0, 1] = ir
+    np.negative(il, out=sol[..., 0, 2])
+    np.negative(kr, out=sol[..., 1, 1])
+    sol[..., 1, 2] = kl
+    sol /= det[..., None, None]
+    return sol, cond
 
 
 def layer_fluxes(radii: np.ndarray, values: np.ndarray, b: float,
@@ -164,9 +169,9 @@ def layer_fluxes(radii: np.ndarray, values: np.ndarray, b: float,
     ``radii`` and ``values`` have shape (..., K): along the last axis, the
     validated value radii of one configuration (see ``LayerCalculus``) and
     the layer values there.  One ``bessel_table`` call covers the whole
-    stack and one stacked 2x2 solve every interior annulus; both act on
-    each radius and each matrix alone, so every configuration gets the
-    bits it would get by itself.
+    stack and one closed-form 2x2 solve (Cramer's rule) every interior
+    annulus; both work elementwise, on each radius and each annulus alone,
+    so every configuration gets the bits it would get by itself.
 
     Returns ``(table, coeffs, responses, dl, dr)``: the table
     (I0, I1, K0, K1) at ``radii``; the (c_K, c_I) pair of every annulus,
@@ -189,7 +194,7 @@ def layer_fluxes(radii: np.ndarray, values: np.ndarray, b: float,
     coeffs = [singular]
     responses = np.empty(radii.shape[:-1] + (0, 2, 2))
     if K > 1:
-        sol = _solve_annuli(radii, values, i0, k0)
+        sol, _ = _solve_annuli(radii, values, i0, k0)
         coeffs.append(sol[..., 0])
         responses = sol[..., 1:]
     if outer_mode == NEUMANN:

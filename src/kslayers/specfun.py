@@ -13,12 +13,12 @@ from scratch:
   affine 1/x variable for x > 2.  The tables live below and are
   regenerated by scripts/gen_bessel_coeffs.py with 60-digit arithmetic.
 
-The four series are one fused loop: the I0 and I1 terms advance as the
-two rows of one array, and the K0 and K1 sums weight the first 11 of
-those same terms by harmonic numbers, so no product is formed twice.  The
-divisors and weights are tables built at import.  The loop runs every sum
-in the order four separate loops would, so its results are theirs to
-the bit.  On (0, 10.6], the end of the Chebyshev range, no I term past
+The four series share one table of the powers q^k, q = x^2/4, k = 0..23.
+Each sum is that table times a column of coefficients built at import
+(each series' term recurrence run at q = 1, the K columns weighted by
+harmonic numbers), summed over k in order.  Every step acts on each radius
+alone, so a radius gets the same bits as a scalar, in a grid or in a row
+of a stack.  On (0, 10.6], the end of the Chebyshev range, no I term past
 k = 23 and no K term past k = 11 (x <= 2) changes a sum, so they stop there.
 
 Derivatives are always analytic: I0' = I1 and K0' = -K1.
@@ -107,28 +107,29 @@ _K1_CHEB = np.array([
 _K_SERIES_CUT = 2.0
 
 
-# Term k of the I0 and I1 series is term k - 1 times q/(k k) and
-# q/(k (k+1)), q = x^2/4, with the divisors in _I_DIV[k - 1].  The K0 and
-# K1 sums weight term k by _K_WEIGHT[k] = (H_k, H_k + H_{k+1} - 2 gamma),
-# the harmonic numbers accumulated in summation order; row 0 is the k = 0
-# start of each sum.
+# Row k holds term k of the I0, I1, K0 and K1 sums at q = 1: term k of
+# the I series is term k - 1 over k k and k (k+1), and the K0 and K1 sums
+# weight it by H_k and H_k + H_{k+1} - 2 gamma (harmonic numbers).
 _I_TERMS = 23
 _K_TERMS = 11
-_I_DIV = np.array([[k * k, k * (k + 1)] for k in range(1, _I_TERMS + 1)],
-                  dtype=float)[:, :, None]
 
 
-def _k_weights() -> np.ndarray:
+def _series_coeffs() -> tuple[np.ndarray, np.ndarray]:
+    i0_term = i1_term = 1.0
     hk, hk1 = 0.0, 1.0
-    rows = [[0.0, hk + hk1 - 2.0 * EULER_MASCHERONI]]
-    for k in range(1, _K_TERMS + 1):
+    rows = [[1.0, 1.0, 0.0, hk + hk1 - 2.0 * EULER_MASCHERONI]]
+    for k in range(1, _I_TERMS + 1):
+        i0_term /= k * k
+        i1_term /= k * (k + 1)
         hk += 1.0 / k
         hk1 += 1.0 / (k + 1)
-        rows.append([hk, hk + hk1 - 2.0 * EULER_MASCHERONI])
-    return np.array(rows)[:, :, None]
+        rows.append([i0_term, i1_term, i0_term * hk,
+                     i1_term * (hk + hk1 - 2.0 * EULER_MASCHERONI)])
+    table = np.array(rows)[:, :, None]
+    return table[:, :2].copy(), table[:_K_TERMS + 1, 2:].copy()
 
 
-_K_WEIGHT = _k_weights()
+_I_COEF, _K_COEF = _series_coeffs()
 
 
 def _clenshaw(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -150,40 +151,34 @@ def bessel_table(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     The values are certified on (0, 10]; the Chebyshev fits cover
     [1.9, 10.6].  Radii are not validated.
 
-    One pass of the ascending series: the I0 and I1 terms advance together
-    as the rows of a (2, n) array, and the K0 and K1 log-form sums take
-    their first 11 terms from those rows instead of recomputing the same
-    products; each sum keeps the order of its own series, so the values
-    are bit-identical to separate loops.  Radii above 2 take K0 and K1
-    from the Chebyshev fits.  A scalar radius gives 0-d arrays.
+    The powers q^k of q = x^2/4 fill one (24, n) table in five doubling
+    steps; the I0 and I1 sums are that table times their coefficient
+    columns, summed over k, and the K0 and K1 log-form sums the same over
+    its first 12 rows.  Each sum runs along the table's leading axis, term
+    by term for every radius, so no radius's bits depend on the shape of
+    the call.  Radii above 2 take K0 and K1 from the Chebyshev fits.  A
+    scalar radius gives 0-d arrays.
     """
     r = np.asarray(r, dtype=float)
     x = r.reshape(-1)
-    q = 0.25 * x * x
-    term = np.ones((2, x.size))
-    isum = np.ones((2, x.size))
-    ksum = np.repeat(_K_WEIGHT[0], x.size, axis=1)
-    for k in range(1, _I_TERMS + 1):
-        term *= q
-        term /= _I_DIV[k - 1]
-        isum += term
-        if k <= _K_TERMS:
-            ksum += term * _K_WEIGHT[k]
-    i0 = isum[0]
-    i1 = isum[1] * (0.5 * x)
-    small = x <= _K_SERIES_CUT
-    k0 = np.empty_like(x)
-    k1 = np.empty_like(x)
-    if np.any(small):
-        xs = x[small]
-        log_half = np.log(0.5 * xs)
-        k0[small] = -(log_half + EULER_MASCHERONI) * i0[small] + ksum[0, small]
-        k1[small] = (log_half * i1[small] + 1.0 / xs
-                     - 0.25 * xs * ksum[1, small])
-    if np.any(~small):
-        xl = x[~small]
-        k0[~small] = _k_cheb(_K0_CHEB, xl)
-        k1[~small] = _k_cheb(_K1_CHEB, xl)
+    p = np.empty((_I_TERMS + 1, x.size))
+    p[0] = 1.0
+    p[1] = 0.25 * x * x
+    for s in (1, 2, 4, 8, 16):
+        # q^(s+1) ... q^(2s) = q^1 ... q^s times q^s
+        top = min(2 * s + 1, _I_TERMS + 1)
+        np.multiply(p[1:top - s], p[s], out=p[s + 1:top])
+    i0, i1 = (p[:, None] * _I_COEF).sum(axis=0)
+    i1 *= 0.5 * x
+    ksum = (p[:_K_TERMS + 1, None] * _K_COEF).sum(axis=0)
+    log_half = np.log(0.5 * x)
+    k0 = -(log_half + EULER_MASCHERONI) * i0 + ksum[0]
+    k1 = log_half * i1 + 1.0 / x - 0.25 * x * ksum[1]
+    large = x > _K_SERIES_CUT
+    if np.any(large):
+        xl = x[large]
+        k0[large] = _k_cheb(_K0_CHEB, xl)
+        k1[large] = _k_cheb(_K1_CHEB, xl)
     return tuple(a.reshape(r.shape) for a in (i0, i1, k0, k1))
 
 

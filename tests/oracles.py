@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy import special
 
-from kslayers import __version__, bvp
+from kslayers import __version__, bvp, specfun
 from kslayers.errors import ConvergenceError
 
 EULER = 0.5772156649015328606
@@ -74,10 +74,11 @@ def k1_series(x: float, terms: int = 60) -> float:
     return np.log(0.5 * x) * i1_series(x) + 1.0 / x - 0.25 * x * acc
 
 
-# The four vectorized loops specfun summed separately before it fused them
-# into one pass.  They run the same terms in the same order, so the fused
-# pass must match them to the bit: I0 and I1 everywhere, K0 and K1 where
-# specfun takes the series (x <= 2).
+# The four vectorized series loops, each term from the last, that specfun
+# summed before it took its sums from one table of powers.  The table's
+# sums round differently, so they are held to these loops within a
+# measured ulp bound: I0 and I1 everywhere, K0 and K1 where specfun takes
+# the series (x <= 2).
 
 def _i0_loop(x):
     q = 0.25 * x * x
@@ -270,6 +271,18 @@ def zero_count_by_sign_diff(u, level=1.0, dead_band=1e-10):
     sgn = np.sign(s)
     sgn = sgn[sgn != 0]
     return int(np.sum(np.abs(np.diff(sgn)) > 1))
+
+
+def continuity_defect_loop(green):
+    """``PiecewiseGreen.continuity_defect`` as the per-interface loop it was
+    before it became array operations; it must match them to the bit."""
+    worst = 0.0
+    i0, _, k0, _ = specfun.bessel_table(green.interfaces[1:-1])
+    for j, _ in enumerate(green.interfaces[1:-1]):
+        vl = green.coeffs[j, 0] * k0[j] + green.coeffs[j, 1] * i0[j]
+        vr = green.coeffs[j + 1, 0] * k0[j] + green.coeffs[j + 1, 1] * i0[j]
+        worst = max(worst, abs(vl - vr))
+    return worst
 
 
 # ---------------------------------------------------------------------------

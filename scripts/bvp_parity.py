@@ -30,8 +30,8 @@ runs, with this checkout's ``src`` first on the import path:
   the ``LayerCalculus`` fluxes ``dl`` and ``dr`` there, concatenated in
   that order (``layers/alphas``, ``layers/dl``, ``layers/dr``);
 * the grids of ``make_grid(1e-4)`` and ``constant_profile(1e-4)``;
-* ``bessel_table`` (I0, I1, K0, K1) on 100,000 radii out to 10.6, the end of
-  the Chebyshev range.
+* ``bessel_table`` (I0, I1, K0, K1) on 100,000 radii in (0, 1], the
+  kernels' whole domain.
 
 For each solver case OUT.npz holds, one row per point: ``param`` (long
 double, as the solver stores it), ``values`` (long double),
@@ -99,8 +99,8 @@ LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
 FIXED_POINTS = ((1e-4, True), (1e-5, False))  # (lam, require_contraction)
 B_GRID = (1e-4, 1e-3, 1e-2)  # the criteria's and the layers benchmark's b
 CONSTANTS = ("nu1", "nu2", "zeta1", "zeta2")  # the far-field correction constants
-BESSEL_RADII = np.concatenate([np.geomspace(1e-8, 10.6, 50_000),
-                               np.linspace(1e-8, 10.6, 50_000)])
+BESSEL_RADII = np.concatenate([np.geomspace(1e-8, 1.0, 50_000),
+                               np.linspace(1e-8, 1.0, 50_000)])
 
 
 def _fields(points) -> dict:

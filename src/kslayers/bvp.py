@@ -303,12 +303,16 @@ def solve_bvp(lam: float, initial_guess, tol: float = 1e-9,
 
     Raises
     ------
+    DomainError
+        Unless lambda is positive and tol finite and positive.
     ConvergenceError
         On Newton divergence (carrying the last residual) or on a singular
         Jacobian at a turning point.
     """
     if lam <= 0:
         raise DomainError("lambda must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol={tol}: the tolerance must be finite and positive")
     if isinstance(initial_guess, Profile):
         # a solved point's values are long double, which np.interp rejects
         src_r = initial_guess.grid

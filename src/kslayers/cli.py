@@ -46,9 +46,9 @@ class RunConfig:
         if eta is not None and not (2.0 / 3.0 < eta < 1.0):
             raise DomainError(
                 f"eta={eta} invalid: the admissible window is (2/3, 1)")
-        for key in ("tol",):
-            if key in self.params and self.params[key] <= 0:
-                raise DomainError("tolerances must be positive")
+        tol = self.params.get("tol")
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise DomainError(f"tol={tol}: the tolerance must be finite and positive")
         steps = self.params.get("steps")
         if steps is not None and steps < 1:
             raise DomainError(f"steps={steps}: the continuation needs steps >= 1")
@@ -306,6 +306,8 @@ def _read_profile_csv(path: str):
 def _cmd_report(cfg: RunConfig) -> None:
     from . import ansatz, bvp
     p = cfg.params
+    if p["k"] < 1:
+        raise DomainError(f"k={p['k']}: the reference family needs k >= 1")
     prof = _read_profile_csv(p["infile"])
     lam = p["lam"]
     point = bvp.BranchPoint(param=lam, profile=prof, u0_value=float(prof.values[0]),

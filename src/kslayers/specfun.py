@@ -5,21 +5,22 @@ asymptotics) is built from the four order-zero kernels I0, I1, K0, K1 of
 the screened radial Laplacian -u'' - u'/r + u = 0.  They are evaluated
 from scratch:
 
-* I0, I1: ascending power series on the whole working range (0, 10.6];
-  the terms are positive, so there is no cancellation and the series is
-  accurate to a few ulp.
-* K0, K1: ascending log-form series for x <= 2 (cancellation there costs
-  at most e^4 * eps), and Chebyshev fits of e^x sqrt(x) K_nu(x) in an
-  affine 1/x variable for x > 2.  The tables live below and are
-  regenerated by scripts/gen_bessel_coeffs.py with 60-digit arithmetic.
+* I0, I1: ascending power series; the terms are positive, so there is
+  no cancellation and the series is accurate to a few ulp.
+* K0, K1: ascending log-form series, a few ulp from 40-digit values.
 
-The four series share one table of the powers q^k, q = x^2/4, k = 0..23.
+Every radius the program forms lies in (0, 1], the unit disk's, and the
+kernels take no other: any other radius, NaN included, raises
+``DomainError``.  Past x = 1 the K0 log form cancels (65 ulp off near
+x = 1.96).
+
+The four series share one table of the powers q^k, q = x^2/4, k = 0..9.
 Each sum is that table times a column of coefficients built at import
 (each series' term recurrence run at q = 1, the K columns weighted by
 harmonic numbers), summed over k in order.  Every step acts on each radius
 alone, so a radius gets the same bits as a scalar, in a grid or in a row
-of a stack.  On (0, 10.6], the end of the Chebyshev range, no I term past
-k = 23 and no K term past k = 11 (x <= 2) changes a sum, so they stop there.
+of a stack.  On (0, 1] (q <= 1/4) each term past k = 9 is below half an
+ulp of its running sum, so no later term changes a sum and they stop there.
 
 Derivatives are always analytic: I0' = I1 and K0' = -K1.
 
@@ -37,6 +38,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = [
     "EULER_MASCHERONI",
     "bessel_table",
@@ -47,138 +50,59 @@ __all__ = [
 # Euler-Mascheroni constant, 20 digits.
 EULER_MASCHERONI = 0.57721566490153286061
 
-# ---------------------------------------------------------------------------
-# Chebyshev tables for e^x sqrt(x) K_nu(x) on [1.9, 10.6], variable
-# w = A/x + B.  Generated by scripts/gen_bessel_coeffs.py; truncated where
-# the coefficients fall below double-precision relevance.
-# ---------------------------------------------------------------------------
-
-_KCHEB_A = 4.629885057471264
-_KCHEB_B = -1.4367816091954022
-
-_K0_CHEB = np.array([
-    2.4245959152738794,
-    -0.025844557688087993,
-    0.0010358268967223133,
-    -6.657154665035254e-05,
-    5.57484115972777e-06,
-    -5.563726101056945e-07,
-    6.306656946324155e-08,
-    -7.88395488843775e-09,
-    1.0658487132192617e-09,
-    -1.5369408215886893e-10,
-    2.3399838149577724e-11,
-    -3.732490299810581e-12,
-    6.199859782999895e-13,
-    -1.0672246485623419e-13,
-    1.8962858275262315e-14,
-    -3.4666063452009604e-15,
-    6.502280829581764e-16,
-    -1.2484622935940901e-16,
-    2.4488715515330697e-17,
-    -4.898767589433882e-18,
-    9.978915647467701e-19,
-])
-
-_K1_CHEB = np.array([
-    2.771717199789552,
-    0.08737879198700434,
-    -0.001926244176181964,
-    0.00010320288337297663,
-    -7.888957140388295e-06,
-    7.447119726788654e-07,
-    -8.128102827552682e-08,
-    9.884477148871198e-09,
-    -1.3083884283402579e-09,
-    1.8553531883538437e-10,
-    -2.786472105792168e-11,
-    4.394430569990305e-12,
-    -7.229350892417137e-13,
-    1.2341611973662783e-13,
-    -2.177126438404991e-14,
-    3.9548016650292005e-15,
-    -7.37625018740366e-16,
-    1.409135378938249e-16,
-    -2.751488409968142e-17,
-    5.481476933620193e-18,
-    -1.1124020211032635e-18,
-])
-
-_K_SERIES_CUT = 2.0
-
-
 # Row k holds term k of the I0, I1, K0 and K1 sums at q = 1: term k of
 # the I series is term k - 1 over k k and k (k+1), and the K0 and K1 sums
 # weight it by H_k and H_k + H_{k+1} - 2 gamma (harmonic numbers).
-_I_TERMS = 23
-_K_TERMS = 11
+_TERMS = 10
+_X_MAX = 1.0
 
 
-def _series_coeffs() -> tuple[np.ndarray, np.ndarray]:
+def _series_coeffs() -> np.ndarray:
     i0_term = i1_term = 1.0
     hk, hk1 = 0.0, 1.0
     rows = [[1.0, 1.0, 0.0, hk + hk1 - 2.0 * EULER_MASCHERONI]]
-    for k in range(1, _I_TERMS + 1):
+    for k in range(1, _TERMS):
         i0_term /= k * k
         i1_term /= k * (k + 1)
         hk += 1.0 / k
         hk1 += 1.0 / (k + 1)
         rows.append([i0_term, i1_term, i0_term * hk,
                      i1_term * (hk + hk1 - 2.0 * EULER_MASCHERONI)])
-    table = np.array(rows)[:, :, None]
-    return table[:, :2].copy(), table[:_K_TERMS + 1, 2:].copy()
+    return np.array(rows)[:, :, None]
 
 
-_I_COEF, _K_COEF = _series_coeffs()
-
-
-def _clenshaw(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    b1 = np.zeros_like(w)
-    b2 = np.zeros_like(w)
-    for c in coeffs[:0:-1]:
-        b1, b2 = 2.0 * w * b1 - b2 + c, b1
-    return w * b1 - b2 + 0.5 * coeffs[0]
-
-
-def _k_cheb(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    w = _KCHEB_A / x + _KCHEB_B
-    return _clenshaw(coeffs, w) * np.exp(-x) / np.sqrt(x)
+_COEF = _series_coeffs()
 
 
 def bessel_table(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (I0, I1, K0, K1) on an array of radii.
+    """Vectorized (I0, I1, K0, K1) on an array of radii in (0, 1].
 
-    The values are certified on (0, 10]; the Chebyshev fits cover
-    [1.9, 10.6].  Radii are not validated.
+    Any radius outside (0, 1], NaN included, raises ``DomainError``.
 
-    The powers q^k of q = x^2/4 fill one (24, n) table in five doubling
-    steps; the I0 and I1 sums are that table times their coefficient
-    columns, summed over k, and the K0 and K1 log-form sums the same over
-    its first 12 rows.  Each sum runs along the table's leading axis, term
-    by term for every radius, so no radius's bits depend on the shape of
-    the call.  Radii above 2 take K0 and K1 from the Chebyshev fits.  A
-    scalar radius gives 0-d arrays.
+    The powers q^k of q = x^2/4, k = 0..9, fill one (10, n) table in four
+    doubling steps; the four sums are that table times their coefficient
+    columns, summed over k.  Each sum runs along the table's leading axis,
+    term by term for every radius, so no radius's bits depend on the shape
+    of the call.  A scalar radius gives 0-d arrays.
     """
     r = np.asarray(r, dtype=float)
     x = r.reshape(-1)
-    p = np.empty((_I_TERMS + 1, x.size))
+    inside = (x > 0.0) & (x <= _X_MAX)
+    if not inside.all():
+        bad = float(x[~inside][0])
+        raise DomainError(f"Bessel radii must lie in (0, {_X_MAX}], got {bad!r}")
+    p = np.empty((_TERMS, x.size))
     p[0] = 1.0
     p[1] = 0.25 * x * x
-    for s in (1, 2, 4, 8, 16):
+    for s in (1, 2, 4, 8):
         # q^(s+1) ... q^(2s) = q^1 ... q^s times q^s
-        top = min(2 * s + 1, _I_TERMS + 1)
+        top = min(2 * s + 1, _TERMS)
         np.multiply(p[1:top - s], p[s], out=p[s + 1:top])
-    i0, i1 = (p[:, None] * _I_COEF).sum(axis=0)
+    i0, i1, ksum0, ksum1 = (p[:, None] * _COEF).sum(axis=0)
     i1 *= 0.5 * x
-    ksum = (p[:_K_TERMS + 1, None] * _K_COEF).sum(axis=0)
     log_half = np.log(0.5 * x)
-    k0 = -(log_half + EULER_MASCHERONI) * i0 + ksum[0]
-    k1 = log_half * i1 + 1.0 / x - 0.25 * x * ksum[1]
-    large = x > _K_SERIES_CUT
-    if np.any(large):
-        xl = x[large]
-        k0[large] = _k_cheb(_K0_CHEB, xl)
-        k1[large] = _k_cheb(_K1_CHEB, xl)
+    k0 = -(log_half + EULER_MASCHERONI) * i0 + ksum0
+    k1 = log_half * i1 + 1.0 / x - 0.25 * x * ksum1
     return tuple(a.reshape(r.shape) for a in (i0, i1, k0, k1))
 
 

@@ -278,6 +278,10 @@ class TestDirectSolve:
     def test_validation(self):
         with pytest.raises(DomainError):
             bvp.solve_bvp(-1.0, bvp.constant_profile(1e-3))
+        # an infinite tolerance would certify the guess unsolved
+        for tol in (np.inf, np.nan, 0.0):
+            with pytest.raises(DomainError):
+                bvp.solve_bvp(1e-3, bvp.constant_profile(1e-3), tol=tol)
 
     def test_non_finite_potential_is_a_convergence_error(self, ansatz4):
         _, prof = ansatz4

@@ -176,6 +176,29 @@ def test_bad_profile_file_is_a_validation_error(tmp_path, capsys, body, line):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_solve_tolerance_must_be_finite(tmp_path, capsys, tol):
+    # an infinite tolerance would certify the unsolved ansatz as a solution
+    code, out = run_cli(["solve", "--lambda", "1e-4", "--tol", tol], tmp_path)
+    assert code == 2
+    assert "finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--k", "0"], ["--k", "-3"],
+                                  ["--k", "0", "--outer", "neumann"]],
+                         ids=["zero", "negative", "zero-neumann"])
+def test_report_needs_k_at_least_one(tmp_path, capsys, args):
+    # no family has k < 1; the reference would silently be family 1's
+    path = tmp_path / "guess.csv"
+    path.write_text("r,u\n" + "".join(f"{r},2\n" for r in np.linspace(0, 1, 201)))
+    code, out = run_cli(["report", "--in", str(path), "--lambda", "1e-4"] + args,
+                        tmp_path)
+    assert code == 2
+    assert "k >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_branch_csv(tmp_path):
     code, out = run_cli(["branch", "--i", "2", "--sign", "+",
                          "--steps", "5"], tmp_path)

@@ -30,7 +30,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as C, polyutils as pu
 
 from .errors import DomainError, MatchingError
 from .specfun import EULER_MASCHERONI, xi_zeta_table
@@ -242,21 +241,66 @@ def nu1_closed_form(gamma: float) -> float:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _cheb_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Chebyshev points of the first kind, their Vandermonde matrix at
-    degree _CHEB_DEG, as ``chebinterpolate`` builds it, and their Vandermonde
-    matrix at degree _CHEB_DEG + 1, which evaluates an antiderivative there."""
-    x = C.chebpts1(_CHEB_DEG + 1)
-    interp = C.chebvander(x, _CHEB_DEG)
-    at_nodes = C.chebvander(x, _CHEB_DEG + 1)
-    for a in (x, interp, at_nodes):
+def _cheb_basis() -> tuple[np.ndarray, ...]:
+    """The _CHEB_DEG + 1 Chebyshev points of the first kind (``chebpts1``);
+    ``_vander`` of them at degree _CHEB_DEG (the matrix ``chebinterpolate``
+    builds) and _CHEB_DEG + 1 (which evaluates an antiderivative there); and
+    ``chebint``'s divisors 2 (j + 1) and 2 (j - 1) for a degree-_CHEB_DEG
+    series."""
+    n = _CHEB_DEG + 1
+    x = np.sin(0.5 * np.pi / n * np.arange(1 - n, n + 1, 2))
+    basis = (x, _vander(x, _CHEB_DEG), _vander(x, n),
+             2.0 * np.arange(2, n + 1), 2.0 * np.arange(1, n - 1))
+    for a in basis:
         a.flags.writeable = False
-    return x, interp, at_nodes
+    return basis
+
+
+def _vander(x: np.ndarray, deg: int) -> np.ndarray:
+    """T_0(x) .. T_deg(x), deg >= 1, along a new leading axis:
+    ``chebvander``'s recurrence T_k = 2 x T_(k-1) - T_(k-2) from x + 0.0
+    (so -0.0 enters as 0.0), hence the same bits, with the degree first
+    (``chebvander(x, deg)`` moved to this layout).  An array fills its rows
+    in place, one ufunc call per operation and no temporaries; a 0-d ``x``
+    runs the recurrence on Python floats."""
+    x = np.asarray(x) + 0.0
+    if x.ndim == 0:
+        x = float(x)
+        x2 = 2 * x
+        t = [x * 0 + 1, x]
+        for _ in range(deg - 1):
+            t.append(t[-1] * x2 - t[-2])
+        return np.array(t)
+    v = np.empty((deg + 1,) + x.shape)
+    v[0] = x * 0 + 1
+    v[1] = x
+    x2 = 2 * x
+    rows = list(v)
+    for t0, t1, t in zip(rows, rows[1:], rows[2:]):
+        np.multiply(t1, x2, t)
+        np.subtract(t, t0, t)
+    return v
+
+
+def _clenshaw(x: float, c: list[float]) -> float:
+    """The Chebyshev series ``c`` at ``x`` by ``chebval``'s Clenshaw loop,
+    on Python floats (``c`` holds at least two coefficients)."""
+    x2 = 2 * x
+    c0, c1 = c[-2], c[-1]
+    for ck in reversed(c[:-2]):
+        c0, c1 = ck - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
+def _to_unit(lo: float, hi: float) -> tuple[float, float]:
+    """(off, scl) of the map off + scl x from [lo, hi] onto [-1, 1], by
+    ``mapparms``' formulas."""
+    return (-hi - lo) / (hi - lo), 2.0 / (hi - lo)
 
 
 def _nodes(lo: float, hi: float) -> np.ndarray:
-    """The interpolation nodes on [lo, hi]."""
-    return pu.mapdomain(_cheb_basis()[0], (-1.0, 1.0), (lo, hi))
+    """The interpolation nodes on [lo, hi], mapped as ``mapdomain`` maps."""
+    return (lo + hi) / 2.0 + (hi - lo) / 2.0 * _cheb_basis()[0]
 
 
 def _antiderivative(y: np.ndarray, lo: float, hi: float, at: float) -> np.ndarray:
@@ -265,32 +309,44 @@ def _antiderivative(y: np.ndarray, lo: float, hi: float, at: float) -> np.ndarra
     ``_nodes(lo, hi)``: the bits of
     ``Chebyshev.interpolate(f, _CHEB_DEG, [lo, hi]).integ(lbnd=at).coef``.
 
+    The recurrence c'_k = (c_(k-1) - c_(k+1)) / 2k is ``chebint``'s, each
+    quotient formed and subtracted as there, but as two slice operations;
+    the constant is ``chebval``'s Clenshaw sum at the mapped ``at``.
+
     ``y`` is one contiguous sample vector: BLAS sums a matrix product, or a
     strided vector, in another order than this matrix-vector product.
     """
-    c = np.dot(_cheb_basis()[1].T, y)
+    _, interp, _, up, down = _cheb_basis()
+    c = np.dot(interp, y)
     c[0] /= _CHEB_DEG + 1
     c[1:] /= 0.5 * (_CHEB_DEG + 1)
-    off, scl = pu.mapparms((lo, hi), (-1.0, 1.0))
-    return C.chebint(c, lbnd=off + scl * at, scl=1.0 / scl)
+    off, scl = _to_unit(lo, hi)
+    c *= 1.0 / scl
+    out = np.empty(c.size + 1)
+    out[0] = c[0] * 0
+    out[1] = c[0]
+    out[2:] = c[1:] / up
+    out[1:-2] -= c[2:] / down
+    out[0] += 0 - _clenshaw(off + scl * at, out.tolist())
+    return out
 
 
 def _cheb_eval(coef: np.ndarray, lo: float, hi: float, x):
-    """Chebyshev series on [lo, hi] at ``x``: the Chebyshev-Vandermonde
-    matrix of the mapped points times ``coef``.  A (n, K) ``coef`` gives K
-    rows from one matrix product; a scalar ``x`` gives one value per row.
-    Like a Clenshaw recurrence, it stays within 10 eps sum|c_k| of the exact
-    sum on [-1, 1] (tested against mpmath on decaying degree-161 series)."""
-    off, scl = pu.mapparms((lo, hi), (-1.0, 1.0))
-    x = off + scl * np.asarray(x)
-    return coef.T @ C.chebvander(x, len(coef) - 1).reshape(*x.shape, -1).T
+    """Chebyshev series on [lo, hi] at ``x``: ``_vander`` of the mapped
+    points times ``coef``, as ``coef.T @ chebvander(x, deg).T``.  A (n, K)
+    ``coef`` gives K rows from one matrix product; a scalar ``x`` gives one
+    value per row.  Like a Clenshaw recurrence, it stays within 10 eps
+    sum|c_k| of the exact sum on [-1, 1] (tested against mpmath on decaying
+    degree-161 series)."""
+    off, scl = _to_unit(lo, hi)
+    return coef.T @ _vander(off + scl * np.asarray(x), len(coef) - 1)
 
 
 def _at_nodes(coef: np.ndarray):
     """``_cheb_eval`` at the ``_nodes`` of the series' interval, for the
     degree-(_CHEB_DEG + 1) coefficients ``_antiderivative`` returns (one
     column each): every such call shares one matrix."""
-    return coef.T @ _cheb_basis()[2].T
+    return coef.T @ _cheb_basis()[2]
 
 
 def _kernel(s):
@@ -569,7 +625,7 @@ def build_params(lam: float, eta: float = 0.8) -> AnsatzParams:
     fixed point, for at most four passes.  Those do not always settle: on
     ``logspace(-1, -300, 120)`` 46 of the 120 lambdas still move gamma after
     four passes, slowest near the order-2 fold, and some alternate their
-    matching order between passes; ROADMAP item 3 replaces the loop.  The
+    matching order between passes; ROADMAP item 6 replaces the loop.  The
     outer profile is then the Green's function with no free layer,
     ``greens.LayerCalculus`` with -A ln r at the origin and the matched data
     at r = 1.  Newton's method finds gamma, with the matching gap's

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# ansatz, analysis and bvp load in the subcommands that use them; no
-# subcommand imports scipy where numpy's LAPACK has a 64-bit-integer ?gtsv
-from . import __version__, greens, nondegen
+# nondegen, ansatz, analysis and bvp load in the subcommands that use them;
+# no subcommand imports scipy where numpy's LAPACK has a 64-bit-integer ?gtsv
+from . import __version__, greens
 from .errors import ConvergenceError, DomainError, KsLayersError, \
     NonContractionError
 
@@ -144,6 +144,9 @@ def _cmd_green(cfg: RunConfig) -> None:
     p = cfg.params
     radii = _read_radii(p["grid_file"]) if p.get("grid_file") else None
     config, profile = greens.solve_layers(p["k"], p["b"], p["outer"])
+    # evaluated before anything is written, so a radius the kernels reject
+    # leaves no output behind
+    table = profile.evaluate(radii) if radii is not None else None
     payload = {
         "alphas": [float(a) for a in config.alphas],
         "residual": config.residual,
@@ -154,13 +157,13 @@ def _cmd_green(cfg: RunConfig) -> None:
         "outer_mode": profile.outer_mode,
     }
     print(_write_json(cfg, "green.json", payload))
-    if radii is not None:
-        vals, dervs = profile.evaluate(radii)
+    if table is not None:
         print(_write_csv(cfg, "green_profile.csv", ["r", "U", "dU"],
-                         [radii, vals, dervs]))
+                         [radii, *table]))
 
 
 def _cmd_nondegen(cfg: RunConfig) -> None:
+    from . import nondegen
     p = cfg.params
     rows = nondegen.sweep_Mk(p["kmax"], p["b_grid"])
     header = ["k", "b", "M_k", "cond"]

@@ -12,7 +12,9 @@ from scratch:
 Every radius the program forms lies in (0, 1], the unit disk's, and the
 kernels take no other: any other radius, NaN included, raises
 ``DomainError``.  Past x = 1 the K0 log form cancels (65 ulp off near
-x = 1.96).
+x = 1.96).  Subnormal radii, below the smallest normal double
+``np.finfo(float).tiny``, raise too: there 1/x overflows and log(x/2)
+reaches -inf, so K1 is not finite.
 
 The four series share one table of the powers q^k, q = x^2/4, k = 0..9.
 Each sum is that table times a column of coefficients built at import
@@ -54,6 +56,7 @@ EULER_MASCHERONI = 0.57721566490153286061
 # the I series is term k - 1 over k k and k (k+1), and the K0 and K1 sums
 # weight it by H_k and H_k + H_{k+1} - 2 gamma (harmonic numbers).
 _TERMS = 10
+_X_MIN = float(np.finfo(float).tiny)
 _X_MAX = 1.0
 
 
@@ -77,7 +80,8 @@ _COEF = _series_coeffs()
 def bessel_table(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (I0, I1, K0, K1) on an array of radii in (0, 1].
 
-    Any radius outside (0, 1], NaN included, raises ``DomainError``.
+    Any radius outside (0, 1], NaN included, raises ``DomainError``, and so
+    does a subnormal one, below ``np.finfo(float).tiny``.
 
     The powers q^k of q = x^2/4, k = 0..9, fill one (10, n) table in four
     doubling steps; the four sums are that table times their coefficient
@@ -87,10 +91,11 @@ def bessel_table(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     """
     r = np.asarray(r, dtype=float)
     x = r.reshape(-1)
-    inside = (x > 0.0) & (x <= _X_MAX)
+    inside = (x >= _X_MIN) & (x <= _X_MAX)
     if not inside.all():
         bad = float(x[~inside][0])
-        raise DomainError(f"Bessel radii must lie in (0, {_X_MAX}], got {bad!r}")
+        raise DomainError(f"Bessel radii must be normal doubles in (0, {_X_MAX}], "
+                          f"[{_X_MIN!r}, {_X_MAX}], got {bad!r}")
     p = np.empty((_TERMS, x.size))
     p[0] = 1.0
     p[1] = 0.25 * x * x

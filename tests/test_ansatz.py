@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 from numpy.polynomial import Chebyshev, polyutils
-from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.chebyshev import chebpts1, chebval, chebvander
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -213,8 +213,12 @@ class TestCorrections:
 
 
 class TestOnePass:
+    # the last four are the stack's window depths on the ladder
+    # lambda = 1e-2 ... 1e-5
     @pytest.mark.parametrize("lo, hi, at", [(-40.0, 0.0, 0.0), (-3.7, 0.0, 0.0),
-                                            (0.55, 1.0, 1.0)])
+                                            (0.55, 1.0, 1.0), (-0.398, 0.0, 0.0),
+                                            (-0.796, 0.0, 0.0), (-0.564, 0.0, 0.0),
+                                            (-1.074, 0.0, 0.0)])
     def test_antiderivative_is_interpolate_integ_to_the_bit(self, lo, hi, at):
         def f(x):
             return np.exp(0.3 * x) / np.cosh(x) ** 2 + np.sin(5.0 * x)
@@ -222,6 +226,48 @@ class TestOnePass:
         got = ansatz._antiderivative(f(ansatz._nodes(lo, hi)), lo, hi, at)
         ref = Chebyshev.interpolate(f, ansatz._CHEB_DEG, [lo, hi]).integ(lbnd=at)
         assert np.array_equal(got, ref.coef)
+
+    @pytest.mark.parametrize("deg", [ansatz._CHEB_DEG, ansatz._CHEB_DEG + 1])
+    def test_vander_is_chebvander_to_the_bit(self, deg):
+        rng = np.random.default_rng(deg)
+        for x in (np.float64(-0.3), np.array(0.7), np.array(-0.0),
+                  np.array([-1.0, -0.0, 0.0, 1.0]), rng.uniform(-1.0, 1.0, 37),
+                  rng.uniform(-1.0, 1.0, (5, 7))):
+            want = np.moveaxis(chebvander(x, deg), -1, 0).reshape(deg + 1, *x.shape)
+            got = ansatz._vander(x, deg)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_scalar_eval_is_the_array_eval(self):
+        # the scalar path's Python-float recurrence gives the array path's
+        # bits: the same vector, so the same product for a one-point array
+        rng = np.random.default_rng(7)
+        n = ansatz._CHEB_DEG + 2
+        for coef in (rng.standard_normal(n), rng.standard_normal((n, 6))):
+            for s in (-11.5, -3.3, -1e-9, 0.0):
+                got = ansatz._cheb_eval(coef, -11.5, 0.0, s)
+                assert np.array_equal(got, ansatz._cheb_eval(coef, -11.5, 0.0,
+                                                             np.array([s]))[..., 0])
+        x = rng.uniform(-1.0, 1.0, 9)
+        for j, xj in enumerate(x):
+            assert np.array_equal(ansatz._vander(xj, n - 1),
+                                  ansatz._vander(x, n - 1)[:, j])
+
+    def test_clenshaw_is_chebval_to_the_bit(self):
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal(ansatz._CHEB_DEG + 2) * 0.8 ** np.arange(ansatz._CHEB_DEG + 2)
+        off, scl = polyutils.mapparms((0.55, 1.0), (-1.0, 1.0))
+        for x in (-1.0, 1.0, off + scl * 1.0, off + scl * 0.7):
+            assert ansatz._clenshaw(x, c.tolist()) == chebval(x, c)
+
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-40.0, 0.0), (0.55, 1.0),
+                                        (-0.398, 0.0)])
+    def test_nodes_are_mapped_chebpts1(self, lo, hi):
+        assert np.array_equal(ansatz._cheb_basis()[0], chebpts1(ansatz._CHEB_DEG + 1))
+        want = polyutils.mapdomain(chebpts1(ansatz._CHEB_DEG + 1), (-1.0, 1.0), (lo, hi))
+        assert np.array_equal(ansatz._nodes(lo, hi), want)
+        assert ansatz._to_unit(lo, hi) == polyutils.mapparms((lo, hi), (-1.0, 1.0))
 
     @pytest.mark.parametrize("gamma, depth", [(1.3, 40.0), (0.8, 11.5)])
     def test_profiles_are_the_series_composition(self, gamma, depth):
@@ -493,11 +539,13 @@ class TestMultilayer:
 
 
 @pytest.mark.parametrize("module", ["kslayers.nondegen", "scipy.integrate",
-                                    "scipy.linalg"])
+                                    "scipy.linalg", "numpy.polynomial"])
 def test_import_leaves_nondegen_out(module):
     # the scaffold is built from the layered Green's function alone, the
-    # correction profiles are quadratures, not ODE solves, and a radial solve
-    # takes ?gtsv from numpy's LAPACK (scipy's only where numpy has none)
+    # correction profiles are quadratures, not ODE solves, a radial solve
+    # takes ?gtsv from numpy's LAPACK (scipy's only where numpy has none),
+    # and the Chebyshev calculus is written out (numpy.polynomial stays the
+    # tests' oracle)
     src = os.path.dirname(os.path.dirname(ansatz.__file__))
     code = f"import sys, kslayers.ansatz; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

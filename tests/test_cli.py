@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,24 @@ def test_bad_grid_file_is_a_validation_error(tmp_path, capsys, body, where):
     err = capsys.readouterr().err
     assert str(gridfile) in err and where in err
     assert "Warning" not in err
+    assert not out.exists()
+
+
+def test_subnormal_grid_radius_is_a_domain_error(tmp_path, capsys):
+    # 1e-320 lies in (0, 1], so the file passes its check, but the Bessel
+    # kernels reject it before 1/r overflows; the profile is evaluated
+    # before anything is written
+    gridfile = tmp_path / "radii.txt"
+    gridfile.write_text("1e-320\n0.5\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(["green", "--k", "1", "--b", "1e-3",
+                             "--outer", "neumann", "--grid-file", str(gridfile)],
+                            tmp_path)
+    assert code == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert "1e-320" in err and "Warning" not in err
     assert not out.exists()
 
 
@@ -296,6 +315,16 @@ def test_import_leaves_scipy_out():
     # green and nondegen need neither scipy nor the modules that import it
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = "import sys, kslayers.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_nondegen_out():
+    # only the nondegen subcommand needs the module; it imports it itself
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, kslayers.cli; print('kslayers.nondegen' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})

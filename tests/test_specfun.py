@@ -107,6 +107,22 @@ def test_radii_outside_the_disk_raise(bad):
                 table(r)
 
 
+@pytest.mark.parametrize("bad", [5e-324, 1e-310])
+def test_subnormal_radii_raise(bad):
+    # below the smallest normal double 1/x overflows and log(x/2) reaches
+    # -inf, so K1 would not be finite
+    for table in (sf.bessel_table, sf.xi_zeta_table):
+        for r in (bad, np.array([0.5, bad]), np.array([[1.0], [bad]])):
+            with pytest.raises(DomainError, match="normal"):
+                table(r)
+
+
+def test_smallest_normal_radius_is_finite():
+    tiny = np.finfo(float).tiny
+    for table in (sf.bessel_table, sf.xi_zeta_table):
+        assert np.all(np.isfinite(table(np.array([tiny, 0.5]))))
+
+
 def test_wronskian_identity():
     r = np.logspace(-8, 0, 500)
     i0, i1, k0, k1 = sf.bessel_table(r)

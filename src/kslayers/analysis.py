@@ -231,13 +231,16 @@ def solve_linear(U: Profile, lam: float, h: np.ndarray, mu: float | None = None,
     ------
     NearKernelError
         When the discrete operator is numerically singular; the overlap
-        diagnostic tells whether the bubble dilation mode is responsible.
+        diagnostic tells whether the bubble dilation mode is responsible
+        (NaN where the factorization met an exactly zero pivot).
+    ConvergenceError
+        When the eigenvalue monitor cannot certify its eigenvalue.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != U.values.shape:
         raise DomainError("right-hand side must live on the profile grid")
-    op, pot, eig, overlap, morse = _linearized(U, lam, mu, singular_tol)
-    phi = op.solve(pot, h)
+    solve, eig, overlap, morse = _linearized(U, lam, mu, singular_tol)
+    phi = solve(h)
     p = NormParams(lam=lam)
     hstar = norm_star(U.grid, h, p)
     ratio = float(np.max(np.abs(phi)) / hstar) if hstar > 0 else np.inf
@@ -247,11 +250,12 @@ def solve_linear(U: Profile, lam: float, h: np.ndarray, mu: float | None = None,
 
 def _linearized(U: Profile, lam: float, mu: float | None = None,
                 singular_tol: float = 1e-9):
-    """``solve_linear``'s (operator, potential, smallest eigenvalue, kernel
-    overlap, Morse index) at U, past its monitor's NearKernelError."""
+    """``solve_linear``'s (solve, smallest eigenvalue, kernel overlap, Morse
+    index) at U, past its monitor's NearKernelError; ``solve`` runs ?gttrs
+    on the monitor's factor of the operator, which gives ?gtsv's bits."""
     op = RadialOperator(U.grid)
     pot = lam * np.exp(np.minimum(U.values, EXP_CAP))
-    eig, mode, morse = op.smallest_eigenvalue(pot)
+    eig, mode, morse, solve = op.monitor(pot)
     # physical scale of the zeroth-order part (stiffness entries are grid
     # artifacts and would mask genuine near-degeneracy)
     scale = 1.0 + float(np.max(np.abs(pot)))
@@ -267,7 +271,7 @@ def _linearized(U: Profile, lam: float, mu: float | None = None,
             f"discrete linearized operator nearly singular "
             f"(eig={eig:.3e}, scale={scale:.3e})",
             smallest_singular_value=abs(eig), kernel_overlap=overlap)
-    return op, pot, eig, overlap, morse
+    return solve, eig, overlap, morse
 
 
 @dataclass(frozen=True)
@@ -387,8 +391,8 @@ def probe_linear(profiles: dict[float, Profile], n_rhs: int = 10,
     for lam, U in profiles.items():
         rng = np.random.default_rng(seed)
         hs = np.column_stack([random_smooth_field(U.grid, rng) for _ in range(n_rhs)])
-        op, pot, *_ = _linearized(U, lam)  # the monitor depends on U alone
-        phis = op.solve(pot, hs)
+        solve, *_ = _linearized(U, lam)  # the monitor depends on U alone
+        phis = solve(hs)
         p = NormParams(lam=lam)
         out[lam] = max(float(np.max(np.abs(phi)) / norm_star(U.grid, h, p))
                        for phi, h in zip(phis.T, hs.T))

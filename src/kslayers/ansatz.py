@@ -578,9 +578,30 @@ def _solve_outer(eps: float,
             d_rhs += (eps / _SQRT2) * (2.0 * np.log(2.0) + eps * zeta1e)
         return lhs - rhs, (eps / _SQRT2) * d_data * xi1p / xi1 - d_rhs
 
+    def unmatchable(order: int) -> bool:
+        """Whether deriv_gap(., order) stays below -1e-10 on (0, inf), past
+        the rounding of its supremum.
+
+        The gap is c0 + c1 ln(gamma) + c2 gamma - 1/gamma.  Where it is
+        bounded above (c2 < 0, or c2 = 0 and c1 < 0) its supremum is its
+        value at the positive root of gamma^2 gap' = c2 gamma^2 + c1 gamma
+        + 1.
+        """
+        s, k = eps / _SQRT2, xi1p / xi1
+        c1 = -2.0 * s * k
+        c2 = s * (k * eps * nu2e - 2.0 * np.log(2.0) - eps * zeta1e) if order == 2 else 0.0
+        if c2 > 0.0 or (c2 == 0.0 and c1 >= 0.0):
+            return False
+        c0 = k * (1.0 - A * zeta1v) + (2.0 * s if order == 2 else 0.0)
+        g = 2.0 / (np.sqrt(c1 * c1 - 4.0 * c2) - c1)
+        terms = np.array([c0, c1 * np.log(g), c2 * g, -1.0 / g])
+        return terms.sum() + 16.0 * np.finfo(float).eps * np.abs(terms).sum() < -1e-10
+
     gamma0 = 1.0 / (b_from_value(1.0, 0) * xi1p)
 
     for order in (2, 1) if constants is not None else (1,):
+        if unmatchable(order):  # no gamma could pass the test below
+            continue
         gamma = _newton_root(lambda gg: deriv_gap(gg, order), gamma0, 0.0, np.inf)
         if gamma is not None and abs(deriv_gap(gamma, order)[0]) < 1e-10:
             return data_of(gamma, order), gamma, order

@@ -526,15 +526,20 @@ def first_j1_root(lo=3.0, hi=4.5, tol=1e-12) -> float:
 def full_spectrum_monitor(op, potential):
     """Smallest-magnitude eigenpair and negative count from the full spectrum.
 
-    Diagonalizes the symmetrized operator completely (LAPACK's MRRR
-    ?stemr, every eigenvector), so it shares neither the Sturm count nor
-    the inverse iteration of ``RadialOperator.smallest_eigenvalue``.
+    Every eigenvalue of the symmetrized operator comes from one
+    diagonalization without vectors (``eigvalsh_tridiagonal``); the one
+    nearest 0, good there to about eps times the operator's norm, is then
+    bisected to full relative accuracy and its eigenvector found by inverse
+    iteration (?stebz with a tolerance below every eigenvalue, ?stein).
+    None of it is the shift-invert Lanczos of
+    ``RadialOperator.smallest_eigenvalue``.
     """
     d, e = op.symmetric_tridiagonal(potential)
-    vals, vecs = sla.eigh_tridiagonal(d, e)
+    vals = sla.eigvalsh_tridiagonal(d, e)
     idx = int(np.argmin(np.abs(vals)))
-    return (float(vals[idx]), vecs[:, idx] / np.sqrt(op.vol),
-            int(np.count_nonzero(vals < 0)))
+    val, vec = sla.eigh_tridiagonal(d, e, select="i", select_range=(idx, idx),
+                                    tol=np.finfo(float).tiny)
+    return float(val[0]), vec[:, 0] / np.sqrt(op.vol), int(np.count_nonzero(vals < 0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from kslayers import analysis, ansatz, bvp
-from kslayers.errors import DomainError, NonContractionError, OverflowRegionError
+from kslayers import analysis, ansatz, bvp, radial
+from kslayers.errors import (ConvergenceError, DomainError, NearKernelError,
+                             NonContractionError, OverflowRegionError)
 from kslayers.radial import RadialOperator, graded_grid
 import oracles
 
@@ -191,19 +196,51 @@ class TestSolveLinear:
         assert ratios[1e-4] == pytest.approx(0.2049, rel=0.2)
 
 
+def _ladder_potentials(lam):
+    """The operator of the lam ansatz and potentials on it: lam e^U scaled by
+    1, 0.5 and 10, and at 1e-4 the constants 0 and 1e3."""
+    prof = ansatz.build_profile(ansatz.build_params(lam))
+    op = RadialOperator(prof.grid)
+    pot = lam * np.exp(prof.values)
+    return op, [pot, 0.5 * pot, 10.0 * pot] + ([0.0, 1e3] if lam == 1e-4 else [])
+
+
+def _near_kernel_profile(lam, mu):
+    """U whose potential is the bubble linearization plus the screening
+    term: the operator becomes -Lap - V, whose kernel is spanned by the
+    dilation mode up to a boundary flux of order lam mu^2."""
+    r = graded_grid(2500, 2e-3, 0.05)
+    a = lam * mu**2
+    V = 8.0 * a / (a + r**2) ** 2
+    return ansatz.Profile(r, np.log((V + 1.0) / lam), np.zeros_like(r),
+                          np.zeros_like(r), np.full(r.size, "synthetic"))
+
+
+def _assert_monitor_matches_oracle(op, potential, rel):
+    eig, mode, morse = op.smallest_eigenvalue(potential)
+    ref_eig, ref_mode, ref_neg = oracles.full_spectrum_monitor(op, potential)
+    assert abs(eig - ref_eig) <= rel * abs(ref_eig)
+    cos = abs(np.sum(op.vol * mode * ref_mode)) / np.sqrt(
+        np.sum(op.vol * mode**2) * np.sum(op.vol * ref_mode**2))
+    assert cos >= 1.0 - 1e-10
+    assert morse == ref_neg
+
+
 class TestEigenvalueMonitor:
-    @pytest.mark.parametrize("lam", [1e-2, 1e-4])
+    @pytest.mark.parametrize("lam", [1e-2, 1e-3, 1e-4, 1e-5])
     def test_against_full_spectrum(self, lam):
-        prof = ansatz.build_profile(ansatz.build_params(lam))
+        # measured worst 7.9e-10 relative (the constant 0 at 1e-4); on a
+        # 2-core x86-64 box each oracle takes 0.3 s on these grids
+        op, potentials = _ladder_potentials(lam)
+        for potential in potentials:
+            _assert_monitor_matches_oracle(op, potential, rel=1e-8)
+
+    def test_near_kernel_against_full_spectrum(self):
+        # an eigenvalue of 6.67e-4 against an operator norm of about 3e8;
+        # measured 1.5e-8 relative from the oracle
+        prof = _near_kernel_profile(1e-4, 1.0)
         op = RadialOperator(prof.grid)
-        pot = lam * np.exp(prof.values)
-        eig, mode, morse = op.smallest_eigenvalue(pot)
-        ref_eig, ref_mode, ref_neg = oracles.full_spectrum_monitor(op, pot)
-        assert abs(eig - ref_eig) <= 1e-7 * abs(ref_eig)
-        cos = abs(np.sum(op.vol * mode * ref_mode)) / np.sqrt(
-            np.sum(op.vol * mode**2) * np.sum(op.vol * ref_mode**2))
-        assert cos >= 1.0 - 1e-10
-        assert morse == ref_neg
+        _assert_monitor_matches_oracle(op, 1e-4 * np.exp(prof.values), rel=1e-7)
 
     def test_zero_potential_has_no_negative_eigenvalue(self):
         op = RadialOperator(graded_grid(800, 0.05, 0.05))
@@ -220,54 +257,97 @@ class TestEigenvalueMonitor:
         eig, _, morse = op.smallest_eigenvalue(c)
         ref_eig, _, ref_neg = oracles.full_spectrum_monitor(op, c)
         assert morse == ref_neg == op.n
-        assert eig == pytest.approx(ref_eig, rel=1e-7)
+        assert eig == pytest.approx(ref_eig, rel=1e-8)
 
     def test_count_ignores_the_bisection_tolerance(self):
         # ?stebz counts the range's eigenvalues as a difference of Sturm
-        # counts before it bisects any, so smallest_eigenvalue's tol = inf
-        # count is the full-accuracy count and the full spectrum's.
-        # test_against_full_spectrum takes the unscaled potentials at 1e-2
-        # and 1e-4.  On a 2-core x86-64 box a full spectrum takes 0.24 s on
-        # these grids, and bisecting every eigenvalue to full accuracy 4 s
-        # above the spectrum, which the 800-node test above covers
+        # counts before it bisects any, so the monitor's tol = inf count is
+        # scipy's full-accuracy one; test_against_full_spectrum holds both
+        # to the full spectrum's
         import scipy.linalg as sla
         for lam in (1e-2, 1e-3, 1e-4, 1e-5):
-            prof = ansatz.build_profile(ansatz.build_params(lam))
-            op = RadialOperator(prof.grid)
-            pot = lam * np.exp(prof.values)
-            constants = [0.0, 1e3] if lam == 1e-4 else []
-            for potential in [0.5 * pot, 10.0 * pot] + constants:
+            op, potentials = _ladder_potentials(lam)
+            for potential in potentials:
                 d, e = op.symmetric_tridiagonal(potential)
+                count = sla.eigvalsh_tridiagonal(d, e, select="v",
+                                                 select_range=(-np.inf, 0.0)).size
+                assert radial._stebz_count(d, e, -np.inf, 0.0) == count
+                assert op.smallest_eigenvalue(potential)[2] == count
 
-                def count(**tol):
-                    return sla.eigvalsh_tridiagonal(
-                        d, e, select="v", select_range=(-np.inf, 0.0), **tol).size
+    def test_numpy_and_scipy_stebz_count_alike(self):
+        numpy_stebz = radial._numpy_stebz()
+        if numpy_stebz is None:
+            pytest.skip("numpy's LAPACK exports no 64-bit-integer dstebz: scipy's serves")
+        op, potentials = _ladder_potentials(1e-4)
+        for potential in potentials:
+            d, e = op.symmetric_tridiagonal(potential)
+            eig = op.smallest_eigenvalue(potential)[0]
+            for vl, vu in [(-np.inf, 0.0), (-np.inf, np.inf), (-abs(eig), abs(eig)),
+                           (-2.0 * abs(eig), 0.5 * abs(eig)), (0.0, 1e6)]:
+                assert numpy_stebz(d, e, vl, vu) == radial._scipy_stebz(d, e, vl, vu)
 
-                negatives = int(np.count_nonzero(sla.eigvalsh_tridiagonal(d, e) <= 0.0))
-                assert count(tol=np.inf) == count() == negatives
-                assert op.smallest_eigenvalue(potential)[2] == negatives
+    def test_certificate_rejects_a_farther_eigenvalue(self, monkeypatch):
+        # a Ritz value twice the true one leaves the true eigenvalue inside
+        # the certified interval
+        lanczos = radial._shift_invert_lanczos
+
+        def farther(*args):
+            theta, y = lanczos(*args)
+            return 0.5 * theta, y
+
+        monkeypatch.setattr(radial, "_shift_invert_lanczos", farther)
+        op = RadialOperator(graded_grid(800, 0.05, 0.05))
+        with pytest.raises(ConvergenceError, match="nearer 0"):
+            op.smallest_eigenvalue(0.0)
+
+    def test_lanczos_past_its_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(radial, "_LANCZOS_STEPS", 1)
+        op = RadialOperator(graded_grid(800, 0.05, 0.05))
+        with pytest.raises(ConvergenceError, match="after 1 steps") as exc:
+            op.smallest_eigenvalue(0.0)
+        assert exc.value.residual > 1e-12
+
+    def test_solve_linear_leaves_scipy_out(self):
+        # the Sturm counts and the solves use numpy's LAPACK
+        if None in (radial._numpy_gtsv(), radial._numpy_gttrf(), radial._numpy_stebz()):
+            pytest.skip("numpy's LAPACK lacks a 64-bit-integer ?gtsv, ?gttrf or ?stebz")
+        src = os.path.dirname(os.path.dirname(radial.__file__))
+        code = ("import sys, numpy as np; from kslayers import analysis, ansatz; "
+                "prof = ansatz.build_profile(ansatz.build_params(1e-4)); "
+                "analysis.solve_linear(prof, 1e-4, np.ones(prof.grid.size)); "
+                "print('scipy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
 
 class TestNearKernel:
     def test_bubble_linearization_triggers_diagnostic(self):
-        # choose U so the potential equals the bubble linearization plus the
-        # screening term: the operator becomes -Lap - V, whose kernel is
-        # spanned by the dilation mode up to a boundary flux of order
-        # lam mu^2 -- numerically singular at the diagnostic threshold
-        from kslayers.errors import NearKernelError
-
+        # numerically singular at the diagnostic threshold
         lam, mu = 1e-4, 1.0
-        r = graded_grid(2500, 2e-3, 0.05)
-        a = lam * mu**2
-        V = 8.0 * a / (a + r**2) ** 2
-        U = np.log((V + 1.0) / lam)
-        prof = ansatz.Profile(r, U, np.zeros_like(r), np.zeros_like(r),
-                              np.full(r.size, "synthetic"))
         with pytest.raises(NearKernelError) as exc:
-            analysis.solve_linear(prof, lam, np.ones(r.size), mu=mu,
-                                  singular_tol=1e-7)
+            analysis.solve_linear(_near_kernel_profile(lam, mu), lam, np.ones(2500),
+                                  mu=mu, singular_tol=1e-7)
         assert exc.value.smallest_singular_value < 1e-3
         assert 0.0 < exc.value.kernel_overlap <= 1.0
+
+    def test_zero_pivot_is_a_zero_eigenvalue(self):
+        # on three even nodes the rows of -Lap sum to exactly 0 and the
+        # potential 1 e^0 cancels the screening: ?gttrf meets an exactly zero
+        # pivot, and no mode is known
+        r = np.linspace(0.0, 1.0, 3)
+        prof = ansatz.Profile(r, np.zeros(3), np.zeros(3), np.zeros(3),
+                              np.full(3, "synthetic"))
+        op = RadialOperator(r)
+        with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
+            op.factor(1.0)
+        eig, mode, _ = op.smallest_eigenvalue(1.0)
+        assert eig == 0.0 and np.isnan(mode).all()
+        with pytest.raises(NearKernelError) as exc:
+            analysis.solve_linear(prof, 1.0, np.ones(3))
+        assert exc.value.smallest_singular_value == 0.0
+        assert np.isnan(exc.value.kernel_overlap)
 
 
 class TestFixedPoint:

@@ -355,6 +355,22 @@ class TestOuterMatching:
     def test_matching_order_recorded(self, params4):
         assert params4.matching_order in (0, 1, 2)
 
+    @pytest.mark.parametrize("lam, order", [(1e-2, 0), (1e-3, 0), (1e-4, 1), (1e-5, 1)])
+    def test_no_search_for_an_order_without_a_root(self, monkeypatch, lam, order):
+        # the gap's supremum over gamma lies below -1e-10 for the orders the
+        # ladder falls past (by 0.06 to 2.1), so their Newton searches,
+        # 100 steps each, are skipped
+        roots = []
+
+        def newton_root(*args):
+            roots.append(newton(*args))
+            return roots[-1]
+
+        newton = ansatz._newton_root
+        monkeypatch.setattr(ansatz, "_newton_root", newton_root)
+        assert ansatz.build_params(lam).matching_order == order
+        assert None not in roots
+
     def test_invariants_validate(self, params4):
         params4.validate()
         assert params4.mu**2 == pytest.approx(np.exp(params4.h_origin) / 8.0,

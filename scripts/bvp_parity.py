@@ -18,9 +18,11 @@ runs, with this checkout's ``src`` first on the import path:
   one seeded ``random_smooth_field`` (``phi``, ``ratio``, ``eigenvalue``,
   ``overlap``, ``morse_index``) and the ``probe_linear`` ratios, and
   ``fixed_point`` (``phi``, ``increments``, ``factors``, ``rho``,
-  ``bound``, ``drop``, ``converged``) at lam = 1e-4 with the contraction
-  check and at lam = 1e-5 as the ``ladder`` benchmark runs it
-  (``require_contraction=False``, which takes all 200 iterates);
+  ``bound``, ``drop``, ``converged``, ``stop_reason``, and
+  ``predicted_iterations``, -1 where it is None) at lam = 1e-4 with the
+  contraction check and at lam = 1e-5 as the ``ladder`` benchmark runs it
+  (``require_contraction=False``, which stops at iterate 26 as
+  "unreachable");
 * ``sweep_Mk(6, [1e-4, 1e-3, 1e-2])`` (``k``, ``b``, ``M_k``, ``cond``),
   and the finite-difference guard ``nondegen._fd_entries`` at each of its
   18 solved configurations (``guard/fd_entries``, the matrices flattened
@@ -58,17 +60,17 @@ solution.
 With ``--against OLD.npz`` every field of every case is compared with
 ``np.array_equal``; a numeric field that differs prints its max relative
 difference (NaNs in the same places count as equal), a string field
-(``piece``) that it differs, and a missing or reshaped one says so.  A
-branch field that differs also prints the component's first point whose mu
-departs by more than 1e-12 relative, or that none does: a branch whose mu
-stays within that everywhere moved at rounding level, one that departs from
-some point on is the same curve sampled elsewhere (the certificate says
-whether it is still a solution).  For each branch it also prints at how
-many points ``newton_iters``, the signal the step-size control reads,
-differs, and the first such point, then the count over all branches.
-Run it from two checkouts and compare the second
-dump against the first: the exit code is 1 unless every field is equal
-and every branch certifies.
+(``piece``, ``stop_reason``) that it differs, and a missing or reshaped one
+says so.  A branch field that differs also prints the component's first
+point whose mu departs by more than 1e-12 relative, or that none does: a
+branch whose mu stays within that everywhere moved at rounding level, one
+that departs from some point on is the same curve sampled elsewhere (the
+certificate says whether it is still a solution).  For each branch it also
+prints at how many points ``newton_iters``, the signal the step-size
+control reads, differs, and the first such point, then the count over all
+branches.  Run it from two checkouts and compare the second dump against
+the first: the exit code is 1 unless every field is equal and every branch
+certifies.
 """
 
 import argparse
@@ -198,7 +200,11 @@ def _analysis_fields() -> dict:
                     f"fixed_point{lam:g}/rho": np.array(fp.rho),
                     f"fixed_point{lam:g}/bound": np.array(fp.bound),
                     f"fixed_point{lam:g}/drop": np.array(fp.residual_drop),
-                    f"fixed_point{lam:g}/converged": np.array(fp.converged)})
+                    f"fixed_point{lam:g}/converged": np.array(fp.converged),
+                    f"fixed_point{lam:g}/stop_reason": np.array(fp.stop_reason),
+                    f"fixed_point{lam:g}/predicted_iterations":
+                        np.array(-1 if fp.predicted_iterations is None
+                                 else fp.predicted_iterations)})
     rows = nondegen.sweep_Mk(6, B_GRID)
     for key in ("k", "b", "M_k", "cond"):
         out[f"sweep_Mk/{key}"] = np.array([row[key] for row in rows])

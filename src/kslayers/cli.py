@@ -229,7 +229,9 @@ def _cmd_fixpoint(cfg: RunConfig) -> None:
                for i in iters]
     print(_write_csv(cfg, "fixpoint.csv", ["iter", "increment", "factor"],
                      [iters, fp.increments, factors]))
-    payload = {"converged": fp.converged, "rho": fp.rho, "bound": fp.bound,
+    payload = {"converged": fp.converged, "stop_reason": fp.stop_reason,
+               "predicted_iterations": fp.predicted_iterations,
+               "rho": fp.rho, "bound": fp.bound,
                "residual_drop": fp.residual_drop,
                "worst_factor": max(fp.factors[1:]) if len(fp.factors) > 1
                else None}

@@ -20,6 +20,12 @@ def setup4():
     return params, prof
 
 
+def _fixed_point_at(lam):
+    params = ansatz.build_params(lam)
+    return analysis.fixed_point(ansatz.build_profile(params), lam, eps=params.eps,
+                                require_contraction=False)
+
+
 class TestNorms:
     def test_weight_monotone(self):
         r = np.linspace(0.0, 1.0, 300)
@@ -366,6 +372,7 @@ class TestFixedPoint:
         params, prof = setup4
         fp = analysis.fixed_point(prof, params.lam, require_contraction=False)
         assert fp.converged
+        assert fp.stop_reason == "converged" and fp.predicted_iterations is None
         assert fp.residual_drop >= 1e2
         assert np.max(np.abs(fp.phi)) <= fp.bound
         u = prof.values + fp.phi
@@ -393,3 +400,34 @@ class TestFixedPoint:
         assert fp.converged and max(fp.factors[1:]) < 1.0
         unchecked = analysis.fixed_point(prof, params.lam, require_contraction=False)
         assert np.array_equal(fp.phi, unchecked.phi)
+
+    def test_stops_once_tol_is_out_of_reach(self):
+        fp = _fixed_point_at(1e-5)
+        assert fp.stop_reason == "unreachable" and not fp.converged
+        assert len(fp.increments) < 40
+        assert fp.predicted_iterations > analysis._PICARD_CAP
+
+    def test_unreachable_run_converges_only_past_the_cap(self, monkeypatch):
+        # the oracle: without the exit and with room to run, lambda = 1e-5
+        # converges, but only after the cap (measured: iterate 328)
+        monkeypatch.setattr(analysis, "_out_of_reach", lambda *args: None)
+        monkeypatch.setattr(analysis, "_PICARD_CAP", 1000)
+        fp = _fixed_point_at(1e-5)
+        assert fp.converged and fp.stop_reason == "converged"
+        assert len(fp.increments) > 200
+
+    @pytest.mark.parametrize("lam", [1e-4, 2e-5, 1e-5, 5e-6, 1e-6, 1e-7, 1e-8,
+                                     1e-10, 1e-20, 1e-25, 1e-30])
+    def test_exit_cuts_no_run_that_converges_within_the_cap(self, lam, monkeypatch):
+        on = _fixed_point_at(lam)
+        monkeypatch.setattr(analysis, "_out_of_reach", lambda *args: None)
+        off = _fixed_point_at(lam)
+        if off.converged:
+            assert np.array_equal(on.phi, off.phi)
+            assert on.increments == off.increments and on.factors == off.factors
+            assert (on.rho, on.bound, on.residual_drop, on.converged, on.stop_reason,
+                    on.predicted_iterations) == (off.rho, off.bound, off.residual_drop,
+                                                 True, "converged", None)
+        else:
+            assert off.stop_reason == "cap" and len(off.increments) == 200
+            assert on.stop_reason == "unreachable"

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kslayers import ansatz, cli, greens
+from kslayers import analysis, ansatz, cli, greens
 
 import oracles
 
@@ -294,9 +294,25 @@ def test_fixpoint_csv(tmp_path):
     assert code == 0
     doc = json.loads((out / "fixpoint.json").read_text())
     assert doc["residual_drop"] >= 1e2
+    assert doc["stop_reason"] == "converged" and doc["predicted_iterations"] is None
     rows = [r for r in (out / "fixpoint.csv").read_text().splitlines()
             if not r.startswith("#")]
     assert rows[0] == "iter,increment,factor"
+
+
+def test_fixpoint_stops_where_tol_is_out_of_reach(tmp_path):
+    code, out = run_cli(["fixpoint", "--lambda", "1e-5"], tmp_path)
+    assert code == 0
+    doc = json.loads((out / "fixpoint.json").read_text())
+    assert doc["stop_reason"] == "unreachable" and not doc["converged"]
+    assert isinstance(doc["predicted_iterations"], int)
+    assert doc["predicted_iterations"] > 200
+    rows = [r for r in (out / "fixpoint.csv").read_text().splitlines()
+            if not r.startswith("#")]
+    params = ansatz.build_params(1e-5)
+    fp = analysis.fixed_point(ansatz.build_profile(params), 1e-5, eps=params.eps,
+                              require_contraction=False)
+    assert len(rows) - 1 == len(fp.increments) < 200
 
 
 def test_residual_json(tmp_path):

@@ -9,8 +9,11 @@ runs, with this checkout's ``src`` first on the import path:
   both signs, the eight components the ``branch`` benchmark continues;
 * ``solve_bvp(lam, build_profile(build_params(lam)))`` at lam = 1e-4, 1e-5
   and 1e-6, the ansatz-started direct solve;
-* the ansatz guesses of those solves, and ``multilayer_ansatz(k, 1e-4,
-  mode)`` for (1, neumann) and k = 2, 3 in both modes;
+* ``build_profile(build_params(lam))`` at the ladder lam = 1e-2 ... 1e-5,
+  at the solves' lam = 1e-6 and at lam = 1e-150, where the boundary
+  layer's stretched stack reaches its full depth before the correction
+  window reaches r = 0.55, and ``multilayer_ansatz(k, 1e-4, mode)`` for
+  (1, neumann) and k = 2, 3 in both modes;
 * ``build_params(lam)`` over 132 lambdas, ``logspace(-1, -300, 120)`` and
   the ladders the tests and benchmark use, which cross both matching-order
   transitions;
@@ -41,7 +44,7 @@ double, as the solver stores it), ``values`` (long double),
 concatenated array with the per-point lengths in ``history_len``; a solved
 point keeps no derivatives.  For each ansatz it holds the profile's
 ``grid``, ``values``, ``d1``, ``d2`` and ``piece``, and for the
-single-layer guesses ``r_tilde`` and ``gamma_eps``.
+single-layer ones ``r_tilde`` and ``gamma_eps``.
 The ``params`` case holds one entry per lambda: ``lam``, ``eps``,
 ``gamma_eps``, ``r_tilde``, ``matching_order``, the correction constants
 ``nu1``, ``nu2``, ``zeta1`` and ``zeta2``, and ``matching_error`` (whether
@@ -99,6 +102,9 @@ CERTIFIED = 1e-10  # the continuation corrector's residual tolerance
 MU_RTOL = 1e-12  # a branch's mu departing by more is sampled elsewhere
 LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
 FIXED_POINTS = ((1e-4, True), (1e-5, False))  # (lam, require_contraction)
+# the single-layer ansatz: the ladder, the last solve's and one with a
+# full-depth stack
+ANSATZ_LAMBDAS = LADDER + (1e-6, 1e-150)
 B_GRID = (1e-4, 1e-3, 1e-2)  # the criteria's and the layers benchmark's b
 CONSTANTS = ("nu1", "nu2", "zeta1", "zeta2")  # the far-field correction constants
 BESSEL_RADII = np.concatenate([np.geomspace(1e-8, 1.0, 50_000),
@@ -155,6 +161,17 @@ def _worst_residual(points) -> float:
 def _profile_fields(profile) -> dict:
     return {key: getattr(profile, key)
             for key in ("grid", "values", "d1", "d2", "piece")}
+
+
+def _ansatz_fields() -> dict:
+    out = {}
+    for lam in ANSATZ_LAMBDAS:
+        params = ansatz.build_params(lam)
+        fields = {**_profile_fields(ansatz.build_profile(params)),
+                  "r_tilde": np.array(params.r_tilde),
+                  "gamma_eps": np.array(params.gamma_eps)}
+        out.update({f"ansatz{lam:g}/{key}": val for key, val in fields.items()})
+    return out
 
 
 def _params_fields() -> dict:
@@ -228,6 +245,7 @@ def _analysis_fields() -> dict:
 def dump() -> tuple[dict, list[str]]:
     """The dump, and the branch cases whose residual exceeds ``CERTIFIED``."""
     out = {f"params/{key}": val for key, val in _params_fields().items()}
+    out.update(_ansatz_fields())
     out.update(_analysis_fields())
     uncertified = []
     print(f"params: {out['params/lam'].size} lambdas, "
@@ -242,13 +260,7 @@ def dump() -> tuple[dict, list[str]]:
         print(f"i{i}{sign}: {len(branch)} points, worst long-double residual "
               f"{worst:.3e}")
     for lam in LAMBDAS:
-        params = ansatz.build_params(lam)
-        guess = ansatz.build_profile(params)
-        fields = {**_profile_fields(guess), "r_tilde": np.array(params.r_tilde),
-                  "gamma_eps": np.array(params.gamma_eps)}
-        for key, val in fields.items():
-            out[f"ansatz{lam:g}/{key}"] = val
-        point = bvp.solve_bvp(lam, guess)
+        point = bvp.solve_bvp(lam, ansatz.build_profile(ansatz.build_params(lam)))
         for key, val in _fields([point]).items():
             out[f"lam{lam:g}/{key}"] = val
         print(f"lam {lam:g}: {point.newton_iters} Newton iterations")

@@ -337,9 +337,23 @@ def _cheb_eval(coef: np.ndarray, lo: float, hi: float, x):
     ``coef`` gives K rows from one matrix product; a scalar ``x`` gives one
     value per row.  Like a Clenshaw recurrence, it stays within 10 eps
     sum|c_k| of the exact sum on [-1, 1] (tested against mpmath on decaying
-    degree-161 series)."""
+    degree-161 series).
+
+    Raises
+    ------
+    DomainError
+        If a point maps outside [-1, 1] by more than 2 eps (1 + |off|),
+        the rounding bound of off + scl x at x = lo or hi, or is not a
+        number: past the interval the series extrapolates.  The ends of
+        400,000 windows [r_lo, 1] and stacks [-depth, 0] map past +-1 by at
+        most half that margin.
+    """
     off, scl = _to_unit(lo, hi)
-    return coef.T @ _vander(off + scl * np.asarray(x), len(coef) - 1)
+    t = off + scl * np.asarray(x)
+    if not np.all(np.abs(t) <= 1.0 + 2.0 * np.finfo(float).eps * (1.0 + abs(off))):
+        raise DomainError(f"Chebyshev series on [{lo!r}, {hi!r}] evaluated at "
+                          f"{np.min(x)!r}..{np.max(x)!r}, outside its interval")
+    return coef.T @ _vander(t, len(coef) - 1)
 
 
 def _at_nodes(coef: np.ndarray):
@@ -382,12 +396,15 @@ class _StretchedStack:
     every integral is a Chebyshev antiderivative.
 
     Each source is sampled once, at the Chebyshev nodes the six
-    antiderivatives (IW, the v pair, Iv, the z pair) share, and
-    ``profiles`` evaluates all six as one product of the points'
-    Chebyshev-Vandermonde matrix with their (162, 6) coefficient array;
-    one such product at a point set gives every profile and derivative
-    there.  Against one Clenshaw sum per series the profiles differ by
-    rounding, 2.6e-14 of each profile's maximum as measured.
+    antiderivatives (IW, the v pair, Iv, the z pair) share, and ``coef``
+    holds their (162, 6) coefficient array; ``v_nodes`` keeps v at those
+    nodes.  ``profiles`` evaluates all six as one product of the points'
+    Chebyshev-Vandermonde matrix with ``coef``, and ``fields`` turns the
+    six rows at a point set into every profile and derivative there; a
+    caller that sums more series on the same points may append their
+    columns to ``coef`` and share the matrix.  Against one Clenshaw sum
+    per series the profiles differ by rounding, 2.6e-14 of each profile's
+    maximum as measured.
     """
 
     def __init__(self, gamma: float, depth: float = _S_DEPTH):
@@ -407,13 +424,14 @@ class _StretchedStack:
         iw = _at_nodes(iw_c)
         v_c = vary(self._source(s, ew, iw))
         v, _ = _varied(kern, *_at_nodes(np.column_stack(v_c)))
+        self.v_nodes = v
         iv_c = integral(v)
         z_c = vary(self._source(s, ew, iw, _at_nodes(iv_c), v))
-        self._coef = np.column_stack([iw_c, *v_c, iv_c, *z_c])
+        self.coef = np.column_stack([iw_c, *v_c, iv_c, *z_c])
 
     def profiles(self, s):
         """(IW, int y1 g_v, int y2 g_v, Iv, int y1 g_z, int y2 g_z) at s."""
-        return _cheb_eval(self._coef, -self.depth, 0.0, s)
+        return _cheb_eval(self.coef, -self.depth, 0.0, s)
 
     def _source(self, s, ew, iw, iv=None, v=None):
         """v's source -e^W a1, or z's -e^W (alpha2 - Iv + (a1 + v)^2 / 2)
@@ -433,23 +451,16 @@ class _StretchedStack:
             iw = self.profiles(s)[0]
         return s * iw - s * s * np.log(2.0 * self.gamma)
 
-    def fields(self, s):
-        """(v, v', v'', z, z', z'') in s, from one ``profiles`` pass."""
-        iw, pv0, pv1, iv, pz0, pz1 = self.profiles(s)
+    def fields(self, s, profiles):
+        """(v, v', v'', z, z', z'') in s, from the six ``profiles`` rows at
+        s (however they were summed)."""
+        iw, pv0, pv1, iv, pz0, pz1 = profiles
         kern = _kernel(s)
         ew = kern[4]
         v, dv = _varied(kern, pv0, pv1)
         z, dz = _varied(kern, pz0, pz1)
         return (v, dv, self._source(s, ew, iw) - ew * v,
                 z, dz, self._source(s, ew, iw, iv, v) - ew * z)
-
-    def corrections(self, s: np.ndarray, mu_t: float):
-        """(v, v', v'', z, z', z'') of the sweep and third-order profiles.
-
-        Values and derivatives are in r at s = (r - 1)/mu_tilde.
-        """
-        v, dv, d2v, z, dz, d2z = self.fields(s)
-        return (mu_t * v, dv, d2v / mu_t, mu_t**2 * z, mu_t * dz, d2z)
 
     def far_field(self) -> CorrectionConstants:
         """Far-field lines nu1 s + nu2 of v and zeta1 s + zeta2 of z.
@@ -476,24 +487,28 @@ def _f_alpha(r, mu_t: float, lam: float):
 class BoundaryCorrections:
     """The boundary-layer corrections on the window ``r_window``.
 
-    ``sweeps`` holds the Chebyshev coefficients of -r alpha_eps', alpha_eps
-    and beta_eps on the window, one column each; ``stack`` is the stretched
-    stack of the sweep and third-order profiles v_eps and z_eps.  Calling
-    the object at radii in the window returns the (value, d1, d2) triples
-    of alpha_eps, beta_eps, v_eps and z_eps there, from one
-    Chebyshev-Vandermonde product with each coefficient array.
+    ``coef`` holds nine Chebyshev coefficient columns on the window: those
+    of -r alpha_eps', alpha_eps and beta_eps, then the six series of
+    ``stack``, the stretched stack of the sweep and third-order profiles
+    v_eps and z_eps.  The stack is built on the window's own depth, so a
+    series on [-depth, 0] in s = (r - 1)/mu_tilde is the same series on the
+    window in r.  Calling the object at radii in the window returns the
+    (value, d1, d2) triples of alpha_eps, beta_eps, v_eps and z_eps there,
+    from one Chebyshev-Vandermonde matrix of the radii and one product.
     """
 
     lam: float
     mu_tilde: float
-    sweeps: np.ndarray
+    coef: np.ndarray
     stack: _StretchedStack
     r_window: tuple[float, float]
 
     def __call__(self, r: np.ndarray):
         mu_t = self.mu_tilde
-        ra1, a, b = _cheb_eval(self.sweeps, *self.r_window, r)
-        v, dv, d2v, z, dz, d2z = self.stack.corrections((r - 1.0) / mu_t, mu_t)
+        ra1, a, b, *profiles = _cheb_eval(self.coef, *self.r_window, r)
+        v, dv, d2v, z, dz, d2z = self.stack.fields((r - 1.0) / mu_t, profiles)
+        # to r: v_eps = mu_t v(s) and z_eps = mu_t^2 z(s)
+        v, d2v, z, dz = mu_t * v, d2v / mu_t, mu_t**2 * z, mu_t * dz
         a_d1 = -ra1 / r
         b_d1 = -v / r
         return ((a, a_d1, -a_d1 / r - _f_alpha(r, mu_t, self.lam)),
@@ -502,23 +517,26 @@ class BoundaryCorrections:
 
 
 def boundary_corrections(params: "AnsatzParams") -> BoundaryCorrections:
-    """The boundary-layer corrections on the window [0.55, 1].
+    """The boundary-layer corrections on the window [r_lo, 1].
 
-    The sweep (second-order) and third-order profiles come from the
-    stretched stack, built on the window's own depth in s.  The two radial
-    sweeps have sources free of the unknown and zero data at r = 1:
+    The window reaches down to r = 0.55 or to the stretched depth _S_DEPTH,
+    r_lo = max(0.55, 1 - _S_DEPTH mu_tilde), and the sweep (second-order)
+    and third-order profiles come from the stretched stack built on
+    exactly the window's depth (1 - r_lo)/mu_tilde, so no radius of the
+    window lies past the stack's interval.  The two radial sweeps
+    have sources free of the unknown and zero data at r = 1:
     -(r a')' = r f with f = W'/r - W + ln(lam) gives r a' = int_r^1 t f,
     and (r b')' = -v_eps' gives r b' = -v_eps, so a takes two Chebyshev
     antiderivatives and b one, and their derivatives follow from these
-    relations wherever the result is evaluated.  The far-field constants
-    are ``params.constants``.
+    relations wherever the result is evaluated.  The window's Chebyshev
+    nodes are the stack's, so b's source is the v the stack computed there.
+    The far-field constants are ``params.constants``.
     """
     lam, mu_t = params.lam, params.mu_tilde
-    r_lo = 0.55
+    r_lo = max(0.55, 1.0 - _S_DEPTH * mu_t)
     # an interpolant over the full depth carries ~4e-14 of rounding noise
     # into z on the window, which differencing the profile amplifies
-    stack = _StretchedStack(params.gamma_eps,
-                            depth=min(_S_DEPTH, (1.0 - r_lo) / mu_t))
+    stack = _StretchedStack(params.gamma_eps, depth=(1.0 - r_lo) / mu_t)
 
     r = _nodes(r_lo, 1.0)
 
@@ -527,9 +545,9 @@ def boundary_corrections(params: "AnsatzParams") -> BoundaryCorrections:
 
     ra1 = radial(r * _f_alpha(r, mu_t, lam))          # -r a'
     a_c = radial(-_at_nodes(ra1) / r)
-    b_c = radial(-stack.corrections((r - 1.0) / mu_t, mu_t)[0] / r)
+    b_c = radial(-(mu_t * stack.v_nodes) / r)
     return BoundaryCorrections(lam=lam, mu_tilde=mu_t,
-                               sweeps=np.column_stack([ra1, a_c, b_c]),
+                               coef=np.column_stack([ra1, a_c, b_c, stack.coef]),
                                stack=stack, r_window=(r_lo, 1.0))
 
 
@@ -794,25 +812,43 @@ def _segment(lo, hi, n, cluster=None):
 def _glue(pieces) -> Profile:
     """Join radial pieces (lo, hi, n, fa, fb, label, cluster) into a Profile.
 
-    Each piece samples n ``_segment`` points on [lo, hi] and evaluates the
+    Each piece samples n ``_segment`` points on [lo, hi] and takes the
     (value, d1, d2) triple ``fa`` there, or blends ``fa`` into ``fb`` across
     [lo, hi] when ``fb`` is given.  Empty pieces are skipped, and the points
     at or before the previous piece's end are dropped, so a shared bound is
     one node.
+
+    Each distinct function is called once, on the points of every piece it
+    appears in, and its triple split among them: the piece functions act
+    point by point, so this gives each point the bits of a call per piece.
 
     Raises
     ------
     DomainError
         If the glued values are not all finite.
     """
-    parts = []
+    kept = []
     for lo, hi, n, fa, fb, label, cluster in pieces:
         if hi <= lo + 1e-12:
             continue
         g = _segment(lo, hi, n, cluster)
-        if parts:
-            g = g[g > parts[-1][0][-1] + 1e-14]
-        triple = fa(g) if fb is None else blend(g, fa(g), fb(g), lo, hi)
+        if kept:
+            g = g[g > kept[-1][0][-1] + 1e-14]
+        kept.append((g, lo, hi, fa, fb, label))
+    users = {}  # function -> the indices of the kept pieces that take it
+    for i, (_, _, _, fa, fb, _) in enumerate(kept):
+        for f in (fa, fb):
+            if f is not None:
+                users.setdefault(f, []).append(i)
+    at = {}  # (piece index, function) -> the function's triple on the piece
+    for f, idx in users.items():
+        cuts = np.cumsum([kept[i][0].size for i in idx])[:-1]
+        split = [np.split(t, cuts) for t in f(np.concatenate([kept[i][0] for i in idx]))]
+        for j, i in enumerate(idx):
+            at[i, f] = tuple(t[j] for t in split)
+    parts = []
+    for i, (g, lo, hi, fa, fb, label) in enumerate(kept):
+        triple = at[i, fa] if fb is None else blend(g, at[i, fa], at[i, fb], lo, hi)
         parts.append((g, *triple, np.full(g.size, label)))
     grid, values, d1, d2, piece = (np.concatenate(col) for col in zip(*parts))
     if not np.all(np.isfinite(values)):

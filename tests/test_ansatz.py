@@ -173,7 +173,7 @@ class TestCorrections:
         s = (g4 - 1.0) / mu_t
         stack = corrections4.stack
         a1s = stack.a1(s)
-        v_s, dv_s = stack.fields(s)[:2]
+        v_s, dv_s = stack.fields(s, stack.profiles(s))[:2]
         v = v_r[0]
         res_v = -fd2(v) - ew[1:-1] * v[1:-1] - mu_t * ew[1:-1] * a1s[1:-1]
         assert np.max(np.abs(res_v[keep])) < 1e-6
@@ -210,6 +210,24 @@ class TestCorrections:
                  (z, mu_t**2 * y[7]), (dz, mu_t * y[8])]
         for got, want in pairs:
             assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_one_vandermonde_matrix_per_call(self, monkeypatch, params4):
+        # the window's nodes are the stack's, so beta's source is the v the
+        # stack computed there; a call sums the sweeps and the stack from
+        # one matrix of its radii
+        ansatz._cheb_basis()  # the nodes' own matrices, built once per process
+        built = []
+        vander = ansatz._vander
+
+        def counted(x, deg):
+            built.append(np.shape(x))
+            return vander(x, deg)
+
+        monkeypatch.setattr(ansatz, "_vander", counted)
+        cor = ansatz.boundary_corrections(params4)
+        assert built == []
+        cor(WINDOW)
+        assert built == [WINDOW.shape]
 
 
 class TestOnePass:
@@ -253,6 +271,21 @@ class TestOnePass:
         for j, xj in enumerate(x):
             assert np.array_equal(ansatz._vander(xj, n - 1),
                                   ansatz._vander(x, n - 1)[:, j])
+
+    def test_eval_past_the_interval_raises(self):
+        # the mapped ends of every window [r_lo, 1] and stack [-depth, 0]
+        # pass; a point past an end by more than the map's rounding, or NaN,
+        # raises instead of extrapolating
+        coef = np.ones((ansatz._CHEB_DEG + 2, 2))
+        rng = np.random.default_rng(5)
+        for lo, hi in [(r_lo, 1.0) for r_lo in rng.uniform(0.55, 0.999, 200)] + \
+                [(-depth, 0.0) for depth in rng.uniform(0.01, 40.0, 200)]:
+            ansatz._cheb_eval(coef, lo, hi, np.array([lo, hi]))
+            ansatz._cheb_eval(coef, lo, hi, lo)
+            past = 1e-12 * max(1.0, -lo)
+            for x in (lo - past, hi + past, np.array([lo, hi + past]), np.nan):
+                with pytest.raises(DomainError, match="outside its interval"):
+                    ansatz._cheb_eval(coef, lo, hi, x)
 
     def test_clenshaw_is_chebval_to_the_bit(self):
         rng = np.random.default_rng(3)
@@ -441,6 +474,49 @@ class TestAssembly:
         slope = dw + da + y[1] + db + mu_t * y[8]
         assert np.max(np.abs(prof.values[u4] - value)) <= 1e-10
         assert np.max(np.abs(prof.d1[u4] - slope)) <= 1e-10
+
+    @pytest.mark.parametrize("lam", [1e-150, 1e-200, 1e-300])
+    def test_stack_pieces_stay_on_the_outer_scale(self, lam):
+        # below lambda ~ 1e-122 the stack's depth reaches 40 before the
+        # window reaches r = 0.55; the window follows the depth, so the u3
+        # and u4 pieces are not series extrapolated past their interval
+        # (measured 1.006, 1.005 and 1.004)
+        prof = ansatz.build_profile(ansatz.build_params(lam))
+
+        def peak(*labels):
+            return np.max(np.abs(prof.values[np.isin(prof.piece, labels)]))
+
+        assert peak("u3", "u4") <= 1.05 * peak("u2")
+
+    def test_glue_calls_each_piece_function_once(self, monkeypatch, params4):
+        # every distinct piece function runs once, on the points of all the
+        # pieces it covers: u0 on u0 and u1, the outer profile on u1 to u3,
+        # the stack on u3 and u4
+        calls = {}
+        glue = ansatz._glue
+
+        def counted(f):
+            def call(r):
+                calls[f] = calls.get(f, 0) + 1
+                return f(r)
+            return call
+
+        def counting_glue(pieces):
+            wrapped = {}
+            for _, _, _, fa, fb, _, _ in pieces:
+                for f in (fa, fb):
+                    if f is not None and f not in wrapped:
+                        wrapped[f] = counted(f)
+            return glue([(lo, hi, n, wrapped[fa], wrapped.get(fb), label, cl)
+                         for lo, hi, n, fa, fb, label, cl in pieces])
+
+        monkeypatch.setattr(ansatz, "_glue", counting_glue)
+        ansatz.build_profile(params4)
+        assert sorted(calls.values()) == [1, 1, 1]
+        calls.clear()
+        # origin, outer profile and two layer peaks
+        ansatz.multilayer_ansatz(2, 1e-4, greens.NEUMANN)
+        assert sorted(calls.values()) == [1, 1, 1, 1]
 
     def test_boundary_band_envelope(self):
         # outer-vs-stack gap on the matching band, single fitted constant

@@ -51,7 +51,6 @@ __all__ = [
     "build_params",
     "build_profile",
     "multilayer_ansatz",
-    "nu1_closed_form",
     "smoothstep",
 ]
 
@@ -229,11 +228,6 @@ class AnsatzParams:
             raise DomainError("mu^2 must equal exp(H(0))/8")
         if abs(self.h_origin) * self.eps > 4.0:
             raise DomainError("|H(0)| must stay O(1/eps)")
-
-
-def nu1_closed_form(gamma: float) -> float:
-    """Closed form of the second-order sweep slope constant."""
-    return -2.0 * (1.0 - np.log(2.0)) + 2.0 * np.log(2.0) * gamma
 
 
 # ---------------------------------------------------------------------------

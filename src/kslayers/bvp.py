@@ -51,7 +51,6 @@ from .radial import EXP_CAP, RadialOperator, exp_pair, graded_grid, two_sum
 __all__ = [
     "BranchPoint",
     "ConcentrationReport",
-    "radial_eigenvalues",
     "make_grid",
     "solve_bvp",
     "continue_branch",
@@ -86,21 +85,6 @@ class ConcentrationReport:
     boundary_mass: float
     profile_gap: float
     total_mass: float
-
-
-def radial_eigenvalues(count: int) -> np.ndarray:
-    """First eigenvalues of -Delta + 1 on radial Neumann functions.
-
-    The constant mode gives 1; the higher modes are 1 + k_m^2 with k_m the
-    positive zeros of J1, where the radial Neumann condition J0'(k) = 0
-    holds.  These are the continuum values; ``seed_branch`` starts from the
-    discrete operator's own (``_neumann_mode``).
-    """
-    from scipy.special import jn_zeros
-
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    return np.concatenate([[1.0], 1.0 + jn_zeros(1, count) ** 2])[:count]
 
 
 def make_grid(lam: float) -> np.ndarray:

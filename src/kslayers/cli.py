@@ -23,8 +23,7 @@ import numpy as np
 # nondegen, ansatz, analysis and bvp load in the subcommands that use them;
 # no subcommand imports scipy where numpy's LAPACK has a 64-bit-integer ?gtsv
 from . import __version__, greens
-from .errors import ConvergenceError, DomainError, KsLayersError, \
-    NonContractionError
+from .errors import DomainError, KsLayersError
 
 _EXIT_OK = 0
 _EXIT_USAGE = 2
@@ -219,11 +218,8 @@ def _cmd_residual(cfg: RunConfig) -> None:
 def _cmd_fixpoint(cfg: RunConfig) -> None:
     from . import analysis
     params, profile = _build_ansatz_profile(cfg.params)
-    try:
-        fp = analysis.fixed_point(profile, params.lam, eps=params.eps,
-                                  require_contraction=False)
-    except NonContractionError as exc:
-        raise ConvergenceError(f"fixed point did not contract: {exc}")
+    fp = analysis.fixed_point(profile, params.lam, eps=params.eps,
+                              require_contraction=False)
     iters = range(len(fp.increments))
     factors = [fp.factors[i - 1] if i >= 1 and i - 1 < len(fp.factors) else np.nan
                for i in iters]

@@ -92,13 +92,6 @@ class PiecewiseGreen:
     def derivative(self, r) -> np.ndarray:
         return self.evaluate(r)[1]
 
-    def continuity_defect(self) -> float:
-        """Largest jump of the value across the interior interfaces."""
-        i0, _, k0, _ = bessel_table(self.interfaces[1:-1])
-        c = self.coeffs
-        jump = (c[:-1, 0] * k0 + c[:-1, 1] * i0) - (c[1:, 0] * k0 + c[1:, 1] * i0)
-        return float(np.max(np.abs(jump), initial=0.0))
-
 
 @dataclass(frozen=True)
 class LayerConfig:

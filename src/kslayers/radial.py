@@ -94,9 +94,21 @@ def graded_grid(n: int, scale0: float = 0.02, scale1: float = 0.02) -> np.ndarra
     return r
 
 
+def _scipy_lapack(name: str):
+    """``scipy.linalg.lapack``, the package's one scipy import, for LAPACK
+    ``name`` where numpy's LAPACK lacks it; ``ImportError`` names ``name``
+    where scipy is not installed."""
+    try:
+        from scipy.linalg import lapack
+    except ImportError as exc:
+        raise ImportError(f"numpy's LAPACK exports no 64-bit-integer {name}, and "
+                          f"scipy, whose LAPACK would serve, is not installed") from exc
+    return lapack
+
+
 def _scipy_gtsv(dl, d, du, b):
     """``_gtsv`` through scipy's f2py wrapper, told to copy nothing."""
-    from scipy.linalg import lapack
+    lapack = _scipy_lapack("dgtsv")
     *_, x, info = lapack.dgtsv(dl, d, du, b, overwrite_dl=True, overwrite_d=True,
                                overwrite_du=True, overwrite_b=True)
     return x, info
@@ -104,7 +116,7 @@ def _scipy_gtsv(dl, d, du, b):
 
 def _scipy_gttrf(dl, d, du):
     """``_gttrf`` through scipy's f2py wrappers, told to copy nothing."""
-    from scipy.linalg import lapack
+    lapack = _scipy_lapack("dgttrf or dgttrs")
     *factors, info = lapack.dgttrf(dl, d, du, overwrite_dl=True, overwrite_d=True,
                                    overwrite_du=True)
 
@@ -116,7 +128,7 @@ def _scipy_gttrf(dl, d, du):
 
 def _scipy_stebz(d, e, vl, vu):
     """``_stebz_count`` through scipy's f2py wrapper."""
-    from scipy.linalg import lapack
+    lapack = _scipy_lapack("dstebz")
     m, *_, info = lapack.dstebz(d, e, 1, vl, vu, 1, d.size, np.inf, "E")
     return m, info
 

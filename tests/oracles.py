@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 from scipy import special
 
 from kslayers import __version__, bvp, specfun
-from kslayers.errors import ConvergenceError
+from kslayers.errors import ConvergenceError, DomainError
 
 EULER = 0.5772156649015328606
 
@@ -274,8 +274,8 @@ def zero_count_by_sign_diff(u, level=1.0, dead_band=1e-10):
 
 
 def continuity_defect_loop(green):
-    """``PiecewiseGreen.continuity_defect`` as the per-interface loop it was
-    before it became array operations; it must match them to the bit."""
+    """Largest jump of a ``PiecewiseGreen``'s value across its interior
+    interfaces, one interface at a time."""
     worst = 0.0
     i0, _, k0, _ = specfun.bessel_table(green.interfaces[1:-1])
     for j, _ in enumerate(green.interfaces[1:-1]):
@@ -375,6 +375,11 @@ def one_layer_bisect(b, outer_mode, lo=0.05, hi=0.995):
 # ---------------------------------------------------------------------------
 # RK45 reference for the boundary-layer correction stack
 # ---------------------------------------------------------------------------
+
+def nu1_closed_form(gamma: float) -> float:
+    """Closed form of the second-order sweep slope constant."""
+    return -2.0 * (1.0 - np.log(2.0)) + 2.0 * np.log(2.0) * gamma
+
 
 def _stretched_w(s):
     # W = ln sech^2(s/sqrt2) written for deep negative s
@@ -517,6 +522,19 @@ def first_j1_root(lo=3.0, hi=4.5, tol=1e-12) -> float:
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def radial_eigenvalues(count: int) -> np.ndarray:
+    """First eigenvalues of -Delta + 1 on radial Neumann functions.
+
+    The constant mode gives 1; the higher modes are 1 + k_m^2 with k_m the
+    positive zeros of J1, where the radial Neumann condition J0'(k) = 0
+    holds.  These are the continuum values; ``bvp.seed_branch`` starts from
+    the discrete operator's own (``bvp._neumann_mode``).
+    """
+    if count < 1:
+        raise DomainError("count must be >= 1")
+    return np.concatenate([[1.0], 1.0 + special.jn_zeros(1, count) ** 2])[:count]
 
 
 # ---------------------------------------------------------------------------

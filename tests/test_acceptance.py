@@ -107,7 +107,7 @@ def test_criterion_05_correction_constants(params_cache):
     for eps in (0.05, 0.1):
         lam = ansatz.lambda_of_epsilon(eps)
         p, _ = params_cache(lam)
-        closed = ansatz.nu1_closed_form(p.gamma_eps)
+        closed = oracles.nu1_closed_form(p.gamma_eps)
         worst = max(worst, abs(p.constants.nu1 / closed - 1.0))
     ok = worst <= 1e-6
     _report(5, ok, t0, f"max nu1 relative error {worst:.2e} (<=1e-6)")
@@ -239,7 +239,7 @@ def _big_constant(lam):
 
 def test_criterion_11_bifurcation_structure():
     t0 = time.time()
-    lam2 = bvp.radial_eigenvalues(2)[1]
+    lam2 = oracles.radial_eigenvalues(2)[1]
     oracle = 1.0 + oracles.first_j1_root() ** 2
     eig_err = abs(lam2 - oracle)
 

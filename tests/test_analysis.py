@@ -123,10 +123,23 @@ class TestNonlinearity:
             consts.append(np.max(np.abs(n) / np.maximum(env, 1e-300)))
         assert consts[1] == pytest.approx(consts[0], rel=0.5)
 
-    def test_amplitude_guard(self, setup4):
+    def test_is_the_fixed_points_remainder_to_the_bit(self):
+        # at lambda = 2e-5 the fixed point converges with max|phi| = 1.52,
+        # outside the unit ball
+        fp = _fixed_point_at(2e-5)
+        assert fp.converged and np.max(np.abs(fp.phi)) > 1.5
+        prof = ansatz.build_profile(ansatz.build_params(2e-5))
+        n = analysis.nonlinearity(prof, fp.phi, 2e-5)
+        assert np.array_equal(n, analysis._remainder(prof, fp.phi, 2e-5,
+                                                     np.exp(prof.values)))
+
+    def test_overflow_names_radius(self, setup4):
         _, prof = setup4
-        with pytest.raises(DomainError):
-            analysis.nonlinearity(prof, np.full_like(prof.values, 1.5), 1e-4)
+        phi = np.zeros_like(prof.values)
+        phi[7] = 800.0
+        with pytest.raises(OverflowRegionError, match=f"r={prof.grid[7]:.6f}") as exc:
+            analysis.nonlinearity(prof, phi, 1e-4)
+        assert exc.value.radius == prof.grid[7]
 
 
 class TestResidual:

@@ -126,7 +126,7 @@ class TestCorrections:
         lam = ansatz.lambda_of_epsilon(eps)
         params = ansatz.build_params(lam)
         cc = params.constants
-        closed = ansatz.nu1_closed_form(params.gamma_eps)
+        closed = oracles.nu1_closed_form(params.gamma_eps)
         assert cc.nu1 == pytest.approx(closed, rel=1e-6)
 
     def test_first_order_stretched_expansion(self):

@@ -52,21 +52,21 @@ def gtsv_path(request, monkeypatch):
 
 class TestEigenvalues:
     def test_first_is_constant_mode(self):
-        assert bvp.radial_eigenvalues(1)[0] == 1.0
+        assert oracles.radial_eigenvalues(1)[0] == 1.0
 
     def test_second_against_series_oracle(self):
         root = oracles.first_j1_root()
-        lam2 = bvp.radial_eigenvalues(2)[1]
+        lam2 = oracles.radial_eigenvalues(2)[1]
         assert abs(lam2 - (1.0 + root**2)) < 1e-8
         assert lam2 == pytest.approx(15.681970642123, abs=1e-8)
 
     def test_strictly_increasing(self):
-        ev = bvp.radial_eigenvalues(5)
+        ev = oracles.radial_eigenvalues(5)
         assert np.all(np.diff(ev) > 0)
 
     def test_count_validation(self):
         with pytest.raises(DomainError):
-            bvp.radial_eigenvalues(0)
+            oracles.radial_eigenvalues(0)
 
 
 class TestOperator:
@@ -338,7 +338,7 @@ MODE_GRIDS = {"uniform": np.linspace(0.0, 1.0, 2000), "graded": bvp.make_grid(1e
 
 
 class TestNeumannMode:
-    """The seed's discrete mode, by inverse iteration on ?gtsv, against
+    """The seed's discrete mode, by inverse iteration on ?gttrf/?gttrs, against
     scipy's bisection (?stebz) on the symmetrized operator and against the
     continuum eigenvalue 1 + j_{1,i-1}^2."""
 
@@ -665,7 +665,7 @@ def test_branch_leaves_scipy_out(tmp_path):
 
 
 def test_import_leaves_special_out():
-    # scipy.special serves only radial_eigenvalues
+    # the continuum eigenvalues, the one user of scipy.special, live in the tests
     src = os.path.dirname(os.path.dirname(bvp.__file__))
     code = "import sys, kslayers.bvp; print('scipy.special' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -315,6 +315,15 @@ def test_fixpoint_stops_where_tol_is_out_of_reach(tmp_path):
     assert len(rows) - 1 == len(fp.increments) < 200
 
 
+@pytest.mark.parametrize("extra", [["--lambda", "1e-2"],
+                                   ["--lambda", "1e-4", "--outer", "neumann"]])
+def test_fixpoint_overflow_names_the_radius(tmp_path, capsys, extra):
+    code, out = run_cli(["fixpoint", *extra], tmp_path)
+    assert code == 3
+    assert "e^(U+phi) overflows at r=" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_residual_json(tmp_path):
     def reject(token):
         raise ValueError(f"non-JSON constant {token}")

@@ -225,26 +225,7 @@ class TestSolveLayers:
             # interface values exactly 1 and continuity
             vals = g.value(cfg.alphas)
             assert np.max(np.abs(vals - 1.0)) < 1e-12
-            assert g.continuity_defect() < 1e-12
-
-    def test_continuity_defect_matches_the_loop_to_the_bit(self):
-        # solved profiles, whose jumps are rounding, and unsolved layer
-        # values on random radii; k = 0 has no interior interface
-        modes = (greens.DIRICHLET, greens.NEUMANN)
-        profiles = [greens.solve_layers(k, 1e-3, mode)[1]
-                    for k in range(1, 7) for mode in modes]
-        rng = np.random.default_rng(3)
-        for k in range(8):
-            alphas = np.sort(rng.uniform(0.02, 0.98, k))
-            profiles.append(greens.LayerCalculus(
-                alphas, 1e-3, greens.DIRICHLET,
-                values=rng.uniform(0.5, 2.0, k + 1)).green)
-            if k:
-                profiles.append(greens.LayerCalculus(
-                    alphas, 1e-3, greens.NEUMANN,
-                    values=rng.uniform(0.5, 2.0, k)).green)
-        for g in profiles:
-            assert g.continuity_defect() == oracles.continuity_defect_loop(g)
+            assert oracles.continuity_defect_loop(g) < 1e-12
 
     def test_positivity(self):
         _, g = greens.solve_layers(3, 1e-2, greens.NEUMANN)

@@ -8,7 +8,10 @@ runs, with this checkout's ``src`` first on the import path:
 * ``continue_component(seed_branch(i, sign), steps=100)`` for i = 2..5 and
   both signs, the eight components the ``branch`` benchmark continues;
 * ``solve_bvp(lam, build_profile(build_params(lam)))`` at lam = 1e-4, 1e-5
-  and 1e-6, the ansatz-started direct solve;
+  and 1e-6, the ansatz-started direct solve, and the ``concentration_report``
+  of each against the k = 0 reference (b = 4 eps / sqrt2, ``eps=`` the
+  ansatz's eps), as the ``ladder`` benchmark takes it (``origin_mass``,
+  ``layer_fluxes``, ``boundary_mass``, ``profile_gap``, ``total_mass``);
 * ``build_profile(build_params(lam))`` at the ladder lam = 1e-2 ... 1e-5,
   at the solves' lam = 1e-6 and at lam = 1e-150, where the boundary
   layer's stretched stack reaches its full depth before the correction
@@ -17,7 +20,10 @@ runs, with this checkout's ``src`` first on the import path:
 * ``build_params(lam)`` over 132 lambdas, ``logspace(-1, -300, 120)`` and
   the ladders the tests and benchmark use, which cross both matching-order
   transitions;
-* on the ansatz of the ladder lam = 1e-2 ... 1e-5: ``solve_linear`` against
+* on the ansatz of the ladder lam = 1e-2 ... 1e-5: the six fields of
+  ``residual_report(profile, lam, delta, delta1)`` (``residual/``), as the
+  ``ladder`` benchmark and the ``residual`` subcommand take it;
+  ``solve_linear`` against
   one seeded ``random_smooth_field`` (``phi``, ``ratio``, ``eigenvalue``,
   ``overlap``, ``morse_index``) and the ``probe_linear`` ratios, and
   ``fixed_point`` (``phi``, ``increments``, ``factors``, ``rho``,
@@ -39,7 +45,7 @@ runs, with this checkout's ``src`` first on the import path:
   kernels' whole domain.
 
 For each solver case OUT.npz holds, one row per point: ``param`` (long
-double, as the solver stores it), ``values`` (long double),
+double, as the solver stores it), ``values`` (long double), ``u0_value``,
 ``newton_iters``, ``zero_count``, and ``residual_history`` as one
 concatenated array with the per-point lengths in ``history_len``; a solved
 point keeps no derivatives.  For each ansatz it holds the profile's
@@ -107,6 +113,10 @@ FIXED_POINTS = ((1e-4, True), (1e-5, False))  # (lam, require_contraction)
 ANSATZ_LAMBDAS = LADDER + (1e-6, 1e-150)
 B_GRID = (1e-4, 1e-3, 1e-2)  # the criteria's and the layers benchmark's b
 CONSTANTS = ("nu1", "nu2", "zeta1", "zeta2")  # the far-field correction constants
+REPORT = ("sup_weighted_inner", "l1_outer", "star", "starstar", "middle_sup",
+          "inner_envelope_const")  # the ResidualReport fields
+MASSES = ("origin_mass", "layer_fluxes", "boundary_mass", "profile_gap",
+          "total_mass")  # the ConcentrationReport fields
 BESSEL_RADII = np.concatenate([np.geomspace(1e-8, 1.0, 50_000),
                                np.linspace(1e-8, 1.0, 50_000)])
 
@@ -117,6 +127,7 @@ def _fields(points) -> dict:
         "param": np.array([np.longdouble(p.param) for p in points]),
         "values": np.array([np.asarray(p.profile.values, dtype=np.longdouble)
                             for p in points]),
+        "u0_value": np.array([p.u0_value for p in points]),
         "newton_iters": np.array([p.newton_iters for p in points]),
         "zero_count": np.array([p.zero_count for p in points]),
         "residual_history": np.concatenate(history),
@@ -199,6 +210,10 @@ def _analysis_fields() -> dict:
     profiles = {lam: ansatz.build_profile(p) for lam, p in params.items()}
     out = {}
     for lam, prof in profiles.items():
+        _, rep = analysis.residual_report(prof, lam, params[lam].delta,
+                                          params[lam].delta1)
+        out.update({f"residual{lam:g}/{key}": np.array(getattr(rep, key))
+                    for key in REPORT})
         h = analysis.random_smooth_field(prof.grid, np.random.default_rng(0))
         res = analysis.solve_linear(prof, lam, h)
         out.update({f"linear{lam:g}/phi": res.phi,
@@ -260,9 +275,16 @@ def dump() -> tuple[dict, list[str]]:
         print(f"i{i}{sign}: {len(branch)} points, worst long-double residual "
               f"{worst:.3e}")
     for lam in LAMBDAS:
-        point = bvp.solve_bvp(lam, ansatz.build_profile(ansatz.build_params(lam)))
+        params = ansatz.build_params(lam)
+        point = bvp.solve_bvp(lam, ansatz.build_profile(params))
         for key, val in _fields([point]).items():
             out[f"lam{lam:g}/{key}"] = val
+        ref = greens.LayerConfig(k=0, alphas=np.array([]),
+                                 b=4.0 * params.eps / np.sqrt(2.0),
+                                 outer_mode=greens.DIRICHLET)
+        rep = bvp.concentration_report(point, ref, eps=params.eps)
+        out.update({f"report{lam:g}/{key}": np.array(getattr(rep, key))
+                    for key in MASSES})
         print(f"lam {lam:g}: {point.newton_iters} Newton iterations")
     for k, mode in MULTILAYER:
         _, profile = ansatz.multilayer_ansatz(k, MULTILAYER_LAMBDA, mode)

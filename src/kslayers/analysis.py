@@ -47,24 +47,24 @@ __all__ = [
     "random_smooth_field",
 ]
 
+_NU = 0.5  # the weight's decay exponent is -2 - nu, nu in (0, 1)
+
+
 @dataclass(frozen=True)
 class NormParams:
     """Weight parameters of the bubble-scale sup norm."""
 
     lam: float
-    nu: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 < self.nu < 1.0):
-            raise DomainError(f"nu must lie in (0, 1), got {self.nu}")
         if self.lam <= 0:
             raise DomainError("lambda must be positive")
 
 
 def weight_flat(r, p: NormParams) -> np.ndarray:
-    """f_lambda(r) = lambda / (lambda + (1 + r/sqrt(lambda))^(-2-nu))."""
+    """f_lambda(r) = lambda / (lambda + (1 + r/sqrt(lambda))^(-2-nu)), nu = 1/2."""
     r = np.asarray(r, dtype=float)
-    return p.lam / (p.lam + (1.0 + r / np.sqrt(p.lam)) ** (-2.0 - p.nu))
+    return p.lam / (p.lam + (1.0 + r / np.sqrt(p.lam)) ** (-2.0 - _NU))
 
 
 def _chi_inner(r) -> np.ndarray:
@@ -136,22 +136,20 @@ def residual(U: Profile, lam: float) -> np.ndarray:
     return -lap + U.values - lam * np.exp(U.values)
 
 
-def residual_report(U: Profile, lam: float, delta: float | None = None,
-                    delta1: float | None = None) -> tuple[np.ndarray, ResidualReport]:
+def residual_report(U: Profile, lam: float, delta: float,
+                    delta1: float) -> tuple[np.ndarray, ResidualReport]:
     """Residual field plus its norm report.
 
-    ``delta``/``delta1`` bound the middle region for the pointwise sup
-    check; when omitted the middle region is [0.1, 0.9].
+    The middle region of the pointwise sup check is [delta, 1 - 2 delta1],
+    the inner one of the envelope check [0, delta].
     """
     R = residual(U, lam)
     p = NormParams(lam=lam)
     sup_in = norm_weighted_sup(U.grid, R, p)
     l1_out = norm_outer_l1(U.grid, R)
-    lo = delta if delta is not None else 0.1
-    hi = 1.0 - 2.0 * delta1 if delta1 is not None else 0.9
-    mid = (U.grid >= lo) & (U.grid <= hi)
+    mid = (U.grid >= delta) & (U.grid <= 1.0 - 2.0 * delta1)
     middle_sup = float(np.max(np.abs(R[mid]))) if np.any(mid) else np.nan
-    inner = U.grid <= (delta if delta is not None else 0.1)
+    inner = U.grid <= delta
     if np.any(inner):
         # envelope scale: the bubble density itself
         scale = np.maximum(lam * np.exp(U.values[inner]), 1e-300)

@@ -435,14 +435,10 @@ class _StretchedStack:
             return -ew * a1
         return -ew * (self.alpha2(s, iw) - iv + 0.5 * (a1 + v) ** 2)
 
-    def a1(self, s, iw=None):
-        if iw is None:
-            iw = self.profiles(s)[0]
+    def a1(self, s, iw):
         return -iw + (self.gamma / _SQRT2) * s * s
 
-    def alpha2(self, s, iw=None):
-        if iw is None:
-            iw = self.profiles(s)[0]
+    def alpha2(self, s, iw):
         return s * iw - s * s * np.log(2.0 * self.gamma)
 
     def fields(self, s, profiles):

@@ -66,16 +66,23 @@ class BranchPoint:
 
     ``param`` is lambda for the exponential form and mu for the continued
     bifurcation form, where it is the long-double mu the refinement
-    certified; ``zero_count`` counts the zeros of u - 1.
+    certified; ``u0_value`` and ``zero_count`` (the zeros of u - 1) are
+    read off the profile.
     """
 
     param: float | np.longdouble
     profile: Profile
-    u0_value: float
-    zero_count: int
     newton_iters: int
     residual_norm: float
     residual_history: tuple = ()
+
+    @property
+    def u0_value(self) -> float:
+        return float(self.profile.values[0])
+
+    @property
+    def zero_count(self) -> int:
+        return _zero_count(self.profile.values)
 
 
 @dataclass(frozen=True)
@@ -152,6 +159,7 @@ def _solve(op: RadialOperator, potential, rhs) -> np.ndarray:
 
 _MIN_STEP = 1e-3  # backtracking floor; measured converging solves keep t >= 0.5
 _REFINE_STEPS = 20
+_SOLVE_STEPS = 60  # the direct solve's cap on double-precision Newton steps
 # the double loop hands its iterate to the refinement once the quadratic model
 # predicts theta * tol after one more correction.  On the eight 100-step
 # components (808 points) theta = 0.1 leaves 57 points needing a second pair
@@ -276,43 +284,39 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
         residual=size)
 
 
-def solve_bvp(lam: float, initial_guess, tol: float = 1e-9,
-              max_iter: int = 60, grid: np.ndarray | None = None) -> BranchPoint:
+def solve_bvp(lam: float, initial_guess: Profile, tol: float = 1e-9,
+              grid: np.ndarray | None = None) -> BranchPoint:
     """Solve -Delta u + u = lambda e^u with Neumann ends by damped Newton.
 
-    ``initial_guess`` may be a Profile (a solved point's too) or an array;
-    it is interpolated in double onto the solver's graded grid (or onto
-    ``grid`` when supplied).  ``newton_iters`` counts the linear solves
-    made, double steps and refinement corrections.
+    ``initial_guess`` is a Profile (a solved point's too), interpolated in
+    double onto the solver's graded grid (or onto ``grid`` when supplied).
+    Newton takes at most ``_SOLVE_STEPS`` = 60 double steps; ``newton_iters``
+    counts the linear solves made, double steps and refinement corrections.
 
     Raises
     ------
     DomainError
-        Unless lambda is positive and tol finite and positive.
+        Unless lambda and tol are finite and positive and the guess is a
+        Profile with finite values.
     ConvergenceError
         On Newton divergence (carrying the last residual) or on a singular
         Jacobian at a turning point.
     """
-    if lam <= 0:
-        raise DomainError("lambda must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise DomainError(f"lambda={lam}: lambda must be finite and positive")
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol={tol}: the tolerance must be finite and positive")
-    if isinstance(initial_guess, Profile):
-        # a solved point's values are long double, which np.interp rejects
-        src_r = initial_guess.grid
-        src_u = np.asarray(initial_guess.values, dtype=float)
-    else:
-        src_u = np.asarray(initial_guess, dtype=float)
-        src_r = np.linspace(0.0, 1.0, src_u.size)
+    if not isinstance(initial_guess, Profile):
+        raise DomainError(f"the guess is a {type(initial_guess).__name__}, not a Profile")
     r = make_grid(lam) if grid is None else np.asarray(grid, dtype=float)
-    u0 = np.interp(r, src_r, src_u)
+    # a solved point's values are long double, which np.interp rejects
+    u0 = np.interp(r, initial_guess.grid, np.asarray(initial_guess.values, dtype=float))
     if not np.all(np.isfinite(u0)):
         raise DomainError("initial guess must be finite")
     op = RadialOperator(r)
-    sol = _newton(op, _lam_exp, u0, lam, tol, max_iter)
+    sol = _newton(op, _lam_exp, u0, lam, tol, _SOLVE_STEPS)
     return BranchPoint(param=lam,
                        profile=Profile(op.r, sol.u),
-                       u0_value=float(sol.u[0]), zero_count=_zero_count(sol.u),
                        newton_iters=sol.steps + sol.refinements,
                        residual_norm=sol.history[-1],
                        residual_history=tuple(sol.history))
@@ -338,7 +342,6 @@ def _corrector(op: RadialOperator, u, mu, tangent, x_pred) -> BranchPoint:
     sol = _newton(op, _mu_exp, u, mu, 1e-10, 12, border=(tangent, x_pred))
     return BranchPoint(param=sol.p,
                        profile=Profile(op.r, sol.u),
-                       u0_value=float(sol.u[0]), zero_count=_zero_count(sol.u),
                        newton_iters=sol.steps + sol.skipped,
                        residual_norm=sol.history[-1],
                        residual_history=tuple(sol.history))
@@ -353,6 +356,7 @@ def _j1_zero(m: int) -> float:
 
 _MODE_SOLVES = 10  # cap; the McMahon shift settles mu in 2-3 solves
 _MODE_RTOL = 1e-14  # mu's rounding measured at most 6e-16 on 200-20000 nodes
+_SEED_NODES = 2000  # the continued branches' uniform grid
 
 
 def _neumann_mode(op: RadialOperator, i: int) -> tuple[float, np.ndarray]:
@@ -401,12 +405,11 @@ def _neumann_mode(op: RadialOperator, i: int) -> tuple[float, np.ndarray]:
     return mu, phi
 
 
-def seed_branch(i: int, sign: str, n: int = 2000,
-                amplitude: float = 1e-3) -> BranchPoint:
+def seed_branch(i: int, sign: str, amplitude: float = 1e-3) -> BranchPoint:
     """First nonconstant point on the branch bifurcating from (mu_i, 1).
 
     (mu_i, phi) is the discrete Neumann mode of -Delta + 1 on
-    ``np.linspace(0, 1, n)`` (``_neumann_mode``), the bifurcation point of
+    ``np.linspace(0, 1, 2000)`` (``_neumann_mode``), the bifurcation point of
     the discretized problem; mu_i lies 3e-7 (i = 2) to 8e-6 (i = 7)
     relative below the continuum 1 + j_{1,i-1}^2.  The branch is seeded at
     1 + amplitude phi, with the requested sign of the central amplitude,
@@ -421,7 +424,7 @@ def seed_branch(i: int, sign: str, n: int = 2000,
         raise DomainError("sign must be '+' or '-'")
     if i < 2:
         raise DomainError("bifurcation branches exist for i >= 2")
-    op = RadialOperator(np.linspace(0.0, 1.0, n))
+    op = RadialOperator(np.linspace(0.0, 1.0, _SEED_NODES))
     mu_i, phi = _neumann_mode(op, i)
     if sign == "-":
         phi = -phi
@@ -514,7 +517,7 @@ def continue_component(seed: BranchPoint, steps: int = 20) -> list[BranchPoint]:
 # ---------------------------------------------------------------------------
 
 def concentration_report(point: BranchPoint, reference: LayerConfig,
-                         eps: float | None = None) -> ConcentrationReport:
+                         eps: float) -> ConcentrationReport:
     """Masses, layer fluxes and the scaled-profile gap of a solved point.
 
     The gap to the layered Green's profile is measured on the grid minus
@@ -523,7 +526,6 @@ def concentration_report(point: BranchPoint, reference: LayerConfig,
     set never degenerates at desk-scale lambda.
     """
     lam = point.param
-    e = eps if eps is not None else solve_epsilon(lam)
     r = point.profile.grid
     u = point.profile.values
     op = RadialOperator(r)
@@ -543,11 +545,11 @@ def concentration_report(point: BranchPoint, reference: LayerConfig,
 
     fluxes = 1.0 / np.abs(layers.dl)
 
-    band = min(10.0 * max(np.sqrt(lam), e), 0.3)
+    band = min(10.0 * max(np.sqrt(lam), eps), 0.3)
     mask_bd = r >= 1.0 - band
-    boundary_mass = float(e * np.sum(w[mask_bd] * eu[mask_bd]))
+    boundary_mass = float(eps * np.sum(w[mask_bd] * eu[mask_bd]))
 
-    excl = 10.0 * max(np.sqrt(lam), e)
+    excl = 10.0 * max(np.sqrt(lam), eps)
     # keep a genuine compact set at desk scales
     gaps = np.diff(np.concatenate([[0.0], radii]))
     excl = min(excl, 0.4 * float(np.min(gaps)))
@@ -555,7 +557,7 @@ def concentration_report(point: BranchPoint, reference: LayerConfig,
     for a in radii:
         keep &= np.abs(r - a) >= excl
     gval = g.value(r[keep])
-    gap = float(np.max(np.abs(e * u[keep] - np.sqrt(2.0) * gval)))
+    gap = float(np.max(np.abs(eps * u[keep] - np.sqrt(2.0) * gval)))
     return ConcentrationReport(origin_mass=origin_mass, layer_fluxes=fluxes,
                                boundary_mass=boundary_mass, profile_gap=gap,
                                total_mass=total_mass)

@@ -39,8 +39,9 @@ class RunConfig:
     out_dir: str = "."
 
     def validate(self) -> None:
-        if "lam" in self.params and self.params["lam"] <= 0:
-            raise DomainError("lambda values must be positive")
+        lam = self.params.get("lam")
+        if lam is not None and not (math.isfinite(lam) and lam > 0):
+            raise DomainError(f"lambda={lam}: lambda must be finite and positive")
         eta = self.params.get("eta")
         if eta is not None and not (2.0 / 3.0 < eta < 1.0):
             raise DomainError(
@@ -244,6 +245,8 @@ def _cmd_solve(cfg: RunConfig) -> None:
     elif init == "constant":
         guess = bvp.constant_profile(lam, value=p.get("value", 1.0))
     elif init == "file":
+        if "file" not in p:
+            raise DomainError("--init file needs --file, the CSV r,u initial guess")
         guess = _read_profile_csv(p["file"])
     else:
         raise DomainError(f"unknown init {init!r}")
@@ -311,8 +314,7 @@ def _cmd_report(cfg: RunConfig) -> None:
         raise DomainError(f"k={p['k']}: the reference family needs k >= 1")
     prof = _read_profile_csv(p["infile"])
     lam = p["lam"]
-    point = bvp.BranchPoint(param=lam, profile=prof, u0_value=float(prof.values[0]),
-                            zero_count=0, newton_iters=0, residual_norm=np.nan)
+    point = bvp.BranchPoint(param=lam, profile=prof, newton_iters=0, residual_norm=np.nan)
     eps = ansatz.solve_epsilon(lam)
     b = 4.0 * eps / np.sqrt(2.0)
     outer = p.get("outer", "dirichlet_one")

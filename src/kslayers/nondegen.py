@@ -58,13 +58,13 @@ class NondegenMatrix:
     cond: float
 
 
-def assemble_Ak(alphas, b: float, check: bool = True) -> NondegenMatrix:
+def assemble_Ak(alphas, b: float) -> NondegenMatrix:
     """Assemble the tridiagonal shift-derivative matrix over the free radii.
 
     ``alphas`` are the free interior radii of a converged ``dirichlet_one``
     solve (the boundary sphere r = 1 is appended internally and never
-    shifted).  Entries are analytic; with ``check`` central differences of
-    the fluxes at shifted radii guard every entry at 1e-5 relative.
+    shifted).  Entries are analytic; central differences of the fluxes at
+    shifted radii guard every entry at 1e-5 relative.
 
     Raises
     ------
@@ -74,16 +74,14 @@ def assemble_Ak(alphas, b: float, check: bool = True) -> NondegenMatrix:
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     k = alphas.size
     entries = LayerCalculus(alphas, b, DIRICHLET).defect_jacobian()
-
-    if check:
-        fd = _fd_entries(alphas, b)
-        scale = np.maximum(np.abs(entries), 1e-6)
-        bad = np.abs(entries - fd) > _FD_GUARD_RTOL * scale
-        if np.any(bad):
-            i, j = np.argwhere(bad)[0]
-            raise InternalConsistencyError(
-                f"analytic A[{i},{j}]={entries[i, j]:.10g} vs finite difference "
-                f"{fd[i, j]:.10g} beyond {_FD_GUARD_RTOL} relative")
+    fd = _fd_entries(alphas, b)
+    scale = np.maximum(np.abs(entries), 1e-6)
+    bad = np.abs(entries - fd) > _FD_GUARD_RTOL * scale
+    if np.any(bad):
+        i, j = np.argwhere(bad)[0]
+        raise InternalConsistencyError(
+            f"analytic A[{i},{j}]={entries[i, j]:.10g} vs finite difference "
+            f"{fd[i, j]:.10g} beyond {_FD_GUARD_RTOL} relative")
 
     det = tridiag_det(entries)
     cond = float(np.linalg.cond(entries))

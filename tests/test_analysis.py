@@ -51,10 +51,6 @@ class TestNorms:
         assert analysis.norm_star(r, u, p) == max(abs(np.log(1e-3)) * sup_in, l1)
         assert analysis.norm_starstar(r, u, p) == max(sup_in, l1)
 
-    def test_nu_window(self):
-        with pytest.raises(DomainError):
-            analysis.NormParams(lam=1e-3, nu=1.5)
-
 
 class TestKernelMode:
     def test_values(self):

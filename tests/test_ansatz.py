@@ -140,8 +140,9 @@ class TestCorrections:
         r = 1.0 + mu_t * s
         assert r.min() > cor.r_window[0]
         a_num = cor(r)[0][0] / mu_t
-        a1 = cor.stack.a1(s)
-        a2 = cor.stack.alpha2(s)
+        iw = cor.stack.profiles(s)[0]
+        a1 = cor.stack.a1(s, iw)
+        a2 = cor.stack.alpha2(s, iw)
         err = np.abs(a_num - a1 - mu_t * a2)
         # remainder envelope mu^2 max(s^4, 1) with one fitted constant
         c = np.max(err / (mu_t**2 * np.maximum(s**4, 1.0)))
@@ -172,8 +173,9 @@ class TestCorrections:
         ew = np.exp(w)
         s = (g4 - 1.0) / mu_t
         stack = corrections4.stack
-        a1s = stack.a1(s)
-        v_s, dv_s = stack.fields(s, stack.profiles(s))[:2]
+        prof_s = stack.profiles(s)
+        a1s = stack.a1(s, prof_s[0])
+        v_s, dv_s = stack.fields(s, prof_s)[:2]
         v = v_r[0]
         res_v = -fd2(v) - ew[1:-1] * v[1:-1] - mu_t * ew[1:-1] * a1s[1:-1]
         assert np.max(np.abs(res_v[keep])) < 1e-6
@@ -183,7 +185,7 @@ class TestCorrections:
         assert np.max(np.abs(res_b[keep])) < 1e-6
 
         z = z_r[0]
-        bracket = (stack.alpha2(s) - stack.profiles(s)[3]
+        bracket = (stack.alpha2(s, prof_s[0]) - prof_s[3]
                    + 0.5 * (a1s + v_s) ** 2)
         res_z = -fd2(z) - ew[1:-1] * z[1:-1] \
             - mu_t**2 * ew[1:-1] * bracket[1:-1]

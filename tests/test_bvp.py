@@ -259,7 +259,7 @@ class TestDirectSolve:
         params = ansatz.build_params(1e-3)
         prof = ansatz.build_profile(params)
         with pytest.raises(ConvergenceError):
-            bvp.solve_bvp(1e-3, prof, max_iter=40)
+            bvp.solve_bvp(1e-3, prof)
 
     def test_grid_refinement_second_order(self):
         # uniform grids so every cell halves with n (the production grading
@@ -278,6 +278,13 @@ class TestDirectSolve:
     def test_validation(self):
         with pytest.raises(DomainError):
             bvp.solve_bvp(-1.0, bvp.constant_profile(1e-3))
+        # unchecked, NaN would reach the grid and inf the Jacobian
+        for lam in (np.inf, np.nan):
+            with pytest.raises(DomainError, match=f"lambda={lam}"):
+                bvp.solve_bvp(lam, bvp.constant_profile(1e-3))
+        # a bare array carries no grid to interpolate from
+        with pytest.raises(DomainError, match="ndarray, not a Profile"):
+            bvp.solve_bvp(1e-3, bvp.constant_profile(1e-3).values)
         # an infinite tolerance would certify the guess unsolved
         for tol in (np.inf, np.nan, 0.0):
             with pytest.raises(DomainError):
@@ -469,7 +476,8 @@ class TestContinuation:
 
     def test_a_shrinking_branch_is_a_convergence_error(self, monkeypatch):
         seed = bvp.seed_branch(2, "+")
-        shrunk = dataclasses.replace(seed, u0_value=1.0 + 0.5 * (seed.u0_value - 1.0))
+        shrunk = dataclasses.replace(seed, profile=ansatz.Profile(
+            seed.profile.grid, 1.0 + 0.5 * (seed.profile.values - 1.0)))
         calls = self._one_call(monkeypatch, lambda: [seed, shrunk])
         with pytest.raises(ConvergenceError, match="does not grow"):
             bvp.continue_component(seed, steps=5)
@@ -540,16 +548,15 @@ class TestContinuation:
 
 
 class TestSameBitsAsTwoEvaluations:
-    """One f(u, p, jac=True) per iterate and the one-pass zero count
-    reproduce the solvers that evaluated each afresh (``oracles``) to the
-    bit."""
+    """One f(u, p, jac=True) per iterate reproduces the solvers that
+    evaluated it afresh (``oracles``) to the bit, and the one-pass zero
+    count the sign-difference one."""
 
     @staticmethod
     def _both(run, monkeypatch):
         new = run()
         with monkeypatch.context() as m:
             m.setattr(bvp, "_newton", oracles.newton_two_evaluations)
-            m.setattr(bvp, "_zero_count", oracles.zero_count_by_sign_diff)
             old = run()
         return new, old
 
@@ -626,48 +633,6 @@ def test_solve_leaves_scipy_out():
     code = ("import sys, numpy as np; from kslayers.radial import RadialOperator; "
             "RadialOperator(np.linspace(0, 1, 50)).solve(0.0, np.ones(50)); "
             "print('scipy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
-
-
-def _cli_leaves_scipy_out(argv) -> str:
-    """``exit code, 'scipy' in sys.modules`` after ``kslayers.cli argv`` in a
-    fresh interpreter, which solves with the ?gtsv and ?gttrf numpy loaded."""
-    if radial._numpy_gtsv() is None:
-        pytest.skip(NO_NUMPY_GTSV)
-    if radial._numpy_gttrf() is None:
-        pytest.skip(NO_NUMPY_GTTRF)
-    src = os.path.dirname(os.path.dirname(radial.__file__))
-    code = ("import runpy, sys\n"
-            f"sys.argv = {['kslayers.cli', *argv]!r}\n"
-            "try:\n"
-            "    runpy.run_module('kslayers.cli', run_name='__main__')\n"
-            "except SystemExit as exit:\n"
-            "    print(exit.code, 'scipy' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    return out.stdout.strip().splitlines()[-1]
-
-
-def test_fixpoint_leaves_scipy_out(tmp_path):
-    # the fixed point factors its operator once, with ?gttrf
-    argv = ["fixpoint", "--lambda", "1e-4", "--out", str(tmp_path)]
-    assert _cli_leaves_scipy_out(argv) == "0 False"
-
-
-def test_branch_leaves_scipy_out(tmp_path):
-    # the seed's mode comes from inverse iteration, not from scipy's Bessel zeros
-    argv = ["branch", "--i", "2", "--sign", "+", "--steps", "3", "--out", str(tmp_path)]
-    assert _cli_leaves_scipy_out(argv) == "0 False"
-
-
-def test_import_leaves_special_out():
-    # the continuum eigenvalues, the one user of scipy.special, live in the tests
-    src = os.path.dirname(os.path.dirname(bvp.__file__))
-    code = "import sys, kslayers.bvp; print('scipy.special' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})

@@ -204,6 +204,22 @@ def test_solve_tolerance_must_be_finite(tmp_path, capsys, tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam", ["inf", "nan"])
+def test_solve_lambda_must_be_finite(tmp_path, capsys, lam):
+    # unchecked, inf would reach the Jacobian (exit 3) and NaN the grid
+    code, out = run_cli(["solve", "--lambda", lam, "--init", "constant"], tmp_path)
+    assert code == 2
+    assert f"lambda={lam}: lambda must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_init_file_names_the_missing_flag(tmp_path, capsys):
+    code, out = run_cli(["solve", "--lambda", "1e-4", "--init", "file"], tmp_path)
+    assert code == 2
+    assert "--init file needs --file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [["--k", "0"], ["--k", "-3"],
                                   ["--k", "0", "--outer", "neumann"]],
                          ids=["zero", "negative", "zero-neumann"])

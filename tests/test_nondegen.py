@@ -34,7 +34,7 @@ class TestMatrixAssembly:
 
     def test_analytic_vs_finite_difference(self, solved_configs):
         cfg, _ = solved_configs[3]
-        mat = nondegen.assemble_Ak(cfg.alphas, 1e-3, check=False)
+        mat = nondegen.assemble_Ak(cfg.alphas, 1e-3)
         fd = nondegen._fd_entries(cfg.alphas, 1e-3)
         scale = np.maximum(np.abs(mat.entries), 1e-6)
         assert np.max(np.abs(mat.entries - fd) / scale) < 1e-5
@@ -62,7 +62,7 @@ class TestMatrixAssembly:
             cfg, _ = greens.solve_layers(3, b, mode)
             jac = greens.LayerCalculus(cfg.alphas, b, mode).defect_jacobian()
             if mode == greens.DIRICHLET:
-                mat = nondegen.assemble_Ak(cfg.alphas, b, check=False)
+                mat = nondegen.assemble_Ak(cfg.alphas, b)
                 assert np.array_equal(mat.entries, jac)
             for j in range(3):
                 up = cfg.alphas.copy()
@@ -79,13 +79,13 @@ class TestMatrixAssembly:
 class TestDeterminant:
     def test_recurrence_vs_lu(self, solved_configs):
         cfg, _ = solved_configs[3]
-        mat = nondegen.assemble_Ak(cfg.alphas, 1e-3, check=False)
+        mat = nondegen.assemble_Ak(cfg.alphas, 1e-3)
         lu_det = float(np.linalg.det(mat.entries))
         assert mat.det == pytest.approx(lu_det, rel=1e-10)
 
     def test_scaling_homogeneity(self, solved_configs):
         cfg, _ = solved_configs[3]
-        mat = nondegen.assemble_Ak(cfg.alphas, 1e-3, check=False)
+        mat = nondegen.assemble_Ak(cfg.alphas, 1e-3)
         t = 2.5
         assert nondegen.tridiag_det(t * mat.entries) == pytest.approx(
             t**3 * mat.det, rel=1e-12)

@@ -28,13 +28,11 @@ from .ansatz import Profile, smoothstep, solve_epsilon
 from .radial import EXP_CAP, RadialOperator, exp_pair, two_sum
 
 __all__ = [
-    "NormParams",
     "ResidualReport",
     "weight_flat",
     "norm_weighted_sup",
     "norm_outer_l1",
     "norm_star",
-    "norm_starstar",
     "residual",
     "residual_report",
     "nonlinearity",
@@ -48,23 +46,19 @@ __all__ = [
 ]
 
 _NU = 0.5  # the weight's decay exponent is -2 - nu, nu in (0, 1)
+_SINGULAR_TOL = 1e-9  # |eigenvalue| below this times 1 + max|V| is a kernel
+_PROBE_RHS, _PROBE_SEED = 10, 0  # probe_linear's right-hand sides, their seed
 
 
-@dataclass(frozen=True)
-class NormParams:
-    """Weight parameters of the bubble-scale sup norm."""
+def weight_flat(r, lam: float) -> np.ndarray:
+    """f_lambda(r) = lambda / (lambda + (1 + r/sqrt(lambda))^(-2-nu)), nu = 1/2.
 
-    lam: float
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise DomainError("lambda must be positive")
-
-
-def weight_flat(r, p: NormParams) -> np.ndarray:
-    """f_lambda(r) = lambda / (lambda + (1 + r/sqrt(lambda))^(-2-nu)), nu = 1/2."""
+    Raises ``DomainError`` unless lambda > 0.
+    """
+    if not lam > 0:
+        raise DomainError("lambda must be positive")
     r = np.asarray(r, dtype=float)
-    return p.lam / (p.lam + (1.0 + r / np.sqrt(p.lam)) ** (-2.0 - _NU))
+    return lam / (lam + (1.0 + r / np.sqrt(lam)) ** (-2.0 - _NU))
 
 
 def _chi_inner(r) -> np.ndarray:
@@ -79,8 +73,8 @@ def _chi_outer(r) -> np.ndarray:
     return q
 
 
-def norm_weighted_sup(grid, values, p: NormParams) -> float:
-    return float(np.max(weight_flat(grid, p) * np.abs(_chi_inner(grid) * values)))
+def norm_weighted_sup(grid, values, lam: float) -> float:
+    return float(np.max(weight_flat(grid, lam) * np.abs(_chi_inner(grid) * values)))
 
 
 def norm_outer_l1(grid, values) -> float:
@@ -89,13 +83,9 @@ def norm_outer_l1(grid, values) -> float:
     return float(np.trapezoid(f, grid))
 
 
-def norm_star(grid, values, p: NormParams) -> float:
-    return max(abs(np.log(p.lam)) * norm_weighted_sup(grid, values, p),
-               norm_outer_l1(grid, values))
-
-
-def norm_starstar(grid, values, p: NormParams) -> float:
-    return max(norm_weighted_sup(grid, values, p),
+def norm_star(grid, values, lam: float) -> float:
+    # the weight checks lambda > 0 before its logarithm is taken
+    return max(norm_weighted_sup(grid, values, lam) * abs(np.log(lam)),
                norm_outer_l1(grid, values))
 
 
@@ -144,8 +134,7 @@ def residual_report(U: Profile, lam: float, delta: float,
     the inner one of the envelope check [0, delta].
     """
     R = residual(U, lam)
-    p = NormParams(lam=lam)
-    sup_in = norm_weighted_sup(U.grid, R, p)
+    sup_in = norm_weighted_sup(U.grid, R, lam)
     l1_out = norm_outer_l1(U.grid, R)
     mid = (U.grid >= delta) & (U.grid <= 1.0 - 2.0 * delta1)
     middle_sup = float(np.max(np.abs(R[mid]))) if np.any(mid) else np.nan
@@ -211,38 +200,39 @@ class LinearSolveResult:
     morse_index: int
 
 
-def solve_linear(U: Profile, lam: float, h: np.ndarray, mu: float | None = None,
-                 singular_tol: float = 1e-9) -> LinearSolveResult:
+def solve_linear(U: Profile, lam: float, h: np.ndarray) -> LinearSolveResult:
     """Solve (-Delta + 1 - lambda e^U) phi = h with Neumann ends.
 
     Returns phi, the measured ratio ||phi||_inf / ||h||_*, the smallest
     eigenvalue of the discrete operator, the overlap of its mode with the
     cut-off bubble dilation mode and the operator's Morse index (its
-    number of negative eigenvalues).
+    number of negative eigenvalues).  The dilation mode's scale
+    a = lambda mu^2 is read off the potential V = lambda e^U at the origin:
+    a = 8 / V(0), as for the planar bubble, whose lambda e^u(0) is 8 / a.
 
     Raises
     ------
     NearKernelError
-        When the discrete operator is numerically singular; the overlap
+        When the discrete operator is numerically singular (|eigenvalue|
+        below ``_SINGULAR_TOL`` = 1e-9 times 1 + max |V|); the overlap
         diagnostic tells whether the bubble dilation mode is responsible
-        (NaN where the factorization met an exactly zero pivot).
+        (NaN where the factorization met an exactly zero pivot, or where
+        V(0) gives no finite positive scale).
     ConvergenceError
         When the eigenvalue monitor cannot certify its eigenvalue.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != U.values.shape:
         raise DomainError("right-hand side must live on the profile grid")
-    solve, eig, overlap, morse = _linearized(U, lam, mu, singular_tol)
+    solve, eig, overlap, morse = _linearized(U, lam)
     phi = solve(h)
-    p = NormParams(lam=lam)
-    hstar = norm_star(U.grid, h, p)
+    hstar = norm_star(U.grid, h, lam)
     ratio = float(np.max(np.abs(phi)) / hstar) if hstar > 0 else np.inf
     return LinearSolveResult(phi=phi, ratio=ratio, smallest_eigenvalue=float(eig),
                              kernel_overlap=overlap, morse_index=morse)
 
 
-def _linearized(U: Profile, lam: float, mu: float | None = None,
-                singular_tol: float = 1e-9):
+def _linearized(U: Profile, lam: float):
     """``solve_linear``'s (solve, smallest eigenvalue, kernel overlap, Morse
     index) at U, past its monitor's NearKernelError; ``solve`` runs ?gttrs
     on the monitor's factor of the operator, which gives ?gtsv's bits."""
@@ -252,14 +242,19 @@ def _linearized(U: Profile, lam: float, mu: float | None = None,
     # physical scale of the zeroth-order part (stiffness entries are grid
     # artifacts and would mask genuine near-degeneracy)
     scale = 1.0 + float(np.max(np.abs(pot)))
-    mu_eff = mu if mu is not None else 1.0
-    zmode = kernel_mode(U.grid, lam, mu_eff)[0]
-    cutoff = np.exp(-(U.grid / (10.0 * np.sqrt(lam) * mu_eff)) ** 2)
-    zc = zmode * cutoff
-    w = op.quad_weights()
-    overlap = float(abs(np.sum(w * zc * mode))
-                    / (np.sqrt(np.sum(w * zc**2) * np.sum(w * mode**2)) + 1e-300))
-    if abs(eig) < singular_tol * scale:
+    v0 = float(pot[0])
+    a = 8.0 / v0 if v0 > 0.0 else 0.0  # lambda mu^2 of the bubble at the origin
+    if 0.0 < a < np.inf:
+        # kernel_mode's z at that scale (whose unused derivatives would
+        # overflow for large a), cut off past ten bubble widths
+        r2 = U.grid * U.grid
+        zc = (r2 - a) / (r2 + a) * np.exp(-r2 / (100.0 * a))
+        w = op.quad_weights()
+        overlap = float(abs(np.sum(w * zc * mode))
+                        / (np.sqrt(np.sum(w * zc**2) * np.sum(w * mode**2)) + 1e-300))
+    else:
+        overlap = np.nan
+    if abs(eig) < _SINGULAR_TOL * scale:
         raise NearKernelError(
             f"discrete linearized operator nearly singular "
             f"(eig={eig:.3e}, scale={scale:.3e})",
@@ -400,22 +395,22 @@ def random_smooth_field(grid: np.ndarray, rng: np.random.Generator) -> np.ndarra
     return out
 
 
-def probe_linear(profiles: dict[float, Profile], n_rhs: int = 10,
-                 seed: int = 0) -> dict[float, float]:
+def probe_linear(profiles: dict[float, Profile]) -> dict[float, float]:
     """Measured stability constant of the linear solve over a lambda ladder.
 
-    For each lambda, solves against ``n_rhs`` seeded random smooth
-    right-hand sides and reports sup ||phi||_inf / ||h||_*; a bounded
+    For each lambda, solves against ``_PROBE_RHS`` = 10 random smooth
+    right-hand sides (``random_smooth_field``, seeded with ``_PROBE_SEED``
+    = 0) and reports sup ||phi||_inf / ||h||_*; a bounded
     ladder-wide spread is the numerical stand-in for the uniform-in-lambda
     solvability constant.
     """
     out = {}
     for lam, U in profiles.items():
-        rng = np.random.default_rng(seed)
-        hs = np.column_stack([random_smooth_field(U.grid, rng) for _ in range(n_rhs)])
+        rng = np.random.default_rng(_PROBE_SEED)
+        hs = np.column_stack([random_smooth_field(U.grid, rng)
+                              for _ in range(_PROBE_RHS)])
         solve, *_ = _linearized(U, lam)  # the monitor depends on U alone
         phis = solve(hs)
-        p = NormParams(lam=lam)
-        out[lam] = max(float(np.max(np.abs(phi)) / norm_star(U.grid, h, p))
+        out[lam] = max(float(np.max(np.abs(phi)) / norm_star(U.grid, h, lam))
                        for phi, h in zip(phis.T, hs.T))
     return out

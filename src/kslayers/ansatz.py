@@ -467,9 +467,10 @@ class _StretchedStack:
                                    zeta1_eff=zeta1 + _SWEEP_TAIL - nu2)
 
 
-def _f_alpha(r, mu_t: float, lam: float):
-    """The first radial sweep's source f = W'/r - W + ln(lam)."""
-    w, w1, _ = bubble1d(r, mu_t)
+def _f_alpha(r, bubble, lam: float):
+    """The first radial sweep's source f = W'/r - W + ln(lam), from the
+    ``bubble1d`` triple W at r."""
+    w, w1, _ = bubble
     return w1 / r - w + np.log(lam)
 
 
@@ -483,8 +484,9 @@ class BoundaryCorrections:
     v_eps and z_eps.  The stack is built on the window's own depth, so a
     series on [-depth, 0] in s = (r - 1)/mu_tilde is the same series on the
     window in r.  Calling the object at radii in the window returns the
-    (value, d1, d2) triples of alpha_eps, beta_eps, v_eps and z_eps there,
-    from one Chebyshev-Vandermonde matrix of the radii and one product.
+    (value, d1, d2) triples of the layer bubble W = ``bubble1d``, alpha_eps,
+    beta_eps, v_eps and z_eps there, the corrections from one
+    Chebyshev-Vandermonde matrix of the radii and one product.
     """
 
     lam: float
@@ -495,13 +497,14 @@ class BoundaryCorrections:
 
     def __call__(self, r: np.ndarray):
         mu_t = self.mu_tilde
+        bubble = bubble1d(r, mu_t)
         ra1, a, b, *profiles = _cheb_eval(self.coef, *self.r_window, r)
         v, dv, d2v, z, dz, d2z = self.stack.fields((r - 1.0) / mu_t, profiles)
         # to r: v_eps = mu_t v(s) and z_eps = mu_t^2 z(s)
         v, d2v, z, dz = mu_t * v, d2v / mu_t, mu_t**2 * z, mu_t * dz
         a_d1 = -ra1 / r
         b_d1 = -v / r
-        return ((a, a_d1, -a_d1 / r - _f_alpha(r, mu_t, self.lam)),
+        return (bubble, (a, a_d1, -a_d1 / r - _f_alpha(r, bubble, self.lam)),
                 (b, b_d1, -(b_d1 + dv) / r),
                 (v, dv, d2v), (z, dz, d2z))
 
@@ -533,7 +536,7 @@ def boundary_corrections(params: "AnsatzParams") -> BoundaryCorrections:
     def radial(y):
         return _antiderivative(y, r_lo, 1.0, 1.0)
 
-    ra1 = radial(r * _f_alpha(r, mu_t, lam))          # -r a'
+    ra1 = radial(r * _f_alpha(r, bubble1d(r, mu_t), lam))  # -r a'
     a_c = radial(-_at_nodes(ra1) / r)
     b_c = radial(-(mu_t * stack.v_nodes) / r)
     return BoundaryCorrections(lam=lam, mu_tilde=mu_t,
@@ -654,7 +657,7 @@ def build_params(lam: float, eta: float = 0.8) -> AnsatzParams:
     fixed point, for at most four passes.  Those do not always settle: on
     ``logspace(-1, -300, 120)`` 46 of the 120 lambdas still move gamma after
     four passes, slowest near the order-2 fold, and some alternate their
-    matching order between passes; ROADMAP item 6 replaces the loop.  The
+    matching order between passes; ROADMAP item 9 replaces the loop.  The
     outer profile is then the Green's function with no free layer,
     ``greens.LayerCalculus`` with -A ln r at the origin and the matched data
     at r = 1.  Newton's method finds gamma, with the matching gap's
@@ -716,8 +719,7 @@ def inner_u0(params: AnsatzParams):
     order, symmetric under the radial measure) on 4001 uniform radii.
 
     Returns a callable giving the triple (u0, u0', u0'') on radii in
-    [0, r_tilde]; its ``h0_grid``, ``h0_values`` and ``h0_d1`` attributes
-    hold the correction's grid, values and slope.
+    [0, r_tilde].
     """
     lam, mu, rt = params.lam, params.mu, params.r_tilde
     r = np.linspace(0.0, rt, 4001)
@@ -741,9 +743,6 @@ def inner_u0(params: AnsatzParams):
         return (b + np.interp(rr, r, h0), b1 + np.interp(rr, r, d1),
                 b2 + np.interp(rr, r, d2))
 
-    u0.h0_grid = r
-    u0.h0_values = h0
-    u0.h0_d1 = d1
     return u0
 
 
@@ -865,8 +864,7 @@ def build_profile(params: AnsatzParams) -> Profile:
     u0 = inner_u0(params)
 
     def stack4(rr):
-        w, wp, wpp = bubble1d(rr, params.mu_tilde)
-        (a, a1, a2), (b, b1, b2), (v, v1, v2), (z, z1, z2) = cor(rr)
+        (w, wp, wpp), (a, a1, a2), (b, b1, b2), (v, v1, v2), (z, z1, z2) = cor(rr)
         return (w - np.log(lam) + a + v + b + z,
                 wp + a1 + v1 + b1 + z1,
                 wpp + a2 + v2 + b2 + z2)

@@ -357,6 +357,7 @@ def _j1_zero(m: int) -> float:
 _MODE_SOLVES = 10  # cap; the McMahon shift settles mu in 2-3 solves
 _MODE_RTOL = 1e-14  # mu's rounding measured at most 6e-16 on 200-20000 nodes
 _SEED_NODES = 2000  # the continued branches' uniform grid
+_SEED_AMPLITUDE = 1e-3  # the seed's central amplitude |u(0) - 1|
 
 
 def _neumann_mode(op: RadialOperator, i: int) -> tuple[float, np.ndarray]:
@@ -405,15 +406,16 @@ def _neumann_mode(op: RadialOperator, i: int) -> tuple[float, np.ndarray]:
     return mu, phi
 
 
-def seed_branch(i: int, sign: str, amplitude: float = 1e-3) -> BranchPoint:
+def seed_branch(i: int, sign: str) -> BranchPoint:
     """First nonconstant point on the branch bifurcating from (mu_i, 1).
 
     (mu_i, phi) is the discrete Neumann mode of -Delta + 1 on
     ``np.linspace(0, 1, 2000)`` (``_neumann_mode``), the bifurcation point of
     the discretized problem; mu_i lies 3e-7 (i = 2) to 8e-6 (i = 7)
     relative below the continuum 1 + j_{1,i-1}^2.  The branch is seeded at
-    1 + amplitude phi, with the requested sign of the central amplitude,
-    and corrected by a bordered Newton step that fixes the amplitude.
+    1 + 1e-3 phi (``_SEED_AMPLITUDE``), with the requested sign of the
+    central amplitude, and corrected by a bordered Newton step that fixes
+    the amplitude.
 
     Raises
     ------
@@ -430,7 +432,7 @@ def seed_branch(i: int, sign: str, amplitude: float = 1e-3) -> BranchPoint:
         phi = -phi
     w = op.quad_weights()
     tu = phi * w / np.sqrt(np.sum(w * phi * phi))
-    u_pred = 1.0 + amplitude * phi
+    u_pred = 1.0 + _SEED_AMPLITUDE * phi
     return _corrector(op, u_pred, mu_i, (tu, 0.0), (u_pred, mu_i))
 
 

@@ -145,31 +145,35 @@ def sweep_Mk(k_max: int, b_grid) -> list[dict]:
     return rows
 
 
-def jacobian_at_base(alphas, b: float,
-                     outer_mode: str = DIRICHLET) -> np.ndarray:
+def jacobian_at_base(calc: LayerCalculus) -> np.ndarray:
     """Analytic Jacobian N of the flux-matching conditions at the base point.
 
-    The conditions are U'^-(r_i + sigma_i) + 1/gamma_i = 0 and
-    U'^+(r_i + sigma_i) - 1/gamma_i = 0 at each free layer, interleaved,
-    then the left one alone at the boundary sphere in ``dirichlet_one``
-    mode.  Columns are ordered (gamma_1..gamma_K, sigma_1..sigma_n_free);
-    the base point is sigma = 0, gamma_i = -1/U'^-(r_i).
+    ``calc`` is a ``dirichlet_one`` configuration.  The conditions are
+    U'^-(r_i + sigma_i) + 1/gamma_i = 0 and U'^+(r_i + sigma_i) - 1/gamma_i = 0
+    at each free layer, interleaved, then the left one alone at the
+    boundary sphere.  Columns are ordered (gamma_1..gamma_K,
+    sigma_1..sigma_n_free); the base point is sigma = 0,
+    gamma_i = -1/U'^-(r_i).
+
+    Raises
+    ------
+    DomainError
+        If ``calc`` is not in ``dirichlet_one`` mode.
     """
-    calc = LayerCalculus(alphas, b, outer_mode)
+    if calc.outer_mode != DIRICHLET:
+        raise DomainError(f"the base-point Jacobian is of {DIRICHLET} configurations")
     DL, DR = calc.shift_jacobians()
     K = calc.radii.size
     n_free = calc.n_free
-    n_rows = 2 * n_free + (1 if outer_mode == DIRICHLET else 0)
-    jac = np.zeros((n_rows, K + n_free))
+    jac = np.zeros((2 * n_free + 1, K + n_free))
     g = calc.dl**2
     for i in range(n_free):
         jac[2 * i, i] = -g[i]
         jac[2 * i + 1, i] = +g[i]
         jac[2 * i, K:] = DL[i]
         jac[2 * i + 1, K:] = DR[i]
-    if outer_mode == DIRICHLET:
-        jac[-1, K - 1] = -g[-1]
-        jac[-1, K:] = DL[-1]
+    jac[-1, K - 1] = -g[-1]
+    jac[-1, K:] = DL[-1]
     return jac
 
 
@@ -179,13 +183,12 @@ def verify_detN(alphas, b: float) -> dict:
     The base-point Jacobian N factors as det N = s * prod_i g_i * M_{K-1}
     with g_i the squared one-sided fluxes at every value-1 radius and
     s = (-1)^(K(K+1)/2); the record returns both sides and their relative
-    gap.
+    gap.  Both come from one ``dirichlet_one`` layer calculus.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     K = alphas.size + 1
-    jac = jacobian_at_base(alphas, b, DIRICHLET)
-    det_n = float(np.linalg.det(jac))
     calc = LayerCalculus(alphas, b, DIRICHLET)
+    det_n = float(np.linalg.det(jacobian_at_base(calc)))
     g = calc.dl**2
     sign = -1.0 if (K * (K + 1) // 2) % 2 else 1.0
     m_prev = tridiag_det(calc.defect_jacobian()) if alphas.size else 1.0

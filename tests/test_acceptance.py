@@ -169,7 +169,7 @@ def test_criterion_08_linear_probe(params_cache):
     for lam in (1e-2, 1e-3, 1e-4, 1e-5):
         _, prof = params_cache(lam)
         profiles[lam] = prof
-    ratios = analysis.probe_linear(profiles, n_rhs=10, seed=0)
+    ratios = analysis.probe_linear(profiles)
     vals = list(ratios.values())
     spread = max(vals) / min(vals)
     ok = spread < 5.0

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -30,26 +26,29 @@ class TestNorms:
     def test_weight_monotone(self):
         r = np.linspace(0.0, 1.0, 300)
         for lam in (1e-2, 1e-4):
-            p = analysis.NormParams(lam=lam)
-            f = analysis.weight_flat(r, p)
+            f = analysis.weight_flat(r, lam)
             assert np.all(f > 0) and np.all(f <= 1.0)
             assert np.all(np.diff(f) >= 0)
         # in lambda the weight is monotone at the origin (globally the two
         # scalings cross; ledgered misstatement in the source invariant)
-        f0 = [analysis.weight_flat(np.array([0.0]),
-                                   analysis.NormParams(lam=l))[0]
-              for l in (1e-4, 1e-3, 1e-2)]
+        f0 = [analysis.weight_flat(np.array([0.0]), l)[0] for l in (1e-4, 1e-3, 1e-2)]
         assert f0[0] < f0[1] < f0[2]
 
     def test_norm_identities(self):
         rng = np.random.default_rng(0)
         r = np.linspace(0.0, 1.0, 500)
         u = rng.standard_normal(500)
-        p = analysis.NormParams(lam=1e-3)
-        sup_in = analysis.norm_weighted_sup(r, u, p)
+        sup_in = analysis.norm_weighted_sup(r, u, 1e-3)
         l1 = analysis.norm_outer_l1(r, u)
-        assert analysis.norm_star(r, u, p) == max(abs(np.log(1e-3)) * sup_in, l1)
-        assert analysis.norm_starstar(r, u, p) == max(sup_in, l1)
+        assert analysis.norm_star(r, u, 1e-3) == max(abs(np.log(1e-3)) * sup_in, l1)
+
+    @pytest.mark.parametrize("lam", [0.0, -1e-4, np.nan])
+    def test_weight_rejects_a_lambda_that_is_not_positive(self, lam):
+        r = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(DomainError, match="lambda must be positive"):
+            analysis.weight_flat(r, lam)
+        with pytest.raises(DomainError, match="lambda must be positive"):
+            analysis.norm_star(r, np.ones(5), lam)
 
 
 class TestKernelMode:
@@ -175,7 +174,7 @@ class TestSolveLinear:
         phi_m = 0.1 * np.cos(np.pi * prof.grid)
         pot = params.lam * np.exp(prof.values)
         h = op.apply_neg_lap(phi_m) + phi_m - pot * phi_m
-        res = analysis.solve_linear(prof, params.lam, h, mu=params.mu)
+        res = analysis.solve_linear(prof, params.lam, h)
         assert np.max(np.abs(res.phi - phi_m)) < 1e-8
 
     def test_linearity(self, setup4):
@@ -196,6 +195,16 @@ class TestSolveLinear:
         res = analysis.solve_linear(prof, 1e-4, np.ones(r.size))
         assert np.all(res.phi > 0)
         assert np.allclose(res.phi, 1.0, atol=1e-10)
+        # V(0) = 0 gives the dilation mode no scale: no overlap, no warning
+        assert np.isnan(res.kernel_overlap)
+
+    @pytest.mark.parametrize("lam, least", [(1e-4, 0.98), (1e-5, 0.98), (1e-20, 0.7)])
+    def test_overlap_at_the_scale_of_the_origin_bubble(self, lam, least):
+        # the mode nearest 0 is the dilation mode at a = 8 / V(0): measured
+        # 0.990, 0.993 and 0.730 (at mu = 1: 0.18, 0.069 and 0)
+        prof = ansatz.build_profile(ansatz.build_params(lam))
+        res = analysis.solve_linear(prof, lam, np.ones(prof.grid.size))
+        assert least <= res.kernel_overlap <= 1.0
 
     def test_probe_ladder_measured_spread(self):
         # the measured stability constant varies by a factor ~6.4 over the
@@ -206,7 +215,7 @@ class TestSolveLinear:
         for lam in (1e-2, 1e-4):
             p = ansatz.build_params(lam)
             profiles[lam] = ansatz.build_profile(p)
-        ratios = analysis.probe_linear(profiles, n_rhs=4, seed=0)
+        ratios = analysis.probe_linear(profiles)
         assert ratios[1e-2] == pytest.approx(0.0319, rel=0.2)
         assert ratios[1e-4] == pytest.approx(0.2049, rel=0.2)
 
@@ -322,28 +331,14 @@ class TestEigenvalueMonitor:
             op.smallest_eigenvalue(0.0)
         assert exc.value.residual > 1e-12
 
-    def test_solve_linear_leaves_scipy_out(self):
-        # the Sturm counts and the solves use numpy's LAPACK
-        if None in (radial._numpy_gtsv(), radial._numpy_gttrf(), radial._numpy_stebz()):
-            pytest.skip("numpy's LAPACK lacks a 64-bit-integer ?gtsv, ?gttrf or ?stebz")
-        src = os.path.dirname(os.path.dirname(radial.__file__))
-        code = ("import sys, numpy as np; from kslayers import analysis, ansatz; "
-                "prof = ansatz.build_profile(ansatz.build_params(1e-4)); "
-                "analysis.solve_linear(prof, 1e-4, np.ones(prof.grid.size)); "
-                "print('scipy' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True,
-                             env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "False"
-
 
 class TestNearKernel:
-    def test_bubble_linearization_triggers_diagnostic(self):
+    def test_bubble_linearization_triggers_diagnostic(self, monkeypatch):
         # numerically singular at the diagnostic threshold
+        monkeypatch.setattr(analysis, "_SINGULAR_TOL", 1e-7)
         lam, mu = 1e-4, 1.0
         with pytest.raises(NearKernelError) as exc:
-            analysis.solve_linear(_near_kernel_profile(lam, mu), lam, np.ones(2500),
-                                  mu=mu, singular_tol=1e-7)
+            analysis.solve_linear(_near_kernel_profile(lam, mu), lam, np.ones(2500))
         assert exc.value.smallest_singular_value < 1e-3
         assert 0.0 < exc.value.kernel_overlap <= 1.0
 
@@ -373,8 +368,7 @@ class TestFixedPoint:
             - params.lam * np.exp(prof.values)
         pot = params.lam * np.exp(prof.values)
         phi1 = op.solve(pot, -R)
-        p = analysis.NormParams(lam=params.lam)
-        rstar = analysis.norm_star(prof.grid, R, p)
+        rstar = analysis.norm_star(prof.grid, R, params.lam)
         assert np.max(np.abs(phi1)) <= 10.0 * rstar
 
     def test_converges_to_solution(self, setup4):

@@ -117,7 +117,7 @@ WINDOW = np.linspace(0.55, 1.0, 6001)
 
 class TestCorrections:
     def test_terminal_conditions(self, corrections4):
-        for vals, d1, _ in corrections4(WINDOW):
+        for vals, d1, _ in corrections4(WINDOW)[1:]:
             assert abs(vals[-1]) < 1e-12
             assert abs(d1[-1]) < 1e-12
 
@@ -139,7 +139,7 @@ class TestCorrections:
         s = np.linspace(-4.0, -0.5, 30)
         r = 1.0 + mu_t * s
         assert r.min() > cor.r_window[0]
-        a_num = cor(r)[0][0] / mu_t
+        a_num = cor(r)[1][0] / mu_t
         iw = cor.stack.profiles(s)[0]
         a1 = cor.stack.a1(s, iw)
         a2 = cor.stack.alpha2(s, iw)
@@ -163,7 +163,7 @@ class TestCorrections:
         def fd2(v):
             return (v[2:] - 2 * v[1:-1] + v[:-2]) / h**2
 
-        alpha, beta, v_r, z_r = (t[:2] for t in corrections4(g4))
+        alpha, beta, v_r, z_r = (t[:2] for t in corrections4(g4)[1:])
         a, d1a = alpha
         w, wp, _ = ansatz.bubble1d(g4, mu_t)
         f = wp / g4 - w + np.log(lam)
@@ -206,7 +206,7 @@ class TestCorrections:
         mu_t = p.mu_tilde
         y = state((WINDOW - 1.0) / mu_t)
         a, da, b, db = oracles.rk45_radial_sweeps(state, lam, mu_t, WINDOW)
-        (av, ad1, _), (bv, bd1, _), (v, dv, _), (z, dz, _) = cor(WINDOW)
+        _, (av, ad1, _), (bv, bd1, _), (v, dv, _), (z, dz, _) = cor(WINDOW)
         pairs = [(av, a), (ad1, da), (bv, b), (bd1, db),
                  (v, mu_t * y[0]), (dv, y[1]),
                  (z, mu_t**2 * y[7]), (dz, mu_t * y[8])]
@@ -420,11 +420,13 @@ class TestOuterMatching:
 
 class TestInnerPiece:
     def test_regularity_at_origin(self, params4):
-        u0 = ansatz.inner_u0(params4)
-        assert abs(u0.h0_d1[0]) < 1e-8
+        # the correction H0 = u0 - the planar bubble, on its solve's grid
+        r = np.linspace(0.0, params4.r_tilde, 4001)
+        h0, h0_d1, _ = (u - b for u, b in zip(ansatz.inner_u0(params4)(r),
+                                              ansatz.bubble2d(r, params4.mu, params4.lam)))
+        assert abs(h0_d1[0]) < 1e-8
         # the correction's first cell slope is O(h), not O(1)
-        h = u0.h0_grid[1]
-        slope = (u0.h0_values[1] - u0.h0_values[0]) / h
+        slope = (h0[1] - h0[0]) / r[1]
         assert abs(slope) < 1e-2
 
     def test_inner_outer_gap_follows_bubble_tail(self, params4):

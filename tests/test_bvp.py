@@ -1,9 +1,6 @@
 import dataclasses
 import gc
 from fractions import Fraction
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -498,10 +495,11 @@ class TestContinuation:
     @pytest.mark.parametrize("i, amplitude", [(3, 0.0009629876149442671),
                                               (4, 0.000795450441629217),
                                               (5, 0.001038476285154488)])
-    def test_plus_component_from_seeded_amplitude(self, i, amplitude):
+    def test_plus_component_from_seeded_amplitude(self, i, amplitude, monkeypatch):
         # from these seeds an undamped corrector jumps off the growing '+'
         # component onto u ~ 0 after 30-42 points
-        seed = bvp.seed_branch(i, "+", amplitude=amplitude)
+        monkeypatch.setattr(bvp, "_SEED_AMPLITUDE", amplitude)
+        seed = bvp.seed_branch(i, "+")
         br = bvp.continue_component(seed, steps=50)
         assert len(br) == 51
         assert all(p.zero_count == i - 1 for p in br)
@@ -623,17 +621,3 @@ class TestConcentration:
                                  outer_mode=greens.DIRICHLET)
         rep = bvp.concentration_report(point, ref, eps=params.eps)
         assert np.isfinite(rep.profile_gap)
-
-
-def test_solve_leaves_scipy_out():
-    # the solve binds ?gtsv from the LAPACK numpy has loaded
-    if radial._numpy_gtsv() is None:
-        pytest.skip(NO_NUMPY_GTSV)
-    src = os.path.dirname(os.path.dirname(radial.__file__))
-    code = ("import sys, numpy as np; from kslayers.radial import RadialOperator; "
-            "RadialOperator(np.linspace(0, 1, 50)).solve(0.0, np.ones(50)); "
-            "print('scipy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"

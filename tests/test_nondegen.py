@@ -103,6 +103,11 @@ class TestDeterminant:
 
 
 class TestDetNIdentity:
+    def test_jacobian_needs_a_dirichlet_configuration(self):
+        calc = greens.LayerCalculus([0.5], 1e-3, greens.NEUMANN)
+        with pytest.raises(DomainError, match="dirichlet_one"):
+            nondegen.jacobian_at_base(calc)
+
     @pytest.mark.parametrize("n_interior", [0, 1, 2, 3])
     def test_identity_with_normalization(self, n_interior, solved_configs):
         if n_interior == 0:

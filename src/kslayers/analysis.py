@@ -18,14 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NearKernelError,
-    NonContractionError,
-    OverflowRegionError,
-)
+from .errors import DomainError, NearKernelError, NonContractionError
 from .ansatz import Profile, smoothstep, solve_epsilon
-from .radial import EXP_CAP, RadialOperator, exp_pair, two_sum
+from .radial import RadialOperator, checked_exp, exp_pair, two_sum
 
 __all__ = [
     "ResidualReport",
@@ -115,15 +110,11 @@ def residual(U: Profile, lam: float) -> np.ndarray:
     """
     if U.d1 is None or U.d2 is None:
         raise DomainError("the profile carries no derivatives")
-    if np.max(U.values) > EXP_CAP:
-        idx = int(np.argmax(U.values))
-        raise OverflowRegionError(
-            f"e^U overflows at r={U.grid[idx]:.6f} (U={U.values[idx]:.1f})",
-            radius=float(U.grid[idx]))
+    eu = checked_exp(U.values, U.grid)
     lap = np.empty_like(U.values)
     lap[1:] = U.d2[1:] + U.d1[1:] / U.grid[1:]
     lap[0] = 2.0 * U.d2[0]
-    return -lap + U.values - lam * np.exp(U.values)
+    return -lap + U.values - lam * eu
 
 
 def residual_report(U: Profile, lam: float, delta: float,
@@ -141,7 +132,8 @@ def residual_report(U: Profile, lam: float, delta: float,
     inner = U.grid <= delta
     if np.any(inner):
         # envelope scale: the bubble density itself
-        scale = np.maximum(lam * np.exp(U.values[inner]), 1e-300)
+        eu = checked_exp(U.values[inner], U.grid[inner])
+        scale = np.maximum(lam * eu, 1e-300)
         inner_const = float(np.max(np.abs(R[inner]) / scale))
     else:
         inner_const = np.nan
@@ -158,24 +150,19 @@ def nonlinearity(U: Profile, phi: np.ndarray, lam: float) -> np.ndarray:
     """Quadratic remainder lambda (e^{U+phi} - e^U - e^U phi), the map the
     fixed point iterates (``_remainder`` at e^U).
 
-    Raises ``OverflowRegionError`` where e^(U+phi) would overflow, naming
-    the radius.
+    Raises ``OverflowRegionError`` where e^U or e^(U+phi) would overflow,
+    naming the radius.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != U.values.shape:
         raise DomainError("phi must live on the profile grid")
-    return _remainder(U, phi, lam, np.exp(U.values))
+    return _remainder(U, phi, lam, checked_exp(U.values, U.grid))
 
 
 def _remainder(U: Profile, phi: np.ndarray, lam: float, eu: np.ndarray) -> np.ndarray:
     """``nonlinearity`` without the shape check, given ``eu`` = e^U."""
-    v = U.values + phi
-    if np.max(v) > EXP_CAP:
-        idx = int(np.argmax(v))
-        raise OverflowRegionError(
-            f"e^(U+phi) overflows at r={U.grid[idx]:.6f}",
-            radius=float(U.grid[idx]))
-    return lam * (np.exp(v) - eu - eu * phi)
+    euphi = checked_exp(U.values + phi, U.grid, "e^(U+phi)")
+    return lam * (euphi - eu - eu * phi)
 
 
 def kernel_mode(r, lam: float, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,6 +207,8 @@ def solve_linear(U: Profile, lam: float, h: np.ndarray) -> LinearSolveResult:
         V(0) gives no finite positive scale).
     ConvergenceError
         When the eigenvalue monitor cannot certify its eigenvalue.
+    OverflowRegionError
+        If e^U overflows, naming the radius where it happens.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != U.values.shape:
@@ -237,7 +226,7 @@ def _linearized(U: Profile, lam: float):
     index) at U, past its monitor's NearKernelError; ``solve`` runs ?gttrs
     on the monitor's factor of the operator, which gives ?gtsv's bits."""
     op = RadialOperator(U.grid)
-    pot = lam * np.exp(np.minimum(U.values, EXP_CAP))
+    pot = lam * checked_exp(U.values, U.grid)
     eig, mode, morse, solve = op.monitor(pot)
     # physical scale of the zeroth-order part (stiffness entries are grid
     # artifacts and would mask genuine near-degeneracy)
@@ -312,8 +301,9 @@ def fixed_point(U: Profile, lam: float, eps: float | None = None,
     converges within the cap is cut.  A measured contraction factor >= 1 or an
     escape from the ball (the lambda = 1e-2 and 1e-3 ansatzes leave it)
     raises unless ``require_contraction`` is switched off (the factor is
-    reported either way).  An iterate whose e^(U+phi) would overflow
-    raises ``OverflowRegionError`` naming the radius, switch or no switch.
+    reported either way).  A U or an iterate U + phi whose exponential would
+    overflow raises ``OverflowRegionError`` naming the radius, switch or no
+    switch.
 
     The plain banded solve's forward error (increments of 1e-11 to 1e-10
     on the lambda = 1e-4 ansatz) lies above ``tol``, so once the increments
@@ -331,7 +321,8 @@ def fixed_point(U: Profile, lam: float, eps: float | None = None,
     op = RadialOperator(U.grid)
     # the iteration must use the residual of the same discrete operator it
     # inverts, so that its fixed point solves the discrete equation exactly
-    pot = lam * np.exp(np.minimum(U.values, EXP_CAP))
+    eu = checked_exp(U.values, U.grid)
+    pot = lam * eu
     R = op.apply_neg_lap(U.values) + U.values - pot
     solve = op.factor(pot)
     neg_R = -R
@@ -342,7 +333,6 @@ def fixed_point(U: Profile, lam: float, eps: float | None = None,
     bound = rho * scale
 
     raw_norm = float(np.max(np.abs(R)))
-    eu = np.exp(U.values)
     phi, phi_max = np.zeros_like(R), 0.0
     increments: list[float] = []
     factors: list[float] = []
@@ -378,6 +368,7 @@ def fixed_point(U: Profile, lam: float, eps: float | None = None,
     # the double-precision Laplacian floor is as large as this residual,
     # and so is the rounding of the sum U + phi: both are taken as pairs
     hi, lo = two_sum(U.values, phi)
+    checked_exp(hi, U.grid, "e^(U+phi)")
     res_corr = op.residual_pair((hi, lo), exp_pair(hi, lo, scale=lam))
     drop = raw_norm / max(float(np.max(np.abs(res_corr))), 1e-300)
     return FixedPointResult(phi=phi, increments=increments, factors=factors,

@@ -218,14 +218,6 @@ class AnsatzParams:
                   - _SQRT2 / self.eps)
         if rel > 1e-12:
             raise DomainError(f"parameter relation violated by {rel:.2e}")
-        if not (2.0 / 3.0 < self.eta < 1.0):
-            raise DomainError(f"eta={self.eta} outside (2/3, 1)")
-        if not (2.0 * self.delta < self.r_tilde):
-            raise DomainError("matching radius must satisfy 2 delta < r_tilde")
-        if self.delta > 0.5 * np.sqrt(self.eps) + 1e-15:
-            raise DomainError("delta must be O(sqrt(eps)) with constant 1/2")
-        if abs(self.mu**2 - np.exp(self.h_origin) / 8.0) > 1e-12 * self.mu**2:
-            raise DomainError("mu^2 must equal exp(H(0))/8")
         if abs(self.h_origin) * self.eps > 4.0:
             raise DomainError("|H(0)| must stay O(1/eps)")
 
@@ -254,17 +246,10 @@ def _vander(x: np.ndarray, deg: int) -> np.ndarray:
     """T_0(x) .. T_deg(x), deg >= 1, along a new leading axis:
     ``chebvander``'s recurrence T_k = 2 x T_(k-1) - T_(k-2) from x + 0.0
     (so -0.0 enters as 0.0), hence the same bits, with the degree first
-    (``chebvander(x, deg)`` moved to this layout).  An array fills its rows
-    in place, one ufunc call per operation and no temporaries; a 0-d ``x``
-    runs the recurrence on Python floats."""
+    (``chebvander(x, deg)`` moved to this layout).  The rows fill in place,
+    one ufunc call per operation and no temporaries; ``x`` has at least one
+    axis."""
     x = np.asarray(x) + 0.0
-    if x.ndim == 0:
-        x = float(x)
-        x2 = 2 * x
-        t = [x * 0 + 1, x]
-        for _ in range(deg - 1):
-            t.append(t[-1] * x2 - t[-2])
-        return np.array(t)
     v = np.empty((deg + 1,) + x.shape)
     v[0] = x * 0 + 1
     v[1] = x
@@ -297,15 +282,15 @@ def _nodes(lo: float, hi: float) -> np.ndarray:
     return (lo + hi) / 2.0 + (hi - lo) / 2.0 * _cheb_basis()[0]
 
 
-def _antiderivative(y: np.ndarray, lo: float, hi: float, at: float) -> np.ndarray:
-    """Chebyshev coefficients of the antiderivative, vanishing at ``at``, of
+def _antiderivative(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Chebyshev coefficients of the antiderivative, vanishing at ``hi``, of
     the degree-_CHEB_DEG interpolant of the samples ``y`` at
     ``_nodes(lo, hi)``: the bits of
-    ``Chebyshev.interpolate(f, _CHEB_DEG, [lo, hi]).integ(lbnd=at).coef``.
+    ``Chebyshev.interpolate(f, _CHEB_DEG, [lo, hi]).integ(lbnd=hi).coef``.
 
     The recurrence c'_k = (c_(k-1) - c_(k+1)) / 2k is ``chebint``'s, each
     quotient formed and subtracted as there, but as two slice operations;
-    the constant is ``chebval``'s Clenshaw sum at the mapped ``at``.
+    the constant is ``chebval``'s Clenshaw sum at the mapped ``hi``.
 
     ``y`` is one contiguous sample vector: BLAS sums a matrix product, or a
     strided vector, in another order than this matrix-vector product.
@@ -321,17 +306,16 @@ def _antiderivative(y: np.ndarray, lo: float, hi: float, at: float) -> np.ndarra
     out[1] = c[0]
     out[2:] = c[1:] / up
     out[1:-2] -= c[2:] / down
-    out[0] += 0 - _clenshaw(off + scl * at, out.tolist())
+    out[0] += 0 - _clenshaw(off + scl * hi, out.tolist())
     return out
 
 
-def _cheb_eval(coef: np.ndarray, lo: float, hi: float, x):
-    """Chebyshev series on [lo, hi] at ``x``: ``_vander`` of the mapped
-    points times ``coef``, as ``coef.T @ chebvander(x, deg).T``.  A (n, K)
-    ``coef`` gives K rows from one matrix product; a scalar ``x`` gives one
-    value per row.  Like a Clenshaw recurrence, it stays within 10 eps
-    sum|c_k| of the exact sum on [-1, 1] (tested against mpmath on decaying
-    degree-161 series).
+def _cheb_eval(coef: np.ndarray, lo: float, hi: float, x: np.ndarray):
+    """Chebyshev series on [lo, hi] at the points ``x``: ``_vander`` of the
+    mapped points times ``coef``, as ``coef.T @ chebvander(x, deg).T``.  A
+    (n, K) ``coef`` gives K rows from one matrix product.  Like a Clenshaw
+    recurrence, it stays within 10 eps sum|c_k| of the exact sum on
+    [-1, 1] (tested against mpmath on decaying degree-161 series).
 
     Raises
     ------
@@ -343,7 +327,7 @@ def _cheb_eval(coef: np.ndarray, lo: float, hi: float, x):
         most half that margin.
     """
     off, scl = _to_unit(lo, hi)
-    t = off + scl * np.asarray(x)
+    t = off + scl * x
     if not np.all(np.abs(t) <= 1.0 + 2.0 * np.finfo(float).eps * (1.0 + abs(off))):
         raise DomainError(f"Chebyshev series on [{lo!r}, {hi!r}] evaluated at "
                           f"{np.min(x)!r}..{np.max(x)!r}, outside its interval")
@@ -392,9 +376,10 @@ class _StretchedStack:
     Each source is sampled once, at the Chebyshev nodes the six
     antiderivatives (IW, the v pair, Iv, the z pair) share, and ``coef``
     holds their (162, 6) coefficient array; ``v_nodes`` keeps v at those
-    nodes.  ``profiles`` evaluates all six as one product of the points'
-    Chebyshev-Vandermonde matrix with ``coef``, and ``fields`` turns the
-    six rows at a point set into every profile and derivative there; a
+    nodes.  ``_cheb_eval(coef, -depth, 0.0, s)`` evaluates all six as one
+    product of the points' Chebyshev-Vandermonde matrix with ``coef``, the
+    rows (IW, int y1 g_v, int y2 g_v, Iv, int y1 g_z, int y2 g_z), and
+    ``fields`` turns them into every profile and derivative there; a
     caller that sums more series on the same points may append their
     columns to ``coef`` and share the matrix.  Against one Clenshaw sum
     per series the profiles differ by rounding, 2.6e-14 of each profile's
@@ -409,7 +394,7 @@ class _StretchedStack:
         y1, y2, _, _, ew = kern
 
         def integral(y):
-            return _antiderivative(y, -depth, 0.0, 0.0)
+            return _antiderivative(y, -depth, 0.0)
 
         def vary(src):
             return [integral(y1 * src), integral(y2 * src)]
@@ -422,10 +407,6 @@ class _StretchedStack:
         iv_c = integral(v)
         z_c = vary(self._source(s, ew, iw, _at_nodes(iv_c), v))
         self.coef = np.column_stack([iw_c, *v_c, iv_c, *z_c])
-
-    def profiles(self, s):
-        """(IW, int y1 g_v, int y2 g_v, Iv, int y1 g_z, int y2 g_z) at s."""
-        return _cheb_eval(self.coef, -self.depth, 0.0, s)
 
     def _source(self, s, ew, iw, iv=None, v=None):
         """v's source -e^W a1, or z's -e^W (alpha2 - Iv + (a1 + v)^2 / 2)
@@ -458,8 +439,10 @@ class _StretchedStack:
         As s -> -inf, y1 -> -1 and y2 -> -s/sqrt2 - 1, so y tends to
         -P1 s + sqrt2 (P2 - P1) with P_i = int_0^{-inf} y_i g; the sources
         decay like s^4 e^{sqrt2 s}, so the integrals to -depth are the limits.
+        s = -depth maps to -1, where T_k = (-1)^k.
         """
-        _, pv1, pv2, _, pz1, pz2 = (float(p) for p in self.profiles(-self.depth))
+        ends = (-1.0) ** np.arange(len(self.coef))
+        _, pv1, pv2, _, pz1, pz2 = (float(p) for p in self.coef.T @ ends)
         nu1, nu2 = -pv1, _SQRT2 * (pv2 - pv1)
         zeta1, zeta2 = -pz1, _SQRT2 * (pz2 - pz1)
         return CorrectionConstants(nu1=nu1, nu2=nu2, zeta1=zeta1, zeta2=zeta2,
@@ -534,7 +517,7 @@ def boundary_corrections(params: "AnsatzParams") -> BoundaryCorrections:
     r = _nodes(r_lo, 1.0)
 
     def radial(y):
-        return _antiderivative(y, r_lo, 1.0, 1.0)
+        return _antiderivative(y, r_lo, 1.0)
 
     ra1 = radial(r * _f_alpha(r, bubble1d(r, mu_t), lam))  # -r a'
     a_c = radial(-_at_nodes(ra1) / r)
@@ -657,7 +640,7 @@ def build_params(lam: float, eta: float = 0.8) -> AnsatzParams:
     fixed point, for at most four passes.  Those do not always settle: on
     ``logspace(-1, -300, 120)`` 46 of the 120 lambdas still move gamma after
     four passes, slowest near the order-2 fold, and some alternate their
-    matching order between passes; ROADMAP item 9 replaces the loop.  The
+    matching order between passes; ROADMAP item 11 replaces the loop.  The
     outer profile is then the Green's function with no free layer,
     ``greens.LayerCalculus`` with -A ln r at the origin and the matched data
     at r = 1.  Newton's method finds gamma, with the matching gap's

@@ -46,7 +46,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, StallError
 from .ansatz import Profile, solve_epsilon
 from .greens import LayerCalculus, LayerConfig
-from .radial import EXP_CAP, RadialOperator, exp_pair, graded_grid, two_sum
+from .radial import EXP_CAP, RadialOperator, checked_exp, exp_pair, graded_grid, two_sum
 
 __all__ = [
     "BranchPoint",
@@ -95,7 +95,8 @@ class ConcentrationReport:
 
 
 def make_grid(lam: float) -> np.ndarray:
-    """4000 nodes graded to sqrt(lambda) at r = 0 and to eps at r = 1."""
+    """4000 nodes graded to max(sqrt(lambda), 4e-3) at r = 0 and to
+    max(eps, 4e-3) at r = 1."""
     eps = solve_epsilon(lam) if lam < 1.0 / np.e else 0.1
     scale0 = max(np.sqrt(lam), 4e-3)
     scale1 = max(eps, 4e-3)
@@ -526,6 +527,9 @@ def concentration_report(point: BranchPoint, reference: LayerConfig,
     shrinking neighborhoods of the origin and of each layer sphere; the
     exclusion radius 10 max(sqrt(lambda), eps) is clamped so the compact
     set never degenerates at desk-scale lambda.
+
+    Raises ``OverflowRegionError`` where e^u would overflow, naming the
+    radius.
     """
     lam = point.param
     r = point.profile.grid
@@ -534,6 +538,7 @@ def concentration_report(point: BranchPoint, reference: LayerConfig,
     w = op.quad_weights()
     # the stored long-double values as the refinement's (hi, lo) pair
     hi = np.asarray(u, dtype=float)
+    checked_exp(hi, r, "e^u")
     f, f_lo = _lam_exp((hi, np.asarray(u - hi, dtype=float)), (lam, 0.0))
     eu = f + f_lo
 

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -209,11 +209,7 @@ def _cmd_residual(cfg: RunConfig) -> None:
     params, profile = _build_ansatz_profile(cfg.params)
     _, rep = analysis.residual_report(profile, params.lam, params.delta,
                                       params.delta1)
-    payload = {"sup_weighted_inner": rep.sup_weighted_inner,
-               "l1_outer": rep.l1_outer, "star": rep.star,
-               "starstar": rep.starstar, "middle_sup": rep.middle_sup,
-               "inner_envelope_const": rep.inner_envelope_const}
-    print(_write_json(cfg, "residual.json", payload))
+    print(_write_json(cfg, "residual.json", asdict(rep)))
 
 
 def _cmd_fixpoint(cfg: RunConfig) -> None:
@@ -326,11 +322,8 @@ def _cmd_report(cfg: RunConfig) -> None:
         ref = greens.LayerConfig(k=0, alphas=np.array([]), b=b,
                                  outer_mode="dirichlet_one")
     rep = bvp.concentration_report(point, ref, eps=eps)
-    payload = {"origin_mass": rep.origin_mass,
-               "layer_fluxes": [float(x) for x in rep.layer_fluxes],
-               "boundary_mass": rep.boundary_mass,
-               "profile_gap": rep.profile_gap,
-               "total_mass": rep.total_mass}
+    payload = asdict(rep)
+    payload["layer_fluxes"] = rep.layer_fluxes.tolist()
     print(_write_json(cfg, "report.json", payload))
 
 

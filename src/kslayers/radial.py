@@ -22,12 +22,16 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, OverflowRegionError
 
-__all__ = ["EXP_CAP", "graded_grid", "two_sum", "exp_pair", "RadialOperator"]
+__all__ = ["EXP_CAP", "checked_exp", "graded_grid", "two_sum", "exp_pair",
+           "RadialOperator"]
 
-# Largest exponent the solvers pass to exp: e^600 ~ 4e260 keeps e^u and its
-# lambda/mu multiples finite with a margin of ~1e48.
+# Largest exponent passed to exp: e^600 ~ 4e260 keeps e^u and its lambda/mu
+# multiples finite with a margin of ~1e48.  A profile handed in from outside
+# goes through ``checked_exp``, which raises past it; only the solvers' own
+# iterates (``exp_pair`` and ``bvp``'s Newton nonlinearities) clip at it, so
+# a diverging Newton candidate stays finite for the merit comparison.
 EXP_CAP = 600.0
 
 # Most steps the eigenvalue monitor's Lanczos takes; the ladder's operators
@@ -38,6 +42,21 @@ _LANCZOS_STEPS = 40
 # rounding of f, about 1e-16 f, stays 300 times below the 1e-10 residual
 # tolerance the refinements certify.
 _F_DOUBLE_MAX = 1e3
+
+
+def checked_exp(x: np.ndarray, r: np.ndarray, name: str = "e^U") -> np.ndarray:
+    """e^x of a profile x on the radii r.
+
+    Raises ``OverflowRegionError`` naming the first radius where x passes
+    ``EXP_CAP``; ``name`` heads the message.
+    """
+    over = x > EXP_CAP
+    if np.any(over):
+        i = int(np.argmax(over))
+        raise OverflowRegionError(
+            f"{name} overflows at r={r[i]:.6f} (exponent {x[i]:.4g})",
+            radius=float(r[i]))
+    return np.exp(x)
 
 
 def two_sum(a, b):

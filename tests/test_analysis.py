@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kslayers import analysis, ansatz, bvp, radial
+from kslayers import analysis, ansatz, bvp, greens, radial
 from kslayers.errors import (ConvergenceError, DomainError, NearKernelError,
                              NonContractionError, OverflowRegionError)
 from kslayers.radial import RadialOperator, graded_grid
@@ -14,6 +14,13 @@ def setup4():
     params = ansatz.build_params(1e-4)
     prof = ansatz.build_profile(params)
     return params, prof
+
+
+def _report_at_650(grid, lam):
+    point = bvp.BranchPoint(param=lam, profile=ansatz.Profile(grid, np.full_like(grid, 650.0)),
+                            newton_iters=0, residual_norm=np.nan)
+    ref = greens.LayerConfig(k=0, alphas=np.array([]), b=0.1, outer_mode="dirichlet_one")
+    return bvp.concentration_report(point, ref, eps=0.1)
 
 
 def _fixed_point_at(lam):
@@ -135,6 +142,22 @@ class TestNonlinearity:
         with pytest.raises(OverflowRegionError, match=f"r={prof.grid[7]:.6f}") as exc:
             analysis.nonlinearity(prof, phi, 1e-4)
         assert exc.value.radius == prof.grid[7]
+
+    @pytest.mark.parametrize("lam, call", [
+        (1e-260, lambda U, lam: analysis.solve_linear(U, lam, np.ones_like(U.values))),
+        (1e-300, lambda U, lam: analysis.fixed_point(U, lam, require_contraction=False)),
+        (1e-300, lambda U, lam: analysis.nonlinearity(U, np.zeros_like(U.values), lam)),
+        (1e-280, lambda U, lam: _report_at_650(U.grid, lam)),
+    ], ids=["solve_linear", "fixed_point", "nonlinearity", "concentration_report"])
+    def test_given_profile_past_the_cap_names_the_origin(self, lam, call):
+        # the family-1 ansatz passes U = EXP_CAP at the origin below
+        # lambda ~ 1.6e-217; clipped, solve_linear read Morse index 0 off
+        # the lambda = 1e-260 operator (unclipped: 2), and the report took
+        # u = 650 as 600 (total mass 1.19e-19 instead of 614.6)
+        U = ansatz.build_profile(ansatz.build_params(lam))
+        with pytest.raises(OverflowRegionError, match="overflows at r=0.000000") as exc:
+            call(U, lam)
+        assert exc.value.radius == 0.0
 
 
 class TestResidual:

@@ -360,6 +360,17 @@ def test_fixpoint_overflow_names_the_radius(tmp_path, capsys, extra):
     assert not out.exists()
 
 
+def test_report_overflow_names_the_radius(tmp_path, capsys):
+    # u = 650 everywhere: e^u past EXP_CAP from the origin on
+    path = tmp_path / "flat.csv"
+    path.write_text("".join(f"{r!r},650.0\n" for r in np.linspace(0, 1, 50).tolist()))
+    code, out = run_cli(["report", "--in", str(path), "--k", "1",
+                         "--lambda", "1e-280"], tmp_path)
+    assert code == 3
+    assert "e^u overflows at r=0.000000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_residual_json(tmp_path):
     def reject(token):
         raise ValueError(f"non-JSON constant {token}")

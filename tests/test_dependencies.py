@@ -38,6 +38,24 @@ def test_scipy_is_imported_only_by_the_lapack_fallback():
     assert start <= found[0][1] < start + len(lines)
 
 
+def _names_exp_cap(node) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == "EXP_CAP"
+               or isinstance(n, ast.alias) and n.name == "EXP_CAP"
+               for n in ast.walk(node))
+
+
+def test_given_profiles_raise_and_only_solver_iterates_clip():
+    # analysis takes e^u of profiles handed to it, through radial.checked_exp;
+    # np.minimum(..., EXP_CAP), the solvers' clip, lives in bvp and radial
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((SRC / "kslayers").glob("*.py"))}
+    assert not _names_exp_cap(trees["analysis.py"])
+    clips = {name for name, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "minimum" and _names_exp_cap(node)}
+    assert clips == {"bvp.py", "radial.py"}
+
+
 def test_numpy_is_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

@@ -3,11 +3,12 @@
 
     python scripts/readme_outputs.py DIR
 
-runs twelve commands, one fresh interpreter each, with this checkout's
+runs thirteen commands, one fresh interpreter each, with this checkout's
 ``src`` first on the import path: the README's examples (``ansatz`` at
 k = 1 and k = 2), plus ``ansatz --lambda 1e-4 --k 2 --outer neumann``,
-``ansatz --lambda 1e-3 --k 3 --outer neumann --eta 0.75`` and
-``residual --lambda 1e-4 --k 2 --outer neumann``.  Each command writes into
+``ansatz --lambda 1e-3 --k 3 --outer neumann --eta 0.75``,
+``residual --lambda 1e-4 --k 2 --outer neumann`` and
+``solve --lambda 1e-4 --init constant --value 2.0``.  Each command writes into
 its own subdirectory of DIR.  The commands run inside DIR on relative
 paths, so the echoed configurations do not name DIR; ``green`` reads a
 fixed 64-radius grid file written there first, and ``report`` reads the
@@ -40,6 +41,8 @@ COMMANDS = [
                              "--outer", "neumann"]),
     ("fixpoint", ["fixpoint", "--lambda", "1e-4"]),
     ("solve", ["solve", "--lambda", "1e-4", "--init", "ansatz"]),
+    ("solve_constant", ["solve", "--lambda", "1e-4", "--init", "constant",
+                        "--value", "2.0"]),
     ("branch", ["branch", "--i", "2", "--sign", "+", "--steps", "25"]),
     ("report", ["report", "--in", os.path.join("solve", "solution.csv"),
                 "--k", "1", "--lambda", "1e-4"]),

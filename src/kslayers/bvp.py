@@ -110,23 +110,23 @@ def _zero_count(u: np.ndarray, level: float = 1.0) -> int:
     return int(np.count_nonzero(above[1:] != above[:-1]))
 
 
-def _lam_exp(u, lam, jac: bool = False):
-    """lambda e^u, with its u- and lambda-derivatives if ``jac``.
+def _lam_exp(u, lam):
+    """lambda e^u with its u- and lambda-derivatives, (f, f_u, f_lambda).
 
     For a pair u = (hi, lo) and lam = (lam, 0) (the direct solve holds
-    lambda fixed) it returns lambda e^hi (1 + lo) as an ``exp_pair``.
+    lambda fixed) it returns f alone, lambda e^hi (1 + lo) as an ``exp_pair``.
     """
     if isinstance(u, tuple):
         return exp_pair(*u, scale=lam[0])
     e = np.exp(np.minimum(u, EXP_CAP))
     f = lam * e
-    return (f, f, e) if jac else f
+    return f, f, e
 
 
-def _mu_exp(u, mu, jac: bool = False):
-    """e^(mu (u - 1)), with its u- and mu-derivatives if ``jac``.
+def _mu_exp(u, mu):
+    """e^(mu (u - 1)) with its u- and mu-derivatives, (f, f_u, f_mu).
 
-    For pairs u = (hi, lo) and mu = (mu_hi, mu_lo) it returns
+    For pairs u = (hi, lo) and mu = (mu_hi, mu_lo) it returns f alone,
     e^(mu_hi (hi - 1)) (1 + mu_hi lo + mu_lo (hi - 1)) as an ``exp_pair``,
     whose entries above 1e3 take the exponent formed in long double.
     """
@@ -141,12 +141,12 @@ def _mu_exp(u, mu, jac: bool = False):
         return exp_pair(mu_hi * v, mu_hi * lo + mu_lo * v, extended=extended)
     x = mu * (u - 1.0)
     f = np.exp(np.minimum(x, EXP_CAP))
-    return (f, mu * f, (u - 1.0) * f) if jac else f
+    return f, mu * f, (u - 1.0) * f
 
 
 def _residual(op: RadialOperator, f, u, p):
     """G(u, p) = -Delta u + u - f(u, p) in double, and the (f, f_u, f_p) it took."""
-    fx = f(u, p, jac=True)
+    fx = f(u, p)
     return op.apply_neg_lap(u) + u - fx[0], fx
 
 
@@ -184,8 +184,8 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
             border=None) -> _Solved:
     """Damped Newton on G(u, p) = -Delta u + u - f(u, p) = 0.
 
-    ``f(u, p)`` returns f, ``f(u, p, jac=True)`` (f, f_u, f_p); one such
-    call per iterate serves both its residual and its step.  Without
+    ``f(u, p)`` returns (f, f_u, f_p) on doubles; one such call per
+    iterate serves both its residual and its step.  Without
     ``border`` p is held fixed.
     With ``border = ((t_u, t_p), (u_pred, p_pred))`` p is unknown too and the
     pseudo-arclength row c = t . (x - x_pred) = 0 closes the system (Keller
@@ -275,7 +275,7 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
             return _Solved(np.longdouble(u[0]) + u[1], np.longdouble(p[0]) + p[1],
                            steps, skipped, refinements, history)
         if refinements:  # the first refined iterate is the double one
-            fx = f(u[0], p[0], jac=True)
+            fx = f(u[0], p[0])
         du, dp = step(G, c, fx)
         # a correction joins the low part first: it is far smaller than u,
         # so the rounding of lo + du, about 1e-16 |du|, is far below lo
@@ -323,8 +323,8 @@ def solve_bvp(lam: float, initial_guess: Profile, tol: float = 1e-9,
                        residual_history=tuple(sol.history))
 
 
-def constant_profile(lam_or_mu: float, value: float = 1.0) -> Profile:
-    r = make_grid(max(lam_or_mu, 1e-6) if lam_or_mu < 1 else 1e-2)
+def constant_profile(lam: float, value: float = 1.0) -> Profile:
+    r = make_grid(lam)
     return Profile(r, np.full(r.size, value))
 
 
@@ -439,7 +439,7 @@ def seed_branch(i: int, sign: str) -> BranchPoint:
 
 def _first_tangent(op: RadialOperator, u, mu, direction: float = 1.0):
     """Unit tangent direction (v, 1) / ||(v, 1)||, v = G_u^{-1} f_mu."""
-    _, f_u, f_mu = _mu_exp(u, mu, jac=True)
+    _, f_u, f_mu = _mu_exp(u, mu)
     v = _solve(op, f_u, f_mu)
     norm = np.sqrt(np.dot(v, v) + 1.0)
     return direction * v / norm, direction / norm

@@ -1,11 +1,12 @@
 """Command-line entry point wiring all modules.
 
 Subcommands: green, nondegen, ansatz, residual, fixpoint, solve, branch,
-report.  A flat key=value config file can preseed any flag (flags given on
-the command line win).  Numeric outputs are written atomically, echo the
-code version and the full configuration, and are byte-identical across
-reruns with the same configuration.  Exit codes: 0 success, 2 validation
-error, 3 solver non-convergence.
+report.  Each flag is declared once, with its one default, in the parser.
+A flat key=value config file can preseed any flag (flags given on the
+command line win).  Numeric outputs are written atomically, echo the code
+version and every flag of their subcommand, given or defaulted, and are
+byte-identical across reruns with the same configuration.  Exit codes:
+0 success, 2 validation error, 3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -189,12 +190,10 @@ def _params_payload(params) -> dict:
 
 def _build_ansatz_profile(p: dict):
     from . import ansatz
-    k = p.get("k", 1)
-    outer = p.get("outer", "dirichlet_one")
-    if k == 1 and outer == "dirichlet_one":
-        params = ansatz.build_params(p["lam"], p.get("eta", 0.8))
+    if p["k"] == 1 and p["outer"] == greens.DIRICHLET:
+        params = ansatz.build_params(p["lam"], p["eta"])
         return params, ansatz.build_profile(params)
-    return ansatz.multilayer_ansatz(k, p["lam"], outer, p.get("eta", 0.8))
+    return ansatz.multilayer_ansatz(p["k"], p["lam"], p["outer"], p["eta"])
 
 
 def _cmd_ansatz(cfg: RunConfig) -> None:
@@ -235,18 +234,18 @@ def _cmd_solve(cfg: RunConfig) -> None:
     from . import bvp
     p = cfg.params
     lam = p["lam"]
-    init = p.get("init", "ansatz")
+    init = p["init"]
     if init == "ansatz":
         _, guess = _build_ansatz_profile(p)
     elif init == "constant":
-        guess = bvp.constant_profile(lam, value=p.get("value", 1.0))
+        guess = bvp.constant_profile(lam, value=p["value"])
     elif init == "file":
         if "file" not in p:
             raise DomainError("--init file needs --file, the CSV r,u initial guess")
         guess = _read_profile_csv(p["file"])
     else:
         raise DomainError(f"unknown init {init!r}")
-    point = bvp.solve_bvp(lam, guess, tol=p.get("tol", 1e-9))
+    point = bvp.solve_bvp(lam, guess, tol=p["tol"])
     payload = {"lambda": lam, "u0": point.u0_value,
                "zero_count": point.zero_count,
                "newton_iters": point.newton_iters,
@@ -313,14 +312,14 @@ def _cmd_report(cfg: RunConfig) -> None:
     point = bvp.BranchPoint(param=lam, profile=prof, newton_iters=0, residual_norm=np.nan)
     eps = ansatz.solve_epsilon(lam)
     b = 4.0 * eps / np.sqrt(2.0)
-    outer = p.get("outer", "dirichlet_one")
-    k_int = p["k"] - 1 if outer == "dirichlet_one" else p["k"]
+    outer = p["outer"]
+    k_int = p["k"] - 1 if outer == greens.DIRICHLET else p["k"]
     if k_int > 0:
         # reachable lambdas put b above the conservative default cap
         ref, _ = greens.solve_layers(k_int, b, outer, b_max=0.5)
     else:
         ref = greens.LayerConfig(k=0, alphas=np.array([]), b=b,
-                                 outer_mode="dirichlet_one")
+                                 outer_mode=greens.DIRICHLET)
     rep = bvp.concentration_report(point, ref, eps=eps)
     payload = asdict(rep)
     payload["layer_fluxes"] = rep.layer_fluxes.tolist()
@@ -362,8 +361,17 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     common.add_argument("--out", default=".", help="output directory")
     sub = ap.add_subparsers(dest="command", parser_class=argparse.ArgumentParser)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    # the glued ansatz profile's flags, inherited by the subcommands that
+    # build one
+    profile = argparse.ArgumentParser(add_help=False)
+    profile.add_argument("--lambda", dest="lam", type=float, required=True)
+    profile.add_argument("--k", type=int, default=1)
+    profile.add_argument("--outer", choices=["dirichlet", "neumann"],
+                         default="dirichlet")
+    profile.add_argument("--eta", type=float, default=0.8)
+
+    def add_parser(name, *parents, **kw):
+        return sub.add_parser(name, parents=[common, *parents], **kw)
 
     g = add_parser("green", help="layered Green's function")
     g.add_argument("--k", type=int, required=True)
@@ -376,38 +384,15 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     nd.add_argument("--kmax", type=int, required=True)
     nd.add_argument("--b-grid", type=_float_list, required=True)
 
-    an = add_parser("ansatz", help="matched-asymptotic profile")
-    an.add_argument("--lambda", dest="lam", type=float, required=True)
-    an.add_argument("--k", type=int, default=1)
-    an.add_argument("--outer", choices=["dirichlet", "neumann"],
-                    default="dirichlet")
-    an.add_argument("--eta", type=float, default=0.8)
+    add_parser("ansatz", profile, help="matched-asymptotic profile")
+    add_parser("residual", profile, help="residual norms of the ansatz")
+    add_parser("fixpoint", profile, help="contraction iteration")
 
-    rs = add_parser("residual", help="residual norms of the ansatz")
-    rs.add_argument("--lambda", dest="lam", type=float, required=True)
-    rs.add_argument("--k", type=int, default=1)
-    rs.add_argument("--outer", choices=["dirichlet", "neumann"],
-                    help="default dirichlet")
-    rs.add_argument("--eta", type=float, default=0.8)
-
-    fx = add_parser("fixpoint", help="contraction iteration")
-    fx.add_argument("--lambda", dest="lam", type=float, required=True)
-    fx.add_argument("--k", type=int, help="default 1")
-    fx.add_argument("--outer", choices=["dirichlet", "neumann"],
-                    help="default dirichlet")
-    fx.add_argument("--eta", type=float, default=0.8)
-
-    so = add_parser("solve", help="direct radial solve")
-    so.add_argument("--lambda", dest="lam", type=float, required=True)
+    so = add_parser("solve", profile, help="direct radial solve")
     so.add_argument("--init", choices=["ansatz", "constant", "file"],
                     default="ansatz")
-    so.add_argument("--k", type=int, default=1)
-    so.add_argument("--outer", choices=["dirichlet", "neumann"],
-                    help="default dirichlet")
-    so.add_argument("--eta", type=float,
-                    help="ansatz eta for --init ansatz (default 0.8)")
-    so.add_argument("--value", type=float,
-                    help="constant for --init constant (default 1.0)")
+    so.add_argument("--value", type=float, default=1.0,
+                    help="constant for --init constant")
     so.add_argument("--file", help="CSV r,u initial guess for --init file")
     so.add_argument("--tol", type=float, default=1e-9)
 

@@ -139,7 +139,7 @@ def bessel_series_loops(x):
 # ---------------------------------------------------------------------------
 
 # Frozen copies: the double-precision loop evaluates f(u, p) for each
-# candidate's residual and f(u, p, jac=True) again for the step, every
+# candidate's residual, keeping f alone, and again for the step, every
 # refinement step evaluates the Jacobian afresh, and d1 is np.gradient.  The
 # refinement carries u and p as (hi, lo) pairs of doubles.  The library must
 # reproduce them to the bit.
@@ -147,7 +147,7 @@ def bessel_series_loops(x):
 def _residual_two_evaluations(op, f, u, p):
     if isinstance(u, tuple):
         return op.residual_pair(u, f(u, p))
-    return op.apply_neg_lap(u) + u - f(u, p)
+    return op.apply_neg_lap(u) + u - f(u, p)[0]
 
 
 def _pair_plus(x, dx):
@@ -173,7 +173,7 @@ def newton_two_evaluations(op, f, u, p, tol, max_iter, border=None):
         return float(np.dot(tu, u - xu) + tp * (p - xp))
 
     def step(u, p, G, c):
-        _, f_u, f_p = f(np.asarray(u, dtype=float), float(p), jac=True)
+        _, f_u, f_p = f(np.asarray(u, dtype=float), float(p))
         rhs = -np.asarray(G, dtype=float)
         if border is None:
             return bvp._solve(op, f_u, rhs), 0.0

@@ -431,6 +431,31 @@ def test_solve_declares_eta(tmp_path):
     assert doc["config"]["eta"] == 0.75
 
 
+@pytest.mark.parametrize("args, explicit", [
+    (["fixpoint", "--lambda", "1e-4"],
+     ["--k", "1", "--outer", "dirichlet", "--eta", "0.8"]),
+    (["residual", "--lambda", "1e-4", "--k", "1"],
+     ["--outer", "dirichlet", "--eta", "0.8"]),
+    (["solve", "--lambda", "1e-4"],
+     ["--init", "ansatz", "--k", "1", "--outer", "dirichlet", "--eta", "0.8",
+      "--value", "1.0", "--tol", "1e-9"]),
+], ids=["fixpoint", "residual", "solve"])
+def test_a_default_and_the_same_value_given_write_the_same_files(tmp_path, args,
+                                                                 explicit):
+    # every flag is echoed, given or defaulted, so the outputs cannot tell
+    # the two apart
+    code, default = run_cli(args, tmp_path, "default")
+    assert code == 0
+    code, given = run_cli(args + explicit, tmp_path, "given")
+    assert code == 0
+    names = sorted(os.listdir(default))
+    assert names == sorted(os.listdir(given))
+    for name in names:
+        assert (default / name).read_bytes() == (given / name).read_bytes(), name
+    doc = json.loads((default / f"{args[0]}.json").read_text())
+    assert {"k", "outer", "eta"} <= doc["config"].keys()
+
+
 def test_config_key_without_a_flag_is_echoed(tmp_path):
     # a key no subcommand declares is carried as a string and checked by
     # nothing; before, a "lams" key ended every subcommand in a TypeError

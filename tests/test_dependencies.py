@@ -56,6 +56,22 @@ def test_given_profiles_raise_and_only_solver_iterates_clip():
     assert clips == {"bvp.py", "radial.py"}
 
 
+def _is_params(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id in ("p", "params")
+            or isinstance(node, ast.Attribute) and node.attr == "params")
+
+
+def test_cli_flags_take_their_defaults_in_the_parser_only():
+    # a command body reads p[key], or p.get(key) for a flag without a
+    # default; p.get(key, default) would keep a default the echo never sees
+    tree = ast.parse((SRC / "kslayers" / "cli.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "get" and _is_params(node.func.value)
+             and len(node.args) + len(node.keywords) > 1]
+    assert not found, found
+
+
 def test_numpy_is_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

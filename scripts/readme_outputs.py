@@ -3,17 +3,19 @@
 
     python scripts/readme_outputs.py DIR
 
-runs thirteen commands, one fresh interpreter each, with this checkout's
+runs fourteen commands, one fresh interpreter each, with this checkout's
 ``src`` first on the import path: the README's examples (``ansatz`` at
 k = 1 and k = 2), plus ``ansatz --lambda 1e-4 --k 2 --outer neumann``,
 ``ansatz --lambda 1e-3 --k 3 --outer neumann --eta 0.75``,
-``residual --lambda 1e-4 --k 2 --outer neumann`` and
-``solve --lambda 1e-4 --init constant --value 2.0``.  Each command writes into
+``residual --lambda 1e-4 --k 2 --outer neumann``,
+``solve --lambda 1e-4 --init constant --value 2.0`` and
+``green --b 1e-3 --config green.cfg``, whose file supplies the required
+``--k`` (2) and ``--outer`` (neumann).  Each command writes into
 its own subdirectory of DIR.  The commands run inside DIR on relative
 paths, so the echoed configurations do not name DIR; ``green`` reads a
-fixed 64-radius grid file written there first, and ``report`` reads the
-``solution.csv`` that ``solve`` wrote.  ``commands.txt`` lists every
-command with its exit code and printed output.
+fixed 64-radius grid file and ``green.cfg`` written there first, and
+``report`` reads the ``solution.csv`` that ``solve`` wrote.
+``commands.txt`` lists every command with its exit code and printed output.
 
 Run it from two checkouts and compare with ``diff -r DIR1 DIR2``: outputs
 that are byte-identical give no diff.  The script exits 1 if any command
@@ -29,6 +31,7 @@ import numpy as np
 COMMANDS = [
     ("green", ["green", "--k", "1", "--b", "1e-3", "--outer", "neumann",
                "--grid-file", "radii.txt"]),
+    ("green_config", ["green", "--b", "1e-3", "--config", "green.cfg"]),
     ("nondegen", ["nondegen", "--kmax", "4", "--b-grid", "1e-4,1e-3,1e-2"]),
     ("ansatz_k1", ["ansatz", "--lambda", "1e-4"]),
     ("ansatz_k2", ["ansatz", "--lambda", "1e-4", "--k", "2"]),
@@ -62,6 +65,8 @@ def main(argv: list[str]) -> int:
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     with open(os.path.join(out, "radii.txt"), "w") as f:
         f.write("".join(f"{x!r}\n" for x in np.linspace(0.01, 1.0, 64).tolist()))
+    with open(os.path.join(out, "green.cfg"), "w") as f:
+        f.write("k=2\nouter=neumann\n")
 
     failed = 0
     log = []

@@ -7,7 +7,9 @@ pseudo-arclength from the discrete operator's radial Neumann eigenvalues,
 where branches of nonconstant solutions bifurcate from u = 1.  One damped
 Newton core serves both: the direct solve holds the parameter fixed, the
 arclength corrector borders the system with the constraint row.  One evaluation of the
-nonlinearity and its derivatives serves an iterate's residual and its step.
+nonlinearity and its derivatives serves an iterate's residual and its step,
+and the last double iterate's f serves the refinement's first residual
+wherever every f is at most 1e3.
 
 Grid note: the double-precision max-norm of the discrete residual has a
 floor of about eps_mach |u| / h_min^2, so ``graded_grid`` caps its cells
@@ -46,7 +48,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, StallError
 from .ansatz import Profile, solve_epsilon
 from .greens import LayerCalculus, LayerConfig
-from .radial import EXP_CAP, RadialOperator, checked_exp, exp_pair, graded_grid, two_sum
+from .radial import (EXP_CAP, _F_DOUBLE_MAX, RadialOperator, checked_exp, exp_pair,
+                     graded_grid, two_sum)
 
 __all__ = [
     "BranchPoint",
@@ -139,9 +142,9 @@ def _mu_exp(u, mu):
             return mu_ext * ((np.longdouble(hi[big]) + lo[big]) - 1)
 
         return exp_pair(mu_hi * v, mu_hi * lo + mu_lo * v, extended=extended)
-    x = mu * (u - 1.0)
-    f = np.exp(np.minimum(x, EXP_CAP))
-    return f, mu * f, (u - 1.0) * f
+    v = u - 1.0
+    f = np.exp(np.minimum(mu * v, EXP_CAP))
+    return f, mu * f, v * f
 
 
 def _residual(op: RadialOperator, f, u, p):
@@ -205,15 +208,19 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
     and p as TwoSum-renormalized (hi, lo) pairs of doubles; the residual is
     ``RadialOperator.residual_pair`` of the pair and of ``f(u, p)`` called
     with the pairs, which returns f as a pair (``radial.exp_pair``).  Each
-    correction is a double ?gtsv solve at the Jacobian of (hi, p_hi); the
-    first reuses the (f, f_u, f_p) of the double iterate it starts from.
+    correction is a double ?gtsv solve at the Jacobian of (hi, p_hi).  The
+    first refined iterate is the double iterate the loop hands over, so its
+    correction reuses that iterate's (f, f_u, f_p), and its residual takes
+    (f, 0) as the pair: the same bits as ``f(u, p)`` wherever every f is
+    at most ``radial._F_DOUBLE_MAX`` (1e3).  Above it ``exp_pair`` takes
+    a long-double exp, so there the pair is evaluated.
     The pairs are rounded to long double once, in the returned ``_Solved``.
     """
     if border is not None:
         (tu, tp), (xu, xp) = border
 
     def floor(u) -> float:
-        return 8.0 * np.finfo(float).eps * float(np.max(np.abs(u))) / op.h_min**2
+        return 8.0 * np.finfo(float).eps * float(np.abs(u).max()) / op.h_min**2
 
     def row(u, p) -> float:
         if border is None:
@@ -238,7 +245,7 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
     (G, fx), c = _residual(op, f, u, p), row(u, p)
     merit = math.hypot(np.linalg.norm(G), c)
     for it in range(max_iter + 1):
-        size, bound = max(float(np.max(np.abs(G))), abs(c)), floor(u)
+        size, bound = max(float(np.abs(G).max()), abs(c)), floor(u)
         history.append(size)
         if size <= max(tol, bound) or it == max_iter:
             break
@@ -266,15 +273,20 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
             residual=size)
 
     u, p = (np.asarray(u, dtype=float), np.zeros(op.n)), (float(p), 0.0)
+    # the first refined iterate is the double one: its f is the pair's (f, 0)
+    # to the bit unless a row takes exp_pair's long-double exp
+    f_pair = (fx[0], np.zeros(op.n)) if fx[0].max() <= _F_DOUBLE_MAX else f(u, p)
     for refinements in range(_REFINE_STEPS):
-        G = op.residual_pair(u, f(u, p))
+        if refinements:
+            f_pair = f(u, p)
+        G = op.residual_pair(u, f_pair)
         c = row(u[0], p[0])  # of the double parts, as the double loop takes it
-        size = max(float(np.max(np.abs(G))), abs(c))
+        size = max(float(np.abs(G).max()), abs(c))
         history.append(size)
         if size <= tol:
             return _Solved(np.longdouble(u[0]) + u[1], np.longdouble(p[0]) + p[1],
                            steps, skipped, refinements, history)
-        if refinements:  # the first refined iterate is the double one
+        if refinements:  # the first refined iterate's triple is fx
             fx = f(u[0], p[0])
         du, dp = step(G, c, fx)
         # a correction joins the low part first: it is far smaller than u,

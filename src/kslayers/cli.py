@@ -348,7 +348,8 @@ def _float_list(text: str) -> list[float]:
 
 def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """The CLI parser.  ``defaults`` (a config file's values) become the
-    subcommands' defaults, so flags given on the command line win.
+    subcommands' defaults, so flags given on the command line win, and a
+    flag whose key they hold is no longer required.
 
     Raises ``ValueError`` if a value does not convert to its flag's type.
     """
@@ -414,6 +415,8 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
              for k, v in (defaults or {}).items()}
     for p in sub.choices.values():
         p.set_defaults(**typed)
+        for a in p._actions:
+            a.required = a.required and a.dest not in typed
     return ap
 
 
@@ -425,7 +428,7 @@ def _load_config_file(path: str) -> dict:
             if not line or line.startswith("#") or "=" not in line:
                 continue
             key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            out[key.strip().replace("-", "_")] = val.strip()
     return out
 
 
@@ -454,17 +457,16 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
+    # --config first: the file's keys preseed the flags, required ones too
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
+    try:
+        ap = _build_parser(_load_config_file(config) if config else None)
+    except (OSError, ValueError) as exc:
+        print(f"error: bad config: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
     args, _unknown = ap.parse_known_args(argv)
-    if args.command is not None and args.config:
-        try:
-            file_vals = _load_config_file(args.config)
-            ap = _build_parser({k.replace("-", "_"): v
-                                for k, v in file_vals.items()})
-        except (OSError, ValueError) as exc:
-            print(f"error: bad config: {exc}", file=sys.stderr)
-            return _EXIT_USAGE
-        args, _unknown = ap.parse_known_args(argv)
     if _unknown:
         print(f"error: unknown arguments {_unknown}", file=sys.stderr)
         return _EXIT_USAGE

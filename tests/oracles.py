@@ -140,7 +140,9 @@ def bessel_series_loops(x):
 
 # Frozen copies: the double-precision loop evaluates f(u, p) for each
 # candidate's residual, keeping f alone, and again for the step, every
-# refinement step evaluates the Jacobian afresh, and d1 is np.gradient.  The
+# refinement step evaluates the Jacobian afresh, the first pair residual
+# evaluates f on the pairs even where the last double iterate's f (every
+# entry at most 1e3) gives its bits, and d1 is np.gradient.  The
 # refinement carries u and p as (hi, lo) pairs of doubles.  The library must
 # reproduce them to the bit.
 

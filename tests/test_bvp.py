@@ -448,6 +448,30 @@ class TestContinuation:
         assert len(solves) <= 76
         assert sum(p.newton_iters for p in br) == 55
 
+    def test_the_first_pair_residual_reuses_the_double_f(self, monkeypatch):
+        # every f on these points is below radial._F_DOUBLE_MAX, so each
+        # corrector's first pair residual takes the hand-over iterate's f
+        # and only the later refinement steps call exp_pair
+        pairs, refinements = [], []
+        exp_pair, newton = bvp.exp_pair, bvp._newton
+
+        def counted_pair(*args, **kwargs):
+            pairs.append(args)
+            return exp_pair(*args, **kwargs)
+
+        def counted_newton(*args, **kwargs):
+            sol = newton(*args, **kwargs)
+            refinements.append(sol.refinements)
+            return sol
+
+        monkeypatch.setattr(bvp, "exp_pair", counted_pair)
+        monkeypatch.setattr(bvp, "_newton", counted_newton)
+        br = bvp.continue_component(bvp.seed_branch(2, "+"), steps=30)
+        assert max(float(np.exp(p.param * (np.max(p.profile.values) - 1)))
+                   for p in br) <= radial._F_DOUBLE_MAX
+        assert len(refinements) >= len(br) and sum(refinements) > 0
+        assert len(pairs) == sum(refinements)
+
     @staticmethod
     def _one_call(monkeypatch, result):
         # continue_branch replaced by ``result``, which returns the branch or
@@ -577,6 +601,17 @@ class TestSameBitsAsTwoEvaluations:
         _, prof = ansatz4
         run = lambda: [bvp.solve_bvp(1e-4, prof)]  # noqa: E731
         self._assert_same_points(*self._both(run, monkeypatch))
+
+    def test_solve_bvp_above_the_double_exp_range(self, monkeypatch):
+        # lambda e^u reaches 6.5e5 here, so the hand-over iterate's f is not
+        # reused: its first pair residual takes exp_pair's long-double rows
+        lam = 1e-30
+        prof = ansatz.build_profile(ansatz.build_params(lam))
+        run = lambda: [bvp.solve_bvp(lam, prof)]  # noqa: E731
+        new, old = self._both(run, monkeypatch)
+        self._assert_same_points(new, old)
+        u_max = float(np.max(new[0].profile.values))
+        assert lam * np.exp(u_max) > radial._F_DOUBLE_MAX
 
     def test_refinement_past_its_first_step(self, ansatz4, monkeypatch):
         # every solve above refines once; at tol = 5e-12 the direct solve's

@@ -325,6 +325,22 @@ def test_config_file_loses_to_flags(tmp_path):
     assert doc["config"]["k"] == 1 and len(doc["alphas"]) == 1
 
 
+def test_config_file_preseeds_a_required_flag(tmp_path, capsys):
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("k=2\n")
+    code, out = run_cli(["green", "--b", "1e-3", "--config", str(cfg)],
+                        tmp_path, "c3")
+    assert code == 0
+    doc = json.loads((out / "green.json").read_text())
+    assert doc["config"]["k"] == 2 and len(doc["alphas"]) == 2
+    # a required flag that neither the file nor the command line gives
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["green", "--config", str(cfg)], tmp_path, "c4")
+    assert exc.value.code == 2
+    assert "the following arguments are required: --b" in capsys.readouterr().err
+    assert not (tmp_path / "c4").exists()
+
+
 def test_fixpoint_csv(tmp_path):
     code, out = run_cli(["fixpoint", "--lambda", "1e-4"], tmp_path)
     assert code == 0

@@ -369,7 +369,7 @@ def fixed_point(U: Profile, lam: float, eps: float | None = None,
     # and so is the rounding of the sum U + phi: both are taken as pairs
     hi, lo = two_sum(U.values, phi)
     checked_exp(hi, U.grid, "e^(U+phi)")
-    res_corr = op.residual_pair((hi, lo), exp_pair(hi, lo, scale=lam))
+    res_corr = op.residual_pair((hi, lo), exp_pair((hi, lo), scale=lam)[0])
     drop = raw_norm / max(float(np.max(np.abs(res_corr))), 1e-300)
     return FixedPointResult(phi=phi, increments=increments, factors=factors,
                             rho=rho, bound=bound, residual_drop=drop,

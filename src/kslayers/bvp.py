@@ -8,8 +8,8 @@ where branches of nonconstant solutions bifurcate from u = 1.  One damped
 Newton core serves both: the direct solve holds the parameter fixed, the
 arclength corrector borders the system with the constraint row.  One evaluation of the
 nonlinearity and its derivatives serves an iterate's residual and its step,
-and the last double iterate's f serves the refinement's first residual
-wherever every f is at most 1e3.
+a refined iterate's included, and the last double iterate's f serves the
+refinement's first residual wherever every f is at most 1e3.
 
 Grid note: the double-precision max-norm of the discrete residual has a
 floor of about eps_mach |u| / h_min^2, so ``graded_grid`` caps its cells
@@ -31,8 +31,9 @@ pairs as lambda e^hi (1 + lo) or e^(mu_hi (hi - 1)) (1 + mu_hi lo +
 mu_lo (hi - 1)) (``radial.exp_pair``).  Long double remains in two
 places.  A solved point stores u and mu in long double, rounded once from
 the pairs.  The rows where f exceeds 1e3, where a double's rounding of f
-and of -Delta u would near the 1e-10 tolerance, take a long-double exp
-and are summed in long double.  Every linear solve is double-precision
+and of -Delta u would near the 1e-10 tolerance, take a long-double exp,
+whose exponent ``exp_pair`` forms from the pairs, and are summed in long
+double.  Every linear solve is double-precision
 LAPACK: a single solve is one ?gtsv, and the mode finder's inverse
 iteration factors its shifted operator once with ?gttrf and solves with
 ?gttrs.
@@ -117,10 +118,12 @@ def _lam_exp(u, lam):
     """lambda e^u with its u- and lambda-derivatives, (f, f_u, f_lambda).
 
     For a pair u = (hi, lo) and lam = (lam, 0) (the direct solve holds
-    lambda fixed) it returns f alone, lambda e^hi (1 + lo) as an ``exp_pair``.
+    lambda fixed) f is the pair lambda e^hi (1 + lo) (``exp_pair``), and
+    f_u and f_lambda are the double hi's.
     """
     if isinstance(u, tuple):
-        return exp_pair(*u, scale=lam[0])
+        f, e = exp_pair(u, scale=lam[0])
+        return f, lam[0] * e, e
     e = np.exp(np.minimum(u, EXP_CAP))
     f = lam * e
     return f, f, e
@@ -129,19 +132,13 @@ def _lam_exp(u, lam):
 def _mu_exp(u, mu):
     """e^(mu (u - 1)) with its u- and mu-derivatives, (f, f_u, f_mu).
 
-    For pairs u = (hi, lo) and mu = (mu_hi, mu_lo) it returns f alone,
-    e^(mu_hi (hi - 1)) (1 + mu_hi lo + mu_lo (hi - 1)) as an ``exp_pair``,
-    whose entries above 1e3 take the exponent formed in long double.
+    For pairs u = (hi, lo) and mu = (mu_hi, mu_lo) f is the pair
+    e^(mu_hi (hi - 1)) (1 + mu_hi lo + mu_lo (hi - 1)) (``exp_pair``), and
+    f_u and f_mu are those of the doubles (hi, mu_hi).
     """
     if isinstance(u, tuple):
-        (hi, lo), (mu_hi, mu_lo) = u, mu
-        v = hi - 1.0
-
-        def extended(big):
-            mu_ext = np.longdouble(mu_hi) + mu_lo
-            return mu_ext * ((np.longdouble(hi[big]) + lo[big]) - 1)
-
-        return exp_pair(mu_hi * v, mu_hi * lo + mu_lo * v, extended=extended)
+        f, e = exp_pair(u, mu, shift=1.0)
+        return f, mu[0] * e, (u[0] - 1.0) * e
     v = u - 1.0
     f = np.exp(np.minimum(mu * v, EXP_CAP))
     return f, mu * f, v * f
@@ -187,9 +184,9 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
             border=None) -> _Solved:
     """Damped Newton on G(u, p) = -Delta u + u - f(u, p) = 0.
 
-    ``f(u, p)`` returns (f, f_u, f_p) on doubles; one such call per
-    iterate serves both its residual and its step.  Without
-    ``border`` p is held fixed.
+    ``f(u, p)`` returns (f, f_u, f_p), on doubles and on (hi, lo) pairs
+    alike, where a pair's f is a pair; one such call per iterate serves
+    both its residual and its step.  Without ``border`` p is held fixed.
     With ``border = ((t_u, t_p), (u_pred, p_pred))`` p is unknown too and the
     pseudo-arclength row c = t . (x - x_pred) = 0 closes the system (Keller
     1977); each step is then one two-column banded solve plus the Schur row.
@@ -205,15 +202,16 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
     ``_MODEL_THETA`` tol the refinement starts from the iterate, skipping
     the stall check; ``_Solved.skipped`` records it.  After a damped step
     the model is not trusted.  The refinement carries u
-    and p as TwoSum-renormalized (hi, lo) pairs of doubles; the residual is
-    ``RadialOperator.residual_pair`` of the pair and of ``f(u, p)`` called
-    with the pairs, which returns f as a pair (``radial.exp_pair``).  Each
-    correction is a double ?gtsv solve at the Jacobian of (hi, p_hi).  The
-    first refined iterate is the double iterate the loop hands over, so its
-    correction reuses that iterate's (f, f_u, f_p), and its residual takes
-    (f, 0) as the pair: the same bits as ``f(u, p)`` wherever every f is
-    at most ``radial._F_DOUBLE_MAX`` (1e3).  Above it ``exp_pair`` takes
-    a long-double exp, so there the pair is evaluated.
+    and p as TwoSum-renormalized (hi, lo) pairs of doubles, and each
+    refined iterate takes one ``f(u, p)`` on the pairs: its f, a pair
+    (``radial.exp_pair``), enters the residual
+    ``RadialOperator.residual_pair``, and its f_u and f_p, those of the
+    doubles (hi, p_hi), the correction, a double ?gtsv solve.  The first
+    refined iterate is the double iterate the loop hands over, so it
+    reuses that iterate's (f, f_u, f_p) with (f, 0) as the pair: the same
+    bits as ``f(u, p)`` wherever every f is at most
+    ``radial._F_DOUBLE_MAX`` (1e3).  Above it ``exp_pair`` takes a
+    long-double exp, so there the pair is evaluated.
     The pairs are rounded to long double once, in the returned ``_Solved``.
     """
     if border is not None:
@@ -273,25 +271,25 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
             residual=size)
 
     u, p = (np.asarray(u, dtype=float), np.zeros(op.n)), (float(p), 0.0)
-    # the first refined iterate is the double one: its f is the pair's (f, 0)
+    # the first refined iterate is the double one: its f is the pair (f, 0)
     # to the bit unless a row takes exp_pair's long-double exp
-    f_pair = (fx[0], np.zeros(op.n)) if fx[0].max() <= _F_DOUBLE_MAX else f(u, p)
+    if fx[0].max() <= _F_DOUBLE_MAX:
+        fx = ((fx[0], np.zeros(op.n)), *fx[1:])
+    else:
+        fx = f(u, p)
     for refinements in range(_REFINE_STEPS):
-        if refinements:
-            f_pair = f(u, p)
-        G = op.residual_pair(u, f_pair)
+        G = op.residual_pair(u, fx[0])
         c = row(u[0], p[0])  # of the double parts, as the double loop takes it
         size = max(float(np.abs(G).max()), abs(c))
         history.append(size)
         if size <= tol:
             return _Solved(np.longdouble(u[0]) + u[1], np.longdouble(p[0]) + p[1],
                            steps, skipped, refinements, history)
-        if refinements:  # the first refined iterate's triple is fx
-            fx = f(u[0], p[0])
         du, dp = step(G, c, fx)
         # a correction joins the low part first: it is far smaller than u,
         # so the rounding of lo + du, about 1e-16 |du|, is far below lo
         u, p = two_sum(u[0], u[1] + du), two_sum(p[0], p[1] + dp)
+        fx = f(u, p)
     raise ConvergenceError(
         f"refinement did not reach tolerance (last residual {size:.3e})",
         residual=size)
@@ -449,24 +447,25 @@ def seed_branch(i: int, sign: str) -> BranchPoint:
     return _corrector(op, u_pred, mu_i, (tu, 0.0), (u_pred, mu_i))
 
 
-def _first_tangent(op: RadialOperator, u, mu, direction: float = 1.0):
+def _first_tangent(op: RadialOperator, u, mu):
     """Unit tangent direction (v, 1) / ||(v, 1)||, v = G_u^{-1} f_mu."""
     _, f_u, f_mu = _mu_exp(u, mu)
     v = _solve(op, f_u, f_mu)
     norm = np.sqrt(np.dot(v, v) + 1.0)
-    return direction * v / norm, direction / norm
+    return v / norm, 1.0 / norm
 
 
-def continue_branch(start: BranchPoint, direction: float = 1.0,
-                    steps: int = 50) -> list[BranchPoint]:
+def continue_branch(start: BranchPoint, steps: int = 50) -> list[BranchPoint]:
     """Pseudo-arclength continuation with a secant predictor.
 
-    ``direction`` orients the first tangent in mu: +1 sets out towards
-    increasing mu, which from a "+" seed can cross back through the
-    bifurcation; ``continue_component`` picks the orientation.  Steps
-    adapt from ds = 2e-3 within [1e-9, 0.2]: a failed corrector halves ds,
-    an easy one grows it.  Underflow of ds raises StallError carrying the
-    branch collected so far, and ``steps`` < 1 DomainError.
+    The first tangent is oriented so that the amplitude |u(0) - 1| grows:
+    its u(0) component gives the sign of d u(0)/ds, and the tangent is
+    reversed where that sign is against sign(u(0) - 1) (kept where either
+    is 0 or nan).  From a seed this sets out away from the bifurcation,
+    not back through it.  Steps adapt from ds = 2e-3 within [1e-9, 0.2]:
+    a failed corrector halves ds, an easy one grows it.  Underflow of ds
+    raises StallError carrying the branch collected so far, and ``steps``
+    < 1 DomainError.
     """
     if steps < 1:
         raise DomainError(f"steps={steps}: the continuation needs steps >= 1")
@@ -477,7 +476,9 @@ def continue_branch(start: BranchPoint, direction: float = 1.0,
     # corrector's double-precision loop evaluates e^(mu (u - 1)) in double
     u, mu = np.asarray(start.profile.values, dtype=float), float(start.param)
 
-    tu, tmu = _first_tangent(op, u, mu, direction)
+    tu, tmu = _first_tangent(op, u, mu)
+    if np.sign(start.u0_value - 1.0) * tu[0] < 0:
+        tu, tmu = -tu, -tmu
 
     while len(branch) <= steps:
         x_pred = (u + ds * tu, mu + ds * tmu)
@@ -506,20 +507,14 @@ def continue_branch(start: BranchPoint, direction: float = 1.0,
 def continue_component(seed: BranchPoint, steps: int = 20) -> list[BranchPoint]:
     """Continue away from the bifurcation staying on the seeded component.
 
-    The first tangent's u(0) component gives the sign of d u(0)/ds, so one
-    continuation sets out along the orientation in which the seeded
-    amplitude |u(0) - 1| grows.  Its ConvergenceError or StallError (with
-    the branch so far) propagates; a branch that does not keep the sign of
-    u(0) - 1 and grow it raises ConvergenceError, and ``steps`` < 1
-    DomainError.
+    One ``continue_branch``, which sets out along the orientation in which
+    the seeded amplitude |u(0) - 1| grows.  Its ConvergenceError or
+    StallError (with the branch so far) propagates, and so does its
+    DomainError for ``steps`` < 1; a branch that does not keep the sign of
+    u(0) - 1 and grow it raises ConvergenceError.
     """
-    if steps < 1:
-        raise DomainError(f"steps={steps}: the continuation needs steps >= 1")
     sign0 = np.sign(seed.u0_value - 1.0)
-    u = np.asarray(seed.profile.values, dtype=float)
-    tu, _ = _first_tangent(RadialOperator(seed.profile.grid), u, float(seed.param))
-    direction = -1.0 if sign0 * tu[0] < 0 else 1.0  # +1 on 0 or nan too
-    br = continue_branch(seed, direction=direction, steps=steps)
+    br = continue_branch(seed, steps=steps)
     amp0 = sign0 * (br[0].u0_value - 1.0)
     amp1 = sign0 * (br[-1].u0_value - 1.0)
     if not amp1 > amp0 > 0:
@@ -551,7 +546,7 @@ def concentration_report(point: BranchPoint, reference: LayerConfig,
     # the stored long-double values as the refinement's (hi, lo) pair
     hi = np.asarray(u, dtype=float)
     checked_exp(hi, r, "e^u")
-    f, f_lo = _lam_exp((hi, np.asarray(u - hi, dtype=float)), (lam, 0.0))
+    f, f_lo = _lam_exp((hi, np.asarray(u - hi, dtype=float)), (lam, 0.0))[0]
     eu = f + f_lo
 
     layers = LayerCalculus(reference.alphas, reference.b, reference.outer_mode)

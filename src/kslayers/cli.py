@@ -362,23 +362,24 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     common.add_argument("--out", default=".", help="output directory")
     sub = ap.add_subparsers(dest="command", parser_class=argparse.ArgumentParser)
 
+    # flags that several subcommands share, each declared once here
+    lam = argparse.ArgumentParser(add_help=False)
+    lam.add_argument("--lambda", dest="lam", type=float, required=True)
+    outer = argparse.ArgumentParser(add_help=False)
+    outer.add_argument("--outer", choices=["dirichlet", "neumann"],
+                       default="dirichlet")
     # the glued ansatz profile's flags, inherited by the subcommands that
     # build one
-    profile = argparse.ArgumentParser(add_help=False)
-    profile.add_argument("--lambda", dest="lam", type=float, required=True)
+    profile = argparse.ArgumentParser(add_help=False, parents=[lam, outer])
     profile.add_argument("--k", type=int, default=1)
-    profile.add_argument("--outer", choices=["dirichlet", "neumann"],
-                         default="dirichlet")
     profile.add_argument("--eta", type=float, default=0.8)
 
     def add_parser(name, *parents, **kw):
         return sub.add_parser(name, parents=[common, *parents], **kw)
 
-    g = add_parser("green", help="layered Green's function")
+    g = add_parser("green", outer, help="layered Green's function")
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--b", type=float, required=True)
-    g.add_argument("--outer", choices=["dirichlet", "neumann"],
-                   default="dirichlet")
     g.add_argument("--grid-file", help="radii (one per line) for a CSV profile")
 
     nd = add_parser("nondegen", help="determinant sweep")
@@ -402,12 +403,9 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     br.add_argument("--sign", choices=["+", "-"], required=True)
     br.add_argument("--steps", type=int, required=True)
 
-    rp = add_parser("report", help="concentration diagnostics of a profile")
+    rp = add_parser("report", lam, outer, help="concentration diagnostics of a profile")
     rp.add_argument("--in", dest="infile", required=True)
     rp.add_argument("--k", type=int, required=True)
-    rp.add_argument("--lambda", dest="lam", type=float, required=True)
-    rp.add_argument("--outer", choices=["dirichlet", "neumann"],
-                    default="dirichlet")
     # a config file may hold keys for several subcommands: every subcommand
     # takes every key, typed by the flag that declares it
     flags = {a.dest: a for p in sub.choices.values() for a in p._actions}

@@ -66,25 +66,30 @@ def two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
-def exp_pair(x_hi: np.ndarray, x_lo: np.ndarray, scale: float = 1.0, extended=None):
-    """scale e^min(x, EXP_CAP) for x = x_hi + x_lo, as a pair (f, f_lo) of doubles.
+def exp_pair(u, a=(1.0, 0.0), shift: float = 0.0, scale: float = 1.0):
+    """scale e^min(x, EXP_CAP) for x = a (u - shift), u and a pairs (hi, lo)
+    of doubles; returns ((f, f_lo), e) with e = e^min(x_hi, EXP_CAP).
 
-    e^x = e^x_hi e^x_lo is taken as e^x_hi (1 + x_lo), with f_lo = 0: the
-    dropped x_lo^2 / 2 is below 1e-30 relative.  Entries of f above
-    ``_F_DOUBLE_MAX`` are recomputed with a long-double exp and returned
-    as f + f_lo.  The long-double exponent at those entries is
-    ``extended(mask)`` where the caller forms it, and x_hi + x_lo summed in
-    long double otherwise.
+    x = x_hi + x_lo with x_hi = a_hi (u_hi - shift) and x_lo = a_hi u_lo +
+    a_lo (u_hi - shift), and e^x = e^x_hi e^x_lo is taken as
+    e^x_hi (1 + x_lo), with f_lo = 0: the dropped x_lo^2 / 2 is below
+    1e-30 relative.  Entries of f above ``_F_DOUBLE_MAX`` are recomputed
+    with a long-double exp of a (u - shift), each pair summed in long
+    double, and returned as f + f_lo.  e is the double e^x_hi from which
+    the caller's derivatives are taken.
     """
-    f = scale * (np.exp(np.minimum(x_hi, EXP_CAP)) * (1.0 + x_lo))
+    (hi, lo), (a_hi, a_lo) = u, a
+    v = hi - shift
+    e = np.exp(np.minimum(a_hi * v, EXP_CAP))
+    f = scale * (e * (1.0 + (a_hi * lo + a_lo * v)))
     f_lo = np.zeros_like(f)
     big = f > _F_DOUBLE_MAX
     if np.any(big):
-        x = np.longdouble(x_hi[big]) + x_lo[big] if extended is None else extended(big)
+        x = (np.longdouble(a_hi) + a_lo) * ((np.longdouble(hi[big]) + lo[big]) - shift)
         ext = scale * np.exp(np.minimum(x, EXP_CAP))
         f[big] = ext
         f_lo[big] = ext - f[big]
-    return f, f_lo
+    return (f, f_lo), e
 
 
 def graded_grid(n: int, scale0: float = 0.02, scale1: float = 0.02) -> np.ndarray:

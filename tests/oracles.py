@@ -139,16 +139,17 @@ def bessel_series_loops(x):
 # ---------------------------------------------------------------------------
 
 # Frozen copies: the double-precision loop evaluates f(u, p) for each
-# candidate's residual, keeping f alone, and again for the step, every
-# refinement step evaluates the Jacobian afresh, the first pair residual
-# evaluates f on the pairs even where the last double iterate's f (every
-# entry at most 1e3) gives its bits, and d1 is np.gradient.  The
-# refinement carries u and p as (hi, lo) pairs of doubles.  The library must
+# candidate's residual, keeping f alone, and again for the step; every
+# refinement step evaluates f on the pairs for its residual, keeping the
+# pair f alone, and again on the double parts for its Jacobian, and the
+# first pair residual evaluates f on the pairs even where the last double
+# iterate's f (every entry at most 1e3) gives its bits.  The refinement
+# carries u and p as (hi, lo) pairs of doubles.  The library must
 # reproduce them to the bit.
 
 def _residual_two_evaluations(op, f, u, p):
     if isinstance(u, tuple):
-        return op.residual_pair(u, f(u, p))
+        return op.residual_pair(u, f(u, p)[0])
     return op.apply_neg_lap(u) + u - f(u, p)[0]
 
 

@@ -292,8 +292,6 @@ class TestDirectSolve:
 
         def nan_jacobian(u, lam):
             out = bvp._lam_exp(u, lam)
-            if isinstance(u, tuple):  # a pair's f
-                return out
             return out[0], np.full_like(out[1], np.nan), out[2]
 
         op = RadialOperator(bvp.make_grid(1e-4))
@@ -307,12 +305,12 @@ class TestDirectSolve:
         u = np.asarray(point.profile.values, dtype=np.longdouble)
         pair = split(u)
         lam = np.longdouble(1e-4)
-        rel = joined(bvp._lam_exp(pair, (1e-4, 0.0))) / (lam * np.exp(u)) - 1
+        rel = joined(bvp._lam_exp(pair, (1e-4, 0.0))[0]) / (lam * np.exp(u)) - 1
         assert float(np.max(np.abs(rel))) <= 5e-16
         # a mu with a low part, as the corrector's: f reaches 1.2e6, where a
         # double's rounding alone would be 1e-10
         mu = np.longdouble(1.1) + np.longdouble(2e-17)
-        err = joined(bvp._mu_exp(pair, split(mu))) - np.exp(mu * (u - 1))
+        err = joined(bvp._mu_exp(pair, split(mu))[0]) - np.exp(mu * (u - 1))
         assert float(np.max(np.abs(err))) <= 1e-12
 
 
@@ -422,7 +420,7 @@ class TestContinuation:
         original = bvp.continue_branch
 
         def counted(*args, **kwargs):
-            calls.append(kwargs.get("direction"))
+            calls.append(args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(bvp, "continue_branch", counted)
@@ -430,6 +428,63 @@ class TestContinuation:
         assert len(calls) == 1
         want = 1.0 if sign == "+" else -1.0
         assert all(np.sign(p.u0_value - 1.0) == want for p in br)
+
+    def test_one_operator_and_one_tangent_per_component(self, monkeypatch):
+        # continue_branch orients the tangent it continues from, so
+        # continue_component builds no operator or tangent of its own
+        seed = bvp.seed_branch(2, "+")
+        built, tangents = [], []
+        init, first_tangent = RadialOperator.__init__, bvp._first_tangent
+
+        def counted_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        def counted_tangent(*args):
+            tangents.append(args)
+            return first_tangent(*args)
+
+        monkeypatch.setattr(RadialOperator, "__init__", counted_init)
+        monkeypatch.setattr(bvp, "_first_tangent", counted_tangent)
+        bvp.continue_component(seed, steps=3)
+        assert len(built) == 1
+        assert len(tangents) == 1
+
+    @pytest.mark.parametrize("i, sign", [(2, "+"), (2, "-"), (3, "+"), (3, "-")])
+    def test_continue_branch_grows_the_seeded_amplitude(self, i, sign):
+        # from a seed continue_branch sets out away from the bifurcation
+        seed = bvp.seed_branch(i, sign)
+        br = bvp.continue_branch(seed, steps=10)
+        assert abs(br[-1].u0_value - 1.0) > abs(br[0].u0_value - 1.0)
+        want = 1.0 if sign == "+" else -1.0
+        assert all(np.sign(p.u0_value - 1.0) == want for p in br)
+
+    def test_refined_iterates_take_one_evaluation_each(self, monkeypatch):
+        # after the hand-over every f(u, p) is on the pairs, one per
+        # correction: it serves the next residual and the next correction's
+        # Jacobian, so no double evaluation follows the first pair one; the
+        # (3, +) component's points 11-15 take two corrections each
+        runs = []
+        newton = bvp._newton
+
+        def recorded(op, f, *args, **kwargs):
+            pairs = []
+
+            def recorded_f(u, p):
+                pairs.append(isinstance(u, tuple))
+                return f(u, p)
+
+            sol = newton(op, recorded_f, *args, **kwargs)
+            runs.append((pairs, sol.refinements))
+            return sol
+
+        monkeypatch.setattr(bvp, "_newton", recorded)
+        bvp.continue_component(bvp.seed_branch(3, "+"), steps=15)
+        assert max(refinements for _, refinements in runs) >= 2
+        for pairs, refinements in runs:
+            n = pairs.count(True)
+            assert n == refinements
+            assert pairs == [False] * (len(pairs) - n) + [True] * n
 
     def test_pair_refinement_starts_a_step_early(self, monkeypatch):
         # the double loop leaves once the quadratic model predicts that the
@@ -507,11 +562,10 @@ class TestContinuation:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("steps", [0, -3])
-    def test_no_steps_is_a_domain_error(self, steps, monkeypatch):
-        calls = self._one_call(monkeypatch, lambda: [])
+    def test_no_steps_is_a_domain_error(self, steps):
+        # continue_branch's own check
         with pytest.raises(DomainError, match=f"steps={steps}"):
             bvp.continue_component(bvp.seed_branch(2, "+"), steps=steps)
-        assert not calls
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_continue_branch_without_steps_is_a_domain_error(self, steps):

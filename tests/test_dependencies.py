@@ -56,6 +56,45 @@ def test_given_profiles_raise_and_only_solver_iterates_clip():
     assert clips == {"bvp.py", "radial.py"}
 
 
+def _function(tree, name):
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _annotations(tree) -> set:
+    """ids of the nodes inside annotations, which name types only."""
+    roots = [n.annotation for n in ast.walk(tree)
+             if isinstance(n, (ast.AnnAssign, ast.arg)) and n.annotation is not None]
+    roots += [n.returns for n in ast.walk(tree)
+              if isinstance(n, ast.FunctionDef) and n.returns is not None]
+    return {id(n) for root in roots for n in ast.walk(root)}
+
+
+def test_exp_pair_forms_every_exponent_and_bvp_only_rounds_to_long_double():
+    # radial.exp_pair forms x = a (u - shift) itself, its long-double rows
+    # included, so it calls none of its parameters; bvp forms no
+    # long-double exponent and takes np.longdouble only where _newton
+    # rounds its pairs into _Solved
+    exp_pair = _function(ast.parse((SRC / "kslayers" / "radial.py").read_text()),
+                         "exp_pair")
+    params = {a.arg for a in ast.walk(exp_pair.args) if isinstance(a, ast.arg)}
+    called = [node.func.id for node in ast.walk(exp_pair)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in params]
+    assert not called, called
+
+    tree = ast.parse((SRC / "kslayers" / "bvp.py").read_text())
+    skip = _annotations(tree)
+    rounded = {id(n) for call in ast.walk(_function(tree, "_newton"))
+               if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+               and call.func.id == "_Solved" for n in ast.walk(call)}
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "longdouble"
+            and id(node) not in skip]
+    assert uses and all(id(node) in rounded for node in uses), \
+        [node.lineno for node in uses if id(node) not in rounded]
+
+
 def _is_params(node) -> bool:
     return (isinstance(node, ast.Name) and node.id in ("p", "params")
             or isinstance(node, ast.Attribute) and node.attr == "params")

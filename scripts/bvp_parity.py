@@ -66,6 +66,16 @@ tolerance the corrector certifies, so a branch that moved between two
 checkouts shows whether it is the same curve sampled elsewhere or a broken
 solution.
 
+While it continues the eight components the script also counts calls
+into ``kslayers``: ``double_f`` and ``pair_f``, the evaluations of
+e^(mu (u - 1)) on doubles and on (hi, lo) pairs; ``residual_pair``, the
+refinement's residuals; ``solves``, the ``RadialOperator.solve`` calls
+(one ?gtsv each); ``failed_correctors``, the correctors that raised
+``ConvergenceError``; and ``line_search_candidates``, the double-loop
+residuals taken at a candidate step, each corrector's starting one
+excluded.  OUT.npz keeps them as ``counts/<name>``.  They are not output
+fields and do not enter the comparison below.
+
 With ``--against OLD.npz`` every field of every case is compared with
 ``np.array_equal``; a numeric field that differs prints its max relative
 difference (NaNs in the same places count as equal), a string field
@@ -79,10 +89,11 @@ prints at how many points ``newton_iters``, the signal the step-size
 control reads, differs, and the first such point, then the count over all
 branches.  Run it from two checkouts and compare the second dump against
 the first: the exit code is 1 unless every field is equal and every branch
-certifies.
+certifies.  The counts of both dumps are printed side by side.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -92,7 +103,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from kslayers import analysis, ansatz, bvp, greens, nondegen, specfun  # noqa: E402
-from kslayers.errors import MatchingError  # noqa: E402
+from kslayers.errors import ConvergenceError, MatchingError  # noqa: E402
+from kslayers.radial import RadialOperator  # noqa: E402
 
 COMPONENTS = [(i, sign) for i in (2, 3, 4, 5) for sign in "+-"]
 LAMBDAS = (1e-4, 1e-5, 1e-6)
@@ -117,8 +129,51 @@ REPORT = ("sup_weighted_inner", "l1_outer", "star", "starstar", "middle_sup",
           "inner_envelope_const")  # the ResidualReport fields
 MASSES = ("origin_mass", "layer_fluxes", "boundary_mass", "profile_gap",
           "total_mass")  # the ConcentrationReport fields
+COUNTS = ("double_f", "pair_f", "residual_pair", "solves", "failed_correctors",
+          "line_search_candidates")
 BESSEL_RADII = np.concatenate([np.geomspace(1e-8, 1.0, 50_000),
                                np.linspace(1e-8, 1.0, 50_000)])
+
+
+@contextlib.contextmanager
+def _counting():
+    """The ``COUNTS`` of the calls into kslayers made while the block runs."""
+    counts = dict.fromkeys(COUNTS, 0)
+    mu_exp, corrector = bvp._mu_exp, bvp._corrector
+
+    def counted(key, call, step=1):
+        def wrapper(*args, **kwargs):
+            counts[key] += step
+            return call(*args, **kwargs)
+        return wrapper
+
+    def counted_mu_exp(u, mu):
+        counts["pair_f" if isinstance(u, tuple) else "double_f"] += 1
+        return mu_exp(u, mu)
+
+    def counted_corrector(*args):
+        try:
+            return corrector(*args)
+        except ConvergenceError:
+            counts["failed_correctors"] += 1
+            raise
+
+    patches = [(bvp, "_mu_exp", counted_mu_exp),
+               (bvp, "_corrector", counted_corrector),
+               (bvp, "_residual", counted("line_search_candidates", bvp._residual)),
+               # each corrector's starting residual is no candidate
+               (bvp, "_newton", counted("line_search_candidates", bvp._newton, -1)),
+               (RadialOperator, "residual_pair",
+                counted("residual_pair", RadialOperator.residual_pair)),
+               (RadialOperator, "solve", counted("solves", RadialOperator.solve))]
+    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
+    try:
+        for owner, name, call in patches:
+            setattr(owner, name, call)
+        yield counts
+    finally:
+        for owner, name, call in originals:
+            setattr(owner, name, call)
 
 
 def _fields(points) -> dict:
@@ -265,8 +320,12 @@ def dump() -> tuple[dict, list[str]]:
     uncertified = []
     print(f"params: {out['params/lam'].size} lambdas, "
           f"{int(out['params/matching_error'].sum())} MatchingError")
-    for i, sign in COMPONENTS:
-        branch = bvp.continue_component(bvp.seed_branch(i, sign), steps=STEPS)
+    with _counting() as counts:
+        branches = [bvp.continue_component(bvp.seed_branch(i, sign), steps=STEPS)
+                    for i, sign in COMPONENTS]
+    out.update({f"counts/{key}": np.array(val) for key, val in counts.items()})
+    print("counts: " + ", ".join(f"{key} {val}" for key, val in counts.items()))
+    for (i, sign), branch in zip(COMPONENTS, branches):
         for key, val in _fields(branch).items():
             out[f"i{i}{sign}/{key}"] = val
         worst = _worst_residual(branch)
@@ -332,10 +391,21 @@ def _iters_flips(new: dict, old: dict, case: str) -> tuple[int, int]:
     return off.size, new[key].size
 
 
+def _print_counts(new: dict, old: dict) -> None:
+    """The counts of the two dumps, old -> new ("-" where one has none)."""
+    for name in COUNTS:
+        key = f"counts/{name}"
+        old_val, new_val = (int(d[key]) if key in d else "-" for d in (old, new))
+        print(f"counts/{name}: {old_val} -> {new_val}")
+
+
 def compare(new: dict, old: dict) -> bool:
+    """Print the field-by-field comparison and the counts; True if every
+    field is equal."""
     same = True
     branches = sorted(f"i{i}{sign}" for i, sign in COMPONENTS)
-    for key in sorted(set(new) | set(old)):
+    fields = {key for key in set(new) | set(old) if not key.startswith("counts/")}
+    for key in sorted(fields):
         if key not in old or key not in new:
             print(f"{key}: only in {'new' if key in new else 'old'} dump")
         elif new[key].shape != old[key].shape:
@@ -354,6 +424,7 @@ def compare(new: dict, old: dict) -> bool:
             print(f"  {_mu_departure(new, old, key.split('/')[0])}")
     flips, points = map(sum, zip(*(_iters_flips(new, old, case) for case in branches)))
     print(f"branches: newton_iters differ at {flips} of {points} points")
+    _print_counts(new, old)
     return same
 
 

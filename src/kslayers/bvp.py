@@ -124,7 +124,8 @@ def _lam_exp(u, lam):
     if isinstance(u, tuple):
         f, e = exp_pair(u, scale=lam[0])
         return f, lam[0] * e, e
-    e = np.exp(np.minimum(u, EXP_CAP))
+    e = np.minimum(u, EXP_CAP)
+    np.exp(e, out=e)
     f = lam * e
     return f, f, e
 
@@ -140,14 +141,19 @@ def _mu_exp(u, mu):
         f, e = exp_pair(u, mu, shift=1.0)
         return f, mu[0] * e, (u[0] - 1.0) * e
     v = u - 1.0
-    f = np.exp(np.minimum(mu * v, EXP_CAP))
+    f = mu * v
+    np.minimum(f, EXP_CAP, out=f)
+    np.exp(f, out=f)
     return f, mu * f, v * f
 
 
 def _residual(op: RadialOperator, f, u, p):
     """G(u, p) = -Delta u + u - f(u, p) in double, and the (f, f_u, f_p) it took."""
     fx = f(u, p)
-    return op.apply_neg_lap(u) + u - fx[0], fx
+    G = op.apply_neg_lap(u)  # (-Delta u + u) - f, in place
+    G += u
+    G -= fx[0]
+    return G, fx
 
 
 def _solve(op: RadialOperator, potential, rhs) -> np.ndarray:
@@ -158,7 +164,11 @@ def _solve(op: RadialOperator, potential, rhs) -> np.ndarray:
             f"singular Jacobian (turning point? try continuation): {exc}")
 
 
-_MIN_STEP = 1e-3  # backtracking floor; measured converging solves keep t >= 0.5
+# backtracking floor.  Converging solves halve at most once: none of the 808
+# correctors that converge on the eight 100-step components halves at all, and
+# the ansatz-started direct solves at lambda = 1e-4, 1e-5, 1e-6, 1e-10, 1e-20
+# and 1e-30 halve once or not at all
+_MIN_STEP = 1e-3
 _REFINE_STEPS = 20
 _SOLVE_STEPS = 60  # the direct solve's cap on double-precision Newton steps
 # the double loop hands its iterate to the refinement once the quadratic model
@@ -211,7 +221,9 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
     reuses that iterate's (f, f_u, f_p) with (f, 0) as the pair: the same
     bits as ``f(u, p)`` wherever every f is at most
     ``radial._F_DOUBLE_MAX`` (1e3).  Above it ``exp_pair`` takes a
-    long-double exp, so there the pair is evaluated.
+    long-double exp, so there the pair is evaluated.  The refinement makes
+    at most ``_REFINE_STEPS`` corrections; the residual of the last one is
+    checked, and reported by the ConvergenceError it raises if it fails.
     The pairs are rounded to long double once, in the returned ``_Solved``.
     """
     if border is not None:
@@ -228,20 +240,25 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
     def step(G, c, fx):
         _, f_u, f_p = fx
         if border is None:
-            return _solve(op, f_u, -np.asarray(G, dtype=float)), 0.0
+            return _solve(op, f_u, -G), 0.0
         # both columns in ?gtsv's Fortran order: solve copies, not transposes
-        w, v = _solve(op, f_u, np.array([-G, f_p], dtype=float).T).T
+        b = np.empty((op.n, 2), order="F")
+        np.negative(G, out=b[:, 0])
+        b[:, 1] = f_p
+        w, v = _solve(op, f_u, b).T
         denom = tp + float(np.dot(tu, v))
         if abs(denom) < 1e-300:
             raise ConvergenceError("degenerate arclength constraint")
         dp = (-c - float(np.dot(tu, w))) / denom
-        return w + dp * v, dp
+        du = dp * v  # w + dp v, with no view keeping the solution alive
+        du += w
+        return du, dp
 
     history = []
     steps, skipped = 0, False
     last = 0.0  # the residual before the step to this iterate, if undamped
     (G, fx), c = _residual(op, f, u, p), row(u, p)
-    merit = math.hypot(np.linalg.norm(G), c)
+    merit = math.hypot(math.sqrt(G @ G), c)  # np.linalg.norm's sum, unwrapped
     for it in range(max_iter + 1):
         size, bound = max(float(np.abs(G).max()), abs(c)), floor(u)
         history.append(size)
@@ -257,7 +274,7 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
             cand_u, cand_p = u + du, p + dp
             (cand_G, cand_fx), cand_c = (_residual(op, f, cand_u, cand_p),
                                           row(cand_u, cand_p))
-            cand_merit = math.hypot(np.linalg.norm(cand_G), cand_c)
+            cand_merit = math.hypot(math.sqrt(cand_G @ cand_G), cand_c)
             if math.isfinite(cand_merit) and cand_merit < merit:
                 break
             t, du, dp = 0.5 * t, 0.5 * du, 0.5 * dp
@@ -271,13 +288,14 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
             residual=size)
 
     u, p = (np.asarray(u, dtype=float), np.zeros(op.n)), (float(p), 0.0)
-    # the first refined iterate is the double one: its f is the pair (f, 0)
-    # to the bit unless a row takes exp_pair's long-double exp
+    # the first refined iterate is the double one: its f is the pair
+    # (f, 0.0), exp_pair's own form, to the bit unless a row takes
+    # exp_pair's long-double exp
     if fx[0].max() <= _F_DOUBLE_MAX:
-        fx = ((fx[0], np.zeros(op.n)), *fx[1:])
+        fx = ((fx[0], 0.0), *fx[1:])
     else:
         fx = f(u, p)
-    for refinements in range(_REFINE_STEPS):
+    for refinements in range(_REFINE_STEPS + 1):
         G = op.residual_pair(u, fx[0])
         c = row(u[0], p[0])  # of the double parts, as the double loop takes it
         size = max(float(np.abs(G).max()), abs(c))
@@ -285,14 +303,15 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
         if size <= tol:
             return _Solved(np.longdouble(u[0]) + u[1], np.longdouble(p[0]) + p[1],
                            steps, skipped, refinements, history)
+        if refinements == _REFINE_STEPS:
+            raise ConvergenceError(
+                f"refinement did not reach tolerance in {refinements} corrections "
+                f"(last residual {size:.3e})", residual=size)
         du, dp = step(G, c, fx)
         # a correction joins the low part first: it is far smaller than u,
         # so the rounding of lo + du, about 1e-16 |du|, is far below lo
         u, p = two_sum(u[0], u[1] + du), two_sum(p[0], p[1] + dp)
         fx = f(u, p)
-    raise ConvergenceError(
-        f"refinement did not reach tolerance (last residual {size:.3e})",
-        residual=size)
 
 
 def solve_bvp(lam: float, initial_guess: Profile, tol: float = 1e-9,

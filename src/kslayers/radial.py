@@ -72,22 +72,34 @@ def exp_pair(u, a=(1.0, 0.0), shift: float = 0.0, scale: float = 1.0):
 
     x = x_hi + x_lo with x_hi = a_hi (u_hi - shift) and x_lo = a_hi u_lo +
     a_lo (u_hi - shift), and e^x = e^x_hi e^x_lo is taken as
-    e^x_hi (1 + x_lo), with f_lo = 0: the dropped x_lo^2 / 2 is below
-    1e-30 relative.  Entries of f above ``_F_DOUBLE_MAX`` are recomputed
-    with a long-double exp of a (u - shift), each pair summed in long
-    double, and returned as f + f_lo.  e is the double e^x_hi from which
-    the caller's derivatives are taken.
+    e^x_hi (1 + x_lo): the dropped x_lo^2 / 2 is below 1e-30 relative.
+    Where max f is at most ``_F_DOUBLE_MAX``, f_lo is the scalar 0.0,
+    which every consumer broadcasts.  Otherwise (a NaN in f included)
+    f_lo is an array: the entries of f above ``_F_DOUBLE_MAX`` are
+    recomputed with a long-double exp of a (u - shift), each pair summed
+    in long double and returned as f + f_lo, and f_lo is 0 elsewhere.  e
+    is the double e^x_hi from which the caller's derivatives are taken.
+    The products are formed in place, in the order the formula above
+    writes them, and scale multiplies only where it is not 1.
     """
     (hi, lo), (a_hi, a_lo) = u, a
     v = hi - shift
-    e = np.exp(np.minimum(a_hi * v, EXP_CAP))
-    f = scale * (e * (1.0 + (a_hi * lo + a_lo * v)))
-    f_lo = np.zeros_like(f)
-    big = f > _F_DOUBLE_MAX
-    if np.any(big):
+    e = a_hi * v
+    np.minimum(e, EXP_CAP, out=e)
+    np.exp(e, out=e)
+    f = a_hi * lo
+    f += a_lo * v
+    f += 1.0
+    f *= e
+    if scale != 1.0:
+        f *= scale
+    f_lo = 0.0
+    if not f.max() <= _F_DOUBLE_MAX:  # a NaN in f too, which max returns
+        big = f > _F_DOUBLE_MAX
         x = (np.longdouble(a_hi) + a_lo) * ((np.longdouble(hi[big]) + lo[big]) - shift)
         ext = scale * np.exp(np.minimum(x, EXP_CAP))
         f[big] = ext
+        f_lo = np.zeros_like(f)
         f_lo[big] = ext - f[big]
     return (f, f_lo), e
 
@@ -409,27 +421,35 @@ class RadialOperator:
         below 1e-22 and is dropped.
         """
         delta = self._flux_rows[0]
-        d = (hi[1:] - hi[:-1]) + (lo[1:] - lo[:-1])
+        # one buffer holds the lo difference, then each product
+        off = lo[1:] - lo[:-1]
+        d = hi[1:] - hi[:-1]
+        d += off
         out = delta * hi
-        out[:-1] += self.lap_upper * d
-        out[1:] -= self.lap_lower * d
+        out[:-1] += np.multiply(self.lap_upper, d, out=off)
+        out[1:] -= np.multiply(self.lap_lower, d, out=off)
         return out
 
     def residual_pair(self, u, f) -> np.ndarray:
         """-Laplace(u) + u - f in double, for pairs u = (hi, lo) and f = (f, f_lo).
 
-        Where f exceeds ``_F_DOUBLE_MAX`` so does -Laplace(u), and the
-        rounding of the double flux sum, about eps_mach f, would near the
-        1e-10 tolerance: those rows, which also take ``exp_pair``'s
-        long-double exp, are summed in long double in the row-defect form.
+        f_lo may be the scalar 0.0 where max f is at most ``_F_DOUBLE_MAX``,
+        as ``exp_pair`` returns it.  Where f exceeds ``_F_DOUBLE_MAX`` so
+        does -Laplace(u), and the rounding of the double flux sum, about
+        eps_mach f, would near the 1e-10 tolerance: those rows, which also
+        take ``exp_pair``'s long-double exp, are summed in long double in
+        the row-defect form.
         On the 200-step (2, +) continuation, whose last points reach
         f = 2e6, that keeps the worst stored point's long-double residual
         at 1.8e-11, where double rows left 1.4e-10.
         """
         (hi, lo), (f_hi, f_lo) = u, f
-        G = ((self.apply_neg_lap_pair(hi, lo) - f_hi) + hi) + (lo - f_lo)
-        i = np.flatnonzero(f_hi > _F_DOUBLE_MAX)
-        if i.size:
+        G = self.apply_neg_lap_pair(hi, lo)  # ((-Laplace(u) - f) + hi) + (lo - f_lo)
+        G -= f_hi
+        G += hi
+        G += lo - f_lo
+        if not f_hi.max() <= _F_DOUBLE_MAX:  # a NaN too, as in exp_pair
+            i = np.flatnonzero(f_hi > _F_DOUBLE_MAX)
             delta, upper, lower = self._flux_rows
             # u at the rows and their neighbours (an end row's missing one
             # has a zero coefficient)

@@ -144,8 +144,9 @@ def bessel_series_loops(x):
 # pair f alone, and again on the double parts for its Jacobian, and the
 # first pair residual evaluates f on the pairs even where the last double
 # iterate's f (every entry at most 1e3) gives its bits.  The refinement
-# carries u and p as (hi, lo) pairs of doubles.  The library must
-# reproduce them to the bit.
+# carries u and p as (hi, lo) pairs of doubles, and checks the residual of
+# its 20th correction before it raises.  The library must reproduce them
+# to the bit.
 
 def _residual_two_evaluations(op, f, u, p):
     if isinstance(u, tuple):
@@ -220,7 +221,7 @@ def newton_two_evaluations(op, f, u, p, tol, max_iter, border=None):
             residual=size)
 
     u, p = (np.asarray(u, dtype=float), np.zeros(op.n)), (float(p), 0.0)
-    for refinements in range(20):
+    for refinements in range(21):
         G = _residual_two_evaluations(op, f, u, p)
         c = row(u[0], p[0])
         size = max(float(np.max(np.abs(G))), abs(c))
@@ -228,11 +229,12 @@ def newton_two_evaluations(op, f, u, p, tol, max_iter, border=None):
         if size <= tol:
             return bvp._Solved(np.longdouble(u[0]) + u[1], np.longdouble(p[0]) + p[1],
                                steps, skipped, refinements, history)
+        if refinements == 20:
+            raise ConvergenceError(
+                f"refinement did not reach tolerance (last residual {size:.3e})",
+                residual=size)
         du, dp = step(u[0], p[0], G, c)
         u, p = _pair_plus(u, du), _pair_plus(p, dp)
-    raise ConvergenceError(
-        f"refinement did not reach tolerance (last residual {size:.3e})",
-        residual=size)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import dataclasses
 import gc
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from kslayers import ansatz, bvp, greens, radial
+from kslayers import analysis, ansatz, bvp, greens, radial
 from kslayers.errors import ConvergenceError, DomainError, StallError
 from kslayers.radial import RadialOperator, graded_grid
 
@@ -299,6 +300,40 @@ class TestDirectSolve:
         with pytest.raises(ConvergenceError):
             bvp._newton(op, nan_jacobian, u0, 1e-4, 1e-9, 10)
 
+    def test_an_exhausted_refinement_reads_every_evaluation(self, ansatz4, monkeypatch):
+        # at tol = 5e-12 the refinement stalls near 1e-11 and takes all 20
+        # corrections; each one's pair f enters a residual, and the 21st
+        # residual, that of the last correction, is the one reported
+        _, prof = ansatz4
+        lam_exp, residual_pair, two_sum = (bvp._lam_exp, RadialOperator.residual_pair,
+                                           bvp.two_sum)
+        pairs, residuals, corrections = [], [], []
+
+        def counted_exp(u, lam):
+            fx = lam_exp(u, lam)
+            if isinstance(u, tuple):
+                pairs.append(fx[0])
+            return fx
+
+        def counted_residual(self, u, f):
+            G = residual_pair(self, u, f)
+            residuals.append((f, float(np.abs(G).max())))
+            return G
+
+        def counted_sum(a, b):
+            corrections.append(np.ndim(a))  # u's, then p's
+            return two_sum(a, b)
+
+        monkeypatch.setattr(bvp, "_lam_exp", counted_exp)
+        monkeypatch.setattr(RadialOperator, "residual_pair", counted_residual)
+        monkeypatch.setattr(bvp, "two_sum", counted_sum)
+        with pytest.raises(ConvergenceError, match="in 20 corrections") as err:
+            bvp.solve_bvp(1e-4, prof, tol=5e-12)
+        assert corrections == [1, 0] * 20
+        assert len(pairs) == 20 and len(residuals) == 21
+        assert all(any(f is read for read, _ in residuals[1:]) for f in pairs)
+        assert err.value.residual == residuals[-1][1] > 5e-12
+
     def test_split_exponentials_match_long_double_exp(self, solved4):
         # the pair keeps 2.8e-16; dropping lo leaves 9.7e-16 on these u
         _, point = solved4
@@ -312,6 +347,219 @@ class TestDirectSolve:
         mu = np.longdouble(1.1) + np.longdouble(2e-17)
         err = joined(bvp._mu_exp(pair, split(mu))[0]) - np.exp(mu * (u - 1))
         assert float(np.max(np.abs(err))) <= 1e-12
+
+
+def same_bits(a, b) -> bool:
+    """Whether the double arrays a and b hold the same bits (signed zeros
+    and NaN payloads included)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype == float and a.shape == b.shape \
+        and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestKernelsAreTheirFormulas:
+    """Each kernel the corrector iterate runs, formed in place, against the
+    expression it evaluates written out, bit for bit.  Each test also shows
+    that its data tell that expression from a reassociated one, so a kernel
+    that changed an association order would fail it."""
+
+    R = graded_grid(2000, 1e-2, 1e-2)
+
+    @pytest.fixture
+    def op(self):
+        return RadialOperator(self.R)
+
+    @staticmethod
+    def _pair(seed, scale=1.0):
+        # a smooth u with noise, and a low part of 1e-17 relative
+        rng = np.random.default_rng(seed)
+        r = TestKernelsAreTheirFormulas.R
+        hi = scale * (1.0 + 3.0 * np.cos(7.0 * r) + 0.1 * rng.standard_normal(r.size))
+        return hi, 1e-17 * hi * rng.standard_normal(r.size)
+
+    def test_apply_neg_lap(self, op):
+        u, _ = self._pair(1)
+        upper = np.append(op.lap_upper * u[1:], 0.0)
+        lower = np.insert(op.lap_lower * u[:-1], 0, 0.0)
+        assert same_bits(op.apply_neg_lap(u), (op.lap_main * u + upper) + lower)
+        assert not same_bits(op.apply_neg_lap(u), op.lap_main * u + (upper + lower))
+
+    def test_apply_neg_lap_pair(self, op):
+        hi, lo = self._pair(2)
+        delta = op._flux_rows[0]
+        d = (hi[1:] - hi[:-1]) + (lo[1:] - lo[:-1])
+        upper = np.append(op.lap_upper * d, 0.0)
+        lower = np.insert(op.lap_lower * d, 0, 0.0)
+        out = op.apply_neg_lap_pair(hi, lo)
+        assert same_bits(out, (delta * hi + upper) - lower)
+        assert not same_bits(out, (delta * hi - lower) + upper)
+        assert not same_bits(d, (hi[1:] + lo[1:]) - (hi[:-1] + lo[:-1]))
+
+    def _near_solution(self, op, seed, f_scale=1.0):
+        # a smooth pair (hi, lo) and an f within a little noise of
+        # -Laplace(u) + u, so that G is small and its roundings show
+        rng = np.random.default_rng(seed)
+        hi = f_scale * (1.0 + 3.0 * np.cos(7.0 * op.r))
+        lo = 1e-17 * hi * rng.standard_normal(op.n)
+        f = op.apply_neg_lap(hi) + hi + 1e-3 * f_scale * rng.standard_normal(op.n)
+        return hi, lo, f
+
+    @pytest.mark.parametrize("f_lo", ["scalar", "array"])
+    def test_residual_pair_below_the_double_exp_range(self, op, f_lo):
+        hi, lo, f = self._near_solution(op, 3)
+        f_lo = 0.0 if f_lo == "scalar" else 1e-17 * f
+        assert f.max() <= radial._F_DOUBLE_MAX
+        lap = op.apply_neg_lap_pair(hi, lo)
+        G = op.residual_pair((hi, lo), (f, f_lo))
+        assert same_bits(G, ((lap - f) + hi) + (lo - f_lo))
+        assert not same_bits(G, ((lap + hi) - f) + (lo - f_lo))
+
+    def test_residual_pair_above_the_double_exp_range(self, op):
+        # rows with f above _F_DOUBLE_MAX, the first and the last among them,
+        # are summed in long double; the others as in double
+        hi, lo, f = self._near_solution(op, 5, f_scale=500.0)
+        f[-1] = 2e3
+        big = np.flatnonzero(f > radial._F_DOUBLE_MAX)
+        f_lo = np.zeros(op.n)
+        f_lo[big] = 1e-14 * f[big]
+        assert big[0] == 0 and big[-1] == op.n - 1 and big.size < op.n
+        delta, upper, lower = op._flux_rows
+        lap = op.apply_neg_lap_pair(hi, lo)
+        want = ((lap - f) + hi) + (lo - f_lo)
+        u = np.longdouble(hi) + lo
+        for i in big:
+            left, right = u[max(i - 1, 0)], u[min(i + 1, op.n - 1)]
+            row = delta[i] * u[i] + upper[i] * (right - u[i]) + lower[i] * (left - u[i])
+            want[i] = row + u[i] - (np.longdouble(f[i]) + f_lo[i])
+        G = op.residual_pair((hi, lo), (f, f_lo))
+        assert same_bits(G, want)
+        moved = [delta[i] * u[i] + (upper[i] * (u[min(i + 1, op.n - 1)] - u[i])
+                                    + lower[i] * (u[max(i - 1, 0)] - u[i]))
+                 + u[i] - (np.longdouble(f[i]) + f_lo[i]) for i in big]
+        assert not same_bits(G[big], np.array(moved, dtype=float))
+
+    @staticmethod
+    def _exponents(seed, scale, a, shift):
+        # hi with a (hi - shift) crossing log(_F_DOUBLE_MAX / scale)
+        r, rng = TestKernelsAreTheirFormulas.R, np.random.default_rng(seed)
+        x = np.log(radial._F_DOUBLE_MAX / scale) - 1.0 + 2.0 * np.cos(7.0 * r) \
+            + 0.01 * rng.standard_normal(r.size)
+        hi = shift + x / a[0]
+        return hi, 1e-17 * hi * rng.standard_normal(r.size)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-4])
+    @pytest.mark.parametrize("a, shift", [((1.0, 0.0), 0.0), ((1.3, 2e-17), 1.0)])
+    def test_exp_pair_below_the_double_exp_range(self, scale, a, shift):
+        hi, lo = self._exponents(7, scale, a, shift)
+        hi = hi - 3.5 / a[0]  # every f below the cap
+        (f, f_lo), e = radial.exp_pair((hi, lo), a, shift, scale)
+        v = hi - shift
+        x_lo = a[0] * lo + a[1] * v
+        want_e = np.exp(np.minimum(a[0] * v, radial.EXP_CAP))
+        want = scale * (want_e * (1.0 + x_lo))
+        assert same_bits(e, want_e) and same_bits(f, want)
+        assert type(f_lo) is float and f_lo == 0.0
+        assert not same_bits(f, scale * (want_e + want_e * x_lo))
+        if scale != 1.0:
+            assert not same_bits(f, (scale * want_e) * (1.0 + x_lo))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-4])
+    def test_exp_pair_above_the_double_exp_range(self, scale):
+        # rows above the cap take a long-double exp of a (u - shift) and
+        # return it as f + f_lo; the others keep the double formula
+        a, shift = (1.3, 2e-17), 1.0
+        hi, lo = self._exponents(8, scale, a, shift)
+        (f, f_lo), e = radial.exp_pair((hi, lo), a, shift, scale)
+        v = hi - shift
+        want = scale * (e * (1.0 + (a[0] * lo + a[1] * v)))
+        big = want > radial._F_DOUBLE_MAX
+        assert 0 < big.sum() < hi.size
+        x = (np.longdouble(a[0]) + a[1]) * ((np.longdouble(hi[big]) + lo[big]) - shift)
+        ext = scale * np.exp(np.minimum(x, radial.EXP_CAP))
+        assert same_bits(f[~big], want[~big]) and not np.any(f_lo[~big])
+        assert same_bits(f[big], np.asarray(ext, dtype=float))
+        assert np.array_equal(np.longdouble(f[big]) + f_lo[big], ext)
+        moved = np.longdouble(a[0]) * ((np.longdouble(hi[big]) + lo[big]) - shift) \
+            + a[1] * ((np.longdouble(hi[big]) + lo[big]) - shift)
+        assert not np.array_equal(ext, scale * np.exp(np.minimum(moved, radial.EXP_CAP)))
+
+    def test_exp_pair_with_a_nan_forms_the_mask(self):
+        # max f is NaN, so the rows above the cap are still found
+        a, shift = (1.3, 0.0), 1.0
+        hi, lo = self._exponents(9, 1.0, a, shift)
+        hi[5] = np.nan
+        (f, f_lo), _ = radial.exp_pair((hi, lo), a, shift)
+        assert isinstance(f_lo, np.ndarray) and np.isnan(f[5])
+        assert np.any(f_lo) and np.all(f[np.flatnonzero(f_lo)] > radial._F_DOUBLE_MAX)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 2000, 4001])
+    def test_merit_norm_is_numpys(self, n):
+        rng = np.random.default_rng(n)
+        for G in (rng.standard_normal(n),
+                  rng.standard_normal(n) * np.exp(rng.uniform(-300, 300, n))):
+            for x in (G, np.append(G, np.inf), np.append(G, -np.inf),
+                      np.append(G, np.nan), np.append(G, [np.inf, np.nan])):
+                got, want = math.sqrt(x @ x), np.linalg.norm(x)
+                assert got == want or (math.isnan(got) and np.isnan(want))
+        if n >= 2000:  # a sum in another order would read otherwise
+            assert any(G @ G != np.sum(G * G) for G in rng.standard_normal((5, n)))
+
+    def test_lam_and_mu_exponentials(self):
+        u, _ = self._pair(10, scale=300.0)  # some entries past EXP_CAP
+        assert u.max() > radial.EXP_CAP
+        f, f_u, f_lam = bvp._lam_exp(u, 1e-4)
+        e = np.exp(np.minimum(u, radial.EXP_CAP))
+        assert same_bits(f_lam, e) and same_bits(f, 1e-4 * e) and f_u is f
+        mu = 1.7
+        f, f_u, f_mu = bvp._mu_exp(u, mu)
+        v = u - 1.0
+        e = np.exp(np.minimum(mu * v, radial.EXP_CAP))
+        assert same_bits(f, e) and same_bits(f_u, mu * e) and same_bits(f_mu, v * e)
+        assert not same_bits(f, np.exp(np.minimum(mu * u - mu, radial.EXP_CAP)))
+
+    def test_double_residual(self, op):
+        u, _ = self._pair(11)
+        G, fx = bvp._residual(op, bvp._mu_exp, u, 1.7)
+        assert same_bits(G, (op.apply_neg_lap(u) + u) - fx[0])
+        assert not same_bits(G, op.apply_neg_lap(u) + (u - fx[0]))
+
+    @staticmethod
+    def _array_f_lo(monkeypatch, module):
+        # module.exp_pair made to return every f_lo as an array; the calls
+        # that returned the scalar are counted
+        exp_pair, scalars = radial.exp_pair, []
+
+        def as_array(*args, **kwargs):
+            (f, f_lo), e = exp_pair(*args, **kwargs)
+            if np.ndim(f_lo) == 0:
+                scalars.append(f_lo)
+                f_lo = np.full_like(f, f_lo)
+            return (f, f_lo), e
+
+        monkeypatch.setattr(module, "exp_pair", as_array)
+        return scalars
+
+    def test_concentration_report_takes_either_f_lo(self, solved4, monkeypatch):
+        params, point = solved4
+        ref = greens.LayerConfig(k=0, alphas=np.array([]), b=4 * params.eps / np.sqrt(2.0),
+                                 outer_mode=greens.DIRICHLET)
+        scalar = bvp.concentration_report(point, ref, eps=params.eps)
+        scalars = self._array_f_lo(monkeypatch, bvp)
+        array = bvp.concentration_report(point, ref, eps=params.eps)
+        assert scalars == [0.0]
+        for key in ("origin_mass", "boundary_mass", "profile_gap", "total_mass"):
+            assert same_bits(getattr(scalar, key), getattr(array, key))
+        assert same_bits(scalar.layer_fluxes, array.layer_fluxes)
+
+    def test_fixed_point_takes_either_f_lo(self, monkeypatch):
+        params = ansatz.build_params(1e-5)
+        prof = ansatz.build_profile(params)
+        scalar = analysis.fixed_point(prof, 1e-5, eps=params.eps, require_contraction=False)
+        scalars = self._array_f_lo(monkeypatch, analysis)
+        array = analysis.fixed_point(prof, 1e-5, eps=params.eps, require_contraction=False)
+        assert scalars == [0.0]
+        assert same_bits(scalar.residual_drop, array.residual_drop)
+        assert same_bits(scalar.phi, array.phi)
 
 
 def split(x):
@@ -670,7 +918,7 @@ class TestSameBitsAsTwoEvaluations:
     def test_refinement_past_its_first_step(self, ansatz4, monkeypatch):
         # every solve above refines once; at tol = 5e-12 the direct solve's
         # refinement stalls near 1e-11 and takes all 20 steps, each after
-        # the first at a fresh Jacobian
+        # the first at a fresh Jacobian, and reports the residual of the last
         _, prof = ansatz4
 
         def run():

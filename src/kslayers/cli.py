@@ -5,8 +5,16 @@ report.  Each flag is declared once, with its one default, in the parser.
 A flat key=value config file can preseed any flag (flags given on the
 command line win).  Numeric outputs are written atomically, echo the code
 version and every flag of their subcommand, given or defaulted, and are
-byte-identical across reruns with the same configuration.  Exit codes:
-0 success, 2 validation error, 3 solver non-convergence.
+byte-identical across reruns with the same configuration, and take the mode
+the umask gives (0644 under umask 022).  Exit codes: 0 success, 2 validation
+error, 3 solver non-convergence.
+
+``main`` returns the exit code and never exits, so tests and batch runners
+call it in-process.  ``entry`` is the executable's entry point (the
+``kslayers`` console script and ``python -m kslayers.cli``): it ends the
+process right after ``main`` has closed every output and the standard
+streams are flushed, skipping the interpreter's teardown, which writes
+nothing (the package registers no ``atexit`` handler).
 """
 
 from __future__ import annotations
@@ -68,6 +76,10 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
+        # mkstemp makes the file owner-only; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -481,5 +493,22 @@ def main(argv=None) -> int:
     return run(cfg)
 
 
+def entry(argv=None) -> None:
+    """Run ``main`` and end the process with its exit code.
+
+    Every output is written, closed and renamed before ``main`` returns, so
+    once the standard streams are flushed the process ends at once with
+    ``os._exit``.  If a flush fails, ``sys.exit`` takes the ordinary exit.
+    """
+    code = main(argv)
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None: the descriptor was closed at start
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -733,6 +734,30 @@ class TestContinuation:
             n = pairs.count(True)
             assert n == refinements
             assert pairs == [False] * (len(pairs) - n) + [True] * n
+
+    def test_the_merit_is_the_residuals_two_norm(self, monkeypatch):
+        # every merit hypot(||G||_2, c) of the line search takes
+        # math.sqrt(G @ G) of the residual formed just before it, bit for
+        # bit; a sum in another order, np.sum(G * G), rounds otherwise on
+        # some of these residuals
+        norms, merits = [], []
+        residual = bvp._residual
+
+        def recorded_residual(*args):
+            G, fx = residual(*args)
+            norms.append(math.sqrt(G @ G))
+            return G, fx
+
+        def recorded_hypot(norm, c):
+            merits.append(norm)
+            return math.hypot(norm, c)
+
+        monkeypatch.setattr(bvp, "_residual", recorded_residual)
+        monkeypatch.setattr(bvp, "math", types.SimpleNamespace(
+            **{**vars(math), "hypot": recorded_hypot}))
+        bvp.continue_component(bvp.seed_branch(3, "+"), steps=15)
+        assert len(norms) > 15
+        assert same_bits(np.array(merits), np.array(norms))
 
     def test_pair_refinement_starts_a_step_early(self, monkeypatch):
         # the double loop leaves once the quadratic model predicts that the

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -16,6 +17,20 @@ def run_cli(args, tmp_path, sub=None):
     out = tmp_path / (sub or "out")
     code = cli.main(args + ["--out", str(out)])
     return code, out
+
+
+def run_process(cwd=None, *, args=(), code=None):
+    """``python -m kslayers.cli ARGS``, or ``python -c CODE``, run in ``cwd``
+    with this checkout's ``src`` on the import path."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    cmd = ["-c", code] if code else ["-m", "kslayers.cli", *args]
+    return subprocess.run([sys.executable, *cmd], cwd=cwd, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def test_green_json(tmp_path):
@@ -401,12 +416,9 @@ def test_residual_json(tmp_path):
 
 def test_import_leaves_nondegen_out():
     # only the nondegen subcommand needs the module; it imports it itself
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, kslayers.cli; print('kslayers.nondegen' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    out = run_process(code="import sys, kslayers.cli; "
+                           "print('kslayers.nondegen' in sys.modules)")
+    assert (out.returncode, out.stdout) == (0, "False\n")
 
 
 def test_multilayer_ansatz_json_is_the_scaffold(tmp_path):
@@ -511,3 +523,102 @@ def test_csv_writer_writes_the_bytes_of_the_value_by_value_writer(tmp_path):
     rows = [list(row) for row in zip(*columns)]
     with open(path) as f:
         assert f.read() == oracles.csv_text_by_rows(cfg, header, rows)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664),
+                                         (0o077, 0o600)],
+                         ids=["022", "002", "077"])
+def test_outputs_take_the_mode_the_umask_gives(tmp_path, umask, mode):
+    # as open(path, "w") would create them, not mkstemp's owner-only 0600
+    old = os.umask(umask)
+    try:
+        code, out = run_cli(["green", "--k", "1", "--b", "1e-3",
+                             "--outer", "neumann"], tmp_path)
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE((out / "green.json").stat().st_mode) == mode
+
+
+# ---------------------------------------------------------------------------
+# the executable: python -m kslayers.cli, which cli.entry ends
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args, code, printed", [
+    (["ansatz", "--lambda", "1e-4"], 0, "out/ansatz.json\nout/ansatz.csv\n"),
+    (["ansatz", "--lambda", "-1"], 2,
+     "error: lambda=-1.0: lambda must be finite and positive\n"),
+    (["solve", "--lambda", "1e-4", "--init", "ansatz", "--outer", "neumann"], 3,
+     "solver error: Newton stopped at residual"),
+], ids=["ok", "validation", "solver"])
+def test_the_executable_exits_prints_and_writes_as_main(
+        tmp_path, capsys, monkeypatch, args, code, printed):
+    # the process ends in os._exit after the flush: its exit code, printed
+    # lines and files are those of main run in-process
+    for side in ("main", "process"):
+        (tmp_path / side).mkdir()
+    monkeypatch.chdir(tmp_path / "main")
+    assert cli.main([*args, "--out", "out"]) == code
+    want = capsys.readouterr()
+    run = run_process(tmp_path / "process", args=[*args, "--out", "out"])
+    assert run.returncode == code
+    assert (run.stdout, run.stderr) == (want.out, want.err)
+    assert (run.stdout if code == 0 else run.stderr).startswith(printed)
+    written = files(tmp_path / "process")
+    assert written == files(tmp_path / "main")
+    assert bool(written) == (code == 0)
+
+
+def test_the_entry_skips_the_interpreters_teardown(tmp_path):
+    # an atexit handler registered before the entry never runs
+    run = run_process(tmp_path, code=(
+        "import atexit\n"
+        "from kslayers import cli\n"
+        "atexit.register(print, 'teardown ran')\n"
+        "cli.entry(['green', '--k', '1', '--b', '1e-3', '--out', 'out'])\n"))
+    assert run.returncode == 0
+    assert run.stdout == "out/green.json\n"
+    assert (tmp_path / "out" / "green.json").is_file()
+
+
+def test_a_failed_flush_falls_back_to_sys_exit(monkeypatch):
+    class BrokenPipe:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def no_os_exit(code):
+        raise AssertionError(f"os._exit({code}) after a failed flush")
+
+    monkeypatch.setattr(os, "_exit", no_os_exit)
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    with pytest.raises(SystemExit) as exc:
+        cli.entry(["ansatz", "--lambda", "-1"])
+    assert exc.value.code == 2
+
+
+def test_a_closed_stdout_still_ends_with_mains_code(tmp_path, monkeypatch):
+    # a standard descriptor closed at start leaves its stream None, with
+    # nothing to flush
+    class OsExit(Exception):
+        pass
+
+    def os_exit(code):
+        raise OsExit(code)
+
+    monkeypatch.setattr(os, "_exit", os_exit)
+    monkeypatch.setattr(sys, "stdout", None)
+    with pytest.raises(OsExit) as exc:
+        cli.entry(["green", "--k", "1", "--b", "1e-3", "--out", str(tmp_path)])
+    assert exc.value.args == (0,)
+    assert (tmp_path / "green.json").is_file()
+
+
+def test_the_console_script_is_the_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"kslayers": "kslayers.cli:entry"}

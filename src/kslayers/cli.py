@@ -2,12 +2,12 @@
 
 Subcommands: green, nondegen, ansatz, residual, fixpoint, solve, branch,
 report.  Each flag is declared once, with its one default, in the parser.
-A flat key=value config file can preseed any flag (flags given on the
-command line win).  Numeric outputs are written atomically, echo the code
-version and every flag of their subcommand, given or defaulted, and are
-byte-identical across reruns with the same configuration, and take the mode
-the umask gives (0644 under umask 022).  Exit codes: 0 success, 2 validation
-error, 3 solver non-convergence.
+A flat key=value config file, keyed by flag names, can preseed any flag
+(flags given on the command line win).  Numeric outputs are written
+atomically, echo the code version and every flag of their subcommand, given
+or defaulted, and are byte-identical across reruns with the same
+configuration, and take the mode the umask gives (0644 under umask 022).
+Exit codes: 0 success, 2 validation error, 3 solver non-convergence.
 
 ``main`` returns the exit code and never exits, so tests and batch runners
 call it in-process.  ``entry`` is the executable's entry point (the
@@ -419,10 +419,14 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     rp.add_argument("--in", dest="infile", required=True)
     rp.add_argument("--k", type=int, required=True)
     # a config file may hold keys for several subcommands: every subcommand
-    # takes every key, typed by the flag that declares it
-    flags = {a.dest: a for p in sub.choices.values() for a in p._actions}
-    typed = {k: flags[k].type(v) if k in flags and flags[k].type else v
-             for k, v in (defaults or {}).items()}
+    # takes every key, named as its flag (or its dest) and typed by that flag
+    flags = {name: a for p in sub.choices.values() for a in p._actions
+             for name in (a.dest, *(o.lstrip("-").replace("-", "_")
+                                    for o in a.option_strings))}
+    typed = {}
+    for key, value in (defaults or {}).items():
+        flag = flags.get(key)
+        typed[flag.dest if flag else key] = flag.type(value) if flag and flag.type else value
     for p in sub.choices.values():
         p.set_defaults(**typed)
         for a in p._actions:

@@ -316,10 +316,7 @@ def reflection_residual(config: LayerConfig) -> np.ndarray:
     In ``dirichlet_one`` mode the boundary interface r = 1 contributes no
     entry; in ``neumann`` mode every layer does.
     """
-    alphas = np.atleast_1d(np.asarray(config.alphas, dtype=float))
-    if np.any(np.diff(alphas) <= 0):
-        raise DomainError("candidate radii must be strictly increasing")
-    return LayerCalculus(alphas, config.b, config.outer_mode).defect
+    return LayerCalculus(config.alphas, config.b, config.outer_mode).defect
 
 
 def solve_layers(k: int, b: float, outer_mode: str = DIRICHLET,
@@ -343,8 +340,6 @@ def solve_layers(k: int, b: float, outer_mode: str = DIRICHLET,
         raise DomainError(f"layer count must be an integer in [1, {K_MAX}], got {k!r}")
     if not (0.0 < b <= b_max):
         raise DomainError(f"singular coefficient must lie in (0, {b_max}], got {b!r}")
-    if outer_mode not in (DIRICHLET, NEUMANN):
-        raise DomainError(f"unknown outer mode {outer_mode!r}")
 
     alphas = np.arange(1, k + 1) / (k + 1.0)
     calc = LayerCalculus(alphas, b, outer_mode)

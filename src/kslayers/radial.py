@@ -12,6 +12,11 @@ Refined iterates are carried as pairs u = hi + lo of doubles: ``two_sum``
 renormalizes them, ``exp_pair`` takes their exponentials, and
 ``RadialOperator.apply_neg_lap_pair`` and ``RadialOperator.residual_pair``
 apply the operator to them.
+
+The operator's solves and Sturm counts run four LAPACK routines: ?gtsv,
+?gttrf with ?gttrs, and ?stebz.  ``_lapack`` binds all four from one
+library, chosen once: the OpenBLAS numpy already loaded where it exports
+every one of them with 64-bit integers, scipy's LAPACK elsewhere.
 """
 
 from __future__ import annotations
@@ -104,7 +109,7 @@ def exp_pair(u, a=(1.0, 0.0), shift: float = 0.0, scale: float = 1.0):
     return (f, f_lo), e
 
 
-def graded_grid(n: int, scale0: float = 0.02, scale1: float = 0.02) -> np.ndarray:
+def graded_grid(n: int, scale0: float, scale1: float) -> np.ndarray:
     """Smoothly graded grid on [0, 1] clustering at both ends.
 
     ``scale0``/``scale1`` are the feature scales to resolve at r = 0 and
@@ -130,70 +135,34 @@ def graded_grid(n: int, scale0: float = 0.02, scale1: float = 0.02) -> np.ndarra
     return r
 
 
-def _scipy_lapack(name: str):
-    """``scipy.linalg.lapack``, the package's one scipy import, for LAPACK
-    ``name`` where numpy's LAPACK lacks it; ``ImportError`` names ``name``
-    where scipy is not installed."""
-    try:
-        from scipy.linalg import lapack
-    except ImportError as exc:
-        raise ImportError(f"numpy's LAPACK exports no 64-bit-integer {name}, and "
-                          f"scipy, whose LAPACK would serve, is not installed") from exc
-    return lapack
-
-
-def _scipy_gtsv(dl, d, du, b):
-    """``_gtsv`` through scipy's f2py wrapper, told to copy nothing."""
-    lapack = _scipy_lapack("dgtsv")
-    *_, x, info = lapack.dgtsv(dl, d, du, b, overwrite_dl=True, overwrite_d=True,
-                               overwrite_du=True, overwrite_b=True)
-    return x, info
-
-
-def _scipy_gttrf(dl, d, du):
-    """``_gttrf`` through scipy's f2py wrappers, told to copy nothing."""
-    lapack = _scipy_lapack("dgttrf or dgttrs")
-    *factors, info = lapack.dgttrf(dl, d, du, overwrite_dl=True, overwrite_d=True,
-                                   overwrite_du=True)
-
-    def gttrs(b):
-        return lapack.dgttrs(*factors, b, overwrite_b=True)
-
-    return gttrs, info
-
-
-def _scipy_stebz(d, e, vl, vu):
-    """``_stebz_count`` through scipy's f2py wrapper."""
-    lapack = _scipy_lapack("dstebz")
-    m, *_, info = lapack.dstebz(d, e, 1, vl, vu, 1, d.size, np.inf, "E")
-    return m, info
-
-
 @functools.cache
-def _numpy_lapack(name: str, nargs: int, nchars: int = 0):
-    """LAPACK routine ``name`` from the LAPACK numpy loaded, or None.
+def _numpy_lapack():
+    """(gtsv, gttrf, stebz) bound from the LAPACK numpy loaded, or None.
 
     numpy's PyPI wheels link an OpenBLAS with 64-bit integers into
     ``numpy.linalg._umath_linalg``, and dlsym on that module searches its
     dependencies too.  Only the 64_-suffixed names are taken (numpy >= 2
     prefixes ``scipy_``): the integer width of a bare ``name_`` is unknown.
-    The routine takes its ``nargs`` arguments by reference, then the hidden
-    ``size_t`` lengths of its ``nchars`` character arguments.
+    Each routine takes its arguments by reference, then the hidden
+    ``size_t`` lengths of its character arguments.  None unless all four
+    routines are exported.
     """
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    fn = getattr(lib, f"scipy_{name}_64_", None) or getattr(lib, f"{name}_64_", None)
-    if fn is not None:
+    routines = []
+    # each routine with its count of arguments and of character arguments:
+    # dgtsv (n, nrhs, dl, d, du, b, ldb, info), dgttrf (n, dl, d, du, du2,
+    # ipiv, info), dgttrs (trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb,
+    # info) and dstebz (range, order, n, vl, vu, il, iu, abstol, d, e, m,
+    # nsplit, w, iblock, isplit, work, iwork, info)
+    for name, nargs, nchars in (("dgtsv", 8, 0), ("dgttrf", 7, 0),
+                                ("dgttrs", 11, 1), ("dstebz", 18, 2)):
+        fn = getattr(lib, f"scipy_{name}_64_", None) or getattr(lib, f"{name}_64_", None)
+        if fn is None:
+            return None
         fn.argtypes = [ctypes.c_void_p] * nargs + [ctypes.c_size_t] * nchars
         fn.restype = None
-    return fn
-
-
-@functools.cache
-def _numpy_gtsv():
-    """``_gtsv`` bound from the LAPACK numpy loaded, or None."""
-    fn = _numpy_lapack("dgtsv", 8)  # (n, nrhs, dl, d, du, b, ldb, info)
-    if fn is None:
-        return None
+        routines.append(fn)
+    sv, trf, trs, bz = routines
     ints = ctypes.c_int64 * 3
     address, view = ctypes.addressof, ctypes.c_double.from_buffer
 
@@ -202,23 +171,9 @@ def _numpy_gtsv():
         # C-contiguous); the arguments keep the arrays alive through the call
         nums = ints(d.size, b.shape[1] if b.ndim == 2 else 1, 0)  # n, nrhs, info
         at = address(nums)
-        fn(at, at + 8, address(view(dl)), address(view(d)), address(view(du)),
+        sv(at, at + 8, address(view(dl)), address(view(d)), address(view(du)),
            address(view(b.T)), at, at + 16)
         return b, nums[2]
-
-    return gtsv
-
-
-@functools.cache
-def _numpy_gttrf():
-    """``_gttrf`` bound from the LAPACK numpy loaded, or None."""
-    trf = _numpy_lapack("dgttrf", 7)  # (n, dl, d, du, du2, ipiv, info)
-    # (trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info) and len(trans)
-    trs = _numpy_lapack("dgttrs", 11, 1)
-    if trf is None or trs is None:
-        return None
-    ints = ctypes.c_int64 * 3
-    address, view = ctypes.addressof, ctypes.c_double.from_buffer
 
     def gttrf(dl, d, du):
         n = d.size
@@ -239,57 +194,77 @@ def _numpy_gttrf():
 
         return gttrs, nums[2]
 
-    return gttrf
-
-
-@functools.cache
-def _numpy_stebz():
-    """``_stebz_count`` bound from the LAPACK numpy loaded, or None."""
-    # (range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock,
-    # isplit, work, iwork, info) and len(range), len(order)
-    fn = _numpy_lapack("dstebz", 18, 2)
-    if fn is None:
-        return None
-    address, view = ctypes.addressof, ctypes.c_double.from_buffer
-
     def stebz(d, e, vl, vu):
         n = d.size
-        ints = (ctypes.c_int64 * 6)(n, 1, n, 0, 0, 0)  # n, il, iu, m, nsplit, info
+        nums = (ctypes.c_int64 * 6)(n, 1, n, 0, 0, 0)  # n, il, iu, m, nsplit, info
         reals = (ctypes.c_double * 3)(vl, vu, np.inf)  # vl, vu, abstol
         # w and work in one buffer; iblock, isplit and iwork in another
         work, iwork = np.empty(5 * n), np.empty(5 * n, dtype=np.int64)
-        at, ar = address(ints), address(reals)
+        at, ar = address(nums), address(reals)
         aw, ai = address(view(work)), address(view(iwork))
-        fn(b"V", b"E", at, ar, ar + 8, at + 8, at + 16, ar + 16, address(view(d)),
+        bz(b"V", b"E", at, ar, ar + 8, at + 8, at + 16, ar + 16, address(view(d)),
            address(view(e)), at + 24, at + 32, aw, ai, ai + 8 * n, aw + 8 * n,
            ai + 16 * n, at + 40, 1, 1)
-        return ints[3], ints[5]
+        return nums[3], nums[5]
 
-    return stebz
+    return gtsv, gttrf, stebz
 
 
-def _gtsv(dl, d, du, b):
-    """LAPACK dgtsv in place: returns (x, info), x being ``b`` overwritten.
+@functools.cache
+def _scipy_lapack():
+    """``_numpy_lapack``'s triple through the f2py wrappers of
+    ``scipy.linalg.lapack``, the package's one scipy import, told to copy
+    nothing; ``ImportError`` names the four routines where scipy is not
+    installed."""
+    try:
+        from scipy.linalg import lapack
+    except ImportError as exc:
+        raise ImportError("numpy's LAPACK lacks a 64-bit-integer dgtsv, dgttrf, dgttrs "
+                          "or dstebz, and scipy, whose LAPACK would serve all four, "
+                          "is not installed") from exc
 
-    ``d`` holds n doubles, ``dl`` and ``du`` n - 1, and ``b`` n rows of one
-    or more columns in Fortran order; all are contiguous and writable, and
-    all four are overwritten.  numpy's LAPACK serves where it exports a
-    64-bit-integer ?gtsv, scipy's elsewhere; the tests hold the two to the
-    same bits.
+    def gtsv(dl, d, du, b):
+        *_, x, info = lapack.dgtsv(dl, d, du, b, overwrite_dl=True, overwrite_d=True,
+                                   overwrite_du=True, overwrite_b=True)
+        return x, info
+
+    def gttrf(dl, d, du):
+        *factors, info = lapack.dgttrf(dl, d, du, overwrite_dl=True, overwrite_d=True,
+                                       overwrite_du=True)
+
+        def gttrs(b):
+            return lapack.dgttrs(*factors, b, overwrite_b=True)
+
+        return gttrs, info
+
+    def stebz(d, e, vl, vu):
+        m, *_, info = lapack.dstebz(d, e, 1, vl, vu, 1, d.size, np.inf, "E")
+        return m, info
+
+    return gtsv, gttrf, stebz
+
+
+def _lapack():
+    """The (gtsv, gttrf, stebz) the package runs: numpy's LAPACK where it
+    exports all four routines, scipy's elsewhere (conda and MKL builds,
+    Windows); the tests hold the two to the same bits.  Bound on first use.
+
+    ``gtsv(dl, d, du, b)`` is dgtsv in place and returns (x, info), x being
+    ``b`` overwritten.  ``d`` holds n doubles, ``dl`` and ``du`` n - 1, and
+    ``b`` n rows of one or more columns in Fortran order; all are
+    contiguous and writable, and all four are overwritten.
+
+    ``gttrf(dl, d, du)`` is dgttrf in place on arrays as gtsv's, which it
+    overwrites with the LU factors, and returns (gttrs, info); ``gttrs(b)``
+    runs dgttrs on the factors and returns (x, info) as gtsv does.  The
+    reference dgttrf + dgttrs pivot and round as dgtsv does, so the
+    solution has gtsv's bits.
+
+    ``stebz(d, e, vl, vu)`` is dstebz counting the eigenvalues in (vl, vu]
+    of the symmetric tridiagonal (d, e), which it leaves as it found them;
+    it returns (count, info).
     """
-    return (_numpy_gtsv() or _scipy_gtsv)(dl, d, du, b)
-
-
-def _gttrf(dl, d, du):
-    """LAPACK dgttrf in place: returns (gttrs, info).
-
-    The arrays are as ``_gtsv``'s and are overwritten by the LU factors;
-    ``gttrs(b)`` runs dgttrs on them, returning (x, info) with x being
-    ``b`` overwritten.  The reference dgttrf + dgttrs pivot and round as
-    dgtsv does, so the solution has ``_gtsv``'s bits.  The same LAPACK
-    serves as for ``_gtsv``.
-    """
-    return (_numpy_gttrf() or _scipy_gttrf)(dl, d, du)
+    return _numpy_lapack() or _scipy_lapack()
 
 
 def _stebz_count(d, e, vl: float, vu: float) -> int:
@@ -299,10 +274,9 @@ def _stebz_count(d, e, vl: float, vu: float) -> int:
     Sturm counts at its ends (Barth, Martin & Wilkinson 1967) before it
     bisects any of them; an infinite tolerance stops the bisection at
     once.  ``d`` and ``e`` are contiguous and writable, and are not
-    overwritten.  The same LAPACK serves as for ``_gtsv``; the tests hold
-    the two bindings to the same counts.
+    overwritten.  The routine is ``_lapack``'s.
     """
-    m, info = (_numpy_stebz() or _scipy_stebz)(d, e, vl, vu)
+    m, info = _lapack()[2](d, e, vl, vu)
     if info < 0:
         raise ValueError(f"?stebz rejected its argument {-info}")
     if info > 0:
@@ -465,11 +439,9 @@ class RadialOperator:
         ``rhs`` is one right-hand side or a column per system.  LAPACK ?gtsv
         (Gaussian elimination with partial pivoting) runs on the three
         diagonals directly; it is the routine ``solve_banded((1, 1), ...)``
-        calls, so the solution is the same to the bit.  The ?gtsv is the
-        one in the OpenBLAS numpy already loaded; where numpy's LAPACK
-        exports no 64-bit-integer ?gtsv (conda and MKL builds, Windows),
-        scipy's serves instead.  Repeated solves with one potential go
-        through ``factor``.
+        calls, so the solution is the same to the bit.  The ?gtsv is
+        ``_lapack``'s.  Repeated solves with one potential go through
+        ``factor``.
 
         Raises
         ------
@@ -482,21 +454,21 @@ class RadialOperator:
             potential can leave the solution finite, so both are checked).
         """
         b = self._rhs(rhs)
-        x, info = _gtsv(self.lap_lower.copy(), self._diagonal(potential),
-                        self.lap_upper.copy(), b)
+        x, info = _lapack()[0](self.lap_lower.copy(), self._diagonal(potential),
+                               self.lap_upper.copy(), b)
         return _checked("?gtsv", info, x)
 
     def factor(self, potential):
         """``solve`` with ``potential`` fixed: returns the function rhs -> u.
 
         LAPACK ?gttrf factors the operator once and each call runs ?gttrs on
-        the factors (with the LAPACK ``solve`` uses), which gives
+        the factors (both ``_lapack``'s, as ``solve``'s ?gtsv), which gives
         ``solve(potential, rhs)``'s bits at about 60% of its cost.  The
         potential's errors raise here, the rhs's and the solution's in the
         call, as ``solve`` raises them.
         """
-        gttrs, info = _gttrf(self.lap_lower.copy(), self._diagonal(potential),
-                             self.lap_upper.copy())
+        gttrs, info = _lapack()[1](self.lap_lower.copy(), self._diagonal(potential),
+                                   self.lap_upper.copy())
         _checked("?gttrf", info)
 
         def solve(rhs: np.ndarray) -> np.ndarray:
@@ -561,10 +533,10 @@ class RadialOperator:
         """
         return self.monitor(potential)[:3]
 
-    def monitor(self, potential) -> tuple[float, np.ndarray, int, Callable]:
+    def monitor(self, potential) -> tuple[float, np.ndarray, int, Callable | None]:
         """``smallest_eigenvalue``'s triple and then the solve rhs -> u it
-        factored, as ``factor(potential)`` returns it (``solve`` bound to
-        the potential where the factorization met a zero pivot)."""
+        factored, as ``factor(potential)`` returns it, or None where the
+        operator is singular to working precision (eigenvalue 0)."""
         d, e = self.symmetric_tridiagonal(potential)
         morse = _stebz_count(d, e, -np.inf, 0.0)
         sqrt_vol = np.sqrt(self.vol)
@@ -573,8 +545,7 @@ class RadialOperator:
             theta, y = _shift_invert_lanczos(solve, sqrt_vol)
         except (np.linalg.LinAlgError, ValueError):
             # a zero pivot or an overflowing solve; the potential is valid
-            solve = functools.partial(self.solve, potential)
-            return 0.0, np.full(self.n, np.nan), morse, solve
+            return 0.0, np.full(self.n, np.nan), morse, None
         eig = 1.0 / theta
         norm = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))  # bounds ||T||_inf
         half = abs(eig) - 4.0 * np.finfo(float).eps * norm

@@ -4,8 +4,7 @@ Everything here deliberately avoids the library's evaluation paths:
 special functions come from ascending series summed directly (cross-checked
 against scipy's cephes builds) and from mpmath at 40 digits (Chebyshev
 series at 50), boundary-value
-facts from adaptive Runge-Kutta shooting, derivatives from finite
-differences.
+facts from adaptive Runge-Kutta shooting.
 """
 
 import functools
@@ -40,17 +39,6 @@ def i0_series(x: float, terms: int = 80) -> float:
     return acc
 
 
-def i1_series(x: float, terms: int = 80) -> float:
-    q = 0.25 * x * x
-    term, acc = 1.0, 1.0
-    for k in range(1, terms):
-        term *= q / (k * (k + 1))
-        acc += term
-        if term < 1e-18 * acc:
-            break
-    return 0.5 * x * acc
-
-
 def k0_series(x: float, terms: int = 60) -> float:
     q = 0.25 * x * x
     term, h, acc = 1.0, 0.0, 0.0
@@ -59,19 +47,6 @@ def k0_series(x: float, terms: int = 60) -> float:
         h += 1.0 / k
         acc += term * h
     return -(np.log(0.5 * x) + EULER) * i0_series(x) + acc
-
-
-def k1_series(x: float, terms: int = 60) -> float:
-    q = 0.25 * x * x
-    term = 1.0
-    hk, hk1 = 0.0, 1.0
-    acc = hk + hk1 - 2.0 * EULER
-    for k in range(1, terms):
-        term *= q / (k * (k + 1))
-        hk += 1.0 / k
-        hk1 += 1.0 / (k + 1)
-        acc += term * (hk + hk1 - 2.0 * EULER)
-    return np.log(0.5 * x) * i1_series(x) + 1.0 / x - 0.25 * x * acc
 
 
 # The four vectorized series loops, each term from the last, that specfun
@@ -563,18 +538,6 @@ def full_spectrum_monitor(op, potential):
     val, vec = sla.eigh_tridiagonal(d, e, select="i", select_range=(idx, idx),
                                     tol=np.finfo(float).tiny)
     return float(val[0]), vec[:, 0] / np.sqrt(op.vol), int(np.count_nonzero(vals < 0))
-
-
-# ---------------------------------------------------------------------------
-# finite differences
-# ---------------------------------------------------------------------------
-
-def fd_second(f, r, h=1e-4):
-    return (f(r + h) - 2.0 * f(r) + f(r - h)) / (h * h)
-
-
-def fd_first(f, r, h=1e-6):
-    return (f(r + h) - f(r - h)) / (2.0 * h)
 
 
 def scipy_bessel_reference(x):

@@ -322,16 +322,16 @@ class TestEigenvalueMonitor:
                 assert op.smallest_eigenvalue(potential)[2] == count
 
     def test_numpy_and_scipy_stebz_count_alike(self):
-        numpy_stebz = radial._numpy_stebz()
-        if numpy_stebz is None:
-            pytest.skip("numpy's LAPACK exports no 64-bit-integer dstebz: scipy's serves")
+        if radial._numpy_lapack() is None:
+            pytest.skip("numpy's LAPACK lacks a 64-bit-integer routine: scipy's serves")
+        numpy_stebz, scipy_stebz = radial._numpy_lapack()[2], radial._scipy_lapack()[2]
         op, potentials = _ladder_potentials(1e-4)
         for potential in potentials:
             d, e = op.symmetric_tridiagonal(potential)
             eig = op.smallest_eigenvalue(potential)[0]
             for vl, vu in [(-np.inf, 0.0), (-np.inf, np.inf), (-abs(eig), abs(eig)),
                            (-2.0 * abs(eig), 0.5 * abs(eig)), (0.0, 1e6)]:
-                assert numpy_stebz(d, e, vl, vu) == radial._scipy_stebz(d, e, vl, vu)
+                assert numpy_stebz(d, e, vl, vu) == scipy_stebz(d, e, vl, vu)
 
     def test_certificate_rejects_a_farther_eigenvalue(self, monkeypatch):
         # a Ritz value twice the true one leaves the true eigenvalue inside
@@ -377,6 +377,7 @@ class TestNearKernel:
             op.factor(1.0)
         eig, mode, _ = op.smallest_eigenvalue(1.0)
         assert eig == 0.0 and np.isnan(mode).all()
+        assert op.monitor(1.0)[3] is None  # no solve to hand on
         with pytest.raises(NearKernelError) as exc:
             analysis.solve_linear(prof, 1.0, np.ones(3))
         assert exc.value.smallest_singular_value == 0.0

@@ -628,9 +628,9 @@ class TestMultilayer:
 def test_import_leaves_nondegen_out(module):
     # the scaffold is built from the layered Green's function alone, the
     # correction profiles are quadratures, not ODE solves, a radial solve
-    # takes ?gtsv from numpy's LAPACK (scipy's only where numpy has none),
-    # and the Chebyshev calculus is written out (numpy.polynomial stays the
-    # tests' oracle)
+    # takes ?gtsv from numpy's LAPACK (scipy's only where numpy lacks one of
+    # the four routines radial binds), and the Chebyshev calculus is written
+    # out (numpy.polynomial stays the tests' oracle)
     src = os.path.dirname(os.path.dirname(ansatz.__file__))
     code = f"import sys, kslayers.ansatz; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

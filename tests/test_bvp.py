@@ -27,26 +27,16 @@ def solved4(ansatz4):
     return params, bvp.solve_bvp(1e-4, prof)
 
 
-NO_NUMPY_GTSV = "numpy's LAPACK exports no 64-bit-integer dgtsv: scipy's serves"
-NO_NUMPY_GTTRF = ("numpy's LAPACK exports no 64-bit-integer dgttrf and dgttrs: "
-                  "scipy's serve")
-
-
 @pytest.fixture(params=["numpy", "scipy"])
-def gtsv_path(request, monkeypatch):
-    """RadialOperator.solve and .factor routed through one of the two LAPACK
-    bindings (?gtsv, and ?gttrf + ?gttrs)."""
-    if request.param == "numpy":
-        gtsv, gttrf = radial._numpy_gtsv(), radial._numpy_gttrf()
-    else:
-        gtsv, gttrf = radial._scipy_gtsv, radial._scipy_gttrf
-    if gtsv is None:
-        pytest.skip(NO_NUMPY_GTSV)
-    if gttrf is None:
-        pytest.skip(NO_NUMPY_GTTRF)
-    monkeypatch.setattr(radial, "_gtsv", gtsv)
-    monkeypatch.setattr(radial, "_gttrf", gttrf)
-    return gtsv
+def backend(request, monkeypatch):
+    """RadialOperator.solve, .factor and the Sturm counts run on one of the
+    two LAPACK backends, whose (gtsv, gttrf, stebz) this returns."""
+    lapack = radial._numpy_lapack() if request.param == "numpy" else radial._scipy_lapack()
+    if lapack is None:
+        pytest.skip("numpy's LAPACK lacks a 64-bit-integer dgtsv, dgttrf, dgttrs "
+                    "or dstebz: scipy's serves")
+    monkeypatch.setattr(radial, "_lapack", lambda: lapack)
+    return lapack
 
 
 class TestEigenvalues:
@@ -81,7 +71,7 @@ class TestOperator:
         rhs = np.sum(w * u * op.apply_neg_lap(v))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
-    def test_solve_is_solve_banded_to_the_bit(self, ansatz4, gtsv_path):
+    def test_solve_is_solve_banded_to_the_bit(self, ansatz4, backend):
         # lambda e^U of the ansatz makes the operator indefinite (Morse index 2);
         # the second potential leaves a hundredth of the diagonal
         _, prof = ansatz4
@@ -93,14 +83,14 @@ class TestOperator:
                 op.lap_upper, op.lap_main + 1.0 - pot, op.lap_lower
             # partial pivoting swaps rows: U's second superdiagonal fills in
             dl = op.lap_lower.copy()
-            gtsv_path(dl, ab[1].copy(), op.lap_upper.copy(), np.ones(op.n))
+            backend[0](dl, ab[1].copy(), op.lap_upper.copy(), np.ones(op.n))
             assert np.any(dl[:-1] != 0.0)
             for rhs in (rng.standard_normal(op.n), rng.standard_normal((op.n, 2))):
                 x = op.solve(pot, rhs)
                 assert x.shape == rhs.shape
                 assert np.array_equal(x, sla.solve_banded((1, 1), ab, rhs))
 
-    def test_factor_is_solve_to_the_bit(self, ansatz4, gtsv_path):
+    def test_factor_is_solve_to_the_bit(self, ansatz4, backend):
         # the ansatz potential: partial pivoting swaps rows (see above)
         _, prof = ansatz4
         op = RadialOperator(prof.grid)
@@ -117,7 +107,7 @@ class TestOperator:
         rhs = rng.standard_normal(op.n)
         assert np.array_equal(solve(rhs), op.solve(pot, rhs))
 
-    def test_solve_names_the_zero_pivot(self, gtsv_path):
+    def test_solve_names_the_zero_pivot(self, backend):
         # a zero diagonal of odd order: elimination ends on an exact zero pivot
         op = RadialOperator(graded_grid(501, 0.05, 0.05))
         pot = op.lap_main + 1.0
@@ -137,7 +127,8 @@ class TestOperator:
         def gttrf(*args):
             raise AssertionError("?gttrf called")
 
-        monkeypatch.setattr(radial, "_gttrf", gttrf)
+        gtsv, _, stebz = radial._lapack()
+        monkeypatch.setattr(radial, "_lapack", lambda: (gtsv, gttrf, stebz))
         op = RadialOperator(graded_grid(500, 0.05, 0.05))
         pot = np.zeros(op.n)
         pot[7] = bad
@@ -157,8 +148,8 @@ class TestOperator:
         def lapack(*args):
             raise AssertionError("LAPACK called")
 
-        monkeypatch.setattr(radial, "_gtsv", lapack)
-        monkeypatch.setattr(radial, "_gttrf", lambda *args: (lapack, 0))
+        monkeypatch.setattr(radial, "_lapack",
+                            lambda: (lapack, lambda *args: (lapack, 0), lapack))
         op = RadialOperator(graded_grid(500, 0.05, 0.05))
         with pytest.raises(ValueError):
             op.solve(np.zeros(pot_shape), np.ones(rhs_shape))
@@ -251,6 +242,18 @@ class TestDirectSolve:
         assert again.newton_iters == 1 and again.residual_norm <= 1e-9
         u, v = (np.asarray(p.profile.values, dtype=float) for p in (point, again))
         assert np.max(np.abs(u - v)) <= 1e-14 * np.max(np.abs(u))
+
+    def test_ansatz_at_1e6_solves_to_the_upper_constant(self):
+        # at lambda = 1e-6 Newton from the ansatz lands on the constant state
+        # u = c with c = lam e^c near 16.6265, not on a concentrated profile
+        lam = 1e-6
+        from scipy.optimize import brentq
+        c = brentq(lambda x: lam * np.exp(x) - x, 10.0, 30.0)
+        assert c == pytest.approx(16.6265, abs=1e-4)
+        point = bvp.solve_bvp(lam, ansatz.build_profile(ansatz.build_params(lam)))
+        values = point.profile.values
+        assert np.ptp(values) < 1e-8
+        assert np.max(np.abs(values - c)) < 1e-8
 
     def test_no_concentrated_solution_above_fold(self):
         # the concentrated family folds near lam ~ 2.3e-4: direct Newton

@@ -484,6 +484,20 @@ def test_a_default_and_the_same_value_given_write_the_same_files(tmp_path, args,
     assert {"k", "outer", "eta"} <= doc["config"].keys()
 
 
+def test_config_key_named_as_its_flag_preseeds_it(tmp_path):
+    # "lambda" is the flag's name, "lam" only its dest: the file's key types
+    # and preseeds --lambda, and the echo names it by its dest
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda=1e-4\n")
+    code, by_file = run_cli(["ansatz", "--config", str(cfg)], tmp_path, "file")
+    assert code == 0
+    code, by_flag = run_cli(["ansatz", "--lambda", "1e-4"], tmp_path, "flag")
+    assert code == 0
+    assert files(by_file) == files(by_flag)
+    doc = json.loads((by_file / "ansatz.json").read_text())
+    assert doc["config"]["lam"] == 1e-4 and "lambda" not in doc["config"]
+
+
 def test_config_key_without_a_flag_is_echoed(tmp_path):
     # a key no subcommand declares is carried as a string and checked by
     # nothing; before, a "lams" key ended every subcommand in a TypeError

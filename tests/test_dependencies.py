@@ -1,12 +1,14 @@
 """The dependency contract: numpy alone at run time.
 
-scipy serves only the LAPACK fallbacks in ``radial``, where numpy's LAPACK
-exports no 64-bit-integer ``?gtsv``, ``?gttrf``/``?gttrs`` or ``?stebz``,
+``radial`` binds its four LAPACK routines, ``?gtsv``, ``?gttrf``/``?gttrs``
+and ``?stebz``, from one backend: numpy's LAPACK where it exports all four
+with 64-bit integers, scipy's otherwise.  scipy serves only that fallback
 and the tests' oracles.
 """
 
 import ast
-import inspect
+import ctypes
+import functools
 import json
 import os
 import pathlib
@@ -27,15 +29,36 @@ def _is_scipy(name: str) -> bool:
     return name == "scipy" or name.startswith("scipy.")
 
 
+LAPACK_ROUTINES = ("dgtsv", "dgttrf", "dgttrs", "dstebz")
+
+
 def test_scipy_is_imported_only_by_the_lapack_fallback():
-    found = [(path.name, node.lineno)
-             for path in sorted((SRC / "kslayers").glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Import) and any(_is_scipy(a.name) for a in node.names)
-             or isinstance(node, ast.ImportFrom) and _is_scipy(node.module or "")]
-    lines, start = inspect.getsourcelines(radial._scipy_lapack)
-    assert len(found) == 1 and found[0][0] == "radial.py", found
-    assert start <= found[0][1] < start + len(lines)
+    # and ctypes only by radial, and each routine is looked up once per
+    # backend: by name in _numpy_lapack's table, as an attribute of scipy's
+    # lapack module in _scipy_lapack
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((SRC / "kslayers").glob("*.py"))}
+
+    def imports(test):
+        return [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Import) and any(test(a.name) for a in node.names)
+                or isinstance(node, ast.ImportFrom) and test(node.module or "")]
+
+    radial_tree = trees["radial.py"]
+    lookups = {backend: {id(n) for n in ast.walk(_function(radial_tree, backend))}
+               for backend in ("_numpy_lapack", "_scipy_lapack")}
+    found = imports(_is_scipy)
+    assert [name for name, _ in found] == ["radial.py"], found
+    assert id(found[0][1]) in lookups["_scipy_lapack"]
+    assert {name for name, _ in imports(lambda m: m == "ctypes")} == {"radial.py"}
+    for routine in LAPACK_ROUTINES:
+        names = [n for tree in trees.values() for n in ast.walk(tree)
+                 if isinstance(n, ast.Constant) and n.value == routine]
+        attributes = [n for tree in trees.values() for n in ast.walk(tree)
+                      if isinstance(n, ast.Attribute) and n.attr == routine]
+        assert len(names) == 1 and id(names[0]) in lookups["_numpy_lapack"], routine
+        assert len(attributes) == 1 and id(attributes[0]) in lookups["_scipy_lapack"], \
+            routine
 
 
 def _names_exp_cap(node) -> bool:
@@ -117,19 +140,58 @@ def test_numpy_is_the_only_runtime_dependency():
     assert project["dependencies"] == ["numpy>=1.24"]
 
 
+def _fresh_bindings(monkeypatch):
+    """Both backends bound anew inside the test; the cached ones return after."""
+    for name in ("_numpy_lapack", "_scipy_lapack"):
+        monkeypatch.setattr(radial, name, functools.cache(getattr(radial, name).__wrapped__))
+
+
 def test_fallbacks_without_scipy_name_the_missing_routine(monkeypatch):
-    for name in ("_numpy_gtsv", "_numpy_gttrf", "_numpy_stebz"):
-        monkeypatch.setattr(radial, name, lambda: None)
+    _fresh_bindings(monkeypatch)
+    monkeypatch.setattr(radial, "_numpy_lapack", lambda: None)
     for name in ["scipy", *(m for m in sys.modules if _is_scipy(m))]:
         monkeypatch.setitem(sys.modules, name, None)
     op = RadialOperator(graded_grid(50, 0.1, 0.1))
-    with pytest.raises(ImportError, match="dgtsv"):
-        op.solve(0.0, np.ones(op.n))
-    with pytest.raises(ImportError, match="dgttrf"):
-        op.factor(0.0)
     d, e = op.symmetric_tridiagonal(0.0)
-    with pytest.raises(ImportError, match="dstebz"):
-        radial._stebz_count(d, e, -np.inf, 0.0)
+    for call in (lambda: op.solve(0.0, np.ones(op.n)), lambda: op.factor(0.0),
+                 lambda: radial._stebz_count(d, e, -np.inf, 0.0)):
+        with pytest.raises(ImportError, match="dgtsv, dgttrf, dgttrs or dstebz"):
+            call()
+
+
+@pytest.mark.parametrize("hidden", LAPACK_ROUTINES)
+def test_one_routine_missing_from_numpy_sends_every_solve_to_scipy(monkeypatch, hidden):
+    # numpy's LAPACK is taken whole or not at all: ?gtsv, ?gttrf + ?gttrs
+    # and ?stebz all come from scipy's when numpy's lacks any one of them
+    from scipy.linalg import lapack
+
+    class Hiding:
+        def __init__(self, path):
+            self.lib = cdll(path)
+
+        def __getattr__(self, name):
+            if name in (f"scipy_{hidden}_64_", f"{hidden}_64_"):
+                raise AttributeError(name)
+            return getattr(self.lib, name)
+
+    def spy(routine, original):
+        def call(*args, **kwargs):
+            calls.append(routine)
+            return original(*args, **kwargs)
+        return call
+
+    cdll, calls = ctypes.CDLL, []
+    monkeypatch.setattr(ctypes, "CDLL", Hiding)
+    for routine in LAPACK_ROUTINES:
+        monkeypatch.setattr(lapack, routine, spy(routine, getattr(lapack, routine)))
+    _fresh_bindings(monkeypatch)
+    assert radial._numpy_lapack() is None
+    op = RadialOperator(graded_grid(50, 0.1, 0.1))
+    rhs = np.linspace(1.0, 2.0, op.n)
+    assert np.array_equal(op.factor(0.5)(rhs), op.solve(0.5, rhs))
+    d, e = op.symmetric_tridiagonal(0.0)
+    assert radial._stebz_count(d, e, -np.inf, 0.0) == 0
+    assert calls == ["dgttrf", "dgttrs", "dgtsv", "dstebz"]
 
 
 # the README's nine example commands, in order: report reads solve's output
@@ -175,9 +237,9 @@ print(json.dumps({"codes": codes, "tried": BlockScipy.tried}))
 
 
 def test_readme_commands_and_the_linear_solve_run_with_scipy_blocked(tmp_path):
-    if None in (radial._numpy_gtsv(), radial._numpy_gttrf(), radial._numpy_stebz()):
-        pytest.skip("numpy's LAPACK lacks a 64-bit-integer ?gtsv, ?gttrf or ?stebz: "
-                    "scipy's serves")
+    if radial._numpy_lapack() is None:
+        pytest.skip("numpy's LAPACK lacks a 64-bit-integer ?gtsv, ?gttrf, ?gttrs or "
+                    "?stebz: scipy's serves")
     out = subprocess.run([sys.executable, "-c", SWEEP, json.dumps(README_COMMANDS)],
                          cwd=tmp_path, capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)})

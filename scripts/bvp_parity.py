@@ -37,9 +37,16 @@ runs, with this checkout's ``src`` first on the import path:
   18 solved configurations (``guard/fd_entries``, the matrices flattened
   and concatenated in sweep order);
 * ``solve_layers(k, b, outer)`` for k = 1..6, b = 1e-4, 1e-3, 1e-2 and both
-  outer modes, the 36 solves the ``layers`` benchmark runs: the radii and
-  the ``LayerCalculus`` fluxes ``dl`` and ``dr`` there, concatenated in
-  that order (``layers/alphas``, ``layers/dl``, ``layers/dr``);
+  outer modes, the 36 solves the ``layers`` benchmark runs, each field
+  concatenated over the solves in that order: the radii, ``iterations``
+  and ``residual`` of the ``LayerConfig`` (``layers/alphas``,
+  ``layers/iterations``, ``layers/residual``), the ``PiecewiseGreen``
+  coefficients (``layers/coeffs``) and its ``evaluate`` on 64 seeded radii
+  (``layers/value``, ``layers/derivative``); the ``LayerCalculus`` fluxes
+  ``dl`` and ``dr`` at the solved radii and its ``defect_jacobian`` there
+  (``layers/dl``, ``layers/dr``, ``layers/defect_jacobian``); and for the
+  18 dirichlet solves ``assemble_Ak``'s entries, det and cond
+  (``layers/Ak_entries``, ``layers/Ak_det``, ``layers/Ak_cond``);
 * the grids of ``make_grid(1e-4)`` and ``constant_profile(1e-4)``;
 * ``bessel_table`` (I0, I1, K0, K1) on 100,000 radii in (0, 1], the
   kernels' whole domain.
@@ -73,7 +80,12 @@ refinement's residuals; ``solves``, the ``RadialOperator.solve`` calls
 (one ?gtsv each); ``failed_correctors``, the correctors that raised
 ``ConvergenceError``; and ``line_search_candidates``, the double-loop
 residuals taken at a candidate step, each corrector's starting one
-excluded.  OUT.npz keeps them as ``counts/<name>``.  They are not output
+excluded.  Over the 36 reflection solves alone it counts
+``layer_calculi``, the ``LayerCalculus`` configurations built (one
+``greens.layer_fluxes`` call each), ``jacobians``, the shift-Jacobian
+assemblies (``LayerCalculus.shift_jacobians``), and ``bessel_tables``, the
+``bessel_table`` calls ``greens`` makes.  OUT.npz keeps them as
+``counts/<name>``.  They are not output
 fields and do not enter the comparison below.
 
 With ``--against OLD.npz`` every field of every case is compared with
@@ -131,6 +143,8 @@ MASSES = ("origin_mass", "layer_fluxes", "boundary_mass", "profile_gap",
           "total_mass")  # the ConcentrationReport fields
 COUNTS = ("double_f", "pair_f", "residual_pair", "solves", "failed_correctors",
           "line_search_candidates")
+LAYER_COUNTS = ("layer_calculi", "jacobians", "bessel_tables")
+PROFILE_RADII = np.sort(np.random.default_rng(0).uniform(1e-3, 1.0, 64))
 BESSEL_RADII = np.concatenate([np.geomspace(1e-8, 1.0, 50_000),
                                np.linspace(1e-8, 1.0, 50_000)])
 
@@ -174,6 +188,59 @@ def _counting():
     finally:
         for owner, name, call in originals:
             setattr(owner, name, call)
+
+
+@contextlib.contextmanager
+def _counting_layers():
+    """The ``LAYER_COUNTS`` of the calls into ``greens`` made while the
+    block runs."""
+    counts = dict.fromkeys(LAYER_COUNTS, 0)
+
+    def counted(key, call):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return call(*args, **kwargs)
+        return wrapper
+
+    patches = [(greens, "layer_fluxes", "layer_calculi"),
+               (greens.LayerCalculus, "shift_jacobians", "jacobians"),
+               (greens, "bessel_table", "bessel_tables")]
+    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
+    try:
+        for owner, name, key in patches:
+            setattr(owner, name, counted(key, getattr(owner, name)))
+        yield counts
+    finally:
+        for owner, name, call in originals:
+            setattr(owner, name, call)
+
+
+def _layers_fields() -> tuple[dict, dict]:
+    """The 36 reflection solves' fields, and the ``LAYER_COUNTS`` of the
+    solves."""
+    cases = [(k, b, mode) for mode in (greens.DIRICHLET, greens.NEUMANN)
+             for k in range(1, 7) for b in B_GRID]
+    with _counting_layers() as counts:
+        solved = [greens.solve_layers(k, b, mode) for k, b, mode in cases]
+    fields = {key: [] for key in ("alphas", "iterations", "residual", "coeffs",
+                                  "value", "derivative", "dl", "dr",
+                                  "defect_jacobian", "Ak_entries", "Ak_det",
+                                  "Ak_cond")}
+    for (k, b, mode), (config, green) in zip(cases, solved):
+        calc = greens.LayerCalculus(config.alphas, b, mode)
+        value, derivative = green.evaluate(PROFILE_RADII)
+        rows = {"alphas": config.alphas, "iterations": [config.iterations],
+                "residual": [config.residual], "coeffs": green.coeffs.ravel(),
+                "value": value, "derivative": derivative, "dl": calc.dl,
+                "dr": calc.dr, "defect_jacobian": calc.defect_jacobian().ravel()}
+        if mode == greens.DIRICHLET:
+            mat = nondegen.assemble_Ak(config.alphas, b)
+            rows.update(Ak_entries=mat.entries.ravel(), Ak_det=[mat.det],
+                        Ak_cond=[mat.cond])
+        for key, val in rows.items():
+            fields[key].append(np.asarray(val))
+    return ({f"layers/{key}": np.concatenate(val) for key, val in fields.items()},
+            counts)
 
 
 def _fields(points) -> dict:
@@ -298,13 +365,6 @@ def _analysis_fields() -> dict:
     out["guard/fd_entries"] = np.concatenate([
         nondegen._fd_entries(greens.solve_layers(row["k"], row["b"])[0].alphas,
                              row["b"]).ravel() for row in rows])
-    calcs = [greens.LayerCalculus(greens.solve_layers(k, b, mode)[0].alphas, b, mode)
-             for mode in (greens.DIRICHLET, greens.NEUMANN)
-             for k in range(1, 7) for b in B_GRID]
-    for key in ("alphas", "dl", "dr"):
-        out[f"layers/{key}"] = np.concatenate([
-            calc.radii[:calc.n_free] if key == "alphas" else getattr(calc, key)
-            for calc in calcs])
     out["grid/make_grid"] = bvp.make_grid(1e-4)
     out["grid/constant_profile"] = bvp.constant_profile(1e-4).grid
     for key, val in zip(("I0", "I1", "K0", "K1"), specfun.bessel_table(BESSEL_RADII)):
@@ -317,6 +377,11 @@ def dump() -> tuple[dict, list[str]]:
     out = {f"params/{key}": val for key, val in _params_fields().items()}
     out.update(_ansatz_fields())
     out.update(_analysis_fields())
+    layers, layer_counts = _layers_fields()
+    out.update(layers)
+    out.update({f"counts/{key}": np.array(val) for key, val in layer_counts.items()})
+    print("layer counts: " + ", ".join(f"{key} {val}"
+                                       for key, val in layer_counts.items()))
     uncertified = []
     print(f"params: {out['params/lam'].size} lambdas, "
           f"{int(out['params/matching_error'].sum())} MatchingError")
@@ -393,7 +458,7 @@ def _iters_flips(new: dict, old: dict, case: str) -> tuple[int, int]:
 
 def _print_counts(new: dict, old: dict) -> None:
     """The counts of the two dumps, old -> new ("-" where one has none)."""
-    for name in COUNTS:
+    for name in COUNTS + LAYER_COUNTS:
         key = f"counts/{name}"
         old_val, new_val = (int(d[key]) if key in d else "-" for d in (old, new))
         print(f"counts/{name}: {old_val} -> {new_val}")

@@ -164,10 +164,11 @@ def _solve(op: RadialOperator, potential, rhs) -> np.ndarray:
             f"singular Jacobian (turning point? try continuation): {exc}")
 
 
-# backtracking floor.  Converging solves halve at most once: none of the 808
-# correctors that converge on the eight 100-step components halves at all, and
-# the ansatz-started direct solves at lambda = 1e-4, 1e-5, 1e-6, 1e-10, 1e-20
-# and 1e-30 halve once or not at all
+# the direct solve's backtracking floor: the ansatz-started solves at lambda =
+# 1e-4, 1e-5, 1e-6, 1e-10, 1e-20 and 1e-30 halve once or not at all.  The
+# bordered corrector does not backtrack: none of the 808 correctors that
+# converge on the eight 100-step components halved, and the 16 that fail
+# took every halving of the batch before they failed
 _MIN_STEP = 1e-3
 _REFINE_STEPS = 20
 _SOLVE_STEPS = 60  # the direct solve's cap on double-precision Newton steps
@@ -200,8 +201,11 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
     With ``border = ((t_u, t_p), (u_pred, p_pred))`` p is unknown too and the
     pseudo-arclength row c = t . (x - x_pred) = 0 closes the system (Keller
     1977); each step is then one two-column banded solve plus the Schur row.
-    The line search halves the step until hypot(||G||_2, c) decreases; a
-    diverging candidate overflows to inf or nan, which no comparison accepts.
+    Without ``border`` the line search halves the step until
+    hypot(||G||_2, c) decreases; a diverging candidate overflows to inf or
+    nan, which no comparison accepts.  A bordered step is taken whole or
+    not at all: a full step that does not lower the merit ends the double
+    loop as a stall does, and ``continue_branch`` halves ds instead.
 
     Runs in double precision down to its rounding floor, then switches to
     iterative refinement, which certifies the final max-norm residual well
@@ -254,6 +258,7 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
         du += w
         return du, dp
 
+    shortest = _MIN_STEP if border is None else 1.0  # no power of 2 is 1e-3
     history = []
     steps, skipped = 0, False
     last = 0.0  # the residual before the step to this iterate, if undamped
@@ -270,7 +275,7 @@ def _newton(op: RadialOperator, f, u, p, tol: float, max_iter: int,
         steps += 1
         du, dp = step(G, c, fx)
         t = 1.0
-        while t > _MIN_STEP:  # (du, dp) is t times the Newton step
+        while t >= shortest:  # (du, dp) is t times the Newton step
             cand_u, cand_p = u + du, p + dp
             (cand_G, cand_fx), cand_c = (_residual(op, f, cand_u, cand_p),
                                           row(cand_u, cand_p))

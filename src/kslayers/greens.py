@@ -31,6 +31,7 @@ the boundary alone.  Every family takes its Green's function from here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,8 @@ class PiecewiseGreen:
     outer_mode: str
 
     def annulus_index(self, r: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.interfaces[1:-1], r, side="right")
-        return np.clip(idx, 0, len(self.coeffs) - 1)
+        # one more interface than annuli, so every index is a row of coeffs
+        return np.searchsorted(self.interfaces[1:-1], r, side="right")
 
     def evaluate(self, r) -> tuple[np.ndarray, np.ndarray]:
         """Value and r-derivative at radii, from one Bessel table."""
@@ -107,6 +108,13 @@ class LayerConfig:
     outer_mode: str
     residual: float = np.nan
     iterations: int = 0
+
+
+def _nested(alphas: np.ndarray) -> bool:
+    """Whether the (nonempty) free radii increase strictly inside (0, 1);
+    NaN fails."""
+    return bool(alphas[0] > 0.0 and alphas[-1] < 1.0
+                and (alphas[1:] > alphas[:-1]).all())
 
 
 def _solve_annuli(radii: np.ndarray, values: np.ndarray,
@@ -179,29 +187,30 @@ def layer_fluxes(radii: np.ndarray, values: np.ndarray, b: float,
     """
     table = i0, i1, k0, k1 = bessel_table(radii)
     K = radii.shape[-1]
+    # value radii with an annulus to their right
+    n_right = K if outer_mode == NEUMANN else K - 1
+    coeffs = np.empty(radii.shape[:-1] + (n_right + 1, 2))
     # on (0, r_0] the -ln r coefficient pins c_K = b; the value at r_0
     # fixes c_I
-    singular = np.empty(radii.shape[:-1] + (1, 2))
-    singular[..., 0, 0] = b
-    singular[..., 0, 1] = (values[..., 0] - b * k0[..., 0]) / i0[..., 0]
-    coeffs = [singular]
-    responses = np.empty(radii.shape[:-1] + (0, 2, 2))
+    coeffs[..., 0, 0] = b
+    coeffs[..., 0, 1] = (values[..., 0] - b * k0[..., 0]) / i0[..., 0]
     if K > 1:
         sol, _ = _solve_annuli(radii, values, i0, k0)
-        coeffs.append(sol[..., 0])
+        coeffs[..., 1:K, :] = sol[..., 0]
         responses = sol[..., 1:]
+    else:
+        responses = np.empty(radii.shape[:-1] + (0, 2, 2))
     if outer_mode == NEUMANN:
         # zeta = K0 + C_MIX * I0 is the unique mode with zero slope at r = 1
         c = values[..., -1] / (k0[..., -1] + C_MIX * i0[..., -1])
-        coeffs.append(c[..., None, None] * np.array([1.0, C_MIX]))
-    coeffs = np.concatenate(coeffs, axis=-2)
+        coeffs[..., K, 0] = c
+        coeffs[..., K, 1] = c * C_MIX
 
     dl = -coeffs[..., :K, 0] * k1 + coeffs[..., :K, 1] * i1
-    # value radii with an annulus to their right
-    n_right = coeffs.shape[-2] - 1
-    dr = np.full(radii.shape, np.nan)
+    dr = np.empty(radii.shape)
     dr[..., :n_right] = -coeffs[..., 1:, 0] * k1[..., :n_right] \
         + coeffs[..., 1:, 1] * i1[..., :n_right]
+    dr[..., n_right:] = np.nan
     return table, coeffs, responses, dl, dr
 
 
@@ -224,38 +233,53 @@ class LayerCalculus:
     ------
     DomainError
         For misordered radii, an unknown outer mode, a wrong number of layer
-        values or a non-finite value.
+        values, a non-finite value or a non-finite ``b``.
     ConditioningError
         If an annulus solve is numerically singular.
     """
 
     def __init__(self, alphas, b: float, outer_mode: str, values=None):
         alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-        if alphas.size and (np.any(np.diff(alphas) <= 0) or alphas[0] <= 0.0
-                            or alphas[-1] >= 1.0):
+        if alphas.size and not _nested(alphas):
             raise DomainError(
                 f"free radii must be strictly increasing in (0, 1): {alphas}")
-        if outer_mode == DIRICHLET:
-            radii = np.concatenate([alphas, [1.0]])
-        elif outer_mode == NEUMANN:
-            if alphas.size == 0:
-                raise DomainError("neumann mode needs at least one layer")
-            radii = alphas
-        else:
+        if outer_mode == NEUMANN and alphas.size == 0:
+            raise DomainError("neumann mode needs at least one layer")
+        if outer_mode not in (DIRICHLET, NEUMANN):
             raise DomainError(f"unknown outer mode {outer_mode!r}")
-        values = np.ones(radii.size) if values is None \
-            else np.asarray(values, dtype=float)
-        if values.shape != radii.shape:
-            raise DomainError(f"{outer_mode} mode needs {radii.size} layer values")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("layer values must be finite")
+        if values is not None:
+            values = np.asarray(values, dtype=float)
+            n_values = alphas.size + (outer_mode == DIRICHLET)
+            if values.shape != (n_values,):
+                raise DomainError(f"{outer_mode} mode needs {n_values} layer values")
+            if not np.isfinite(values).all():
+                raise DomainError("layer values must be finite")
+        if not math.isfinite(b):
+            raise DomainError(f"singular coefficient must be finite, got {b!r}")
+        self._build(alphas, b, outer_mode, values)
 
+    @classmethod
+    def _unchecked(cls, alphas: np.ndarray, b: float, outer_mode: str):
+        """The calculus at unit values, without the constructor's checks:
+        the caller has found the free radii nested in (0, 1), ``b`` finite
+        and the mode known."""
+        calc = cls.__new__(cls)
+        calc._build(alphas, b, outer_mode, None)
+        return calc
+
+    def _build(self, alphas, b, outer_mode, values) -> None:
+        # 0, the free radii, 1: the interfaces, whose tail are the value radii
+        interfaces = np.empty(alphas.size + 2)
+        interfaces[0] = 0.0
+        interfaces[1:-1] = alphas
+        interfaces[-1] = 1.0
+        radii = interfaces[1:] if outer_mode == DIRICHLET else interfaces[1:-1]
+        if values is None:
+            values = np.ones(radii.size)
         self.radii, self.values, self.outer_mode = radii, values, outer_mode
         self.n_free = alphas.size
         self._table, coeffs, self._responses, self.dl, self.dr = \
             layer_fluxes(radii, values, b, outer_mode)
-        interfaces = np.concatenate([[0.0], radii, [1.0]]) \
-            if outer_mode == NEUMANN else np.concatenate([[0.0], radii])
         self.green = PiecewiseGreen(interfaces=interfaces, coeffs=coeffs,
                                     b_sing=b, outer_mode=outer_mode)
 
@@ -279,29 +303,36 @@ class LayerCalculus:
         i0, i1, k0, k1 = self._table
         K = r.size
         n_right = len(self.green.coeffs) - 1
-        DL = np.zeros((K, K))
-        DR = np.zeros((K, K))
-        diag = np.arange(K)
-        DL[diag, diag] = v - dl / r
-        DR[diag[:n_right], diag[:n_right]] = v[:n_right] - dr[:n_right] / r[:n_right]
+        # the three diagonals: DL's main and lower one, DR's main and upper one
+        left = v - dl / r
+        right = v[:n_right] - dr[:n_right] / r[:n_right]
         # singular annulus: c_K is pinned, so its unit response is (0, 1/I0)
-        DL[0, 0] -= dl[0] * i1[0] / i0[0]
+        left[0] -= dl[0] * i1[0] / i0[0]
         if K > 1:
-            j = diag[1:]
-            w_left, w_right = self._responses[:, :, 0], self._responses[:, :, 1]
-
-            def slope(w, at):
-                return -w[:, 0] * k1[at] + w[:, 1] * i1[at]
-
-            DL[j, j - 1] = -dr[j - 1] * slope(w_left, j)
-            DL[j, j] -= dl[j] * slope(w_right, j)
-            DR[j - 1, j - 1] -= dr[j - 1] * slope(w_left, j - 1)
-            DR[j - 1, j] = -dl[j] * slope(w_right, j - 1)
+            # slopes of each interior annulus's unit responses, column 0 to
+            # a unit value at its left end and column 1 at its right end,
+            # taken at its right and at its left end
+            w = self._responses
+            at_right = -w[:, 0] * k1[1:, None] + w[:, 1] * i1[1:, None]
+            at_left = -w[:, 0] * k1[:-1, None] + w[:, 1] * i1[:-1, None]
+            lower = -dr[:-1] * at_right[:, 0]
+            left[1:] -= dl[1:] * at_right[:, 1]
+            right[:K - 1] -= dr[:-1] * at_left[:, 0]
+            upper = -dl[1:] * at_left[:, 1]
         if self.outer_mode == NEUMANN:
             # the Neumann annulus stays proportional to zeta
             zeta = k0[-1] + C_MIX * i0[-1]
             zetap = -k1[-1] + C_MIX * i1[-1]
-            DR[-1, -1] -= dr[-1] * zetap / zeta
+            right[-1] -= dr[-1] * zetap / zeta
+        DL = np.zeros((K, K))
+        DR = np.zeros((K, K))
+        # flat indices: the main diagonal every K + 1 from 0, the lower one
+        # from K, the upper one from 1
+        DL.ravel()[::K + 1] = left
+        DR.ravel()[:n_right * (K + 1):K + 1] = right
+        if K > 1:
+            DL.ravel()[K::K + 1] = lower
+            DR.ravel()[1::K + 1] = upper
         return DL[:, :self.n_free], DR[:, :self.n_free]
 
     def defect_jacobian(self) -> np.ndarray:
@@ -332,44 +363,50 @@ def solve_layers(k: int, b: float, outer_mode: str = DIRICHLET,
 
     Raises
     ------
+    DomainError
+        Unless k is an integer in [1, ``K_MAX``], b is finite in
+        (0, ``b_max``] and the outer mode is known.
     ConvergenceError
         If Newton stalls or does not reach the residual tolerance, carrying
         the last residual norm.
     """
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= K_MAX):
         raise DomainError(f"layer count must be an integer in [1, {K_MAX}], got {k!r}")
-    if not (0.0 < b <= b_max):
+    if not (0.0 < b <= b_max and math.isfinite(b)):
         raise DomainError(f"singular coefficient must lie in (0, {b_max}], got {b!r}")
+    if outer_mode not in (DIRICHLET, NEUMANN):
+        raise DomainError(f"unknown outer mode {outer_mode!r}")
 
+    # every candidate's radii are checked nested here, once
     alphas = np.arange(1, k + 1) / (k + 1.0)
-    calc = LayerCalculus(alphas, b, outer_mode)
+    calc = LayerCalculus._unchecked(alphas, b, outer_mode)
     res = calc.defect
     iters = 0
     for _ in range(_NEWTON_MAX_ITER):
-        if np.max(np.abs(res)) <= _NEWTON_RESIDUAL_TOL:
+        if np.abs(res).max() <= _NEWTON_RESIDUAL_TOL:
             break
         iters += 1
         step = np.linalg.solve(calc.defect_jacobian(), -res)
         lam = 1.0
-        base_norm = np.linalg.norm(res)
+        base_norm = math.sqrt(res @ res)  # np.linalg.norm's sum, unwrapped
         stalled = True
         while lam > 1e-8:
             cand = alphas + lam * step
-            if np.all(np.diff(cand) > 0) and cand[0] > 0 and cand[-1] < 1:
-                cand_calc = LayerCalculus(cand, b, outer_mode)
-                if np.linalg.norm(cand_calc.defect) < base_norm:
+            if _nested(cand):
+                cand_calc = LayerCalculus._unchecked(cand, b, outer_mode)
+                cand_res = cand_calc.defect
+                if math.sqrt(cand_res @ cand_res) < base_norm:
                     stalled = False
                     break
             lam *= 0.5
         if stalled:
             raise ConvergenceError(
                 "reflection Newton stalled while damping",
-                residual=float(np.max(np.abs(res))))
-        alphas, calc = cand, cand_calc
-        res = calc.defect
-        if np.max(np.abs(lam * step)) <= _NEWTON_STEP_TOL:
+                residual=float(np.abs(res).max()))
+        alphas, calc, res = cand, cand_calc, cand_res
+        if np.abs(lam * step).max() <= _NEWTON_STEP_TOL:
             break
-    residual = float(np.max(np.abs(res)))
+    residual = float(np.abs(res).max())
     if residual > _NEWTON_RESIDUAL_TOL:
         raise ConvergenceError(
             f"reflection Newton did not converge for k={k}, b={b}",

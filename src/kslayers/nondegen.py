@@ -68,11 +68,16 @@ def assemble_Ak(alphas, b: float) -> NondegenMatrix:
 
     Raises
     ------
+    DomainError
+        If there is no free radius, or from ``LayerCalculus`` (misordered
+        radii, a non-finite ``b``).
     InternalConsistencyError
         If the analytic and differenced entries disagree beyond tolerance.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     k = alphas.size
+    if k == 0:
+        raise DomainError("no free radius: M_k is taken over k >= 1 free radii")
     entries = LayerCalculus(alphas, b, DIRICHLET).defect_jacobian()
     fd = _fd_entries(alphas, b)
     scale = np.maximum(np.abs(entries), 1e-6)
@@ -99,10 +104,13 @@ def _fd_entries(alphas: np.ndarray, b: float) -> np.ndarray:
     own ``LayerCalculus``.
     """
     k, h = alphas.size, _FD_STEP
-    step = h * np.eye(k)
-    shifted = np.concatenate([alphas + step, alphas - step])
-    radii = np.concatenate([shifted, np.ones((2 * k, 1))], axis=1)
-    *_, dl, dr = layer_fluxes(radii, np.ones_like(radii), b, DIRICHLET)
+    radii = np.ones((2 * k, k + 1))
+    radii[:, :k] = alphas
+    # r_j + h in row j and r_j - h in row k + j: flat steps of k + 2
+    flat = radii.ravel()
+    flat[:k * (k + 1):k + 2] += h
+    flat[k * (k + 1)::k + 2] -= h
+    *_, dl, dr = layer_fluxes(radii, np.ones((2 * k, k + 1)), b, DIRICHLET)
     ddl = (dl[:k] - dl[k:]) / (2 * h)
     ddr = (dr[:k] - dr[k:]) / (2 * h)
     out = np.diag(np.diagonal(ddl) + np.diagonal(ddr))

@@ -91,9 +91,10 @@ def bessel_table(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     """
     r = np.asarray(r, dtype=float)
     x = r.reshape(-1)
-    inside = (x >= _X_MIN) & (x <= _X_MAX)
-    if not inside.all():
-        bad = float(x[~inside][0])
+    # two reductions, which NaN fails
+    if x.size and not (np.minimum.reduce(x) >= _X_MIN
+                       and np.maximum.reduce(x) <= _X_MAX):
+        bad = float(x[~((x >= _X_MIN) & (x <= _X_MAX))][0])
         raise DomainError(f"Bessel radii must be normal doubles in (0, {_X_MAX}], "
                           f"[{_X_MIN!r}, {_X_MAX}], got {bad!r}")
     p = np.empty((_TERMS, x.size))
@@ -103,11 +104,14 @@ def bessel_table(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
         # q^(s+1) ... q^(2s) = q^1 ... q^s times q^s
         top = min(2 * s + 1, _TERMS)
         np.multiply(p[1:top - s], p[s], out=p[s + 1:top])
-    i0, i1, ksum0, ksum1 = (p[:, None] * _COEF).sum(axis=0)
-    i1 *= 0.5 * x
-    log_half = np.log(0.5 * x)
+    i0, i1, ksum0, ksum1 = np.add.reduce(p[:, None] * _COEF, axis=0)
+    half = 0.5 * x
+    i1 *= half
+    log_half = np.log(half)
     k0 = -(log_half + EULER_MASCHERONI) * i0 + ksum0
     k1 = log_half * i1 + 1.0 / x - 0.25 * x * ksum1
+    if r.ndim == 1:
+        return i0, i1, k0, k1
     return tuple(a.reshape(r.shape) for a in (i0, i1, k0, k1))
 
 

@@ -109,6 +109,50 @@ def bessel_series_loops(x):
 
 
 # ---------------------------------------------------------------------------
+# the shift Jacobians as assembled before their diagonals were written by
+# flat index
+# ---------------------------------------------------------------------------
+
+# Frozen copy: each entry of the two K x K matrices is set or updated by
+# fancy indices, from the layer calculus's Bessel table and unit responses
+# (here recomputed by ``greens.layer_fluxes``, which gives the bits the
+# calculus holds).  The library must reproduce it to the bit.
+
+def shift_jacobians_fancy_index(calc):
+    """(DL, DR) of a ``greens.LayerCalculus``, entry by entry."""
+    from kslayers.greens import NEUMANN, layer_fluxes
+    from kslayers.specfun import C_MIX
+
+    r, v = calc.radii, calc.values
+    (i0, i1, k0, k1), coeffs, responses, dl, dr = layer_fluxes(
+        r, v, calc.green.b_sing, calc.outer_mode)
+    K = r.size
+    n_right = len(coeffs) - 1
+    DL = np.zeros((K, K))
+    DR = np.zeros((K, K))
+    diag = np.arange(K)
+    DL[diag, diag] = v - dl / r
+    DR[diag[:n_right], diag[:n_right]] = v[:n_right] - dr[:n_right] / r[:n_right]
+    DL[0, 0] -= dl[0] * i1[0] / i0[0]
+    if K > 1:
+        j = diag[1:]
+        w_left, w_right = responses[:, :, 0], responses[:, :, 1]
+
+        def slope(w, at):
+            return -w[:, 0] * k1[at] + w[:, 1] * i1[at]
+
+        DL[j, j - 1] = -dr[j - 1] * slope(w_left, j)
+        DL[j, j] -= dl[j] * slope(w_right, j)
+        DR[j - 1, j - 1] -= dr[j - 1] * slope(w_left, j - 1)
+        DR[j - 1, j] = -dl[j] * slope(w_right, j - 1)
+    if calc.outer_mode == NEUMANN:
+        zeta = k0[-1] + C_MIX * i0[-1]
+        zetap = -k1[-1] + C_MIX * i1[-1]
+        DR[-1, -1] -= dr[-1] * zetap / zeta
+    return DL[:, :calc.n_free], DR[:, :calc.n_free]
+
+
+# ---------------------------------------------------------------------------
 # the bvp Newton core as it was before one evaluation of the nonlinearity
 # served both residual and step
 # ---------------------------------------------------------------------------

@@ -738,6 +738,55 @@ class TestContinuation:
             assert n == refinements
             assert pairs == [False] * (len(pairs) - n) + [True] * n
 
+    @staticmethod
+    def _count_residuals_and_solves(monkeypatch):
+        counts = {"residuals": 0, "solves": 0}
+        residual, solve = bvp._residual, RadialOperator.solve
+
+        def counted_residual(*args):
+            counts["residuals"] += 1
+            return residual(*args)
+
+        def counted_solve(self, *args):
+            counts["solves"] += 1
+            return solve(self, *args)
+
+        monkeypatch.setattr(bvp, "_residual", counted_residual)
+        monkeypatch.setattr(RadialOperator, "solve", counted_solve)
+        return counts
+
+    def test_a_far_off_corrector_takes_no_half_step(self, monkeypatch):
+        # a predictor 0.5 cos(3 pi r) off the seed: the full Newton step
+        # does not lower the merit, and the corrector ends there, after one
+        # solve and one candidate residual, where halving took 25 residuals
+        # over 3 steps before it failed.  continue_branch halves ds instead.
+        seed = bvp.seed_branch(2, "+")
+        op = RadialOperator(seed.profile.grid)
+        u = np.asarray(seed.profile.values, dtype=float)
+        tangent = bvp._first_tangent(op, u, float(seed.param))
+        u_pred = u + 0.5 * np.cos(3.0 * np.pi * op.r)
+        x_pred = (u_pred, float(seed.param))
+        counts = self._count_residuals_and_solves(monkeypatch)
+        with pytest.raises(ConvergenceError, match="after 1 steps"):
+            bvp._corrector(op, u_pred, float(seed.param), tangent, x_pred)
+        # each bordered step is one solve and one candidate: no half step
+        assert counts == {"residuals": 2, "solves": 1}
+
+    def test_the_direct_solve_still_halves(self, monkeypatch):
+        # the ansatz-started solve at lambda = 1e-5 needs a damped step
+        counts = self._count_residuals_and_solves(monkeypatch)
+        newton, solved = bvp._newton, []
+
+        def recorded(*args, **kwargs):
+            solved.append(newton(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(bvp, "_newton", recorded)
+        point = bvp.solve_bvp(1e-5, ansatz.build_profile(ansatz.build_params(1e-5)))
+        assert point.residual_norm <= 1e-9
+        # one starting residual and one per full step; more is a half step
+        assert counts["residuals"] > solved[0].steps + 1
+
     def test_the_merit_is_the_residuals_two_norm(self, monkeypatch):
         # every merit hypot(||G||_2, c) of the line search takes
         # math.sqrt(G @ G) of the residual formed just before it, bit for

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from kslayers import ansatz, greens
+from kslayers import ansatz, greens, nondegen
 from kslayers.errors import ConditioningError, DomainError
 from kslayers.specfun import bessel_table, xi_zeta_table
 
@@ -247,6 +247,55 @@ class TestSolveLayers:
             greens.solve_layers(1, 0.3)
         with pytest.raises(DomainError):
             greens.solve_layers(1, 1e-3, "robin")
+
+
+def same_bits(a, b) -> bool:
+    """Whether the double arrays a and b hold the same bits (signed zeros
+    included)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype == float and a.shape == b.shape \
+        and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestShiftJacobianAssembly:
+    """The diagonals written by flat index give the bits of the frozen
+    entry-by-entry assembly (``oracles.shift_jacobians_fancy_index``), and
+    so do the defect Jacobian and the base-point Jacobian built on them."""
+
+    @pytest.mark.parametrize("outer", [greens.DIRICHLET, greens.NEUMANN])
+    @pytest.mark.parametrize("k", range(1, greens.K_MAX + 1))
+    def test_same_bits_as_the_fancy_index_assembly(self, k, outer, monkeypatch):
+        start = np.arange(1, k + 1) / (k + 1.0)
+        for b in (1e-4, 1e-2, 0.2):
+            solved = greens.solve_layers(k, b, outer)[0].alphas
+            for alphas in (solved, start):
+                calc = greens.LayerCalculus(alphas, b, outer)
+                DL, DR = oracles.shift_jacobians_fancy_index(calc)
+                got_l, got_r = calc.shift_jacobians()
+                assert same_bits(got_l, DL) and same_bits(got_r, DR), (b, alphas)
+                assert same_bits(calc.defect_jacobian(), DL[:k] + DR[:k])
+                if outer == greens.DIRICHLET:
+                    base = nondegen.jacobian_at_base(calc)
+                    with monkeypatch.context() as m:
+                        m.setattr(calc, "shift_jacobians", lambda: (DL, DR))
+                        assert same_bits(base, nondegen.jacobian_at_base(calc))
+
+
+class TestConfigurationDomain:
+    @pytest.mark.parametrize("b", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("outer", [greens.DIRICHLET, greens.NEUMANN])
+    def test_non_finite_singular_coefficient(self, b, outer):
+        # b = nan gave NaN defects and b = inf -inf ones
+        with pytest.raises(DomainError, match="singular coefficient must be finite"):
+            greens.LayerCalculus([0.5], b, outer)
+
+    def test_solve_rejects_an_infinite_coefficient_below_an_infinite_cap(self):
+        with pytest.raises(DomainError, match="singular coefficient"):
+            greens.solve_layers(1, np.inf, b_max=np.inf)
+
+    def test_nan_radius_is_not_nested(self):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            greens.LayerCalculus([0.2, np.nan, 0.8], 1e-3, greens.NEUMANN)
 
 
 from hypothesis import given, settings, strategies as st  # noqa: E402

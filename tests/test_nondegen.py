@@ -76,6 +76,19 @@ class TestMatrixAssembly:
                               <= 1e-8 * np.maximum(1.0, np.abs(fd))), (mode, j)
 
 
+class TestDomain:
+    def test_no_free_radius(self):
+        # the recurrence's m[0, 0] raised IndexError
+        with pytest.raises(DomainError, match="no free radius"):
+            nondegen.assemble_Ak([], 1e-3)
+
+    @pytest.mark.parametrize("b", [np.nan, np.inf])
+    def test_non_finite_singular_coefficient(self, b):
+        # b = nan ended in numpy's "SVD did not converge"
+        with pytest.raises(DomainError, match="singular coefficient must be finite"):
+            nondegen.assemble_Ak([0.5], b)
+
+
 class TestDeterminant:
     def test_recurrence_vs_lu(self, solved_configs):
         cfg, _ = solved_configs[3]

@@ -25,7 +25,9 @@ runs, with this checkout's ``src`` first on the import path:
   ``ladder`` benchmark and the ``residual`` subcommand take it;
   ``solve_linear`` against
   one seeded ``random_smooth_field`` (``phi``, ``ratio``, ``eigenvalue``,
-  ``overlap``, ``morse_index``) and the ``probe_linear`` ratios, and
+  ``overlap``, ``morse_index``) and the linear probe's ratios (the largest
+  ``solve_linear`` ratio over ten seeded ``random_smooth_field`` right-hand
+  sides), and
   ``fixed_point`` (``phi``, ``increments``, ``factors``, ``rho``,
   ``bound``, ``drop``, ``converged``, ``stop_reason``, and
   ``predicted_iterations``, -1 where it is None) at lam = 1e-4 with the
@@ -308,8 +310,9 @@ def _ansatz_fields() -> dict:
 
 
 def _params_fields() -> dict:
+    # lambda of eps in closed form, the inverse of the parameter relation
     lams = np.concatenate([np.logspace(-1, -300, 120), PARAM_LAMBDAS,
-                           [ansatz.lambda_of_epsilon(e) for e in PARAM_EPS]])
+                           [4.0 / e**2 * np.exp(-np.sqrt(2.0) / e) for e in PARAM_EPS]])
     rows = []
     for lam in lams:
         try:
@@ -325,6 +328,15 @@ def _params_fields() -> dict:
             "r_tilde": np.array(r_tilde), "matching_order": np.array(order),
             "matching_error": np.array(failed),
             **{name: np.array(col) for name, col in zip(CONSTANTS, constants)}}
+
+
+def _probe_ratio(profile, lam: float) -> float:
+    """The largest ``solve_linear`` ratio over ten ``random_smooth_field``
+    right-hand sides, seeded with 0."""
+    rng = np.random.default_rng(0)
+    return max(analysis.solve_linear(profile, lam,
+                                     analysis.random_smooth_field(profile.grid, rng)).ratio
+               for _ in range(10))
 
 
 def _analysis_fields() -> dict:
@@ -343,8 +355,7 @@ def _analysis_fields() -> dict:
                     f"linear{lam:g}/eigenvalue": np.array(res.smallest_eigenvalue),
                     f"linear{lam:g}/overlap": np.array(res.kernel_overlap),
                     f"linear{lam:g}/morse_index": np.array(res.morse_index)})
-    ratios = analysis.probe_linear(profiles)
-    out["probe/ratios"] = np.array([ratios[lam] for lam in LADDER])
+    out["probe/ratios"] = np.array([_probe_ratio(profiles[lam], lam) for lam in LADDER])
     for lam, strict in FIXED_POINTS:
         fp = analysis.fixed_point(profiles[lam], lam, eps=params[lam].eps,
                                   require_contraction=strict)

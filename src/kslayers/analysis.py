@@ -1,4 +1,4 @@
-"""Weighted norms, residual and nonlinearity fields, linear theory, fixed point.
+"""Weighted norms, the residual field, the linear solve and the fixed point.
 
 The norms separate the bubble scale from the outer region: a weighted sup
 norm (weight f_lambda, flat only past the bubble) on the inner half-disk
@@ -10,6 +10,9 @@ conservative flux form of :mod:`kslayers.radial` and solved directly; the
 smallest eigenvalue is monitored because the bubble dilation mode makes
 the operator nearly singular at the inner scale, which is exactly why the
 continuous theory works modulo that mode.
+
+The commands use the residual report and the fixed point; the linear
+solve serves the benchmark's ladder workload and the tests' linear probe.
 """
 
 from __future__ import annotations
@@ -30,19 +33,16 @@ __all__ = [
     "norm_star",
     "residual",
     "residual_report",
-    "nonlinearity",
-    "kernel_mode",
     "solve_linear",
     "LinearSolveResult",
     "fixed_point",
     "FixedPointResult",
-    "probe_linear",
+    "worst_factor",
     "random_smooth_field",
 ]
 
 _NU = 0.5  # the weight's decay exponent is -2 - nu, nu in (0, 1)
 _SINGULAR_TOL = 1e-9  # |eigenvalue| below this times 1 + max|V| is a kernel
-_PROBE_RHS, _PROBE_SEED = 10, 0  # probe_linear's right-hand sides, their seed
 
 
 def weight_flat(r, lam: float) -> np.ndarray:
@@ -146,36 +146,12 @@ def residual_report(U: Profile, lam: float, delta: float,
     return R, rep
 
 
-def nonlinearity(U: Profile, phi: np.ndarray, lam: float) -> np.ndarray:
-    """Quadratic remainder lambda (e^{U+phi} - e^U - e^U phi), the map the
-    fixed point iterates (``_remainder`` at e^U).
-
-    Raises ``OverflowRegionError`` where e^U or e^(U+phi) would overflow,
-    naming the radius.
-    """
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != U.values.shape:
-        raise DomainError("phi must live on the profile grid")
-    return _remainder(U, phi, lam, checked_exp(U.values, U.grid))
-
-
 def _remainder(U: Profile, phi: np.ndarray, lam: float, eu: np.ndarray) -> np.ndarray:
-    """``nonlinearity`` without the shape check, given ``eu`` = e^U."""
+    """Quadratic remainder lambda (e^{U+phi} - e^U - e^U phi), given ``eu`` =
+    e^U; raises ``OverflowRegionError`` naming the radius where e^(U+phi)
+    would overflow."""
     euphi = checked_exp(U.values + phi, U.grid, "e^(U+phi)")
     return lam * (euphi - eu - eu * phi)
-
-
-def kernel_mode(r, lam: float, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bounded radial solution of the linearized bubble equation, (z, z', z'').
-
-    z = (r^2 - lam mu^2) / (r^2 + lam mu^2); the only bounded radial
-    kernel mode of the bubble linearization, responsible for the
-    near-degeneracy of the linearized operator at the bubble scale.
-    """
-    r = np.asarray(r, dtype=float)
-    a = lam * mu**2
-    d = r * r + a
-    return (r * r - a) / d, 4.0 * a * r / d ** 2, 4.0 * a * (a - 3.0 * r * r) / d ** 3
 
 
 @dataclass(frozen=True)
@@ -234,8 +210,9 @@ def _linearized(U: Profile, lam: float):
     v0 = float(pot[0])
     a = 8.0 / v0 if v0 > 0.0 else 0.0  # lambda mu^2 of the bubble at the origin
     if 0.0 < a < np.inf:
-        # kernel_mode's z at that scale (whose unused derivatives would
-        # overflow for large a), cut off past ten bubble widths
+        # the bubble dilation mode z = (r^2 - a) / (r^2 + a), the only
+        # bounded radial kernel mode of the bubble linearization, cut off
+        # past ten bubble widths
         r2 = U.grid * U.grid
         zc = (r2 - a) / (r2 + a) * np.exp(-r2 / (100.0 * a))
         w = op.quad_weights()
@@ -268,6 +245,14 @@ class FixedPointResult:
     predicted_iterations: int | None  # set only when stop_reason is "unreachable"
 
 
+def worst_factor(factors: list[float]) -> float | None:
+    """The factor a fixed-point run's contraction is judged by: the largest
+    past the first, the only one, or None where the run has none."""
+    if len(factors) > 1:
+        return max(factors[1:])
+    return factors[0] if factors else None
+
+
 def _out_of_reach(factors: list[float], inc: float, target: float,
                   k: int) -> int | None:
     """Iterates to bring increment ``inc`` after iterate ``k`` below ``target`` at
@@ -298,12 +283,12 @@ def fixed_point(U: Profile, lam: float, eps: float | None = None,
     inc q_min^(200 - k) > tol after iterate k; ``predicted_iterations`` is
     that optimistic count.  On the lambda = 1e-5 ansatz it stops at iterate
     26 predicting 213 (uncapped, the run converges at 328); no run that
-    converges within the cap is cut.  A measured contraction factor >= 1 or an
-    escape from the ball (the lambda = 1e-2 and 1e-3 ansatzes leave it)
-    raises unless ``require_contraction`` is switched off (the factor is
-    reported either way).  A U or an iterate U + phi whose exponential would
-    overflow raises ``OverflowRegionError`` naming the radius, switch or no
-    switch.
+    converges within the cap is cut.  A contraction factor >= 1 (as
+    ``worst_factor`` takes it) or an escape from the ball (the lambda =
+    1e-2 and 1e-3 ansatzes leave it) raises unless ``require_contraction``
+    is switched off (the factor is reported either way).  A U or an iterate
+    U + phi whose exponential would overflow raises ``OverflowRegionError``
+    naming the radius, switch or no switch.
 
     The plain banded solve's forward error (increments of 1e-11 to 1e-10
     on the lambda = 1e-4 ansatz) lies above ``tol``, so once the increments
@@ -360,8 +345,8 @@ def fixed_point(U: Profile, lam: float, eps: float | None = None,
         if predicted is not None:
             stop = "unreachable"
             break
-    worst = max(factors[1:]) if len(factors) > 1 else (factors[0] if factors else np.inf)
-    if require_contraction and worst >= 1.0:
+    worst = worst_factor(factors)
+    if require_contraction and worst is not None and worst >= 1.0:
         raise NonContractionError(
             f"measured contraction factor {worst:.3f} >= 1", factor=worst)
 
@@ -385,23 +370,3 @@ def random_smooth_field(grid: np.ndarray, rng: np.random.Generator) -> np.ndarra
         out += rng.standard_normal() / (1.0 + j * j) * np.cos(j * np.pi * grid)
     return out
 
-
-def probe_linear(profiles: dict[float, Profile]) -> dict[float, float]:
-    """Measured stability constant of the linear solve over a lambda ladder.
-
-    For each lambda, solves against ``_PROBE_RHS`` = 10 random smooth
-    right-hand sides (``random_smooth_field``, seeded with ``_PROBE_SEED``
-    = 0) and reports sup ||phi||_inf / ||h||_*; a bounded
-    ladder-wide spread is the numerical stand-in for the uniform-in-lambda
-    solvability constant.
-    """
-    out = {}
-    for lam, U in profiles.items():
-        rng = np.random.default_rng(_PROBE_SEED)
-        hs = np.column_stack([random_smooth_field(U.grid, rng)
-                              for _ in range(_PROBE_RHS)])
-        solve, *_ = _linearized(U, lam)  # the monitor depends on U alone
-        phis = solve(hs)
-        out[lam] = max(float(np.max(np.abs(phi)) / norm_star(U.grid, h, lam))
-                       for phi, h in zip(phis.T, hs.T))
-    return out

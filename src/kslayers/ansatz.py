@@ -42,7 +42,6 @@ __all__ = [
     "Profile",
     "ScaffoldParams",
     "solve_epsilon",
-    "lambda_of_epsilon",
     "bubble2d",
     "bubble1d",
     "boundary_corrections",
@@ -69,11 +68,6 @@ _CHEB_DEG = 160
 # ---------------------------------------------------------------------------
 # parameter relation
 # ---------------------------------------------------------------------------
-
-def lambda_of_epsilon(eps: float) -> float:
-    """Closed-form inverse of the parameter relation."""
-    return 4.0 / eps**2 * np.exp(-_SQRT2 / eps)
-
 
 def solve_epsilon(lam: float) -> float:
     """Small root of ln(4/eps^2) - ln(lambda) = sqrt(2)/eps.

@@ -237,8 +237,7 @@ def _cmd_fixpoint(cfg: RunConfig) -> None:
                "predicted_iterations": fp.predicted_iterations,
                "rho": fp.rho, "bound": fp.bound,
                "residual_drop": fp.residual_drop,
-               "worst_factor": max(fp.factors[1:]) if len(fp.factors) > 1
-               else None}
+               "worst_factor": analysis.worst_factor(fp.factors)}
     print(_write_json(cfg, "fixpoint.json", payload))
 
 

@@ -1,4 +1,4 @@
-"""The shift-derivative matrix, its determinant, and the base-point Jacobian.
+"""The shift-derivative matrix M_k, its determinant, and its (k, b) sweep.
 
 The paper builds its layered families under a nondegeneracy assumption.
 At every value-1 radius r_i the layered profile is matched to a layer
@@ -10,7 +10,10 @@ amplitudes gamma and the shifts sigma once their Jacobian N at the base
 point (sigma = 0, gamma_i = -1/U'^-(r_i)) is invertible.  Up to sign,
 det N is the product of the squared fluxes times the determinant M_k of
 the tridiagonal matrix of shift derivatives of the reflection defect at
-the free radii (``verify_detN``); ``sweep_Mk`` evaluates M_k over (k, b).
+the free radii, so only M_k is computed here: ``sweep_Mk`` evaluates it
+over (k, b).  The tests assemble N itself from the shift Jacobians of
+``greens.LayerCalculus`` and check the identity (``verify_detN`` in
+``tests/oracles.py``).
 
 Every flux here is read from the layer calculus of ``greens``.  The
 shift derivatives are the analytic ones of ``greens.LayerCalculus``: the
@@ -38,8 +41,6 @@ __all__ = [
     "NondegenMatrix",
     "assemble_Ak",
     "tridiag_det",
-    "jacobian_at_base",
-    "verify_detN",
     "sweep_Mk",
 ]
 
@@ -152,55 +153,3 @@ def sweep_Mk(k_max: int, b_grid) -> list[dict]:
             rows.append({"k": k, "b": float(b), "M_k": mat.det, "cond": mat.cond})
     return rows
 
-
-def jacobian_at_base(calc: LayerCalculus) -> np.ndarray:
-    """Analytic Jacobian N of the flux-matching conditions at the base point.
-
-    ``calc`` is a ``dirichlet_one`` configuration.  The conditions are
-    U'^-(r_i + sigma_i) + 1/gamma_i = 0 and U'^+(r_i + sigma_i) - 1/gamma_i = 0
-    at each free layer, interleaved, then the left one alone at the
-    boundary sphere.  Columns are ordered (gamma_1..gamma_K,
-    sigma_1..sigma_n_free); the base point is sigma = 0,
-    gamma_i = -1/U'^-(r_i).
-
-    Raises
-    ------
-    DomainError
-        If ``calc`` is not in ``dirichlet_one`` mode.
-    """
-    if calc.outer_mode != DIRICHLET:
-        raise DomainError(f"the base-point Jacobian is of {DIRICHLET} configurations")
-    DL, DR = calc.shift_jacobians()
-    K = calc.radii.size
-    n_free = calc.n_free
-    jac = np.zeros((2 * n_free + 1, K + n_free))
-    g = calc.dl**2
-    for i in range(n_free):
-        jac[2 * i, i] = -g[i]
-        jac[2 * i + 1, i] = +g[i]
-        jac[2 * i, K:] = DL[i]
-        jac[2 * i + 1, K:] = DR[i]
-    jac[-1, K - 1] = -g[-1]
-    jac[-1, K:] = DL[-1]
-    return jac
-
-
-def verify_detN(alphas, b: float) -> dict:
-    """Check det(N) against the interior-shift determinant, exactly.
-
-    The base-point Jacobian N factors as det N = s * prod_i g_i * M_{K-1}
-    with g_i the squared one-sided fluxes at every value-1 radius and
-    s = (-1)^(K(K+1)/2); the record returns both sides and their relative
-    gap.  Both come from one ``dirichlet_one`` layer calculus.
-    """
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    K = alphas.size + 1
-    calc = LayerCalculus(alphas, b, DIRICHLET)
-    det_n = float(np.linalg.det(jacobian_at_base(calc)))
-    g = calc.dl**2
-    sign = -1.0 if (K * (K + 1) // 2) % 2 else 1.0
-    m_prev = tridiag_det(calc.defect_jacobian()) if alphas.size else 1.0
-    expected = sign * float(np.prod(g)) * m_prev
-    rel = abs(det_n - expected) / max(abs(expected), 1e-300)
-    return {"k": K, "det_N": det_n, "M_km1": m_prev, "prefactor": sign * float(np.prod(g)),
-            "rel_err": rel}

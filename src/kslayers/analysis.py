@@ -17,13 +17,13 @@ solve serves the benchmark's ladder workload and the tests' linear probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NearKernelError, NonContractionError
-from .ansatz import Profile, smoothstep, solve_epsilon
-from .radial import RadialOperator, checked_exp, exp_pair, two_sum
+from .ansatz import smoothstep, solve_epsilon
+from .radial import Profile, RadialOperator, checked_exp, exp_pair, two_sum
 
 __all__ = [
     "ResidualReport",
@@ -84,8 +84,7 @@ def norm_star(grid, values, lam: float) -> float:
                norm_outer_l1(grid, values))
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Norm summary of a residual field."""
 
     sup_weighted_inner: float
@@ -154,8 +153,7 @@ def _remainder(U: Profile, phi: np.ndarray, lam: float, eu: np.ndarray) -> np.nd
     return lam * (euphi - eu - eu * phi)
 
 
-@dataclass(frozen=True)
-class LinearSolveResult:
+class LinearSolveResult(NamedTuple):
     phi: np.ndarray
     ratio: float
     smallest_eigenvalue: float
@@ -232,8 +230,7 @@ _PICARD_CAP = 200
 _RATE_WINDOW, _RATE_SPREAD = 10, 0.05  # latest step factors, their largest spread
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     phi: np.ndarray
     increments: list[float]
     factors: list[float]

@@ -27,14 +27,14 @@ succeeded.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, MatchingError
 from .specfun import EULER_MASCHERONI, xi_zeta_table
 from . import greens
-from .radial import RadialOperator
+from .radial import Profile, RadialOperator
 
 __all__ = [
     "AnsatzParams",
@@ -159,8 +159,7 @@ def _w_stretched(s: np.ndarray) -> np.ndarray:
 # data containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorrectionConstants:
+class CorrectionConstants(NamedTuple):
     """Far-field coefficients of the boundary-layer correction profiles.
 
     nu1, nu2 are the slope/offset of the second-order sweep profile;
@@ -176,21 +175,7 @@ class CorrectionConstants:
     zeta1_eff: float
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Radial profile.  The glued ansatz and scaffold profiles also carry
-    analytic-quality u' (``d1``) and u'' (``d2``) and each node's glued piece
-    (``piece``); a solved point or a file's profile leaves those None."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    d1: np.ndarray | None = None
-    d2: np.ndarray | None = None
-    piece: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class AnsatzParams:
+class AnsatzParams(NamedTuple):
     """All scalar parameters of the glued approximate solution."""
 
     lam: float
@@ -304,10 +289,17 @@ def _antiderivative(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return out
 
 
+# OpenBLAS runs dgemm on one thread at m n k <= 2**18 (interface/gemm.c)
+_GEMM_SERIAL = 2**18
+
+
 def _cheb_eval(coef: np.ndarray, lo: float, hi: float, x: np.ndarray):
-    """Chebyshev series on [lo, hi] at the points ``x``: ``_vander`` of the
-    mapped points times ``coef``, as ``coef.T @ chebvander(x, deg).T``.  A
-    (n, K) ``coef`` gives K rows from one matrix product.  Like a Clenshaw
+    """Chebyshev series on [lo, hi] at the 1-D points ``x``: ``_vander`` of
+    the mapped points times ``coef``, as ``coef.T @ chebvander(x, deg).T``.
+    A (n, K) ``coef`` gives K rows from one matrix, multiplied in blocks of
+    ``_GEMM_SERIAL // coef.size`` columns, to the bit as in one product: a
+    larger product may wake OpenBLAS's worker thread, about 8 ms a call in
+    a process younger than about 2 s.  Like a Clenshaw
     recurrence, it stays within 10 eps sum|c_k| of the exact sum on
     [-1, 1] (tested against mpmath on decaying degree-161 series).
 
@@ -325,7 +317,12 @@ def _cheb_eval(coef: np.ndarray, lo: float, hi: float, x: np.ndarray):
     if not np.all(np.abs(t) <= 1.0 + 2.0 * np.finfo(float).eps * (1.0 + abs(off))):
         raise DomainError(f"Chebyshev series on [{lo!r}, {hi!r}] evaluated at "
                           f"{np.min(x)!r}..{np.max(x)!r}, outside its interval")
-    return coef.T @ _vander(t, len(coef) - 1)
+    v = _vander(t, len(coef) - 1)
+    out = np.empty(coef.shape[1:] + t.shape)
+    step = _GEMM_SERIAL // coef.size
+    for s in range(0, t.size, step):
+        np.matmul(coef.T, v[:, s:s + step], out=out[..., s:s + step])
+    return out
 
 
 def _at_nodes(coef: np.ndarray):
@@ -451,8 +448,7 @@ def _f_alpha(r, bubble, lam: float):
     return w1 / r - w + np.log(lam)
 
 
-@dataclass(frozen=True)
-class BoundaryCorrections:
+class BoundaryCorrections(NamedTuple):
     """The boundary-layer corrections on the window ``r_window``.
 
     ``coef`` holds nine Chebyshev coefficient columns on the window: those
@@ -857,8 +853,7 @@ def build_profile(params: AnsatzParams) -> Profile:
 # multi-layer assembly
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScaffoldParams:
+class ScaffoldParams(NamedTuple):
     """Scalar parameters of the multilayer scaffold: the layer radii (r = 1
     included in ``dirichlet_one`` mode) and their amplitudes -1/U'^-(r_i)."""
 

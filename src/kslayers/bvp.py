@@ -42,15 +42,14 @@ iteration factors its shifted operator once with ?gttrf and solves with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, StallError
-from .ansatz import Profile, solve_epsilon
 from .greens import LayerCalculus, LayerConfig
-from .radial import (EXP_CAP, _F_DOUBLE_MAX, RadialOperator, checked_exp, exp_pair,
-                     graded_grid, two_sum)
+from .radial import (EXP_CAP, _F_DOUBLE_MAX, Profile, RadialOperator, checked_exp,
+                     exp_pair, graded_grid, two_sum)
 
 __all__ = [
     "BranchPoint",
@@ -64,8 +63,7 @@ __all__ = [
     "constant_profile",
 ]
 
-@dataclass(frozen=True)
-class BranchPoint:
+class BranchPoint(NamedTuple):
     """One converged radial solution with its diagnostics.
 
     ``param`` is lambda for the exponential form and mu for the continued
@@ -89,8 +87,7 @@ class BranchPoint:
         return _zero_count(self.profile.values)
 
 
-@dataclass(frozen=True)
-class ConcentrationReport:
+class ConcentrationReport(NamedTuple):
     origin_mass: float
     layer_fluxes: np.ndarray
     boundary_mass: float
@@ -101,6 +98,7 @@ class ConcentrationReport:
 def make_grid(lam: float) -> np.ndarray:
     """4000 nodes graded to max(sqrt(lambda), 4e-3) at r = 0 and to
     max(eps, 4e-3) at r = 1."""
+    from .ansatz import solve_epsilon  # here: continuation loads no ansatz
     eps = solve_epsilon(lam) if lam < 1.0 / np.e else 0.1
     scale0 = max(np.sqrt(lam), 4e-3)
     scale1 = max(eps, 4e-3)
@@ -180,8 +178,7 @@ _SOLVE_STEPS = 60  # the direct solve's cap on double-precision Newton steps
 _MODEL_THETA = 0.1
 
 
-@dataclass(frozen=True)
-class _Solved:
+class _Solved(NamedTuple):
     u: np.ndarray  # long double
     p: np.longdouble
     steps: int  # double-precision Newton steps

@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ _EXIT_USAGE = 2
 _EXIT_SOLVER = 3
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated run configuration: subcommand parameters plus output policy."""
 
     command: str
@@ -191,10 +190,10 @@ def _params_payload(params) -> dict:
     """The fields of an ``AnsatzParams`` or ``ScaffoldParams`` record but
     the outer Green's function; a scaffold is marked leading order."""
     doc = {k: v.tolist() if isinstance(v, np.ndarray) else v
-           for k, v in vars(params).items() if k != "outer"}
+           for k, v in params._asdict().items() if k != "outer"}
     doc["lambda"] = doc.pop("lam")
     if "constants" in doc:
-        doc["constants"] = vars(doc["constants"])
+        doc["constants"] = doc["constants"]._asdict()
     else:
         doc["layer_parameters"] = "leading order"
     return doc
@@ -220,7 +219,7 @@ def _cmd_residual(cfg: RunConfig) -> None:
     params, profile = _build_ansatz_profile(cfg.params)
     _, rep = analysis.residual_report(profile, params.lam, params.delta,
                                       params.delta1)
-    print(_write_json(cfg, "residual.json", asdict(rep)))
+    print(_write_json(cfg, "residual.json", rep._asdict()))
 
 
 def _cmd_fixpoint(cfg: RunConfig) -> None:
@@ -286,7 +285,7 @@ def _read_profile_csv(path: str):
     may be a header.  A later row that is not two numbers, a value that is
     not finite, or a radius that does not exceed the one before it raises
     DomainError naming its line."""
-    from . import ansatz
+    from .radial import Profile
     rows = []
     with open(path) as f:
         for num, line in enumerate(f, 1):
@@ -310,7 +309,7 @@ def _read_profile_csv(path: str):
     if len(rows) < 2:
         raise DomainError(f"fewer than two numeric r,u rows found in {path}")
     r, u = np.array(rows).T
-    return ansatz.Profile(r, u)
+    return Profile(r, u)
 
 
 def _cmd_report(cfg: RunConfig) -> None:
@@ -332,7 +331,7 @@ def _cmd_report(cfg: RunConfig) -> None:
         ref = greens.LayerConfig(k=0, alphas=np.array([]), b=b,
                                  outer_mode=greens.DIRICHLET)
     rep = bvp.concentration_report(point, ref, eps=eps)
-    payload = asdict(rep)
+    payload = rep._asdict()
     payload["layer_fluxes"] = rep.layer_fluxes.tolist()
     print(_write_json(cfg, "report.json", payload))
 

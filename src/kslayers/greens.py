@@ -32,7 +32,7 @@ the boundary alone.  Every family takes its Green's function from here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ _NEWTON_MAX_ITER = 60
 _NEWTON_RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class PiecewiseGreen:
+class PiecewiseGreen(NamedTuple):
     """Per-annulus coefficient representation of a layered radial profile.
 
     ``interfaces`` is the full increasing list 0 = a_0 < a_1 < ... <= 1 of
@@ -93,8 +92,7 @@ class PiecewiseGreen:
         return self.evaluate(r)[1]
 
 
-@dataclass(frozen=True)
-class LayerConfig:
+class LayerConfig(NamedTuple):
     """A (candidate or solved) configuration of free layer radii.
 
     ``iterations`` counts the Newton steps of the reflection solve, for

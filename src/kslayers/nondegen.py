@@ -29,7 +29,7 @@ radii), each to the bits of its own calculus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ _FD_STEP = 1e-6
 _FD_GUARD_RTOL = 1e-5
 
 
-@dataclass(frozen=True)
-class NondegenMatrix:
+class NondegenMatrix(NamedTuple):
     """Tridiagonal matrix of shift-derivatives of the one-sided fluxes."""
 
     k: int

@@ -6,7 +6,7 @@ couples the fluxes through the half faces r_{i +- 1/2}, weighted by the
 cell measure int r dr.  The scheme is second order on smooth grids and
 exactly self-adjoint with respect to the discrete radial measure, and the
 regular-singular origin needs no special casing (the inner face carries
-zero flux).
+zero flux).  A ``Profile`` holds a radial profile with its grid.
 
 Refined iterates are carried as pairs u = hi + lo of doubles: ``two_sum``
 renormalizes them, ``exp_pair`` takes their exponentials, and
@@ -24,13 +24,14 @@ from __future__ import annotations
 import ctypes
 import functools
 from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, OverflowRegionError
 
-__all__ = ["EXP_CAP", "checked_exp", "graded_grid", "two_sum", "exp_pair",
-           "RadialOperator"]
+__all__ = ["EXP_CAP", "Profile", "checked_exp", "graded_grid", "two_sum",
+           "exp_pair", "RadialOperator"]
 
 # Largest exponent passed to exp: e^600 ~ 4e260 keeps e^u and its lambda/mu
 # multiples finite with a margin of ~1e48.  A profile handed in from outside
@@ -107,6 +108,18 @@ def exp_pair(u, a=(1.0, 0.0), shift: float = 0.0, scale: float = 1.0):
         f_lo = np.zeros_like(f)
         f_lo[big] = ext - f[big]
     return (f, f_lo), e
+
+
+class Profile(NamedTuple):
+    """Radial profile.  The glued ansatz and scaffold profiles also carry
+    analytic-quality u' (``d1``) and u'' (``d2``) and each node's glued piece
+    (``piece``); a solved point or a file's profile leaves those None."""
+
+    grid: np.ndarray
+    values: np.ndarray
+    d1: np.ndarray | None = None
+    d2: np.ndarray | None = None
+    piece: np.ndarray | None = None
 
 
 def graded_grid(n: int, scale0: float, scale1: float) -> np.ndarray:

@@ -275,6 +275,32 @@ class TestOnePass:
                 with pytest.raises(DomainError, match="outside its interval"):
                     ansatz._cheb_eval(coef, lo, hi, np.array(x))
 
+    def test_blocked_product_is_the_one_shot_product_to_the_bit(self, monkeypatch):
+        # the boundary corrections' (162, 9) coefficients on the 1440 radii
+        # of each window, multiplied in blocks of 179 columns, and a 1-D
+        # series on 5000 points, in blocks of 1618, against one product
+        calls = []
+        cheb_eval = ansatz._cheb_eval
+
+        def record(coef, lo, hi, x):
+            calls.append((coef, lo, hi, x))
+            return cheb_eval(coef, lo, hi, x)
+
+        monkeypatch.setattr(ansatz, "_cheb_eval", record)
+        for lam in np.logspace(-2, -300, 40):
+            ansatz.build_profile(ansatz.build_params(lam))
+        assert len(calls) == 40
+        rng = np.random.default_rng(11)
+        n = ansatz._CHEB_DEG + 1
+        calls.append((rng.standard_normal(n) * 0.8 ** np.arange(n), 0.55, 1.0,
+                      np.linspace(0.55, 1.0, 5000)))
+        for coef, lo, hi, x in calls:
+            assert x.size > ansatz._GEMM_SERIAL // coef.size  # two blocks or more
+            off, scl = ansatz._to_unit(lo, hi)
+            want = coef.T @ ansatz._vander(off + scl * x, len(coef) - 1)
+            got = cheb_eval(coef, lo, hi, x)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_clenshaw_is_chebval_to_the_bit(self):
         rng = np.random.default_rng(3)
         c = rng.standard_normal(ansatz._CHEB_DEG + 2) * 0.8 ** np.arange(ansatz._CHEB_DEG + 2)

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import types
@@ -879,7 +878,7 @@ class TestContinuation:
 
     def test_a_shrinking_branch_is_a_convergence_error(self, monkeypatch):
         seed = bvp.seed_branch(2, "+")
-        shrunk = dataclasses.replace(seed, profile=ansatz.Profile(
+        shrunk = seed._replace(profile=ansatz.Profile(
             seed.profile.grid, 1.0 + 0.5 * (seed.profile.values - 1.0)))
         calls = self._one_call(monkeypatch, lambda: [seed, shrunk])
         with pytest.raises(ConvergenceError, match="does not grow"):

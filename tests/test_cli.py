@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import stat
@@ -9,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kslayers import analysis, ansatz, cli, greens
+from kslayers import analysis, ansatz, cli, greens, radial
 
 import oracles
 
@@ -371,8 +370,8 @@ def test_fixpoint_csv(tmp_path):
 @pytest.mark.parametrize("factors", [[], [0.25], [0.9, 0.5, 0.25]])
 def test_fixpoint_writes_the_factor_the_check_judges(tmp_path, monkeypatch, factors):
     fixed_point = analysis.fixed_point
-    monkeypatch.setattr(analysis, "fixed_point", lambda *args, **kw: dataclasses.replace(
-        fixed_point(*args, **kw), factors=factors))
+    monkeypatch.setattr(analysis, "fixed_point", lambda *args, **kw: fixed_point(
+        *args, **kw)._replace(factors=factors))
     code, out = run_cli(["fixpoint", "--lambda", "1e-4"], tmp_path)
     assert code == 0
     doc = json.loads((out / "fixpoint.json").read_text())
@@ -431,6 +430,17 @@ def test_import_leaves_nondegen_out():
     out = run_process(code="import sys, kslayers.cli; "
                            "print('kslayers.nondegen' in sys.modules)")
     assert (out.returncode, out.stdout) == (0, "False\n")
+
+
+def test_branch_leaves_the_ansatz_out(tmp_path):
+    # the continuation takes no make_grid, so only the ansatz-building
+    # subcommands and the direct solve load the ansatz; Profile is radial's
+    out = run_process(tmp_path, code="import sys; from kslayers import cli; "
+                      "code = cli.main(['branch', '--i', '2', '--sign', '+', "
+                      "'--steps', '3']); print(code, 'kslayers.ansatz' in sys.modules)")
+    assert (out.returncode, out.stdout.splitlines()[-1]) == (0, "0 False")
+    assert (tmp_path / "branch.csv").is_file()
+    assert ansatz.Profile is radial.Profile
 
 
 def test_multilayer_ansatz_json_is_the_scaffold(tmp_path):

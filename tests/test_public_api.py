@@ -120,3 +120,41 @@ def test_every_public_definition_is_reached():
     assert set(PERFBENCH_ROOTS) <= public, "a benchmark root is gone"
     unreached = sorted(public - _reached(defs, on_import, PERFBENCH_ROOTS))
     assert not unreached, f"no command or benchmark root reaches {unreached}"
+
+
+# Every result record is a typing.NamedTuple: immutable like the frozen
+# dataclasses they replaced, built without per-class code at import time
+RECORDS = ("analysis.ResidualReport", "analysis.LinearSolveResult",
+           "analysis.FixedPointResult", "ansatz.CorrectionConstants",
+           "ansatz.AnsatzParams", "ansatz.BoundaryCorrections",
+           "ansatz.ScaffoldParams", "bvp.BranchPoint", "bvp.ConcentrationReport",
+           "bvp._Solved", "cli.RunConfig", "greens.PiecewiseGreen",
+           "greens.LayerConfig", "nondegen.NondegenMatrix", "radial.Profile")
+
+
+def test_src_imports_no_dataclasses():
+    imports = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imports.update({a.name: path.name for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imports[node.module] = path.name
+    assert "dataclasses" not in imports, imports.get("dataclasses")
+
+
+def test_records_are_every_named_tuple():
+    defs, _ = _definitions()
+    named = {q for q, node in defs.items() if isinstance(node, ast.ClassDef)
+             and "NamedTuple" in _names(node.bases)}
+    assert named == set(RECORDS)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_rejects_attribute_assignment(name):
+    module, cls_name = name.split(".")
+    cls = getattr(importlib.import_module(f"kslayers.{module}"), cls_name)
+    record = cls(**{f: None for f in cls._fields if f not in cls._field_defaults})
+    for field in (*cls._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)

@@ -3,9 +3,11 @@
 
     python scripts/readme_outputs.py DIR
 
-runs fourteen commands, one fresh interpreter each, with this checkout's
+runs sixteen commands, one fresh interpreter each, with this checkout's
 ``src`` first on the import path: the README's examples (``ansatz`` at
-k = 1 and k = 2), plus ``ansatz --lambda 1e-4 --k 2 --outer neumann``,
+k = 1 and k = 2, and the scaffold route ``ansatz --lambda 1e-20 --outer
+neumann`` then ``solve --lambda 1e-20 --init file`` on its ``ansatz.csv``),
+plus ``ansatz --lambda 1e-4 --k 2 --outer neumann``,
 ``ansatz --lambda 1e-3 --k 3 --outer neumann --eta 0.75``,
 ``residual --lambda 1e-4 --k 2 --outer neumann``,
 ``solve --lambda 1e-4 --init constant --value 2.0`` and
@@ -44,6 +46,9 @@ COMMANDS = [
                              "--outer", "neumann"]),
     ("fixpoint", ["fixpoint", "--lambda", "1e-4"]),
     ("solve", ["solve", "--lambda", "1e-4", "--init", "ansatz"]),
+    ("ansatz_scaffold", ["ansatz", "--lambda", "1e-20", "--outer", "neumann"]),
+    ("solve_scaffold", ["solve", "--lambda", "1e-20", "--init", "file",
+                        "--file", os.path.join("ansatz_scaffold", "ansatz.csv")]),
     ("solve_constant", ["solve", "--lambda", "1e-4", "--init", "constant",
                         "--value", "2.0"]),
     ("branch", ["branch", "--i", "2", "--sign", "+", "--steps", "25"]),

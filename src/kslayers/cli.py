@@ -223,10 +223,10 @@ def _cmd_residual(cfg: RunConfig) -> None:
 
 
 def _cmd_fixpoint(cfg: RunConfig) -> None:
-    from . import analysis
-    params, profile = _build_ansatz_profile(cfg.params)
-    fp = analysis.fixed_point(profile, params.lam, eps=params.eps,
-                              require_contraction=False)
+    from . import analysis, ansatz
+    params = ansatz.build_params(cfg.params["lam"], cfg.params["eta"])
+    fp = analysis.fixed_point(ansatz.build_profile(params), params.lam,
+                              eps=params.eps, require_contraction=False)
     iters = range(len(fp.increments))
     factors = [fp.factors[i - 1] if i >= 1 and i - 1 < len(fp.factors) else np.nan
                for i in iters]
@@ -241,12 +241,12 @@ def _cmd_fixpoint(cfg: RunConfig) -> None:
 
 
 def _cmd_solve(cfg: RunConfig) -> None:
-    from . import bvp
+    from . import ansatz, bvp
     p = cfg.params
     lam = p["lam"]
     init = p["init"]
     if init == "ansatz":
-        _, guess = _build_ansatz_profile(p)
+        guess = ansatz.build_profile(ansatz.build_params(lam, p["eta"]))
     elif init == "constant":
         guess = bvp.constant_profile(lam, value=p["value"])
     elif init == "file":
@@ -378,11 +378,11 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     outer = argparse.ArgumentParser(add_help=False)
     outer.add_argument("--outer", choices=["dirichlet", "neumann"],
                        default="dirichlet")
-    # the glued ansatz profile's flags, inherited by the subcommands that
-    # build one
-    profile = argparse.ArgumentParser(add_help=False, parents=[lam, outer])
+    # the family-1 ansatz's flags (fixpoint, solve), then the glued profile's
+    family1 = argparse.ArgumentParser(add_help=False, parents=[lam])
+    family1.add_argument("--eta", type=float, default=0.8)
+    profile = argparse.ArgumentParser(add_help=False, parents=[family1, outer])
     profile.add_argument("--k", type=int, default=1)
-    profile.add_argument("--eta", type=float, default=0.8)
 
     def add_parser(name, *parents, **kw):
         return sub.add_parser(name, parents=[common, *parents], **kw)
@@ -398,9 +398,9 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     add_parser("ansatz", profile, help="matched-asymptotic profile")
     add_parser("residual", profile, help="residual norms of the ansatz")
-    add_parser("fixpoint", profile, help="contraction iteration")
+    add_parser("fixpoint", family1, help="contraction iteration")
 
-    so = add_parser("solve", profile, help="direct radial solve")
+    so = add_parser("solve", family1, help="direct radial solve")
     so.add_argument("--init", choices=["ansatz", "constant", "file"],
                     default="ansatz")
     so.add_argument("--value", type=float, default=1.0,

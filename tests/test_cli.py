@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -169,16 +170,26 @@ def test_solve_and_report_roundtrip(tmp_path):
 
 
 def test_neumann_scaffold_solve_converges_at_lambda_1e_20(tmp_path):
-    # the one multilayer start known to converge: measured 21 Newton steps,
+    # the one multilayer start known to converge, reached through the
+    # scaffold's CSV: %.17g round-trips every double, so the solution is the
+    # solve from the scaffold itself, bit for bit (measured 21 Newton steps,
     # residual 1.26e-12, u(0) = 50.029; origin mass 23.21, eps * boundary
-    # mass 1.84, profile gap 0.061
-    code, out = run_cli(["solve", "--lambda", "1e-20", "--init", "ansatz",
-                         "--outer", "neumann"], tmp_path, "so")
+    # mass 1.84, profile gap 0.061)
+    from kslayers import bvp
+    code, scaffold = run_cli(["ansatz", "--lambda", "1e-20", "--outer", "neumann"],
+                             tmp_path, "an")
+    assert code == 0
+    code, out = run_cli(["solve", "--lambda", "1e-20", "--init", "file",
+                         "--file", str(scaffold / "ansatz.csv")], tmp_path, "so")
     assert code == 0
     doc = json.loads((out / "solve.json").read_text())
     assert doc["newton_iters"] <= 25
     assert doc["residual_norm"] <= 1e-9
     assert doc["u0"] == pytest.approx(50.029, abs=1e-3)
+    point = bvp.solve_bvp(1e-20, ansatz.multilayer_ansatz(1, 1e-20, greens.NEUMANN)[1])
+    r, u = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=3).T
+    assert np.array_equal(r, point.profile.grid)
+    assert np.array_equal(u, np.asarray(point.profile.values, dtype=float))
     code2, out2 = run_cli(["report", "--in", str(out / "solution.csv"), "--k", "1",
                            "--outer", "neumann", "--lambda", "1e-20"], tmp_path, "rp")
     assert code2 == 0
@@ -186,6 +197,81 @@ def test_neumann_scaffold_solve_converges_at_lambda_1e_20(tmp_path):
     assert rep["origin_mass"] == pytest.approx(23.21, abs=0.01)
     assert rep["boundary_mass"] == pytest.approx(1.84, abs=0.01)
     assert rep["profile_gap"] == pytest.approx(0.061, abs=1e-3)
+
+
+@pytest.mark.parametrize("command", ["solve", "fixpoint"])
+@pytest.mark.parametrize("flag", [["--k", "2"], ["--outer", "neumann"]],
+                         ids=["k", "outer"])
+def test_fixpoint_and_solve_take_no_scaffold_flags(tmp_path, capsys, command, flag):
+    # both start from the family-1 ansatz only: a scaffold flag is an
+    # unknown argument, and nothing is written
+    code, out = run_cli([command, "--lambda", "1e-4", *flag], tmp_path)
+    assert code == 2
+    assert f"error: unknown arguments {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, outputs", [
+    ("solve", ["solve.json", "solution.csv"]),
+    ("fixpoint", ["fixpoint.json", "fixpoint.csv"]),
+])
+def test_scaffold_keys_in_a_config_file_are_only_echoed(tmp_path, command, outputs):
+    # k and outer are keys of other subcommands' flags: typed and echoed,
+    # read by neither solve nor fixpoint
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k=2\nouter=neumann\n")
+    code, plain = run_cli([command, "--lambda", "1e-4"], tmp_path, "plain")
+    assert code == 0
+    code, keyed = run_cli([command, "--lambda", "1e-4", "--config", str(cfg)],
+                          tmp_path, "keyed")
+    assert code == 0
+    for name in outputs:
+        a, b = (d / name for d in (plain, keyed))
+        if name.endswith(".json"):
+            doc_a, doc_b = json.loads(a.read_text()), json.loads(b.read_text())
+            assert doc_b.pop("config") == {**doc_a.pop("config"), "k": 2,
+                                           "outer": "neumann"}
+            assert doc_a == doc_b
+        else:
+            lines_a, lines_b = a.read_text().splitlines(), b.read_text().splitlines()
+            echo_a, echo_b = (dict(kv.split("=", 1) for kv in lines[1][2:].split())
+                              for lines in (lines_a, lines_b))
+            assert echo_b == {**echo_a, "k": "2", "outer": "neumann"}
+            assert lines_a[0] == lines_b[0] and lines_a[2:] == lines_b[2:], name
+
+
+def readme_cli_lines():
+    """The README's CLI block, one command per line (a line that starts
+    with a space continues the one before), without the ``kslayers``."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "README.md")
+    with open(path) as f:
+        text = f.read()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        if line.startswith(" "):
+            lines[-1] += line
+        else:
+            lines.append(line.split(None, 1)[1])
+    return lines
+
+
+def test_every_readme_cli_line_exits_0(tmp_path, monkeypatch):
+    # each line in order, in one directory, once bare and once with each
+    # bracketed option alone: report reads the solution.csv solve wrote
+    values = {"K": "2", "ETA": "0.75", "TOL": "1e-9", "V": "2.0"}
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "radii.txt").write_text("0.25\n0.5\n1.0\n")
+    codes = {}
+    for line in readme_cli_lines():
+        options = re.findall(r"\[([^]]*)\]", line)
+        bare = re.sub(r"\s*\[[^]]*\]", "", line).split()
+        for option in ["", *options]:
+            argv = bare + [values.get(word, word) for word in option.split()]
+            codes[" ".join(argv)] = cli.main(argv)
+    assert len(codes) >= 10
+    assert {cmd: code for cmd, code in codes.items() if code} == {}
 
 
 def test_solve_from_file_roundtrip(tmp_path):
@@ -393,8 +479,7 @@ def test_fixpoint_stops_where_tol_is_out_of_reach(tmp_path):
     assert len(rows) - 1 == len(fp.increments) < 200
 
 
-@pytest.mark.parametrize("extra", [["--lambda", "1e-2"],
-                                   ["--lambda", "1e-4", "--outer", "neumann"]])
+@pytest.mark.parametrize("extra", [["--lambda", "1e-2"]])
 def test_fixpoint_overflow_names_the_radius(tmp_path, capsys, extra):
     code, out = run_cli(["fixpoint", *extra], tmp_path)
     assert code == 3
@@ -481,17 +566,16 @@ def test_solve_declares_eta(tmp_path):
     assert doc["config"]["eta"] == 0.75
 
 
-@pytest.mark.parametrize("args, explicit", [
-    (["fixpoint", "--lambda", "1e-4"],
-     ["--k", "1", "--outer", "dirichlet", "--eta", "0.8"]),
+@pytest.mark.parametrize("args, explicit, echoed", [
+    (["fixpoint", "--lambda", "1e-4"], ["--eta", "0.8"], {"eta"}),
     (["residual", "--lambda", "1e-4", "--k", "1"],
-     ["--outer", "dirichlet", "--eta", "0.8"]),
+     ["--outer", "dirichlet", "--eta", "0.8"], {"k", "outer", "eta"}),
     (["solve", "--lambda", "1e-4"],
-     ["--init", "ansatz", "--k", "1", "--outer", "dirichlet", "--eta", "0.8",
-      "--value", "1.0", "--tol", "1e-9"]),
+     ["--init", "ansatz", "--eta", "0.8", "--value", "1.0", "--tol", "1e-9"],
+     {"eta"}),
 ], ids=["fixpoint", "residual", "solve"])
 def test_a_default_and_the_same_value_given_write_the_same_files(tmp_path, args,
-                                                                 explicit):
+                                                                 explicit, echoed):
     # every flag is echoed, given or defaulted, so the outputs cannot tell
     # the two apart
     code, default = run_cli(args, tmp_path, "default")
@@ -503,7 +587,7 @@ def test_a_default_and_the_same_value_given_write_the_same_files(tmp_path, args,
     for name in names:
         assert (default / name).read_bytes() == (given / name).read_bytes(), name
     doc = json.loads((default / f"{args[0]}.json").read_text())
-    assert {"k", "outer", "eta"} <= doc["config"].keys()
+    assert echoed <= doc["config"].keys()
 
 
 def test_config_key_named_as_its_flag_preseeds_it(tmp_path):
@@ -584,7 +668,7 @@ def test_outputs_take_the_mode_the_umask_gives(tmp_path, umask, mode):
     (["ansatz", "--lambda", "1e-4"], 0, "out/ansatz.json\nout/ansatz.csv\n"),
     (["ansatz", "--lambda", "-1"], 2,
      "error: lambda=-1.0: lambda must be finite and positive\n"),
-    (["solve", "--lambda", "1e-4", "--init", "ansatz", "--outer", "neumann"], 3,
+    (["solve", "--lambda", "1e-3", "--init", "ansatz"], 3,
      "solver error: Newton stopped at residual"),
 ], ids=["ok", "validation", "solver"])
 def test_the_executable_exits_prints_and_writes_as_main(

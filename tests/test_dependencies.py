@@ -194,7 +194,8 @@ def test_one_routine_missing_from_numpy_sends_every_solve_to_scipy(monkeypatch, 
     assert calls == ["dgttrf", "dgttrs", "dgtsv", "dstebz"]
 
 
-# the README's nine example commands, in order: report reads solve's output
+# the README's example commands, in order: report reads solve's output, and
+# the scaffold's solve the scaffold's ansatz.csv
 README_COMMANDS = [
     ["green", "--k", "1", "--b", "1e-3", "--outer", "neumann", "--out", "green"],
     ["nondegen", "--kmax", "4", "--b-grid", "1e-4,1e-3,1e-2", "--out", "nondegen"],
@@ -203,6 +204,9 @@ README_COMMANDS = [
     ["residual", "--lambda", "1e-4", "--k", "1", "--out", "residual"],
     ["fixpoint", "--lambda", "1e-4", "--out", "fixpoint"],
     ["solve", "--lambda", "1e-4", "--init", "ansatz", "--out", "solve"],
+    ["ansatz", "--lambda", "1e-20", "--outer", "neumann", "--out", "scaffold"],
+    ["solve", "--lambda", "1e-20", "--init", "file", "--file",
+     os.path.join("scaffold", "ansatz.csv"), "--out", "scaffold"],
     ["branch", "--i", "2", "--sign", "+", "--steps", "25", "--out", "branch"],
     ["report", "--in", os.path.join("solve", "solution.csv"), "--k", "1",
      "--lambda", "1e-4", "--out", "report"],

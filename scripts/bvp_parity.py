@@ -13,9 +13,11 @@ runs, with this checkout's ``src`` first on the import path:
   ansatz's eps), as the ``ladder`` benchmark takes it (``origin_mass``,
   ``layer_fluxes``, ``boundary_mass``, ``profile_gap``, ``total_mass``);
 * ``build_profile(build_params(lam))`` at the ladder lam = 1e-2 ... 1e-5,
-  at the solves' lam = 1e-6 and at lam = 1e-150, where the boundary
-  layer's stretched stack reaches its full depth before the correction
-  window reaches r = 0.55, and ``multilayer_ansatz(k, 1e-4, mode)`` for
+  at the solves' lam = 1e-6, at lam = 1e-20 and 1e-60, whose correction
+  windows (about 5.8 and 19 stretched units deep) take stacks of degree 64
+  and 112, beyond the ladder's 24 and 32, and at lam = 1e-150, where the
+  boundary layer's stretched stack reaches its full depth, and degree 160,
+  before the correction window reaches r = 0.55, and ``multilayer_ansatz(k, 1e-4, mode)`` for
   (1, neumann) and k = 2, 3 in both modes;
 * ``build_params(lam)`` over 132 lambdas, ``logspace(-1, -300, 120)`` and
   the ladders the tests and benchmark use, which cross both matching-order
@@ -134,9 +136,9 @@ CERTIFIED = 1e-10  # the continuation corrector's residual tolerance
 MU_RTOL = 1e-12  # a branch's mu departing by more is sampled elsewhere
 LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
 FIXED_POINTS = ((1e-4, True), (1e-5, False))  # (lam, require_contraction)
-# the single-layer ansatz: the ladder, the last solve's and one with a
-# full-depth stack
-ANSATZ_LAMBDAS = LADDER + (1e-6, 1e-150)
+# the single-layer ansatz: the ladder, the last solve's, two deeper windows
+# and one with a full-depth stack
+ANSATZ_LAMBDAS = LADDER + (1e-6, 1e-20, 1e-60, 1e-150)
 B_GRID = (1e-4, 1e-3, 1e-2)  # the criteria's and the layers benchmark's b
 CONSTANTS = ("nu1", "nu2", "zeta1", "zeta2")  # the far-field correction constants
 REPORT = ("sup_weighted_inner", "l1_outer", "star", "starstar", "middle_sup",

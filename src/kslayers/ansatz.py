@@ -59,9 +59,10 @@ _SQRT2 = np.sqrt(2.0)
 _SWEEP_TAIL = _SQRT2 * np.pi**2 / 12.0
 
 _S_DEPTH = 40.0          # stretched depth of the far-field integrals
-# degree of every Chebyshev interpolant: the integrands' nearest poles
-# (sech^2 at s = +-i pi/sqrt2) lie off the interval's s = 0 end, where the
-# Chebyshev points cluster
+# cap on the degree of every Chebyshev interpolant, and the degree of the
+# full-depth stack: the integrands' nearest poles (sech^2 at
+# s = +-i pi/sqrt2) lie off the interval's s = 0 end, where the Chebyshev
+# points cluster; ``_stack_degree`` gives a shallower stack fewer terms
 _CHEB_DEG = 160
 
 
@@ -205,16 +206,33 @@ class AnsatzParams(NamedTuple):
 # boundary-layer correction stack (stretched variable)
 # ---------------------------------------------------------------------------
 
+def _stack_degree(depth: float) -> int:
+    """The Chebyshev degree of the stretched stack on [-depth, 0].
+
+    The sources' nearest singularities, the sech^2 poles at
+    s = +-i pi/sqrt2, map to x = 1 + i sqrt2 pi/depth, on the Bernstein
+    ellipse of radius rho = |x + sqrt(x^2 - 1)|, so the coefficients decay
+    like rho^-k (Trefethen, ATAP, Thm 8.2).  The degree is the one where
+    rho^-k reaches eps^1.5, rounded up to a multiple of 8 and capped at
+    _CHEB_DEG, which the full depth _S_DEPTH and every depth from about 36
+    take.
+    """
+    x = 1.0 + 1j * _SQRT2 * np.pi / depth
+    ln_rho = np.log(abs(x + np.sqrt(x * x - 1.0)))
+    terms = -1.5 * np.log(np.finfo(float).eps) / (8.0 * ln_rho)
+    return min(_CHEB_DEG, 8 * int(np.ceil(terms)))
+
+
 @functools.cache
-def _cheb_basis() -> tuple[np.ndarray, ...]:
-    """The _CHEB_DEG + 1 Chebyshev points of the first kind (``chebpts1``);
-    ``_vander`` of them at degree _CHEB_DEG (the matrix ``chebinterpolate``
-    builds) and _CHEB_DEG + 1 (which evaluates an antiderivative there); and
-    ``chebint``'s divisors 2 (j + 1) and 2 (j - 1) for a degree-_CHEB_DEG
-    series."""
-    n = _CHEB_DEG + 1
+def _cheb_basis(deg: int) -> tuple[np.ndarray, ...]:
+    """The deg + 1 Chebyshev points of the first kind (``chebpts1``);
+    ``_vander`` of them at degree deg (the matrix ``chebinterpolate``
+    builds) and deg + 1 (which evaluates an antiderivative there); and
+    ``chebint``'s divisors 2 (j + 1) and 2 (j - 1) for a degree-deg
+    series.  Built once per degree."""
+    n = deg + 1
     x = np.sin(0.5 * np.pi / n * np.arange(1 - n, n + 1, 2))
-    basis = (x, _vander(x, _CHEB_DEG), _vander(x, n),
+    basis = (x, _vander(x, deg), _vander(x, n),
              2.0 * np.arange(2, n + 1), 2.0 * np.arange(1, n - 1))
     for a in basis:
         a.flags.writeable = False
@@ -256,16 +274,17 @@ def _to_unit(lo: float, hi: float) -> tuple[float, float]:
     return (-hi - lo) / (hi - lo), 2.0 / (hi - lo)
 
 
-def _nodes(lo: float, hi: float) -> np.ndarray:
-    """The interpolation nodes on [lo, hi], mapped as ``mapdomain`` maps."""
-    return (lo + hi) / 2.0 + (hi - lo) / 2.0 * _cheb_basis()[0]
+def _nodes(lo: float, hi: float, deg: int) -> np.ndarray:
+    """The degree-``deg`` interpolation nodes on [lo, hi], mapped as
+    ``mapdomain`` maps."""
+    return (lo + hi) / 2.0 + (hi - lo) / 2.0 * _cheb_basis(deg)[0]
 
 
 def _antiderivative(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Chebyshev coefficients of the antiderivative, vanishing at ``hi``, of
-    the degree-_CHEB_DEG interpolant of the samples ``y`` at
-    ``_nodes(lo, hi)``: the bits of
-    ``Chebyshev.interpolate(f, _CHEB_DEG, [lo, hi]).integ(lbnd=hi).coef``.
+    the interpolant of the samples ``y`` at ``_nodes(lo, hi, deg)``,
+    deg = ``y.size`` - 1: the bits of
+    ``Chebyshev.interpolate(f, deg, [lo, hi]).integ(lbnd=hi).coef``.
 
     The recurrence c'_k = (c_(k-1) - c_(k+1)) / 2k is ``chebint``'s, each
     quotient formed and subtracted as there, but as two slice operations;
@@ -274,10 +293,10 @@ def _antiderivative(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
     ``y`` is one contiguous sample vector: BLAS sums a matrix product, or a
     strided vector, in another order than this matrix-vector product.
     """
-    _, interp, _, up, down = _cheb_basis()
+    _, interp, _, up, down = _cheb_basis(y.size - 1)
     c = np.dot(interp, y)
-    c[0] /= _CHEB_DEG + 1
-    c[1:] /= 0.5 * (_CHEB_DEG + 1)
+    c[0] /= y.size
+    c[1:] /= 0.5 * y.size
     off, scl = _to_unit(lo, hi)
     c *= 1.0 / scl
     out = np.empty(c.size + 1)
@@ -326,10 +345,10 @@ def _cheb_eval(coef: np.ndarray, lo: float, hi: float, x: np.ndarray):
 
 
 def _at_nodes(coef: np.ndarray):
-    """``_cheb_eval`` at the ``_nodes`` of the series' interval, for the
-    degree-(_CHEB_DEG + 1) coefficients ``_antiderivative`` returns (one
-    column each): every such call shares one matrix."""
-    return coef.T @ _cheb_basis()[2]
+    """``_cheb_eval`` at the degree-deg ``_nodes`` of the series' interval,
+    for the deg + 2 coefficients ``_antiderivative`` returns (one column
+    each): every such call at one degree shares one matrix."""
+    return coef.T @ _cheb_basis(len(coef) - 2)[2]
 
 
 def _kernel(s):
@@ -364,10 +383,11 @@ class _StretchedStack:
     y = sqrt2 [y2 int_0^s y1 g - y1 int_0^s y2 g] for y'' + e^W y = g, and
     every integral is a Chebyshev antiderivative.
 
-    Each source is sampled once, at the Chebyshev nodes the six
-    antiderivatives (IW, the v pair, Iv, the z pair) share, and ``coef``
-    holds their (162, 6) coefficient array; ``v_nodes`` keeps v at those
-    nodes.  ``_cheb_eval(coef, -depth, 0.0, s)`` evaluates all six as one
+    Each source is sampled once, at the degree-n Chebyshev nodes the six
+    antiderivatives (IW, the v pair, Iv, the z pair) share, with
+    n = ``_stack_degree(depth)``, and ``coef`` holds their (n + 2, 6)
+    coefficient array; ``v_nodes`` keeps v at those nodes.
+    ``_cheb_eval(coef, -depth, 0.0, s)`` evaluates all six as one
     product of the points' Chebyshev-Vandermonde matrix with ``coef``, the
     rows (IW, int y1 g_v, int y2 g_v, Iv, int y1 g_z, int y2 g_z), and
     ``fields`` turns them into every profile and derivative there; a
@@ -380,7 +400,7 @@ class _StretchedStack:
     def __init__(self, gamma: float, depth: float = _S_DEPTH):
         self.gamma = abs(gamma)
         self.depth = depth
-        s = _nodes(-depth, 0.0)
+        s = _nodes(-depth, 0.0, _stack_degree(depth))
         kern = _kernel(s)
         y1, y2, _, _, ew = kern
 
@@ -451,15 +471,16 @@ def _f_alpha(r, bubble, lam: float):
 class BoundaryCorrections(NamedTuple):
     """The boundary-layer corrections on the window ``r_window``.
 
-    ``coef`` holds nine Chebyshev coefficient columns on the window: those
-    of -r alpha_eps', alpha_eps and beta_eps, then the six series of
-    ``stack``, the stretched stack of the sweep and third-order profiles
-    v_eps and z_eps.  The stack is built on the window's own depth, so a
-    series on [-depth, 0] in s = (r - 1)/mu_tilde is the same series on the
-    window in r.  Calling the object at radii in the window returns the
-    (value, d1, d2) triples of the layer bubble W = ``bubble1d``, alpha_eps,
-    beta_eps, v_eps and z_eps there, the corrections from one
-    Chebyshev-Vandermonde matrix of the radii and one product.
+    ``coef`` holds nine Chebyshev coefficient columns on the window, n + 2
+    rows each at the stack's degree n: those of -r alpha_eps', alpha_eps
+    and beta_eps, then the six series of ``stack``, the stretched stack of
+    the sweep and third-order profiles v_eps and z_eps.  The stack is built
+    on the window's own depth, so a series on [-depth, 0] in
+    s = (r - 1)/mu_tilde is the same series on the window in r.  Calling
+    the object at radii in the window returns the (value, d1, d2) triples
+    of the layer bubble W = ``bubble1d``, alpha_eps, beta_eps, v_eps and
+    z_eps there, the corrections from one Chebyshev-Vandermonde matrix of
+    the radii and one product.
     """
 
     lam: float
@@ -495,7 +516,8 @@ def boundary_corrections(params: "AnsatzParams") -> BoundaryCorrections:
     and (r b')' = -v_eps' gives r b' = -v_eps, so a takes two Chebyshev
     antiderivatives and b one, and their derivatives follow from these
     relations wherever the result is evaluated.  The window's Chebyshev
-    nodes are the stack's, so b's source is the v the stack computed there.
+    nodes are the stack's, at the degree ``_stack_degree`` gives its depth,
+    so b's source is the v the stack computed there.
     The far-field constants are ``params.constants``.
     """
     lam, mu_t = params.lam, params.mu_tilde
@@ -504,7 +526,7 @@ def boundary_corrections(params: "AnsatzParams") -> BoundaryCorrections:
     # into z on the window, which differencing the profile amplifies
     stack = _StretchedStack(params.gamma_eps, depth=(1.0 - r_lo) / mu_t)
 
-    r = _nodes(r_lo, 1.0)
+    r = _nodes(r_lo, 1.0, stack.v_nodes.size - 1)  # the stack's degree
 
     def radial(y):
         return _antiderivative(y, r_lo, 1.0)
@@ -831,7 +853,11 @@ def build_profile(params: AnsatzParams) -> Profile:
     lo3, hi3 = 1.0 - 2.0 * params.delta1, 1.0 - params.delta1
     cor = boundary_corrections(params)
     if cor.r_window[0] > lo3:
-        raise DomainError("correction window does not cover the blend band")
+        raise DomainError(
+            f"lambda={lam!r}, eta={params.eta!r}: the correction window starts "
+            f"at r_lo={cor.r_window[0]!r}, above the blend band "
+            f"[1 - 2 delta1, 1 - delta1] = [{lo3!r}, {hi3!r}]; a smaller lambda, "
+            f"or a larger eta (a narrower band), is needed")
 
     u2t = _scaled_green(params.outer, params.eps)
     u0 = inner_u0(params)

@@ -10,7 +10,8 @@ configuration, and take the mode the umask gives (0644 under umask 022).
 Exit codes: 0 success, 2 validation error, 3 solver non-convergence.
 
 ``main`` returns the exit code and never exits, so tests and batch runners
-call it in-process.  ``entry`` is the executable's entry point (the
+call it in-process; argparse's own exits become its return value (2, or 0
+after ``--help``).  ``entry`` is the executable's entry point (the
 ``kslayers`` console script and ``python -m kslayers.cli``): it ends the
 process right after ``main`` has closed every output and the standard
 streams are flushed, skipping the interpreter's teardown, which writes
@@ -472,13 +473,15 @@ def main(argv=None) -> int:
     # --config first: the file's keys preseed the flags, required ones too
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
-    config = pre.parse_known_args(argv)[0].config
     try:
+        config = pre.parse_known_args(argv)[0].config
         ap = _build_parser(_load_config_file(config) if config else None)
+        args, _unknown = ap.parse_known_args(argv)
     except (OSError, ValueError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    args, _unknown = ap.parse_known_args(argv)
+    except SystemExit as exc:  # argparse's: 0 after --help, else 2
+        return exc.code
     if _unknown:
         print(f"error: unknown arguments {_unknown}", file=sys.stderr)
         return _EXIT_USAGE

@@ -213,11 +213,12 @@ class TestCorrections:
         for got, want in pairs:
             assert np.max(np.abs(got - want)) <= 1e-10
 
-    def test_one_vandermonde_matrix_per_call(self, monkeypatch, params4):
+    def test_one_vandermonde_matrix_per_call(self, monkeypatch, params4, corrections4):
         # the window's nodes are the stack's, so beta's source is the v the
         # stack computed there; a call sums the sweeps and the stack from
-        # one matrix of its radii
-        ansatz._cheb_basis()  # the nodes' own matrices, built once per process
+        # one matrix of its radii; the nodes' own matrices are built once per
+        # process and degree
+        ansatz._cheb_basis(len(corrections4.coef) - 2)
         built = []
         vander = ansatz._vander
 
@@ -243,10 +244,12 @@ class TestOnePass:
         def f(x):
             return np.exp(0.3 * x) / np.cosh(x) ** 2 + np.sin(5.0 * x)
 
-        # every antiderivative vanishes at its interval's right end, at = hi
-        got = ansatz._antiderivative(f(ansatz._nodes(lo, hi)), lo, hi)
-        ref = Chebyshev.interpolate(f, ansatz._CHEB_DEG, [lo, hi]).integ(lbnd=at)
-        assert np.array_equal(got, ref.coef)
+        # every antiderivative vanishes at its interval's right end, at = hi;
+        # the degrees are those ``_stack_degree`` gives
+        for deg in (24, 32, 64, 160):
+            got = ansatz._antiderivative(f(ansatz._nodes(lo, hi, deg)), lo, hi)
+            ref = Chebyshev.interpolate(f, deg, [lo, hi]).integ(lbnd=at)
+            assert np.array_equal(got, ref.coef)
 
     @pytest.mark.parametrize("deg", [ansatz._CHEB_DEG, ansatz._CHEB_DEG + 1])
     def test_vander_is_chebvander_to_the_bit(self, deg):
@@ -276,9 +279,10 @@ class TestOnePass:
                     ansatz._cheb_eval(coef, lo, hi, np.array(x))
 
     def test_blocked_product_is_the_one_shot_product_to_the_bit(self, monkeypatch):
-        # the boundary corrections' (162, 9) coefficients on the 1440 radii
-        # of each window, multiplied in blocks of 179 columns, and a 1-D
-        # series on 5000 points, in blocks of 1618, against one product
+        # the boundary corrections' (n + 2, 9) coefficients on the 1440
+        # radii of each window, multiplied in blocks of 179 (n = 160) to
+        # 1120 (n = 24) columns, and a 1-D series on 5000 points, in blocks
+        # of 1618, against one product
         calls = []
         cheb_eval = ansatz._cheb_eval
 
@@ -311,18 +315,23 @@ class TestOnePass:
     @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-40.0, 0.0), (0.55, 1.0),
                                         (-0.398, 0.0)])
     def test_nodes_are_mapped_chebpts1(self, lo, hi):
-        assert np.array_equal(ansatz._cheb_basis()[0], chebpts1(ansatz._CHEB_DEG + 1))
-        want = polyutils.mapdomain(chebpts1(ansatz._CHEB_DEG + 1), (-1.0, 1.0), (lo, hi))
-        assert np.array_equal(ansatz._nodes(lo, hi), want)
+        for deg in (24, ansatz._CHEB_DEG):
+            assert np.array_equal(ansatz._cheb_basis(deg)[0], chebpts1(deg + 1))
+            want = polyutils.mapdomain(chebpts1(deg + 1), (-1.0, 1.0), (lo, hi))
+            assert np.array_equal(ansatz._nodes(lo, hi, deg), want)
         assert ansatz._to_unit(lo, hi) == polyutils.mapparms((lo, hi), (-1.0, 1.0))
 
-    @pytest.mark.parametrize("gamma, depth", [(1.3, 40.0), (0.8, 11.5)])
+    @pytest.mark.parametrize("gamma, depth", [(1.3, 40.0), (0.8, 11.5), (1.3, 0.564),
+                                              (1.3, 1.074), (0.8, 5.8)])
     def test_profiles_are_the_series_composition(self, gamma, depth):
         # the stack sums its series by a Vandermonde product, the oracle by
-        # Clenshaw; measured: 2.53e-14 of a row's max on the grid, 1.36e-12
-        # absolute at s = -depth (Iv, whose max is 858)
+        # Clenshaw, both at the degree the stack's depth takes (160, 88, 24,
+        # 32 and 64); measured: 2.53e-14 of a row's max on the grid, 1.36e-12
+        # absolute at s = -depth (Iv, whose max is 858), at depth 40; at most
+        # 2.2e-15 and 7.2e-15 at the three shallowest depths
         stack = ansatz._StretchedStack(gamma, depth)
-        series = oracles.chebyshev_stack(gamma, depth)
+        series = oracles.chebyshev_stack(gamma, depth, deg=ansatz._stack_degree(depth))
+        assert stack.coef.shape == (ansatz._stack_degree(depth) + 2, 6)
         s = np.linspace(-depth, 0.0, 1001)
         got = ansatz._cheb_eval(stack.coef, -depth, 0.0, s)
         assert got.shape == (6, s.size)
@@ -352,12 +361,63 @@ class TestOnePass:
         r = grid[grid >= 1.0 - 2.0 * params4.delta1][::8]
         off, scl = polyutils.mapparms((lo, hi), (-1.0, 1.0))
         ends = np.array([-1.0, 1.0])
-        for x, got in ((ansatz._cheb_basis()[0], ansatz._at_nodes(coef)),
+        for x, got in ((ansatz._cheb_basis(n - 2)[0], ansatz._at_nodes(coef)),
                        (ends, ansatz._cheb_eval(coef, -1.0, 1.0, ends)),
                        (off + scl * r, ansatz._cheb_eval(coef, lo, hi, r))):
             want = oracles.mpmath_chebyshev_series(coef, x)
             assert np.max(np.abs(got - want) / unit) <= 10.0
             assert np.max(np.abs(chebval(x, coef) - want) / unit) <= 10.0
+
+
+# the ansatz lambdas of scripts/bvp_parity.py, then a scan down to the
+# stack's full depth; the first scan point, 10^-1.2, has its window above
+# the blend band
+RULE_LAMBDAS = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-20, 1e-60, 1e-150,
+                *np.logspace(-1.2, -300, 34)]
+
+
+class TestStackDegree:
+    def test_the_ladder_windows_take_24_to_32_terms(self):
+        # window depths 0.398, 0.796, 0.564 and 1.074 at lambda = 1e-2 ... 1e-5
+        degrees = [ansatz.boundary_corrections(ansatz.build_params(lam)).coef.shape[0] - 2
+                   for lam in (1e-2, 1e-3, 1e-4, 1e-5)]
+        assert degrees == [24, 24, 24, 32]
+        assert ansatz._stack_degree(ansatz._S_DEPTH) == ansatz._CHEB_DEG
+        assert ansatz._stack_degree(36.0) == ansatz._CHEB_DEG
+        assert ansatz._stack_degree(5.8) == 64
+        assert 112 <= ansatz._stack_degree(19.0) <= 120
+
+    @pytest.mark.parametrize("lam", RULE_LAMBDAS, ids="{:.3g}".format)
+    def test_profile_is_the_full_degree_profile(self, monkeypatch, lam):
+        # against every stack at degree _CHEB_DEG: within two converged
+        # degrees' difference on the window (measured over this set: 2.9e-16,
+        # 3.9e-14 and 1.2e-13 of each maximum there), to the bit outside it
+        # and wherever the window is 36 stretched units deep or more
+        def profile(params):
+            try:
+                return ansatz.build_profile(params)
+            except DomainError as exc:
+                return str(exc)
+
+        params = ansatz.build_params(lam)
+        cor = ansatz.boundary_corrections(params)
+        got = profile(params)
+        monkeypatch.setattr(ansatz, "_stack_degree", lambda depth: ansatz._CHEB_DEG)
+        again = ansatz.build_params(lam)
+        assert again._replace(outer=None) == params._replace(outer=None)
+        want = profile(params)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert np.array_equal(got.grid, want.grid)
+        assert np.array_equal(got.piece, want.piece)
+        window = want.grid >= cor.r_window[0]
+        for g, w, bound in zip((got.values, got.d1, got.d2),
+                               (want.values, want.d1, want.d2), (4e-16, 1e-13, 5e-13)):
+            assert np.array_equal(g[~window], w[~window])
+            if cor.stack.depth >= 36.0:
+                assert np.array_equal(g, w)
+            assert np.max(np.abs(g - w)[window]) <= bound * np.max(np.abs(w[window]))
 
 
 class TestOuterMatching:

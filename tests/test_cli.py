@@ -435,11 +435,40 @@ def test_config_file_preseeds_a_required_flag(tmp_path, capsys):
     doc = json.loads((out / "green.json").read_text())
     assert doc["config"]["k"] == 2 and len(doc["alphas"]) == 2
     # a required flag that neither the file nor the command line gives
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["green", "--config", str(cfg)], tmp_path, "c4")
-    assert exc.value.code == 2
+    code, _ = run_cli(["green", "--config", str(cfg)], tmp_path, "c4")
+    assert code == 2
     assert "the following arguments are required: --b" in capsys.readouterr().err
     assert not (tmp_path / "c4").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["solve", "--lambda", "x"], "argument --lambda: invalid float value: 'x'"),
+    (["solve", "--lambda", "1e-4", "--init", "bogus"],
+     "argument --init: invalid choice: 'bogus'"),
+    (["fixpoint"], "the following arguments are required: --lambda"),
+], ids=["mistyped", "bad-choice", "missing"])
+def test_argparse_errors_return_2_in_process(tmp_path, capsys, args, message):
+    # main returns argparse's exit code instead of raising SystemExit
+    code, out = run_cli(args, tmp_path)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_returns_0_in_process(capsys):
+    assert cli.main(["solve", "--help"]) == 0
+    assert "--lambda" in capsys.readouterr().out
+
+
+def test_a_window_above_the_blend_band_names_lambda(tmp_path, capsys):
+    # at lambda = 0.02 the correction window's start r_lo = 0.55 lies above
+    # the blend band's 1 - 2 delta1 = 0.545
+    code, out = run_cli(["ansatz", "--lambda", "0.02"], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "lambda=0.02, eta=0.8" in err and "r_lo=0.55" in err
+    assert "a smaller lambda, or a larger eta" in err
+    assert not out.exists()
 
 
 def test_fixpoint_csv(tmp_path):

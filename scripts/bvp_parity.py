@@ -3,7 +3,7 @@
 
     python scripts/bvp_parity.py OUT.npz [--against OLD.npz]
 
-runs, with this checkout's ``src`` first on the import path:
+runs, with this checkout's ``src`` and ``tests`` first on the import path:
 
 * ``continue_component(seed_branch(i, sign), steps=100)`` for i = 2..5 and
   both signs, the eight components the ``branch`` benchmark continues;
@@ -37,9 +37,10 @@ runs, with this checkout's ``src`` first on the import path:
   (``require_contraction=False``, which stops at iterate 26 as
   "unreachable");
 * ``sweep_Mk(6, [1e-4, 1e-3, 1e-2])`` (``k``, ``b``, ``M_k``, ``cond``),
-  and the finite-difference guard ``nondegen._fd_entries`` at each of its
-  18 solved configurations (``guard/fd_entries``, the matrices flattened
-  and concatenated in sweep order);
+  and the central differences ``fd_entries`` of ``tests/oracles.py``, which
+  the analytic entries are checked against, at each of its 18 solved
+  configurations (``guard/fd_entries``, the matrices flattened and
+  concatenated in sweep order);
 * ``solve_layers(k, b, outer)`` for k = 1..6, b = 1e-4, 1e-3, 1e-2 and both
   outer modes, the 36 solves the ``layers`` benchmark runs, each field
   concatenated over the solves in that order: the radii, ``iterations``
@@ -115,12 +116,13 @@ import sys
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from kslayers import analysis, ansatz, bvp, greens, nondegen, specfun  # noqa: E402
 from kslayers.errors import ConvergenceError, MatchingError  # noqa: E402
 from kslayers.radial import RadialOperator  # noqa: E402
+import oracles  # noqa: E402
 
 COMPONENTS = [(i, sign) for i in (2, 3, 4, 5) for sign in "+-"]
 LAMBDAS = (1e-4, 1e-5, 1e-6)
@@ -376,8 +378,8 @@ def _analysis_fields() -> dict:
     for key in ("k", "b", "M_k", "cond"):
         out[f"sweep_Mk/{key}"] = np.array([row[key] for row in rows])
     out["guard/fd_entries"] = np.concatenate([
-        nondegen._fd_entries(greens.solve_layers(row["k"], row["b"])[0].alphas,
-                             row["b"]).ravel() for row in rows])
+        oracles.fd_entries(greens.solve_layers(row["k"], row["b"])[0].alphas,
+                           row["b"]).ravel() for row in rows])
     out["grid/make_grid"] = bvp.make_grid(1e-4)
     out["grid/constant_profile"] = bvp.constant_profile(1e-4).grid
     for key, val in zip(("I0", "I1", "K0", "K1"), specfun.bessel_table(BESSEL_RADII)):

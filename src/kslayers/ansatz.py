@@ -915,6 +915,9 @@ def multilayer_ansatz(k: int, lam: float, outer_mode: str = greens.DIRICHLET,
         raise DomainError(
             f"k={k} in {outer_mode} mode has no free layer sphere; the single "
             "boundary layer is build_profile(build_params(lam))")
+    if n_free > greens.K_MAX:
+        raise DomainError(f"k={k} in {outer_mode} mode: the glued profile needs "
+                          f"k <= {greens.K_MAX + k - n_free}")
     eps, delta1 = _eps_delta1(lam, eta)
     b = 4.0 * eps / _SQRT2
     cfg, _ = greens.solve_layers(n_free, b, outer_mode, b_max=0.5)

@@ -316,14 +316,17 @@ def _read_profile_csv(path: str):
 def _cmd_report(cfg: RunConfig) -> None:
     from . import ansatz, bvp
     p = cfg.params
-    if p["k"] < 1:
-        raise DomainError(f"k={p['k']}: the reference family needs k >= 1")
+    outer = p["outer"]
+    # the boundary sphere is one of the k in dirichlet mode
+    k_max = greens.K_MAX + (outer == greens.DIRICHLET)
+    if not 1 <= p["k"] <= k_max:
+        raise DomainError(f"k={p['k']} in {outer} mode: the reference family "
+                          f"needs k >= 1 and k <= {k_max}")
     prof = _read_profile_csv(p["infile"])
     lam = p["lam"]
     point = bvp.BranchPoint(param=lam, profile=prof, newton_iters=0, residual_norm=np.nan)
     eps = ansatz.solve_epsilon(lam)
     b = 4.0 * eps / np.sqrt(2.0)
-    outer = p["outer"]
     k_int = p["k"] - 1 if outer == greens.DIRICHLET else p["k"]
     if k_int > 0:
         # reachable lambdas put b above the conservative default cap

@@ -24,10 +24,6 @@ class ConvergenceError(KsLayersError):
         self.residual = residual
 
 
-class InternalConsistencyError(KsLayersError):
-    """Two independent evaluation routes disagree beyond tolerance."""
-
-
 class MatchingError(KsLayersError):
     """The asymptotic matching system could not be solved."""
 

@@ -11,13 +11,11 @@ Each annulus solution is stored as a coefficient pair (c_K, c_I) in the
 (K0, I0) basis, so one-sided derivatives at interfaces are analytic and
 never obtained by differencing across an interface.  ``LayerCalculus`` is
 the one layer calculus: from a single Bessel table at the value radii of a
-configuration it solves every annulus (one stacked 2x2 solve), and gives
-the interface fluxes, the reflection defect and its analytic shift
-Jacobian.  The reflection Newton steps with that Jacobian, and
-``nondegen`` reads the shift-derivative matrix M_k from it.  The
-coefficients and fluxes come from ``layer_fluxes``, which takes a stack
-of configurations at once: ``LayerCalculus`` passes it one, and
-``nondegen``'s finite-difference guard its 2k shifted ones.
+configuration it solves every annulus (Cramer's rule on all of them at
+once), and gives the interface fluxes, the reflection defect and its
+analytic shift Jacobian.  The reflection Newton steps with that Jacobian,
+and ``nondegen`` reads the shift-derivative matrix M_k from it.  The
+coefficients and fluxes come from ``layer_fluxes``.
 
 ``k`` counts the free interior layer radii in both outer modes; in
 ``dirichlet_one`` mode the boundary sphere r = 1 additionally carries the
@@ -116,16 +114,15 @@ def _nested(alphas: np.ndarray) -> bool:
 
 def _solve_annuli(radii: np.ndarray, values: np.ndarray,
                   i0: np.ndarray, k0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked two-point solves on the annuli between consecutive radii.
+    """Two-point solves on the annuli between consecutive radii.
 
-    Row j of each configuration (last axis) solves c_K K0 + c_I I0 = values
-    at radii[..., j] and radii[..., j + 1] in the (K0, I0) basis, with the
-    kernels read from the table ``i0``, ``k0`` at ``radii``.  Returns the
-    (..., K - 1, 2, 3) solutions by Cramer's rule, column 0 the coefficient
-    pair and columns 1 and 2 the responses to a unit value at the left and
-    right end, and the (..., K - 1) 2-norm condition numbers s^2 / |det|,
-    s^2 = (F^2 + sqrt(F^4 - 4 det^2)) / 2 with F the Frobenius norm.  Each
-    annulus is solved alone, elementwise, so it gets the bits of a lone solve.
+    Row j solves c_K K0 + c_I I0 = values at radii[j] and radii[j + 1] in
+    the (K0, I0) basis, with the kernels read from the table ``i0``, ``k0``
+    at ``radii``.  Returns the (K - 1, 2, 3) solutions by Cramer's rule,
+    column 0 the coefficient pair and columns 1 and 2 the responses to a
+    unit value at the left and right end, and the K - 1 2-norm condition
+    numbers s^2 / |det|, s^2 = (F^2 + sqrt(F^4 - 4 det^2)) / 2 with F the
+    Frobenius norm.  Each annulus is solved alone, elementwise.
 
     Raises
     ------
@@ -133,49 +130,45 @@ def _solve_annuli(radii: np.ndarray, values: np.ndarray,
         If a 2x2 system is numerically singular, naming the first such
         annulus.
     """
-    kl, il, kr, ir = k0[..., :-1], i0[..., :-1], k0[..., 1:], i0[..., 1:]
+    kl, il, kr, ir = k0[:-1], i0[:-1], k0[1:], i0[1:]
     det = kl * ir - il * kr
     row_sq = k0 * k0 + i0 * i0
-    f2 = row_sq[..., :-1] + row_sq[..., 1:]
+    f2 = row_sq[:-1] + row_sq[1:]
     s2 = 0.5 * (f2 + np.sqrt(np.maximum(f2 * f2 - 4.0 * det * det, 0.0)))
     with np.errstate(divide="ignore"):
         cond = s2 / np.abs(det)
-    if not (cond <= 1e13).all():
-        bad = np.argwhere(~(cond <= 1e13))[0]
-        *row, j = bad
-        r = radii[tuple(row)]
+    ok = cond <= 1e13  # NaN fails
+    if not ok.all():
+        j = np.flatnonzero(~ok)[0]
         raise ConditioningError(
-            f"annulus ({r[j]}, {r[j + 1]}) solve has condition number "
-            f"{cond[tuple(bad)]:.3e}")
-    vl, vr = values[..., :-1], values[..., 1:]
-    sol = np.empty(det.shape + (2, 3))
-    sol[..., 0, 0] = vl * ir - il * vr
-    sol[..., 1, 0] = kl * vr - vl * kr
-    sol[..., 0, 1] = ir
-    np.negative(il, out=sol[..., 0, 2])
-    np.negative(kr, out=sol[..., 1, 1])
-    sol[..., 1, 2] = kl
-    sol /= det[..., None, None]
+            f"annulus ({radii[j]}, {radii[j + 1]}) solve has condition number "
+            f"{cond[j]:.3e}")
+    sol = np.empty((det.size, 2, 3))
+    sol[:, 0, 0] = values[:-1] * ir - il * values[1:]
+    sol[:, 1, 0] = kl * values[1:] - values[:-1] * kr
+    sol[:, 0, 1] = ir
+    np.negative(il, out=sol[:, 0, 2])
+    np.negative(kr, out=sol[:, 1, 1])
+    sol[:, 1, 2] = kl
+    sol /= det[:, None, None]
     return sol, cond
 
 
 def layer_fluxes(radii: np.ndarray, values: np.ndarray, b: float,
                  outer_mode: str) -> tuple[tuple, np.ndarray, np.ndarray,
                                            np.ndarray, np.ndarray]:
-    """Annulus coefficients and one-sided fluxes of stacked configurations.
+    """Annulus coefficients and one-sided fluxes of one configuration.
 
-    ``radii`` and ``values`` have shape (..., K): along the last axis, the
-    validated value radii of one configuration (see ``LayerCalculus``) and
-    the layer values there.  One ``bessel_table`` call covers the whole
-    stack and one closed-form 2x2 solve (Cramer's rule) every interior
-    annulus; both work elementwise, on each radius and each annulus alone,
-    so every configuration gets the bits it would get by itself.
+    ``radii`` are the K validated value radii of the configuration (see
+    ``LayerCalculus``) and ``values`` the layer values there.  One
+    ``bessel_table`` call covers the radii and one closed-form 2x2 solve
+    (Cramer's rule) every interior annulus.
 
     Returns ``(table, coeffs, responses, dl, dr)``: the table
     (I0, I1, K0, K1) at ``radii``; the (c_K, c_I) pair of every annulus,
-    shape (..., n_annuli, 2); the interior annuli's unit responses, shape
-    (..., K - 1, 2, 2); and the left and right fluxes at the value radii,
-    shape (..., K), ``dr`` NaN at the dirichlet boundary.
+    shape (n_annuli, 2); the interior annuli's unit responses, shape
+    (K - 1, 2, 2); and the left and right fluxes at the value radii, shape
+    (K,), ``dr`` NaN at the dirichlet boundary.
 
     Raises
     ------
@@ -183,31 +176,27 @@ def layer_fluxes(radii: np.ndarray, values: np.ndarray, b: float,
         If an annulus solve is numerically singular.
     """
     table = i0, i1, k0, k1 = bessel_table(radii)
-    K = radii.shape[-1]
+    K = radii.size
     # value radii with an annulus to their right
     n_right = K if outer_mode == NEUMANN else K - 1
-    coeffs = np.empty(radii.shape[:-1] + (n_right + 1, 2))
+    coeffs = np.empty((n_right + 1, 2))
     # on (0, r_0] the -ln r coefficient pins c_K = b; the value at r_0
     # fixes c_I
-    coeffs[..., 0, 0] = b
-    coeffs[..., 0, 1] = (values[..., 0] - b * k0[..., 0]) / i0[..., 0]
+    coeffs[0] = b, (values[0] - b * k0[0]) / i0[0]
     if K > 1:
         sol, _ = _solve_annuli(radii, values, i0, k0)
-        coeffs[..., 1:K, :] = sol[..., 0]
-        responses = sol[..., 1:]
+        coeffs[1:K] = sol[:, :, 0]
+        responses = sol[:, :, 1:]
     else:
-        responses = np.empty(radii.shape[:-1] + (0, 2, 2))
+        responses = np.empty((0, 2, 2))
     if outer_mode == NEUMANN:
         # zeta = K0 + C_MIX * I0 is the unique mode with zero slope at r = 1
-        c = values[..., -1] / (k0[..., -1] + C_MIX * i0[..., -1])
-        coeffs[..., K, 0] = c
-        coeffs[..., K, 1] = c * C_MIX
+        c = values[-1] / (k0[-1] + C_MIX * i0[-1])
+        coeffs[K] = c, c * C_MIX
 
-    dl = -coeffs[..., :K, 0] * k1 + coeffs[..., :K, 1] * i1
-    dr = np.empty(radii.shape)
-    dr[..., :n_right] = -coeffs[..., 1:, 0] * k1[..., :n_right] \
-        + coeffs[..., 1:, 1] * i1[..., :n_right]
-    dr[..., n_right:] = np.nan
+    dl = -coeffs[:K, 0] * k1 + coeffs[:K, 1] * i1
+    dr = np.full(K, np.nan)
+    dr[:n_right] = -coeffs[1:, 0] * k1[:n_right] + coeffs[1:, 1] * i1[:n_right]
     return table, coeffs, responses, dl, dr
 
 

@@ -6,10 +6,12 @@ scipy's cephes builds) and from mpmath at 40 digits (Chebyshev series at
 50), boundary-value facts from adaptive Runge-Kutta shooting, the
 parameter relation and the bubble dilation mode from their closed forms.
 Frozen copies of earlier library code are held to the bit by the tests.
-Two sections use the library on purpose: the linear probe, which reads the
-stability constant off ``analysis.solve_linear``, and the det N identity,
-which assembles the base-point Jacobian N from the library's shift
-Jacobians.  Neither has a caller in ``src``.
+Three sections use the library on purpose: the linear probe, which reads
+the stability constant off ``analysis.solve_linear``; the central
+differences of the library's fluxes that the analytic shift-derivative
+matrix is checked against; and the det N identity, which assembles the
+base-point Jacobian N from the library's shift Jacobians.  None has a
+caller in ``src``.
 """
 
 import functools
@@ -681,6 +683,48 @@ def probe_ratio(U, lam: float, count: int = 10, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     return max(analysis.solve_linear(U, lam, analysis.random_smooth_field(U.grid, rng)).ratio
                for _ in range(count))
+
+
+# ---------------------------------------------------------------------------
+# the shift-derivative matrix M_k by central differences of the fluxes
+# ---------------------------------------------------------------------------
+
+FD_STEP = 1e-6
+FD_RTOL = 1e-5  # criterion 4's bound on the analytic entries' gap
+
+
+def fd_entries(alphas: np.ndarray, b: float) -> np.ndarray:
+    """M_k's entries by central differences of the one-sided fluxes.
+
+    Column j differences the fluxes of the ``dirichlet_one``
+    configurations alphas +- h e_j, h = ``FD_STEP``, each through its own
+    ``greens.LayerCalculus``: the defect's own entry on the diagonal, the
+    left flux below it and the right flux above it.
+    """
+    k, h = alphas.size, FD_STEP
+    dl = np.empty((2, k, k + 1))
+    dr = np.empty((2, k, k + 1))
+    for side, step in enumerate((h, -h)):
+        for j in range(k):
+            shifted = alphas.copy()
+            shifted[j] += step
+            calc = greens.LayerCalculus(shifted, b, greens.DIRICHLET)
+            dl[side, j], dr[side, j] = calc.dl, calc.dr
+    ddl = (dl[0] - dl[1]) / (2 * h)
+    ddr = (dr[0] - dr[1]) / (2 * h)
+    out = np.diag(np.diagonal(ddl) + np.diagonal(ddr))
+    j = np.arange(k - 1)
+    out[j + 1, j] = ddl[j, j + 1]
+    out[j, j + 1] = ddr[j + 1, j]
+    return out
+
+
+def fd_gaps(alphas: np.ndarray, b: float) -> np.ndarray:
+    """``nondegen.assemble_Ak``'s entries against ``fd_entries``, each gap
+    relative to max(|entry|, 1e-6)."""
+    entries = nondegen.assemble_Ak(alphas, b).entries
+    scale = np.maximum(np.abs(entries), 1e-6)
+    return np.abs(entries - fd_entries(alphas, b)) / scale
 
 
 # ---------------------------------------------------------------------------

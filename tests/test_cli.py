@@ -355,6 +355,22 @@ def test_report_needs_k_at_least_one(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["ansatz", "report"])
+@pytest.mark.parametrize("outer, k_max", [("dirichlet", 9), ("neumann", 8)])
+def test_a_k_above_the_cap_names_the_k_given(tmp_path, capsys, command, outer, k_max):
+    # the error names the k given, not the count of free spheres it implies
+    path = tmp_path / "guess.csv"
+    path.write_text("r,u\n" + "".join(f"{r},2\n" for r in np.linspace(0, 1, 201)))
+    infile = ["--in", str(path)] if command == "report" else []
+    code, out = run_cli([command, "--lambda", "1e-4", "--k", "10", "--outer", outer]
+                        + infile, tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    mode = greens.DIRICHLET if outer == "dirichlet" else greens.NEUMANN
+    assert f"k=10 in {mode} mode" in err and f"k <= {k_max}" in err
+    assert not out.exists()
+
+
 def test_branch_csv(tmp_path):
     code, out = run_cli(["branch", "--i", "2", "--sign", "+",
                          "--steps", "5"], tmp_path)

@@ -67,7 +67,9 @@ The ``params`` case holds one entry per lambda: ``lam``, ``eps``,
 ``gamma_eps``, ``r_tilde``, ``matching_order``, the correction constants
 ``nu1``, ``nu2``, ``zeta1`` and ``zeta2``, and ``matching_error`` (whether
 ``build_params`` raised ``MatchingError``; then ``gamma_eps``, ``r_tilde``
-and the constants are NaN and ``matching_order`` is -1).
+and the constants are NaN and ``matching_order`` is -1), and once
+``far_field_basis``, the (6, 2) far-field lines the constants are composed
+from at every gamma.
 
 Each branch case is also certified: every stored point's residual
 -Delta u + u - e^(mu (u - 1)) is recomputed in long double from its stored
@@ -331,6 +333,7 @@ def _params_fields() -> dict:
     return {"lam": lams, "eps": np.array(eps), "gamma_eps": np.array(gamma),
             "r_tilde": np.array(r_tilde), "matching_order": np.array(order),
             "matching_error": np.array(failed),
+            "far_field_basis": np.array(ansatz._far_field_basis()),
             **{name: np.array(col) for name, col in zip(CONSTANTS, constants)}}
 
 

@@ -11,7 +11,10 @@ The boundary-layer correction profiles are Chebyshev quadratures.  In the
 stretched variable s = (r-1)/mu_tilde (where they are O(1) and tail-flat)
 the operator's kernel is known in closed form, so variation of parameters
 gives the profiles and their far-field affine coefficients are limits of
-the kernel integrals; the two radial sweeps are antiderivatives in r.
+the kernel integrals.  Those coefficients are polynomial in the layer
+amplitude gamma plus one ln(2 gamma) term, so six gamma-free profiles,
+integrated once per process, give them at every gamma in closed form.  The
+two radial sweeps are antiderivatives in r.
 
 The outer profile is (sqrt(2)/eps) G, with G the layered Green's function
 with no free layer: ``greens.LayerCalculus`` with -A ln r at the origin,
@@ -395,6 +398,10 @@ class _StretchedStack:
     columns to ``coef`` and share the matrix.  Against one Clenshaw sum
     per series the profiles differ by rounding, 2.6e-14 of each profile's
     maximum as measured.
+
+    The stack serves the correction window of ``boundary_corrections``;
+    the far-field constants come from ``_far_field``, in closed form in
+    gamma.
     """
 
     def __init__(self, gamma: float, depth: float = _S_DEPTH):
@@ -444,21 +451,72 @@ class _StretchedStack:
         return (v, dv, self._source(s, ew, iw) - ew * v,
                 z, dz, self._source(s, ew, iw, iv, v) - ew * z)
 
-    def far_field(self) -> CorrectionConstants:
-        """Far-field lines nu1 s + nu2 of v and zeta1 s + zeta2 of z.
 
-        As s -> -inf, y1 -> -1 and y2 -> -s/sqrt2 - 1, so y tends to
-        -P1 s + sqrt2 (P2 - P1) with P_i = int_0^{-inf} y_i g; the sources
-        decay like s^4 e^{sqrt2 s}, so the integrals to -depth are the limits.
-        s = -depth maps to -1, where T_k = (-1)^k.
-        """
-        ends = (-1.0) ** np.arange(len(self.coef))
-        _, pv1, pv2, _, pz1, pz2 = (float(p) for p in self.coef.T @ ends)
-        nu1, nu2 = -pv1, _SQRT2 * (pv2 - pv1)
-        zeta1, zeta2 = -pz1, _SQRT2 * (pz2 - pz1)
-        return CorrectionConstants(nu1=nu1, nu2=nu2, zeta1=zeta1, zeta2=zeta2,
-                                   nu2_eff=nu2 - _SWEEP_TAIL,
-                                   zeta1_eff=zeta1 + _SWEEP_TAIL - nu2)
+@functools.cache
+def _far_field_basis() -> np.ndarray:
+    """The gamma-free far-field lines from which ``_far_field`` composes
+    the correction constants at any gamma.
+
+    In ``_StretchedStack``'s equations gamma enters only through
+    a1 = -IW + gamma s^2 / sqrt2 and alpha2 = s IW - s^2 ln(2 gamma).  So
+    v = v_A + gamma v_B, where v_A and v_B solve y'' + e^W y = -e^W a for
+    a = -IW and a = s^2 / sqrt2.  With P = -IW + v_A and Q = s^2 / sqrt2 +
+    v_B, a1 + v = P + gamma Q, and z's bracket alpha2 - Iv + (a1 + v)^2 / 2
+    is (s IW - Iv_A + P^2 / 2) + gamma (-Iv_B + P Q) + gamma^2 Q^2 / 2 +
+    ln(2 gamma) (-s^2), so z = z_0 + gamma z_1 + gamma^2 z_2 +
+    ln(2 gamma) z_3, each z_i solving y'' + e^W y = -e^W a for its bracket.
+
+    As s -> -inf, y1 -> -1 and y2 -> -s/sqrt2 - 1, so each profile
+    sqrt2 [y2 P1 - y1 P2], with P_i = int_0^s y_i g, tends to the line
+    -P1 s + sqrt2 (P2 - P1) at P_i = int_0^{-inf} y_i g; the sources decay
+    like s^4 e^{sqrt2 s}, so the integrals to -_S_DEPTH are the limits.
+    They are the antiderivatives' row sums at s = -_S_DEPTH, which maps to
+    -1, where T_k = (-1)^k.  The quadrature is the full-depth stack's.
+
+    Returns the read-only (6, 2) array of the (slope, offset) of v_A, v_B,
+    z_0, z_1, z_2 and z_3, computed once per process.
+    """
+    s = _nodes(-_S_DEPTH, 0.0, _stack_degree(_S_DEPTH))
+    kern = _kernel(s)
+    y1, y2, _, _, ew = kern
+    ends = (-1.0) ** np.arange(s.size + 1)
+
+    def integral(y):
+        return _antiderivative(y, -_S_DEPTH, 0.0)
+
+    def solve(a):
+        """y'' + e^W y = -e^W a at the nodes, and y's far-field line."""
+        src = -ew * a
+        c = np.column_stack([integral(y1 * src), integral(y2 * src)])
+        y, _ = _varied(kern, *_at_nodes(c))
+        p1, p2 = c.T @ ends
+        return y, (-p1, _SQRT2 * (p2 - p1))
+
+    iw = _at_nodes(integral(_w_stretched(s)))
+    half_s2 = s * s / _SQRT2
+    v_a, line_a = solve(-iw)
+    v_b, line_b = solve(half_s2)
+    p, q = v_a - iw, v_b + half_s2
+    iv_a, iv_b = (_at_nodes(integral(v)) for v in (v_a, v_b))
+    brackets = (s * iw - iv_a + 0.5 * p * p, p * q - iv_b, 0.5 * q * q, -s * s)
+    basis = np.array([line_a, line_b] + [solve(a)[1] for a in brackets])
+    basis.flags.writeable = False
+    return basis
+
+
+def _far_field(gamma: float) -> CorrectionConstants:
+    """Far-field lines nu1 s + nu2 of v and zeta1 s + zeta2 of z at the
+    layer amplitude |gamma|: nu = nu_A + gamma nu_B and zeta = zeta_0 +
+    gamma zeta_1 + gamma^2 zeta_2 + ln(2 gamma) zeta_3 on the lines of
+    ``_far_field_basis``."""
+    g = abs(gamma)
+    basis = _far_field_basis()
+    nu1, nu2 = (float(x) for x in np.array([1.0, g]) @ basis[:2])
+    zeta1, zeta2 = (float(x) for x in
+                    np.array([1.0, g, g * g, np.log(2.0 * g)]) @ basis[2:])
+    return CorrectionConstants(nu1=nu1, nu2=nu2, zeta1=zeta1, zeta2=zeta2,
+                               nu2_eff=nu2 - _SWEEP_TAIL,
+                               zeta1_eff=zeta1 + _SWEEP_TAIL - nu2)
 
 
 def _f_alpha(r, bubble, lam: float):
@@ -543,6 +601,10 @@ def boundary_corrections(params: "AnsatzParams") -> BoundaryCorrections:
 # outer profile matching
 # ---------------------------------------------------------------------------
 
+# xi(1), xi'(1) and zeta(1) of the outer matching (zeta'(1) = 0)
+_XI_ZETA_1 = tuple(float(v[0]) for v in xi_zeta_table(np.array([1.0]))[:3])
+
+
 def _solve_outer(eps: float,
                  constants: CorrectionConstants | None) -> tuple[float, float, int]:
     """Solve the outer matching for (data, gamma) with a data-order ladder.
@@ -556,7 +618,7 @@ def _solve_outer(eps: float,
     involves the regular coefficient B because the singular basis mode zeta
     is flat at 1, so the system is effectively triangular.
     """
-    xi1, xi1p, zeta1v, _ = (float(v[0]) for v in xi_zeta_table(np.array([1.0])))
+    xi1, xi1p, zeta1v = _XI_ZETA_1
     A = 4.0 * eps / _SQRT2
     nu2e = constants.nu2_eff if constants is not None else 0.0
     zeta1e = constants.zeta1_eff if constants is not None else 0.0
@@ -648,11 +710,12 @@ def build_params(lam: float, eta: float = 0.8) -> AnsatzParams:
     """Assemble all ansatz parameters for one lambda.
 
     Iterates the outer matching with the correction constants (which depend
-    on the layer amplitude through the stretched profiles) towards a joint
-    fixed point, for at most four passes.  Those do not always settle: on
-    ``logspace(-1, -300, 120)`` 46 of the 120 lambdas still move gamma after
-    four passes, slowest near the order-2 fold, and some alternate their
-    matching order between passes; ROADMAP item 11 replaces the loop.  The
+    on the layer amplitude gamma in closed form, ``_far_field``) towards a
+    joint fixed point, for at most four passes.  Those do not always
+    settle: on ``logspace(-1, -300, 120)`` 46 of the 120 lambdas still move
+    gamma after four passes, slowest near the order-2 fold, and some
+    alternate their matching order between passes (and as many on
+    ``logspace(-1.5, -300, 120)``); ROADMAP item 11 replaces the loop.  The
     outer profile is then the Green's function with no free layer,
     ``greens.LayerCalculus`` with -A ln r at the origin and the matched data
     at r = 1.  Newton's method finds gamma, with the matching gap's
@@ -669,7 +732,7 @@ def build_params(lam: float, eta: float = 0.8) -> AnsatzParams:
     data, gamma, order = _solve_outer(eps, None)
     constants = None
     for _ in range(4):
-        constants = _StretchedStack(gamma).far_field()
+        constants = _far_field(gamma)
         data, new_gamma, order = _solve_outer(eps, constants)
         settled = abs(new_gamma - gamma) < 1e-12 * (1.0 + abs(gamma))
         gamma = new_gamma

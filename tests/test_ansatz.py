@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from kslayers import ansatz, greens
-from kslayers.errors import DomainError
+from kslayers.errors import DomainError, MatchingError
 
 import oracles
 
@@ -341,9 +341,13 @@ class TestOnePass:
         far = ansatz._cheb_eval(stack.coef, -depth, 0.0, np.array([-depth]))[:, 0]
         assert far.shape == (6,)
         assert np.max(np.abs(far - [ser(-depth) for ser in series])) <= 3e-12
-        # the far field reads the same row sums off T_k(-1) = (-1)^k
-        cc = stack.far_field()
-        assert (cc.nu1, cc.zeta1) == (-far[1], -far[4])
+        # at the full depth the row sums are the far-field limits, which
+        # the closed form in gamma composes from the basis lines
+        if depth == ansatz._S_DEPTH:
+            cc = ansatz._far_field(gamma)
+            want = (-far[1], np.sqrt(2.0) * (far[2] - far[1]),
+                    -far[4], np.sqrt(2.0) * (far[5] - far[4]))
+            assert (cc.nu1, cc.nu2, cc.zeta1, cc.zeta2) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_series_against_mpmath(self, params4, seed):
@@ -367,6 +371,49 @@ class TestOnePass:
             want = oracles.mpmath_chebyshev_series(coef, x)
             assert np.max(np.abs(got - want) / unit) <= 10.0
             assert np.max(np.abs(chebval(x, coef) - want) / unit) <= 10.0
+
+
+# the 132 lambdas of scripts/bvp_parity.py's params case
+PARAM_LAMBDAS = [*np.logspace(-1, -300, 120), 0.3, 0.2, 1e-2, 1e-3, 3e-4, 1e-4, 1e-5,
+                 *(oracles.lambda_of_epsilon(e) for e in (0.10, 0.07, 0.05, 0.035, 0.025))]
+
+
+class TestFarFieldBasis:
+    def test_closed_form_is_the_full_depth_stack(self):
+        # the constants composed from the basis against the row sums at
+        # T_k(-1) of the full-depth stack at each gamma; measured: at most
+        # 1.0e-13 relative and 4.1e-13 absolute, both on zeta1
+        gammas = [0.5, 1.0, 2.96, 5.0, 8.0]
+        for lam in PARAM_LAMBDAS:
+            try:
+                gammas.append(ansatz.build_params(lam).gamma_eps)
+            except MatchingError:
+                pass
+        assert len(gammas) == 5 + 129
+        for gamma in gammas:
+            coef = ansatz._StretchedStack(gamma).coef
+            _, p1, p2, _, q1, q2 = coef.T @ (-1.0) ** np.arange(len(coef))
+            want = (-p1, np.sqrt(2.0) * (p2 - p1), -q1, np.sqrt(2.0) * (q2 - q1))
+            cc = ansatz._far_field(gamma)
+            assert (cc.nu1, cc.nu2, cc.zeta1, cc.zeta2) == pytest.approx(want, rel=1e-12)
+
+    def test_build_params_builds_no_stack(self, monkeypatch):
+        # past the first call the passes read the basis computed once per
+        # process, and no call builds a stretched stack
+        ansatz.build_params(1e-4)
+        depths = []
+
+        class Counted(ansatz._StretchedStack):
+            def __init__(self, gamma, depth=ansatz._S_DEPTH):
+                depths.append(depth)
+                super().__init__(gamma, depth)
+
+        monkeypatch.setattr(ansatz, "_StretchedStack", Counted)
+        for _ in range(2):
+            ansatz.build_params(1e-4)
+        assert depths == []
+        info = ansatz._far_field_basis.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2
 
 
 # the ansatz lambdas of scripts/bvp_parity.py, then a scan down to the
